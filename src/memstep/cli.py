@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -36,16 +35,15 @@ from .experiments import (
     AlignmentError,
     ExperimentSpec,
     compare_baseline,
-    compute_reference,
     convergence_study,
-    error_series,
     run_model_problem,
     write_convergence_csv,
+    write_csv,
     write_errors_csv,
     write_trajectory_csv,
 )
 from .operators import ConvergenceError, NotSpdError
-from .schemes import AuxiliaryResidualError, SchemeConfigError
+from .schemes import AuxiliaryResidualError, NonFiniteError, SchemeConfigError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -71,7 +69,6 @@ class RunConfig:
     grid: int = 32
     out: Optional[str] = None
     reference_steps: int = 1000
-    deterministic: bool = True
     # Each ladder entry must be divisible by sample_count so the comparison
     # times land on every time grid.
     ladder_steps: tuple[int, ...] = (48, 96, 192, 384)
@@ -180,15 +177,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"not a boolean: {text!r}")
-
-
 def make_run_dir(cfg: RunConfig, command: str) -> Path:
     root = cfg.out or os.environ.get("MEMSTEP_OUT") or "runs"
     run_dir = Path(root) / command
@@ -222,19 +210,12 @@ def cmd_run(cfg: RunConfig) -> int:
 
 def cmd_converge(cfg: RunConfig) -> int:
     started = datetime.now(timezone.utc).isoformat()
-    if len(cfg.ladder_steps) < 3:
-        raise ConfigError(
-            f"ladder_steps={list(cfg.ladder_steps)}: a convergence study needs "
-            "at least 3 step counts"
-        )
     spec = cfg.experiment_spec()
-    reference = compute_reference(spec)
-    result = convergence_study(spec, cfg.ladder_steps, reference=reference)
-    finest = run_model_problem(spec, n_steps=max(cfg.ladder_steps))
-    errs = error_series(finest, reference)
+    result = convergence_study(spec, cfg.ladder_steps)  # checks the ladder first
+    finest = min(result.rows, key=lambda row: row.tau)
     run_dir = make_run_dir(cfg, "converge")
     write_convergence_csv(result, run_dir / "convergence.csv")
-    write_errors_csv(errs, run_dir / "errors.csv")
+    write_errors_csv(finest.errors, run_dir / "errors.csv")
     write_manifest(cfg, run_dir, started)
     print(f"slope eps2 = {result.slope_eps2:.3f}")
     print(f"slope epsinf = {result.slope_epsinf:.3f}")
@@ -253,11 +234,7 @@ def cmd_kernel_error(cfg: RunConfig) -> int:
         samples=cfg.window_samples,
     )
     run_dir = make_run_dir(cfg, "kernel-error")
-    with (run_dir / "kernel_error.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "error"])
-        for t, e in zip(report.times, report.errors):
-            writer.writerow([f"{t:.17g}", f"{e:.17g}"])
+    write_csv(run_dir / "kernel_error.csv", ["t", "error"], zip(report.times, report.errors))
     write_manifest(cfg, run_dir, started)
     print(f"sup error = {report.sup_error:.6e}")
     print(f"output in {run_dir}")
@@ -274,18 +251,12 @@ def cmd_compare_baseline(cfg: RunConfig) -> int:
     spec = cfg.experiment_spec()
     rows = compare_baseline(spec, cfg.ladder_steps)
     run_dir = make_run_dir(cfg, "compare-baseline")
-    with (run_dir / "baseline.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["tau", "max_diff", "soe_seconds", "history_seconds",
-             "soe_fields", "history_fields"]
-        )
-        for row in rows:
-            writer.writerow(
-                [f"{row.tau:.17g}", f"{row.max_diff:.17g}",
-                 f"{row.soe_seconds:.6f}", f"{row.history_seconds:.6f}",
-                 row.soe_fields, row.history_fields]
-            )
+    write_csv(
+        run_dir / "baseline.csv",
+        ["tau", "max_diff", "soe_seconds", "history_seconds", "soe_fields", "history_fields"],
+        [(row.tau, row.max_diff, f"{row.soe_seconds:.6f}", f"{row.history_seconds:.6f}",
+          row.soe_fields, row.history_fields) for row in rows],
+    )
     write_manifest(cfg, run_dir, started)
     for row in rows:
         print(
@@ -316,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output root (default $MEMSTEP_OUT or ./runs)")
     common.add_argument("--reference-steps", dest="reference_steps", type=int,
                         default=None, help="time steps of the reference run")
-    common.add_argument("--deterministic", type=_parse_bool, default=None,
-                        metavar="BOOL", help="bitwise-reproducible output mode")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("run", parents=[common], help="run the model relaxation problem")
@@ -342,13 +311,14 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         return _COMMANDS[args.command](cfg)
+    # NotSpdError is a ValueError, so the numerical clause must come first.
+    except (ConvergenceError, NotSpdError, AuxiliaryResidualError, NonFiniteError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ConfigError, KernelFormatError, SchemeConfigError, AlignmentError,
             ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConvergenceError, NotSpdError, AuxiliaryResidualError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

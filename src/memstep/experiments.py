@@ -49,6 +49,7 @@ __all__ = [
     "fit_slope",
     "convergence_study",
     "compare_baseline",
+    "write_csv",
     "write_trajectory_csv",
     "write_errors_csv",
     "write_convergence_csv",
@@ -113,6 +114,7 @@ class ConvergenceRow:
     tau: float
     max_eps2: float
     max_epsinf: float
+    errors: ErrorSeries
 
 
 @dataclass(frozen=True)
@@ -178,28 +180,21 @@ def run_model_problem(
     stride = _snapshot_stride(n_steps, spec.sample_count)
 
     problem = build_model_problem(spec, initial=initial)
-    cfg = SchemeConfig(
-        sigma=sigma,
-        tau=spec.final_time / n_steps,
-        n_steps=n_steps,
-        cg_tol=spec.cg_tol,
-    )
+    cfg = SchemeConfig(sigma=sigma, tau=spec.final_time / n_steps, cg_tol=spec.cg_tol)
     state = soe_init(problem)
-    steps = [0]
     times = [0.0]
     energies = [energy(problem, state)]
     centers = [state.y.center_value()]
     snapshots: list[GridFunction] = []
     for n in range(1, n_steps + 1):
         state = soe_step(problem, cfg, state)
-        steps.append(n)
         times.append(state.t)
         energies.append(energy(problem, state))
         centers.append(state.y.center_value())
         if n % stride == 0:
             snapshots.append(state.y)
     return Trajectory(
-        steps=np.array(steps),
+        steps=np.arange(n_steps + 1),
         times=np.array(times),
         energies=np.array(energies),
         center_values=np.array(centers),
@@ -264,6 +259,7 @@ def convergence_study(
                 tau=spec.final_time / n_steps,
                 max_eps2=float(np.max(errs.eps2)),
                 max_epsinf=float(np.max(errs.epsinf)),
+                errors=errs,
             )
         )
     taus = [r.tau for r in rows]
@@ -287,7 +283,7 @@ def compare_baseline(
     rows = []
     for n_steps in step_ladder:
         tau = spec.final_time / n_steps
-        cfg = SchemeConfig(sigma=spec.sigma, tau=tau, n_steps=n_steps, cg_tol=spec.cg_tol)
+        cfg = SchemeConfig(sigma=spec.sigma, tau=tau, cg_tol=spec.cg_tol)
 
         t0 = time.perf_counter()
         soe_state: SoeState = soe_init(problem)
@@ -319,27 +315,24 @@ def compare_baseline(
     return tuple(rows)
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
+def write_csv(path, header: list[str], rows) -> None:
+    """Write a header and rows; floats get 17 significant digits (exact on reading back)."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "t", "energy", "center_value"])
-        for n, t, e, c in zip(traj.steps, traj.times, traj.energies, traj.center_values):
-            writer.writerow([int(n), f"{t:.17g}", f"{e:.17g}", f"{c:.17g}"])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+
+
+def write_trajectory_csv(traj: Trajectory, path) -> None:
+    rows = zip(traj.steps, traj.times, traj.energies, traj.center_values)
+    write_csv(path, ["n", "t", "energy", "center_value"], rows)
 
 
 def write_errors_csv(errs: ErrorSeries, path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "eps2", "epsinf"])
-        for t, e2, ei in zip(errs.times, errs.eps2, errs.epsinf):
-            writer.writerow([f"{t:.17g}", f"{e2:.17g}", f"{ei:.17g}"])
+    write_csv(path, ["t", "eps2", "epsinf"], zip(errs.times, errs.eps2, errs.epsinf))
 
 
 def write_convergence_csv(result: ConvergenceResult, path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["tau", "max_eps2", "max_epsinf"])
-        for row in result.rows:
-            writer.writerow(
-                [f"{row.tau:.17g}", f"{row.max_eps2:.17g}", f"{row.max_epsinf:.17g}"]
-            )
+    rows = [(row.tau, row.max_eps2, row.max_epsinf) for row in result.rows]
+    write_csv(path, ["tau", "max_eps2", "max_epsinf"], rows)

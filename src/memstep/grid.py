@@ -107,9 +107,6 @@ class GridFunction:
     def __truediv__(self, scalar: float) -> "GridFunction":
         return GridFunction(self.grid, self.values / scalar)
 
-    def __neg__(self) -> "GridFunction":
-        return GridFunction(self.grid, -self.values)
-
     def center_value(self) -> float:
         """Value at the interior node nearest (0.5, 0.5)."""
         # For even n the midpoint is an interior node; for odd n the lower

@@ -43,10 +43,17 @@ class NotSpdError(ValueError):
 
 
 class SpdOperator:
-    """Abstract symmetric positive (semi)definite linear map."""
+    """Abstract symmetric positive (semi)definite linear map.  A subclass
+    defines :meth:`apply`, :meth:`apply_values` or both; each default uses the other."""
 
     def apply(self, w: GridFunction) -> GridFunction:
-        raise NotImplementedError
+        return GridFunction(w.grid, self.apply_values(w.values, w.grid))
+
+    def apply_values(self, v: np.ndarray, grid: Grid2D) -> np.ndarray:
+        """Apply to interior values of shape ``(..., n1-1, n2-1)``, leading
+        axes indexing separate fields; returns a new array."""
+        fields = v.reshape((-1,) + grid.shape)
+        return np.reshape([self.apply(GridFunction(grid, f)).values for f in fields], v.shape)
 
     def __call__(self, w: GridFunction) -> GridFunction:
         return self.apply(w)
@@ -58,16 +65,19 @@ class FivePointLaplacian(SpdOperator):
 
     grid: Grid2D
 
-    def apply(self, w: GridFunction) -> GridFunction:
-        if w.grid != self.grid:
-            raise GridMismatchError(f"function grid {w.grid} != operator grid {self.grid}")
-        v = w.values
-        out = (2.0 / self.grid.h1**2 + 2.0 / self.grid.h2**2) * v
-        out[1:, :] -= v[:-1, :] / self.grid.h1**2
-        out[:-1, :] -= v[1:, :] / self.grid.h1**2
-        out[:, 1:] -= v[:, :-1] / self.grid.h2**2
-        out[:, :-1] -= v[:, 1:] / self.grid.h2**2
-        return GridFunction(w.grid, out)
+    def apply_values(self, v: np.ndarray, grid: Grid2D) -> np.ndarray:
+        if grid != self.grid:
+            raise GridMismatchError(f"function grid {grid} != operator grid {self.grid}")
+        inv1, inv2 = 1.0 / self.grid.h1**2, 1.0 / self.grid.h2**2
+        out = (2.0 * inv1 + 2.0 * inv2) * v
+        scaled = inv1 * v
+        out[..., 1:, :] -= scaled[..., :-1, :]
+        out[..., :-1, :] -= scaled[..., 1:, :]
+        if inv2 != inv1:
+            np.multiply(v, inv2, out=scaled)
+        out[..., :, 1:] -= scaled[..., :, :-1]
+        out[..., :, :-1] -= scaled[..., :, 1:]
+        return out
 
 
 @dataclass(frozen=True)
@@ -87,8 +97,8 @@ class DiagonalScaling(SpdOperator):
             raise NotSpdError("diagonal coefficient must be >= 0 everywhere")
         self.coefficient = coefficient
 
-    def apply(self, w: GridFunction) -> GridFunction:
-        return GridFunction(w.grid, self.coefficient * w.values)
+    def apply_values(self, v: np.ndarray, grid: Grid2D) -> np.ndarray:
+        return self.coefficient * v
 
 
 class ScaledSum(SpdOperator):
@@ -133,10 +143,11 @@ def cg_solve(
     rhs: GridFunction,
     tol: float = 1e-10,
     max_iter: int | None = None,
-    x0: GridFunction | None = None,
 ) -> GridFunction:
     """Conjugate gradients for op x = rhs, relative-residual stopping rule.
 
+    The iterate, residual and search direction are arrays updated in place;
+    ``op.apply`` runs once for the initial residual and once per iteration.
     Raises ConvergenceError when max_iter (default 10*(n1+n2)) is exhausted.
     """
     if tol <= 0:
@@ -147,26 +158,33 @@ def cg_solve(
     rhs_norm = l2_norm(rhs)
     if rhs_norm == 0.0:
         return grid.zeros()
-    x = grid.zeros() if x0 is None else x0
-    r = rhs - op.apply(x)
-    p = r
-    rr = inner_product(r, r)
+    scratch = np.empty(grid.shape)
+
+    def dot(u, v):  # inner_product on arrays, into a reused buffer
+        return float(np.multiply(u, v, out=scratch).sum()) * grid.cell_area
+
+    x = np.zeros(grid.shape)
+    r = rhs.values - op.apply(GridFunction(grid, x)).values
+    p = r.copy()
+    direction = GridFunction(grid, p)
+    rr = dot(r, r)
     target = tol * rhs_norm
     for _ in range(max_iter):
         if np.sqrt(rr) <= target:
-            return x
-        ap = op.apply(p)
-        pap = inner_product(p, ap)
+            return GridFunction(grid, x)
+        ap = op.apply(direction).values
+        pap = dot(p, ap)
         if pap <= 0:
             raise NotSpdError(f"CG detected a non-SPD operator: (p, Ap) = {pap}")
         alpha = rr / pap
-        x = x + alpha * p
-        r = r - alpha * ap
-        rr_new = inner_product(r, r)
-        p = r + (rr_new / rr) * p
+        x += alpha * p
+        r -= alpha * ap
+        rr_new = dot(r, r)
+        p *= rr_new / rr
+        p += r
         rr = rr_new
     if np.sqrt(rr) <= target:
-        return x
+        return GridFunction(grid, x)
     raise ConvergenceError(
         f"CG did not converge in {max_iter} iterations "
         f"(relative residual {np.sqrt(rr) / rhs_norm:.3e} > {tol:.3e})",

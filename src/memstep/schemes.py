@@ -3,9 +3,10 @@
 Two steppers discretize the same problem
 ``B dv/dt + int_0^t ktil(t-s) A v(s) ds + C v = phi(t)``:
 
-* the compressed stepper keeps one auxiliary grid function per exponential
-  term of the kernel and advances everything with a two-level weighted
-  scheme, solving a single shifted SPD system per step;
+* the compressed stepper keeps one auxiliary field per exponential term of
+  the kernel, all m of them in one ``(m, n1-1, n2-1)`` array, and advances
+  everything with a two-level weighted scheme, solving a single shifted SPD
+  system per step;
 * the full-history baseline evaluates the memory integral with a
   trapezoidal product rule over all past levels, so its memory and per-step
   cost grow linearly with the step index.
@@ -18,15 +19,17 @@ non-increasing for zero forcing.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .grid import GridFunction, l2_norm
-from .kernels import PronySeries, prony_eval
+from .kernels import PronySeries
 from .operators import (
     IdentityOperator,
+    NotSpdError,
     ScaledSum,
     SpdOperator,
     a_norm,
@@ -40,6 +43,7 @@ __all__ = [
     "HistoryState",
     "SchemeConfigError",
     "AuxiliaryResidualError",
+    "NonFiniteError",
     "soe_init",
     "soe_step",
     "general_step",
@@ -49,9 +53,6 @@ __all__ = [
     "scalar_ode_oracle",
 ]
 
-ForcingFn = Callable[[float], GridFunction]
-
-
 class SchemeConfigError(ValueError):
     """Invalid scheme configuration (weight, step, counts)."""
 
@@ -60,22 +61,21 @@ class AuxiliaryResidualError(AssertionError):
     """The per-step auxiliary-equation residual exceeded rounding scale."""
 
 
+class NonFiniteError(ArithmeticError):
+    """A step or energy evaluation overflowed or produced a NaN."""
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Two-level weighted scheme parameters.
 
     sigma in (0, 1] is the implicitness weight (0.5 symmetric, 1 backward
-    Euler); sigma >= 0.5 guarantees unconditional stability.  When
-    ``forcing_blend`` is set, the mid-level forcing is the sigma-blend of
-    the two level values instead of a point evaluation at t_n + sigma*tau.
+    Euler); sigma >= 0.5 guarantees unconditional stability.
     """
 
     sigma: float
     tau: float
-    n_steps: int = 1
     cg_tol: float = 1e-10
-    cg_max_iter: Optional[int] = None
-    forcing_blend: bool = False
     check_residuals: bool = True
 
     def __post_init__(self):
@@ -83,8 +83,6 @@ class SchemeConfig:
             raise SchemeConfigError(f"sigma={self.sigma} must lie in (0, 1]")
         if not self.tau > 0:
             raise SchemeConfigError(f"tau={self.tau} must be > 0")
-        if self.n_steps < 1:
-            raise SchemeConfigError(f"n_steps={self.n_steps} must be >= 1")
 
     @property
     def stability_guaranteed(self) -> bool:
@@ -105,7 +103,7 @@ class ProblemSpec:
     operator: SpdOperator
     kernel: PronySeries
     initial: GridFunction
-    forcing: Optional[ForcingFn] = None
+    forcing: Optional[Callable[[float], GridFunction]] = None
     mass: SpdOperator = field(default_factory=IdentityOperator)
     reaction: Optional[SpdOperator] = None
 
@@ -117,106 +115,127 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SoeState:
-    """Compressed stepper state: solution plus one memory function per term."""
+    """Compressed stepper state: the solution plus the m memory fields, held
+    as one array ``aux`` of shape ``(m, n1-1, n2-1)`` that no step writes."""
 
     y: GridFunction
-    aux: tuple[GridFunction, ...]
+    aux: np.ndarray
     n: int
     t: float
+
+
+@dataclass
+class _Levels:
+    data: np.ndarray  # rows 0..count-1 hold levels; grows by doubling
+    count: int
 
 
 @dataclass(frozen=True)
 class HistoryState:
     """Baseline state: every past level (the linear growth is the point).
 
-    ``applied`` caches the spatial operator applied to each level so the
-    quadrature does not reapply the stencil to the whole history each step.
+    ``applied`` holds the spatial operator applied to each level as rows 0..n
+    of one array, so no step reapplies the stencil to or restacks the history.
     """
 
     ys: tuple[GridFunction, ...]
-    applied: tuple[GridFunction, ...]
+    levels: _Levels
     n: int
     t: float
 
+    @property
+    def applied(self) -> np.ndarray:
+        return self.levels.data[: self.n + 1]
 
-def _forcing_value(p: ProblemSpec, cfg: SchemeConfig, t_n: float) -> Optional[GridFunction]:
-    if p.forcing is None:
-        return None
-    if cfg.forcing_blend:
-        return cfg.sigma * p.forcing(t_n + cfg.tau) + (1.0 - cfg.sigma) * p.forcing(t_n)
-    return p.forcing(t_n + cfg.sigma * cfg.tau)
+
+# Temporaries the size of the memory-field stack are built a block of fields
+# at a time, each block holding about this many values (one 256x256 field),
+# so that a step's peak memory stays close to that of its state.
+_BLOCK_VALUES = 1 << 16
+
+
+def _blocks(aux: np.ndarray) -> list[slice]:
+    per = max(1, _BLOCK_VALUES // aux[0].size)
+    return [slice(i, i + per) for i in range(0, len(aux), per)]
+
+
+@contextmanager
+def _finite(what: str, n: int, t: float):
+    """Turn the first overflow or NaN inside the block into NonFiniteError."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        message = f"non-finite values in the {what} of step {n} (t={t:.6g}): {exc}"
+        raise NonFiniteError(message) from None
 
 
 def soe_init(p: ProblemSpec) -> SoeState:
     """Initial state: y = u0, all compressed memory functions zero."""
-    zeros = tuple(p.initial.grid.zeros() for _ in range(p.kernel.n_terms))
-    return SoeState(y=p.initial, aux=zeros, n=0, t=0.0)
+    aux = np.zeros((p.kernel.n_terms,) + p.initial.grid.shape)
+    return SoeState(y=p.initial, aux=aux, n=0, t=0.0)
 
 
-def _check_aux_residual(cfg: SchemeConfig, b_i: float, y_new, y_old, yi_new, yi_old):
+def _check_aux_residual(cfg: SchemeConfig, rates, y_new, y_old, aux_new, aux_old) -> None:
+    """Raise AuxiliaryResidualError, naming the rate, unless every memory
+    field meets its implicit equation to rounding: the residual
+    (y_i' - y_i)/tau + b_i (sigma y_i' + (1-sigma) y_i) - (sigma y' + (1-sigma) y)
+    must stay within 1e-12 (|y'| + |y_i'|)/tau."""
     sig, tau = cfg.sigma, cfg.tau
-    residual = (
-        (yi_new - yi_old) / tau
-        + b_i * (sig * yi_new + (1.0 - sig) * yi_old)
-        - (sig * y_new + (1.0 - sig) * y_old)
-    )
-    bound = 1e-12 * (l2_norm(y_new) + l2_norm(yi_new)) / tau
-    r = l2_norm(residual)
-    if r > bound:
-        raise AuxiliaryResidualError(
-            f"auxiliary update residual {r:.3e} exceeds rounding bound {bound:.3e} "
-            f"(rate b={b_i})"
-        )
+    b = np.asarray(rates, dtype=float)[:, None, None]
+    ybar = sig * y_new.values + (1.0 - sig) * y_old.values
+    r2 = np.empty(len(b))
+    for blk in _blocks(aux_new):
+        res = (1.0 / tau + sig * b[blk]) * aux_new[blk]
+        res -= (1.0 / tau - (1.0 - sig) * b[blk]) * aux_old[blk]
+        res -= ybar
+        r2[blk] = np.einsum("kij,kij->k", res, res)
+    area = y_new.grid.cell_area
+    norms = np.sqrt(np.einsum("kij,kij->k", aux_new, aux_new) * area)
+    bounds = 1e-12 * (l2_norm(y_new) + norms) / tau
+    for b_i, r_i, bound in zip(rates, np.sqrt(r2 * area), bounds):
+        if r_i > bound:
+            raise AuxiliaryResidualError(
+                f"auxiliary update residual {r_i:.3e} exceeds rounding bound {bound:.3e} "
+                f"(rate b={b_i})"
+            )
 
 
 def _weighted_step(p: ProblemSpec, cfg: SchemeConfig, s: SoeState) -> SoeState:
     """Shared elimination core of the compressed weighted scheme.
 
-    The auxiliary update is derived algebraically from the implicit
-    auxiliary equation: (1 + sigma*b_i*tau) y_i_new =
-    (1 - (1-sigma)*b_i*tau) y_i + tau*(sigma*y_new + (1-sigma)*y).
+    The implicit auxiliary equation solves to y_i' = decay_i y_i + (tau/d_i)
+    ybar, with d_i = 1 + sigma b_i tau, decay_i = (1 - (1-sigma) b_i tau)/d_i
+    and ybar = sigma y' + (1-sigma) y; in the memory term it leaves one
+    shifted SPD solve for y'.  The first overflow or NaN raises NonFiniteError.
     """
     sig, tau = cfg.sigma, cfg.tau
-    a = p.kernel.weights
-    b = p.kernel.rates
-    y = s.y
-
-    denom = [1.0 + sig * bi * tau for bi in b]
-    chi = [
-        ((1.0 - sig) * tau * y + (1.0 - (1.0 - sig) * bi * tau) * yi) / di
-        for bi, di, yi in zip(b, denom, s.aux)
-    ]
-    mu = math.fsum(sig * ai * tau / di for ai, di in zip(a, denom))
-
-    # sum_i a_i * A((1-sigma) y_i + sigma chi_i), with the single operator
-    # application pulled outside the sum by linearity.
-    mem_values = np.zeros(y.grid.shape)
-    for ai, yi, ci in zip(a, s.aux, chi):
-        mem_values += ai * ((1.0 - sig) * yi.values + sig * ci.values)
-    memory_term = p.operator.apply(GridFunction(y.grid, mem_values))
-
-    rhs = p.mass.apply(y)
-    if p.reaction is not None:
-        rhs = rhs - ((1.0 - sig) * tau) * p.reaction.apply(y)
-    rhs = rhs - tau * memory_term
-    phi = _forcing_value(p, cfg, s.t)
-    if phi is not None:
-        rhs = rhs + tau * phi
-
-    terms = [(1.0, p.mass), (sig * tau * mu, p.operator)]
-    if p.reaction is not None:
-        terms.append((sig * tau, p.reaction))
-    lhs = ScaledSum(terms)
-
-    y_new = cg_solve(lhs, rhs, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter)
-
-    aux_new = tuple(
-        (sig * tau / di) * y_new + ci for di, ci in zip(denom, chi)
-    )
-    if cfg.check_residuals:
-        for bi, yi_old, yi_new in zip(b, s.aux, aux_new):
-            _check_aux_residual(cfg, bi, y_new, y, yi_new, yi_old)
-    return SoeState(y=y_new, aux=aux_new, n=s.n + 1, t=s.t + tau)
+    a, b = np.asarray(p.kernel.weights), np.asarray(p.kernel.rates)
+    d = 1.0 + sig * b * tau
+    decay = (1.0 - (1.0 - sig) * b * tau) / d
+    gain = tau / d
+    mu = math.fsum(sig * a * tau / d)
+    grid, y = s.y.grid, s.y.values
+    with _finite("update", s.n + 1, s.t + tau):
+        # sum_i a_i A((1-sigma) y_i + sigma y_i') less its implicit part sigma*mu*A y',
+        # with the one operator application pulled outside the sum by linearity.
+        mem = np.tensordot(a * ((1.0 - sig) + sig * decay), s.aux, axes=1)
+        mem += (sig * (1.0 - sig) * float(a @ gain)) * y
+        rhs = p.mass.apply(s.y).values - tau * p.operator.apply(GridFunction(grid, mem)).values
+        terms = [(1.0, p.mass), (sig * tau * mu, p.operator)]
+        if p.reaction is not None:
+            rhs -= ((1.0 - sig) * tau) * p.reaction.apply(s.y).values
+            terms.append((sig * tau, p.reaction))
+        if p.forcing is not None:  # evaluated at the mid level t_n + sigma*tau
+            rhs += tau * p.forcing(s.t + sig * tau).values
+        y_new = cg_solve(ScaledSum(terms), GridFunction(grid, rhs), tol=cfg.cg_tol)
+        ybar = sig * y_new.values + (1.0 - sig) * y
+        aux = decay[:, None, None] * s.aux
+        for blk in _blocks(aux):
+            aux[blk] += gain[blk, None, None] * ybar
+        if cfg.check_residuals:
+            _check_aux_residual(cfg, b, y_new, s.y, aux, s.aux)
+    return SoeState(y=y_new, aux=aux, n=s.n + 1, t=s.t + tau)
 
 
 def soe_step(p: ProblemSpec, cfg: SchemeConfig, s: SoeState) -> SoeState:
@@ -240,12 +259,8 @@ def history_init(p: ProblemSpec) -> HistoryState:
     """Initial state for the full-history baseline."""
     if not p.is_plain:
         raise SchemeConfigError("the full-history baseline handles only the plain problem")
-    return HistoryState(
-        ys=(p.initial,),
-        applied=(p.operator.apply(p.initial),),
-        n=0,
-        t=0.0,
-    )
+    first = p.operator.apply(p.initial).values
+    return HistoryState(ys=(p.initial,), levels=_Levels(first[None].copy(), 1), n=0, t=0.0)
 
 
 def _product_trapezoid_weights(
@@ -299,43 +314,49 @@ def quadrature_step(p: ProblemSpec, cfg: SchemeConfig, h: HistoryState) -> Histo
     sig, tau = cfg.sigma, cfg.tau
     n = h.n
 
-    stacked = np.stack([g.values for g in h.applied])
-
     # int_0^{t_{n+1}}: known part over levels 0..n plus the implicit
     # endpoint weight on A y_new.
     w_new, w_new_end = _product_trapezoid_weights(p.kernel, tau, n + 1)
-    s_new = np.tensordot(w_new, stacked, axes=1)
+    s_new = np.tensordot(w_new, h.applied, axes=1)
 
     # int_0^{t_n}: fully known, over levels 0..n (zero when n = 0).
+    s_old = 0.0
     if n >= 1:
         w_old, w_old_end = _product_trapezoid_weights(p.kernel, tau, n)
-        w_old_full = np.concatenate([w_old, [w_old_end]])
-        s_old = np.tensordot(w_old_full, stacked, axes=1)
-    else:
-        s_old = np.zeros(h.ys[0].grid.shape)
+        s_old = np.tensordot(np.concatenate([w_old, [w_old_end]]), h.applied, axes=1)
 
-    grid = h.ys[0].grid
-    rhs_values = h.ys[-1].values - tau * (sig * s_new + (1.0 - sig) * s_old)
-    rhs = GridFunction(grid, rhs_values)
-    phi = _forcing_value(p, cfg, h.t)
-    if phi is not None:
-        rhs = rhs + tau * phi
-
+    rhs = h.ys[-1].values - tau * (sig * s_new + (1.0 - sig) * s_old)
+    if p.forcing is not None:
+        rhs += tau * p.forcing(h.t + sig * tau).values
     lhs = ScaledSum([(1.0, IdentityOperator()), (sig * tau * w_new_end, p.operator)])
-    y_new = cg_solve(lhs, rhs, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter)
-    return HistoryState(
-        ys=h.ys + (y_new,),
-        applied=h.applied + (p.operator.apply(y_new),),
-        n=n + 1,
-        t=h.t + tau,
-    )
+    y_new = cg_solve(lhs, GridFunction(h.ys[0].grid, rhs), tol=cfg.cg_tol)
+
+    levels = h.levels
+    if levels.count != n + 1:  # h was stepped before: branch off a copy
+        levels = _Levels(h.applied.copy(), n + 1)
+    if levels.count == len(levels.data):
+        levels.data = np.concatenate([levels.data, np.empty_like(levels.data)])
+    levels.data[levels.count] = p.operator.apply(y_new).values
+    levels.count += 1
+    return HistoryState(ys=h.ys + (y_new,), levels=levels, n=n + 1, t=h.t + tau)
 
 
 def energy(p: ProblemSpec, s: SoeState) -> float:
-    """Composite stability energy (|y|_mass^2 + sum_i a_i |y_i|_A^2)**0.5."""
-    total = a_norm(p.mass, s.y) ** 2
-    for ai, yi in zip(p.kernel.weights, s.aux):
-        total += ai * a_norm(p.operator, yi) ** 2
+    """Composite stability energy (|y|_mass^2 + sum_i a_i |y_i|_A^2)**0.5.
+
+    The A-forms of the memory fields come from applying the operator to
+    blocks of the stack; a form negative beyond rounding raises NotSpdError.
+    """
+    grid = s.y.grid
+    with _finite("energy", s.n, s.t):
+        forms = np.empty(len(s.aux))
+        for blk in _blocks(s.aux):
+            applied = p.operator.apply_values(s.aux[blk], grid)
+            forms[blk] = np.multiply(applied, s.aux[blk], out=applied).sum(axis=(1, 2))
+        if np.any(forms < -1e-12 * np.maximum(np.einsum("kij,kij->k", s.aux, s.aux), 1e-300)):
+            raise NotSpdError(f"quadratic form is negative: {forms.min() * grid.cell_area}")
+        forms = np.maximum(forms, 0.0) * grid.cell_area
+        total = a_norm(p.mass, s.y) ** 2 + float(np.dot(p.kernel.weights, forms))
     return float(np.sqrt(total))
 
 

@@ -260,11 +260,10 @@ def test_auxiliary_residual_guard_active():
 
     # the guard itself must reject an update that violates the auxiliary
     # equation (e.g. a mis-derived update formula)
-    grid = state.y.grid
-    wrong = GridFunction(grid, state.aux[0].values + 1e-3)
+    wrong = state.aux + 1e-3
     tripped = False
     try:
-        _check_aux_residual(cfg, 2.0, state.y, state.y, wrong, state.aux[0])
+        _check_aux_residual(cfg, [2.0], state.y, state.y, wrong, state.aux)
     except AuxiliaryResidualError:
         tripped = True
     report(

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from memstep import cli
+from memstep import cli, experiments
 from memstep.kernels import StretchedExponential, kernel_sup_error, load_builtin_prony
+from memstep.operators import NotSpdError
 
 # fast settings shared by most invocations: coarse grid, short horizon
 FAST = [
@@ -101,6 +102,25 @@ class TestConfigErrors:
         )
 
 
+class TestNumericalFailures:
+    def test_not_spd_maps_to_numerical_exit(self, monkeypatch, capsys):
+        # NotSpdError is a ValueError; it must not be reported as a config error
+        def failing_run(spec):
+            raise NotSpdError("quadratic form is negative: -1")
+
+        monkeypatch.setattr(cli, "run_model_problem", failing_run)
+        assert cli.main(["run", *FAST]) == cli.EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_unstable_run_names_step_without_warnings(self, out_root, capsys):
+        argv = ["run", "--sigma", "0.1", "--tau", "0.5", "--T", "200"]
+        assert cli.main(argv) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "non-finite values" in err and "of step" in err and "(t=" in err
+        assert not (out_root / "run" / "trajectory.csv").exists()
+
+
 class TestConvergeCommand:
     def test_reports_slopes_near_two(self, out_root, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -118,6 +138,34 @@ class TestConvergeCommand:
         assert (run_dir / "convergence.csv").exists()
         assert (run_dir / "errors.csv").exists()
         assert (run_dir / "manifest.json").exists()
+
+    def test_finest_entry_runs_once_and_feeds_errors_csv(self, out_root, tmp_path, monkeypatch):
+        config = tmp_path / "cfg.json"
+        config.write_text(
+            json.dumps(
+                {"grid": 8, "T": 1.0, "reference_steps": 64, "ladder_steps": [16, 8, 32]}
+            )
+        )
+        calls = []
+        run = experiments.run_model_problem
+
+        def counting_run(spec, *args, **kwargs):
+            calls.append(kwargs.get("n_steps"))
+            return run(spec, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_model_problem", counting_run)
+        assert cli.main(["converge", "--config", str(config)]) == cli.EXIT_OK
+        assert sorted(calls) == [8, 16, 32, 64]  # the ladder plus the reference
+
+        spec = cli.resolve_config(
+            cli.build_parser().parse_args(["converge", "--config", str(config)])
+        ).experiment_spec()
+        errs = experiments.error_series(
+            run(spec, n_steps=32), run(spec, sigma=0.5, n_steps=64)
+        )
+        expected = tmp_path / "expected.csv"
+        experiments.write_errors_csv(errs, expected)
+        assert (out_root / "converge" / "errors.csv").read_bytes() == expected.read_bytes()
 
 
 class TestKernelErrorCommand:

@@ -2,11 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import scalar_problem
 from memstep.grid import Grid2D, GridFunction, l2_norm, sample_function
 from memstep.kernels import PronySeries, load_builtin_prony
-from memstep.operators import DiagonalScaling, FivePointLaplacian, IdentityOperator
+from memstep.operators import (
+    DiagonalScaling,
+    FivePointLaplacian,
+    IdentityOperator,
+    ScaledSum,
+    a_norm,
+    cg_solve,
+)
 from memstep.schemes import (
     ProblemSpec,
     SchemeConfig,
@@ -55,7 +64,7 @@ class TestSoeInit:
         )
         s = soe_init(p)
         assert len(s.aux) == 12
-        assert all(np.all(a.values == 0.0) for a in s.aux)
+        assert all(np.all(a == 0.0) for a in s.aux)
         assert s.n == 0 and s.t == 0.0
 
     def test_zero_initial_gives_zero_state(self):
@@ -80,7 +89,7 @@ class TestSoeStep:
         cfg = SchemeConfig(sigma=0.5, tau=0.1)
         s = run_soe(p, cfg, 5)
         assert np.all(s.y.values == 0.0)
-        assert all(np.all(a.values == 0.0) for a in s.aux)
+        assert all(np.all(a == 0.0) for a in s.aux)
 
     def test_hand_evaluated_single_step(self):
         # sigma=1, m=1, a=1, b=0, lam=1, tau=1, u0=1:
@@ -89,7 +98,7 @@ class TestSoeStep:
         cfg = SchemeConfig(sigma=1.0, tau=1.0)
         s = soe_step(p, cfg, soe_init(p))
         assert scalar_value(s) == pytest.approx(0.5, abs=1e-12)
-        assert s.aux[0].values[0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert s.aux[0][0, 0] == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("sigma,expected_order", [(1.0, 1.0), (0.5, 2.0)])
     def test_convergence_to_scalar_oracle(self, sigma, expected_order):
@@ -136,7 +145,7 @@ class TestGeneralStep:
             s2 = general_step(p, cfg, s2)
             np.testing.assert_array_equal(s1.y.values, s2.y.values)
             for a1, a2 in zip(s1.aux, s2.aux):
-                np.testing.assert_array_equal(a1.values, a2.values)
+                np.testing.assert_array_equal(a1, a2)
 
     def test_doubled_mass_with_zero_operator_freezes_solution(self):
         # 2*(y1 - y0)/tau = 0 when the spatial and reaction terms vanish
@@ -239,6 +248,23 @@ class TestQuadratureStep:
             assert len(h.ys) == k + 1
             h = quadrature_step(p, cfg, h)
 
+    def test_restepping_an_old_state_leaves_newer_states_intact(self):
+        grid = Grid2D(6, 6)
+        u0 = sample_function(grid, lambda x1, x2: x1 * (1 - x1) * x2)
+        p = ProblemSpec(
+            operator=FivePointLaplacian(grid), kernel=load_builtin_prony("1/2"), initial=u0
+        )
+        cfg = SchemeConfig(sigma=0.5, tau=0.1)
+        h = history_init(p)
+        for _ in range(3):
+            h = quadrature_step(p, cfg, h)
+        newer = quadrature_step(p, cfg, quadrature_step(p, cfg, h))
+        applied = newer.applied.copy()
+        branch = quadrature_step(p, SchemeConfig(sigma=1.0, tau=0.1), h)
+        np.testing.assert_array_equal(newer.applied, applied)
+        np.testing.assert_array_equal(branch.applied[:-1], applied[:4])
+        assert len(newer.ys) == 6 and len(branch.ys) == 5
+
 
 class TestEnergy:
     def test_initial_energy_is_initial_norm(self):
@@ -271,7 +297,7 @@ class TestEnergy:
         )
         y = GridFunction(grid, rng.standard_normal(grid.shape))
         y1 = GridFunction(grid, rng.standard_normal(grid.shape))
-        s = SoeState(y=y, aux=(y1,), n=3, t=0.3)
+        s = SoeState(y=y, aux=y1.values[None], n=3, t=0.3)
         expected = math.sqrt(l2_norm(y) ** 2 + 2.0 * a_norm(lap, y1) ** 2)
         assert energy(p, s) == pytest.approx(expected, rel=1e-13)
 
@@ -314,6 +340,66 @@ class TestEnergy:
             forcing_budget += tau * l2_norm(p.forcing(s.t + sigma * tau))
             s = soe_step(p, cfg, s)
             assert energy(p, s) <= e0 + forcing_budget + 1e-8 * e0
+
+
+def per_term_step(p, cfg, y, aux):
+    """The compressed step with one GridFunction per memory term: the slow
+    reference for the stacked soe_step."""
+    sig, tau = cfg.sigma, cfg.tau
+    a, b = p.kernel.weights, p.kernel.rates
+    denom = [1.0 + sig * bi * tau for bi in b]
+    chi = [
+        ((1.0 - sig) * tau * y + (1.0 - (1.0 - sig) * bi * tau) * yi) / di
+        for bi, di, yi in zip(b, denom, aux)
+    ]
+    mu = math.fsum(sig * ai * tau / di for ai, di in zip(a, denom))
+    mem = y.grid.zeros()
+    for ai, yi, ci in zip(a, aux, chi):
+        mem = mem + ai * ((1.0 - sig) * yi + sig * ci)
+    rhs = y - tau * p.operator.apply(mem)
+    lhs = ScaledSum([(1.0, IdentityOperator()), (sig * tau * mu, p.operator)])
+    y_new = cg_solve(lhs, rhs, tol=cfg.cg_tol)
+    return y_new, [(sig * tau / di) * y_new + ci for di, ci in zip(denom, chi)]
+
+
+class TestStackedStepOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        terms=st.lists(
+            st.tuples(st.floats(0.01, 2.0), st.floats(0.0, 50.0)), min_size=1, max_size=4
+        ),
+        sigma=st.floats(0.5, 1.0),
+        tau=st.sampled_from([0.01, 0.1, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_per_term_reference(self, terms, sigma, tau, seed):
+        grid = Grid2D(6, 6)
+        rng = np.random.default_rng(seed)
+        kernel = PronySeries(tuple(t[0] for t in terms), tuple(t[1] for t in terms))
+        p = ProblemSpec(
+            operator=FivePointLaplacian(grid),
+            kernel=kernel,
+            initial=GridFunction(grid, rng.standard_normal(grid.shape)),
+        )
+        cfg = SchemeConfig(sigma=sigma, tau=tau, cg_tol=1e-14)
+        s = soe_init(p)
+        y, aux = p.initial, [grid.zeros() for _ in terms]
+        for _ in range(4):
+            s = soe_step(p, cfg, s)
+            y, aux = per_term_step(p, cfg, y, aux)
+        scale = max(np.max(np.abs(y.values)), max(np.max(np.abs(g.values)) for g in aux))
+        np.testing.assert_allclose(s.y.values, y.values, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(
+            s.aux, np.stack([g.values for g in aux]), rtol=0, atol=1e-12 * scale
+        )
+        expected = math.sqrt(
+            a_norm(p.mass, s.y) ** 2
+            + sum(
+                ai * a_norm(p.operator, GridFunction(grid, yi)) ** 2
+                for ai, yi in zip(kernel.weights, s.aux)
+            )
+        )
+        assert energy(p, s) == pytest.approx(expected, rel=1e-12)
 
 
 class TestScalarOdeOracle:
