@@ -158,15 +158,15 @@ def _require_nonnegative_time(t) -> np.ndarray:
 
 
 def prony_eval(series: PronySeries, t):
-    """Evaluate the sum of exponentials at time(s) t >= 0.
+    """Evaluate the sum of exponentials at scalar or array time(s) t >= 0.
 
-    At t = 0 the exact weight sum is returned, avoiding exp() rounding.
-    Accepts scalars or arrays; returns a matching scalar or array.
+    At t = 0 the exact weight sum is returned, avoiding exp() rounding, and
+    later values are clamped to it, so the series stays monotone.
     """
     t_arr = _require_nonnegative_time(t)
     a = np.asarray(series.weights)
     b = np.asarray(series.rates)
-    out = np.exp(-np.multiply.outer(t_arr, b)) @ a
+    out = np.minimum(np.exp(-np.multiply.outer(t_arr, b)) @ a, series.total_weight)
     out = np.where(t_arr == 0.0, series.total_weight, out)
     return out if isinstance(t, np.ndarray) else float(out)
 

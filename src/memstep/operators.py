@@ -2,14 +2,15 @@
 
 All operators are matrix-free: the five-point Laplacian applies its stencil
 directly (implicit zero ghost values on the Dirichlet boundary) and the
-per-step shifted systems are solved with unpreconditioned conjugate
-gradients.  Application is deterministic: fixed sequential accumulation
-order, no threading.
+per-step shifted systems are solved with conjugate gradients, preconditioned
+by the exact inverse in the orthonormal sine basis when of the form alpha I + beta A.
+Application is deterministic: fixed sequential accumulation order, no threading.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,8 +56,9 @@ class SpdOperator:
         fields = v.reshape((-1,) + grid.shape)
         return np.reshape([self.apply(GridFunction(grid, f)).values for f in fields], v.shape)
 
-    def __call__(self, w: GridFunction) -> GridFunction:
-        return self.apply(w)
+    def preconditioner(self, grid: Grid2D):
+        """Approximate inverse ``(r, out) -> out`` on ``grid`` for :func:`cg_solve`, or None."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -121,6 +123,51 @@ class ScaledSum(SpdOperator):
             out += c * op.apply(w).values
         return GridFunction(w.grid, out)
 
+    def preconditioner(self, grid: Grid2D):
+        """Exact inverse of ``alpha I + beta A`` in the sine basis: alpha sums the
+        identity weights and the diagonal weights times their scalar coefficient,
+        beta the Laplacian weights.  None for any other term, a field among them."""
+        alpha = beta = 0.0
+        for c, op in self.terms:
+            if isinstance(op, IdentityOperator):
+                alpha += c
+            elif isinstance(op, DiagonalScaling) and op.coefficient.ndim == 0:
+                alpha += c * float(op.coefficient)
+            elif isinstance(op, FivePointLaplacian) and op.grid == grid:
+                beta += c
+            else:
+                return None
+        if alpha == 0.0 and beta == 0.0:
+            return None
+        s1, s2 = _sine_matrix(grid.n1), _sine_matrix(grid.n2)
+        lam1, lam2 = _sine_eigenvalues(grid.n1), _sine_eigenvalues(grid.n2)
+
+        def solve(r: np.ndarray, out: np.ndarray) -> np.ndarray:
+            tmp = s1 @ r
+            np.matmul(tmp, s2, out=out)
+            out /= alpha + beta * np.add.outer(lam1, lam2)
+            np.matmul(s1, out, out=tmp)
+            return np.matmul(tmp, s2, out=out)
+
+        return solve
+
+
+@lru_cache(maxsize=8)
+def _sine_matrix(n: int) -> np.ndarray:
+    """Orthonormal DST-I matrix for n cells: symmetric and its own inverse."""
+    k = np.arange(1, n)
+    s = np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(k, k) / n)
+    s.flags.writeable = False
+    return s
+
+
+@lru_cache(maxsize=8)
+def _sine_eigenvalues(n: int) -> np.ndarray:
+    """Eigenvalues 4 n^2 sin^2(pi k / 2n), 0 < k < n, of the 1-D second difference."""
+    lam = 4.0 * n * n * np.sin(np.pi * np.arange(1, n) / (2 * n)) ** 2
+    lam.flags.writeable = False
+    return lam
+
 
 def a_norm(op: SpdOperator, w: GridFunction) -> float:
     """Energy norm (op w, w)**0.5 for a symmetric positive semidefinite op."""
@@ -133,9 +180,7 @@ def a_norm(op: SpdOperator, w: GridFunction) -> float:
 
 def laplacian_min_eigenvalue(grid: Grid2D) -> float:
     """Smallest eigenvalue of the five-point Laplacian on ``grid``."""
-    lam1 = (4.0 / grid.h1**2) * np.sin(np.pi * grid.h1 / 2) ** 2
-    lam2 = (4.0 / grid.h2**2) * np.sin(np.pi * grid.h2 / 2) ** 2
-    return float(lam1 + lam2)
+    return float(_sine_eigenvalues(grid.n1)[0] + _sine_eigenvalues(grid.n2)[0])
 
 
 def cg_solve(
@@ -144,17 +189,17 @@ def cg_solve(
     tol: float = 1e-10,
     max_iter: int | None = None,
 ) -> GridFunction:
-    """Conjugate gradients for op x = rhs, relative-residual stopping rule.
+    """Conjugate gradients preconditioned by ``op.preconditioner(grid)`` (none
+    when None) from x0 = M^-1 rhs, stopping once |rhs - op x| <= tol |rhs|.
 
-    The iterate, residual and search direction are arrays updated in place;
-    ``op.apply`` runs once for the initial residual and once per iteration.
-    Raises ConvergenceError when max_iter (default 10*(n1+n2)) is exhausted.
+    Arrays are updated in place; ``op.apply`` runs once for the initial
+    residual and once per iteration, so an exact inverse needs one.  Raises
+    ConvergenceError when max_iter (default 10*(n1+n2)) is exhausted.
     """
     if tol <= 0:
         raise ValueError(f"tol={tol} must be > 0")
     grid = rhs.grid
-    if max_iter is None:
-        max_iter = 10 * (grid.n1 + grid.n2)
+    max_iter = 10 * (grid.n1 + grid.n2) if max_iter is None else max_iter
     rhs_norm = l2_norm(rhs)
     if rhs_norm == 0.0:
         return grid.zeros()
@@ -163,28 +208,36 @@ def cg_solve(
     def dot(u, v):  # inner_product on arrays, into a reused buffer
         return float(np.multiply(u, v, out=scratch).sum()) * grid.cell_area
 
+    precondition = op.preconditioner(grid)
     x = np.zeros(grid.shape)
+    if precondition is not None:
+        precondition(rhs.values, x)
     r = rhs.values - op.apply(GridFunction(grid, x)).values
-    p = r.copy()
-    direction = GridFunction(grid, p)
     rr = dot(r, r)
     target = tol * rhs_norm
+    if np.sqrt(rr) <= target:
+        return GridFunction(grid, x)
+    z = r if precondition is None else precondition(r, np.empty(grid.shape))
+    p = z.copy()
+    direction = GridFunction(grid, p)
+    rz = rr if z is r else dot(r, z)
     for _ in range(max_iter):
-        if np.sqrt(rr) <= target:
-            return GridFunction(grid, x)
         ap = op.apply(direction).values
         pap = dot(p, ap)
         if pap <= 0:
             raise NotSpdError(f"CG detected a non-SPD operator: (p, Ap) = {pap}")
-        alpha = rr / pap
+        alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        rr_new = dot(r, r)
-        p *= rr_new / rr
-        p += r
-        rr = rr_new
-    if np.sqrt(rr) <= target:
-        return GridFunction(grid, x)
+        rr = dot(r, r)
+        if np.sqrt(rr) <= target:
+            return GridFunction(grid, x)
+        if precondition is not None:
+            precondition(r, z)
+        rz_new = rr if z is r else dot(r, z)
+        p *= rz_new / rz
+        p += z
+        rz = rz_new
     raise ConvergenceError(
         f"CG did not converge in {max_iter} iterations "
         f"(relative residual {np.sqrt(rr) / rhs_norm:.3e} > {tol:.3e})",

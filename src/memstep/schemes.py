@@ -136,12 +136,14 @@ class HistoryState:
 
     ``applied`` holds the spatial operator applied to each level as rows 0..n
     of one array, so no step reapplies the stencil to or restacks the history.
+    ``integral``, the memory integral to t_n, spares the next step a second sum.
     """
 
     ys: tuple[GridFunction, ...]
     levels: _Levels
     n: int
     t: float
+    integral: np.ndarray | float
 
     @property
     def applied(self) -> np.ndarray:
@@ -201,8 +203,9 @@ def _check_aux_residual(cfg: SchemeConfig, rates, y_new, y_old, aux_new, aux_old
             )
 
 
-def _weighted_step(p: ProblemSpec, cfg: SchemeConfig, s: SoeState) -> SoeState:
-    """Shared elimination core of the compressed weighted scheme.
+def general_step(p: ProblemSpec, cfg: SchemeConfig, s: SoeState) -> SoeState:
+    """One step of the compressed scheme with general mass and reaction
+    operators; :func:`soe_step` is the same step restricted to the plain case.
 
     The implicit auxiliary equation solves to y_i' = decay_i y_i + (tau/d_i)
     ybar, with d_i = 1 + sigma b_i tau, decay_i = (1 - (1-sigma) b_i tau)/d_i
@@ -242,17 +245,9 @@ def soe_step(p: ProblemSpec, cfg: SchemeConfig, s: SoeState) -> SoeState:
     """One step of the compressed scheme for the plain problem (identity
     mass, no reaction).  Use :func:`general_step` otherwise."""
     if not p.is_plain:
-        raise SchemeConfigError(
-            "soe_step handles only identity mass and no reaction; "
-            "use general_step"
-        )
-    return _weighted_step(p, cfg, s)
-
-
-def general_step(p: ProblemSpec, cfg: SchemeConfig, s: SoeState) -> SoeState:
-    """One step of the compressed scheme with general mass and reaction
-    operators; reduces exactly to :func:`soe_step` in the plain case."""
-    return _weighted_step(p, cfg, s)
+        raise SchemeConfigError("soe_step handles only identity mass and no reaction; "
+                                "use general_step")
+    return general_step(p, cfg, s)
 
 
 def history_init(p: ProblemSpec) -> HistoryState:
@@ -260,7 +255,7 @@ def history_init(p: ProblemSpec) -> HistoryState:
     if not p.is_plain:
         raise SchemeConfigError("the full-history baseline handles only the plain problem")
     first = p.operator.apply(p.initial).values
-    return HistoryState(ys=(p.initial,), levels=_Levels(first[None].copy(), 1), n=0, t=0.0)
+    return HistoryState((p.initial,), _Levels(first[None].copy(), 1), n=0, t=0.0, integral=0.0)
 
 
 def _product_trapezoid_weights(
@@ -289,9 +284,6 @@ def _product_trapezoid_weights(
         )
 
     end_weight = tau * float(a @ end_factor)
-    if n_levels == 0:
-        return np.zeros(0), end_weight
-
     # decay[i, j] = exp(-c_i * (n_levels - j)) for levels j = 0..n_levels-1
     lags = np.arange(n_levels, 0, -1, dtype=float)
     decay = np.exp(-np.multiply.outer(c, lags))
@@ -315,20 +307,15 @@ def quadrature_step(p: ProblemSpec, cfg: SchemeConfig, h: HistoryState) -> Histo
     n = h.n
 
     # int_0^{t_{n+1}}: known part over levels 0..n plus the implicit
-    # endpoint weight on A y_new.
-    w_new, w_new_end = _product_trapezoid_weights(p.kernel, tau, n + 1)
+    # endpoint weight on A y_new; the endpoint weight does not depend on n,
+    # and int_0^{t_n} is carried in the state.
+    w_new, w_end = _product_trapezoid_weights(p.kernel, tau, n + 1)
     s_new = np.tensordot(w_new, h.applied, axes=1)
 
-    # int_0^{t_n}: fully known, over levels 0..n (zero when n = 0).
-    s_old = 0.0
-    if n >= 1:
-        w_old, w_old_end = _product_trapezoid_weights(p.kernel, tau, n)
-        s_old = np.tensordot(np.concatenate([w_old, [w_old_end]]), h.applied, axes=1)
-
-    rhs = h.ys[-1].values - tau * (sig * s_new + (1.0 - sig) * s_old)
+    rhs = h.ys[-1].values - tau * (sig * s_new + (1.0 - sig) * h.integral)
     if p.forcing is not None:
         rhs += tau * p.forcing(h.t + sig * tau).values
-    lhs = ScaledSum([(1.0, IdentityOperator()), (sig * tau * w_new_end, p.operator)])
+    lhs = ScaledSum([(1.0, IdentityOperator()), (sig * tau * w_end, p.operator)])
     y_new = cg_solve(lhs, GridFunction(h.ys[0].grid, rhs), tol=cfg.cg_tol)
 
     levels = h.levels
@@ -336,9 +323,10 @@ def quadrature_step(p: ProblemSpec, cfg: SchemeConfig, h: HistoryState) -> Histo
         levels = _Levels(h.applied.copy(), n + 1)
     if levels.count == len(levels.data):
         levels.data = np.concatenate([levels.data, np.empty_like(levels.data)])
-    levels.data[levels.count] = p.operator.apply(y_new).values
+    applied = p.operator.apply(y_new).values
+    levels.data[levels.count] = applied
     levels.count += 1
-    return HistoryState(ys=h.ys + (y_new,), levels=levels, n=n + 1, t=h.t + tau)
+    return HistoryState(h.ys + (y_new,), levels, n + 1, h.t + tau, s_new + w_end * applied)
 
 
 def energy(p: ProblemSpec, s: SoeState) -> float:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from memstep.grid import (
     Grid2D,
@@ -246,8 +246,13 @@ class TestCgSolve:
             cg_solve(Indefinite(), rhs)
 
     def test_max_iter_exceeded_reports_residual(self, rng):
+        # the field term leaves the sum without a sine-basis preconditioner, so
+        # two iterations cannot reach 1e-14
         g = Grid2D(32, 32)
-        op = ScaledSum([(1.0, IdentityOperator()), (10.0, FivePointLaplacian(g))])
+        field = DiagonalScaling(rng.uniform(0.0, 20.0, g.shape))
+        op = ScaledSum(
+            [(1.0, IdentityOperator()), (10.0, FivePointLaplacian(g)), (1.0, field)]
+        )
         rhs = random_gf(g, rng)
         with pytest.raises(ConvergenceError) as err:
             cg_solve(op, rhs, tol=1e-14, max_iter=2)
@@ -261,3 +266,60 @@ class TestCgSolve:
         x1 = cg_solve(op, rhs)
         x2 = cg_solve(op, rhs)
         np.testing.assert_array_equal(x1.values, x2.values)
+
+
+class TestSineBasisPreconditioner:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n1=st.integers(2, 20),
+        n2=st.integers(2, 20),
+        alpha=st.floats(0.0, 10.0),
+        beta=st.floats(1e-3, 10.0),
+        with_field=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_solve_against_manufactured_solution(self, n1, n2, alpha, beta, with_field, seed):
+        assume(n1 != n2)
+        g = Grid2D(n1, n2)
+        rng = np.random.default_rng(seed)
+        terms = [(alpha, IdentityOperator()), (beta, FivePointLaplacian(g))]
+        if with_field:  # there is then no preconditioner and CG must iterate
+            terms.append((1.0, DiagonalScaling(rng.uniform(0.0, 50.0, g.shape))))
+        op = ScaledSum(terms)
+        w = random_gf(g, rng)
+        rhs = op.apply(w)
+        applications = []
+        apply = FivePointLaplacian.apply
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                FivePointLaplacian, "apply", lambda lap, u: applications.append(1) or apply(lap, u)
+            )
+            x = cg_solve(op, rhs)
+        assert l2_norm(op.apply(x) - rhs) <= 1e-10 * l2_norm(rhs)
+        if not with_field:
+            assert len(applications) == 1
+        x = cg_solve(op, rhs, tol=1e-13)
+        np.testing.assert_allclose(x.values, w.values, rtol=0, atol=1e-10 * np.abs(w.values).max())
+
+    @pytest.mark.parametrize("shift", [IdentityOperator(), DiagonalScaling(1.0)])
+    def test_inverse_in_sine_basis(self, rng, shift):
+        # against a dense solve of the assembled matrix (Kronecker sums)
+        g = Grid2D(7, 5)
+        op = ScaledSum([(0.5, shift), (0.02, FivePointLaplacian(g))])
+        t1 = (np.diag(np.full(6, 2.0)) - np.eye(6, k=1) - np.eye(6, k=-1)) * 49
+        t2 = (np.diag(np.full(4, 2.0)) - np.eye(4, k=1) - np.eye(4, k=-1)) * 25
+        dense = 0.5 * np.eye(24) + 0.02 * (np.kron(t1, np.eye(4)) + np.kron(np.eye(6), t2))
+        r = rng.standard_normal(g.shape)
+        out = op.preconditioner(g)(r, np.empty(g.shape))
+        np.testing.assert_allclose(out.ravel(), np.linalg.solve(dense, r.ravel()), rtol=1e-12)
+
+    def test_other_terms_have_no_preconditioner(self):
+        g = Grid2D(6, 6)
+        assert FivePointLaplacian(g).preconditioner(g) is None
+        shifted = ScaledSum([(1.0, IdentityOperator()), (1.0, FivePointLaplacian(g))])
+        assert shifted.preconditioner(Grid2D(6, 8)) is None  # Laplacian of another grid
+        field = ScaledSum([(1.0, DiagonalScaling(np.ones(g.shape))), (1.0, FivePointLaplacian(g))])
+        assert field.preconditioner(g) is None  # only a scalar coefficient is exact
+        nested = ScaledSum([(1.0, ScaledSum([(1.0, IdentityOperator())]))])
+        assert nested.preconditioner(g) is None
+        assert ScaledSum([(0.0, IdentityOperator())]).preconditioner(g) is None

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from memstep.kernels import (
     KernelFormatError,
@@ -88,6 +88,14 @@ prony_series_strategy = st.integers(1, 6).flatmap(
 class TestPronyProperties:
     # t is kept small enough that exp(-b*t) cannot underflow to zero
     @given(prony_series_strategy, st.floats(0.0, 5.0), st.floats(0.0, 5.0))
+    @example(  # zero rates: the dot at t = 1 once exceeded the fsum at t = 0
+        PronySeries(
+            (1.1853293545092898, 1.9, 1.3176701243641697, 1.7783210946579682, 10.0),
+            (0.0,) * 5,
+        ),
+        0.0,
+        1.0,
+    )
     def test_monotone_nonincreasing_and_bounded(self, series, t1, t2):
         lo, hi = sorted((t1, t2))
         v_lo, v_hi = prony_eval(series, lo), prony_eval(series, hi)

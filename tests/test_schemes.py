@@ -264,6 +264,26 @@ class TestQuadratureStep:
         np.testing.assert_array_equal(newer.applied, applied)
         np.testing.assert_array_equal(branch.applied[:-1], applied[:4])
         assert len(newer.ys) == 6 and len(branch.ys) == 5
+        again = quadrature_step(p, cfg, h)  # the same step on a third branch
+        np.testing.assert_array_equal(again.ys[-1].values, newer.ys[4].values)
+        again = quadrature_step(p, cfg, again)  # reads the integral carried by the branch
+        np.testing.assert_array_equal(again.ys[-1].values, newer.ys[-1].values)
+
+    def test_carried_integral_matches_full_sum(self):
+        # the integral to t_n carried in the state against the product rule
+        # summed over the whole history
+        grid = Grid2D(6, 6)
+        u0 = sample_function(grid, lambda x1, x2: x1 * (1 - x1) * x2)
+        kernel = load_builtin_prony("1/2")
+        p = ProblemSpec(operator=FivePointLaplacian(grid), kernel=kernel, initial=u0)
+        cfg = SchemeConfig(sigma=0.5, tau=0.05)
+        h = history_init(p)
+        for _ in range(7):
+            h = quadrature_step(p, cfg, h)
+            weights, end = _product_trapezoid_weights(kernel, cfg.tau, h.n)
+            full = np.tensordot(np.append(weights, end), h.applied, axes=1)
+            scale = np.abs(full).max()
+            np.testing.assert_allclose(h.integral, full, rtol=1e-13, atol=1e-13 * scale)
 
 
 class TestEnergy:
@@ -400,6 +420,39 @@ class TestStackedStepOracle:
             )
         )
         assert energy(p, s) == pytest.approx(expected, rel=1e-12)
+
+
+class TestSineModeOracle:
+    """With m = 1 every discrete sine mode is a scalar memory problem, so a
+    single-mode start must stay in that mode and follow the closed form."""
+
+    @pytest.mark.parametrize("j, k", [(1, 1), (2, 3)])
+    def test_mode_follows_scalar_oracle(self, j, k):
+        n1, n2, a1, b1 = 8, 6, 1.0, 2.0
+        grid = Grid2D(n1, n2)
+        mode = sample_function(
+            grid, lambda x1, x2: np.sin(j * np.pi * x1) * np.sin(k * np.pi * x2)
+        )
+        mode = mode / math.sqrt(np.sum(mode.values**2))
+        lam = 4 * n1**2 * math.sin(math.pi * j / (2 * n1)) ** 2
+        lam += 4 * n2**2 * math.sin(math.pi * k / (2 * n2)) ** 2
+        p = ProblemSpec(
+            operator=FivePointLaplacian(grid), kernel=PronySeries((a1,), (b1,)), initial=mode
+        )
+        errors = []
+        for steps in (100, 200):
+            cfg = SchemeConfig(sigma=0.5, tau=1.0 / steps)
+            s, worst = soe_init(p), 0.0
+            for _ in range(steps):
+                s = soe_step(p, cfg, s)
+                coefficient = float(np.sum(s.y.values * mode.values))
+                off_mode = s.y.values - coefficient * mode.values
+                np.testing.assert_allclose(off_mode, 0.0, rtol=0, atol=1e-12)
+                exact = scalar_ode_oracle(a1, b1, lam, 1.0, s.t)
+                worst = max(worst, abs(coefficient - exact))
+            errors.append(worst)
+        assert errors[1] < a1 * lam * cfg.tau**2  # O((omega tau)^2), omega^2 = a1 lam
+        assert 3.5 < errors[0] / errors[1] < 4.5
 
 
 class TestScalarOdeOracle:
