@@ -32,7 +32,6 @@ from .schemes import (
     HistoryState,
     soe_init,
     soe_step,
-    general_step,
     history_init,
     quadrature_step,
     energy,
@@ -77,7 +76,6 @@ __all__ = [
     "HistoryState",
     "soe_init",
     "soe_step",
-    "general_step",
     "history_init",
     "quadrature_step",
     "energy",

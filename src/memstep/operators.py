@@ -1,9 +1,11 @@
 """Symmetric positive (semi)definite operators on grid functions.
 
-All operators are matrix-free: the five-point Laplacian applies its stencil
-directly (implicit zero ghost values on the Dirichlet boundary) and the
-per-step shifted systems are solved with conjugate gradients, preconditioned
-by the exact inverse in the orthonormal sine basis when of the form alpha I + beta A.
+Each operator defines one method, ``apply_values``, on raw arrays of interior
+values; ``apply`` wraps it for grid functions at the API edge.  All are
+matrix-free: the five-point Laplacian applies its stencil directly (implicit
+zero ghost values on the Dirichlet boundary) and the per-step shifted systems
+are solved with conjugate gradients, preconditioned by the exact inverse in
+the orthonormal sine basis when of the form alpha I + beta A.
 Application is deterministic: fixed sequential accumulation order, no threading.
 """
 
@@ -45,7 +47,7 @@ class NotSpdError(ValueError):
 
 class SpdOperator:
     """Abstract symmetric positive (semi)definite linear map.  A subclass
-    defines :meth:`apply`, :meth:`apply_values` or both; each default uses the other."""
+    defines only :meth:`apply_values`; :meth:`apply` wraps it for grid functions."""
 
     def apply(self, w: GridFunction) -> GridFunction:
         return GridFunction(w.grid, self.apply_values(w.values, w.grid))
@@ -53,8 +55,7 @@ class SpdOperator:
     def apply_values(self, v: np.ndarray, grid: Grid2D) -> np.ndarray:
         """Apply to interior values of shape ``(..., n1-1, n2-1)``, leading
         axes indexing separate fields; returns a new array."""
-        fields = v.reshape((-1,) + grid.shape)
-        return np.reshape([self.apply(GridFunction(grid, f)).values for f in fields], v.shape)
+        raise NotImplementedError(f"{type(self).__name__} does not define apply_values")
 
     def preconditioner(self, grid: Grid2D):
         """Approximate inverse ``(r, out) -> out`` on ``grid`` for :func:`cg_solve`, or None."""
@@ -84,8 +85,8 @@ class FivePointLaplacian(SpdOperator):
 
 @dataclass(frozen=True)
 class IdentityOperator(SpdOperator):
-    def apply(self, w: GridFunction) -> GridFunction:
-        return w
+    def apply_values(self, v: np.ndarray, grid: Grid2D) -> np.ndarray:
+        return v.copy()
 
 
 class DiagonalScaling(SpdOperator):
@@ -115,13 +116,15 @@ class ScaledSum(SpdOperator):
                 raise NotSpdError(f"combination weight {c} must be >= 0")
         self.terms = terms
 
-    def apply(self, w: GridFunction) -> GridFunction:
-        out = np.zeros(w.grid.shape)
+    def apply_values(self, v: np.ndarray, grid: Grid2D) -> np.ndarray:
+        out = np.zeros(v.shape)
         for c, op in self.terms:
             if c == 0.0:
                 continue
-            out += c * op.apply(w).values
-        return GridFunction(w.grid, out)
+            term = op.apply_values(v, grid)  # a new array, so it is scaled in place
+            term *= c
+            out += term
+        return out
 
     def preconditioner(self, grid: Grid2D):
         """Exact inverse of ``alpha I + beta A`` in the sine basis: alpha sums the
@@ -171,7 +174,7 @@ def _sine_eigenvalues(n: int) -> np.ndarray:
 
 def a_norm(op: SpdOperator, w: GridFunction) -> float:
     """Energy norm (op w, w)**0.5 for a symmetric positive semidefinite op."""
-    q = inner_product(op.apply(w), w)
+    q = float(np.sum(op.apply_values(w.values, w.grid) * w.values) * w.grid.cell_area)
     nrm2 = inner_product(w, w)
     if q < -1e-12 * max(nrm2, 1e-300):
         raise NotSpdError(f"quadratic form is negative: {q}")
@@ -192,7 +195,7 @@ def cg_solve(
     """Conjugate gradients preconditioned by ``op.preconditioner(grid)`` (none
     when None) from x0 = M^-1 rhs, stopping once |rhs - op x| <= tol |rhs|.
 
-    Arrays are updated in place; ``op.apply`` runs once for the initial
+    Arrays are updated in place; ``op.apply_values`` runs once for the initial
     residual and once per iteration, so an exact inverse needs one.  Raises
     ConvergenceError when max_iter (default 10*(n1+n2)) is exhausted.
     """
@@ -212,17 +215,16 @@ def cg_solve(
     x = np.zeros(grid.shape)
     if precondition is not None:
         precondition(rhs.values, x)
-    r = rhs.values - op.apply(GridFunction(grid, x)).values
+    r = rhs.values - op.apply_values(x, grid)
     rr = dot(r, r)
     target = tol * rhs_norm
     if np.sqrt(rr) <= target:
         return GridFunction(grid, x)
     z = r if precondition is None else precondition(r, np.empty(grid.shape))
     p = z.copy()
-    direction = GridFunction(grid, p)
     rz = rr if z is r else dot(r, z)
     for _ in range(max_iter):
-        ap = op.apply(direction).values
+        ap = op.apply_values(p, grid)
         pap = dot(p, ap)
         if pap <= 0:
             raise NotSpdError(f"CG detected a non-SPD operator: (p, Ap) = {pap}")

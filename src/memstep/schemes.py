@@ -46,7 +46,6 @@ __all__ = [
     "NonFiniteError",
     "soe_init",
     "soe_step",
-    "general_step",
     "history_init",
     "quadrature_step",
     "energy",
@@ -76,7 +75,6 @@ class SchemeConfig:
     sigma: float
     tau: float
     cg_tol: float = 1e-10
-    check_residuals: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.sigma <= 1.0:
@@ -203,9 +201,9 @@ def _check_aux_residual(cfg: SchemeConfig, rates, y_new, y_old, aux_new, aux_old
             )
 
 
-def general_step(p: ProblemSpec, cfg: SchemeConfig, s: SoeState) -> SoeState:
-    """One step of the compressed scheme with general mass and reaction
-    operators; :func:`soe_step` is the same step restricted to the plain case.
+def soe_step(p: ProblemSpec, cfg: SchemeConfig, s: SoeState) -> SoeState:
+    """One step of the compressed scheme, with the problem's mass, reaction
+    and forcing.
 
     The implicit auxiliary equation solves to y_i' = decay_i y_i + (tau/d_i)
     ybar, with d_i = 1 + sigma b_i tau, decay_i = (1 - (1-sigma) b_i tau)/d_i
@@ -224,10 +222,11 @@ def general_step(p: ProblemSpec, cfg: SchemeConfig, s: SoeState) -> SoeState:
         # with the one operator application pulled outside the sum by linearity.
         mem = np.tensordot(a * ((1.0 - sig) + sig * decay), s.aux, axes=1)
         mem += (sig * (1.0 - sig) * float(a @ gain)) * y
-        rhs = p.mass.apply(s.y).values - tau * p.operator.apply(GridFunction(grid, mem)).values
+        rhs = p.mass.apply_values(y, grid)
+        rhs -= tau * p.operator.apply_values(mem, grid)
         terms = [(1.0, p.mass), (sig * tau * mu, p.operator)]
         if p.reaction is not None:
-            rhs -= ((1.0 - sig) * tau) * p.reaction.apply(s.y).values
+            rhs -= ((1.0 - sig) * tau) * p.reaction.apply_values(y, grid)
             terms.append((sig * tau, p.reaction))
         if p.forcing is not None:  # evaluated at the mid level t_n + sigma*tau
             rhs += tau * p.forcing(s.t + sig * tau).values
@@ -236,25 +235,15 @@ def general_step(p: ProblemSpec, cfg: SchemeConfig, s: SoeState) -> SoeState:
         aux = decay[:, None, None] * s.aux
         for blk in _blocks(aux):
             aux[blk] += gain[blk, None, None] * ybar
-        if cfg.check_residuals:
-            _check_aux_residual(cfg, b, y_new, s.y, aux, s.aux)
+        _check_aux_residual(cfg, b, y_new, s.y, aux, s.aux)
     return SoeState(y=y_new, aux=aux, n=s.n + 1, t=s.t + tau)
-
-
-def soe_step(p: ProblemSpec, cfg: SchemeConfig, s: SoeState) -> SoeState:
-    """One step of the compressed scheme for the plain problem (identity
-    mass, no reaction).  Use :func:`general_step` otherwise."""
-    if not p.is_plain:
-        raise SchemeConfigError("soe_step handles only identity mass and no reaction; "
-                                "use general_step")
-    return general_step(p, cfg, s)
 
 
 def history_init(p: ProblemSpec) -> HistoryState:
     """Initial state for the full-history baseline."""
     if not p.is_plain:
         raise SchemeConfigError("the full-history baseline handles only the plain problem")
-    first = p.operator.apply(p.initial).values
+    first = p.operator.apply_values(p.initial.values, p.initial.grid)
     return HistoryState((p.initial,), _Levels(first[None].copy(), 1), n=0, t=0.0, integral=0.0)
 
 
@@ -323,7 +312,7 @@ def quadrature_step(p: ProblemSpec, cfg: SchemeConfig, h: HistoryState) -> Histo
         levels = _Levels(h.applied.copy(), n + 1)
     if levels.count == len(levels.data):
         levels.data = np.concatenate([levels.data, np.empty_like(levels.data)])
-    applied = p.operator.apply(y_new).values
+    applied = p.operator.apply_values(y_new.values, y_new.grid)
     levels.data[levels.count] = applied
     levels.count += 1
     return HistoryState(h.ys + (y_new,), levels, n + 1, h.t + tau, s_new + w_end * applied)

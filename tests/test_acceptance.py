@@ -249,11 +249,19 @@ def test_qualitative_relaxation_dynamics():
 def test_auxiliary_residual_guard_active():
     """Every step verifies the auxiliary update equations, and the
     guard rejects an update that violates them."""
+    from memstep import schemes
     from memstep.schemes import AuxiliaryResidualError, _check_aux_residual
 
     problem = scalar_problem(1.0, 2.0, 3.0, 1.0)
     cfg = SchemeConfig(sigma=0.75, tau=0.1)
-    assert cfg.check_residuals  # on by default
+
+    def tripwire(*args):
+        raise AuxiliaryResidualError("guard called")
+
+    with pytest.MonkeyPatch.context() as mp:  # the step always runs the guard
+        mp.setattr(schemes, "_check_aux_residual", tripwire)
+        with pytest.raises(AuxiliaryResidualError, match="guard called"):
+            soe_step(problem, cfg, soe_init(problem))
     state = soe_init(problem)
     for _ in range(50):
         state = soe_step(problem, cfg, state)  # never raises on honest states

@@ -183,6 +183,13 @@ class TestKernelErrorCommand:
         assert np.max(np.abs(data["error"])) == pytest.approx(expected, abs=1e-12)
         assert f"{expected:.6e}" in capsys.readouterr().out
 
+    def test_kernel_file_has_no_analytic_target(self, out_root, tmp_path, capsys):
+        kernel = tmp_path / "k.csv"
+        kernel.write_text("1,2\n")
+        assert cli.main(["kernel-error", "--kernel-file", str(kernel)]) == cli.EXIT_CONFIG
+        assert "no analytic target" in capsys.readouterr().err
+        assert not (out_root / "kernel-error" / "kernel_error.csv").exists()
+
 
 class TestCompareBaselineCommand:
     def test_quick_comparison(self, out_root, tmp_path, capsys):

@@ -161,6 +161,14 @@ class TestOperatorProperties:
         assert inner_product(op.apply(w), w) >= -1e-12 * l2_norm(w) ** 2
 
 
+def test_subclass_without_apply_values_raises():
+    class Bare(SpdOperator):
+        pass
+
+    with pytest.raises(NotImplementedError, match="Bare"):
+        Bare().apply(Grid2D(4, 4).zeros())
+
+
 class TestPositiveDefiniteness:
     def test_laplacian_lower_bound(self, rng):
         g = Grid2D(16, 16)
@@ -198,8 +206,8 @@ class TestANorm:
 
     def test_negative_form_raises(self, rng):
         class Negation(SpdOperator):
-            def apply(self, w):
-                return -1.0 * w
+            def apply_values(self, v, grid):
+                return -1.0 * v
 
         g = Grid2D(8, 8)
         with pytest.raises(NotSpdError):
@@ -235,10 +243,10 @@ class TestCgSolve:
 
     def test_indefinite_operator_detected(self, rng):
         class Indefinite(SpdOperator):
-            def apply(self, w):
-                out = np.array(w.values)
-                out[0, :] *= -1.0
-                return GridFunction(w.grid, out)
+            def apply_values(self, v, grid):
+                out = np.array(v)
+                out[..., 0, :] *= -1.0
+                return out
 
         g = Grid2D(8, 8)
         rhs = random_gf(g, rng)
@@ -289,10 +297,12 @@ class TestSineBasisPreconditioner:
         w = random_gf(g, rng)
         rhs = op.apply(w)
         applications = []
-        apply = FivePointLaplacian.apply
+        apply = FivePointLaplacian.apply_values
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(
-                FivePointLaplacian, "apply", lambda lap, u: applications.append(1) or apply(lap, u)
+                FivePointLaplacian,
+                "apply_values",
+                lambda lap, v, grid: applications.append(1) or apply(lap, v, grid),
             )
             x = cg_solve(op, rhs)
         assert l2_norm(op.apply(x) - rhs) <= 1e-10 * l2_norm(rhs)

@@ -22,7 +22,6 @@ from memstep.schemes import (
     SchemeConfigError,
     _product_trapezoid_weights,
     energy,
-    general_step,
     history_init,
     quadrature_step,
     scalar_ode_oracle,
@@ -118,18 +117,11 @@ class TestSoeStep:
         slope = np.polyfit(np.log(taus), np.log(errors), 1)[0]
         assert slope == pytest.approx(expected_order, abs=0.2)
 
-    def test_rejects_general_problem(self):
-        p = scalar_problem(1.0, 1.0, 1.0, 1.0)
-        p = ProblemSpec(
-            operator=p.operator, kernel=p.kernel, initial=p.initial,
-            mass=DiagonalScaling(2.0),
-        )
-        with pytest.raises(SchemeConfigError, match="general_step"):
-            soe_step(p, SchemeConfig(sigma=1.0, tau=0.1), soe_init(p))
-
 
 class TestGeneralStep:
     def test_reduces_to_soe_step_bitwise(self):
+        # unit mass and zero reaction as explicit operators reproduce the
+        # identity-mass step bit for bit
         grid = Grid2D(12, 12)
         p = ProblemSpec(
             operator=FivePointLaplacian(grid),
@@ -138,11 +130,15 @@ class TestGeneralStep:
                 grid, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2)
             ),
         )
+        general = ProblemSpec(
+            operator=p.operator, kernel=p.kernel, initial=p.initial,
+            mass=DiagonalScaling(1.0), reaction=DiagonalScaling(0.0),
+        )
         cfg = SchemeConfig(sigma=0.5, tau=0.05)
-        s1, s2 = soe_init(p), soe_init(p)
+        s1, s2 = soe_init(p), soe_init(general)
         for _ in range(10):
             s1 = soe_step(p, cfg, s1)
-            s2 = general_step(p, cfg, s2)
+            s2 = soe_step(general, cfg, s2)
             np.testing.assert_array_equal(s1.y.values, s2.y.values)
             for a1, a2 in zip(s1.aux, s2.aux):
                 np.testing.assert_array_equal(a1, a2)
@@ -156,7 +152,7 @@ class TestGeneralStep:
             initial=GridFunction(grid, np.array([[3.0]])),
             mass=DiagonalScaling(2.0),
         )
-        s = general_step(p, SchemeConfig(sigma=1.0, tau=1.0), soe_init(p))
+        s = soe_step(p, SchemeConfig(sigma=1.0, tau=1.0), soe_init(p))
         assert scalar_value(s) == pytest.approx(3.0, rel=1e-12)
 
     def test_reaction_dominated_decay(self):
@@ -172,7 +168,7 @@ class TestGeneralStep:
         cfg = SchemeConfig(sigma=0.5, tau=0.01)
         s = soe_init(p)
         for _ in range(100):
-            s = general_step(p, cfg, s)
+            s = soe_step(p, cfg, s)
         assert scalar_value(s) == pytest.approx(math.exp(-1.0), abs=1e-5)
 
 
