@@ -58,7 +58,7 @@ class ConfigError(ValueError):
 class RunConfig:
     """Fully resolved, flat run configuration (every field has a default)."""
 
-    beta: Optional[str] = "1/2"
+    beta: Optional[str | float] = "1/2"
     kernel_file: Optional[str] = None
     sigma: float = 0.5
     tau: Optional[float] = None
@@ -77,14 +77,15 @@ class RunConfig:
     cg_tol: float = 1e-10
 
     def resolved_steps(self) -> int:
-        """Step count from ``steps`` or ``tau`` (tau must divide T evenly)."""
-        if self.steps is not None:
-            if self.steps < 1:
-                raise ConfigError(f"steps={self.steps} must be >= 1")
-            return self.steps
+        """Step count from ``steps`` or ``tau`` (tau must divide T evenly);
+        when both are set, T/tau must equal steps."""
+        if self.steps is not None and self.steps < 1:
+            raise ConfigError(f"steps={self.steps} must be >= 1")
         if self.tau is None:
-            return 400
+            return 400 if self.steps is None else self.steps
         n = self.T / self.tau
+        if self.steps is not None and abs(n - self.steps) > 1e-9 * max(n, 1.0):
+            raise ConfigError(f"steps={self.steps} disagrees with T/tau={n:.10g} (tau={self.tau})")
         if abs(n - round(n)) > 1e-9 * max(n, 1.0) or round(n) < 1:
             raise ConfigError(
                 f"tau={self.tau} does not divide T={self.T} into whole steps"
@@ -102,6 +103,8 @@ class RunConfig:
             raise ConfigError(f"tau={self.tau} must be > 0")
         if self.reference_steps < 1:
             raise ConfigError(f"reference_steps={self.reference_steps} must be >= 1")
+        if min(self.ladder_steps, default=1) < 1:
+            raise ConfigError(f"ladder_steps={list(self.ladder_steps)} must all be >= 1")
         self.resolved_steps()
 
     def kernel(self):
@@ -142,20 +145,34 @@ class RunConfig:
         )
 
 
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}  # name -> annotation
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "str | float": (str, int, float)}
+
+
+def _fits(annotation: str, value) -> bool:
+    """Whether a JSON value fits a RunConfig annotation; a bool is no number."""
+    if annotation.startswith("Optional["):
+        return value is None or _fits(annotation[len("Optional["):-1], value)
+    if annotation == "tuple[int, ...]":
+        return isinstance(value, list) and all(_fits("int", v) for v in value)
+    return isinstance(value, _JSON_TYPES[annotation]) and not isinstance(value, bool)
 
 
 def load_config(path) -> dict:
-    """Read a JSON config file, unwrapping a manifest's "config" block."""
+    """Read a JSON config file, unwrapping a manifest's "config" block, and
+    check each value's type against its RunConfig field."""
     with Path(path).open(encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     if "config" in data and isinstance(data["config"], dict):
         data = data["config"]
-    unknown = set(data) - _CONFIG_FIELDS
+    unknown = data.keys() - _CONFIG_FIELDS
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
+    for key, value in data.items():
+        if not _fits(_CONFIG_FIELDS[key], value):
+            raise ConfigError(f"{path}: {key}={value!r} is not of type {_CONFIG_FIELDS[key]}")
     return data
 
 
@@ -169,7 +186,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if flag_value is not None:
             values[key] = flag_value
     if "ladder_steps" in values:
-        values["ladder_steps"] = tuple(int(v) for v in values["ladder_steps"])
+        values["ladder_steps"] = tuple(values["ladder_steps"])
     cfg = RunConfig(**values)
     cfg.validate()
     return cfg

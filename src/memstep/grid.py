@@ -59,6 +59,11 @@ class Grid2D:
     def cell_area(self) -> float:
         return self.h1 * self.h2
 
+    @property
+    def center_index(self) -> tuple[int, int]:
+        """Interior node nearest (0.5, 0.5); the lower neighbour for odd n."""
+        return (self.n1 // 2 - 1, self.n2 // 2 - 1)
+
     def interior_coords(self) -> tuple[np.ndarray, np.ndarray]:
         """Meshgrid (x1, x2) of interior node coordinates, shape ``self.shape``."""
         x1 = np.arange(1, self.n1) * self.h1
@@ -108,12 +113,8 @@ class GridFunction:
         return GridFunction(self.grid, self.values / scalar)
 
     def center_value(self) -> float:
-        """Value at the interior node nearest (0.5, 0.5)."""
-        # For even n the midpoint is an interior node; for odd n the lower
-        # neighbor is picked deterministically.
-        i = min(max(self.grid.n1 // 2 - 1, 0), self.grid.shape[0] - 1)
-        j = min(max(self.grid.n2 // 2 - 1, 0), self.grid.shape[1] - 1)
-        return float(self.values[i, j])
+        """Value at the interior node nearest (0.5, 0.5), ``grid.center_index``."""
+        return float(self.values[self.grid.center_index])
 
 
 def sample_function(grid: Grid2D, f) -> GridFunction:

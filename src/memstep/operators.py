@@ -1,11 +1,12 @@
 """Symmetric positive (semi)definite operators on grid functions.
 
-Each operator defines one method, ``apply_values``, on raw arrays of interior
-values; ``apply`` wraps it for grid functions at the API edge.  All are
-matrix-free: the five-point Laplacian applies its stencil directly (implicit
-zero ghost values on the Dirichlet boundary) and the per-step shifted systems
-are solved with conjugate gradients, preconditioned by the exact inverse in
-the orthonormal sine basis when of the form alpha I + beta A.
+Operators, ``cg_solve`` and ``a_norm`` take arrays of interior values with the
+grid alongside; an operator defines one method, ``apply_values(v, grid)``, and
+``apply`` wraps it for grid functions at the API edge.  All are matrix-free:
+the five-point Laplacian applies its stencil directly (implicit zero ghost
+values on the Dirichlet boundary) and the per-step shifted systems are solved
+with conjugate gradients, preconditioned by the exact inverse in the
+orthonormal sine basis when of the form alpha I + beta A.
 Application is deterministic: fixed sequential accumulation order, no threading.
 """
 
@@ -16,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid2D, GridFunction, GridMismatchError, inner_product, l2_norm
+from .grid import Grid2D, GridFunction, GridMismatchError
 
 __all__ = [
     "SpdOperator",
@@ -172,11 +173,10 @@ def _sine_eigenvalues(n: int) -> np.ndarray:
     return lam
 
 
-def a_norm(op: SpdOperator, w: GridFunction) -> float:
-    """Energy norm (op w, w)**0.5 for a symmetric positive semidefinite op."""
-    q = float(np.sum(op.apply_values(w.values, w.grid) * w.values) * w.grid.cell_area)
-    nrm2 = inner_product(w, w)
-    if q < -1e-12 * max(nrm2, 1e-300):
+def a_norm(op: SpdOperator, v: np.ndarray, grid: Grid2D) -> float:
+    """Energy norm (op v, v)**0.5 of values v on grid, op symmetric positive semidefinite."""
+    q = float(np.sum(op.apply_values(v, grid) * v) * grid.cell_area)
+    if q < -1e-12 * max(float(np.sum(v * v) * grid.cell_area), 1e-300):
         raise NotSpdError(f"quadratic form is negative: {q}")
     return float(np.sqrt(max(q, 0.0)))
 
@@ -188,38 +188,39 @@ def laplacian_min_eigenvalue(grid: Grid2D) -> float:
 
 def cg_solve(
     op: SpdOperator,
-    rhs: GridFunction,
+    rhs: np.ndarray,
+    grid: Grid2D,
     tol: float = 1e-10,
     max_iter: int | None = None,
-) -> GridFunction:
+) -> np.ndarray:
     """Conjugate gradients preconditioned by ``op.preconditioner(grid)`` (none
     when None) from x0 = M^-1 rhs, stopping once |rhs - op x| <= tol |rhs|.
 
     Arrays are updated in place; ``op.apply_values`` runs once for the initial
     residual and once per iteration, so an exact inverse needs one.  Raises
-    ConvergenceError when max_iter (default 10*(n1+n2)) is exhausted.
+    GridMismatchError unless rhs has ``grid.shape``, ConvergenceError when
+    max_iter (default 10*(n1+n2)) is exhausted.
     """
     if tol <= 0:
         raise ValueError(f"tol={tol} must be > 0")
-    grid = rhs.grid
+    if rhs.shape != grid.shape:
+        raise GridMismatchError(f"rhs shape {rhs.shape} does not match interior {grid.shape}")
     max_iter = 10 * (grid.n1 + grid.n2) if max_iter is None else max_iter
-    rhs_norm = l2_norm(rhs)
-    if rhs_norm == 0.0:
-        return grid.zeros()
     scratch = np.empty(grid.shape)
 
-    def dot(u, v):  # inner_product on arrays, into a reused buffer
+    def dot(u, v):  # mesh-weighted inner product, into a reused buffer
         return float(np.multiply(u, v, out=scratch).sum()) * grid.cell_area
 
+    rhs_norm = float(np.sqrt(dot(rhs, rhs)))
     precondition = op.preconditioner(grid)
     x = np.zeros(grid.shape)
     if precondition is not None:
-        precondition(rhs.values, x)
-    r = rhs.values - op.apply_values(x, grid)
+        precondition(rhs, x)
+    r = rhs - op.apply_values(x, grid)
     rr = dot(r, r)
     target = tol * rhs_norm
     if np.sqrt(rr) <= target:
-        return GridFunction(grid, x)
+        return x
     z = r if precondition is None else precondition(r, np.empty(grid.shape))
     p = z.copy()
     rz = rr if z is r else dot(r, z)
@@ -233,7 +234,7 @@ def cg_solve(
         r -= alpha * ap
         rr = dot(r, r)
         if np.sqrt(rr) <= target:
-            return GridFunction(grid, x)
+            return x
         if precondition is not None:
             precondition(r, z)
         rz_new = rr if z is r else dot(r, z)

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import GridFunction, l2_norm
+from .grid import GridFunction
 from .kernels import PronySeries
 from .operators import (
     IdentityOperator,
@@ -113,10 +113,11 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SoeState:
-    """Compressed stepper state: the solution plus the m memory fields, held
-    as one array ``aux`` of shape ``(m, n1-1, n2-1)`` that no step writes."""
+    """Compressed stepper state: the solution ``y``, an ``(n1-1, n2-1)`` array of
+    interior values on the problem's grid, plus the m memory fields, held as
+    one array ``aux`` of shape ``(m, n1-1, n2-1)``.  No step writes either."""
 
-    y: GridFunction
+    y: np.ndarray
     aux: np.ndarray
     n: int
     t: float
@@ -132,12 +133,12 @@ class _Levels:
 class HistoryState:
     """Baseline state: every past level (the linear growth is the point).
 
-    ``applied`` holds the spatial operator applied to each level as rows 0..n
-    of one array, so no step reapplies the stencil to or restacks the history.
+    ``ys`` holds levels 0..n and ``applied`` the operator applied to each, as
+    rows of one array, so no step reapplies the stencil to or restacks the history.
     ``integral``, the memory integral to t_n, spares the next step a second sum.
     """
 
-    ys: tuple[GridFunction, ...]
+    ys: tuple[np.ndarray, ...]
     levels: _Levels
     n: int
     t: float
@@ -173,26 +174,26 @@ def _finite(what: str, n: int, t: float):
 def soe_init(p: ProblemSpec) -> SoeState:
     """Initial state: y = u0, all compressed memory functions zero."""
     aux = np.zeros((p.kernel.n_terms,) + p.initial.grid.shape)
-    return SoeState(y=p.initial, aux=aux, n=0, t=0.0)
+    return SoeState(y=p.initial.values, aux=aux, n=0, t=0.0)
 
 
-def _check_aux_residual(cfg: SchemeConfig, rates, y_new, y_old, aux_new, aux_old) -> None:
+def _check_aux_residual(cfg: SchemeConfig, grid, rates, y_new, y_old, aux_new, aux_old) -> None:
     """Raise AuxiliaryResidualError, naming the rate, unless every memory
     field meets its implicit equation to rounding: the residual
     (y_i' - y_i)/tau + b_i (sigma y_i' + (1-sigma) y_i) - (sigma y' + (1-sigma) y)
-    must stay within 1e-12 (|y'| + |y_i'|)/tau."""
+    must stay within 1e-12 (|y'| + |y_i'|)/tau in the L2 norm on ``grid``."""
     sig, tau = cfg.sigma, cfg.tau
     b = np.asarray(rates, dtype=float)[:, None, None]
-    ybar = sig * y_new.values + (1.0 - sig) * y_old.values
+    ybar = sig * y_new + (1.0 - sig) * y_old
     r2 = np.empty(len(b))
     for blk in _blocks(aux_new):
         res = (1.0 / tau + sig * b[blk]) * aux_new[blk]
         res -= (1.0 / tau - (1.0 - sig) * b[blk]) * aux_old[blk]
         res -= ybar
         r2[blk] = np.einsum("kij,kij->k", res, res)
-    area = y_new.grid.cell_area
+    area = grid.cell_area
     norms = np.sqrt(np.einsum("kij,kij->k", aux_new, aux_new) * area)
-    bounds = 1e-12 * (l2_norm(y_new) + norms) / tau
+    bounds = 1e-12 * (np.sqrt(np.sum(y_new * y_new) * area) + norms) / tau
     for b_i, r_i, bound in zip(rates, np.sqrt(r2 * area), bounds):
         if r_i > bound:
             raise AuxiliaryResidualError(
@@ -216,7 +217,7 @@ def soe_step(p: ProblemSpec, cfg: SchemeConfig, s: SoeState) -> SoeState:
     decay = (1.0 - (1.0 - sig) * b * tau) / d
     gain = tau / d
     mu = math.fsum(sig * a * tau / d)
-    grid, y = s.y.grid, s.y.values
+    grid, y = p.initial.grid, s.y
     with _finite("update", s.n + 1, s.t + tau):
         # sum_i a_i A((1-sigma) y_i + sigma y_i') less its implicit part sigma*mu*A y',
         # with the one operator application pulled outside the sum by linearity.
@@ -230,12 +231,12 @@ def soe_step(p: ProblemSpec, cfg: SchemeConfig, s: SoeState) -> SoeState:
             terms.append((sig * tau, p.reaction))
         if p.forcing is not None:  # evaluated at the mid level t_n + sigma*tau
             rhs += tau * p.forcing(s.t + sig * tau).values
-        y_new = cg_solve(ScaledSum(terms), GridFunction(grid, rhs), tol=cfg.cg_tol)
-        ybar = sig * y_new.values + (1.0 - sig) * y
+        y_new = cg_solve(ScaledSum(terms), rhs, grid, tol=cfg.cg_tol)
+        ybar = sig * y_new + (1.0 - sig) * y
         aux = decay[:, None, None] * s.aux
         for blk in _blocks(aux):
             aux[blk] += gain[blk, None, None] * ybar
-        _check_aux_residual(cfg, b, y_new, s.y, aux, s.aux)
+        _check_aux_residual(cfg, grid, b, y_new, y, aux, s.aux)
     return SoeState(y=y_new, aux=aux, n=s.n + 1, t=s.t + tau)
 
 
@@ -243,8 +244,8 @@ def history_init(p: ProblemSpec) -> HistoryState:
     """Initial state for the full-history baseline."""
     if not p.is_plain:
         raise SchemeConfigError("the full-history baseline handles only the plain problem")
-    first = p.operator.apply_values(p.initial.values, p.initial.grid)
-    return HistoryState((p.initial,), _Levels(first[None].copy(), 1), n=0, t=0.0, integral=0.0)
+    first = p.operator.apply_values(p.initial.values, p.initial.grid)[None].copy()
+    return HistoryState((p.initial.values,), _Levels(first, 1), n=0, t=0.0, integral=0.0)
 
 
 def _product_trapezoid_weights(
@@ -301,18 +302,18 @@ def quadrature_step(p: ProblemSpec, cfg: SchemeConfig, h: HistoryState) -> Histo
     w_new, w_end = _product_trapezoid_weights(p.kernel, tau, n + 1)
     s_new = np.tensordot(w_new, h.applied, axes=1)
 
-    rhs = h.ys[-1].values - tau * (sig * s_new + (1.0 - sig) * h.integral)
+    rhs = h.ys[-1] - tau * (sig * s_new + (1.0 - sig) * h.integral)
     if p.forcing is not None:
         rhs += tau * p.forcing(h.t + sig * tau).values
     lhs = ScaledSum([(1.0, IdentityOperator()), (sig * tau * w_end, p.operator)])
-    y_new = cg_solve(lhs, GridFunction(h.ys[0].grid, rhs), tol=cfg.cg_tol)
+    y_new = cg_solve(lhs, rhs, p.initial.grid, tol=cfg.cg_tol)
 
     levels = h.levels
     if levels.count != n + 1:  # h was stepped before: branch off a copy
         levels = _Levels(h.applied.copy(), n + 1)
     if levels.count == len(levels.data):
         levels.data = np.concatenate([levels.data, np.empty_like(levels.data)])
-    applied = p.operator.apply_values(y_new.values, y_new.grid)
+    applied = p.operator.apply_values(y_new, p.initial.grid)
     levels.data[levels.count] = applied
     levels.count += 1
     return HistoryState(h.ys + (y_new,), levels, n + 1, h.t + tau, s_new + w_end * applied)
@@ -324,7 +325,7 @@ def energy(p: ProblemSpec, s: SoeState) -> float:
     The A-forms of the memory fields come from applying the operator to
     blocks of the stack; a form negative beyond rounding raises NotSpdError.
     """
-    grid = s.y.grid
+    grid = p.initial.grid
     with _finite("energy", s.n, s.t):
         forms = np.empty(len(s.aux))
         for blk in _blocks(s.aux):
@@ -333,7 +334,7 @@ def energy(p: ProblemSpec, s: SoeState) -> float:
         if np.any(forms < -1e-12 * np.maximum(np.einsum("kij,kij->k", s.aux, s.aux), 1e-300)):
             raise NotSpdError(f"quadratic form is negative: {forms.min() * grid.cell_area}")
         forms = np.maximum(forms, 0.0) * grid.cell_area
-        total = a_norm(p.mass, s.y) ** 2 + float(np.dot(p.kernel.weights, forms))
+        total = a_norm(p.mass, s.y, grid) ** 2 + float(np.dot(p.kernel.weights, forms))
     return float(np.sqrt(total))
 
 

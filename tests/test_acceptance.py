@@ -152,7 +152,7 @@ def test_scalar_closed_form_convergence():
             for _ in range(n):
                 state = soe_step(problem, cfg, state)
                 exact = scalar_ode_oracle(a1, b1, lam, u0, state.t)
-                worst = max(worst, abs(state.y.values[0, 0] - exact))
+                worst = max(worst, abs(state.y[0, 0] - exact))
             errors.append(worst)
             taus.append(T / n)
         slopes[sigma] = np.polyfit(np.log(taus), np.log(errors), 1)[0]
@@ -202,7 +202,7 @@ def test_spatial_operator_correctness(rng):
 
     op = ScaledSum([(1.0, IdentityOperator()), (0.5, lap)])
     rhs = GridFunction(grid, rng.standard_normal(grid.shape))
-    x = cg_solve(op, rhs, tol=tol)
+    x = GridFunction(grid, cg_solve(op, rhs.values, grid, tol=tol))
     res = l2_norm(op.apply(x) - rhs) / l2_norm(rhs)
 
     ok = eig_ok and sym_gap < 1e-10 and pd_ok and res <= tol
@@ -271,7 +271,7 @@ def test_auxiliary_residual_guard_active():
     wrong = state.aux + 1e-3
     tripped = False
     try:
-        _check_aux_residual(cfg, [2.0], state.y, state.y, wrong, state.aux)
+        _check_aux_residual(cfg, problem.initial.grid, [2.0], state.y, state.y, wrong, state.aux)
     except AuxiliaryResidualError:
         tripped = True
     report(

@@ -95,6 +95,45 @@ class TestConfigErrors:
         assert cli.main(["converge", "--config", str(config)]) == cli.EXIT_CONFIG
         assert "at least 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            ("run", {"steps": 8.0, "sample_count": 8}, "steps"),
+            ("run", {"grid": 16.0}, "grid"),
+            ("run", {"steps": "100"}, "steps"),
+            ("run", {"T": "4"}, "T"),
+            ("run", {"sigma": True}, "sigma"),
+            ("converge", {"ladder_steps": [48, 96.5, 192, 384]}, "ladder_steps"),
+        ],
+    )
+    def test_config_value_of_wrong_type(self, out_root, tmp_path, capsys, command, config, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
+        assert f" {key}=" in capsys.readouterr().err
+        assert not (out_root / command).exists()
+
+    def test_steps_and_tau_must_agree(self, out_root, tmp_path, capsys):
+        assert cli.main(["run", "--steps", "8", "--tau", "0.3"]) == cli.EXIT_CONFIG
+        assert "steps=8 disagrees" in capsys.readouterr().err
+        assert not (out_root / "run").exists()
+        assert cli.main(["run", *FAST]) == cli.EXIT_OK
+        by_steps = (out_root / "run" / "trajectory.csv").read_bytes()
+        manifest = out_root / "run" / "manifest.json"
+        rerun = tmp_path / "rerun"
+        args = ["run", "--config", str(manifest), "--out", str(rerun)]
+        assert cli.main([*args, "--tau", "0.25"]) == cli.EXIT_CONFIG
+        assert "steps=64 disagrees" in capsys.readouterr().err
+        assert cli.main([*args, "--tau", "0.03125"]) == cli.EXIT_OK  # a consistent pair
+        assert (rerun / "run" / "trajectory.csv").read_bytes() == by_steps
+
+    @pytest.mark.parametrize("entry", [0, -8])
+    def test_ladder_entry_below_one_rejected(self, tmp_path, capsys, entry):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"grid": 8, "T": 1.0, "ladder_steps": [entry, 8, 16]}))
+        assert cli.main(["converge", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert "must all be >= 1" in capsys.readouterr().err
+
     def test_missing_kernel_file(self, capsys):
         assert (
             cli.main(["run", *FAST, "--kernel-file", "/nonexistent/k.csv"])
