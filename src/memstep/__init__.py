@@ -12,7 +12,6 @@ from .kernels import (
     prony_eval,
     analytic_eval,
     kernel_sup_error,
-    check_positive_type,
     load_builtin_prony,
     prony_from_file,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "prony_eval",
     "analytic_eval",
     "kernel_sup_error",
-    "check_positive_type",
     "load_builtin_prony",
     "prony_from_file",
     "Grid2D",

@@ -8,9 +8,7 @@ discrete L2 norms.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -22,8 +20,6 @@ __all__ = [
     "inner_product",
     "l2_norm",
     "max_norm",
-    "save_snapshot",
-    "load_snapshot",
 ]
 
 
@@ -109,9 +105,6 @@ class GridFunction:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar: float) -> "GridFunction":
-        return GridFunction(self.grid, self.values / scalar)
-
     def center_value(self) -> float:
         """Value at the interior node nearest (0.5, 0.5), ``grid.center_index``."""
         return float(self.values[self.grid.center_index])
@@ -136,28 +129,3 @@ def l2_norm(w: GridFunction) -> float:
 
 def max_norm(w: GridFunction) -> float:
     return float(np.max(np.abs(w.values)))
-
-
-def save_snapshot(w: GridFunction, path) -> None:
-    """Write "x1,x2,value" rows, row-major, 17 significant digits."""
-    x1, x2 = w.grid.interior_coords()
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write("x1,x2,value\n")
-        for a, b, v in zip(x1.ravel(), x2.ravel(), w.values.ravel()):
-            fh.write(f"{a:.17g},{b:.17g},{v:.17g}\n")
-
-
-def load_snapshot(grid: Grid2D, path) -> GridFunction:
-    """Read a snapshot written by :func:`save_snapshot` back onto ``grid``."""
-    path = Path(path)
-    values = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["x1", "x2", "value"]:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for row in reader:
-            values.append(float(row[2]))
-    arr = np.array(values).reshape(grid.shape)
-    return GridFunction(grid, arr)

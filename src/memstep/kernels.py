@@ -3,9 +3,9 @@
 A Prony series ``ktil(t) = sum_i a_i * exp(-b_i * t)`` with a_i > 0 and
 b_i >= 0 is a positive-type convolution kernel, which is what makes the
 compressed reformulation of the memory term stable.  This module holds the
-kernel representations, the built-in stretched-exponential fits, positivity
-checks, and the sup-norm error report used to quantify how well a series
-approximates its analytic target.
+kernel representations, the built-in stretched-exponential fits and the
+sup-norm error report used to quantify how well a series approximates its
+analytic target.
 """
 
 from __future__ import annotations
@@ -24,12 +24,10 @@ __all__ = [
     "SingleExponential",
     "AnalyticKernel",
     "KernelErrorReport",
-    "PositivityReport",
     "KernelFormatError",
     "prony_eval",
     "analytic_eval",
     "kernel_sup_error",
-    "check_positive_type",
     "load_builtin_prony",
     "prony_from_file",
     "BUILTIN_BETAS",
@@ -135,21 +133,6 @@ class KernelErrorReport:
         object.__setattr__(self, "sup_error", float(np.max(np.abs(self.errors))))
 
 
-@dataclass(frozen=True)
-class PositivityReport:
-    """Outcome of the positive-type sufficient condition check.
-
-    ``first_violation`` is None when the check passes, otherwise a
-    (t, quantity, value) triple naming the offending sample.
-    """
-
-    ok: bool
-    first_violation: tuple[float, str, float] | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def _require_nonnegative_time(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
@@ -205,45 +188,6 @@ def kernel_sup_error(
     times = _geometric_grid(window[0], window[1], samples)
     errors = prony_eval(prony, times) - analytic_eval(analytic, times)
     return KernelErrorReport(times=times, errors=errors)
-
-
-def check_positive_type(
-    kernel,
-    t_min: float = 1e-3,
-    t_max: float = 10.0,
-    samples: int = 200,
-) -> PositivityReport:
-    """Check the sufficient positivity condition k >= 0, k' <= 0, k'' >= 0.
-
-    For a PronySeries the condition holds termwise by construction (a_i > 0,
-    b_i >= 0), so no sampling is done.  For analytic kernels the derivatives
-    are estimated with centered finite differences on a geometric grid over
-    [t_min, t_max]; t_min must stay away from 0 where the stretched
-    exponential's derivatives are singular.
-    """
-    if isinstance(kernel, PronySeries):
-        # Construction already enforces a_i > 0, b_i >= 0; each term then
-        # satisfies the condition and so does the sum.
-        return PositivityReport(ok=True)
-    times = _geometric_grid(t_min, t_max, samples)
-    for t in times:
-        h = 1e-6 * max(t, 1.0)
-        if t - h <= 0:
-            h = 0.5 * t
-        km = analytic_eval(kernel, t - h)
-        k0 = analytic_eval(kernel, t)
-        kp = analytic_eval(kernel, t + h)
-        d1 = (kp - km) / (2 * h)
-        d2 = (kp - 2 * k0 + km) / (h * h)
-        # Finite-difference noise floor on the second derivative.
-        tol2 = 1e-3 * max(abs(k0), 1.0)
-        if k0 < 0:
-            return PositivityReport(False, (float(t), "k", float(k0)))
-        if d1 > 1e-10:
-            return PositivityReport(False, (float(t), "k'", float(d1)))
-        if d2 < -tol2:
-            return PositivityReport(False, (float(t), "k''", float(d2)))
-    return PositivityReport(ok=True)
 
 
 # 12-term stretched-exponential fits (constrained so the weights sum to 1).

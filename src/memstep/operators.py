@@ -5,8 +5,9 @@ grid alongside; an operator defines one method, ``apply_values(v, grid)``, and
 ``apply`` wraps it for grid functions at the API edge.  All are matrix-free:
 the five-point Laplacian applies its stencil directly (implicit zero ghost
 values on the Dirichlet boundary) and the per-step shifted systems are solved
-with conjugate gradients, preconditioned by the exact inverse in the
-orthonormal sine basis when of the form alpha I + beta A.
+with conjugate gradients, exact in one division for a sum of pointwise terms.
+In the orthonormal sine (DST-I) basis of ``sine_transform`` the Laplacian is
+the pointwise ``laplacian_eigenvalues``: a problem built there needs no CG.
 Application is deterministic: fixed sequential accumulation order, no threading.
 """
 
@@ -27,6 +28,8 @@ __all__ = [
     "ScaledSum",
     "a_norm",
     "laplacian_min_eigenvalue",
+    "laplacian_eigenvalues",
+    "sine_transform",
     "cg_solve",
     "ConvergenceError",
     "NotSpdError",
@@ -58,8 +61,8 @@ class SpdOperator:
         axes indexing separate fields; returns a new array."""
         raise NotImplementedError(f"{type(self).__name__} does not define apply_values")
 
-    def preconditioner(self, grid: Grid2D):
-        """Approximate inverse ``(r, out) -> out`` on ``grid`` for :func:`cg_solve`, or None."""
+    def preconditioner(self):
+        """Approximate inverse ``(r, out) -> out`` for :func:`cg_solve`, or None."""
         return None
 
 
@@ -127,33 +130,21 @@ class ScaledSum(SpdOperator):
             out += term
         return out
 
-    def preconditioner(self, grid: Grid2D):
-        """Exact inverse of ``alpha I + beta A`` in the sine basis: alpha sums the
-        identity weights and the diagonal weights times their scalar coefficient,
-        beta the Laplacian weights.  None for any other term, a field among them."""
-        alpha = beta = 0.0
+    def preconditioner(self):
+        """Exact pointwise inverse when every term is the identity or a
+        ``DiagonalScaling`` (scalar or field) and their sum is positive
+        everywhere; None otherwise, a ``FivePointLaplacian`` term among them."""
+        diag = 0.0
         for c, op in self.terms:
             if isinstance(op, IdentityOperator):
-                alpha += c
-            elif isinstance(op, DiagonalScaling) and op.coefficient.ndim == 0:
-                alpha += c * float(op.coefficient)
-            elif isinstance(op, FivePointLaplacian) and op.grid == grid:
-                beta += c
+                diag = diag + c
+            elif isinstance(op, DiagonalScaling):
+                diag = diag + c * op.coefficient
             else:
                 return None
-        if alpha == 0.0 and beta == 0.0:
+        if not np.all(diag > 0):
             return None
-        s1, s2 = _sine_matrix(grid.n1), _sine_matrix(grid.n2)
-        lam1, lam2 = _sine_eigenvalues(grid.n1), _sine_eigenvalues(grid.n2)
-
-        def solve(r: np.ndarray, out: np.ndarray) -> np.ndarray:
-            tmp = s1 @ r
-            np.matmul(tmp, s2, out=out)
-            out /= alpha + beta * np.add.outer(lam1, lam2)
-            np.matmul(s1, out, out=tmp)
-            return np.matmul(tmp, s2, out=out)
-
-        return solve
+        return lambda r, out: np.divide(r, diag, out=out)
 
 
 @lru_cache(maxsize=8)
@@ -171,6 +162,21 @@ def _sine_eigenvalues(n: int) -> np.ndarray:
     lam = 4.0 * n * n * np.sin(np.pi * np.arange(1, n) / (2 * n)) ** 2
     lam.flags.writeable = False
     return lam
+
+
+@lru_cache(maxsize=8)
+def laplacian_eigenvalues(grid: Grid2D) -> np.ndarray:
+    """Eigenvalues lam1_j + lam2_k of the five-point Laplacian on ``grid``, the
+    field it becomes pointwise under :func:`sine_transform` (read-only)."""
+    lam = np.add.outer(_sine_eigenvalues(grid.n1), _sine_eigenvalues(grid.n2))
+    lam.flags.writeable = False
+    return lam
+
+
+def sine_transform(v: np.ndarray, grid: Grid2D) -> np.ndarray:
+    """``S1 v S2`` with the orthonormal DST-I matrices of ``grid``: interior values
+    to sine coefficients and, the matrices being symmetric and orthogonal, back."""
+    return _sine_matrix(grid.n1) @ v @ _sine_matrix(grid.n2)
 
 
 def a_norm(op: SpdOperator, v: np.ndarray, grid: Grid2D) -> float:
@@ -193,11 +199,12 @@ def cg_solve(
     tol: float = 1e-10,
     max_iter: int | None = None,
 ) -> np.ndarray:
-    """Conjugate gradients preconditioned by ``op.preconditioner(grid)`` (none
+    """Conjugate gradients preconditioned by ``op.preconditioner()`` (none
     when None) from x0 = M^-1 rhs, stopping once |rhs - op x| <= tol |rhs|.
 
     Arrays are updated in place; ``op.apply_values`` runs once for the initial
-    residual and once per iteration, so an exact inverse needs one.  Raises
+    residual and once per iteration, so the exact pointwise inverse of a sum
+    of diagonal terms needs one application and no iteration.  Raises
     GridMismatchError unless rhs has ``grid.shape``, ConvergenceError when
     max_iter (default 10*(n1+n2)) is exhausted.
     """
@@ -212,7 +219,7 @@ def cg_solve(
         return float(np.multiply(u, v, out=scratch).sum()) * grid.cell_area
 
     rhs_norm = float(np.sqrt(dot(rhs, rhs)))
-    precondition = op.preconditioner(grid)
+    precondition = op.preconditioner()
     x = np.zeros(grid.shape)
     if precondition is not None:
         precondition(rhs, x)

@@ -5,7 +5,7 @@ import pytest
 
 from memstep import cli, experiments
 from memstep.kernels import StretchedExponential, kernel_sup_error, load_builtin_prony
-from memstep.operators import NotSpdError
+from memstep.operators import FivePointLaplacian, NotSpdError
 
 # fast settings shared by most invocations: coarse grid, short horizon
 FAST = [
@@ -54,6 +54,17 @@ class TestRunCommand:
             == cli.EXIT_OK
         )
         assert (other / "run" / "trajectory.csv").read_bytes() == by_steps
+
+    def test_default_run_applies_no_stencil(self, monkeypatch):
+        calls = []
+        apply = FivePointLaplacian.apply_values
+        monkeypatch.setattr(
+            FivePointLaplacian,
+            "apply_values",
+            lambda lap, v, grid: calls.append(1) or apply(lap, v, grid),
+        )
+        assert cli.main(["run"]) == cli.EXIT_OK
+        assert calls == []  # the model problem is stepped in sine coordinates
 
     def test_flag_overrides_config_file(self, out_root, tmp_path):
         config = tmp_path / "cfg.json"

@@ -7,6 +7,7 @@ from memstep.experiments import (
     AlignmentError,
     ExperimentSpec,
     Trajectory,
+    build_model_problem,
     compare_baseline,
     compute_reference,
     convergence_study,
@@ -20,6 +21,16 @@ from memstep.experiments import (
 )
 from memstep.grid import Grid2D, GridFunction
 from memstep.kernels import load_builtin_prony
+from memstep.operators import FivePointLaplacian, sine_transform
+from memstep.schemes import (
+    ProblemSpec,
+    SchemeConfig,
+    energy,
+    history_init,
+    quadrature_step,
+    soe_init,
+    soe_step,
+)
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +186,39 @@ class TestCompareBaseline:
         # both discretize the same problem; differences shrink with tau
         assert rows[1].max_diff < rows[0].max_diff
         assert rows[0].max_diff < 1e-2
+
+
+def test_sine_coordinates_match_physical_oracle(small_spec, small_run):
+    """The model problem stepped in physical space (stencil and CG) agrees with
+    the sine-coordinate runs of run_model_problem and compare_baseline."""
+    grid = Grid2D(small_spec.grid_n, small_spec.grid_n)
+    physical = ProblemSpec(FivePointLaplacian(grid), small_spec.kernel, model_initial_condition(grid))
+    cfg = SchemeConfig(sigma=small_spec.sigma, tau=small_spec.tau, cg_tol=1e-13)
+    scale = np.abs(physical.initial.values).max()
+    stride = small_spec.n_steps // small_spec.sample_count
+
+    state = soe_init(physical)
+    path, energies = [state.y], [energy(physical, state)]
+    for _ in range(small_spec.n_steps):
+        state = soe_step(physical, cfg, state)
+        path.append(state.y)
+        energies.append(energy(physical, state))
+    np.testing.assert_allclose(energies, small_run.energies, rtol=1e-12)
+    centers = [y[grid.center_index] for y in path]
+    np.testing.assert_allclose(centers, small_run.center_values, rtol=0, atol=1e-12 * scale)
+    for y, snap in zip(path[stride::stride], small_run.snapshots):
+        np.testing.assert_allclose(snap.values, y, rtol=0, atol=1e-12 * scale)
+
+    modal = build_model_problem(small_spec)
+    phys_hist, modal_hist = history_init(physical), history_init(modal)
+    for _ in range(small_spec.n_steps):
+        phys_hist = quadrature_step(physical, cfg, phys_hist)
+        modal_hist = quadrature_step(modal, cfg, modal_hist)
+    for y, y_modal in zip(phys_hist.ys, modal_hist.ys):
+        np.testing.assert_allclose(sine_transform(y_modal, grid), y, rtol=0, atol=1e-12 * scale)
+    (row,) = compare_baseline(small_spec, (small_spec.n_steps,))
+    max_diff = max(float(np.max(np.abs(a - b))) for a, b in zip(path, phys_hist.ys))
+    assert abs(row.max_diff - max_diff) <= 1e-12 * scale
 
 
 class TestCsvWriters:

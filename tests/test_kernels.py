@@ -10,7 +10,6 @@ from memstep.kernels import (
     SingleExponential,
     StretchedExponential,
     analytic_eval,
-    check_positive_type,
     kernel_sup_error,
     load_builtin_prony,
     prony_eval,
@@ -105,10 +104,6 @@ class TestPronyProperties:
         assert v_lo <= series.total_weight * (1 + 1e-12)
         assert prony_eval(series, 0.0) == series.total_weight
 
-    @given(prony_series_strategy)
-    def test_constructed_series_passes_positivity_check(self, series):
-        assert check_positive_type(series)
-
 
 class TestAnalyticKernels:
     def test_stretched_at_zero(self):
@@ -129,14 +124,6 @@ class TestAnalyticKernels:
             StretchedExponential(1.0)
         with pytest.raises(ValueError):
             StretchedExponential(0.0)
-
-    def test_stretched_positive_type(self):
-        assert check_positive_type(StretchedExponential(0.5), t_min=0.01, t_max=10.0)
-
-    def test_single_exponential_positive_type(self):
-        report = check_positive_type(SingleExponential(1.0, 1.0))
-        assert report.ok
-        assert report.first_violation is None
 
 
 class TestKernelSupError:

@@ -412,7 +412,7 @@ def per_term_step(p, cfg, y, aux):
     a, b = p.kernel.weights, p.kernel.rates
     denom = [1.0 + sig * bi * tau for bi in b]
     chi = [
-        ((1.0 - sig) * tau * y + (1.0 - (1.0 - sig) * bi * tau) * yi) / di
+        (1.0 / di) * ((1.0 - sig) * tau * y + (1.0 - (1.0 - sig) * bi * tau) * yi)
         for bi, di, yi in zip(b, denom, aux)
     ]
     mu = math.fsum(sig * ai * tau / di for ai, di in zip(a, denom))
@@ -476,7 +476,7 @@ class TestSineModeOracle:
         mode = sample_function(
             grid, lambda x1, x2: np.sin(j * np.pi * x1) * np.sin(k * np.pi * x2)
         )
-        mode = mode / math.sqrt(np.sum(mode.values**2))
+        mode = (1.0 / math.sqrt(np.sum(mode.values**2))) * mode
         lam = 4 * n1**2 * math.sin(math.pi * j / (2 * n1)) ** 2
         lam += 4 * n2**2 * math.sin(math.pi * k / (2 * n2)) ** 2
         p = ProblemSpec(
