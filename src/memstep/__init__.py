@@ -15,7 +15,7 @@ from .kernels import (
     load_builtin_prony,
     prony_from_file,
 )
-from .grid import Grid2D, GridFunction, sample_function, inner_product, l2_norm, max_norm
+from .grid import Grid2D, GridFunction, sample_function, inner_product, l2_norm
 from .operators import (
     FivePointLaplacian,
     IdentityOperator,
@@ -61,7 +61,6 @@ __all__ = [
     "sample_function",
     "inner_product",
     "l2_norm",
-    "max_norm",
     "FivePointLaplacian",
     "IdentityOperator",
     "DiagonalScaling",

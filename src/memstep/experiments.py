@@ -249,10 +249,15 @@ def convergence_study(
     sigma: Optional[float] = None,
     reference: Optional[Trajectory] = None,
 ) -> ConvergenceResult:
-    """Run the ladder of step counts against the reference and fit slopes."""
+    """Run the ladder of step counts against the reference and fit slopes;
+    the reference, unless given, has ``spec.n_ref`` steps, above every entry."""
     if len(step_ladder) < 3:
         raise ValueError("a convergence ladder needs at least 3 step counts")
     if reference is None:
+        if max(step_ladder) >= spec.n_ref:  # at sigma = 0.5, n_ref steps reproduce it
+            raise ValueError(
+                f"ladder entry {max(step_ladder)} must be below the reference's {spec.n_ref} steps"
+            )
         reference = compute_reference(spec)
     rows = []
     for n_steps in step_ladder:
@@ -277,46 +282,43 @@ def convergence_study(
 def compare_baseline(
     spec: ExperimentSpec, step_ladder: tuple[int, ...]
 ) -> tuple[BaselineRow, ...]:
-    """Run compressed and full-history steppers side by side per ladder tau.
+    """Run the full-history baseline, then check the compressed stepper against
+    its levels as it steps, per ladder tau.
 
     Reports the max nodal difference over the whole run, wall-clock timings
-    (informative only), and the field counts that make the memory saving
-    concrete: m+1 fields for the compressed state vs n+1 for the history.
+    (informative only; ``soe_seconds`` sums the timed ``soe_step`` calls), and
+    the field counts that make the memory saving concrete: m+1 fields for the
+    compressed state vs n+1 for the history.
     """
     problem = build_model_problem(spec)
+    return tuple(_compare_one(problem, spec, n_steps) for n_steps in step_ladder)
+
+
+def _compare_one(problem: ProblemSpec, spec: ExperimentSpec, n_steps: int) -> BaselineRow:
+    """One ladder entry; no view of its history outlives the call."""
     grid = problem.initial.grid
-    rows = []
-    for n_steps in step_ladder:
-        tau = spec.final_time / n_steps
-        cfg = SchemeConfig(sigma=spec.sigma, tau=tau, cg_tol=spec.cg_tol)
+    cfg = SchemeConfig(sigma=spec.sigma, tau=spec.final_time / n_steps, cg_tol=spec.cg_tol)
+    t0 = time.perf_counter()
+    hist = history_init(problem)
+    for _ in range(n_steps):
+        hist = quadrature_step(problem, cfg, hist)
+    history_seconds = time.perf_counter() - t0
 
+    state = soe_init(problem)
+    soe_seconds = max_diff = 0.0  # level 0 is u0 in both
+    for level in hist.ys[1:]:
         t0 = time.perf_counter()
-        soe_state = soe_init(problem)
-        soe_path = [soe_state.y]
-        for _ in range(n_steps):
-            soe_state = soe_step(problem, cfg, soe_state)
-            soe_path.append(soe_state.y)
-        soe_seconds = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        hist_state = history_init(problem)
-        for _ in range(n_steps):
-            hist_state = quadrature_step(problem, cfg, hist_state)
-        history_seconds = time.perf_counter() - t0
-
-        nodal = (sine_transform(a - b, grid) for a, b in zip(soe_path, hist_state.ys))
-        max_diff = max(float(np.max(np.abs(d))) for d in nodal)
-        rows.append(
-            BaselineRow(
-                tau=tau,
-                max_diff=max_diff,
-                soe_seconds=soe_seconds,
-                history_seconds=history_seconds,
-                soe_fields=problem.kernel.n_terms + 1,
-                history_fields=hist_state.n + 1,
-            )
-        )
-    return tuple(rows)
+        state = soe_step(problem, cfg, state)
+        soe_seconds += time.perf_counter() - t0
+        max_diff = max(max_diff, float(np.max(np.abs(sine_transform(state.y - level, grid)))))
+    return BaselineRow(
+        tau=cfg.tau,
+        max_diff=max_diff,
+        soe_seconds=soe_seconds,
+        history_seconds=history_seconds,
+        soe_fields=problem.kernel.n_terms + 1,
+        history_fields=hist.n + 1,
+    )
 
 
 def write_csv(path, header: list[str], rows) -> None:

@@ -19,7 +19,6 @@ __all__ = [
     "sample_function",
     "inner_product",
     "l2_norm",
-    "max_norm",
 ]
 
 
@@ -105,10 +104,6 @@ class GridFunction:
 
     __rmul__ = __mul__
 
-    def center_value(self) -> float:
-        """Value at the interior node nearest (0.5, 0.5), ``grid.center_index``."""
-        return float(self.values[self.grid.center_index])
-
 
 def sample_function(grid: Grid2D, f) -> GridFunction:
     """Sample a pointwise function f(x1, x2) at the interior nodes."""
@@ -125,7 +120,3 @@ def inner_product(w: GridFunction, u: GridFunction) -> float:
 
 def l2_norm(w: GridFunction) -> float:
     return float(np.sqrt(np.sum(w.values * w.values) * w.grid.cell_area))
-
-
-def max_norm(w: GridFunction) -> float:
-    return float(np.max(np.abs(w.values)))

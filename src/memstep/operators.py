@@ -5,7 +5,8 @@ grid alongside; an operator defines one method, ``apply_values(v, grid)``, and
 ``apply`` wraps it for grid functions at the API edge.  All are matrix-free:
 the five-point Laplacian applies its stencil directly (implicit zero ghost
 values on the Dirichlet boundary) and the per-step shifted systems are solved
-with conjugate gradients, exact in one division for a sum of pointwise terms.
+with conjugate gradients from the exact diagonal start ``rhs / op.diagonal()``,
+which solves a sum of pointwise terms in one division and no iteration.
 In the orthonormal sine (DST-I) basis of ``sine_transform`` the Laplacian is
 the pointwise ``laplacian_eigenvalues``: a problem built there needs no CG.
 Application is deterministic: fixed sequential accumulation order, no threading.
@@ -61,8 +62,9 @@ class SpdOperator:
         axes indexing separate fields; returns a new array."""
         raise NotImplementedError(f"{type(self).__name__} does not define apply_values")
 
-    def preconditioner(self):
-        """Approximate inverse ``(r, out) -> out`` for :func:`cg_solve`, or None."""
+    def diagonal(self):
+        """The operator's diagonal, a scalar or an interior field, when the
+        operator is pointwise (then it is the whole operator); None otherwise."""
         return None
 
 
@@ -92,6 +94,9 @@ class IdentityOperator(SpdOperator):
     def apply_values(self, v: np.ndarray, grid: Grid2D) -> np.ndarray:
         return v.copy()
 
+    def diagonal(self):
+        return 1.0
+
 
 class DiagonalScaling(SpdOperator):
     """Pointwise multiplication by a nonnegative coefficient (scalar or field)."""
@@ -106,6 +111,9 @@ class DiagonalScaling(SpdOperator):
 
     def apply_values(self, v: np.ndarray, grid: Grid2D) -> np.ndarray:
         return self.coefficient * v
+
+    def diagonal(self):
+        return self.coefficient
 
 
 class ScaledSum(SpdOperator):
@@ -130,21 +138,15 @@ class ScaledSum(SpdOperator):
             out += term
         return out
 
-    def preconditioner(self):
-        """Exact pointwise inverse when every term is the identity or a
-        ``DiagonalScaling`` (scalar or field) and their sum is positive
-        everywhere; None otherwise, a ``FivePointLaplacian`` term among them."""
+    def diagonal(self):
+        """The weighted sum of the terms' diagonals; None when any term has none."""
         diag = 0.0
         for c, op in self.terms:
-            if isinstance(op, IdentityOperator):
-                diag = diag + c
-            elif isinstance(op, DiagonalScaling):
-                diag = diag + c * op.coefficient
-            else:
+            term = op.diagonal()
+            if term is None:
                 return None
-        if not np.all(diag > 0):
-            return None
-        return lambda r, out: np.divide(r, diag, out=out)
+            diag = diag + c * term
+        return diag
 
 
 @lru_cache(maxsize=8)
@@ -199,14 +201,15 @@ def cg_solve(
     tol: float = 1e-10,
     max_iter: int | None = None,
 ) -> np.ndarray:
-    """Conjugate gradients preconditioned by ``op.preconditioner()`` (none
-    when None) from x0 = M^-1 rhs, stopping once |rhs - op x| <= tol |rhs|.
+    """Conjugate gradients from x0 = rhs / op.diagonal() when the operator has a
+    diagonal positive everywhere (x0 = 0 otherwise), stopping once
+    |rhs - op x| <= tol |rhs|.
 
     Arrays are updated in place; ``op.apply_values`` runs once for the initial
-    residual and once per iteration, so the exact pointwise inverse of a sum
-    of diagonal terms needs one application and no iteration.  Raises
-    GridMismatchError unless rhs has ``grid.shape``, ConvergenceError when
-    max_iter (default 10*(n1+n2)) is exhausted.
+    residual and once per iteration, so a sum of pointwise terms, which the
+    diagonal start solves exactly, needs one application and no iteration.
+    Raises GridMismatchError unless rhs has ``grid.shape``, ConvergenceError
+    when max_iter (default 10*(n1+n2)) is exhausted.
     """
     if tol <= 0:
         raise ValueError(f"tol={tol} must be > 0")
@@ -219,35 +222,29 @@ def cg_solve(
         return float(np.multiply(u, v, out=scratch).sum()) * grid.cell_area
 
     rhs_norm = float(np.sqrt(dot(rhs, rhs)))
-    precondition = op.preconditioner()
+    diag = op.diagonal()
     x = np.zeros(grid.shape)
-    if precondition is not None:
-        precondition(rhs, x)
+    if diag is not None and np.all(diag > 0):
+        np.divide(rhs, diag, out=x)
     r = rhs - op.apply_values(x, grid)
     rr = dot(r, r)
     target = tol * rhs_norm
     if np.sqrt(rr) <= target:
         return x
-    z = r if precondition is None else precondition(r, np.empty(grid.shape))
-    p = z.copy()
-    rz = rr if z is r else dot(r, z)
+    p = r.copy()
     for _ in range(max_iter):
         ap = op.apply_values(p, grid)
         pap = dot(p, ap)
         if pap <= 0:
             raise NotSpdError(f"CG detected a non-SPD operator: (p, Ap) = {pap}")
-        alpha = rz / pap
+        alpha = rr / pap
         x += alpha * p
         r -= alpha * ap
-        rr = dot(r, r)
+        rr_old, rr = rr, dot(r, r)
         if np.sqrt(rr) <= target:
             return x
-        if precondition is not None:
-            precondition(r, z)
-        rz_new = rr if z is r else dot(r, z)
-        p *= rz_new / rz
-        p += z
-        rz = rz_new
+        p *= rr / rr_old
+        p += r
     raise ConvergenceError(
         f"CG did not converge in {max_iter} iterations "
         f"(relative residual {np.sqrt(rr) / rhs_norm:.3e} > {tol:.3e})",

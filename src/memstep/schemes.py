@@ -125,7 +125,7 @@ class SoeState:
 
 @dataclass
 class _Levels:
-    data: np.ndarray  # rows 0..count-1 hold levels; grows by doubling
+    data: np.ndarray  # rows 0..count-1 hold levels; the rest is room to grow
     count: int
 
 
@@ -133,19 +133,19 @@ class _Levels:
 class HistoryState:
     """Baseline state: every past level (the linear growth is the point).
 
-    ``ys`` holds levels 0..n and ``applied`` the operator applied to each, as
-    rows of one array, so no step reapplies the stencil to or restacks the history.
-    ``integral``, the memory integral to t_n, spares the next step a second sum.
+    ``ys`` is the ``(n+1, n1-1, n2-1)`` view of levels 0..n in one store that
+    doubles when full, so no step restacks the history or holds a level twice.
+    ``integral``, the memory integral to t_n before the operator is applied,
+    spares the next step a second sum.
     """
 
-    ys: tuple[np.ndarray, ...]
     levels: _Levels
     n: int
     t: float
     integral: np.ndarray | float
 
     @property
-    def applied(self) -> np.ndarray:
+    def ys(self) -> np.ndarray:
         return self.levels.data[: self.n + 1]
 
 
@@ -177,14 +177,14 @@ def soe_init(p: ProblemSpec) -> SoeState:
     return SoeState(y=p.initial.values, aux=aux, n=0, t=0.0)
 
 
-def _check_aux_residual(cfg: SchemeConfig, grid, rates, y_new, y_old, aux_new, aux_old) -> None:
-    """Raise AuxiliaryResidualError, naming the rate, unless every memory
-    field meets its implicit equation to rounding: the residual
-    (y_i' - y_i)/tau + b_i (sigma y_i' + (1-sigma) y_i) - (sigma y' + (1-sigma) y)
-    must stay within 1e-12 (|y'| + |y_i'|)/tau in the L2 norm on ``grid``."""
+def _check_aux_residual(cfg: SchemeConfig, grid, rates, ybar, y_new, aux_new, aux_old) -> None:
+    """Raise AuxiliaryResidualError, naming the first failing rate, unless every
+    memory field meets its implicit equation to rounding: the residual
+    (y_i' - y_i)/tau + b_i (sigma y_i' + (1-sigma) y_i) - ybar, with the step's
+    ybar = sigma y' + (1-sigma) y, must stay within 1e-12 (|y'| + |y_i'|)/tau
+    in the L2 norm on ``grid``."""
     sig, tau = cfg.sigma, cfg.tau
     b = np.asarray(rates, dtype=float)[:, None, None]
-    ybar = sig * y_new + (1.0 - sig) * y_old
     r2 = np.empty(len(b))
     for blk in _blocks(aux_new):
         res = (1.0 / tau + sig * b[blk]) * aux_new[blk]
@@ -194,12 +194,14 @@ def _check_aux_residual(cfg: SchemeConfig, grid, rates, y_new, y_old, aux_new, a
     area = grid.cell_area
     norms = np.sqrt(np.einsum("kij,kij->k", aux_new, aux_new) * area)
     bounds = 1e-12 * (np.sqrt(np.sum(y_new * y_new) * area) + norms) / tau
-    for b_i, r_i, bound in zip(rates, np.sqrt(r2 * area), bounds):
-        if r_i > bound:
-            raise AuxiliaryResidualError(
-                f"auxiliary update residual {r_i:.3e} exceeds rounding bound {bound:.3e} "
-                f"(rate b={b_i})"
-            )
+    residuals = np.sqrt(r2 * area)
+    failing = np.flatnonzero(residuals > bounds)
+    if failing.size:
+        i = failing[0]
+        raise AuxiliaryResidualError(
+            f"auxiliary update residual {residuals[i]:.3e} exceeds rounding bound "
+            f"{bounds[i]:.3e} (rate b={rates[i]})"
+        )
 
 
 def soe_step(p: ProblemSpec, cfg: SchemeConfig, s: SoeState) -> SoeState:
@@ -236,7 +238,7 @@ def soe_step(p: ProblemSpec, cfg: SchemeConfig, s: SoeState) -> SoeState:
         aux = decay[:, None, None] * s.aux
         for blk in _blocks(aux):
             aux[blk] += gain[blk, None, None] * ybar
-        _check_aux_residual(cfg, grid, b, y_new, y, aux, s.aux)
+        _check_aux_residual(cfg, grid, b, ybar, y_new, aux, s.aux)
     return SoeState(y=y_new, aux=aux, n=s.n + 1, t=s.t + tau)
 
 
@@ -244,8 +246,8 @@ def history_init(p: ProblemSpec) -> HistoryState:
     """Initial state for the full-history baseline."""
     if not p.is_plain:
         raise SchemeConfigError("the full-history baseline handles only the plain problem")
-    first = p.operator.apply_values(p.initial.values, p.initial.grid)[None].copy()
-    return HistoryState((p.initial.values,), _Levels(first, 1), n=0, t=0.0, integral=0.0)
+    levels = _Levels(p.initial.values[None].copy(), 1)
+    return HistoryState(levels, n=0, t=0.0, integral=0.0)
 
 
 def _product_trapezoid_weights(
@@ -297,26 +299,28 @@ def quadrature_step(p: ProblemSpec, cfg: SchemeConfig, h: HistoryState) -> Histo
     n = h.n
 
     # int_0^{t_{n+1}}: known part over levels 0..n plus the implicit
-    # endpoint weight on A y_new; the endpoint weight does not depend on n,
-    # and int_0^{t_n} is carried in the state.
+    # endpoint weight on y_new; the endpoint weight does not depend on n,
+    # and int_0^{t_n} is carried in the state.  The operator applies once,
+    # to the blend of the two integrals, by linearity.
+    grid = p.initial.grid
     w_new, w_end = _product_trapezoid_weights(p.kernel, tau, n + 1)
-    s_new = np.tensordot(w_new, h.applied, axes=1)
+    s_new = np.tensordot(w_new, h.ys, axes=1)
 
-    rhs = h.ys[-1] - tau * (sig * s_new + (1.0 - sig) * h.integral)
+    rhs = h.ys[n] - tau * p.operator.apply_values(sig * s_new + (1.0 - sig) * h.integral, grid)
     if p.forcing is not None:
         rhs += tau * p.forcing(h.t + sig * tau).values
     lhs = ScaledSum([(1.0, IdentityOperator()), (sig * tau * w_end, p.operator)])
-    y_new = cg_solve(lhs, rhs, p.initial.grid, tol=cfg.cg_tol)
+    y_new = cg_solve(lhs, rhs, grid, tol=cfg.cg_tol)
 
     levels = h.levels
-    if levels.count != n + 1:  # h was stepped before: branch off a copy
-        levels = _Levels(h.applied.copy(), n + 1)
-    if levels.count == len(levels.data):
-        levels.data = np.concatenate([levels.data, np.empty_like(levels.data)])
-    applied = p.operator.apply_values(y_new, p.initial.grid)
-    levels.data[levels.count] = applied
+    if levels.count != n + 1 or levels.count == len(levels.data):
+        # h was stepped before (branch off a copy) or its store is full:
+        # copy levels 0..n into a store of twice their number
+        levels = _Levels(np.empty((2 * (n + 1),) + grid.shape), n + 1)
+        levels.data[: n + 1] = h.ys
+    levels.data[n + 1] = y_new
     levels.count += 1
-    return HistoryState(h.ys + (y_new,), levels, n + 1, h.t + tau, s_new + w_end * applied)
+    return HistoryState(levels, n + 1, h.t + tau, s_new + w_end * y_new)
 
 
 def energy(p: ProblemSpec, s: SoeState) -> float:

@@ -271,7 +271,10 @@ def test_auxiliary_residual_guard_active():
     wrong = state.aux + 1e-3
     tripped = False
     try:
-        _check_aux_residual(cfg, problem.initial.grid, [2.0], state.y, state.y, wrong, state.aux)
+        _check_aux_residual(
+            cfg, problem.initial.grid, [2.0], ybar=state.y, y_new=state.y,
+            aux_new=wrong, aux_old=state.aux,
+        )
     except AuxiliaryResidualError:
         tripped = True
     report(

@@ -172,6 +172,16 @@ class TestNumericalFailures:
 
 
 class TestConvergeCommand:
+    @pytest.mark.parametrize("reference_steps", ["384", "300"])
+    def test_ladder_entry_at_or_above_reference_rejected(self, out_root, capsys, reference_steps):
+        # at sigma = 0.5 an entry of reference_steps reproduces the reference,
+        # and its zero errors leave no slope to fit
+        argv = ["converge", "--grid", "8", "--reference-steps", reference_steps]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"ladder entry 384 must be below the reference's {reference_steps} steps" in err
+        assert not (out_root / "converge").exists()
+
     def test_reports_slopes_near_two(self, out_root, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -186,6 +187,18 @@ class TestCompareBaseline:
         # both discretize the same problem; differences shrink with tau
         assert rows[1].max_diff < rows[0].max_diff
         assert rows[0].max_diff < 1e-2
+
+    def test_holds_each_field_once(self, small_spec):
+        # one level store, no stored compressed path and no history kept past
+        # its entry: 768 levels of 15x15 take 1.3 MiB, the doubling store 1.8
+        compare_baseline(small_spec, (8,))  # fill the caches of the sine basis
+        tracemalloc.start()
+        try:
+            compare_baseline(small_spec, (768,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 2**20
 
 
 def test_sine_coordinates_match_physical_oracle(small_spec, small_run):

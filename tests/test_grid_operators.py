@@ -50,7 +50,7 @@ class TestGrid:
         g = Grid2D(8, 8)
         w = sample_function(g, lambda x1, x2: x1 * x2 * np.sin(np.pi * x1) * np.sin(np.pi * x2))
         assert w.values[3, 3] == pytest.approx(0.25, rel=1e-15)
-        assert w.center_value() == pytest.approx(0.25, rel=1e-15)
+        assert w.values[g.center_index] == pytest.approx(0.25, rel=1e-15)
 
     def test_sample_linear(self):
         g = Grid2D(4, 4)
@@ -247,8 +247,8 @@ class TestCgSolve:
             cg_solve(Indefinite(), rhs.values, g)
 
     def test_max_iter_exceeded_reports_residual(self, rng):
-        # the field term leaves the sum without a sine-basis preconditioner, so
-        # two iterations cannot reach 1e-14
+        # the Laplacian term leaves the sum without a diagonal, so CG starts
+        # from zero and two iterations cannot reach 1e-14
         g = Grid2D(32, 32)
         field = DiagonalScaling(rng.uniform(0.0, 20.0, g.shape))
         op = ScaledSum(
@@ -325,21 +325,68 @@ class TestSineBasisPreconditioner:
         )
         dense = np.diag(0.5 + 2.0 * field.ravel() + 1.0)
         r = rng.standard_normal(g.shape)
-        out = op.preconditioner()(r, np.empty(g.shape))
+        out = r / op.diagonal()
         np.testing.assert_allclose(out.ravel(), np.linalg.solve(dense, r.ravel()), rtol=1e-14)
 
-    def test_other_terms_have_no_preconditioner(self):
+    def test_other_terms_have_no_diagonal(self):
         g = Grid2D(6, 6)
         lap = FivePointLaplacian(g)
-        assert lap.preconditioner() is None
-        assert ScaledSum([(1.0, IdentityOperator()), (1.0, lap)]).preconditioner() is None
+        assert lap.diagonal() is None
+        assert ScaledSum([(1.0, IdentityOperator()), (1.0, lap)]).diagonal() is None
         field = ScaledSum([(1.0, DiagonalScaling(np.ones(g.shape))), (1.0, lap)])
-        assert field.preconditioner() is None  # a Laplacian term is never pointwise
-        nested = ScaledSum([(1.0, ScaledSum([(1.0, IdentityOperator())]))])
-        assert nested.preconditioner() is None
-        assert ScaledSum([(0.0, IdentityOperator())]).preconditioner() is None
-        # a zero anywhere on the summed diagonal leaves nothing to divide by
-        assert ScaledSum([(1.0, DiagonalScaling(np.eye(5)))]).preconditioner() is None
+        assert field.diagonal() is None  # a Laplacian term is never pointwise
+        # so is any sum that holds one, at any depth and whatever its weight
+        assert ScaledSum([(1.0, ScaledSum([(0.0, lap)]))]).diagonal() is None
+
+    def test_pointwise_diagonals(self, rng):
+        g = Grid2D(6, 6)
+        field = rng.uniform(0.0, 3.0, g.shape)
+        assert IdentityOperator().diagonal() == 1.0
+        assert DiagonalScaling(2.5).diagonal() == 2.5
+        np.testing.assert_array_equal(DiagonalScaling(field).diagonal(), field)
+        nested = ScaledSum(
+            [(2.0, ScaledSum([(1.0, IdentityOperator()), (0.5, DiagonalScaling(field))])),
+             (0.25, DiagonalScaling(4.0))]
+        )
+        np.testing.assert_allclose(nested.diagonal(), 3.0 + field, rtol=1e-15)
+        # the exact diagonal start solves the nested sum in one application
+        rhs = rng.standard_normal(g.shape)
+        applied = []
+        apply = ScaledSum.apply_values
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                ScaledSum,
+                "apply_values",
+                lambda sum_, v, grid: applied.append(sum_) or apply(sum_, v, grid),
+            )
+            x = cg_solve(nested, rhs, g)
+        assert sum(op is nested for op in applied) == 1
+        np.testing.assert_allclose(x, rhs / (3.0 + field), rtol=1e-15)
+        # zero weights and zero coefficients are diagonals too
+        assert ScaledSum([(0.0, IdentityOperator())]).diagonal() == 0.0
+        np.testing.assert_array_equal(
+            ScaledSum([(1.0, DiagonalScaling(np.eye(5)))]).diagonal(), np.eye(5)
+        )
+
+    def test_zero_on_the_diagonal_starts_from_zero(self, rng):
+        # a zero anywhere on the summed diagonal leaves nothing to divide by:
+        # CG starts from zero and still meets its residual contract
+        g = Grid2D(6, 6)
+        coefficient = np.eye(5) + 1.0
+        coefficient[2, 3] = 0.0
+        op = ScaledSum([(1.0, DiagonalScaling(coefficient))])
+        rhs = coefficient * rng.standard_normal(g.shape)  # in the operator's range
+        starts = []
+        apply = ScaledSum.apply_values
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                ScaledSum,
+                "apply_values",
+                lambda sum_, v, grid: starts.append(v.copy()) or apply(sum_, v, grid),
+            )
+            x = cg_solve(op, rhs, g, tol=1e-12)
+        assert np.all(starts[0] == 0.0) and np.all(np.isfinite(x))
+        assert np.linalg.norm(op.apply_values(x, g) - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
     def test_sine_transform_diagonalizes_laplacian(self, rng):
         g = Grid2D(7, 5)  # n1 != n2: a swapped axis fails both checks

@@ -17,9 +17,11 @@ from memstep.operators import (
     cg_solve,
 )
 from memstep.schemes import (
+    AuxiliaryResidualError,
     ProblemSpec,
     SchemeConfig,
     SchemeConfigError,
+    _check_aux_residual,
     _product_trapezoid_weights,
     energy,
     history_init,
@@ -255,19 +257,44 @@ class TestQuadratureStep:
         for _ in range(3):
             h = quadrature_step(p, cfg, h)
         newer = quadrature_step(p, cfg, quadrature_step(p, cfg, h))
-        applied = newer.applied.copy()
+        ys = newer.ys.copy()
         branch = quadrature_step(p, SchemeConfig(sigma=1.0, tau=0.1), h)
-        np.testing.assert_array_equal(newer.applied, applied)
-        np.testing.assert_array_equal(branch.applied[:-1], applied[:4])
+        np.testing.assert_array_equal(newer.ys, ys)
+        np.testing.assert_array_equal(branch.ys[:-1], ys[:4])
         assert len(newer.ys) == 6 and len(branch.ys) == 5
         again = quadrature_step(p, cfg, h)  # the same step on a third branch
         np.testing.assert_array_equal(again.ys[-1], newer.ys[4])
         again = quadrature_step(p, cfg, again)  # reads the integral carried by the branch
         np.testing.assert_array_equal(again.ys[-1], newer.ys[-1])
 
+    def test_matches_operator_applied_to_every_level(self):
+        # the baseline stepped the old way, A applied to every level and the
+        # products summed over the whole history at both time levels
+        grid = Grid2D(6, 6)
+        u0 = sample_function(grid, lambda x1, x2: x1 * (1 - x1) * x2)
+        kernel = load_builtin_prony("1/2")
+        lap = FivePointLaplacian(grid)
+        p = ProblemSpec(operator=lap, kernel=kernel, initial=u0)
+        cfg = SchemeConfig(sigma=0.75, tau=0.05, cg_tol=1e-14)
+        h, ys = history_init(p), [u0.values]
+        for n in range(10):
+            applied = [lap.apply_values(y, grid) for y in ys]
+            integral = 0.0
+            if n > 0:
+                old, old_end = _product_trapezoid_weights(kernel, cfg.tau, n)
+                integral = old_end * applied[n] + sum(w * ay for w, ay in zip(old, applied))
+            new, new_end = _product_trapezoid_weights(kernel, cfg.tau, n + 1)
+            s_new = sum(w * ay for w, ay in zip(new, applied))
+            rhs = ys[n] - cfg.tau * (cfg.sigma * s_new + (1 - cfg.sigma) * integral)
+            lhs = ScaledSum([(1.0, IdentityOperator()), (cfg.sigma * cfg.tau * new_end, lap)])
+            ys.append(cg_solve(lhs, rhs, grid, tol=1e-14))
+            h = quadrature_step(p, cfg, h)
+        scale = np.abs(u0.values).max()
+        np.testing.assert_allclose(h.ys, np.array(ys), rtol=0, atol=1e-12 * scale)
+
     def test_carried_integral_matches_full_sum(self):
-        # the integral to t_n carried in the state against the product rule
-        # summed over the whole history
+        # the unapplied integral to t_n carried in the state against the
+        # product rule summed over the whole history
         grid = Grid2D(6, 6)
         u0 = sample_function(grid, lambda x1, x2: x1 * (1 - x1) * x2)
         kernel = load_builtin_prony("1/2")
@@ -277,9 +304,30 @@ class TestQuadratureStep:
         for _ in range(7):
             h = quadrature_step(p, cfg, h)
             weights, end = _product_trapezoid_weights(kernel, cfg.tau, h.n)
-            full = np.tensordot(np.append(weights, end), h.applied, axes=1)
+            full = np.tensordot(np.append(weights, end), h.ys, axes=1)
             scale = np.abs(full).max()
             np.testing.assert_allclose(h.integral, full, rtol=1e-13, atol=1e-13 * scale)
+
+
+class TestAuxResidualGuard:
+    def test_names_the_first_failing_rate(self, rng):
+        grid = Grid2D(6, 6)
+        cfg = SchemeConfig(sigma=0.75, tau=0.1)
+        sig, tau = cfg.sigma, cfg.tau
+        rates = np.array([0.5, 2.0, 8.0])
+        y_old, y_new = rng.standard_normal((2,) + grid.shape)
+        ybar = sig * y_new + (1.0 - sig) * y_old
+        aux_old = rng.standard_normal((3,) + grid.shape)
+        d = 1.0 + sig * rates * tau
+        decay, gain = (1.0 - (1.0 - sig) * rates * tau) / d, tau / d
+        aux_new = decay[:, None, None] * aux_old + gain[:, None, None] * ybar
+        _check_aux_residual(cfg, grid, rates, ybar, y_new, aux_new, aux_old)  # honest: silent
+        wrong = aux_new.copy()
+        wrong[1:] += 1e-3  # the second and third fields
+        with pytest.raises(AuxiliaryResidualError, match=r"\(rate b=2\.0\)"):
+            _check_aux_residual(cfg, grid, rates, ybar, y_new, wrong, aux_old)
+        with pytest.raises(AuxiliaryResidualError, match=r"\(rate b=0\.5\)"):
+            _check_aux_residual(cfg, grid, rates, y_new, y_new, aux_new, aux_old)  # wrong ybar
 
 
 class TestEnergy:
