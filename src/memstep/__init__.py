@@ -30,6 +30,7 @@ from .schemes import (
     SoeState,
     HistoryState,
     soe_init,
+    soe_stepper,
     soe_step,
     history_init,
     quadrature_step,
@@ -72,6 +73,7 @@ __all__ = [
     "SoeState",
     "HistoryState",
     "soe_init",
+    "soe_stepper",
     "soe_step",
     "history_init",
     "quadrature_step",

@@ -103,6 +103,8 @@ class RunConfig:
             raise ConfigError(f"tau={self.tau} must be > 0")
         if self.reference_steps < 1:
             raise ConfigError(f"reference_steps={self.reference_steps} must be >= 1")
+        if not self.cg_tol > 0:
+            raise ConfigError(f"cg_tol={self.cg_tol} must be > 0")
         if min(self.ladder_steps, default=1) < 1:
             raise ConfigError(f"ladder_steps={list(self.ladder_steps)} must all be >= 1")
         self.resolved_steps()
@@ -266,6 +268,8 @@ def cmd_compare_baseline(cfg: RunConfig) -> int:
             f"grid={cfg.grid}: the full-history baseline is restricted to "
             f"grids <= {DESK_SCALE_GRID_LIMIT}"
         )
+    if not cfg.ladder_steps:
+        raise ConfigError("ladder_steps is empty: compare-baseline needs at least one step count")
     spec = cfg.experiment_spec()
     rows = compare_baseline(spec, cfg.ladder_steps)
     run_dir = make_run_dir(cfg, "compare-baseline")

@@ -16,7 +16,7 @@ import csv
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -26,15 +26,17 @@ from .operators import DiagonalScaling, _sine_matrix, laplacian_eigenvalues, sin
 from .schemes import (
     ProblemSpec,
     SchemeConfig,
+    SoeState,
     energy,
     history_init,
     quadrature_step,
     soe_init,
-    soe_step,
+    soe_stepper,
 )
 
 __all__ = [
     "ExperimentSpec",
+    "Snapshots",
     "Trajectory",
     "ErrorSeries",
     "ConvergenceRow",
@@ -89,15 +91,21 @@ class ExperimentSpec:
 
 
 @dataclass(frozen=True)
-class Trajectory:
+class Snapshots:
+    """Nodal field snapshots at the sample times: all an error series reads."""
+
+    snapshots: tuple[GridFunction, ...]
+    snapshot_times: np.ndarray
+
+
+@dataclass(frozen=True, kw_only=True)
+class Trajectory(Snapshots):
     """Per-step scalars plus field snapshots at the sample times."""
 
     steps: np.ndarray
     times: np.ndarray
     energies: np.ndarray
     center_values: np.ndarray
-    snapshots: tuple[GridFunction, ...]
-    snapshot_times: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -165,6 +173,21 @@ def _snapshot_stride(n_steps: int, sample_count: int) -> int:
     return n_steps // sample_count
 
 
+def _scheme(spec: ExperimentSpec, sigma: Optional[float], n_steps: int) -> SchemeConfig:
+    sigma = spec.sigma if sigma is None else sigma
+    return SchemeConfig(sigma=sigma, tau=spec.final_time / n_steps, cg_tol=spec.cg_tol)
+
+
+def _states(problem: ProblemSpec, cfg: SchemeConfig, n_steps: int) -> Iterator[SoeState]:
+    """States t_0..t_n of one prebuilt stepper: the one loop stepping the model problem."""
+    step = soe_stepper(problem, cfg)
+    state = soe_init(problem)
+    yield state
+    for _ in range(n_steps):
+        state = step(state)
+        yield state
+
+
 def run_model_problem(
     spec: ExperimentSpec,
     sigma: Optional[float] = None,
@@ -173,29 +196,21 @@ def run_model_problem(
 ) -> Trajectory:
     """Run the relaxation problem and collect the trajectory log.
 
-    ``sigma`` and ``n_steps`` override the spec values (used by ladder and
-    reference runs).  Deterministic: repeated calls produce identical output.
+    ``sigma`` and ``n_steps`` override the spec values.  Deterministic:
+    repeated calls produce identical output.
     """
-    sigma = spec.sigma if sigma is None else sigma
     n_steps = spec.n_steps if n_steps is None else n_steps
     stride = _snapshot_stride(n_steps, spec.sample_count)
-
     problem = build_model_problem(spec, initial=initial)
-    cfg = SchemeConfig(sigma=sigma, tau=spec.final_time / n_steps, cg_tol=spec.cg_tol)
-    state = soe_init(problem)
     grid = problem.initial.grid
     i, j = grid.center_index
     row, col = _sine_matrix(grid.n1)[i], _sine_matrix(grid.n2)[:, j]  # the centre node's
-    times = [0.0]
-    energies = [energy(problem, state)]
-    centers = [float(row @ state.y @ col)]
-    snapshots: list[GridFunction] = []
-    for n in range(1, n_steps + 1):
-        state = soe_step(problem, cfg, state)
+    times, energies, centers, snapshots = [], [], [], []
+    for state in _states(problem, _scheme(spec, sigma, n_steps), n_steps):
         times.append(state.t)
         energies.append(energy(problem, state))
         centers.append(float(row @ state.y @ col))
-        if n % stride == 0:
+        if state.n and state.n % stride == 0:
             snapshots.append(GridFunction(grid, sine_transform(state.y, grid)))
     return Trajectory(
         steps=np.arange(n_steps + 1),
@@ -207,12 +222,26 @@ def run_model_problem(
     )
 
 
-def compute_reference(spec: ExperimentSpec) -> Trajectory:
+def _sample_run(spec: ExperimentSpec, sigma: Optional[float], n_steps: int) -> Snapshots:
+    """Run the relaxation problem, keeping only the snapshots (no per-step
+    energy or centre value): the ladder and reference runs of a study."""
+    stride = _snapshot_stride(n_steps, spec.sample_count)
+    problem = build_model_problem(spec)
+    grid = problem.initial.grid
+    snapshots = tuple(
+        GridFunction(grid, sine_transform(s.y, grid))
+        for s in _states(problem, _scheme(spec, sigma, n_steps), n_steps)
+        if s.n and s.n % stride == 0
+    )
+    return Snapshots(snapshots=snapshots, snapshot_times=spec.sample_times())
+
+
+def compute_reference(spec: ExperimentSpec) -> Snapshots:
     """Fine-time-grid symmetric-scheme run used as the comparison reference."""
-    return run_model_problem(spec, sigma=0.5, n_steps=spec.n_ref)
+    return _sample_run(spec, sigma=0.5, n_steps=spec.n_ref)
 
 
-def error_series(coarse: Trajectory, reference: Trajectory) -> ErrorSeries:
+def error_series(coarse: Snapshots, reference: Snapshots) -> ErrorSeries:
     """eps2 (mesh-weighted L2) and epsinf (max nodal) discrepancy series."""
     if len(coarse.snapshots) != len(reference.snapshots):
         raise AlignmentError(
@@ -247,22 +276,24 @@ def convergence_study(
     spec: ExperimentSpec,
     step_ladder: tuple[int, ...],
     sigma: Optional[float] = None,
-    reference: Optional[Trajectory] = None,
+    reference: Optional[Snapshots] = None,
 ) -> ConvergenceResult:
     """Run the ladder of step counts against the reference and fit slopes;
-    the reference, unless given, has ``spec.n_ref`` steps, above every entry."""
+    the reference, unless given, has ``spec.n_ref`` steps, above every entry.
+    Every entry is checked before any step; the runs keep only snapshots."""
     if len(step_ladder) < 3:
         raise ValueError("a convergence ladder needs at least 3 step counts")
+    for n_steps in step_ladder:
+        _snapshot_stride(n_steps, spec.sample_count)
     if reference is None:
         if max(step_ladder) >= spec.n_ref:  # at sigma = 0.5, n_ref steps reproduce it
             raise ValueError(
                 f"ladder entry {max(step_ladder)} must be below the reference's {spec.n_ref} steps"
             )
-        reference = compute_reference(spec)
+        reference = compute_reference(spec)  # checks n_ref before its first step
     rows = []
     for n_steps in step_ladder:
-        traj = run_model_problem(spec, sigma=sigma, n_steps=n_steps)
-        errs = error_series(traj, reference)
+        errs = error_series(_sample_run(spec, sigma=sigma, n_steps=n_steps), reference)
         rows.append(
             ConvergenceRow(
                 tau=spec.final_time / n_steps,
@@ -286,7 +317,8 @@ def compare_baseline(
     its levels as it steps, per ladder tau.
 
     Reports the max nodal difference over the whole run, wall-clock timings
-    (informative only; ``soe_seconds`` sums the timed ``soe_step`` calls), and
+    (informative only; ``soe_seconds`` times the compressed run, from its
+    initial state and stepper to its last step, as it is checked), and
     the field counts that make the memory saving concrete: m+1 fields for the
     compressed state vs n+1 for the history.
     """
@@ -297,18 +329,18 @@ def compare_baseline(
 def _compare_one(problem: ProblemSpec, spec: ExperimentSpec, n_steps: int) -> BaselineRow:
     """One ladder entry; no view of its history outlives the call."""
     grid = problem.initial.grid
-    cfg = SchemeConfig(sigma=spec.sigma, tau=spec.final_time / n_steps, cg_tol=spec.cg_tol)
+    cfg = _scheme(spec, None, n_steps)
     t0 = time.perf_counter()
     hist = history_init(problem)
     for _ in range(n_steps):
         hist = quadrature_step(problem, cfg, hist)
     history_seconds = time.perf_counter() - t0
 
-    state = soe_init(problem)
-    soe_seconds = max_diff = 0.0  # level 0 is u0 in both
-    for level in hist.ys[1:]:
+    states = _states(problem, cfg, n_steps)
+    soe_seconds = max_diff = 0.0
+    for level in hist.ys:  # level 0 is u0 in both
         t0 = time.perf_counter()
-        state = soe_step(problem, cfg, state)
+        state = next(states)
         soe_seconds += time.perf_counter() - t0
         max_diff = max(max_diff, float(np.max(np.abs(sine_transform(state.y - level, grid)))))
     return BaselineRow(

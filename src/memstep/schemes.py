@@ -28,6 +28,7 @@ import numpy as np
 from .grid import GridFunction
 from .kernels import PronySeries
 from .operators import (
+    DiagonalScaling,
     IdentityOperator,
     NotSpdError,
     ScaledSum,
@@ -45,6 +46,7 @@ __all__ = [
     "AuxiliaryResidualError",
     "NonFiniteError",
     "soe_init",
+    "soe_stepper",
     "soe_step",
     "history_init",
     "quadrature_step",
@@ -177,41 +179,46 @@ def soe_init(p: ProblemSpec) -> SoeState:
     return SoeState(y=p.initial.values, aux=aux, n=0, t=0.0)
 
 
-def _check_aux_residual(cfg: SchemeConfig, grid, rates, ybar, y_new, aux_new, aux_old) -> None:
-    """Raise AuxiliaryResidualError, naming the first failing rate, unless every
-    memory field meets its implicit equation to rounding: the residual
-    (y_i' - y_i)/tau + b_i (sigma y_i' + (1-sigma) y_i) - ybar, with the step's
-    ybar = sigma y' + (1-sigma) y, must stay within 1e-12 (|y'| + |y_i'|)/tau
-    in the L2 norm on ``grid``."""
-    sig, tau = cfg.sigma, cfg.tau
+def _aux_residual_guard(cfg: SchemeConfig, grid, rates) -> Callable[..., None]:
+    """``guard(ybar, y_new, aux_new, aux_old)`` raises AuxiliaryResidualError,
+    naming the first failing rate, unless every memory field meets its implicit
+    equation to rounding: the residual (y_i' - y_i)/tau + b_i (sigma y_i' +
+    (1-sigma) y_i) - ybar, with the step's ybar = sigma y' + (1-sigma) y, must
+    stay within 1e-12 (|y'| + |y_i'|)/tau in the L2 norm on ``grid``."""
+    sig, tau, area = cfg.sigma, cfg.tau, grid.cell_area
     b = np.asarray(rates, dtype=float)[:, None, None]
-    r2 = np.empty(len(b))
-    for blk in _blocks(aux_new):
-        res = (1.0 / tau + sig * b[blk]) * aux_new[blk]
-        res -= (1.0 / tau - (1.0 - sig) * b[blk]) * aux_old[blk]
-        res -= ybar
-        r2[blk] = np.einsum("kij,kij->k", res, res)
-    area = grid.cell_area
-    norms = np.sqrt(np.einsum("kij,kij->k", aux_new, aux_new) * area)
-    bounds = 1e-12 * (np.sqrt(np.sum(y_new * y_new) * area) + norms) / tau
-    residuals = np.sqrt(r2 * area)
-    failing = np.flatnonzero(residuals > bounds)
-    if failing.size:
-        i = failing[0]
-        raise AuxiliaryResidualError(
-            f"auxiliary update residual {residuals[i]:.3e} exceeds rounding bound "
-            f"{bounds[i]:.3e} (rate b={rates[i]})"
-        )
+    new_coef, old_coef = 1.0 / tau + sig * b, 1.0 / tau - (1.0 - sig) * b
+
+    def guard(ybar, y_new, aux_new, aux_old) -> None:
+        r2 = np.empty(len(b))
+        for blk in _blocks(aux_new):
+            res = new_coef[blk] * aux_new[blk]
+            res -= old_coef[blk] * aux_old[blk]
+            res -= ybar
+            r2[blk] = np.einsum("kij,kij->k", res, res)
+        norms = np.sqrt(np.einsum("kij,kij->k", aux_new, aux_new) * area)
+        bounds = 1e-12 * (np.sqrt(np.sum(y_new * y_new) * area) + norms) / tau
+        residuals = np.sqrt(r2 * area)
+        failing = np.flatnonzero(residuals > bounds)
+        if failing.size:
+            i = failing[0]
+            raise AuxiliaryResidualError(
+                f"auxiliary update residual {residuals[i]:.3e} exceeds rounding bound "
+                f"{bounds[i]:.3e} (rate b={rates[i]})"
+            )
+
+    return guard
 
 
-def soe_step(p: ProblemSpec, cfg: SchemeConfig, s: SoeState) -> SoeState:
-    """One step of the compressed scheme, with the problem's mass, reaction
-    and forcing.
+def soe_stepper(p: ProblemSpec, cfg: SchemeConfig) -> Callable[[SoeState], SoeState]:
+    """The compressed step for ``p`` and ``cfg``, with the problem's mass,
+    reaction and forcing; its coefficients, left-hand side and guard built once.
 
     The implicit auxiliary equation solves to y_i' = decay_i y_i + (tau/d_i)
     ybar, with d_i = 1 + sigma b_i tau, decay_i = (1 - (1-sigma) b_i tau)/d_i
     and ybar = sigma y' + (1-sigma) y; in the memory term it leaves one
-    shifted SPD solve for y'.  The first overflow or NaN raises NonFiniteError.
+    shifted SPD solve for y'.  A left-hand side of pointwise terms collapses
+    into one DiagonalScaling.  The first overflow or NaN raises NonFiniteError.
     """
     sig, tau = cfg.sigma, cfg.tau
     a, b = np.asarray(p.kernel.weights), np.asarray(p.kernel.rates)
@@ -219,27 +226,43 @@ def soe_step(p: ProblemSpec, cfg: SchemeConfig, s: SoeState) -> SoeState:
     decay = (1.0 - (1.0 - sig) * b * tau) / d
     gain = tau / d
     mu = math.fsum(sig * a * tau / d)
-    grid, y = p.initial.grid, s.y
-    with _finite("update", s.n + 1, s.t + tau):
-        # sum_i a_i A((1-sigma) y_i + sigma y_i') less its implicit part sigma*mu*A y',
-        # with the one operator application pulled outside the sum by linearity.
-        mem = np.tensordot(a * ((1.0 - sig) + sig * decay), s.aux, axes=1)
-        mem += (sig * (1.0 - sig) * float(a @ gain)) * y
-        rhs = p.mass.apply_values(y, grid)
-        rhs -= tau * p.operator.apply_values(mem, grid)
-        terms = [(1.0, p.mass), (sig * tau * mu, p.operator)]
-        if p.reaction is not None:
-            rhs -= ((1.0 - sig) * tau) * p.reaction.apply_values(y, grid)
-            terms.append((sig * tau, p.reaction))
-        if p.forcing is not None:  # evaluated at the mid level t_n + sigma*tau
-            rhs += tau * p.forcing(s.t + sig * tau).values
-        y_new = cg_solve(ScaledSum(terms), rhs, grid, tol=cfg.cg_tol)
-        ybar = sig * y_new + (1.0 - sig) * y
-        aux = decay[:, None, None] * s.aux
-        for blk in _blocks(aux):
-            aux[blk] += gain[blk, None, None] * ybar
-        _check_aux_residual(cfg, grid, b, ybar, y_new, aux, s.aux)
-    return SoeState(y=y_new, aux=aux, n=s.n + 1, t=s.t + tau)
+    # sum_i a_i A((1-sigma) y_i + sigma y_i') less its implicit part sigma*mu*A y',
+    # with the one operator application pulled outside the sum by linearity.
+    mem_weights, mem_own = a * ((1.0 - sig) + sig * decay), sig * (1.0 - sig) * float(a @ gain)
+    terms = [(1.0, p.mass), (sig * tau * mu, p.operator)]
+    if p.reaction is not None:
+        terms.append((sig * tau, p.reaction))
+    lhs = ScaledSum(terms)
+    lhs = lhs if lhs.diagonal() is None else DiagonalScaling(lhs.diagonal())
+    decay, gain = decay[:, None, None], gain[:, None, None]
+    grid = p.initial.grid
+    guard = _aux_residual_guard(cfg, grid, b)
+
+    def step(s: SoeState) -> SoeState:
+        y = s.y
+        with _finite("update", s.n + 1, s.t + tau):
+            mem = np.tensordot(mem_weights, s.aux, axes=1)
+            mem += mem_own * y
+            rhs = p.mass.apply_values(y, grid)
+            rhs -= tau * p.operator.apply_values(mem, grid)
+            if p.reaction is not None:
+                rhs -= ((1.0 - sig) * tau) * p.reaction.apply_values(y, grid)
+            if p.forcing is not None:  # evaluated at the mid level t_n + sigma*tau
+                rhs += tau * p.forcing(s.t + sig * tau).values
+            y_new = cg_solve(lhs, rhs, grid, tol=cfg.cg_tol)
+            ybar = sig * y_new + (1.0 - sig) * y
+            aux = decay * s.aux
+            for blk in _blocks(aux):
+                aux[blk] += gain[blk] * ybar
+            guard(ybar, y_new, aux, s.aux)
+        return SoeState(y=y_new, aux=aux, n=s.n + 1, t=s.t + tau)
+
+    return step
+
+
+def soe_step(p: ProblemSpec, cfg: SchemeConfig, s: SoeState) -> SoeState:
+    """One compressed step; a run builds ``soe_stepper(p, cfg)`` once instead."""
+    return soe_stepper(p, cfg)(s)
 
 
 def history_init(p: ProblemSpec) -> HistoryState:

@@ -250,7 +250,7 @@ def test_auxiliary_residual_guard_active():
     """Every step verifies the auxiliary update equations, and the
     guard rejects an update that violates them."""
     from memstep import schemes
-    from memstep.schemes import AuxiliaryResidualError, _check_aux_residual
+    from memstep.schemes import AuxiliaryResidualError, _aux_residual_guard
 
     problem = scalar_problem(1.0, 2.0, 3.0, 1.0)
     cfg = SchemeConfig(sigma=0.75, tau=0.1)
@@ -259,7 +259,7 @@ def test_auxiliary_residual_guard_active():
         raise AuxiliaryResidualError("guard called")
 
     with pytest.MonkeyPatch.context() as mp:  # the step always runs the guard
-        mp.setattr(schemes, "_check_aux_residual", tripwire)
+        mp.setattr(schemes, "_aux_residual_guard", lambda *args: tripwire)
         with pytest.raises(AuxiliaryResidualError, match="guard called"):
             soe_step(problem, cfg, soe_init(problem))
     state = soe_init(problem)
@@ -271,9 +271,8 @@ def test_auxiliary_residual_guard_active():
     wrong = state.aux + 1e-3
     tripped = False
     try:
-        _check_aux_residual(
-            cfg, problem.initial.grid, [2.0], ybar=state.y, y_new=state.y,
-            aux_new=wrong, aux_old=state.aux,
+        _aux_residual_guard(cfg, problem.initial.grid, [2.0])(
+            ybar=state.y, y_new=state.y, aux_new=wrong, aux_old=state.aux,
         )
     except AuxiliaryResidualError:
         tripped = True

@@ -145,6 +145,14 @@ class TestConfigErrors:
         assert cli.main(["converge", "--config", str(config)]) == cli.EXIT_CONFIG
         assert "must all be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", [0, -1e-10])
+    def test_cg_tol_must_be_positive(self, out_root, tmp_path, capsys, tol):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"cg_tol": tol}))
+        assert cli.main(["run", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert f"cg_tol={tol} must be > 0" in capsys.readouterr().err
+        assert not (out_root / "run").exists()
+
     def test_missing_kernel_file(self, capsys):
         assert (
             cli.main(["run", *FAST, "--kernel-file", "/nonexistent/k.csv"])
@@ -182,6 +190,28 @@ class TestConvergeCommand:
         assert f"ladder entry 384 must be below the reference's {reference_steps} steps" in err
         assert not (out_root / "converge").exists()
 
+    def test_misaligned_entry_rejected_before_any_step(self, out_root, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"ladder_steps": [48, 96, 100, 384]}))
+        steps = []
+        build = experiments.soe_stepper
+
+        def counting_stepper(problem, cfg):
+            step = build(problem, cfg)
+            return lambda s: steps.append(1) or step(s)
+
+        monkeypatch.setattr(experiments, "soe_stepper", counting_stepper)
+        assert cli.main(["converge", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert "n_steps=100 is not divisible by sample_count=8" in capsys.readouterr().err
+        assert not (out_root / "converge").exists()
+        assert steps == []
+
+    def test_misaligned_reference_rejected(self, out_root, capsys):
+        argv = ["converge", "--grid", "8", "--reference-steps", "1001"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "n_steps=1001 is not divisible by sample_count=8" in capsys.readouterr().err
+        assert not (out_root / "converge").exists()
+
     def test_reports_slopes_near_two(self, out_root, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(
@@ -207,19 +237,20 @@ class TestConvergeCommand:
             )
         )
         calls = []
-        run = experiments.run_model_problem
+        sample_run = experiments._sample_run
 
         def counting_run(spec, *args, **kwargs):
             calls.append(kwargs.get("n_steps"))
-            return run(spec, *args, **kwargs)
+            return sample_run(spec, *args, **kwargs)
 
-        monkeypatch.setattr(experiments, "run_model_problem", counting_run)
+        monkeypatch.setattr(experiments, "_sample_run", counting_run)
         assert cli.main(["converge", "--config", str(config)]) == cli.EXIT_OK
         assert sorted(calls) == [8, 16, 32, 64]  # the ladder plus the reference
 
         spec = cli.resolve_config(
             cli.build_parser().parse_args(["converge", "--config", str(config)])
         ).experiment_spec()
+        run = experiments.run_model_problem
         errs = experiments.error_series(
             run(spec, n_steps=32), run(spec, sigma=0.5, n_steps=64)
         )
@@ -264,6 +295,13 @@ class TestCompareBaselineCommand:
         assert lines[0].startswith("tau,max_diff")
         assert len(lines) == 3
         assert "13 compressed" in capsys.readouterr().out
+
+    def test_empty_ladder_rejected(self, out_root, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"grid": 8, "T": 1.0, "ladder_steps": []}))
+        assert cli.main(["compare-baseline", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert "ladder_steps is empty" in capsys.readouterr().err
+        assert not (out_root / "compare-baseline").exists()
 
     def test_large_grid_rejected(self, capsys):
         assert (

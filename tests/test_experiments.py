@@ -1,9 +1,11 @@
+import dataclasses
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from memstep import experiments
 from memstep.experiments import (
     AlignmentError,
     ExperimentSpec,
@@ -177,6 +179,33 @@ class TestConvergenceStudy:
     def test_short_ladder_rejected(self, small_spec):
         with pytest.raises(ValueError, match="at least 3"):
             convergence_study(small_spec, (16, 32))
+
+
+class TestRecordsOnlyWhatIsWritten:
+    @staticmethod
+    def count_energies(monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            experiments, "energy", lambda p, s: calls.append(1) or energy(p, s)
+        )
+        return calls
+
+    def test_convergence_study_takes_no_energy(self, small_spec, monkeypatch):
+        calls = self.count_energies(monkeypatch)
+        result = convergence_study(small_spec, (16, 32, 64))
+        assert calls == [] and len(result.rows) == 3
+
+    def test_run_takes_one_energy_per_level(self, small_spec, monkeypatch):
+        calls = self.count_energies(monkeypatch)
+        run_model_problem(small_spec)
+        assert len(calls) == small_spec.n_steps + 1
+
+    def test_snapshots_match_the_recorded_run(self, small_spec, small_run):
+        sampled = compute_reference(dataclasses.replace(small_spec, n_ref=small_spec.n_steps))
+        assert not hasattr(sampled, "energies")
+        for a, b in zip(sampled.snapshots, small_run.snapshots):
+            np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(sampled.snapshot_times, small_run.snapshot_times)
 
 
 class TestCompareBaseline:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import scalar_problem
+from memstep import schemes
 from memstep.grid import Grid2D, GridFunction, l2_norm, sample_function
 from memstep.kernels import PronySeries, load_builtin_prony
 from memstep.operators import (
@@ -15,13 +16,15 @@ from memstep.operators import (
     ScaledSum,
     a_norm,
     cg_solve,
+    laplacian_eigenvalues,
+    sine_transform,
 )
 from memstep.schemes import (
     AuxiliaryResidualError,
     ProblemSpec,
     SchemeConfig,
     SchemeConfigError,
-    _check_aux_residual,
+    _aux_residual_guard,
     _product_trapezoid_weights,
     energy,
     history_init,
@@ -29,6 +32,7 @@ from memstep.schemes import (
     scalar_ode_oracle,
     soe_init,
     soe_step,
+    soe_stepper,
 )
 
 
@@ -172,6 +176,85 @@ class TestGeneralStep:
         for _ in range(100):
             s = soe_step(p, cfg, s)
         assert scalar_value(s) == pytest.approx(math.exp(-1.0), abs=1e-5)
+
+
+def unbuilt_step(p, cfg, s):
+    """The compressed step as written before the per-run stepper: every
+    coefficient and the left-hand side rebuilt on each call, no guard."""
+    sig, tau = cfg.sigma, cfg.tau
+    a, b = np.asarray(p.kernel.weights), np.asarray(p.kernel.rates)
+    d = 1.0 + sig * b * tau
+    decay = (1.0 - (1.0 - sig) * b * tau) / d
+    gain = tau / d
+    mu = math.fsum(sig * a * tau / d)
+    grid, y = p.initial.grid, s.y
+    mem = np.tensordot(a * ((1.0 - sig) + sig * decay), s.aux, axes=1)
+    mem += (sig * (1.0 - sig) * float(a @ gain)) * y
+    rhs = p.mass.apply_values(y, grid)
+    rhs -= tau * p.operator.apply_values(mem, grid)
+    terms = [(1.0, p.mass), (sig * tau * mu, p.operator)]
+    if p.reaction is not None:
+        rhs -= ((1.0 - sig) * tau) * p.reaction.apply_values(y, grid)
+        terms.append((sig * tau, p.reaction))
+    if p.forcing is not None:
+        rhs += tau * p.forcing(s.t + sig * tau).values
+    y_new = cg_solve(ScaledSum(terms), rhs, grid, tol=cfg.cg_tol)
+    ybar = sig * y_new + (1.0 - sig) * y
+    aux = decay[:, None, None] * s.aux
+    for k in range(len(aux)):
+        aux[k] += gain[k] * ybar
+    return y_new, aux
+
+
+class TestSoeStepper:
+    def test_matches_the_unbuilt_step_bitwise(self, rng):
+        grid = Grid2D(10, 10)
+        bump = sample_function(grid, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
+        p = ProblemSpec(
+            operator=FivePointLaplacian(grid),
+            kernel=load_builtin_prony("1/2"),
+            initial=GridFunction(grid, rng.standard_normal(grid.shape)),
+            forcing=lambda t: GridFunction(grid, math.cos(t) * bump.values),
+            mass=DiagonalScaling(rng.uniform(1.0, 2.0, grid.shape)),
+            reaction=DiagonalScaling(rng.uniform(0.0, 0.5, grid.shape)),
+        )
+        cfg = SchemeConfig(sigma=0.75, tau=0.05)
+        step, s = soe_stepper(p, cfg), soe_init(p)
+        for _ in range(6):
+            y_new, aux = unbuilt_step(p, cfg, s)
+            s = step(s)
+            np.testing.assert_array_equal(s.y, y_new)
+            np.testing.assert_array_equal(s.aux, aux)
+            np.testing.assert_array_equal(soe_step(p, cfg, s).y, step(s).y)
+
+    def test_pointwise_solve_applies_one_collapsed_operator(self, monkeypatch):
+        grid = Grid2D(12, 12)
+        v = sample_function(grid, lambda x1, x2: x1 * x2 * np.sin(np.pi * x1) * np.sin(np.pi * x2))
+        p = ProblemSpec(  # the model problem in sine coordinates
+            operator=DiagonalScaling(laplacian_eigenvalues(grid)),
+            kernel=load_builtin_prony("1/2"),
+            initial=GridFunction(grid, sine_transform(v.values, grid)),
+        )
+        solved, applied = [], []
+        solve, apply = schemes.cg_solve, DiagonalScaling.apply_values
+
+        def recording_solve(op, rhs, grid, **kwargs):
+            solved.append(op)
+            return solve(op, rhs, grid, **kwargs)
+
+        def counting_apply(op, v, grid):
+            applied.append(op)
+            return apply(op, v, grid)
+
+        monkeypatch.setattr(schemes, "cg_solve", recording_solve)
+        monkeypatch.setattr(DiagonalScaling, "apply_values", counting_apply)
+        monkeypatch.setattr(ScaledSum, "apply_values", lambda *args: pytest.fail("summed"))
+        step, s = soe_stepper(p, SchemeConfig(sigma=0.5, tau=0.01)), soe_init(p)
+        for _ in range(5):
+            s = step(s)
+        lhs = solved[0]
+        assert isinstance(lhs, DiagonalScaling) and all(op is lhs for op in solved)
+        assert len(solved) == 5 and sum(op is lhs for op in applied) == 5
 
 
 class TestQuadratureStep:
@@ -321,13 +404,14 @@ class TestAuxResidualGuard:
         d = 1.0 + sig * rates * tau
         decay, gain = (1.0 - (1.0 - sig) * rates * tau) / d, tau / d
         aux_new = decay[:, None, None] * aux_old + gain[:, None, None] * ybar
-        _check_aux_residual(cfg, grid, rates, ybar, y_new, aux_new, aux_old)  # honest: silent
+        guard = _aux_residual_guard(cfg, grid, rates)
+        guard(ybar, y_new, aux_new, aux_old)  # honest: silent
         wrong = aux_new.copy()
         wrong[1:] += 1e-3  # the second and third fields
         with pytest.raises(AuxiliaryResidualError, match=r"\(rate b=2\.0\)"):
-            _check_aux_residual(cfg, grid, rates, ybar, y_new, wrong, aux_old)
+            guard(ybar, y_new, wrong, aux_old)
         with pytest.raises(AuxiliaryResidualError, match=r"\(rate b=0\.5\)"):
-            _check_aux_residual(cfg, grid, rates, y_new, y_new, aux_new, aux_old)  # wrong ybar
+            guard(y_new, y_new, aux_new, aux_old)  # wrong ybar
 
 
 class TestEnergy:
