@@ -28,12 +28,9 @@ from .schemes import (
     ProblemSpec,
     SchemeConfig,
     SoeState,
-    HistoryState,
     soe_init,
     soe_stepper,
-    soe_step,
-    history_init,
-    quadrature_step,
+    history_levels,
     energy,
     scalar_ode_oracle,
 )
@@ -71,12 +68,9 @@ __all__ = [
     "ProblemSpec",
     "SchemeConfig",
     "SoeState",
-    "HistoryState",
     "soe_init",
     "soe_stepper",
-    "soe_step",
-    "history_init",
-    "quadrature_step",
+    "history_levels",
     "energy",
     "scalar_ode_oracle",
     "ExperimentSpec",

@@ -45,9 +45,9 @@ class PronySeries:
     Parameters
     ----------
     weights : tuple of float
-        Term amplitudes a_i; all strictly positive.
+        Term amplitudes a_i; all finite and strictly positive.
     rates : tuple of float
-        Term decay rates b_i (inverse time); all nonnegative.
+        Term decay rates b_i (inverse time); all finite and nonnegative.
     """
 
     weights: tuple[float, ...]
@@ -62,10 +62,10 @@ class PronySeries:
         if len(self.weights) < 1:
             raise ValueError("a Prony series needs at least one term")
         for i, (a, b) in enumerate(zip(self.weights, self.rates)):
-            if not a > 0:
-                raise ValueError(f"term {i}: weight a={a} must be > 0")
-            if not b >= 0:
-                raise ValueError(f"term {i}: rate b={b} must be >= 0")
+            if not 0 < a < math.inf:
+                raise ValueError(f"term {i}: weight a={a} must be finite and > 0")
+            if not 0 <= b < math.inf:
+                raise ValueError(f"term {i}: rate b={b} must be finite and >= 0")
         order = sorted(range(len(self.rates)), key=lambda i: self.rates[i])
         object.__setattr__(
             self, "weights", tuple(float(self.weights[i]) for i in order)
@@ -290,14 +290,10 @@ def prony_from_file(path) -> PronySeries:
                 a, b = float(cells[0]), float(cells[1])
             except ValueError as exc:
                 raise KernelFormatError(f"{path}:{lineno}: {exc}") from exc
-            if not a > 0:
-                raise KernelFormatError(
-                    f"{path}:{lineno}: weight a={a} must be > 0"
-                )
-            if not b >= 0:
-                raise KernelFormatError(
-                    f"{path}:{lineno}: rate b={b} must be >= 0"
-                )
+            if not 0 < a < math.inf:
+                raise KernelFormatError(f"{path}:{lineno}: weight a={a} must be finite and > 0")
+            if not 0 <= b < math.inf:
+                raise KernelFormatError(f"{path}:{lineno}: rate b={b} must be finite and >= 0")
             weights.append(a)
             rates.append(b)
     if not weights:

@@ -7,9 +7,10 @@ Two steppers discretize the same problem
   the kernel, all m of them in one ``(m, n1-1, n2-1)`` array, and advances
   everything with a two-level weighted scheme, solving a single shifted SPD
   system per step;
-* the full-history baseline evaluates the memory integral with a
-  trapezoidal product rule over all past levels, so its memory and per-step
-  cost grow linearly with the step index.
+* the full-history baseline, ``history_levels``, runs a fixed number of
+  steps and returns every level; it evaluates the memory integral with a
+  trapezoidal product rule over all past levels, whose weights it builds once
+  per run, so its memory and per-step cost grow linearly with the step index.
 
 The weighted scheme is unconditionally stable for weight sigma >= 0.5; the
 composite energy ``(|y|_B^2 + sum_i a_i |y_i|_A^2)**0.5`` is then
@@ -41,15 +42,12 @@ __all__ = [
     "SchemeConfig",
     "ProblemSpec",
     "SoeState",
-    "HistoryState",
     "SchemeConfigError",
     "AuxiliaryResidualError",
     "NonFiniteError",
     "soe_init",
     "soe_stepper",
-    "soe_step",
-    "history_init",
-    "quadrature_step",
+    "history_levels",
     "energy",
     "scalar_ode_oracle",
 ]
@@ -123,32 +121,6 @@ class SoeState:
     aux: np.ndarray
     n: int
     t: float
-
-
-@dataclass
-class _Levels:
-    data: np.ndarray  # rows 0..count-1 hold levels; the rest is room to grow
-    count: int
-
-
-@dataclass(frozen=True)
-class HistoryState:
-    """Baseline state: every past level (the linear growth is the point).
-
-    ``ys`` is the ``(n+1, n1-1, n2-1)`` view of levels 0..n in one store that
-    doubles when full, so no step restacks the history or holds a level twice.
-    ``integral``, the memory integral to t_n before the operator is applied,
-    spares the next step a second sum.
-    """
-
-    levels: _Levels
-    n: int
-    t: float
-    integral: np.ndarray | float
-
-    @property
-    def ys(self) -> np.ndarray:
-        return self.levels.data[: self.n + 1]
 
 
 # Temporaries the size of the memory-field stack are built a block of fields
@@ -260,30 +232,18 @@ def soe_stepper(p: ProblemSpec, cfg: SchemeConfig) -> Callable[[SoeState], SoeSt
     return step
 
 
-def soe_step(p: ProblemSpec, cfg: SchemeConfig, s: SoeState) -> SoeState:
-    """One compressed step; a run builds ``soe_stepper(p, cfg)`` once instead."""
-    return soe_stepper(p, cfg)(s)
-
-
-def history_init(p: ProblemSpec) -> HistoryState:
-    """Initial state for the full-history baseline."""
-    if not p.is_plain:
-        raise SchemeConfigError("the full-history baseline handles only the plain problem")
-    levels = _Levels(p.initial.values[None].copy(), 1)
-    return HistoryState(levels, n=0, t=0.0, integral=0.0)
-
-
 def _product_trapezoid_weights(
-    kernel: PronySeries, tau: float, n_levels: int
-) -> tuple[np.ndarray, float]:
-    """Weights of the product trapezoidal rule for int_0^{n*tau} ktil(t-s) g(s) ds.
+    kernel: PronySeries, tau: float, max_lag: int
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Lag tables of the product trapezoidal rule for int_0^{n*tau} ktil(t-s) g(s) ds.
 
     Each exponential term of the kernel is integrated exactly against the
     piecewise-linear interpolant of g, which keeps the rule accurate even
     for stiff decay rates where plain node sampling of the kernel fails.
-    Returns the weights for levels 0..n_levels-1 plus the endpoint weight
-    for level n_levels (the implicit one).  All weights include the tau
-    factor.
+    Returns ``(start, inner, end)``: a level L steps before t_n weighs
+    ``start[L]`` if it is level 0 (it has only a right half-hat) and
+    ``inner[L]`` otherwise, for lags L = 0..max_lag; the level at t_n itself
+    (the implicit one) weighs ``end``.  All weights include the tau factor.
     """
     a = np.asarray(kernel.weights)
     c = tau * np.asarray(kernel.rates)
@@ -299,51 +259,48 @@ def _product_trapezoid_weights(
         )
 
     end_weight = tau * float(a @ end_factor)
-    # decay[i, j] = exp(-c_i * (n_levels - j)) for levels j = 0..n_levels-1
-    lags = np.arange(n_levels, 0, -1, dtype=float)
-    decay = np.exp(-np.multiply.outer(c, lags))
-    factors = np.tile(inner_factor[:, None], (1, n_levels))
-    factors[:, 0] = start_factor  # level 0 has only a right half-hat
-    weights = tau * (a @ (decay * factors))
-    return weights, end_weight
+    # decay[i, L] = exp(-c_i * L) for lags L = 0..max_lag
+    decay = np.exp(-np.multiply.outer(c, np.arange(max_lag + 1, dtype=float)))
+    start = tau * (a @ (decay * start_factor[:, None]))
+    inner = tau * (a @ (decay * inner_factor[:, None]))
+    return start, inner, end_weight
 
 
-def quadrature_step(p: ProblemSpec, cfg: SchemeConfig, h: HistoryState) -> HistoryState:
-    """One step of the full-history baseline.
+def history_levels(p: ProblemSpec, cfg: SchemeConfig, n_steps: int) -> np.ndarray:
+    """Levels 0..n_steps of the full-history baseline, as one
+    ``(n_steps+1, n1-1, n2-1)`` array allocated once.
 
-    The memory integral at each of the two time levels is evaluated with the
-    product trapezoidal rule over the uniform time grid, and the two levels
-    are blended with the scheme weight.  The new level enters implicitly
-    through the endpoint weight, leaving one shifted SPD solve per step.
+    The memory integral at each of a step's two time levels is evaluated with
+    the product trapezoidal rule over every past level, and the two are
+    blended with the scheme weight.  The new level enters implicitly through
+    the endpoint weight, leaving one shifted SPD solve per step.  The rule's
+    weights are built once, as lag tables; the integral to t_n is carried
+    from step to step, and the operator applies once per step, to the blend
+    of the two integrals, by linearity.  Identity mass and no reaction only.
     """
     if not p.is_plain:
         raise SchemeConfigError("the full-history baseline handles only the plain problem")
     sig, tau = cfg.sigma, cfg.tau
-    n = h.n
-
-    # int_0^{t_{n+1}}: known part over levels 0..n plus the implicit
-    # endpoint weight on y_new; the endpoint weight does not depend on n,
-    # and int_0^{t_n} is carried in the state.  The operator applies once,
-    # to the blend of the two integrals, by linearity.
     grid = p.initial.grid
-    w_new, w_end = _product_trapezoid_weights(p.kernel, tau, n + 1)
-    s_new = np.tensordot(w_new, h.ys, axes=1)
-
-    rhs = h.ys[n] - tau * p.operator.apply_values(sig * s_new + (1.0 - sig) * h.integral, grid)
-    if p.forcing is not None:
-        rhs += tau * p.forcing(h.t + sig * tau).values
+    start, inner, w_end = _product_trapezoid_weights(p.kernel, tau, n_steps)
     lhs = ScaledSum([(1.0, IdentityOperator()), (sig * tau * w_end, p.operator)])
-    y_new = cg_solve(lhs, rhs, grid, tol=cfg.cg_tol)
-
-    levels = h.levels
-    if levels.count != n + 1 or levels.count == len(levels.data):
-        # h was stepped before (branch off a copy) or its store is full:
-        # copy levels 0..n into a store of twice their number
-        levels = _Levels(np.empty((2 * (n + 1),) + grid.shape), n + 1)
-        levels.data[: n + 1] = h.ys
-    levels.data[n + 1] = y_new
-    levels.count += 1
-    return HistoryState(levels, n + 1, h.t + tau, s_new + w_end * y_new)
+    levels = np.empty((n_steps + 1,) + grid.shape)
+    levels[0] = p.initial.values
+    weights = np.empty(n_steps)
+    integral, t = 0.0, 0.0  # int_0^{t_n}, before the operator is applied
+    for n in range(n_steps):
+        # int_0^{t_{n+1}} over the known levels 0..n, at lags n+1..1 behind
+        # t_{n+1}; the endpoint weight on the new level is implicit
+        w = weights[: n + 1]
+        w[0], w[1:] = start[n + 1], inner[n:0:-1]
+        known = np.tensordot(w, levels[: n + 1], axes=1)
+        rhs = levels[n] - tau * p.operator.apply_values(sig * known + (1.0 - sig) * integral, grid)
+        if p.forcing is not None:
+            rhs += tau * p.forcing(t + sig * tau).values
+        levels[n + 1] = cg_solve(lhs, rhs, grid, tol=cfg.cg_tol)
+        integral = known + w_end * levels[n + 1]
+        t += tau
+    return levels
 
 
 def energy(p: ProblemSpec, s: SoeState) -> float:

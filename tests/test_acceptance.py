@@ -38,7 +38,7 @@ from memstep.schemes import (
     energy,
     scalar_ode_oracle,
     soe_init,
-    soe_step,
+    soe_stepper,
 )
 from conftest import scalar_problem
 
@@ -95,12 +95,12 @@ def test_unconditional_energy_stability():
     worst = 0.0
     for sigma in (0.5, 0.75, 1.0):
         for tau in (1e-3, 1e-1, 1.0, 10.0):
-            cfg = SchemeConfig(sigma=sigma, tau=tau)
+            step = soe_stepper(problem, SchemeConfig(sigma=sigma, tau=tau))
             state = soe_init(problem)
             e_prev = energy(problem, state)
             slack = 1e-8 * e_prev
             for _ in range(40):
-                state = soe_step(problem, cfg, state)
+                state = step(state)
                 e = energy(problem, state)
                 worst = max(worst, e - e_prev)
                 assert e <= e_prev + slack
@@ -146,11 +146,11 @@ def test_scalar_closed_form_convergence():
         errors, taus = [], []
         for n in (100, 200, 400, 800):
             problem = scalar_problem(a1, b1, lam, u0)
-            cfg = SchemeConfig(sigma=sigma, tau=T / n)
+            step = soe_stepper(problem, SchemeConfig(sigma=sigma, tau=T / n))
             state = soe_init(problem)
             worst = 0.0
             for _ in range(n):
-                state = soe_step(problem, cfg, state)
+                state = step(state)
                 exact = scalar_ode_oracle(a1, b1, lam, u0, state.t)
                 worst = max(worst, abs(state.y[0, 0] - exact))
             errors.append(worst)
@@ -261,10 +261,10 @@ def test_auxiliary_residual_guard_active():
     with pytest.MonkeyPatch.context() as mp:  # the step always runs the guard
         mp.setattr(schemes, "_aux_residual_guard", lambda *args: tripwire)
         with pytest.raises(AuxiliaryResidualError, match="guard called"):
-            soe_step(problem, cfg, soe_init(problem))
-    state = soe_init(problem)
+            soe_stepper(problem, cfg)(soe_init(problem))
+    step, state = soe_stepper(problem, cfg), soe_init(problem)
     for _ in range(50):
-        state = soe_step(problem, cfg, state)  # never raises on honest states
+        state = step(state)  # never raises on honest states
 
     # the guard itself must reject an update that violates the auxiliary
     # equation (e.g. a mis-derived update formula)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,26 @@ class TestConfigErrors:
             cli.main(["run", *FAST, "--kernel-file", "/nonexistent/k.csv"])
             == cli.EXIT_CONFIG
         )
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("inf,1.0", "weight a=inf must be finite and > 0"),
+            ("1.0,inf", "rate b=inf must be finite and >= 0"),
+            ("nan,1.0", "weight a=nan must be finite and > 0"),
+        ],
+    )
+    def test_non_finite_kernel_coefficient_rejected(
+        self, out_root, tmp_path, capsys, row, message
+    ):
+        kernel = tmp_path / "k.csv"
+        kernel.write_text(f"1.0,0.5\n{row}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["run", *FAST, "--kernel-file", str(kernel)])
+        assert code == cli.EXIT_CONFIG and caught == []
+        assert f"k.csv:2: {message}" in capsys.readouterr().err
+        assert not (out_root / "run").exists()
 
 
 class TestNumericalFailures:

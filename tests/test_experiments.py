@@ -29,10 +29,9 @@ from memstep.schemes import (
     ProblemSpec,
     SchemeConfig,
     energy,
-    history_init,
-    quadrature_step,
+    history_levels,
     soe_init,
-    soe_step,
+    soe_stepper,
 )
 
 
@@ -219,7 +218,7 @@ class TestCompareBaseline:
 
     def test_holds_each_field_once(self, small_spec):
         # one level store, no stored compressed path and no history kept past
-        # its entry: 768 levels of 15x15 take 1.3 MiB, the doubling store 1.8
+        # its entry: 769 levels of 15x15 take 1.3 MiB, in one store allocated once
         compare_baseline(small_spec, (8,))  # fill the caches of the sine basis
         tracemalloc.start()
         try:
@@ -239,10 +238,10 @@ def test_sine_coordinates_match_physical_oracle(small_spec, small_run):
     scale = np.abs(physical.initial.values).max()
     stride = small_spec.n_steps // small_spec.sample_count
 
-    state = soe_init(physical)
+    step, state = soe_stepper(physical, cfg), soe_init(physical)
     path, energies = [state.y], [energy(physical, state)]
     for _ in range(small_spec.n_steps):
-        state = soe_step(physical, cfg, state)
+        state = step(state)
         path.append(state.y)
         energies.append(energy(physical, state))
     np.testing.assert_allclose(energies, small_run.energies, rtol=1e-12)
@@ -252,14 +251,12 @@ def test_sine_coordinates_match_physical_oracle(small_spec, small_run):
         np.testing.assert_allclose(snap.values, y, rtol=0, atol=1e-12 * scale)
 
     modal = build_model_problem(small_spec)
-    phys_hist, modal_hist = history_init(physical), history_init(modal)
-    for _ in range(small_spec.n_steps):
-        phys_hist = quadrature_step(physical, cfg, phys_hist)
-        modal_hist = quadrature_step(modal, cfg, modal_hist)
-    for y, y_modal in zip(phys_hist.ys, modal_hist.ys):
+    phys_hist = history_levels(physical, cfg, small_spec.n_steps)
+    modal_hist = history_levels(modal, cfg, small_spec.n_steps)
+    for y, y_modal in zip(phys_hist, modal_hist):
         np.testing.assert_allclose(sine_transform(y_modal, grid), y, rtol=0, atol=1e-12 * scale)
     (row,) = compare_baseline(small_spec, (small_spec.n_steps,))
-    max_diff = max(float(np.max(np.abs(a - b))) for a, b in zip(path, phys_hist.ys))
+    max_diff = max(float(np.max(np.abs(a - b))) for a, b in zip(path, phys_hist))
     assert abs(row.max_diff - max_diff) <= 1e-12 * scale
 
 

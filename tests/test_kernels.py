@@ -70,6 +70,18 @@ class TestPronySeries:
         with pytest.raises(ValueError, match="rate"):
             PronySeries((1.0,), (-1.0,))
 
+    @pytest.mark.parametrize(
+        "weights, rates, what",
+        [
+            ((math.inf,), (1.0,), "weight"),
+            ((1.0,), (math.inf,), "rate"),
+            ((math.nan,), (1.0,), "weight"),
+        ],
+    )
+    def test_non_finite_coefficient_rejected_at_construction(self, weights, rates, what):
+        with pytest.raises(ValueError, match=f"{what} .* must be finite"):
+            PronySeries(weights, rates)
+
     def test_terms_sorted_by_ascending_rate(self):
         k = PronySeries((1.0, 2.0), (5.0, 1.0))
         assert k.rates == (1.0, 5.0)

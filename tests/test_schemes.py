@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -27,11 +28,9 @@ from memstep.schemes import (
     _aux_residual_guard,
     _product_trapezoid_weights,
     energy,
-    history_init,
-    quadrature_step,
+    history_levels,
     scalar_ode_oracle,
     soe_init,
-    soe_step,
     soe_stepper,
 )
 
@@ -41,9 +40,9 @@ def scalar_value(state):
 
 
 def run_soe(problem, cfg, n_steps):
-    state = soe_init(problem)
+    step, state = soe_stepper(problem, cfg), soe_init(problem)
     for _ in range(n_steps):
-        state = soe_step(problem, cfg, state)
+        state = step(state)
     return state
 
 
@@ -101,7 +100,7 @@ class TestSoeStep:
         # chi = 0, mu = 1, solve 2*y1 = 1 -> y1 = 0.5, aux = 0.5
         p = scalar_problem(1.0, 0.0, 1.0, 1.0)
         cfg = SchemeConfig(sigma=1.0, tau=1.0)
-        s = soe_step(p, cfg, soe_init(p))
+        s = soe_stepper(p, cfg)(soe_init(p))
         assert scalar_value(s) == pytest.approx(0.5, abs=1e-12)
         assert s.aux[0][0, 0] == pytest.approx(0.5, abs=1e-12)
 
@@ -112,10 +111,10 @@ class TestSoeStep:
         for n in (100, 200, 400, 800):
             p = scalar_problem(a1, b1, lam, u0)
             cfg = SchemeConfig(sigma=sigma, tau=T / n)
-            state = soe_init(p)
+            step, state = soe_stepper(p, cfg), soe_init(p)
             worst = 0.0
             for _ in range(n):
-                state = soe_step(p, cfg, state)
+                state = step(state)
                 exact = scalar_ode_oracle(a1, b1, lam, u0, state.t)
                 worst = max(worst, abs(scalar_value(state) - exact))
             errors.append(worst)
@@ -141,10 +140,11 @@ class TestGeneralStep:
             mass=DiagonalScaling(1.0), reaction=DiagonalScaling(0.0),
         )
         cfg = SchemeConfig(sigma=0.5, tau=0.05)
+        step1, step2 = soe_stepper(p, cfg), soe_stepper(general, cfg)
         s1, s2 = soe_init(p), soe_init(general)
         for _ in range(10):
-            s1 = soe_step(p, cfg, s1)
-            s2 = soe_step(general, cfg, s2)
+            s1 = step1(s1)
+            s2 = step2(s2)
             np.testing.assert_array_equal(s1.y, s2.y)
             for a1, a2 in zip(s1.aux, s2.aux):
                 np.testing.assert_array_equal(a1, a2)
@@ -158,7 +158,7 @@ class TestGeneralStep:
             initial=GridFunction(grid, np.array([[3.0]])),
             mass=DiagonalScaling(2.0),
         )
-        s = soe_step(p, SchemeConfig(sigma=1.0, tau=1.0), soe_init(p))
+        s = soe_stepper(p, SchemeConfig(sigma=1.0, tau=1.0))(soe_init(p))
         assert scalar_value(s) == pytest.approx(3.0, rel=1e-12)
 
     def test_reaction_dominated_decay(self):
@@ -171,10 +171,9 @@ class TestGeneralStep:
             initial=GridFunction(grid, np.array([[1.0]])),
             reaction=DiagonalScaling(1.0),
         )
-        cfg = SchemeConfig(sigma=0.5, tau=0.01)
-        s = soe_init(p)
+        step, s = soe_stepper(p, SchemeConfig(sigma=0.5, tau=0.01)), soe_init(p)
         for _ in range(100):
-            s = soe_step(p, cfg, s)
+            s = step(s)
         assert scalar_value(s) == pytest.approx(math.exp(-1.0), abs=1e-5)
 
 
@@ -225,7 +224,6 @@ class TestSoeStepper:
             s = step(s)
             np.testing.assert_array_equal(s.y, y_new)
             np.testing.assert_array_equal(s.aux, aux)
-            np.testing.assert_array_equal(soe_step(p, cfg, s).y, step(s).y)
 
     def test_pointwise_solve_applies_one_collapsed_operator(self, monkeypatch):
         grid = Grid2D(12, 12)
@@ -257,7 +255,17 @@ class TestSoeStepper:
         assert len(solved) == 5 and sum(op is lhs for op in applied) == 5
 
 
+def level_weights(kernel, tau, n):
+    """The product rule's weights on levels 0..n-1 of int_0^{t_n}, assembled
+    from the lag tables (level 0 at lag n, levels 1..n-1 at lags n-1..1), and
+    the endpoint weight on level n."""
+    start, inner, end = _product_trapezoid_weights(kernel, tau, n)
+    return np.append(start[n], inner[n - 1 : 0 : -1]), end
+
+
 class TestQuadratureStep:
+    """The full-history baseline, history_levels."""
+
     def test_zero_problem_stays_zero(self):
         grid = Grid2D(8, 8)
         p = ProblemSpec(
@@ -266,16 +274,14 @@ class TestQuadratureStep:
             initial=grid.zeros(),
         )
         cfg = SchemeConfig(sigma=0.5, tau=0.1)
-        h = history_init(p)
-        for _ in range(4):
-            h = quadrature_step(p, cfg, h)
-        assert all(np.all(y == 0.0) for y in h.ys)
+        levels = history_levels(p, cfg, 4)
+        assert all(np.all(y == 0.0) for y in levels)
 
     def test_product_weights_integrate_kernel_exactly_for_constant(self):
         # against the closed-form integral of each exponential
         kernel = PronySeries((0.7, 0.3), (2.0, 0.0))
         tau, n = 0.125, 9
-        weights, end = _product_trapezoid_weights(kernel, tau, n)
+        weights, end = level_weights(kernel, tau, n)
         total = weights.sum() + end
         t_end = n * tau
         exact = 0.7 * (1 - math.exp(-2.0 * t_end)) / 2.0 + 0.3 * t_end
@@ -284,7 +290,7 @@ class TestQuadratureStep:
     def test_product_weights_match_trapezoid_for_rate_zero(self):
         kernel = PronySeries((1.0,), (0.0,))
         tau, n = 0.25, 4
-        weights, end = _product_trapezoid_weights(kernel, tau, n)
+        weights, end = level_weights(kernel, tau, n)
         np.testing.assert_allclose(weights, [tau / 2, tau, tau, tau], rtol=1e-15)
         assert end == pytest.approx(tau / 2, rel=1e-15)
 
@@ -294,29 +300,49 @@ class TestQuadratureStep:
         a1, b1, lam, u0, tau = 1.0, 2.0, 3.0, 1.0, 0.5
         p = scalar_problem(a1, b1, lam, u0)
         cfg = SchemeConfig(sigma=1.0, tau=tau)
-        h = quadrature_step(p, cfg, history_init(p))
+        levels = history_levels(p, cfg, 1)
         c = b1 * tau
         w0 = a1 * tau * (math.exp(-c) * (math.exp(c) - 1 - c)) / c**2
         w1 = a1 * tau * (c - 1 + math.exp(-c)) / c**2
         expected = (u0 - tau * w0 * lam * u0) / (1 + tau * w1 * lam)
-        assert h.ys[-1][0, 0] == pytest.approx(expected, rel=1e-12)
+        assert levels[-1][0, 0] == pytest.approx(expected, rel=1e-12)
+
+    @staticmethod
+    def soe_history_diffs(p, step_counts):
+        """Max difference of the compressed and history levels over each run,
+        on [0, 1] at sigma = 0.5."""
+        diffs = []
+        for n in step_counts:
+            cfg = SchemeConfig(sigma=0.5, tau=1.0 / n)
+            step, s = soe_stepper(p, cfg), soe_init(p)
+            worst = 0.0
+            for level in history_levels(p, cfg, n)[1:]:
+                s = step(s)
+                worst = max(worst, np.max(np.abs(s.y - level)))
+            diffs.append(worst)
+        return diffs
 
     def test_agrees_with_soe_under_refinement(self):
         grid = Grid2D(8, 8)
         kernel = load_builtin_prony("1/2")
         u0 = sample_function(grid, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
         p = ProblemSpec(operator=FivePointLaplacian(grid), kernel=kernel, initial=u0)
-        diffs = []
-        for n in (20, 40, 80):
-            cfg = SchemeConfig(sigma=0.5, tau=1.0 / n)
-            s = soe_init(p)
-            h = history_init(p)
-            worst = 0.0
-            for _ in range(n):
-                s = soe_step(p, cfg, s)
-                h = quadrature_step(p, cfg, h)
-                worst = max(worst, np.max(np.abs(s.y - h.ys[-1])))
-            diffs.append(worst)
+        diffs = self.soe_history_diffs(p, (20, 40, 80))
+        assert diffs[1] < diffs[0] and diffs[2] < diffs[1]
+        slope = np.polyfit(np.log([1 / 20, 1 / 40, 1 / 80]), np.log(diffs), 1)[0]
+        assert slope == pytest.approx(2.0, abs=0.4)
+
+    def test_forced_levels_agree_with_soe_under_refinement(self):
+        # from rest, so every level is driven by the forcing at t_n + sigma tau
+        grid = Grid2D(8, 8)
+        bump = sample_function(grid, lambda x1, x2: x1 * (1 - x1) * np.sin(np.pi * x2))
+        p = ProblemSpec(
+            operator=FivePointLaplacian(grid),
+            kernel=load_builtin_prony("1/2"),
+            initial=grid.zeros(),
+            forcing=lambda t: math.cos(3 * t) * bump,
+        )
+        diffs = self.soe_history_diffs(p, (20, 40, 80))
         assert diffs[1] < diffs[0] and diffs[2] < diffs[1]
         slope = np.polyfit(np.log([1 / 20, 1 / 40, 1 / 80]), np.log(diffs), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.4)
@@ -324,31 +350,26 @@ class TestQuadratureStep:
     def test_history_grows_linearly(self):
         p = scalar_problem(1.0, 1.0, 1.0, 1.0)
         cfg = SchemeConfig(sigma=0.5, tau=0.1)
-        h = history_init(p)
         for k in range(5):
-            assert len(h.ys) == k + 1
-            h = quadrature_step(p, cfg, h)
+            assert len(history_levels(p, cfg, k)) == k + 1
 
-    def test_restepping_an_old_state_leaves_newer_states_intact(self):
-        grid = Grid2D(6, 6)
-        u0 = sample_function(grid, lambda x1, x2: x1 * (1 - x1) * x2)
-        p = ProblemSpec(
-            operator=FivePointLaplacian(grid), kernel=load_builtin_prony("1/2"), initial=u0
-        )
-        cfg = SchemeConfig(sigma=0.5, tau=0.1)
-        h = history_init(p)
-        for _ in range(3):
-            h = quadrature_step(p, cfg, h)
-        newer = quadrature_step(p, cfg, quadrature_step(p, cfg, h))
-        ys = newer.ys.copy()
-        branch = quadrature_step(p, SchemeConfig(sigma=1.0, tau=0.1), h)
-        np.testing.assert_array_equal(newer.ys, ys)
-        np.testing.assert_array_equal(branch.ys[:-1], ys[:4])
-        assert len(newer.ys) == 6 and len(branch.ys) == 5
-        again = quadrature_step(p, cfg, h)  # the same step on a third branch
-        np.testing.assert_array_equal(again.ys[-1], newer.ys[4])
-        again = quadrature_step(p, cfg, again)  # reads the integral carried by the branch
-        np.testing.assert_array_equal(again.ys[-1], newer.ys[-1])
+    def test_weight_tables_built_once_per_run(self, monkeypatch):
+        built = []
+        tables = schemes._product_trapezoid_weights
+
+        def counting(*args):
+            built.append(1)
+            return tables(*args)
+
+        monkeypatch.setattr(schemes, "_product_trapezoid_weights", counting)
+        history_levels(scalar_problem(1.0, 1.0, 1.0, 1.0), SchemeConfig(sigma=0.5, tau=0.1), 10)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("term", ["mass", "reaction"])
+    def test_mass_or_reaction_rejected(self, term):
+        p = dataclasses.replace(scalar_problem(1.0, 1.0, 1.0, 1.0), **{term: DiagonalScaling(2.0)})
+        with pytest.raises(SchemeConfigError, match="plain problem"):
+            history_levels(p, SchemeConfig(sigma=0.5, tau=0.1), 3)
 
     def test_matches_operator_applied_to_every_level(self):
         # the baseline stepped the old way, A applied to every level and the
@@ -359,37 +380,21 @@ class TestQuadratureStep:
         lap = FivePointLaplacian(grid)
         p = ProblemSpec(operator=lap, kernel=kernel, initial=u0)
         cfg = SchemeConfig(sigma=0.75, tau=0.05, cg_tol=1e-14)
-        h, ys = history_init(p), [u0.values]
+        ys = [u0.values]
         for n in range(10):
             applied = [lap.apply_values(y, grid) for y in ys]
             integral = 0.0
             if n > 0:
-                old, old_end = _product_trapezoid_weights(kernel, cfg.tau, n)
+                old, old_end = level_weights(kernel, cfg.tau, n)
                 integral = old_end * applied[n] + sum(w * ay for w, ay in zip(old, applied))
-            new, new_end = _product_trapezoid_weights(kernel, cfg.tau, n + 1)
+            new, new_end = level_weights(kernel, cfg.tau, n + 1)
             s_new = sum(w * ay for w, ay in zip(new, applied))
             rhs = ys[n] - cfg.tau * (cfg.sigma * s_new + (1 - cfg.sigma) * integral)
             lhs = ScaledSum([(1.0, IdentityOperator()), (cfg.sigma * cfg.tau * new_end, lap)])
             ys.append(cg_solve(lhs, rhs, grid, tol=1e-14))
-            h = quadrature_step(p, cfg, h)
         scale = np.abs(u0.values).max()
-        np.testing.assert_allclose(h.ys, np.array(ys), rtol=0, atol=1e-12 * scale)
-
-    def test_carried_integral_matches_full_sum(self):
-        # the unapplied integral to t_n carried in the state against the
-        # product rule summed over the whole history
-        grid = Grid2D(6, 6)
-        u0 = sample_function(grid, lambda x1, x2: x1 * (1 - x1) * x2)
-        kernel = load_builtin_prony("1/2")
-        p = ProblemSpec(operator=FivePointLaplacian(grid), kernel=kernel, initial=u0)
-        cfg = SchemeConfig(sigma=0.5, tau=0.05)
-        h = history_init(p)
-        for _ in range(7):
-            h = quadrature_step(p, cfg, h)
-            weights, end = _product_trapezoid_weights(kernel, cfg.tau, h.n)
-            full = np.tensordot(np.append(weights, end), h.ys, axes=1)
-            scale = np.abs(full).max()
-            np.testing.assert_allclose(h.integral, full, rtol=1e-13, atol=1e-13 * scale)
+        levels = history_levels(p, cfg, 10)
+        np.testing.assert_allclose(levels, np.array(ys), rtol=0, atol=1e-12 * scale)
 
 
 class TestAuxResidualGuard:
@@ -460,12 +465,11 @@ class TestEnergy:
                 grid, lambda x1, x2: x1 * x2 * np.sin(np.pi * x1) * np.sin(np.pi * x2)
             ),
         )
-        cfg = SchemeConfig(sigma=sigma, tau=tau)
-        s = soe_init(p)
+        step, s = soe_stepper(p, SchemeConfig(sigma=sigma, tau=tau)), soe_init(p)
         slack = 1e-8 * energy(p, s)
         prev = energy(p, s)
         for _ in range(25):
-            s = soe_step(p, cfg, s)
+            s = step(s)
             e = energy(p, s)
             assert e <= prev + slack
             prev = e
@@ -480,13 +484,12 @@ class TestEnergy:
             forcing=lambda t: math.sin(3 * t) * bump,
         )
         sigma, tau = 0.75, 0.05
-        cfg = SchemeConfig(sigma=sigma, tau=tau)
-        s = soe_init(p)
+        step, s = soe_stepper(p, SchemeConfig(sigma=sigma, tau=tau)), soe_init(p)
         e0 = energy(p, s)
         forcing_budget = 0.0
         for _ in range(40):
             forcing_budget += tau * l2_norm(p.forcing(s.t + sigma * tau))
-            s = soe_step(p, cfg, s)
+            s = step(s)
             assert energy(p, s) <= e0 + forcing_budget + 1e-8 * e0
 
 
@@ -514,11 +517,10 @@ class TestStepsWorkOnArrays:
             mass=DiagonalScaling(rng.uniform(1.0, 2.0, grid.shape)),
             reaction=DiagonalScaling(0.5),
         )
-        cfg = SchemeConfig(sigma=0.5, tau=0.1)
-        s = soe_init(p)
+        step, s = soe_stepper(p, SchemeConfig(sigma=0.5, tau=0.1)), soe_init(p)
         built = self.count_grid_functions(monkeypatch)
         for _ in range(5):
-            s = soe_step(p, cfg, s)
+            s = step(s)
             energy(p, s)
         assert s.n == 5 and len(built) == 0
 
@@ -530,16 +532,14 @@ class TestStepsWorkOnArrays:
             initial=GridFunction(grid, rng.standard_normal(grid.shape)),
         )
         cfg = SchemeConfig(sigma=0.5, tau=0.1)
-        h = history_init(p)
         built = self.count_grid_functions(monkeypatch)
-        for _ in range(5):
-            h = quadrature_step(p, cfg, h)
-        assert h.n == 5 and len(built) == 0
+        levels = history_levels(p, cfg, 5)
+        assert len(levels) == 6 and len(built) == 0
 
 
 def per_term_step(p, cfg, y, aux):
     """The compressed step with one GridFunction per memory term: the slow
-    reference for the stacked soe_step."""
+    reference for the stacked compressed step."""
     sig, tau = cfg.sigma, cfg.tau
     a, b = p.kernel.weights, p.kernel.rates
     denom = [1.0 + sig * bi * tau for bi in b]
@@ -577,10 +577,10 @@ class TestStackedStepOracle:
             initial=GridFunction(grid, rng.standard_normal(grid.shape)),
         )
         cfg = SchemeConfig(sigma=sigma, tau=tau, cg_tol=1e-14)
-        s = soe_init(p)
+        step, s = soe_stepper(p, cfg), soe_init(p)
         y, aux = p.initial, [grid.zeros() for _ in terms]
         for _ in range(4):
-            s = soe_step(p, cfg, s)
+            s = step(s)
             y, aux = per_term_step(p, cfg, y, aux)
         scale = max(np.max(np.abs(y.values)), max(np.max(np.abs(g.values)) for g in aux))
         np.testing.assert_allclose(s.y, y.values, rtol=0, atol=1e-12 * scale)
@@ -617,9 +617,9 @@ class TestSineModeOracle:
         errors = []
         for steps in (100, 200):
             cfg = SchemeConfig(sigma=0.5, tau=1.0 / steps)
-            s, worst = soe_init(p), 0.0
+            step, s, worst = soe_stepper(p, cfg), soe_init(p), 0.0
             for _ in range(steps):
-                s = soe_step(p, cfg, s)
+                s = step(s)
                 coefficient = float(np.sum(s.y * mode.values))
                 off_mode = s.y - coefficient * mode.values
                 np.testing.assert_allclose(off_mode, 0.0, rtol=0, atol=1e-12)
