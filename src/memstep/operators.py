@@ -14,6 +14,7 @@ Application is deterministic: fixed sequential accumulation order, no threading.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -183,10 +184,10 @@ def sine_transform(v: np.ndarray, grid: Grid2D) -> np.ndarray:
 
 def a_norm(op: SpdOperator, v: np.ndarray, grid: Grid2D) -> float:
     """Energy norm (op v, v)**0.5 of values v on grid, op symmetric positive semidefinite."""
-    q = float(np.sum(op.apply_values(v, grid) * v) * grid.cell_area)
-    if q < -1e-12 * max(float(np.sum(v * v) * grid.cell_area), 1e-300):
+    q = float(np.vdot(op.apply_values(v, grid), v)) * grid.cell_area
+    if q < -1e-12 * max(float(np.vdot(v, v)) * grid.cell_area, 1e-300):
         raise NotSpdError(f"quadratic form is negative: {q}")
-    return float(np.sqrt(max(q, 0.0)))
+    return math.sqrt(max(q, 0.0))
 
 
 def laplacian_min_eigenvalue(grid: Grid2D) -> float:
@@ -216,38 +217,33 @@ def cg_solve(
     if rhs.shape != grid.shape:
         raise GridMismatchError(f"rhs shape {rhs.shape} does not match interior {grid.shape}")
     max_iter = 10 * (grid.n1 + grid.n2) if max_iter is None else max_iter
-    scratch = np.empty(grid.shape)
-
-    def dot(u, v):  # mesh-weighted inner product, into a reused buffer
-        return float(np.multiply(u, v, out=scratch).sum()) * grid.cell_area
-
-    rhs_norm = float(np.sqrt(dot(rhs, rhs)))
+    rhs_norm = math.sqrt(np.vdot(rhs, rhs))  # plain norms: the mesh weight cancels
     diag = op.diagonal()
     x = np.zeros(grid.shape)
     if diag is not None and np.all(diag > 0):
         np.divide(rhs, diag, out=x)
     r = rhs - op.apply_values(x, grid)
-    rr = dot(r, r)
+    rr = float(np.vdot(r, r))
     target = tol * rhs_norm
-    if np.sqrt(rr) <= target:
+    if math.sqrt(rr) <= target:
         return x
     p = r.copy()
     for _ in range(max_iter):
         ap = op.apply_values(p, grid)
-        pap = dot(p, ap)
+        pap = float(np.vdot(p, ap))
         if pap <= 0:
             raise NotSpdError(f"CG detected a non-SPD operator: (p, Ap) = {pap}")
         alpha = rr / pap
         x += alpha * p
         r -= alpha * ap
-        rr_old, rr = rr, dot(r, r)
-        if np.sqrt(rr) <= target:
+        rr_old, rr = rr, float(np.vdot(r, r))
+        if math.sqrt(rr) <= target:
             return x
         p *= rr / rr_old
         p += r
     raise ConvergenceError(
         f"CG did not converge in {max_iter} iterations "
-        f"(relative residual {np.sqrt(rr) / rhs_norm:.3e} > {tol:.3e})",
-        residual=float(np.sqrt(rr)),
+        f"(relative residual {math.sqrt(rr) / rhs_norm:.3e} > {tol:.3e})",
+        residual=math.sqrt(rr * grid.cell_area),
         iterations=max_iter,
     )

@@ -129,9 +129,21 @@ class SoeState:
 _BLOCK_VALUES = 1 << 16
 
 
-def _blocks(aux: np.ndarray) -> list[slice]:
-    per = max(1, _BLOCK_VALUES // aux[0].size)
-    return [slice(i, i + per) for i in range(0, len(aux), per)]
+def _blocks(m: int, size: int) -> list[slice]:
+    """Row slices of an ``(m, size)`` stack, each about ``_BLOCK_VALUES`` values."""
+    per = max(1, _BLOCK_VALUES // size)
+    return [slice(i, i + per) for i in range(0, m, per)]
+
+
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-by-row inner products of two ``(k, n)`` stacks, a BLAS dot per row."""
+    return (u[:, None, :] @ v[:, :, None]).reshape(len(u))
+
+
+def _collapsed(terms) -> SpdOperator:
+    """``ScaledSum(terms)``, or one DiagonalScaling when every term is pointwise."""
+    lhs = ScaledSum(terms)
+    return lhs if lhs.diagonal() is None else DiagonalScaling(lhs.diagonal())
 
 
 @contextmanager
@@ -154,29 +166,33 @@ def soe_init(p: ProblemSpec) -> SoeState:
 def _aux_residual_guard(cfg: SchemeConfig, grid, rates) -> Callable[..., None]:
     """``guard(ybar, y_new, aux_new, aux_old)`` raises AuxiliaryResidualError,
     naming the first failing rate, unless every memory field meets its implicit
-    equation to rounding: the residual (y_i' - y_i)/tau + b_i (sigma y_i' +
-    (1-sigma) y_i) - ybar, with the step's ybar = sigma y' + (1-sigma) y, must
-    stay within 1e-12 (|y'| + |y_i'|)/tau in the L2 norm on ``grid``."""
-    sig, tau, area = cfg.sigma, cfg.tau, grid.cell_area
-    b = np.asarray(rates, dtype=float)[:, None, None]
+    equation to rounding: the residual new_i y_i' - old_i y_i - ybar (new_i =
+    1/tau + sigma b_i, old_i = 1/tau - (1-sigma) b_i) must stay within 1e-12
+    (new_i |y_i'| + |ybar|) in the L2 norm, which bounds |old_i y_i| too by the
+    update identity, at any b_i tau; y_new is not read."""
+    sig, tau = cfg.sigma, cfg.tau
+    b = np.asarray(rates, dtype=float)
     new_coef, old_coef = 1.0 / tau + sig * b, 1.0 / tau - (1.0 - sig) * b
+    m, size = len(b), grid.shape[0] * grid.shape[1]
+    blocks, root_area = _blocks(m, size), math.sqrt(grid.cell_area)
 
     def guard(ybar, y_new, aux_new, aux_old) -> None:
-        r2 = np.empty(len(b))
-        for blk in _blocks(aux_new):
-            res = new_coef[blk] * aux_new[blk]
-            res -= old_coef[blk] * aux_old[blk]
-            res -= ybar
-            r2[blk] = np.einsum("kij,kij->k", res, res)
-        norms = np.sqrt(np.einsum("kij,kij->k", aux_new, aux_new) * area)
-        bounds = 1e-12 * (np.sqrt(np.sum(y_new * y_new) * area) + norms) / tau
-        residuals = np.sqrt(r2 * area)
-        failing = np.flatnonzero(residuals > bounds)
-        if failing.size:
-            i = failing[0]
+        new, old, yb = aux_new.reshape(m, size), aux_old.reshape(m, size), ybar.reshape(size)
+        r2, n2 = np.empty(m), np.empty(m)
+        for blk in blocks:
+            res = new_coef[blk, None] * new[blk]
+            res -= old_coef[blk, None] * old[blk]
+            res -= yb
+            r2[blk] = _row_dots(res, res)
+            n2[blk] = _row_dots(new[blk], new[blk])
+        residuals = np.sqrt(r2)
+        bounds = 1e-12 * (new_coef * np.sqrt(n2) + math.sqrt(np.vdot(yb, yb)))
+        passed = residuals <= bounds  # a NaN fails
+        if not passed.all():
+            i = int(np.argmin(passed))
             raise AuxiliaryResidualError(
-                f"auxiliary update residual {residuals[i]:.3e} exceeds rounding bound "
-                f"{bounds[i]:.3e} (rate b={rates[i]})"
+                f"auxiliary update residual {residuals[i] * root_area:.3e} exceeds rounding "
+                f"bound {bounds[i] * root_area:.3e} (rate b={rates[i]})"
             )
 
     return guard
@@ -204,16 +220,16 @@ def soe_stepper(p: ProblemSpec, cfg: SchemeConfig) -> Callable[[SoeState], SoeSt
     terms = [(1.0, p.mass), (sig * tau * mu, p.operator)]
     if p.reaction is not None:
         terms.append((sig * tau, p.reaction))
-    lhs = ScaledSum(terms)
-    lhs = lhs if lhs.diagonal() is None else DiagonalScaling(lhs.diagonal())
-    decay, gain = decay[:, None, None], gain[:, None, None]
+    lhs = _collapsed(terms)
     grid = p.initial.grid
+    m, size = len(b), grid.shape[0] * grid.shape[1]
+    decay, gain, blocks = decay[:, None], gain[:, None], _blocks(m, size)
     guard = _aux_residual_guard(cfg, grid, b)
 
     def step(s: SoeState) -> SoeState:
-        y = s.y
+        y, old = s.y, s.aux.reshape(m, size)
         with _finite("update", s.n + 1, s.t + tau):
-            mem = np.tensordot(mem_weights, s.aux, axes=1)
+            mem = (mem_weights @ old).reshape(grid.shape)
             mem += mem_own * y
             rhs = p.mass.apply_values(y, grid)
             rhs -= tau * p.operator.apply_values(mem, grid)
@@ -223,9 +239,11 @@ def soe_stepper(p: ProblemSpec, cfg: SchemeConfig) -> Callable[[SoeState], SoeSt
                 rhs += tau * p.forcing(s.t + sig * tau).values
             y_new = cg_solve(lhs, rhs, grid, tol=cfg.cg_tol)
             ybar = sig * y_new + (1.0 - sig) * y
-            aux = decay * s.aux
-            for blk in _blocks(aux):
-                aux[blk] += gain[blk] * ybar
+            aux = np.empty(s.aux.shape)
+            new, yb = aux.reshape(m, size), ybar.reshape(size)
+            for blk in blocks:
+                np.multiply(decay[blk], old[blk], out=new[blk])
+                new[blk] += gain[blk] * yb
             guard(ybar, y_new, aux, s.aux)
         return SoeState(y=y_new, aux=aux, n=s.n + 1, t=s.t + tau)
 
@@ -242,27 +260,30 @@ def _product_trapezoid_weights(
     for stiff decay rates where plain node sampling of the kernel fails.
     Returns ``(start, inner, end)``: a level L steps before t_n weighs
     ``start[L]`` if it is level 0 (it has only a right half-hat) and
-    ``inner[L]`` otherwise, for lags L = 0..max_lag; the level at t_n itself
-    (the implicit one) weighs ``end``.  All weights include the tau factor.
+    ``inner[L]`` otherwise, for lags L = 1..max_lag (lag 0 is unused and 0);
+    the level at t_n itself (the implicit one) weighs ``end``; all include tau.
     """
     a = np.asarray(kernel.weights)
     c = tau * np.asarray(kernel.rates)
-    small = c < 1e-8
+    small, big = c < 1e-8, c > 700.0
 
-    # Endpoint factors, written via expm1 to survive c -> 0; the c = 0 limits
-    # are the plain trapezoid values 1/2, 1, 1/2.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        start_factor = np.where(small, 0.5, (np.expm1(c) - c) / np.where(small, 1.0, c) ** 2)
-        end_factor = np.where(small, 0.5, (c + np.expm1(-c)) / np.where(small, 1.0, c) ** 2)
-        inner_factor = np.where(
-            small, 1.0, 4.0 * np.sinh(c / 2.0) ** 2 / np.where(small, 1.0, c) ** 2
-        )
+    # A term's lag-L weight is a factor times exp(-c L), the factors written
+    # via expm1 to survive c -> 0, where they tend to 1/2, 1, 1/2.  Past
+    # c = 700, where expm1(c) and sinh(c/2)**2 overflow, they carry one
+    # exp(-c), which makes both 1/c**2 to rounding, and the table exp(-c (L-1)).
+    cs = np.where(small | big, 1.0, c)
+    start_factor = np.where(small, 0.5, (np.expm1(cs) - cs) / cs**2)
+    inner_factor = np.where(small, 1.0, 4.0 * np.sinh(cs / 2.0) ** 2 / cs**2)
+    end_factor = np.where(small, 0.5, (c + np.expm1(-c)) / np.where(small, 1.0, c) ** 2)
+    start_factor[big] = inner_factor[big] = c[big] ** -2.0
 
     end_weight = tau * float(a @ end_factor)
-    # decay[i, L] = exp(-c_i * L) for lags L = 0..max_lag
-    decay = np.exp(-np.multiply.outer(c, np.arange(max_lag + 1, dtype=float)))
+    # decay[i, L] = exp(-c_i * L) for lags L = 0..max_lag, exp(-c_i * (L-1)) past c = 700
+    lags = np.arange(max_lag + 1, dtype=float)
+    decay = np.exp(-c[:, None] * np.where(big[:, None], np.maximum(lags - 1.0, 0.0), lags))
     start = tau * (a @ (decay * start_factor[:, None]))
     inner = tau * (a @ (decay * inner_factor[:, None]))
+    start[0] = inner[0] = 0.0
     return start, inner, end_weight
 
 
@@ -276,29 +297,33 @@ def history_levels(p: ProblemSpec, cfg: SchemeConfig, n_steps: int) -> np.ndarra
     the endpoint weight, leaving one shifted SPD solve per step.  The rule's
     weights are built once, as lag tables; the integral to t_n is carried
     from step to step, and the operator applies once per step, to the blend
-    of the two integrals, by linearity.  Identity mass and no reaction only.
+    of the two integrals, by linearity.  Identity mass and no reaction only;
+    the first overflow or NaN raises NonFiniteError.
     """
     if not p.is_plain:
         raise SchemeConfigError("the full-history baseline handles only the plain problem")
     sig, tau = cfg.sigma, cfg.tau
     grid = p.initial.grid
     start, inner, w_end = _product_trapezoid_weights(p.kernel, tau, n_steps)
-    lhs = ScaledSum([(1.0, IdentityOperator()), (sig * tau * w_end, p.operator)])
+    lhs = _collapsed([(1.0, IdentityOperator()), (sig * tau * w_end, p.operator)])
     levels = np.empty((n_steps + 1,) + grid.shape)
     levels[0] = p.initial.values
+    flat = levels.reshape(n_steps + 1, -1)
     weights = np.empty(n_steps)
     integral, t = 0.0, 0.0  # int_0^{t_n}, before the operator is applied
     for n in range(n_steps):
-        # int_0^{t_{n+1}} over the known levels 0..n, at lags n+1..1 behind
-        # t_{n+1}; the endpoint weight on the new level is implicit
-        w = weights[: n + 1]
-        w[0], w[1:] = start[n + 1], inner[n:0:-1]
-        known = np.tensordot(w, levels[: n + 1], axes=1)
-        rhs = levels[n] - tau * p.operator.apply_values(sig * known + (1.0 - sig) * integral, grid)
-        if p.forcing is not None:
-            rhs += tau * p.forcing(t + sig * tau).values
-        levels[n + 1] = cg_solve(lhs, rhs, grid, tol=cfg.cg_tol)
-        integral = known + w_end * levels[n + 1]
+        with _finite("history update", n + 1, t + tau):
+            # int_0^{t_{n+1}} over the known levels 0..n, at lags n+1..1 behind
+            # t_{n+1}; the endpoint weight on the new level is implicit
+            w = weights[: n + 1]
+            w[0], w[1:] = start[n + 1], inner[n:0:-1]
+            known = (w @ flat[: n + 1]).reshape(grid.shape)
+            blend = sig * known + (1.0 - sig) * integral
+            rhs = levels[n] - tau * p.operator.apply_values(blend, grid)
+            if p.forcing is not None:
+                rhs += tau * p.forcing(t + sig * tau).values
+            levels[n + 1] = cg_solve(lhs, rhs, grid, tol=cfg.cg_tol)
+            integral = known + w_end * levels[n + 1]
         t += tau
     return levels
 
@@ -309,17 +334,18 @@ def energy(p: ProblemSpec, s: SoeState) -> float:
     The A-forms of the memory fields come from applying the operator to
     blocks of the stack; a form negative beyond rounding raises NotSpdError.
     """
-    grid = p.initial.grid
+    grid, m = p.initial.grid, len(s.aux)
     with _finite("energy", s.n, s.t):
-        forms = np.empty(len(s.aux))
-        for blk in _blocks(s.aux):
+        flat, forms = s.aux.reshape(m, -1), np.empty(m)
+        for blk in _blocks(m, flat.shape[1]):
             applied = p.operator.apply_values(s.aux[blk], grid)
-            forms[blk] = np.multiply(applied, s.aux[blk], out=applied).sum(axis=(1, 2))
-        if np.any(forms < -1e-12 * np.maximum(np.einsum("kij,kij->k", s.aux, s.aux), 1e-300)):
+            forms[blk] = _row_dots(applied.reshape(len(applied), -1), flat[blk])
+        scale = _row_dots(flat, flat) if forms.min() < 0.0 else 0.0  # a pass only if needed
+        if np.any(forms < -1e-12 * np.maximum(scale, 1e-300)):
             raise NotSpdError(f"quadratic form is negative: {forms.min() * grid.cell_area}")
         forms = np.maximum(forms, 0.0) * grid.cell_area
         total = a_norm(p.mass, s.y, grid) ** 2 + float(np.dot(p.kernel.weights, forms))
-    return float(np.sqrt(total))
+    return math.sqrt(total)
 
 
 def scalar_ode_oracle(a1: float, b1: float, lam: float, u0: float, t) -> float:

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -66,6 +67,13 @@ class TestRunCommand:
         )
         assert cli.main(["run"]) == cli.EXIT_OK
         assert calls == []  # the model problem is stepped in sine coordinates
+
+    @pytest.mark.filterwarnings("error")
+    def test_stiff_run_passes_the_residual_guard(self, out_root):
+        # sigma = 1/2 with b * tau up to about 1e4: an honest stiff update
+        argv = ["run", "--grid", "2", "--T", "1e5", "--steps", "1000"]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert (out_root / "run" / "trajectory.csv").exists()
 
     def test_flag_overrides_config_file(self, out_root, tmp_path):
         config = tmp_path / "cfg.json"
@@ -316,6 +324,14 @@ class TestCompareBaselineCommand:
         assert lines[0].startswith("tau,max_diff")
         assert len(lines) == 3
         assert "13 compressed" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("error")
+    def test_long_horizon_keeps_the_weights_finite(self, out_root):
+        # at the coarsest entry tau * b_max is about 800, past exp's overflow
+        assert cli.main(["compare-baseline", "--grid", "8", "--T", "200"]) == cli.EXIT_OK
+        lines = (out_root / "compare-baseline" / "baseline.csv").read_text().splitlines()
+        diffs = [float(line.split(",")[1]) for line in lines[1:]]
+        assert len(diffs) == 4 and all(math.isfinite(d) for d in diffs)
 
     def test_empty_ladder_rejected(self, out_root, tmp_path, capsys):
         config = tmp_path / "cfg.json"

@@ -22,6 +22,7 @@ from memstep.operators import (
 )
 from memstep.schemes import (
     AuxiliaryResidualError,
+    NonFiniteError,
     ProblemSpec,
     SchemeConfig,
     SchemeConfigError,
@@ -263,6 +264,20 @@ def level_weights(kernel, tau, n):
     return np.append(start[n], inner[n - 1 : 0 : -1]), end
 
 
+def unshifted_tables(kernel, tau, max_lag):
+    """The start and inner lag tables as first written, each factor times
+    exp(-c L) with c = tau b: the factors expm1(c) and sinh(c/2)**2 overflow
+    once c passes about 710, and 0 * inf then makes a table NaN."""
+    a, c = np.asarray(kernel.weights), tau * np.asarray(kernel.rates)
+    small = c < 1e-8
+    with np.errstate(over="ignore", invalid="ignore"):
+        cs = np.where(small, 1.0, c)
+        start = np.where(small, 0.5, (np.expm1(c) - c) / cs**2)
+        inner = np.where(small, 1.0, 4.0 * np.sinh(c / 2.0) ** 2 / cs**2)
+        decay = np.exp(-np.multiply.outer(c, np.arange(max_lag + 1, dtype=float)))
+        return tau * (a @ (decay * start[:, None])), tau * (a @ (decay * inner[:, None]))
+
+
 class TestQuadratureStep:
     """The full-history baseline, history_levels."""
 
@@ -286,6 +301,14 @@ class TestQuadratureStep:
         t_end = n * tau
         exact = 0.7 * (1 - math.exp(-2.0 * t_end)) / 2.0 + 0.3 * t_end
         assert total == pytest.approx(exact, rel=1e-13)
+
+    def test_product_weights_integrate_stiff_kernel_exactly_for_constant(self):
+        # tau * b = 1000, past the point where the factors carry exp(-c)
+        kernel = PronySeries((0.7, 0.3), (8000.0, 0.0))
+        tau, n = 0.125, 9
+        weights, end = level_weights(kernel, tau, n)
+        exact = -0.7 * math.expm1(-8000.0 * n * tau) / 8000.0 + 0.3 * n * tau
+        assert weights.sum() + end == pytest.approx(exact, rel=1e-13)
 
     def test_product_weights_match_trapezoid_for_rate_zero(self):
         kernel = PronySeries((1.0,), (0.0,))
@@ -365,6 +388,38 @@ class TestQuadratureStep:
         history_levels(scalar_problem(1.0, 1.0, 1.0, 1.0), SchemeConfig(sigma=0.5, tau=0.1), 10)
         assert len(built) == 1
 
+    @pytest.mark.parametrize("tau", [*np.logspace(-10, 4, 15), 705.0])
+    def test_tables_stay_finite_and_match_the_unshifted_form(self, tau):
+        kernel, max_lag = PronySeries((1.0,), (1.0,)), 40  # c = tau
+        start, inner, end = _product_trapezoid_weights(kernel, tau, max_lag)
+        for table in (start, inner):
+            assert np.all(np.isfinite(table)) and np.all(table[1:] >= 0.0)
+        assert math.isfinite(end)
+        old_start, old_inner = unshifted_tables(kernel, tau, max_lag)
+        # the unshifted form is accurate while exp(-c L) is a normal number
+        lags = np.arange(max_lag + 1)
+        kept = (lags >= 1) & (tau * lags <= 708.0)
+        assert np.all(np.isfinite(old_start[kept])) and np.all(np.isfinite(old_inner[kept]))
+        np.testing.assert_allclose(start[kept], old_start[kept], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(inner[kept], old_inner[kept], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("tau", [0.01, 200 / 48])
+    def test_builtin_tables_match_the_unshifted_form_where_finite(self, tau):
+        # at 200/48, tau * b reaches about 800 and the unshifted tables are NaN
+        kernel, max_lag = load_builtin_prony("1/2"), 60
+        start, inner, _ = _product_trapezoid_weights(kernel, tau, max_lag)
+        assert np.all(np.isfinite(start)) and np.all(np.isfinite(inner))
+        for new, old in zip((start, inner), unshifted_tables(kernel, tau, max_lag)):
+            finite = np.isfinite(old)
+            finite[0] = False  # lag 0 is not used
+            np.testing.assert_allclose(new[finite], old[finite], rtol=1e-12, atol=0)
+
+    def test_overflow_names_the_step(self):
+        # sigma = 0.1 at a large step is unstable: the levels grow until they overflow
+        p = scalar_problem(1.0, 2.0, 3.0, 1.0)
+        with pytest.raises(NonFiniteError, match=r"history update of step \d+ \(t="):
+            history_levels(p, SchemeConfig(sigma=0.1, tau=5.0), 1000)
+
     @pytest.mark.parametrize("term", ["mass", "reaction"])
     def test_mass_or_reaction_rejected(self, term):
         p = dataclasses.replace(scalar_problem(1.0, 1.0, 1.0, 1.0), **{term: DiagonalScaling(2.0)})
@@ -397,18 +452,25 @@ class TestQuadratureStep:
         np.testing.assert_allclose(levels, np.array(ys), rtol=0, atol=1e-12 * scale)
 
 
+def honest_update(rng, grid, cfg, rates):
+    """``(ybar, y_new, aux_new, aux_old)`` of one exact auxiliary update from
+    random fields."""
+    sig, tau = cfg.sigma, cfg.tau
+    y_old, y_new = rng.standard_normal((2,) + grid.shape)
+    ybar = sig * y_new + (1.0 - sig) * y_old
+    aux_old = rng.standard_normal((len(rates),) + grid.shape)
+    d = 1.0 + sig * rates * tau
+    decay, gain = (1.0 - (1.0 - sig) * rates * tau) / d, tau / d
+    aux_new = decay[:, None, None] * aux_old + gain[:, None, None] * ybar
+    return ybar, y_new, aux_new, aux_old
+
+
 class TestAuxResidualGuard:
     def test_names_the_first_failing_rate(self, rng):
         grid = Grid2D(6, 6)
         cfg = SchemeConfig(sigma=0.75, tau=0.1)
-        sig, tau = cfg.sigma, cfg.tau
         rates = np.array([0.5, 2.0, 8.0])
-        y_old, y_new = rng.standard_normal((2,) + grid.shape)
-        ybar = sig * y_new + (1.0 - sig) * y_old
-        aux_old = rng.standard_normal((3,) + grid.shape)
-        d = 1.0 + sig * rates * tau
-        decay, gain = (1.0 - (1.0 - sig) * rates * tau) / d, tau / d
-        aux_new = decay[:, None, None] * aux_old + gain[:, None, None] * ybar
+        ybar, y_new, aux_new, aux_old = honest_update(rng, grid, cfg, rates)
         guard = _aux_residual_guard(cfg, grid, rates)
         guard(ybar, y_new, aux_new, aux_old)  # honest: silent
         wrong = aux_new.copy()
@@ -417,6 +479,45 @@ class TestAuxResidualGuard:
             guard(ybar, y_new, wrong, aux_old)
         with pytest.raises(AuxiliaryResidualError, match=r"\(rate b=0\.5\)"):
             guard(y_new, y_new, aux_new, aux_old)  # wrong ybar
+
+    @pytest.mark.parametrize("b_tau", [0.01, 1e4])
+    def test_relative_perturbation_of_one_field_fails(self, rng, b_tau):
+        grid = Grid2D(6, 6)
+        cfg = SchemeConfig(sigma=0.5, tau=0.1)
+        rates = np.array([0.5, b_tau / cfg.tau, 3.0])
+        ybar, y_new, aux_new, aux_old = honest_update(rng, grid, cfg, rates)
+        guard = _aux_residual_guard(cfg, grid, rates)
+        guard(ybar, y_new, aux_new, aux_old)  # honest, stiff or not: silent
+        wrong = aux_new.copy()
+        wrong[1] *= 1.0 + 1e-9
+        with pytest.raises(AuxiliaryResidualError, match=rf"\(rate b={rates[1]}\)"):
+            guard(ybar, y_new, wrong, aux_old)
+
+    def test_spans_several_blocks(self, rng, monkeypatch):
+        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 50)  # two 5x5 fields a block
+        grid = Grid2D(6, 6)
+        assert len(schemes._blocks(3, 25)) == 2
+        cfg = SchemeConfig(sigma=0.75, tau=0.1)
+        rates = np.array([0.5, 2.0, 8.0])
+        ybar, y_new, aux_new, aux_old = honest_update(rng, grid, cfg, rates)
+        guard = _aux_residual_guard(cfg, grid, rates)
+        guard(ybar, y_new, aux_new, aux_old)  # honest: silent
+        wrong = aux_new.copy()
+        wrong[2] += 1e-3  # only the last block
+        with pytest.raises(AuxiliaryResidualError, match=r"\(rate b=8\.0\)"):
+            guard(ybar, y_new, wrong, aux_old)
+        # the blocked step matches the unblocked one, and its guard stays silent
+        p = ProblemSpec(
+            operator=FivePointLaplacian(grid),
+            kernel=PronySeries((0.2, 0.3, 0.5), tuple(rates)),
+            initial=GridFunction(grid, rng.standard_normal(grid.shape)),
+        )
+        step, s = soe_stepper(p, cfg), soe_init(p)
+        for _ in range(4):
+            y_new, aux = unbuilt_step(p, cfg, s)
+            s = step(s)
+            np.testing.assert_array_equal(s.y, y_new)
+            np.testing.assert_array_equal(s.aux, aux)
 
 
 class TestEnergy:
