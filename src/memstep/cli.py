@@ -47,7 +47,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-DESK_SCALE_GRID_LIMIT = 32  # full-history runs above this are impractically slow
+# The full-history baseline stores every level, (n+1) interior fields of
+# 8-byte values for n steps; compare-baseline refuses a ladder whose longest
+# history would exceed this many bytes.
+HISTORY_BYTES_LIMIT = 256 * 2**20
 
 
 class ConfigError(ValueError):
@@ -263,13 +266,15 @@ def cmd_kernel_error(cfg: RunConfig) -> int:
 
 def cmd_compare_baseline(cfg: RunConfig) -> int:
     started = datetime.now(timezone.utc).isoformat()
-    if cfg.grid > DESK_SCALE_GRID_LIMIT:
-        raise ConfigError(
-            f"grid={cfg.grid}: the full-history baseline is restricted to "
-            f"grids <= {DESK_SCALE_GRID_LIMIT}"
-        )
     if not cfg.ladder_steps:
         raise ConfigError("ladder_steps is empty: compare-baseline needs at least one step count")
+    history_bytes = (max(cfg.ladder_steps) + 1) * (cfg.grid - 1) ** 2 * 8
+    if history_bytes > HISTORY_BYTES_LIMIT:
+        raise ConfigError(
+            f"the full-history baseline would store {history_bytes} bytes "
+            f"({max(cfg.ladder_steps) + 1} levels on grid {cfg.grid}), over its budget "
+            f"of {HISTORY_BYTES_LIMIT} bytes"
+        )
     spec = cfg.experiment_spec()
     rows = compare_baseline(spec, cfg.ladder_steps)
     run_dir = make_run_dir(cfg, "compare-baseline")

@@ -5,7 +5,7 @@ grid alongside; an operator defines one method, ``apply_values(v, grid)``, and
 ``apply`` wraps it for grid functions at the API edge.  All are matrix-free:
 the five-point Laplacian applies its stencil directly (implicit zero ghost
 values on the Dirichlet boundary) and the per-step shifted systems are solved
-with conjugate gradients from the exact diagonal start ``rhs / op.diagonal()``,
+with conjugate gradients from the exact diagonal start ``rhs / diagonal``,
 which solves a sum of pointwise terms in one division and no iteration.
 In the orthonormal sine (DST-I) basis of ``sine_transform`` the Laplacian is
 the pointwise ``laplacian_eigenvalues``: a problem built there needs no CG.
@@ -68,6 +68,12 @@ class SpdOperator:
         operator is pointwise (then it is the whole operator); None otherwise."""
         return None
 
+    def positive_diagonal(self):
+        """:meth:`diagonal` when it is positive everywhere, so that dividing by
+        it inverts the operator; None otherwise."""
+        diag = self.diagonal()
+        return diag if diag is not None and np.all(diag > 0) else None
+
 
 @dataclass(frozen=True)
 class FivePointLaplacian(SpdOperator):
@@ -100,21 +106,34 @@ class IdentityOperator(SpdOperator):
 
 
 class DiagonalScaling(SpdOperator):
-    """Pointwise multiplication by a nonnegative coefficient (scalar or field)."""
+    """Pointwise multiplication by a nonnegative coefficient (scalar or field),
+    validated once: the coefficient is held read-only, copied only when the
+    caller could still write to it, and ``positive`` records whether it is
+    positive everywhere."""
 
-    __slots__ = ("coefficient",)
+    __slots__ = ("coefficient", "positive")
 
     def __init__(self, coefficient):
-        coefficient = np.asarray(coefficient, dtype=float)
-        if np.any(coefficient < 0):
+        values = np.asarray(coefficient, dtype=float)
+        if np.any(values < 0):
             raise NotSpdError("diagonal coefficient must be >= 0 everywhere")
-        self.coefficient = coefficient
+        # a read-only array that owns its data cannot change under the operator
+        if np.may_share_memory(values, coefficient) and (
+            values.flags.writeable or values.base is not None
+        ):
+            values = values.copy()
+        values.flags.writeable = False
+        self.coefficient = values
+        self.positive = bool(np.all(values > 0))
 
     def apply_values(self, v: np.ndarray, grid: Grid2D) -> np.ndarray:
         return self.coefficient * v
 
     def diagonal(self):
         return self.coefficient
+
+    def positive_diagonal(self):
+        return self.coefficient if self.positive else None
 
 
 class ScaledSum(SpdOperator):
@@ -202,13 +221,14 @@ def cg_solve(
     tol: float = 1e-10,
     max_iter: int | None = None,
 ) -> np.ndarray:
-    """Conjugate gradients from x0 = rhs / op.diagonal() when the operator has a
-    diagonal positive everywhere (x0 = 0 otherwise), stopping once
-    |rhs - op x| <= tol |rhs|.
+    """Conjugate gradients from x0 = rhs / op.positive_diagonal() when the
+    operator has a diagonal positive everywhere (x0 = 0 otherwise), stopping
+    once |rhs - op x| <= tol |rhs|.
 
     Arrays are updated in place; ``op.apply_values`` runs once for the initial
     residual and once per iteration, so a sum of pointwise terms, which the
-    diagonal start solves exactly, needs one application and no iteration.
+    diagonal start solves exactly, needs one division, one application and
+    no iteration.  A DiagonalScaling's diagonal was checked when it was built.
     Raises GridMismatchError unless rhs has ``grid.shape``, ConvergenceError
     when max_iter (default 10*(n1+n2)) is exhausted.
     """
@@ -218,10 +238,8 @@ def cg_solve(
         raise GridMismatchError(f"rhs shape {rhs.shape} does not match interior {grid.shape}")
     max_iter = 10 * (grid.n1 + grid.n2) if max_iter is None else max_iter
     rhs_norm = math.sqrt(np.vdot(rhs, rhs))  # plain norms: the mesh weight cancels
-    diag = op.diagonal()
-    x = np.zeros(grid.shape)
-    if diag is not None and np.all(diag > 0):
-        np.divide(rhs, diag, out=x)
+    diag = op.positive_diagonal()
+    x = np.zeros(grid.shape) if diag is None else rhs / diag
     r = rhs - op.apply_values(x, grid)
     rr = float(np.vdot(r, r))
     target = tol * rhs_norm

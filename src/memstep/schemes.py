@@ -20,7 +20,6 @@ non-increasing for zero forcing.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -132,7 +131,7 @@ _BLOCK_VALUES = 1 << 16
 def _blocks(m: int, size: int) -> list[slice]:
     """Row slices of an ``(m, size)`` stack, each about ``_BLOCK_VALUES`` values."""
     per = max(1, _BLOCK_VALUES // size)
-    return [slice(i, i + per) for i in range(0, m, per)]
+    return [slice(i, min(i + per, m)) for i in range(0, m, per)]
 
 
 def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -146,15 +145,23 @@ def _collapsed(terms) -> SpdOperator:
     return lhs if lhs.diagonal() is None else DiagonalScaling(lhs.diagonal())
 
 
-@contextmanager
-def _finite(what: str, n: int, t: float):
+class _finite:
     """Turn the first overflow or NaN inside the block into NonFiniteError."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError as exc:
-        message = f"non-finite values in the {what} of step {n} (t={t:.6g}): {exc}"
-        raise NonFiniteError(message) from None
+
+    __slots__ = ("what", "n", "t", "_errstate")
+
+    def __init__(self, what: str, n: int, t: float):
+        self.what, self.n, self.t = what, n, t
+
+    def __enter__(self) -> None:
+        self._errstate = np.errstate(over="raise", invalid="raise")
+        self._errstate.__enter__()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._errstate.__exit__(exc_type, exc, tb)
+        if exc_type is not None and issubclass(exc_type, FloatingPointError):
+            message = f"non-finite values in the {self.what} of step {self.n} (t={self.t:.6g}): {exc}"
+            raise NonFiniteError(message) from None
 
 
 def soe_init(p: ProblemSpec) -> SoeState:
@@ -163,28 +170,49 @@ def soe_init(p: ProblemSpec) -> SoeState:
     return SoeState(y=p.initial.values, aux=aux, n=0, t=0.0)
 
 
-def _aux_residual_guard(cfg: SchemeConfig, grid, rates) -> Callable[..., None]:
+def _block_workspace(m: int, size: int) -> list[tuple[slice, np.ndarray, np.ndarray]]:
+    """The row blocks of an ``(m, size)`` stack, each with views of its shape
+    into two work buffers of the largest block's size, which every block and
+    every step reuses."""
+    blocks = _blocks(m, size)
+    work, spare = np.empty((2, blocks[0].stop, size))
+    return [(blk, work[: blk.stop - blk.start], spare[: blk.stop - blk.start]) for blk in blocks]
+
+
+def _aux_residual_guard(cfg: SchemeConfig, grid, rates, workspace=None) -> Callable[..., None]:
     """``guard(ybar, y_new, aux_new, aux_old)`` raises AuxiliaryResidualError,
     naming the first failing rate, unless every memory field meets its implicit
     equation to rounding: the residual new_i y_i' - old_i y_i - ybar (new_i =
     1/tau + sigma b_i, old_i = 1/tau - (1-sigma) b_i) must stay within 1e-12
     (new_i |y_i'| + |ybar|) in the L2 norm, which bounds |old_i y_i| too by the
-    update identity, at any b_i tau; y_new is not read."""
+    update identity, at any b_i tau; y_new is not read.
+
+    Its per-block plan is built here: coefficient columns, the work buffers of
+    ``workspace`` (a ``_block_workspace``, shared with the caller's own block
+    loop, or a fresh one) and the views that take each row's inner product
+    into place, so a call allocates no field-sized temporary."""
     sig, tau = cfg.sigma, cfg.tau
     b = np.asarray(rates, dtype=float)
     new_coef, old_coef = 1.0 / tau + sig * b, 1.0 / tau - (1.0 - sig) * b
     m, size = len(b), grid.shape[0] * grid.shape[1]
-    blocks, root_area = _blocks(m, size), math.sqrt(grid.cell_area)
+    root_area = math.sqrt(grid.cell_area)
+    r2, n2 = np.empty(m), np.empty(m)  # squared norms, one per field
+    plan = [
+        (blk, new_coef[blk, None], old_coef[blk, None], res, spare,
+         res[:, None, :], res[:, :, None], r2[blk, None, None], n2[blk, None, None])
+        for blk, res, spare in workspace or _block_workspace(m, size)
+    ]
 
     def guard(ybar, y_new, aux_new, aux_old) -> None:
         new, old, yb = aux_new.reshape(m, size), aux_old.reshape(m, size), ybar.reshape(size)
-        r2, n2 = np.empty(m), np.empty(m)
-        for blk in blocks:
-            res = new_coef[blk, None] * new[blk]
-            res -= old_coef[blk, None] * old[blk]
+        rows, cols = aux_new.reshape(m, 1, size), aux_new.reshape(m, size, 1)
+        for blk, new_col, old_col, res, spare, res_rows, res_cols, r2_blk, n2_blk in plan:
+            np.multiply(new_col, new[blk], out=res)
+            np.multiply(old_col, old[blk], out=spare)
+            res -= spare
             res -= yb
-            r2[blk] = _row_dots(res, res)
-            n2[blk] = _row_dots(new[blk], new[blk])
+            np.matmul(res_rows, res_cols, out=r2_blk)
+            np.matmul(rows[blk], cols[blk], out=n2_blk)
         residuals = np.sqrt(r2)
         bounds = 1e-12 * (new_coef * np.sqrt(n2) + math.sqrt(np.vdot(yb, yb)))
         passed = residuals <= bounds  # a NaN fails
@@ -223,8 +251,9 @@ def soe_stepper(p: ProblemSpec, cfg: SchemeConfig) -> Callable[[SoeState], SoeSt
     lhs = _collapsed(terms)
     grid = p.initial.grid
     m, size = len(b), grid.shape[0] * grid.shape[1]
-    decay, gain, blocks = decay[:, None], gain[:, None], _blocks(m, size)
-    guard = _aux_residual_guard(cfg, grid, b)
+    workspace = _block_workspace(m, size)
+    update = [(blk, decay[blk, None], gain[blk, None], work) for blk, work, _ in workspace]
+    guard = _aux_residual_guard(cfg, grid, b, workspace)
 
     def step(s: SoeState) -> SoeState:
         y, old = s.y, s.aux.reshape(m, size)
@@ -241,13 +270,37 @@ def soe_stepper(p: ProblemSpec, cfg: SchemeConfig) -> Callable[[SoeState], SoeSt
             ybar = sig * y_new + (1.0 - sig) * y
             aux = np.empty(s.aux.shape)
             new, yb = aux.reshape(m, size), ybar.reshape(size)
-            for blk in blocks:
-                np.multiply(decay[blk], old[blk], out=new[blk])
-                new[blk] += gain[blk] * yb
+            for blk, decay_col, gain_col, work in update:
+                np.multiply(decay_col, old[blk], out=new[blk])
+                np.multiply(gain_col, yb, out=work)
+                new[blk] += work
             guard(ybar, y_new, aux, s.aux)
         return SoeState(y=y_new, aux=aux, n=s.n + 1, t=s.t + tau)
 
     return step
+
+
+# Below this c = tau*b the product rule's start and end factors come from
+# their series: the subtractions that define them cancel about log10(2/c)
+# digits there.  The series' 20 terms leave a remainder under 1e-21.
+_SERIES_CUTOFF = 1.0
+_SERIES_COEFFICIENTS = tuple(1.0 / math.factorial(k + 2) for k in range(20))
+
+
+def _edge_factors(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The start and end factors ``(expm1(c) - c)/c**2`` and
+    ``(c + expm1(-c))/c**2`` for c = tau*b >= 0, the series
+    sum_k (+-c)**k / (k+2)! = 1/2 +- c/6 + c**2/24 +- ... in Horner form below
+    ``_SERIES_CUTOFF``, the closed forms above it (the start factor's
+    overflows past c = 709)."""
+    series = c < _SERIES_CUTOFF
+    cs = np.where(series, _SERIES_CUTOFF, c)
+    start, end = (np.expm1(cs) - cs) / cs**2, (cs + np.expm1(-cs)) / cs**2
+    start_series, end_series = np.zeros_like(c), np.zeros_like(c)
+    for coefficient in reversed(_SERIES_COEFFICIENTS):
+        start_series = start_series * c + coefficient
+        end_series = end_series * -c + coefficient
+    return np.where(series, start_series, start), np.where(series, end_series, end)
 
 
 def _product_trapezoid_weights(
@@ -267,14 +320,14 @@ def _product_trapezoid_weights(
     c = tau * np.asarray(kernel.rates)
     small, big = c < 1e-8, c > 700.0
 
-    # A term's lag-L weight is a factor times exp(-c L), the factors written
-    # via expm1 to survive c -> 0, where they tend to 1/2, 1, 1/2.  Past
-    # c = 700, where expm1(c) and sinh(c/2)**2 overflow, they carry one
+    # A term's lag-L weight is a factor times exp(-c L); the factors tend to
+    # 1/2, 1, 1/2 as c -> 0, the edge ones from their series (_edge_factors).
+    # Past c = 700, where expm1(c) and sinh(c/2)**2 overflow, they carry one
     # exp(-c), which makes both 1/c**2 to rounding, and the table exp(-c (L-1)).
     cs = np.where(small | big, 1.0, c)
-    start_factor = np.where(small, 0.5, (np.expm1(cs) - cs) / cs**2)
+    start_factor, end_factor = _edge_factors(np.where(big, 1.0, c))
     inner_factor = np.where(small, 1.0, 4.0 * np.sinh(cs / 2.0) ** 2 / cs**2)
-    end_factor = np.where(small, 0.5, (c + np.expm1(-c)) / np.where(small, 1.0, c) ** 2)
+    end_factor[big] = (c[big] + np.expm1(-c[big])) / c[big] ** 2
     start_factor[big] = inner_factor[big] = c[big] ** -2.0
 
     end_weight = tau * float(a @ end_factor)

@@ -340,9 +340,19 @@ class TestCompareBaselineCommand:
         assert "ladder_steps is empty" in capsys.readouterr().err
         assert not (out_root / "compare-baseline").exists()
 
-    def test_large_grid_rejected(self, capsys):
-        assert (
-            cli.main(["compare-baseline", "--grid", "64", "--T", "1", "--steps", "8"])
-            == cli.EXIT_CONFIG
-        )
-        assert "restricted" in capsys.readouterr().err
+    def test_large_grid_rejected(self, out_root, tmp_path, capsys, monkeypatch):
+        # 4097 levels of 255x255 values: 2,131,259,400 bytes, over the budget
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"grid": 256, "T": 1.0, "ladder_steps": [4096]}))
+        monkeypatch.setattr(cli, "compare_baseline", lambda *args: pytest.fail("ran"))
+        assert cli.main(["compare-baseline", "--config", str(config)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "2131259400 bytes" in err and f"budget of {cli.HISTORY_BYTES_LIMIT} bytes" in err
+        assert not (out_root / "compare-baseline").exists()
+
+    def test_grid_64_within_the_budget_runs(self, out_root, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"grid": 64, "T": 0.25, "ladder_steps": [8, 16]}))
+        assert cli.main(["compare-baseline", "--config", str(config)]) == cli.EXIT_OK
+        lines = (out_root / "compare-baseline" / "baseline.csv").read_text().splitlines()
+        assert len(lines) == 3 and lines[2].endswith(",13,17")

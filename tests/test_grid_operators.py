@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -174,6 +176,12 @@ class TestPositiveDefiniteness:
     def test_diagonal_negative_coefficient_rejected(self):
         with pytest.raises(NotSpdError):
             DiagonalScaling(-1.0)
+
+    def test_diagonal_negative_entry_rejected(self):
+        coefficient = np.ones((5, 5))
+        coefficient[3, 1] = -1e-300
+        with pytest.raises(NotSpdError):
+            DiagonalScaling(coefficient)
 
     def test_scaled_sum_negative_weight_rejected(self):
         with pytest.raises(NotSpdError):
@@ -387,6 +395,41 @@ class TestSineBasisPreconditioner:
             x = cg_solve(op, rhs, g, tol=1e-12)
         assert np.all(starts[0] == 0.0) and np.all(np.isfinite(x))
         assert np.linalg.norm(op.apply_values(x, g) - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_diagonal_scaling_holds_its_own_coefficient(self, rng):
+        g = Grid2D(6, 6)
+        field = rng.uniform(1.0, 2.0, g.shape)
+        op, kept = DiagonalScaling(field), field.copy()
+        v, rhs = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
+        applied, solved = op.apply_values(v, g), cg_solve(op, rhs, g)
+        field[...] = -7.0  # the caller's array, written after construction
+        np.testing.assert_array_equal(op.apply_values(v, g), applied)
+        np.testing.assert_array_equal(cg_solve(op, rhs, g), solved)
+        np.testing.assert_array_equal(solved, rhs / kept)
+        assert op.positive and not op.coefficient.flags.writeable
+        # a read-only array that owns its data is held as it is, not copied
+        lam = laplacian_eigenvalues(g)
+        assert DiagonalScaling(lam).coefficient is lam
+
+    def test_zero_coefficient_entry_runs_cg_from_zero(self, rng):
+        # plain CG from x0 = 0, step by step as cg_solve takes it
+        g = Grid2D(6, 6)
+        coefficient = np.eye(5) + 1.0
+        coefficient[2, 3] = 0.0
+        op = DiagonalScaling(coefficient)
+        assert not op.positive and op.positive_diagonal() is None
+        rhs = coefficient * rng.standard_normal(g.shape)
+        x, r = np.zeros(g.shape), rhs.copy()
+        p, rr = r.copy(), float(np.vdot(r, r))
+        while math.sqrt(rr) > 1e-12 * math.sqrt(np.vdot(rhs, rhs)):
+            ap = coefficient * p
+            alpha = rr / float(np.vdot(p, ap))
+            x += alpha * p
+            r -= alpha * ap
+            rr_old, rr = rr, float(np.vdot(r, r))
+            p *= rr / rr_old
+            p += r
+        np.testing.assert_array_equal(cg_solve(op, rhs, g, tol=1e-12), x)
 
     def test_sine_transform_diagonalizes_laplacian(self, rng):
         g = Grid2D(7, 5)  # n1 != n2: a swapped axis fails both checks

@@ -264,15 +264,24 @@ def level_weights(kernel, tau, n):
     return np.append(start[n], inner[n - 1 : 0 : -1]), end
 
 
+def edge_series(c, sign):
+    """sum_k (sign*c)**k / (k+2)! to 40 terms, summed exactly by fsum: the start
+    factor (expm1(c) - c)/c**2 for sign +1, the end factor (c + expm1(-c))/c**2
+    for sign -1, free of the cancellation of their closed forms at small c."""
+    return math.fsum((sign * c) ** k / math.factorial(k + 2) for k in range(40))
+
+
 def unshifted_tables(kernel, tau, max_lag):
     """The start and inner lag tables as first written, each factor times
     exp(-c L) with c = tau b: the factors expm1(c) and sinh(c/2)**2 overflow
-    once c passes about 710, and 0 * inf then makes a table NaN."""
+    once c passes about 710, and 0 * inf then makes a table NaN.  Below c = 1
+    the start factor is the series, whose closed form loses digits there."""
     a, c = np.asarray(kernel.weights), tau * np.asarray(kernel.rates)
     small = c < 1e-8
     with np.errstate(over="ignore", invalid="ignore"):
         cs = np.where(small, 1.0, c)
-        start = np.where(small, 0.5, (np.expm1(c) - c) / cs**2)
+        series = np.array([edge_series(ci, 1.0) for ci in np.minimum(c, 1.0)])
+        start = np.where(c < 1.0, series, (np.expm1(c) - c) / cs**2)
         inner = np.where(small, 1.0, 4.0 * np.sinh(c / 2.0) ** 2 / cs**2)
         decay = np.exp(-np.multiply.outer(c, np.arange(max_lag + 1, dtype=float)))
         return tau * (a @ (decay * start[:, None])), tau * (a @ (decay * inner[:, None]))
@@ -414,6 +423,12 @@ class TestQuadratureStep:
             finite[0] = False  # lag 0 is not used
             np.testing.assert_allclose(new[finite], old[finite], rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("c", [*np.logspace(-9, math.log10(2.0), 37), 0.999999, 1.0])
+    def test_edge_factors_match_their_series(self, c):
+        start, end = schemes._edge_factors(np.array([c]))
+        assert start[0] == pytest.approx(edge_series(c, 1.0), rel=1e-15, abs=0)
+        assert end[0] == pytest.approx(edge_series(c, -1.0), rel=1e-15, abs=0)
+
     def test_overflow_names_the_step(self):
         # sigma = 0.1 at a large step is unstable: the levels grow until they overflow
         p = scalar_problem(1.0, 2.0, 3.0, 1.0)
@@ -518,6 +533,55 @@ class TestAuxResidualGuard:
             s = step(s)
             np.testing.assert_array_equal(s.y, y_new)
             np.testing.assert_array_equal(s.aux, aux)
+
+    def test_guards_keep_their_own_verdicts(self, rng):
+        # two guards on one grid, each called in turn on the other's updates
+        grid = Grid2D(6, 6)
+        cfg = SchemeConfig(sigma=0.75, tau=0.1)
+        rates_a, rates_b = np.array([0.5, 2.0, 8.0]), np.array([1.0, 4.0, 16.0])
+        update_a = honest_update(rng, grid, cfg, rates_a)
+        update_b = honest_update(rng, grid, cfg, rates_b)
+        guard_a = _aux_residual_guard(cfg, grid, rates_a)
+        guard_b = _aux_residual_guard(cfg, grid, rates_b)
+        for _ in range(2):
+            guard_a(*update_a)
+            with pytest.raises(AuxiliaryResidualError, match=r"\(rate b=1\.0\)"):
+                guard_b(*update_a)
+            guard_b(*update_b)
+            with pytest.raises(AuxiliaryResidualError, match=r"\(rate b=0\.5\)"):
+                guard_a(*update_b)
+
+    def test_silent_on_the_update_after_a_failure(self, rng):
+        grid = Grid2D(6, 6)
+        cfg = SchemeConfig(sigma=0.5, tau=0.1)
+        rates = np.array([0.5, 2.0, 8.0])
+        ybar, y_new, aux_new, aux_old = honest_update(rng, grid, cfg, rates)
+        guard = _aux_residual_guard(cfg, grid, rates)
+        with pytest.raises(AuxiliaryResidualError, match=r"\(rate b=0\.5\)"):
+            guard(ybar, y_new, aux_new + 1e-3, aux_old)
+        guard(ybar, y_new, aux_new, aux_old)
+        guard(*honest_update(rng, grid, cfg, rates))
+
+    def test_steppers_stepped_alternately_match_one_alone(self, rng):
+        grid = Grid2D(10, 10)
+        p = ProblemSpec(
+            operator=DiagonalScaling(laplacian_eigenvalues(grid)),
+            kernel=load_builtin_prony("1/2"),
+            initial=GridFunction(grid, rng.standard_normal(grid.shape)),
+        )
+        cfg = SchemeConfig(sigma=0.5, tau=0.05)
+        first, second, alone = soe_stepper(p, cfg), soe_stepper(p, cfg), soe_stepper(p, cfg)
+        # first and second take turns at different steps, so work buffers
+        # shared or carried between calls would mix two states
+        s1 = s2 = s = soe_init(p)
+        for _ in range(6):
+            s1, s2, s = first(s1), second(second(s2)), alone(s)
+            np.testing.assert_array_equal(s1.y, s.y)
+            np.testing.assert_array_equal(s1.aux, s.aux)
+            s = alone(s)
+            np.testing.assert_array_equal(s2.y, s.y)
+            np.testing.assert_array_equal(s2.aux, s.aux)
+            s1 = first(s1)
 
 
 class TestEnergy:
