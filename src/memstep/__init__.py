@@ -32,7 +32,6 @@ from .schemes import (
     soe_stepper,
     history_levels,
     energy,
-    scalar_ode_oracle,
 )
 from .experiments import (
     ExperimentSpec,
@@ -72,7 +71,6 @@ __all__ = [
     "soe_stepper",
     "history_levels",
     "energy",
-    "scalar_ode_oracle",
     "ExperimentSpec",
     "model_initial_condition",
     "build_model_problem",

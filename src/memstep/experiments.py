@@ -13,6 +13,8 @@ grid and compared at a small set of shared sample times.
 from __future__ import annotations
 
 import csv
+import os
+import pickle
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -271,6 +273,115 @@ def fit_slope(taus, errors) -> Optional[float]:
     return float(slope)
 
 
+def _deal(costs: list[int], k: int) -> list[list[int]]:
+    """Task indices in ``k`` groups: longest task first, each to the group
+    with the least total cost so far; each group in task order."""
+    groups, loads = [[] for _ in range(k)], [0] * k
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        g = loads.index(min(loads))
+        groups[g].append(i)
+        loads[g] += costs[i]
+    return [sorted(group) for group in groups]
+
+
+def _run_group(fn, tasks: list[tuple], group: list[int]):
+    """``{i: fn(*tasks[i])}`` over ``group`` in order, and the ``(i, exception)``
+    of the first task that raised, which ends the group (None if none did)."""
+    results = {}
+    for i in group:
+        try:
+            results[i] = fn(*tasks[i])
+        except Exception as exc:
+            return results, (i, exc)
+    return results, None
+
+
+def _fork_group(fn, tasks: list[tuple], group: list[int]) -> tuple[int, int]:
+    """Fork a child that runs ``group`` and writes the pickled outcome of
+    ``_run_group`` to a pipe; the child's pid and the pipe's read end."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(_run_group(fn, tasks, group)))
+            code = 0
+        finally:
+            os._exit(code)  # no exit handlers, no flush of the parent's buffers
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _collect(pid: int, read_fd: int, what: str):
+    """The outcome a forked child writes, read to the end before the child is reaped."""
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if not data:
+        raise RuntimeError(f"the worker process running {what} ended without a result "
+                           f"(wait status {status})")
+    return pickle.loads(data)  # bytes our own child wrote
+
+
+def _kill(pid: int, read_fd: int) -> None:
+    import signal  # only on a failure path; signal is not loaded otherwise
+
+    os.kill(pid, signal.SIGKILL)
+    os.close(read_fd)
+    os.waitpid(pid, 0)
+
+
+def _map_runs(fn, tasks: list[tuple]) -> list:
+    """``[fn(*task) for task in tasks]``, split across the CPUs this process may use.
+
+    Each task's last argument is its step count, taken as its cost.  With k =
+    min(len(tasks), CPUs in the affinity set) >= 2 the tasks are dealt into k
+    groups (``_deal``); forked children run all but the last group, each group
+    in task order, and this process runs the last.  If any task raises, the
+    exception raised here is that of the first failing task in task order, as
+    running in order would raise: a child is read to its end unless every task
+    it holds comes after a known failure, in which case it is killed.  Every
+    child is reaped before this returns or raises.  With one CPU, or on a
+    platform without CPU affinity (no ``os.sched_getaffinity``, as on macOS
+    and Windows), the tasks run here in order.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    k = min(len(tasks), cpus)
+    if k < 2:
+        return [fn(*task) for task in tasks]
+    *forked, own = _deal([task[-1] for task in tasks], k)
+    pending = []  # (pid, read end, group) of each child not yet reaped
+    try:
+        for group in forked:
+            pending.append((*_fork_group(fn, tasks, group), group))
+        results, failure = _run_group(fn, tasks, own)
+        for child in list(pending):
+            pid, read_fd, group = child
+            if failure is not None and group[0] > failure[0]:
+                continue  # killed below; its outcome cannot change what is raised
+            pending.remove(child)
+            what = "the runs of " + ", ".join(str(tasks[i][-1]) for i in group) + " steps"
+            got, got_failure = _collect(pid, read_fd, what)
+            results.update(got)
+            if got_failure is not None and (failure is None or got_failure[0] < failure[0]):
+                failure = got_failure
+    finally:
+        for pid, read_fd, _ in pending:
+            _kill(pid, read_fd)
+    if failure is not None:
+        raise failure[1]
+    return [results[i] for i in range(len(tasks))]
+
+
 def convergence_study(
     spec: ExperimentSpec,
     step_ladder: tuple[int, ...],
@@ -279,20 +390,27 @@ def convergence_study(
 ) -> ConvergenceResult:
     """Run the ladder of step counts against the reference and fit slopes;
     the reference, unless given, has ``spec.n_ref`` steps, above every entry.
-    Every entry is checked before any step; the runs keep only snapshots."""
+    Every entry is checked before any step; the runs keep only snapshots and
+    are split across the CPUs this process may use (``_map_runs``), with
+    results identical to running them in order."""
     if len(step_ladder) < 3:
         raise ValueError("a convergence ladder needs at least 3 step counts")
     for n_steps in step_ladder:
         _snapshot_stride(n_steps, spec.sample_count)
+    runs = [(sigma, n_steps) for n_steps in step_ladder]
     if reference is None:
         if max(step_ladder) >= spec.n_ref:  # at sigma = 0.5, n_ref steps reproduce it
             raise ValueError(
                 f"ladder entry {max(step_ladder)} must be below the reference's {spec.n_ref} steps"
             )
-        reference = compute_reference(spec)  # checks n_ref before its first step
+        _snapshot_stride(spec.n_ref, spec.sample_count)
+        runs.insert(0, (0.5, spec.n_ref))  # compute_reference's run
+    sampled = _map_runs(lambda sig, n: _sample_run(spec, sigma=sig, n_steps=n), runs)
+    if reference is None:
+        reference, *sampled = sampled
     rows = []
-    for n_steps in step_ladder:
-        errs = error_series(_sample_run(spec, sigma=sigma, n_steps=n_steps), reference)
+    for n_steps, snapshots in zip(step_ladder, sampled):
+        errs = error_series(snapshots, reference)
         rows.append(
             ConvergenceRow(
                 tau=spec.final_time / n_steps,

@@ -46,6 +46,9 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
         self.iterations = iterations
 
+    def __reduce__(self):  # rebuilt from all three arguments, as pickling needs
+        return type(self), (self.args[0], self.residual, self.iterations)
+
 
 class NotSpdError(ValueError):
     """A quadratic form came out negative beyond rounding slack."""

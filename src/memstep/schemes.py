@@ -48,7 +48,6 @@ __all__ = [
     "soe_stepper",
     "history_levels",
     "energy",
-    "scalar_ode_oracle",
 ]
 
 class SchemeConfigError(ValueError):
@@ -180,12 +179,12 @@ def _block_workspace(m: int, size: int) -> list[tuple[slice, np.ndarray, np.ndar
 
 
 def _aux_residual_guard(cfg: SchemeConfig, grid, rates, workspace=None) -> Callable[..., None]:
-    """``guard(ybar, y_new, aux_new, aux_old)`` raises AuxiliaryResidualError,
+    """``guard(ybar, aux_new, aux_old)`` raises AuxiliaryResidualError,
     naming the first failing rate, unless every memory field meets its implicit
     equation to rounding: the residual new_i y_i' - old_i y_i - ybar (new_i =
     1/tau + sigma b_i, old_i = 1/tau - (1-sigma) b_i) must stay within 1e-12
     (new_i |y_i'| + |ybar|) in the L2 norm, which bounds |old_i y_i| too by the
-    update identity, at any b_i tau; y_new is not read.
+    update identity, at any b_i tau.
 
     Its per-block plan is built here: coefficient columns, the work buffers of
     ``workspace`` (a ``_block_workspace``, shared with the caller's own block
@@ -203,7 +202,7 @@ def _aux_residual_guard(cfg: SchemeConfig, grid, rates, workspace=None) -> Calla
         for blk, res, spare in workspace or _block_workspace(m, size)
     ]
 
-    def guard(ybar, y_new, aux_new, aux_old) -> None:
+    def guard(ybar, aux_new, aux_old) -> None:
         new, old, yb = aux_new.reshape(m, size), aux_old.reshape(m, size), ybar.reshape(size)
         rows, cols = aux_new.reshape(m, 1, size), aux_new.reshape(m, size, 1)
         for blk, new_col, old_col, res, spare, res_rows, res_cols, r2_blk, n2_blk in plan:
@@ -274,7 +273,7 @@ def soe_stepper(p: ProblemSpec, cfg: SchemeConfig) -> Callable[[SoeState], SoeSt
                 np.multiply(decay_col, old[blk], out=new[blk])
                 np.multiply(gain_col, yb, out=work)
                 new[blk] += work
-            guard(ybar, y_new, aux, s.aux)
+            guard(ybar, aux, s.aux)
         return SoeState(y=y_new, aux=aux, n=s.n + 1, t=s.t + tau)
 
     return step
@@ -399,30 +398,3 @@ def energy(p: ProblemSpec, s: SoeState) -> float:
         forms = np.maximum(forms, 0.0) * grid.cell_area
         total = a_norm(p.mass, s.y, grid) ** 2 + float(np.dot(p.kernel.weights, forms))
     return math.sqrt(total)
-
-
-def scalar_ode_oracle(a1: float, b1: float, lam: float, u0: float, t) -> float:
-    """Closed-form solution of u'' + b1 u' + a1*lam*u = 0, u(0)=u0, u'(0)=0.
-
-    This is the single-exponential memory problem reduced to a local
-    second-order ODE with a scalar spatial operator lam > 0; it serves as
-    the independent convergence oracle for the m = 1 steppers.
-    """
-    if not (a1 > 0 and b1 >= 0 and lam > 0):
-        raise ValueError("need a1 > 0, b1 >= 0, lam > 0")
-    t = np.asarray(t, dtype=float)
-    c = a1 * lam
-    disc = b1 * b1 - 4.0 * c
-    if disc > 0:
-        root = np.sqrt(disc)
-        r1 = 0.5 * (-b1 + root)
-        r2 = 0.5 * (-b1 - root)
-        out = u0 * (r2 * np.exp(r1 * t) - r1 * np.exp(r2 * t)) / (r2 - r1)
-    elif disc < 0:
-        omega = 0.5 * np.sqrt(-disc)
-        decay = np.exp(-0.5 * b1 * t)
-        out = u0 * decay * (np.cos(omega * t) + (0.5 * b1 / omega) * np.sin(omega * t))
-    else:
-        r = -0.5 * b1
-        out = u0 * (1.0 - r * t) * np.exp(r * t)
-    return out if out.ndim else float(out)

@@ -36,11 +36,10 @@ from memstep.schemes import (
     ProblemSpec,
     SchemeConfig,
     energy,
-    scalar_ode_oracle,
     soe_init,
     soe_stepper,
 )
-from conftest import scalar_problem
+from conftest import scalar_ode_oracle, scalar_problem
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -272,7 +271,7 @@ def test_auxiliary_residual_guard_active():
     tripped = False
     try:
         _aux_residual_guard(cfg, problem.initial.grid, [2.0])(
-            ybar=state.y, y_new=state.y, aux_new=wrong, aux_old=state.aux,
+            ybar=state.y, aux_new=wrong, aux_old=state.aux,
         )
     except AuxiliaryResidualError:
         tripped = True

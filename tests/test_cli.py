@@ -1,13 +1,16 @@
 import json
 import math
+import os
 import warnings
 
 import numpy as np
 import pytest
 
+from conftest import set_cpus
 from memstep import cli, experiments
 from memstep.kernels import StretchedExponential, kernel_sup_error, load_builtin_prony
-from memstep.operators import FivePointLaplacian, NotSpdError
+from memstep.operators import ConvergenceError, FivePointLaplacian, NotSpdError
+from memstep.schemes import NonFiniteError
 
 # fast settings shared by most invocations: coarse grid, short horizon
 FAST = [
@@ -208,6 +211,10 @@ class TestNumericalFailures:
         assert not (out_root / "run" / "trajectory.csv").exists()
 
 
+# a study of four short runs: a 64-step reference and three ladder entries
+SMALL_STUDY = {"grid": 8, "T": 1.0, "reference_steps": 64, "ladder_steps": [16, 8, 32]}
+
+
 class TestConvergeCommand:
     @pytest.mark.parametrize("reference_steps", ["384", "300"])
     def test_ladder_entry_at_or_above_reference_rejected(self, out_root, capsys, reference_steps):
@@ -259,6 +266,7 @@ class TestConvergeCommand:
         assert (run_dir / "manifest.json").exists()
 
     def test_finest_entry_runs_once_and_feeds_errors_csv(self, out_root, tmp_path, monkeypatch):
+        set_cpus(monkeypatch, 1)  # every run in this process, where the calls are counted
         config = tmp_path / "cfg.json"
         config.write_text(
             json.dumps(
@@ -286,6 +294,72 @@ class TestConvergeCommand:
         expected = tmp_path / "expected.csv"
         experiments.write_errors_csv(errs, expected)
         assert (out_root / "converge" / "errors.csv").read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_outputs_match_a_one_cpu_run(self, tmp_path, monkeypatch, cpus):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(SMALL_STUDY))
+        calls = []
+        sample_run = experiments._sample_run
+        monkeypatch.setattr(
+            experiments, "_sample_run", lambda *a, **kw: calls.append(1) or sample_run(*a, **kw)
+        )
+        outputs = {}
+        for count in (1, cpus):
+            set_cpus(monkeypatch, count)
+            calls.clear()
+            out = tmp_path / f"cpus-{count}"
+            assert cli.main(["converge", "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
+            outputs[count] = [(out / "converge" / name).read_bytes()
+                              for name in ("convergence.csv", "errors.csv")]
+        assert len(calls) < 4  # the last pass forked: this process ran only some of the 4 runs
+        assert outputs[cpus] == outputs[1]
+
+    @pytest.mark.parametrize("error", [
+        lambda: NonFiniteError("non-finite values in the update of step 3 (t=0.046875): overflow"),
+        lambda: ConvergenceError("CG did not converge: residual 1.5e-03 after 7 iterations",
+                                 1.5e-3, 7),
+    ], ids=["non-finite", "cg"])
+    def test_reference_failure_in_a_worker_reads_as_in_order(
+        self, tmp_path, monkeypatch, capsys, error
+    ):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(SMALL_STUDY))
+        sample_run = experiments._sample_run
+
+        def failing_run(spec, sigma, n_steps):
+            if n_steps == spec.n_ref:  # the reference, which a worker runs alone
+                raise error()
+            return sample_run(spec, sigma=sigma, n_steps=n_steps)
+
+        monkeypatch.setattr(experiments, "_sample_run", failing_run)
+        errs = []
+        for count in (1, 2):
+            set_cpus(monkeypatch, count)
+            assert cli.main(["converge", "--config", str(config)]) == cli.EXIT_NUMERICAL
+            errs.append(capsys.readouterr().err)
+        assert errs[1] == errs[0] == f"numerical failure: {error()}\n"
+        with pytest.raises(ChildProcessError):  # no child is left behind
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_first_failure_in_order_is_reported(self, tmp_path, monkeypatch, capsys):
+        # every run fails; this process's own first run fails before the
+        # worker's reference, whose failure is the one an in-order study meets
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(SMALL_STUDY))
+
+        def failing_run(spec, sigma, n_steps):
+            raise NonFiniteError(f"run of {n_steps} steps")
+
+        monkeypatch.setattr(experiments, "_sample_run", failing_run)
+        errs = []
+        for count in (1, 2):
+            set_cpus(monkeypatch, count)
+            assert cli.main(["converge", "--config", str(config)]) == cli.EXIT_NUMERICAL
+            errs.append(capsys.readouterr().err)
+        assert errs[1] == errs[0] == "numerical failure: run of 64 steps\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestKernelErrorCommand:

@@ -1,10 +1,13 @@
 import dataclasses
+import os
+import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from conftest import set_cpus
 from memstep import experiments
 from memstep.experiments import (
     AlignmentError,
@@ -26,6 +29,7 @@ from memstep.grid import Grid2D, GridFunction
 from memstep.kernels import load_builtin_prony
 from memstep.operators import FivePointLaplacian, sine_transform
 from memstep.schemes import (
+    NonFiniteError,
     ProblemSpec,
     SchemeConfig,
     energy,
@@ -180,6 +184,43 @@ class TestConvergenceStudy:
             convergence_study(small_spec, (16, 32))
 
 
+class TestStudyWorkers:
+    def test_default_study_runs_the_reference_apart(self):
+        # reference first, then the default ladder; the last group is this process's
+        assert experiments._deal([1000, 48, 96, 192, 384], 2) == [[0], [1, 2, 3, 4]]
+
+    def test_worker_holding_only_later_runs_is_killed(self, small_spec, small_run, monkeypatch):
+        set_cpus(monkeypatch, 2)
+
+        def failing_run(spec, sigma, n_steps):
+            if n_steps == 64:  # the worker's only run
+                time.sleep(60)
+            raise NonFiniteError(f"run of {n_steps} steps")
+
+        monkeypatch.setattr(experiments, "_sample_run", failing_run)
+        start = time.monotonic()
+        with pytest.raises(NonFiniteError, match="run of 16 steps"):
+            convergence_study(small_spec, (16, 32, 64), reference=small_run)
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):  # killed and reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_without_a_result_names_its_runs(self, small_spec, small_run, monkeypatch):
+        set_cpus(monkeypatch, 2)
+
+        def exiting_run(spec, sigma, n_steps):
+            if n_steps == 64:
+                os._exit(7)
+            return small_run
+
+        monkeypatch.setattr(experiments, "_sample_run", exiting_run)
+        message = r"running the runs of 64 steps ended without a result \(wait status 1792\)"
+        with pytest.raises(RuntimeError, match=message):  # 1792: exit code 7
+            convergence_study(small_spec, (16, 32, 64), reference=small_run)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 class TestRecordsOnlyWhatIsWritten:
     @staticmethod
     def count_energies(monkeypatch):
@@ -190,6 +231,7 @@ class TestRecordsOnlyWhatIsWritten:
         return calls
 
     def test_convergence_study_takes_no_energy(self, small_spec, monkeypatch):
+        set_cpus(monkeypatch, 1)  # every run in this process, where the calls are counted
         calls = self.count_energies(monkeypatch)
         result = convergence_study(small_spec, (16, 32, 64))
         assert calls == [] and len(result.rows) == 3

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -267,6 +268,12 @@ class TestCgSolve:
             cg_solve(op, rhs.values, g, tol=1e-14, max_iter=2)
         assert err.value.residual > 0
         assert err.value.iterations == 2
+
+    def test_convergence_error_survives_pickling(self):
+        # a study's worker process sends its exception back pickled
+        err = pickle.loads(pickle.dumps(ConvergenceError("no convergence", 1.5e-3, 7)))
+        assert type(err) is ConvergenceError and str(err) == "no convergence"
+        assert err.residual == 1.5e-3 and err.iterations == 7
 
     @pytest.mark.parametrize("shape", [(7, 1), (8, 8)])
     def test_rhs_of_another_shape_rejected(self, shape):

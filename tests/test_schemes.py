@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import scalar_problem
+from conftest import scalar_ode_oracle, scalar_problem
 from memstep import schemes
 from memstep.grid import Grid2D, GridFunction, l2_norm, sample_function
 from memstep.kernels import PronySeries, load_builtin_prony
@@ -30,7 +30,6 @@ from memstep.schemes import (
     _product_trapezoid_weights,
     energy,
     history_levels,
-    scalar_ode_oracle,
     soe_init,
     soe_stepper,
 )
@@ -468,8 +467,8 @@ class TestQuadratureStep:
 
 
 def honest_update(rng, grid, cfg, rates):
-    """``(ybar, y_new, aux_new, aux_old)`` of one exact auxiliary update from
-    random fields."""
+    """The guard's arguments ``(ybar, aux_new, aux_old)`` for one exact
+    auxiliary update from random fields, and that update's ``y_new``."""
     sig, tau = cfg.sigma, cfg.tau
     y_old, y_new = rng.standard_normal((2,) + grid.shape)
     ybar = sig * y_new + (1.0 - sig) * y_old
@@ -477,7 +476,7 @@ def honest_update(rng, grid, cfg, rates):
     d = 1.0 + sig * rates * tau
     decay, gain = (1.0 - (1.0 - sig) * rates * tau) / d, tau / d
     aux_new = decay[:, None, None] * aux_old + gain[:, None, None] * ybar
-    return ybar, y_new, aux_new, aux_old
+    return (ybar, aux_new, aux_old), y_new
 
 
 class TestAuxResidualGuard:
@@ -485,28 +484,28 @@ class TestAuxResidualGuard:
         grid = Grid2D(6, 6)
         cfg = SchemeConfig(sigma=0.75, tau=0.1)
         rates = np.array([0.5, 2.0, 8.0])
-        ybar, y_new, aux_new, aux_old = honest_update(rng, grid, cfg, rates)
+        (ybar, aux_new, aux_old), y_new = honest_update(rng, grid, cfg, rates)
         guard = _aux_residual_guard(cfg, grid, rates)
-        guard(ybar, y_new, aux_new, aux_old)  # honest: silent
+        guard(ybar, aux_new, aux_old)  # honest: silent
         wrong = aux_new.copy()
         wrong[1:] += 1e-3  # the second and third fields
         with pytest.raises(AuxiliaryResidualError, match=r"\(rate b=2\.0\)"):
-            guard(ybar, y_new, wrong, aux_old)
+            guard(ybar, wrong, aux_old)
         with pytest.raises(AuxiliaryResidualError, match=r"\(rate b=0\.5\)"):
-            guard(y_new, y_new, aux_new, aux_old)  # wrong ybar
+            guard(y_new, aux_new, aux_old)  # wrong ybar
 
     @pytest.mark.parametrize("b_tau", [0.01, 1e4])
     def test_relative_perturbation_of_one_field_fails(self, rng, b_tau):
         grid = Grid2D(6, 6)
         cfg = SchemeConfig(sigma=0.5, tau=0.1)
         rates = np.array([0.5, b_tau / cfg.tau, 3.0])
-        ybar, y_new, aux_new, aux_old = honest_update(rng, grid, cfg, rates)
+        (ybar, aux_new, aux_old), _ = honest_update(rng, grid, cfg, rates)
         guard = _aux_residual_guard(cfg, grid, rates)
-        guard(ybar, y_new, aux_new, aux_old)  # honest, stiff or not: silent
+        guard(ybar, aux_new, aux_old)  # honest, stiff or not: silent
         wrong = aux_new.copy()
         wrong[1] *= 1.0 + 1e-9
         with pytest.raises(AuxiliaryResidualError, match=rf"\(rate b={rates[1]}\)"):
-            guard(ybar, y_new, wrong, aux_old)
+            guard(ybar, wrong, aux_old)
 
     def test_spans_several_blocks(self, rng, monkeypatch):
         monkeypatch.setattr(schemes, "_BLOCK_VALUES", 50)  # two 5x5 fields a block
@@ -514,13 +513,13 @@ class TestAuxResidualGuard:
         assert len(schemes._blocks(3, 25)) == 2
         cfg = SchemeConfig(sigma=0.75, tau=0.1)
         rates = np.array([0.5, 2.0, 8.0])
-        ybar, y_new, aux_new, aux_old = honest_update(rng, grid, cfg, rates)
+        (ybar, aux_new, aux_old), _ = honest_update(rng, grid, cfg, rates)
         guard = _aux_residual_guard(cfg, grid, rates)
-        guard(ybar, y_new, aux_new, aux_old)  # honest: silent
+        guard(ybar, aux_new, aux_old)  # honest: silent
         wrong = aux_new.copy()
         wrong[2] += 1e-3  # only the last block
         with pytest.raises(AuxiliaryResidualError, match=r"\(rate b=8\.0\)"):
-            guard(ybar, y_new, wrong, aux_old)
+            guard(ybar, wrong, aux_old)
         # the blocked step matches the unblocked one, and its guard stays silent
         p = ProblemSpec(
             operator=FivePointLaplacian(grid),
@@ -539,8 +538,8 @@ class TestAuxResidualGuard:
         grid = Grid2D(6, 6)
         cfg = SchemeConfig(sigma=0.75, tau=0.1)
         rates_a, rates_b = np.array([0.5, 2.0, 8.0]), np.array([1.0, 4.0, 16.0])
-        update_a = honest_update(rng, grid, cfg, rates_a)
-        update_b = honest_update(rng, grid, cfg, rates_b)
+        update_a, _ = honest_update(rng, grid, cfg, rates_a)
+        update_b, _ = honest_update(rng, grid, cfg, rates_b)
         guard_a = _aux_residual_guard(cfg, grid, rates_a)
         guard_b = _aux_residual_guard(cfg, grid, rates_b)
         for _ in range(2):
@@ -555,12 +554,12 @@ class TestAuxResidualGuard:
         grid = Grid2D(6, 6)
         cfg = SchemeConfig(sigma=0.5, tau=0.1)
         rates = np.array([0.5, 2.0, 8.0])
-        ybar, y_new, aux_new, aux_old = honest_update(rng, grid, cfg, rates)
+        (ybar, aux_new, aux_old), _ = honest_update(rng, grid, cfg, rates)
         guard = _aux_residual_guard(cfg, grid, rates)
         with pytest.raises(AuxiliaryResidualError, match=r"\(rate b=0\.5\)"):
-            guard(ybar, y_new, aux_new + 1e-3, aux_old)
-        guard(ybar, y_new, aux_new, aux_old)
-        guard(*honest_update(rng, grid, cfg, rates))
+            guard(ybar, aux_new + 1e-3, aux_old)
+        guard(ybar, aux_new, aux_old)
+        guard(*honest_update(rng, grid, cfg, rates)[0])
 
     def test_steppers_stepped_alternately_match_one_alone(self, rng):
         grid = Grid2D(10, 10)
