@@ -8,14 +8,13 @@ __version__ = "0.1.0"
 from .kernels import (
     PronySeries,
     StretchedExponential,
-    SingleExponential,
     prony_eval,
     analytic_eval,
     kernel_sup_error,
     load_builtin_prony,
     prony_from_file,
 )
-from .grid import Grid2D, GridFunction, sample_function, inner_product, l2_norm
+from .grid import Grid2D, sample_function
 from .operators import (
     FivePointLaplacian,
     IdentityOperator,
@@ -38,7 +37,6 @@ from .experiments import (
     model_initial_condition,
     build_model_problem,
     run_model_problem,
-    compute_reference,
     error_series,
     convergence_study,
     compare_baseline,
@@ -47,17 +45,13 @@ from .experiments import (
 __all__ = [
     "PronySeries",
     "StretchedExponential",
-    "SingleExponential",
     "prony_eval",
     "analytic_eval",
     "kernel_sup_error",
     "load_builtin_prony",
     "prony_from_file",
     "Grid2D",
-    "GridFunction",
     "sample_function",
-    "inner_product",
-    "l2_norm",
     "FivePointLaplacian",
     "IdentityOperator",
     "DiagonalScaling",
@@ -75,7 +69,6 @@ __all__ = [
     "model_initial_condition",
     "build_model_problem",
     "run_model_problem",
-    "compute_reference",
     "error_series",
     "convergence_study",
     "compare_baseline",

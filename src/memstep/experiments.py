@@ -22,7 +22,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .grid import Grid2D, GridFunction, sample_function
+from .grid import Grid2D, sample_function
 from .kernels import PronySeries
 from .operators import DiagonalScaling, _sine_matrix, laplacian_eigenvalues, sine_transform
 from .schemes import (
@@ -47,7 +47,6 @@ __all__ = [
     "model_initial_condition",
     "build_model_problem",
     "run_model_problem",
-    "compute_reference",
     "error_series",
     "fit_slope",
     "convergence_study",
@@ -93,9 +92,10 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class Snapshots:
-    """Nodal field snapshots at the sample times: all an error series reads."""
+    """Nodal field snapshots, interior arrays, at the sample times: all an
+    error series reads."""
 
-    snapshots: tuple[GridFunction, ...]
+    snapshots: tuple[np.ndarray, ...]
     snapshot_times: np.ndarray
 
 
@@ -145,14 +145,14 @@ class BaselineRow:
     history_fields: int
 
 
-def model_initial_condition(grid: Grid2D) -> GridFunction:
+def model_initial_condition(grid: Grid2D) -> np.ndarray:
     return sample_function(
         grid, lambda x1, x2: x1 * x2 * np.sin(np.pi * x1) * np.sin(np.pi * x2)
     )
 
 
 def build_model_problem(
-    spec: ExperimentSpec, initial: Optional[GridFunction] = None
+    spec: ExperimentSpec, initial: Optional[np.ndarray] = None
 ) -> ProblemSpec:
     """The model problem in sine coordinates, from nodal ``initial`` values."""
     grid = Grid2D(spec.grid_n, spec.grid_n)
@@ -161,7 +161,7 @@ def build_model_problem(
     return ProblemSpec(
         operator=DiagonalScaling(laplacian_eigenvalues(grid)),
         kernel=spec.kernel,
-        initial=GridFunction(grid, sine_transform(initial.values, grid)),
+        initial=sine_transform(initial, grid),
     )
 
 
@@ -193,7 +193,7 @@ def run_model_problem(
     spec: ExperimentSpec,
     sigma: Optional[float] = None,
     n_steps: Optional[int] = None,
-    initial: Optional[GridFunction] = None,
+    initial: Optional[np.ndarray] = None,
 ) -> Trajectory:
     """Run the relaxation problem and collect the trajectory log.
 
@@ -203,7 +203,7 @@ def run_model_problem(
     n_steps = spec.n_steps if n_steps is None else n_steps
     stride = _snapshot_stride(n_steps, spec.sample_count)
     problem = build_model_problem(spec, initial=initial)
-    grid = problem.initial.grid
+    grid = problem.grid
     i, j = grid.center_index
     row, col = _sine_matrix(grid.n1)[i], _sine_matrix(grid.n2)[:, j]  # the centre node's
     times, energies, centers, snapshots = [], [], [], []
@@ -212,7 +212,7 @@ def run_model_problem(
         energies.append(energy(problem, state))
         centers.append(float(row @ state.y @ col))
         if state.n and state.n % stride == 0:
-            snapshots.append(GridFunction(grid, sine_transform(state.y, grid)))
+            snapshots.append(sine_transform(state.y, grid))
     return Trajectory(
         steps=np.arange(n_steps + 1),
         times=np.array(times),
@@ -228,18 +228,13 @@ def _sample_run(spec: ExperimentSpec, sigma: Optional[float], n_steps: int) -> S
     energy or centre value): the ladder and reference runs of a study."""
     stride = _snapshot_stride(n_steps, spec.sample_count)
     problem = build_model_problem(spec)
-    grid = problem.initial.grid
+    grid = problem.grid
     snapshots = tuple(
-        GridFunction(grid, sine_transform(s.y, grid))
+        sine_transform(s.y, grid)
         for s in _states(problem, _scheme(spec, sigma, n_steps), n_steps)
         if s.n and s.n % stride == 0
     )
     return Snapshots(snapshots=snapshots, snapshot_times=spec.sample_times())
-
-
-def compute_reference(spec: ExperimentSpec) -> Snapshots:
-    """Fine-time-grid symmetric-scheme run used as the comparison reference."""
-    return _sample_run(spec, sigma=0.5, n_steps=spec.n_ref)
 
 
 def error_series(coarse: Snapshots, reference: Snapshots) -> ErrorSeries:
@@ -253,8 +248,9 @@ def error_series(coarse: Snapshots, reference: Snapshots) -> ErrorSeries:
         raise AlignmentError("snapshot times differ between runs")
     eps2, epsinf = [], []
     for w, ref in zip(coarse.snapshots, reference.snapshots):
-        diff = w.values - ref.values
-        eps2.append(float(np.sqrt(np.sum(diff * diff) * w.grid.cell_area)))
+        diff = w - ref
+        cell_area = Grid2D(diff.shape[0] + 1, diff.shape[1] + 1).cell_area
+        eps2.append(float(np.sqrt(np.sum(diff * diff) * cell_area)))
         epsinf.append(float(np.max(np.abs(diff))))
     return ErrorSeries(
         times=np.array(coarse.snapshot_times),
@@ -404,7 +400,7 @@ def convergence_study(
                 f"ladder entry {max(step_ladder)} must be below the reference's {spec.n_ref} steps"
             )
         _snapshot_stride(spec.n_ref, spec.sample_count)
-        runs.insert(0, (0.5, spec.n_ref))  # compute_reference's run
+        runs.insert(0, (0.5, spec.n_ref))  # the symmetric reference
     sampled = _map_runs(lambda sig, n: _sample_run(spec, sigma=sig, n_steps=n), runs)
     if reference is None:
         reference, *sampled = sampled
@@ -445,7 +441,7 @@ def compare_baseline(
 
 def _compare_one(problem: ProblemSpec, spec: ExperimentSpec, n_steps: int) -> BaselineRow:
     """One ladder entry; no view of its history outlives the call."""
-    grid = problem.initial.grid
+    grid = problem.grid
     cfg = _scheme(spec, None, n_steps)
     t0 = time.perf_counter()
     levels = history_levels(problem, cfg, n_steps)

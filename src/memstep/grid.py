@@ -1,9 +1,9 @@
-"""Uniform rectangular grid on the unit square and grid functions on it.
+"""Uniform rectangular grid on the unit square.
 
-Grid functions carry values only at interior nodes; homogeneous Dirichlet
-values on the boundary are implicit zeros and are never stored.  The inner
-product is the mesh-weighted sum ``(w, u) = sum w*u*h1*h2`` so norms are
-discrete L2 norms.
+A field on it is an ``(n1-1, n2-1)`` array of values at the interior nodes;
+homogeneous Dirichlet values on the boundary are implicit zeros and are never
+stored.  The inner product is the mesh-weighted sum ``(w, u) = sum w*u*h1*h2``
+so norms are discrete L2 norms.
 """
 
 from __future__ import annotations
@@ -12,18 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "Grid2D",
-    "GridFunction",
-    "GridMismatchError",
-    "sample_function",
-    "inner_product",
-    "l2_norm",
-]
+__all__ = ["Grid2D", "GridMismatchError", "sample_function"]
 
 
 class GridMismatchError(ValueError):
-    """Raised when two grid functions live on different grids."""
+    """Raised when a field's shape is not the interior of its grid."""
 
 
 @dataclass(frozen=True)
@@ -65,58 +58,8 @@ class Grid2D:
         x2 = np.arange(1, self.n2) * self.h2
         return np.meshgrid(x1, x2, indexing="ij")
 
-    def zeros(self) -> "GridFunction":
-        return GridFunction(self, np.zeros(self.shape))
 
-
-class GridFunction:
-    """Real-valued function on the interior nodes of a Grid2D.
-
-    Treated as an immutable value: arithmetic returns new instances and the
-    backing array is never written in place.
-    """
-
-    __slots__ = ("grid", "values")
-
-    def __init__(self, grid: Grid2D, values: np.ndarray):
-        values = np.asarray(values, dtype=float)
-        if values.shape != grid.shape:
-            raise GridMismatchError(
-                f"values shape {values.shape} does not match interior {grid.shape}"
-            )
-        self.grid = grid
-        self.values = values
-
-    def _check_same_grid(self, other: "GridFunction"):
-        if self.grid != other.grid:
-            raise GridMismatchError(f"grids differ: {self.grid} vs {other.grid}")
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        self._check_same_grid(other)
-        return GridFunction(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        self._check_same_grid(other)
-        return GridFunction(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "GridFunction":
-        return GridFunction(self.grid, self.values * scalar)
-
-    __rmul__ = __mul__
-
-
-def sample_function(grid: Grid2D, f) -> GridFunction:
+def sample_function(grid: Grid2D, f) -> np.ndarray:
     """Sample a pointwise function f(x1, x2) at the interior nodes."""
     x1, x2 = grid.interior_coords()
-    values = np.broadcast_to(np.asarray(f(x1, x2), dtype=float), grid.shape)
-    return GridFunction(grid, np.array(values))
-
-
-def inner_product(w: GridFunction, u: GridFunction) -> float:
-    """Mesh-weighted dot product sum(w*u) * h1 * h2."""
-    w._check_same_grid(u)
-    return float(np.sum(w.values * u.values) * w.grid.cell_area)
-
-
-def l2_norm(w: GridFunction) -> float:
-    return float(np.sqrt(np.sum(w.values * w.values) * w.grid.cell_area))
+    return np.array(np.broadcast_to(np.asarray(f(x1, x2), dtype=float), grid.shape))

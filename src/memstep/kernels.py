@@ -14,15 +14,12 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Union
 
 import numpy as np
 
 __all__ = [
     "PronySeries",
     "StretchedExponential",
-    "SingleExponential",
-    "AnalyticKernel",
     "KernelErrorReport",
     "KernelFormatError",
     "prony_eval",
@@ -83,9 +80,6 @@ class PronySeries:
         """Exact value at t = 0 (no exponential evaluation involved)."""
         return math.fsum(self.weights)
 
-    def __call__(self, t):
-        return prony_eval(self, t)
-
 
 @dataclass(frozen=True)
 class StretchedExponential:
@@ -96,29 +90,6 @@ class StretchedExponential:
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta={self.beta} must lie in (0, 1)")
-
-    def __call__(self, t):
-        return analytic_eval(self, t)
-
-
-@dataclass(frozen=True)
-class SingleExponential:
-    """a1 * exp(-b1 * t) with a1 > 0, b1 > 0."""
-
-    a1: float
-    b1: float
-
-    def __post_init__(self):
-        if not self.a1 > 0:
-            raise ValueError(f"a1={self.a1} must be > 0")
-        if not self.b1 > 0:
-            raise ValueError(f"b1={self.b1} must be > 0")
-
-    def __call__(self, t):
-        return analytic_eval(self, t)
-
-
-AnalyticKernel = Union[StretchedExponential, SingleExponential]
 
 
 @dataclass(frozen=True)
@@ -154,15 +125,11 @@ def prony_eval(series: PronySeries, t):
     return out if isinstance(t, np.ndarray) else float(out)
 
 
-def analytic_eval(kernel: AnalyticKernel, t):
-    """Evaluate an analytic kernel at time(s) t >= 0."""
-    t_arr = _require_nonnegative_time(t)
-    if isinstance(kernel, StretchedExponential):
-        out = np.exp(-(t_arr**kernel.beta))
-    elif isinstance(kernel, SingleExponential):
-        out = kernel.a1 * np.exp(-kernel.b1 * t_arr)
-    else:
+def analytic_eval(kernel: StretchedExponential, t):
+    """Evaluate the analytic kernel exp(-t**beta) at time(s) t >= 0."""
+    if not isinstance(kernel, StretchedExponential):
         raise TypeError(f"not an analytic kernel: {kernel!r}")
+    out = np.exp(-(_require_nonnegative_time(t) ** kernel.beta))
     return out if isinstance(t, np.ndarray) else float(out)
 
 
@@ -175,7 +142,7 @@ def _geometric_grid(t_min: float, t_max: float, samples: int) -> np.ndarray:
 
 
 def kernel_sup_error(
-    analytic: AnalyticKernel,
+    analytic: StretchedExponential,
     prony: PronySeries,
     window: tuple[float, float] = (1e-1, 10.0),
     samples: int = 1000,

@@ -1,15 +1,15 @@
-"""Symmetric positive (semi)definite operators on grid functions.
+"""Symmetric positive (semi)definite operators on fields of interior values.
 
 Operators, ``cg_solve`` and ``a_norm`` take arrays of interior values with the
-grid alongside; an operator defines one method, ``apply_values(v, grid)``, and
-``apply`` wraps it for grid functions at the API edge.  All are matrix-free:
-the five-point Laplacian applies its stencil directly (implicit zero ghost
-values on the Dirichlet boundary) and the per-step shifted systems are solved
-with conjugate gradients from the exact diagonal start ``rhs / diagonal``,
-which solves a sum of pointwise terms in one division and no iteration.
-In the orthonormal sine (DST-I) basis of ``sine_transform`` the Laplacian is
-the pointwise ``laplacian_eigenvalues``: a problem built there needs no CG.
-Application is deterministic: fixed sequential accumulation order, no threading.
+grid alongside; an operator defines one method, ``apply_values(v, grid)``.
+All are matrix-free: the five-point Laplacian applies its stencil directly
+(implicit zero ghost values on the Dirichlet boundary) and the per-step
+shifted systems are solved with conjugate gradients from the exact diagonal
+start ``rhs / diagonal``, which solves a sum of pointwise terms in one
+division and no iteration.  In the orthonormal sine (DST-I) basis of
+``sine_transform`` the Laplacian is the pointwise ``laplacian_eigenvalues``:
+a problem built there needs no CG.  Application is deterministic: fixed
+sequential accumulation order, no threading.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid2D, GridFunction, GridMismatchError
+from .grid import Grid2D, GridMismatchError
 
 __all__ = [
     "SpdOperator",
@@ -29,7 +29,6 @@ __all__ = [
     "DiagonalScaling",
     "ScaledSum",
     "a_norm",
-    "laplacian_min_eigenvalue",
     "laplacian_eigenvalues",
     "sine_transform",
     "cg_solve",
@@ -56,10 +55,7 @@ class NotSpdError(ValueError):
 
 class SpdOperator:
     """Abstract symmetric positive (semi)definite linear map.  A subclass
-    defines only :meth:`apply_values`; :meth:`apply` wraps it for grid functions."""
-
-    def apply(self, w: GridFunction) -> GridFunction:
-        return GridFunction(w.grid, self.apply_values(w.values, w.grid))
+    defines only :meth:`apply_values`."""
 
     def apply_values(self, v: np.ndarray, grid: Grid2D) -> np.ndarray:
         """Apply to interior values of shape ``(..., n1-1, n2-1)``, leading
@@ -210,11 +206,6 @@ def a_norm(op: SpdOperator, v: np.ndarray, grid: Grid2D) -> float:
     if q < -1e-12 * max(float(np.vdot(v, v)) * grid.cell_area, 1e-300):
         raise NotSpdError(f"quadratic form is negative: {q}")
     return math.sqrt(max(q, 0.0))
-
-
-def laplacian_min_eigenvalue(grid: Grid2D) -> float:
-    """Smallest eigenvalue of the five-point Laplacian on ``grid``."""
-    return float(_sine_eigenvalues(grid.n1)[0] + _sine_eigenvalues(grid.n2)[0])
 
 
 def cg_solve(

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import GridFunction
+from .grid import Grid2D, GridMismatchError
 from .kernels import PronySeries
 from .operators import (
     DiagonalScaling,
@@ -80,10 +81,6 @@ class SchemeConfig:
         if not self.tau > 0:
             raise SchemeConfigError(f"tau={self.tau} must be > 0")
 
-    @property
-    def stability_guaranteed(self) -> bool:
-        return self.sigma >= 0.5
-
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -92,16 +89,31 @@ class ProblemSpec:
     ``operator`` is the positive definite spatial operator under the memory
     integral; ``mass`` (positive definite, default identity) multiplies the
     time derivative; ``reaction`` (positive semidefinite) is an optional
-    zeroth-order term.  ``forcing`` maps a time to a grid function; None
-    means zero forcing.
+    zeroth-order term.  ``initial`` is the field of interior values at t = 0,
+    an ``(n1-1, n2-1)`` array, whose shape fixes the problem's ``grid``;
+    ``forcing`` maps a time to a field of that shape; None means zero forcing.
     """
 
     operator: SpdOperator
     kernel: PronySeries
-    initial: GridFunction
-    forcing: Optional[Callable[[float], GridFunction]] = None
+    initial: np.ndarray
+    forcing: Optional[Callable[[float], np.ndarray]] = None
     mass: SpdOperator = field(default_factory=IdentityOperator)
     reaction: Optional[SpdOperator] = None
+
+    def __post_init__(self):
+        initial = np.asarray(self.initial, dtype=float)
+        if initial.ndim != 2:
+            raise GridMismatchError(
+                f"initial values of shape {initial.shape} are not a 2-D interior field"
+            )
+        object.__setattr__(self, "initial", initial)
+        _ = self.grid  # built now, so an interior with an empty axis fails here
+
+    @cached_property
+    def grid(self) -> Grid2D:
+        """The grid whose interior is ``initial``'s shape."""
+        return Grid2D(self.initial.shape[0] + 1, self.initial.shape[1] + 1)
 
     @property
     def is_plain(self) -> bool:
@@ -163,10 +175,22 @@ class _finite:
             raise NonFiniteError(message) from None
 
 
+def _forcing(p: ProblemSpec, t: float) -> np.ndarray:
+    """``p.forcing(t)``, which must be a field of the problem's interior shape:
+    any other would broadcast silently into the right-hand side."""
+    values = p.forcing(t)
+    if np.shape(values) != p.initial.shape:
+        raise GridMismatchError(
+            f"forcing of shape {np.shape(values)} at t={t:.6g} does not match "
+            f"the interior {p.initial.shape}"
+        )
+    return values
+
+
 def soe_init(p: ProblemSpec) -> SoeState:
     """Initial state: y = u0, all compressed memory functions zero."""
-    aux = np.zeros((p.kernel.n_terms,) + p.initial.grid.shape)
-    return SoeState(y=p.initial.values, aux=aux, n=0, t=0.0)
+    aux = np.zeros((p.kernel.n_terms,) + p.initial.shape)
+    return SoeState(y=p.initial, aux=aux, n=0, t=0.0)
 
 
 def _block_workspace(m: int, size: int) -> list[tuple[slice, np.ndarray, np.ndarray]]:
@@ -248,7 +272,7 @@ def soe_stepper(p: ProblemSpec, cfg: SchemeConfig) -> Callable[[SoeState], SoeSt
     if p.reaction is not None:
         terms.append((sig * tau, p.reaction))
     lhs = _collapsed(terms)
-    grid = p.initial.grid
+    grid = p.grid
     m, size = len(b), grid.shape[0] * grid.shape[1]
     workspace = _block_workspace(m, size)
     update = [(blk, decay[blk, None], gain[blk, None], work) for blk, work, _ in workspace]
@@ -264,7 +288,7 @@ def soe_stepper(p: ProblemSpec, cfg: SchemeConfig) -> Callable[[SoeState], SoeSt
             if p.reaction is not None:
                 rhs -= ((1.0 - sig) * tau) * p.reaction.apply_values(y, grid)
             if p.forcing is not None:  # evaluated at the mid level t_n + sigma*tau
-                rhs += tau * p.forcing(s.t + sig * tau).values
+                rhs += tau * _forcing(p, s.t + sig * tau)
             y_new = cg_solve(lhs, rhs, grid, tol=cfg.cg_tol)
             ybar = sig * y_new + (1.0 - sig) * y
             aux = np.empty(s.aux.shape)
@@ -317,15 +341,16 @@ def _product_trapezoid_weights(
     """
     a = np.asarray(kernel.weights)
     c = tau * np.asarray(kernel.rates)
-    small, big = c < 1e-8, c > 700.0
+    big = c > 700.0
 
     # A term's lag-L weight is a factor times exp(-c L); the factors tend to
     # 1/2, 1, 1/2 as c -> 0, the edge ones from their series (_edge_factors).
-    # Past c = 700, where expm1(c) and sinh(c/2)**2 overflow, they carry one
+    # An inner level's hat is a right and a left half-hat, so its factor,
+    # 4 sinh(c/2)**2 / c**2, is the start factor plus the end factor.  Past
+    # c = 700, where expm1(c) overflows, the start and inner factors carry one
     # exp(-c), which makes both 1/c**2 to rounding, and the table exp(-c (L-1)).
-    cs = np.where(small | big, 1.0, c)
     start_factor, end_factor = _edge_factors(np.where(big, 1.0, c))
-    inner_factor = np.where(small, 1.0, 4.0 * np.sinh(cs / 2.0) ** 2 / cs**2)
+    inner_factor = start_factor + end_factor
     end_factor[big] = (c[big] + np.expm1(-c[big])) / c[big] ** 2
     start_factor[big] = inner_factor[big] = c[big] ** -2.0
 
@@ -355,11 +380,11 @@ def history_levels(p: ProblemSpec, cfg: SchemeConfig, n_steps: int) -> np.ndarra
     if not p.is_plain:
         raise SchemeConfigError("the full-history baseline handles only the plain problem")
     sig, tau = cfg.sigma, cfg.tau
-    grid = p.initial.grid
+    grid = p.grid
     start, inner, w_end = _product_trapezoid_weights(p.kernel, tau, n_steps)
     lhs = _collapsed([(1.0, IdentityOperator()), (sig * tau * w_end, p.operator)])
     levels = np.empty((n_steps + 1,) + grid.shape)
-    levels[0] = p.initial.values
+    levels[0] = p.initial
     flat = levels.reshape(n_steps + 1, -1)
     weights = np.empty(n_steps)
     integral, t = 0.0, 0.0  # int_0^{t_n}, before the operator is applied
@@ -373,7 +398,7 @@ def history_levels(p: ProblemSpec, cfg: SchemeConfig, n_steps: int) -> np.ndarra
             blend = sig * known + (1.0 - sig) * integral
             rhs = levels[n] - tau * p.operator.apply_values(blend, grid)
             if p.forcing is not None:
-                rhs += tau * p.forcing(t + sig * tau).values
+                rhs += tau * _forcing(p, t + sig * tau)
             levels[n + 1] = cg_solve(lhs, rhs, grid, tol=cfg.cg_tol)
             integral = known + w_end * levels[n + 1]
         t += tau
@@ -386,7 +411,7 @@ def energy(p: ProblemSpec, s: SoeState) -> float:
     The A-forms of the memory fields come from applying the operator to
     blocks of the stack; a form negative beyond rounding raises NotSpdError.
     """
-    grid, m = p.initial.grid, len(s.aux)
+    grid, m = p.grid, len(s.aux)
     with _finite("energy", s.n, s.t):
         flat, forms = s.aux.reshape(m, -1), np.empty(m)
         for blk in _blocks(m, flat.shape[1]):

@@ -3,7 +3,6 @@ import os
 import numpy as np
 import pytest
 
-from memstep.grid import Grid2D, GridFunction
 from memstep.kernels import PronySeries
 from memstep.operators import DiagonalScaling
 from memstep.schemes import ProblemSpec
@@ -12,11 +11,10 @@ from memstep.schemes import ProblemSpec
 def scalar_problem(a1, b1, lam, u0, forcing=None):
     """m = 1 memory problem on a single-node grid; the spatial operator is
     multiplication by lam."""
-    grid = Grid2D(2, 2)
     return ProblemSpec(
         operator=DiagonalScaling(lam),
         kernel=PronySeries((a1,), (b1,)),
-        initial=GridFunction(grid, np.array([[u0]])),
+        initial=np.array([[u0]]),
         forcing=forcing,
     )
 

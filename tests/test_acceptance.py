@@ -11,15 +11,15 @@ import math
 import numpy as np
 import pytest
 
+from memstep import experiments
 from memstep.experiments import (
     ExperimentSpec,
     compare_baseline,
-    compute_reference,
     convergence_study,
     error_series,
     run_model_problem,
 )
-from memstep.grid import Grid2D, inner_product, sample_function
+from memstep.grid import Grid2D, sample_function
 from memstep.kernels import (
     StretchedExponential,
     kernel_sup_error,
@@ -28,10 +28,10 @@ from memstep.kernels import (
 from memstep.operators import (
     FivePointLaplacian,
     IdentityOperator,
+    ScaledSum,
     cg_solve,
-    laplacian_min_eigenvalue,
+    laplacian_eigenvalues,
 )
-from memstep.grid import GridFunction, l2_norm
 from memstep.schemes import (
     ProblemSpec,
     SchemeConfig,
@@ -62,7 +62,7 @@ def desk_spec():
 
 @pytest.fixture(scope="module")
 def desk_reference(desk_spec):
-    return compute_reference(desk_spec)
+    return experiments._sample_run(desk_spec, 0.5, desk_spec.n_ref)
 
 
 def test_builtin_kernel_table_fidelity():
@@ -187,22 +187,23 @@ def test_spatial_operator_correctness(rng):
     grid = Grid2D(32, 32)
     lap = FivePointLaplacian(grid)
     w = sample_function(grid, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
-    lam = laplacian_min_eigenvalue(grid)
-    eig_err = float(np.max(np.abs(lap.apply(w).values - lam * w.values)))
-    eig_ok = eig_err <= 1e-10 * lam * float(np.max(np.abs(w.values)))
+    lam = laplacian_eigenvalues(grid).min()
+    eig_err = float(np.max(np.abs(lap.apply_values(w, grid) - lam * w)))
+    eig_ok = eig_err <= 1e-10 * lam * float(np.max(np.abs(w)))
 
-    u = GridFunction(grid, rng.standard_normal(grid.shape))
-    v = GridFunction(grid, rng.standard_normal(grid.shape))
-    sym_gap = abs(inner_product(lap.apply(u), v) - inner_product(u, lap.apply(v)))
-    pd_ok = inner_product(lap.apply(u), u) >= (1 - 1e-10) * lam * inner_product(u, u)
+    def dot(a, b):  # the mesh-weighted inner product
+        return float(np.vdot(a, b)) * grid.cell_area
+
+    u, v = rng.standard_normal((2,) + grid.shape)
+    sym_gap = abs(dot(lap.apply_values(u, grid), v) - dot(u, lap.apply_values(v, grid)))
+    pd_ok = dot(lap.apply_values(u, grid), u) >= (1 - 1e-10) * lam * dot(u, u)
 
     tol = 1e-10
-    from memstep.operators import ScaledSum
-
     op = ScaledSum([(1.0, IdentityOperator()), (0.5, lap)])
-    rhs = GridFunction(grid, rng.standard_normal(grid.shape))
-    x = GridFunction(grid, cg_solve(op, rhs.values, grid, tol=tol))
-    res = l2_norm(op.apply(x) - rhs) / l2_norm(rhs)
+    rhs = rng.standard_normal(grid.shape)
+    x = cg_solve(op, rhs, grid, tol=tol)
+    r = op.apply_values(x, grid) - rhs
+    res = math.sqrt(dot(r, r) / dot(rhs, rhs))
 
     ok = eig_ok and sym_gap < 1e-10 and pd_ok and res <= tol
     report(
@@ -270,7 +271,7 @@ def test_auxiliary_residual_guard_active():
     wrong = state.aux + 1e-3
     tripped = False
     try:
-        _aux_residual_guard(cfg, problem.initial.grid, [2.0])(
+        _aux_residual_guard(cfg, problem.grid, [2.0])(
             ybar=state.y, aux_new=wrong, aux_old=state.aux,
         )
     except AuxiliaryResidualError:

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import time
 import tracemalloc
@@ -15,7 +14,6 @@ from memstep.experiments import (
     Trajectory,
     build_model_problem,
     compare_baseline,
-    compute_reference,
     convergence_study,
     error_series,
     fit_slope,
@@ -25,7 +23,7 @@ from memstep.experiments import (
     write_errors_csv,
     write_trajectory_csv,
 )
-from memstep.grid import Grid2D, GridFunction
+from memstep.grid import Grid2D
 from memstep.kernels import load_builtin_prony
 from memstep.operators import FivePointLaplacian, sine_transform
 from memstep.schemes import (
@@ -93,13 +91,13 @@ class TestRunModelProblem:
         np.testing.assert_array_equal(again.energies, small_run.energies)
         np.testing.assert_array_equal(again.center_values, small_run.center_values)
         for a, b in zip(again.snapshots, small_run.snapshots):
-            np.testing.assert_array_equal(a.values, b.values)
+            np.testing.assert_array_equal(a, b)
 
     def test_zero_initial_stays_zero(self, small_spec):
         grid = Grid2D(small_spec.grid_n, small_spec.grid_n)
-        traj = run_model_problem(small_spec, initial=grid.zeros())
+        traj = run_model_problem(small_spec, initial=np.zeros(grid.shape))
         assert np.all(traj.energies == 0.0)
-        assert all(np.all(s.values == 0.0) for s in traj.snapshots)
+        assert all(s.shape == grid.shape and np.all(s == 0.0) for s in traj.snapshots)
 
     def test_misaligned_steps_raise(self, small_spec):
         with pytest.raises(AlignmentError, match="divisible"):
@@ -113,16 +111,13 @@ class TestErrorSeries:
         assert np.all(errs.epsinf == 0.0)
 
     def test_constant_offset(self, small_spec, small_run):
-        grid = small_run.snapshots[0].grid
         c = 0.125
         shifted = Trajectory(
             steps=small_run.steps,
             times=small_run.times,
             energies=small_run.energies,
             center_values=small_run.center_values,
-            snapshots=tuple(
-                GridFunction(grid, s.values + c) for s in small_run.snapshots
-            ),
+            snapshots=tuple(s + c for s in small_run.snapshots),
             snapshot_times=small_run.snapshot_times,
         )
         errs = error_series(shifted, small_run)
@@ -167,7 +162,7 @@ class TestConvergenceStudy:
     def test_backward_euler_errors_dominate(self, small_spec):
         # soft ordering check: full weighting should be less accurate than
         # symmetric weighting at the same tau
-        reference = compute_reference(small_spec)
+        reference = experiments._sample_run(small_spec, 0.5, small_spec.n_ref)
         symmetric = convergence_study(small_spec, (16, 32, 64), reference=reference)
         full = convergence_study(
             small_spec, (16, 32, 64), sigma=1.0, reference=reference
@@ -242,10 +237,10 @@ class TestRecordsOnlyWhatIsWritten:
         assert len(calls) == small_spec.n_steps + 1
 
     def test_snapshots_match_the_recorded_run(self, small_spec, small_run):
-        sampled = compute_reference(dataclasses.replace(small_spec, n_ref=small_spec.n_steps))
+        sampled = experiments._sample_run(small_spec, None, small_spec.n_steps)
         assert not hasattr(sampled, "energies")
         for a, b in zip(sampled.snapshots, small_run.snapshots):
-            np.testing.assert_array_equal(a.values, b.values)
+            np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(sampled.snapshot_times, small_run.snapshot_times)
 
 
@@ -277,7 +272,7 @@ def test_sine_coordinates_match_physical_oracle(small_spec, small_run):
     grid = Grid2D(small_spec.grid_n, small_spec.grid_n)
     physical = ProblemSpec(FivePointLaplacian(grid), small_spec.kernel, model_initial_condition(grid))
     cfg = SchemeConfig(sigma=small_spec.sigma, tau=small_spec.tau, cg_tol=1e-13)
-    scale = np.abs(physical.initial.values).max()
+    scale = np.abs(physical.initial).max()
     stride = small_spec.n_steps // small_spec.sample_count
 
     step, state = soe_stepper(physical, cfg), soe_init(physical)
@@ -290,7 +285,7 @@ def test_sine_coordinates_match_physical_oracle(small_spec, small_run):
     centers = [y[grid.center_index] for y in path]
     np.testing.assert_allclose(centers, small_run.center_values, rtol=0, atol=1e-12 * scale)
     for y, snap in zip(path[stride::stride], small_run.snapshots):
-        np.testing.assert_allclose(snap.values, y, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(snap, y, rtol=0, atol=1e-12 * scale)
 
     modal = build_model_problem(small_spec)
     phys_hist = history_levels(physical, cfg, small_spec.n_steps)
@@ -325,6 +320,6 @@ class TestCsvWriters:
 
 def test_model_initial_condition_symmetry():
     grid = Grid2D(16, 16)
-    w = model_initial_condition(grid).values
+    w = model_initial_condition(grid)
     # u0(x1, x2) = u0(x2, x1)
     np.testing.assert_allclose(w, w.T, rtol=1e-14)

@@ -5,14 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from memstep.grid import (
-    Grid2D,
-    GridFunction,
-    GridMismatchError,
-    inner_product,
-    l2_norm,
-    sample_function,
-)
+from memstep.grid import Grid2D, GridMismatchError, sample_function
 from memstep.operators import (
     ConvergenceError,
     DiagonalScaling,
@@ -24,13 +17,21 @@ from memstep.operators import (
     a_norm,
     cg_solve,
     laplacian_eigenvalues,
-    laplacian_min_eigenvalue,
     sine_transform,
 )
 
 
-def random_gf(grid, rng):
-    return GridFunction(grid, rng.standard_normal(grid.shape))
+def random_field(grid, rng):
+    return rng.standard_normal(grid.shape)
+
+
+def dot(w, u, grid):
+    """Mesh-weighted inner product sum(w*u) * h1 * h2."""
+    return float(np.vdot(w, u)) * grid.cell_area
+
+
+def norm(w, grid):
+    return math.sqrt(dot(w, w, grid))
 
 
 class TestGrid:
@@ -46,39 +47,31 @@ class TestGrid:
     def test_sample_zero(self):
         g = Grid2D(5, 5)
         w = sample_function(g, lambda x1, x2: 0.0 * x1)
-        assert np.all(w.values == 0.0)
+        assert w.shape == g.shape and np.all(w == 0.0)
 
     def test_sample_model_initial_center(self):
         # x1*x2*sin(pi x1)*sin(pi x2) at the midpoint of an even grid
         g = Grid2D(8, 8)
         w = sample_function(g, lambda x1, x2: x1 * x2 * np.sin(np.pi * x1) * np.sin(np.pi * x2))
-        assert w.values[3, 3] == pytest.approx(0.25, rel=1e-15)
-        assert w.values[g.center_index] == pytest.approx(0.25, rel=1e-15)
+        assert w[3, 3] == pytest.approx(0.25, rel=1e-15)
+        assert w[g.center_index] == pytest.approx(0.25, rel=1e-15)
 
     def test_sample_linear(self):
         g = Grid2D(4, 4)
         w = sample_function(g, lambda x1, x2: x1)
-        np.testing.assert_allclose(w.values[:, 0], [0.25, 0.5, 0.75])
-        np.testing.assert_allclose(w.values, np.broadcast_to(w.values[:, :1], (3, 3)))
-
-    def test_grid_mismatch_raises(self):
-        w = Grid2D(4, 4).zeros()
-        u = Grid2D(8, 8).zeros()
-        with pytest.raises(GridMismatchError):
-            inner_product(w, u)
+        np.testing.assert_allclose(w[:, 0], [0.25, 0.5, 0.75])
+        np.testing.assert_allclose(w, np.broadcast_to(w[:, :1], (3, 3)))
 
 
 class TestInnerProduct:
+    """The mesh-weighted inner product, through the identity's energy norm."""
+
     def test_constant_counting(self):
         g = Grid2D(5, 7)
-        ones = GridFunction(g, np.ones(g.shape))
         expected = (5 - 1) * (7 - 1) * g.h1 * g.h2
-        assert inner_product(ones, ones) == pytest.approx(expected, rel=1e-15)
-
-    def test_symmetry(self, rng):
-        g = Grid2D(8, 8)
-        w, u = random_gf(g, rng), random_gf(g, rng)
-        assert inner_product(w, u) == pytest.approx(inner_product(u, w), rel=1e-14)
+        assert a_norm(IdentityOperator(), np.ones(g.shape), g) ** 2 == pytest.approx(
+            expected, rel=1e-15
+        )
 
     def test_l2_norm_against_direct_sum(self, rng):
         # independent brute-force summation oracle
@@ -89,46 +82,46 @@ class TestInnerProduct:
             for j in range(1, 64):
                 v = np.sin(np.pi * i / 64) * np.sin(np.pi * j / 64)
                 brute += v * v / 64 / 64
-        assert l2_norm(w) == pytest.approx(np.sqrt(brute), rel=1e-13)
+        assert a_norm(IdentityOperator(), w, g) == pytest.approx(np.sqrt(brute), rel=1e-13)
 
 
 class TestLaplacian:
     def test_zero_maps_to_zero(self):
         g = Grid2D(8, 8)
-        out = FivePointLaplacian(g).apply(g.zeros())
-        assert np.all(out.values == 0.0)
+        out = FivePointLaplacian(g).apply_values(np.zeros(g.shape), g)
+        assert np.all(out == 0.0)
 
     @pytest.mark.parametrize("n", [8, 16, 64])
     def test_discrete_eigenfunction(self, n):
         g = Grid2D(n, n)
         w = sample_function(g, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
-        lam = laplacian_min_eigenvalue(g)
-        aw = FivePointLaplacian(g).apply(w)
-        np.testing.assert_allclose(aw.values, lam * w.values, rtol=1e-10, atol=1e-13)
+        lam = laplacian_eigenvalues(g).min()
+        aw = FivePointLaplacian(g).apply_values(w, g)
+        np.testing.assert_allclose(aw, lam * w, rtol=1e-10, atol=1e-13)
 
     def test_hand_computed_stencil(self):
         # single unit spike at the center of a 3x3 interior
         g = Grid2D(4, 4)
         values = np.zeros((3, 3))
         values[1, 1] = 1.0
-        aw = FivePointLaplacian(g).apply(GridFunction(g, values))
+        aw = FivePointLaplacian(g).apply_values(values, g)
         h2 = g.h1**2
         expected = np.array(
             [[0, -1 / h2, 0], [-1 / h2, 4 / h2, -1 / h2], [0, -1 / h2, 0]]
         )
-        np.testing.assert_allclose(aw.values, expected, rtol=1e-15)
+        np.testing.assert_allclose(aw, expected, rtol=1e-15)
 
     def test_linearity(self, rng):
         g = Grid2D(12, 10)
         lap = FivePointLaplacian(g)
-        w, u = random_gf(g, rng), random_gf(g, rng)
-        lhs = lap.apply(2.5 * w + u)
-        rhs = 2.5 * lap.apply(w) + lap.apply(u)
-        np.testing.assert_allclose(lhs.values, rhs.values, rtol=1e-13, atol=1e-13)
+        w, u = random_field(g, rng), random_field(g, rng)
+        lhs = lap.apply_values(2.5 * w + u, g)
+        rhs = 2.5 * lap.apply_values(w, g) + lap.apply_values(u, g)
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-13, atol=1e-13)
 
     def test_grid_mismatch(self):
         with pytest.raises(GridMismatchError):
-            FivePointLaplacian(Grid2D(4, 4)).apply(Grid2D(8, 8).zeros())
+            FivePointLaplacian(Grid2D(4, 4)).apply_values(np.zeros((7, 7)), Grid2D(8, 8))
 
 
 @pytest.mark.parametrize(
@@ -145,16 +138,16 @@ class TestOperatorProperties:
     def test_symmetry(self, make_op, rng):
         g = Grid2D(10, 14)
         op = make_op(g)
-        w, u = random_gf(g, rng), random_gf(g, rng)
-        lhs = inner_product(op.apply(w), u)
-        rhs = inner_product(w, op.apply(u))
-        assert abs(lhs - rhs) <= 1e-12 * l2_norm(w) * l2_norm(u) * 100
+        w, u = random_field(g, rng), random_field(g, rng)
+        lhs = dot(op.apply_values(w, g), u, g)
+        rhs = dot(w, op.apply_values(u, g), g)
+        assert abs(lhs - rhs) <= 1e-12 * norm(w, g) * norm(u, g) * 100
 
     def test_nonnegative_form(self, make_op, rng):
         g = Grid2D(10, 14)
         op = make_op(g)
-        w = random_gf(g, rng)
-        assert inner_product(op.apply(w), w) >= -1e-12 * l2_norm(w) ** 2
+        w = random_field(g, rng)
+        assert dot(op.apply_values(w, g), w, g) >= -1e-12 * norm(w, g) ** 2
 
 
 def test_subclass_without_apply_values_raises():
@@ -162,17 +155,17 @@ def test_subclass_without_apply_values_raises():
         pass
 
     with pytest.raises(NotImplementedError, match="Bare"):
-        Bare().apply(Grid2D(4, 4).zeros())
+        Bare().apply_values(np.zeros((3, 3)), Grid2D(4, 4))
 
 
 class TestPositiveDefiniteness:
     def test_laplacian_lower_bound(self, rng):
         g = Grid2D(16, 16)
         lap = FivePointLaplacian(g)
-        nu = laplacian_min_eigenvalue(g)
+        nu = laplacian_eigenvalues(g).min()
         for _ in range(20):
-            w = random_gf(g, rng)
-            assert inner_product(lap.apply(w), w) >= (1 - 1e-10) * nu * inner_product(w, w)
+            w = random_field(g, rng)
+            assert dot(lap.apply_values(w, g), w, g) >= (1 - 1e-10) * nu * dot(w, w, g)
 
     def test_diagonal_negative_coefficient_rejected(self):
         with pytest.raises(NotSpdError):
@@ -192,19 +185,19 @@ class TestPositiveDefiniteness:
 class TestANorm:
     def test_identity_gives_l2(self, rng):
         g = Grid2D(8, 8)
-        w = random_gf(g, rng)
-        assert a_norm(IdentityOperator(), w.values, g) == pytest.approx(l2_norm(w), rel=1e-14)
+        w = random_field(g, rng)
+        assert a_norm(IdentityOperator(), w, g) == pytest.approx(norm(w, g), rel=1e-14)
 
     def test_laplacian_eigenfunction(self):
         g = Grid2D(32, 32)
         w = sample_function(g, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
-        lam = laplacian_min_eigenvalue(g)
-        expected = np.sqrt(lam) * l2_norm(w)
-        assert a_norm(FivePointLaplacian(g), w.values, g) == pytest.approx(expected, rel=1e-12)
+        lam = laplacian_eigenvalues(g).min()
+        expected = np.sqrt(lam) * norm(w, g)
+        assert a_norm(FivePointLaplacian(g), w, g) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_function(self):
         g = Grid2D(8, 8)
-        assert a_norm(FivePointLaplacian(g), g.zeros().values, g) == 0.0
+        assert a_norm(FivePointLaplacian(g), np.zeros(g.shape), g) == 0.0
 
     def test_negative_form_raises(self, rng):
         class Negation(SpdOperator):
@@ -213,34 +206,34 @@ class TestANorm:
 
         g = Grid2D(8, 8)
         with pytest.raises(NotSpdError):
-            a_norm(Negation(), random_gf(g, rng).values, g)
+            a_norm(Negation(), random_field(g, rng), g)
 
 
 class TestCgSolve:
     def test_identity_returns_rhs(self, rng):
         g = Grid2D(8, 8)
-        rhs = random_gf(g, rng)
-        x = cg_solve(IdentityOperator(), rhs.values, g)
-        np.testing.assert_allclose(x, rhs.values, rtol=1e-12)
+        rhs = random_field(g, rng)
+        x = cg_solve(IdentityOperator(), rhs, g)
+        np.testing.assert_allclose(x, rhs, rtol=1e-12)
 
     def test_manufactured_solution(self, rng):
         g = Grid2D(24, 24)
         op = ScaledSum([(1.0, IdentityOperator()), (0.3, FivePointLaplacian(g))])
-        w = random_gf(g, rng)
-        x = cg_solve(op, op.apply(w).values, g, tol=1e-12)
-        np.testing.assert_allclose(x, w.values, rtol=0, atol=1e-9)
+        w = random_field(g, rng)
+        x = cg_solve(op, op.apply_values(w, g), g, tol=1e-12)
+        np.testing.assert_allclose(x, w, rtol=0, atol=1e-9)
 
     def test_residual_contract(self, rng):
         g = Grid2D(16, 16)
         op = ScaledSum([(1.0, IdentityOperator()), (1.0, FivePointLaplacian(g))])
-        rhs = random_gf(g, rng)
+        rhs = random_field(g, rng)
         tol = 1e-8
-        x = GridFunction(g, cg_solve(op, rhs.values, g, tol=tol))
-        assert l2_norm(op.apply(x) - rhs) <= tol * l2_norm(rhs)
+        x = cg_solve(op, rhs, g, tol=tol)
+        assert norm(op.apply_values(x, g) - rhs, g) <= tol * norm(rhs, g)
 
     def test_zero_rhs_short_circuits(self):
         g = Grid2D(8, 8)
-        x = cg_solve(FivePointLaplacian(g), g.zeros().values, g)
+        x = cg_solve(FivePointLaplacian(g), np.zeros(g.shape), g)
         assert np.all(x == 0.0)
 
     def test_indefinite_operator_detected(self, rng):
@@ -251,9 +244,9 @@ class TestCgSolve:
                 return out
 
         g = Grid2D(8, 8)
-        rhs = random_gf(g, rng)
+        rhs = random_field(g, rng)
         with pytest.raises((NotSpdError, ConvergenceError)):
-            cg_solve(Indefinite(), rhs.values, g)
+            cg_solve(Indefinite(), rhs, g)
 
     def test_max_iter_exceeded_reports_residual(self, rng):
         # the Laplacian term leaves the sum without a diagonal, so CG starts
@@ -263,9 +256,9 @@ class TestCgSolve:
         op = ScaledSum(
             [(1.0, IdentityOperator()), (10.0, FivePointLaplacian(g)), (1.0, field)]
         )
-        rhs = random_gf(g, rng)
+        rhs = random_field(g, rng)
         with pytest.raises(ConvergenceError) as err:
-            cg_solve(op, rhs.values, g, tol=1e-14, max_iter=2)
+            cg_solve(op, rhs, g, tol=1e-14, max_iter=2)
         assert err.value.residual > 0
         assert err.value.iterations == 2
 
@@ -285,9 +278,9 @@ class TestCgSolve:
     def test_deterministic(self, rng):
         g = Grid2D(16, 16)
         op = ScaledSum([(1.0, IdentityOperator()), (0.5, FivePointLaplacian(g))])
-        rhs = random_gf(g, rng)
-        x1 = cg_solve(op, rhs.values, g)
-        x2 = cg_solve(op, rhs.values, g)
+        rhs = random_field(g, rng)
+        x1 = cg_solve(op, rhs, g)
+        x2 = cg_solve(op, rhs, g)
         np.testing.assert_array_equal(x1, x2)
 
 
@@ -315,8 +308,8 @@ class TestSineBasisPreconditioner:
         if with_field:
             terms.append((1.0, DiagonalScaling(rng.uniform(0.0, 50.0, g.shape))))
         op = ScaledSum(terms)
-        w = random_gf(g, rng)
-        rhs = op.apply(w)
+        w = random_field(g, rng)
+        rhs = op.apply_values(w, g)
         applications = []
         apply = ScaledSum.apply_values
         with pytest.MonkeyPatch.context() as mp:
@@ -325,12 +318,12 @@ class TestSineBasisPreconditioner:
                 "apply_values",
                 lambda sum_, v, grid: applications.append(1) or apply(sum_, v, grid),
             )
-            x = GridFunction(g, cg_solve(op, rhs.values, g))
-        assert l2_norm(op.apply(x) - rhs) <= 1e-10 * l2_norm(rhs)
+            x = cg_solve(op, rhs, g)
+        assert norm(op.apply_values(x, g) - rhs, g) <= 1e-10 * norm(rhs, g)
         if pointwise:
             assert len(applications) == 1
-        x = cg_solve(op, rhs.values, g, tol=1e-13)
-        np.testing.assert_allclose(x, w.values, rtol=0, atol=1e-10 * np.abs(w.values).max())
+        x = cg_solve(op, rhs, g, tol=1e-13)
+        np.testing.assert_allclose(x, w, rtol=0, atol=1e-10 * np.abs(w).max())
 
     def test_pointwise_inverse(self, rng):
         g = Grid2D(7, 5)

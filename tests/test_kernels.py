@@ -7,7 +7,6 @@ from hypothesis import example, given, strategies as st
 from memstep.kernels import (
     KernelFormatError,
     PronySeries,
-    SingleExponential,
     StretchedExponential,
     analytic_eval,
     kernel_sup_error,
@@ -126,11 +125,6 @@ class TestAnalyticKernels:
             math.exp(-2.0), rel=1e-15
         )
 
-    def test_single_exponential(self):
-        assert analytic_eval(SingleExponential(2.0, 3.0), 1.0) == pytest.approx(
-            2.0 * math.exp(-3.0), rel=1e-15
-        )
-
     def test_beta_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             StretchedExponential(1.0)
@@ -139,12 +133,6 @@ class TestAnalyticKernels:
 
 
 class TestKernelSupError:
-    def test_prony_vs_matching_single_exponential_is_zero(self):
-        report = kernel_sup_error(
-            SingleExponential(2.0, 3.0), PronySeries((2.0,), (3.0,))
-        )
-        assert report.sup_error < 1e-15
-
     def test_half_regression_value(self):
         report = kernel_sup_error(
             StretchedExponential(0.5), load_builtin_prony("1/2"),
@@ -174,8 +162,8 @@ class TestKernelSupError:
         assert t_peak < 1.0  # geometric midpoint of [0.1, 10]
 
     def test_sign_convention_is_prony_minus_analytic(self):
-        analytic = SingleExponential(1.0, 1.0)
-        prony = PronySeries((0.5,), (1.0,))  # half the amplitude
+        analytic = StretchedExponential(0.5)
+        prony = PronySeries((0.5,), (1.0,))  # 0.5 exp(-t) < exp(-t**0.5) for t > 0
         report = kernel_sup_error(analytic, prony, window=(0.5, 2.0), samples=10)
         expected = prony_eval(prony, report.times) - analytic_eval(analytic, report.times)
         np.testing.assert_allclose(report.errors, expected, rtol=0, atol=0)

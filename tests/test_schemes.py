@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import scalar_ode_oracle, scalar_problem
 from memstep import schemes
-from memstep.grid import Grid2D, GridFunction, l2_norm, sample_function
+from memstep.grid import Grid2D, GridMismatchError, sample_function
 from memstep.kernels import PronySeries, load_builtin_prony
 from memstep.operators import (
     DiagonalScaling,
@@ -39,6 +40,11 @@ def scalar_value(state):
     return state.y[0, 0]
 
 
+def l2_norm(w, grid):
+    """Mesh-weighted L2 norm (sum w**2 * h1 * h2)**0.5."""
+    return math.sqrt(float(np.vdot(w, w)) * grid.cell_area)
+
+
 def run_soe(problem, cfg, n_steps):
     step, state = soe_stepper(problem, cfg), soe_init(problem)
     for _ in range(n_steps):
@@ -52,10 +58,6 @@ class TestSchemeConfig:
             SchemeConfig(sigma=1.5, tau=0.1)
         with pytest.raises(SchemeConfigError):
             SchemeConfig(sigma=0.0, tau=0.1)
-
-    def test_stability_flag(self):
-        assert SchemeConfig(sigma=0.5, tau=1.0).stability_guaranteed
-        assert not SchemeConfig(sigma=0.25, tau=1.0).stability_guaranteed
 
 
 class TestSoeInit:
@@ -76,7 +78,7 @@ class TestSoeInit:
         p = ProblemSpec(
             operator=FivePointLaplacian(grid),
             kernel=PronySeries((1.0,), (1.0,)),
-            initial=grid.zeros(),
+            initial=np.zeros(grid.shape),
         )
         s = soe_init(p)
         assert np.all(s.y == 0.0)
@@ -88,7 +90,7 @@ class TestSoeStep:
         p = ProblemSpec(
             operator=FivePointLaplacian(grid),
             kernel=load_builtin_prony("1/2"),
-            initial=grid.zeros(),
+            initial=np.zeros(grid.shape),
         )
         cfg = SchemeConfig(sigma=0.5, tau=0.1)
         s = run_soe(p, cfg, 5)
@@ -151,11 +153,10 @@ class TestGeneralStep:
 
     def test_doubled_mass_with_zero_operator_freezes_solution(self):
         # 2*(y1 - y0)/tau = 0 when the spatial and reaction terms vanish
-        grid = Grid2D(2, 2)
         p = ProblemSpec(
             operator=DiagonalScaling(0.0),
             kernel=PronySeries((1.0,), (1.0,)),
-            initial=GridFunction(grid, np.array([[3.0]])),
+            initial=np.array([[3.0]]),
             mass=DiagonalScaling(2.0),
         )
         s = soe_stepper(p, SchemeConfig(sigma=1.0, tau=1.0))(soe_init(p))
@@ -164,11 +165,10 @@ class TestGeneralStep:
     def test_reaction_dominated_decay(self):
         # negligible memory weights turn the scheme into a theta scheme for
         # dy/dt + y = 0, whose solution is exp(-t)
-        grid = Grid2D(2, 2)
         p = ProblemSpec(
             operator=DiagonalScaling(1.0),
             kernel=PronySeries((1e-14,), (1.0,)),
-            initial=GridFunction(grid, np.array([[1.0]])),
+            initial=np.array([[1.0]]),
             reaction=DiagonalScaling(1.0),
         )
         step, s = soe_stepper(p, SchemeConfig(sigma=0.5, tau=0.01)), soe_init(p)
@@ -186,7 +186,7 @@ def unbuilt_step(p, cfg, s):
     decay = (1.0 - (1.0 - sig) * b * tau) / d
     gain = tau / d
     mu = math.fsum(sig * a * tau / d)
-    grid, y = p.initial.grid, s.y
+    grid, y = p.grid, s.y
     mem = np.tensordot(a * ((1.0 - sig) + sig * decay), s.aux, axes=1)
     mem += (sig * (1.0 - sig) * float(a @ gain)) * y
     rhs = p.mass.apply_values(y, grid)
@@ -196,7 +196,7 @@ def unbuilt_step(p, cfg, s):
         rhs -= ((1.0 - sig) * tau) * p.reaction.apply_values(y, grid)
         terms.append((sig * tau, p.reaction))
     if p.forcing is not None:
-        rhs += tau * p.forcing(s.t + sig * tau).values
+        rhs += tau * p.forcing(s.t + sig * tau)
     y_new = cg_solve(ScaledSum(terms), rhs, grid, tol=cfg.cg_tol)
     ybar = sig * y_new + (1.0 - sig) * y
     aux = decay[:, None, None] * s.aux
@@ -212,8 +212,8 @@ class TestSoeStepper:
         p = ProblemSpec(
             operator=FivePointLaplacian(grid),
             kernel=load_builtin_prony("1/2"),
-            initial=GridFunction(grid, rng.standard_normal(grid.shape)),
-            forcing=lambda t: GridFunction(grid, math.cos(t) * bump.values),
+            initial=rng.standard_normal(grid.shape),
+            forcing=lambda t: math.cos(t) * bump,
             mass=DiagonalScaling(rng.uniform(1.0, 2.0, grid.shape)),
             reaction=DiagonalScaling(rng.uniform(0.0, 0.5, grid.shape)),
         )
@@ -231,7 +231,7 @@ class TestSoeStepper:
         p = ProblemSpec(  # the model problem in sine coordinates
             operator=DiagonalScaling(laplacian_eigenvalues(grid)),
             kernel=load_builtin_prony("1/2"),
-            initial=GridFunction(grid, sine_transform(v.values, grid)),
+            initial=sine_transform(v, grid),
         )
         solved, applied = [], []
         solve, apply = schemes.cg_solve, DiagonalScaling.apply_values
@@ -294,7 +294,7 @@ class TestQuadratureStep:
         p = ProblemSpec(
             operator=FivePointLaplacian(grid),
             kernel=load_builtin_prony("1/2"),
-            initial=grid.zeros(),
+            initial=np.zeros(grid.shape),
         )
         cfg = SchemeConfig(sigma=0.5, tau=0.1)
         levels = history_levels(p, cfg, 4)
@@ -370,7 +370,7 @@ class TestQuadratureStep:
         p = ProblemSpec(
             operator=FivePointLaplacian(grid),
             kernel=load_builtin_prony("1/2"),
-            initial=grid.zeros(),
+            initial=np.zeros(grid.shape),
             forcing=lambda t: math.cos(3 * t) * bump,
         )
         diffs = self.soe_history_diffs(p, (20, 40, 80))
@@ -449,7 +449,7 @@ class TestQuadratureStep:
         lap = FivePointLaplacian(grid)
         p = ProblemSpec(operator=lap, kernel=kernel, initial=u0)
         cfg = SchemeConfig(sigma=0.75, tau=0.05, cg_tol=1e-14)
-        ys = [u0.values]
+        ys = [u0]
         for n in range(10):
             applied = [lap.apply_values(y, grid) for y in ys]
             integral = 0.0
@@ -461,7 +461,7 @@ class TestQuadratureStep:
             rhs = ys[n] - cfg.tau * (cfg.sigma * s_new + (1 - cfg.sigma) * integral)
             lhs = ScaledSum([(1.0, IdentityOperator()), (cfg.sigma * cfg.tau * new_end, lap)])
             ys.append(cg_solve(lhs, rhs, grid, tol=1e-14))
-        scale = np.abs(u0.values).max()
+        scale = np.abs(u0).max()
         levels = history_levels(p, cfg, 10)
         np.testing.assert_allclose(levels, np.array(ys), rtol=0, atol=1e-12 * scale)
 
@@ -524,7 +524,7 @@ class TestAuxResidualGuard:
         p = ProblemSpec(
             operator=FivePointLaplacian(grid),
             kernel=PronySeries((0.2, 0.3, 0.5), tuple(rates)),
-            initial=GridFunction(grid, rng.standard_normal(grid.shape)),
+            initial=rng.standard_normal(grid.shape),
         )
         step, s = soe_stepper(p, cfg), soe_init(p)
         for _ in range(4):
@@ -566,7 +566,7 @@ class TestAuxResidualGuard:
         p = ProblemSpec(
             operator=DiagonalScaling(laplacian_eigenvalues(grid)),
             kernel=load_builtin_prony("1/2"),
-            initial=GridFunction(grid, rng.standard_normal(grid.shape)),
+            initial=rng.standard_normal(grid.shape),
         )
         cfg = SchemeConfig(sigma=0.5, tau=0.05)
         first, second, alone = soe_stepper(p, cfg), soe_stepper(p, cfg), soe_stepper(p, cfg)
@@ -592,14 +592,14 @@ class TestEnergy:
             kernel=load_builtin_prony("1/2"),
             initial=u0,
         )
-        assert energy(p, soe_init(p)) == pytest.approx(l2_norm(u0), rel=1e-14)
+        assert energy(p, soe_init(p)) == pytest.approx(l2_norm(u0, grid), rel=1e-14)
 
     def test_zero_state_zero_energy(self):
         grid = Grid2D(8, 8)
         p = ProblemSpec(
             operator=FivePointLaplacian(grid),
             kernel=PronySeries((1.0,), (1.0,)),
-            initial=grid.zeros(),
+            initial=np.zeros(grid.shape),
         )
         assert energy(p, soe_init(p)) == 0.0
 
@@ -610,12 +610,11 @@ class TestEnergy:
         grid = Grid2D(8, 8)
         lap = FivePointLaplacian(grid)
         p = ProblemSpec(
-            operator=lap, kernel=PronySeries((2.0,), (1.0,)), initial=grid.zeros()
+            operator=lap, kernel=PronySeries((2.0,), (1.0,)), initial=np.zeros(grid.shape)
         )
-        y = GridFunction(grid, rng.standard_normal(grid.shape))
-        y1 = GridFunction(grid, rng.standard_normal(grid.shape))
-        s = SoeState(y=y.values, aux=y1.values[None], n=3, t=0.3)
-        expected = math.sqrt(l2_norm(y) ** 2 + 2.0 * a_norm(lap, y1.values, grid) ** 2)
+        y, y1 = rng.standard_normal((2,) + grid.shape)
+        s = SoeState(y=y, aux=y1[None], n=3, t=0.3)
+        expected = math.sqrt(l2_norm(y, grid) ** 2 + 2.0 * a_norm(lap, y1, grid) ** 2)
         assert energy(p, s) == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("sigma", [0.5, 0.75, 1.0])
@@ -652,59 +651,52 @@ class TestEnergy:
         e0 = energy(p, s)
         forcing_budget = 0.0
         for _ in range(40):
-            forcing_budget += tau * l2_norm(p.forcing(s.t + sigma * tau))
+            forcing_budget += tau * l2_norm(p.forcing(s.t + sigma * tau), grid)
             s = step(s)
             assert energy(p, s) <= e0 + forcing_budget + 1e-8 * e0
 
 
-class TestStepsWorkOnArrays:
-    """GridFunction is the API edge: a step, and the energy, build none."""
+class TestProblemShapes:
+    """A problem's grid is the one whose interior is its initial field's
+    shape, and every field the steppers meet must have that shape."""
 
-    @staticmethod
-    def count_grid_functions(monkeypatch):
-        built = []
-        init = GridFunction.__init__
+    def test_grid_comes_from_the_initial_shape(self):
+        grid = Grid2D(8, 6)
+        p = ProblemSpec(FivePointLaplacian(grid), PronySeries((1.0,), (1.0,)), np.zeros(grid.shape))
+        assert p.grid == grid and p.initial.dtype == float
 
-        def counting(self, *args, **kwargs):
-            built.append(1)
-            init(self, *args, **kwargs)
+    @pytest.mark.parametrize("shape", [(), (7,), (1, 7, 7)])
+    def test_initial_not_2d_rejected(self, shape):
+        with pytest.raises(GridMismatchError, match=rf"shape {re.escape(str(shape))}"):
+            ProblemSpec(DiagonalScaling(1.0), PronySeries((1.0,), (1.0,)), np.zeros(shape))
 
-        monkeypatch.setattr(GridFunction, "__init__", counting)
-        return built
+    def test_initial_with_an_empty_axis_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 cells"):
+            ProblemSpec(DiagonalScaling(1.0), PronySeries((1.0,), (1.0,)), np.zeros((0, 7)))
 
-    def test_soe_step_with_mass_and_reaction(self, monkeypatch, rng):
+    @pytest.mark.parametrize(
+        "run",
+        [lambda p, cfg: soe_stepper(p, cfg)(soe_init(p)), lambda p, cfg: history_levels(p, cfg, 2)],
+        ids=["soe_stepper", "history_levels"],
+    )
+    def test_forcing_of_another_shape_rejected(self, run):
+        # a forcing on Grid2D(2, 8), shape (1, 7), would broadcast over the (7, 7) interior
         grid = Grid2D(8, 8)
         p = ProblemSpec(
             operator=FivePointLaplacian(grid),
             kernel=load_builtin_prony("1/2"),
-            initial=GridFunction(grid, rng.standard_normal(grid.shape)),
-            mass=DiagonalScaling(rng.uniform(1.0, 2.0, grid.shape)),
-            reaction=DiagonalScaling(0.5),
+            initial=np.zeros(grid.shape),
+            forcing=lambda t: np.ones(Grid2D(2, 8).shape),
         )
-        step, s = soe_stepper(p, SchemeConfig(sigma=0.5, tau=0.1)), soe_init(p)
-        built = self.count_grid_functions(monkeypatch)
-        for _ in range(5):
-            s = step(s)
-            energy(p, s)
-        assert s.n == 5 and len(built) == 0
-
-    def test_quadrature_step(self, monkeypatch, rng):
-        grid = Grid2D(8, 8)
-        p = ProblemSpec(
-            operator=FivePointLaplacian(grid),
-            kernel=load_builtin_prony("1/2"),
-            initial=GridFunction(grid, rng.standard_normal(grid.shape)),
-        )
-        cfg = SchemeConfig(sigma=0.5, tau=0.1)
-        built = self.count_grid_functions(monkeypatch)
-        levels = history_levels(p, cfg, 5)
-        assert len(levels) == 6 and len(built) == 0
+        with pytest.raises(GridMismatchError, match=r"forcing of shape \(1, 7\).*\(7, 7\)"):
+            run(p, SchemeConfig(sigma=0.5, tau=0.1))
 
 
 def per_term_step(p, cfg, y, aux):
-    """The compressed step with one GridFunction per memory term: the slow
+    """The compressed step with one array per memory term: the slow
     reference for the stacked compressed step."""
     sig, tau = cfg.sigma, cfg.tau
+    grid = p.grid
     a, b = p.kernel.weights, p.kernel.rates
     denom = [1.0 + sig * bi * tau for bi in b]
     chi = [
@@ -712,12 +704,12 @@ def per_term_step(p, cfg, y, aux):
         for bi, di, yi in zip(b, denom, aux)
     ]
     mu = math.fsum(sig * ai * tau / di for ai, di in zip(a, denom))
-    mem = y.grid.zeros()
+    mem = np.zeros(grid.shape)
     for ai, yi, ci in zip(a, aux, chi):
         mem = mem + ai * ((1.0 - sig) * yi + sig * ci)
-    rhs = y - tau * p.operator.apply(mem)
+    rhs = y - tau * p.operator.apply_values(mem, grid)
     lhs = ScaledSum([(1.0, IdentityOperator()), (sig * tau * mu, p.operator)])
-    y_new = GridFunction(y.grid, cg_solve(lhs, rhs.values, y.grid, tol=cfg.cg_tol))
+    y_new = cg_solve(lhs, rhs, grid, tol=cfg.cg_tol)
     return y_new, [(sig * tau / di) * y_new + ci for di, ci in zip(denom, chi)]
 
 
@@ -738,19 +730,17 @@ class TestStackedStepOracle:
         p = ProblemSpec(
             operator=FivePointLaplacian(grid),
             kernel=kernel,
-            initial=GridFunction(grid, rng.standard_normal(grid.shape)),
+            initial=rng.standard_normal(grid.shape),
         )
         cfg = SchemeConfig(sigma=sigma, tau=tau, cg_tol=1e-14)
         step, s = soe_stepper(p, cfg), soe_init(p)
-        y, aux = p.initial, [grid.zeros() for _ in terms]
+        y, aux = p.initial, [np.zeros(grid.shape) for _ in terms]
         for _ in range(4):
             s = step(s)
             y, aux = per_term_step(p, cfg, y, aux)
-        scale = max(np.max(np.abs(y.values)), max(np.max(np.abs(g.values)) for g in aux))
-        np.testing.assert_allclose(s.y, y.values, rtol=0, atol=1e-12 * scale)
-        np.testing.assert_allclose(
-            s.aux, np.stack([g.values for g in aux]), rtol=0, atol=1e-12 * scale
-        )
+        scale = max(np.max(np.abs(y)), max(np.max(np.abs(yi)) for yi in aux))
+        np.testing.assert_allclose(s.y, y, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(s.aux, np.stack(aux), rtol=0, atol=1e-12 * scale)
         expected = math.sqrt(
             a_norm(p.mass, s.y, grid) ** 2
             + sum(
@@ -772,7 +762,7 @@ class TestSineModeOracle:
         mode = sample_function(
             grid, lambda x1, x2: np.sin(j * np.pi * x1) * np.sin(k * np.pi * x2)
         )
-        mode = (1.0 / math.sqrt(np.sum(mode.values**2))) * mode
+        mode = (1.0 / math.sqrt(np.sum(mode**2))) * mode
         lam = 4 * n1**2 * math.sin(math.pi * j / (2 * n1)) ** 2
         lam += 4 * n2**2 * math.sin(math.pi * k / (2 * n2)) ** 2
         p = ProblemSpec(
@@ -784,8 +774,8 @@ class TestSineModeOracle:
             step, s, worst = soe_stepper(p, cfg), soe_init(p), 0.0
             for _ in range(steps):
                 s = step(s)
-                coefficient = float(np.sum(s.y * mode.values))
-                off_mode = s.y - coefficient * mode.values
+                coefficient = float(np.sum(s.y * mode))
+                off_mode = s.y - coefficient * mode
                 np.testing.assert_allclose(off_mode, 0.0, rtol=0, atol=1e-12)
                 exact = scalar_ode_oracle(a1, b1, lam, 1.0, s.t)
                 worst = max(worst, abs(coefficient - exact))
