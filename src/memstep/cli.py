@@ -31,9 +31,11 @@ from .kernels import (
     prony_from_file,
 )
 from .experiments import (
+    HISTORY_BYTES_LIMIT,
     ExperimentSpec,
     compare_baseline,
     convergence_study,
+    history_bytes,
     run_model_problem,
     write_convergence_csv,
     write_csv,
@@ -46,11 +48,6 @@ from .schemes import AuxiliaryResidualError, NonFiniteError
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-# The full-history baseline stores every level, (n+1) interior fields of
-# 8-byte values for n steps; compare-baseline refuses a ladder whose longest
-# history would exceed this many bytes.
-HISTORY_BYTES_LIMIT = 256 * 2**20
 
 
 class ConfigError(ValueError):
@@ -268,10 +265,10 @@ def cmd_compare_baseline(cfg: RunConfig) -> int:
     started = datetime.now(timezone.utc).isoformat()
     if not cfg.ladder_steps:
         raise ConfigError("ladder_steps is empty: compare-baseline needs at least one step count")
-    history_bytes = (max(cfg.ladder_steps) + 1) * (cfg.grid - 1) ** 2 * 8
-    if history_bytes > HISTORY_BYTES_LIMIT:
+    longest = history_bytes(cfg.grid, max(cfg.ladder_steps))
+    if longest > HISTORY_BYTES_LIMIT:
         raise ConfigError(
-            f"the full-history baseline would store {history_bytes} bytes "
+            f"the full-history baseline would store {longest} bytes "
             f"({max(cfg.ladder_steps) + 1} levels on grid {cfg.grid}), over its budget "
             f"of {HISTORY_BYTES_LIMIT} bytes"
         )

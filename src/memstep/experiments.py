@@ -22,7 +22,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .grid import Grid2D, sample_function
+from .grid import Grid2D, GridMismatchError, sample_function
 from .kernels import PronySeries
 from .operators import DiagonalScaling, _sine_matrix, laplacian_eigenvalues, sine_transform
 from .schemes import (
@@ -44,6 +44,8 @@ __all__ = [
     "ConvergenceResult",
     "BaselineRow",
     "AlignmentError",
+    "HISTORY_BYTES_LIMIT",
+    "history_bytes",
     "model_initial_condition",
     "build_model_problem",
     "run_model_problem",
@@ -60,6 +62,18 @@ __all__ = [
 
 class AlignmentError(ValueError):
     """Sample times do not land on the time grid of a run."""
+
+
+# The budget of the full-history baselines alive at once: compare-baseline
+# refuses a ladder whose longest history alone would pass it, and runs no more
+# entries at once than it holds.
+HISTORY_BYTES_LIMIT = 256 * 2**20
+
+
+def history_bytes(grid_n: int, n_steps: int) -> int:
+    """Bytes the full-history baseline stores for ``n_steps`` steps on a grid
+    of ``grid_n`` cells per direction: n+1 interior levels of 8-byte values."""
+    return (n_steps + 1) * (grid_n - 1) ** 2 * 8
 
 
 @dataclass(frozen=True)
@@ -248,6 +262,11 @@ def error_series(coarse: Snapshots, reference: Snapshots) -> ErrorSeries:
         raise AlignmentError("snapshot times differ between runs")
     eps2, epsinf = [], []
     for w, ref in zip(coarse.snapshots, reference.snapshots):
+        if w.shape != ref.shape:
+            raise GridMismatchError(
+                f"snapshot of shape {w.shape} compared with a reference snapshot "
+                f"of shape {ref.shape}"
+            )
         diff = w - ref
         cell_area = Grid2D(diff.shape[0] + 1, diff.shape[1] + 1).cell_area
         eps2.append(float(np.sqrt(np.sum(diff * diff) * cell_area)))
@@ -336,29 +355,35 @@ def _kill(pid: int, read_fd: int) -> None:
     os.waitpid(pid, 0)
 
 
-def _map_runs(fn, tasks: list[tuple]) -> list:
+def _map_runs(fn, tasks: list[tuple], max_procs: Optional[int] = None) -> list:
     """``[fn(*task) for task in tasks]``, split across the CPUs this process may use.
 
     Each task's last argument is its step count, taken as its cost.  With k =
-    min(len(tasks), CPUs in the affinity set) >= 2 the tasks are dealt into k
-    groups (``_deal``); forked children run all but the last group, each group
-    in task order, and this process runs the last.  If any task raises, the
-    exception raised here is that of the first failing task in task order, as
-    running in order would raise: a child is read to its end unless every task
-    it holds comes after a known failure, in which case it is killed.  Every
-    child is reaped before this returns or raises.  With one CPU, or on a
-    platform without CPU affinity (no ``os.sched_getaffinity``, as on macOS
-    and Windows), the tasks run here in order.
+    min(len(tasks), CPUs in the affinity set, ``max_procs`` if given) >= 2 the
+    tasks are dealt into k groups (``_deal``); forked children run all but the
+    last group, each group in task order, and this process runs the last, so
+    at most k processes, this one included, run a task at once.  A group whose
+    fork fails (EAGAIN or ENOMEM under a process or memory limit) joins this
+    process's group, in task order.  If any task raises, the exception raised
+    here is that of the first failing task in task order, as running in order
+    would raise: a child is read to its end unless every task it holds comes
+    after a known failure, in which case it is killed.  Every child is reaped
+    before this returns or raises.  With k < 2, or on a platform without CPU
+    affinity (no ``os.sched_getaffinity``, as on macOS and Windows), the tasks
+    run here in order.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    k = min(len(tasks), cpus)
+    k = min(len(tasks), cpus, max_procs or cpus)
     if k < 2:
         return [fn(*task) for task in tasks]
     *forked, own = _deal([task[-1] for task in tasks], k)
     pending = []  # (pid, read end, group) of each child not yet reaped
     try:
         for group in forked:
-            pending.append((*_fork_group(fn, tasks, group), group))
+            try:
+                pending.append((*_fork_group(fn, tasks, group), group))
+            except OSError:  # no process or pipe to spare: run the group here
+                own = sorted(own + group)
         results, failure = _run_group(fn, tasks, own)
         for child in list(pending):
             pid, read_fd, group = child
@@ -434,9 +459,24 @@ def compare_baseline(
     initial state and stepper to its last step, as it is checked), and
     the field counts that make the memory saving concrete: m+1 fields for the
     compressed state vs n+1 for the history.
+
+    The entries are split across the CPUs this process may use
+    (``_map_runs``), each process holding one history at a time, and no more
+    processes than ``HISTORY_BYTES_LIMIT`` holds histories of the longest
+    entry; so the histories alive at once stay within that budget.  An
+    entry's two timings are taken back to back in the process that runs it,
+    but beside another entry both include what that process costs them, the
+    history's more (it reads every level each step); run on one CPU to
+    compare the steppers' times.  All other fields are identical to running
+    the entries in order.
     """
     problem = build_model_problem(spec)
-    return tuple(_compare_one(problem, spec, n_steps) for n_steps in step_ladder)
+    largest = history_bytes(spec.grid_n, max(step_ladder, default=0))
+    return tuple(_map_runs(
+        lambda n_steps: _compare_one(problem, spec, n_steps),
+        [(n_steps,) for n_steps in step_ladder],
+        max_procs=max(1, HISTORY_BYTES_LIMIT // largest),
+    ))
 
 
 def _compare_one(problem: ProblemSpec, spec: ExperimentSpec, n_steps: int) -> BaselineRow:

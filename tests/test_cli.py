@@ -1,6 +1,8 @@
+import errno
 import json
 import math
 import os
+import time
 import warnings
 
 import numpy as np
@@ -215,6 +217,10 @@ class TestNumericalFailures:
 SMALL_STUDY = {"grid": 8, "T": 1.0, "reference_steps": 64, "ladder_steps": [16, 8, 32]}
 
 
+def failing_fork():
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
 class TestConvergeCommand:
     @pytest.mark.parametrize("reference_steps", ["384", "300"])
     def test_ladder_entry_at_or_above_reference_rejected(self, out_root, capsys, reference_steps):
@@ -315,6 +321,19 @@ class TestConvergeCommand:
         assert len(calls) < 4  # the last pass forked: this process ran only some of the 4 runs
         assert outputs[cpus] == outputs[1]
 
+    def test_failed_fork_runs_the_group_here(self, tmp_path, monkeypatch):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(SMALL_STUDY))
+        monkeypatch.setattr(os, "fork", failing_fork)  # as under a process limit
+        outputs = {}
+        for count in (1, 2):
+            set_cpus(monkeypatch, count)
+            out = tmp_path / f"cpus-{count}"
+            assert cli.main(["converge", "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
+            outputs[count] = [(out / "converge" / name).read_bytes()
+                              for name in ("convergence.csv", "errors.csv")]
+        assert outputs[2] == outputs[1]
+
     @pytest.mark.parametrize("error", [
         lambda: NonFiniteError("non-finite values in the update of step 3 (t=0.046875): overflow"),
         lambda: ConvergenceError("CG did not converge: residual 1.5e-03 after 7 iterations",
@@ -385,6 +404,29 @@ class TestKernelErrorCommand:
         assert not (out_root / "kernel-error" / "kernel_error.csv").exists()
 
 
+# four short entries; on two CPUs a worker runs the 64-step one alone
+BASELINE_LADDER = {"grid": 8, "T": 1.0, "ladder_steps": [8, 16, 32, 64]}
+
+
+def counted_entries(monkeypatch) -> list:
+    """The step counts of the ladder entries run in this process, in order."""
+    calls = []
+    compare_one = experiments._compare_one
+    monkeypatch.setattr(
+        experiments, "_compare_one",
+        lambda problem, spec, n_steps: calls.append(n_steps) or compare_one(problem, spec, n_steps),
+    )
+    return calls
+
+
+def deterministic_columns(out) -> bytes:
+    """``baseline.csv`` under ``out`` without its wall-clock columns: tau,
+    max_diff, soe_fields and history_fields."""
+    lines = (out / "compare-baseline" / "baseline.csv").read_text().splitlines()
+    rows = (line.split(",") for line in lines)
+    return "".join(",".join(row[i] for i in (0, 1, 4, 5)) + "\n" for row in rows).encode()
+
+
 class TestCompareBaselineCommand:
     def test_quick_comparison(self, out_root, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -430,3 +472,95 @@ class TestCompareBaselineCommand:
         assert cli.main(["compare-baseline", "--config", str(config)]) == cli.EXIT_OK
         lines = (out_root / "compare-baseline" / "baseline.csv").read_text().splitlines()
         assert len(lines) == 3 and lines[2].endswith(",13,17")
+
+    def test_columns_match_a_one_cpu_run(self, tmp_path, monkeypatch):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(BASELINE_LADDER))
+        calls = counted_entries(monkeypatch)
+        columns = {}
+        for count in (1, 2, 3):
+            set_cpus(monkeypatch, count)
+            calls.clear()
+            out = tmp_path / f"cpus-{count}"
+            argv = ["compare-baseline", "--config", str(config), "--out", str(out)]
+            assert cli.main(argv) == cli.EXIT_OK
+            columns[count] = deterministic_columns(out)
+            assert len(calls) == 4 if count == 1 else len(calls) < 4  # the others forked
+        assert columns[3] == columns[2] == columns[1]
+
+    def test_failure_in_a_worker_reads_as_in_order(self, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(BASELINE_LADDER))
+        compare_one = experiments._compare_one
+
+        def failing_entry(problem, spec, n_steps):
+            if n_steps == 64:  # the longest entry, which a worker runs alone
+                raise NonFiniteError("non-finite values in the update of step 9 (t=0.140625)")
+            return compare_one(problem, spec, n_steps)
+
+        monkeypatch.setattr(experiments, "_compare_one", failing_entry)
+        errs = []
+        for count in (1, 2):
+            set_cpus(monkeypatch, count)
+            assert cli.main(["compare-baseline", "--config", str(config)]) == cli.EXIT_NUMERICAL
+            errs.append(capsys.readouterr().err)
+        assert errs[1] == errs[0] == (
+            "numerical failure: non-finite values in the update of step 9 (t=0.140625)\n"
+        )
+        with pytest.raises(ChildProcessError):  # no child is left behind
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_budget_of_one_history_runs_in_order(self, tmp_path, monkeypatch):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(BASELINE_LADDER))
+        largest = experiments.history_bytes(8, 64)
+        monkeypatch.setattr(experiments, "HISTORY_BYTES_LIMIT", 2 * largest - 1)
+        calls = counted_entries(monkeypatch)
+        set_cpus(monkeypatch, 2)
+        assert cli.main(["compare-baseline", "--config", str(config)]) == cli.EXIT_OK
+        assert sorted(calls) == [8, 16, 32, 64]
+
+    def test_histories_in_flight_stay_within_the_budget(self, tmp_path, monkeypatch):
+        # a budget of two of the longest histories on three CPUs: two processes
+        # run the entries, and the histories alive at any instant fit the budget
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**BASELINE_LADDER, "ladder_steps": [64, 56, 48, 40]}))
+        limit = 2 * experiments.history_bytes(8, 64)
+        monkeypatch.setattr(experiments, "HISTORY_BYTES_LIMIT", limit)
+        log = tmp_path / "entries.log"
+        compare_one = experiments._compare_one
+
+        def logged_entry(problem, spec, n_steps):
+            start = time.monotonic()
+            row = compare_one(problem, spec, n_steps)
+            with log.open("a") as fh:  # one short appended line per entry
+                fh.write(f"{os.getpid()} {start} {time.monotonic()} {n_steps}\n")
+            return row
+
+        monkeypatch.setattr(experiments, "_compare_one", logged_entry)
+        set_cpus(monkeypatch, 3)
+        assert cli.main(["compare-baseline", "--config", str(config)]) == cli.EXIT_OK
+        entries = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(int(n) for *_, n in entries) == [40, 48, 56, 64]
+        assert len({pid for pid, *_ in entries}) == 2
+        for _, start, _, _ in entries:
+            alive = sum(experiments.history_bytes(8, int(n)) for _, s, e, n in entries
+                        if float(s) <= float(start) < float(e))
+            assert alive <= limit
+
+    def test_failed_fork_runs_the_entries_here(self, tmp_path, monkeypatch):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(BASELINE_LADDER))
+        calls = counted_entries(monkeypatch)
+        monkeypatch.setattr(os, "fork", failing_fork)  # as under a process limit
+        columns = {}
+        for count in (1, 2):
+            set_cpus(monkeypatch, count)
+            calls.clear()
+            out = tmp_path / f"cpus-{count}"
+            argv = ["compare-baseline", "--config", str(config), "--out", str(out)]
+            assert cli.main(argv) == cli.EXIT_OK
+            columns[count] = deterministic_columns(out)
+            assert calls == [8, 16, 32, 64]  # every entry, in order, in this process
+        assert columns[2] == columns[1]
+

@@ -11,6 +11,7 @@ from memstep import experiments
 from memstep.experiments import (
     AlignmentError,
     ExperimentSpec,
+    Snapshots,
     Trajectory,
     build_model_problem,
     compare_baseline,
@@ -23,7 +24,7 @@ from memstep.experiments import (
     write_errors_csv,
     write_trajectory_csv,
 )
-from memstep.grid import Grid2D
+from memstep.grid import Grid2D, GridMismatchError
 from memstep.kernels import load_builtin_prony
 from memstep.operators import FivePointLaplacian, sine_transform
 from memstep.schemes import (
@@ -139,6 +140,13 @@ class TestErrorSeries:
         )
         with pytest.raises(AlignmentError):
             error_series(short, small_run)
+
+    def test_snapshots_of_different_grids_raise(self):
+        t = np.array([1.0])
+        coarse = Snapshots((np.ones((1, 7)),), t)
+        reference = Snapshots((np.zeros((7, 7)),), t)
+        with pytest.raises(GridMismatchError, match=r"shape \(1, 7\).*shape \(7, 7\)"):
+            error_series(coarse, reference)
 
 
 class TestFitSlope:
