@@ -67,8 +67,8 @@ class RunConfig:
     grid: int = 32
     out: Optional[str] = None
     reference_steps: int = 1000
-    # Each ladder entry must be divisible by sample_count so the comparison
-    # times land on every time grid.
+    # Each ladder entry and reference_steps must be divisible by sample_count
+    # so the comparison times land on every time grid; only converge samples.
     ladder_steps: tuple[int, ...] = (48, 96, 192, 384)
     sample_count: int = 8
     window_t_min: float = 0.1
@@ -163,8 +163,11 @@ def _fits(annotation: str, value) -> bool:
 def load_config(path) -> dict:
     """Read a JSON config file, unwrapping a manifest's "config" block, and
     check each value's type against its RunConfig field."""
-    with Path(path).open(encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with Path(path).open(encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     if "config" in data and isinstance(data["config"], dict):
@@ -195,9 +198,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def make_run_dir(cfg: RunConfig, command: str) -> Path:
-    root = cfg.out or os.environ.get("MEMSTEP_OUT") or "runs"
-    run_dir = Path(root) / command
-    run_dir.mkdir(parents=True, exist_ok=True)
+    run_dir = Path(cfg.out or os.environ.get("MEMSTEP_OUT") or "runs") / command
+    try:
+        run_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the run directory: {exc}") from exc
     return run_dir
 
 

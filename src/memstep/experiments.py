@@ -113,9 +113,9 @@ class Snapshots:
     snapshot_times: np.ndarray
 
 
-@dataclass(frozen=True, kw_only=True)
-class Trajectory(Snapshots):
-    """Per-step scalars plus field snapshots at the sample times."""
+@dataclass(frozen=True)
+class Trajectory:
+    """Per-step scalars of a run."""
 
     steps: np.ndarray
     times: np.ndarray
@@ -175,7 +175,7 @@ def build_model_problem(
     return ProblemSpec(
         operator=DiagonalScaling(laplacian_eigenvalues(grid)),
         kernel=spec.kernel,
-        initial=sine_transform(initial, grid),
+        initial=sine_transform(initial),
     )
 
 
@@ -209,31 +209,26 @@ def run_model_problem(
     n_steps: Optional[int] = None,
     initial: Optional[np.ndarray] = None,
 ) -> Trajectory:
-    """Run the relaxation problem and collect the trajectory log.
+    """Run the relaxation problem and collect its per-step scalars, at any step count.
 
     ``sigma`` and ``n_steps`` override the spec values.  Deterministic:
     repeated calls produce identical output.
     """
     n_steps = spec.n_steps if n_steps is None else n_steps
-    stride = _snapshot_stride(n_steps, spec.sample_count)
     problem = build_model_problem(spec, initial=initial)
     grid = problem.grid
     i, j = grid.center_index
-    row, col = _sine_matrix(grid.n1)[i], _sine_matrix(grid.n2)[:, j]  # the centre node's
-    times, energies, centers, snapshots = [], [], [], []
+    row, col = _sine_matrix(grid.shape[0])[i], _sine_matrix(grid.shape[1])[:, j]  # the centre's
+    times, energies, centers = [], [], []
     for state in _states(problem, _scheme(spec, sigma, n_steps), n_steps):
         times.append(state.t)
         energies.append(energy(problem, state))
         centers.append(float(row @ state.y @ col))
-        if state.n and state.n % stride == 0:
-            snapshots.append(sine_transform(state.y, grid))
     return Trajectory(
         steps=np.arange(n_steps + 1),
         times=np.array(times),
         energies=np.array(energies),
         center_values=np.array(centers),
-        snapshots=tuple(snapshots),
-        snapshot_times=spec.sample_times(),
     )
 
 
@@ -242,9 +237,8 @@ def _sample_run(spec: ExperimentSpec, sigma: Optional[float], n_steps: int) -> S
     energy or centre value): the ladder and reference runs of a study."""
     stride = _snapshot_stride(n_steps, spec.sample_count)
     problem = build_model_problem(spec)
-    grid = problem.grid
     snapshots = tuple(
-        sine_transform(s.y, grid)
+        sine_transform(s.y)
         for s in _states(problem, _scheme(spec, sigma, n_steps), n_steps)
         if s.n and s.n % stride == 0
     )
@@ -268,7 +262,7 @@ def error_series(coarse: Snapshots, reference: Snapshots) -> ErrorSeries:
                 f"of shape {ref.shape}"
             )
         diff = w - ref
-        cell_area = Grid2D(diff.shape[0] + 1, diff.shape[1] + 1).cell_area
+        cell_area = Grid2D.of(diff).cell_area
         eps2.append(float(np.sqrt(np.sum(diff * diff) * cell_area)))
         epsinf.append(float(np.max(np.abs(diff))))
     return ErrorSeries(
@@ -481,7 +475,6 @@ def compare_baseline(
 
 def _compare_one(problem: ProblemSpec, spec: ExperimentSpec, n_steps: int) -> BaselineRow:
     """One ladder entry; no view of its history outlives the call."""
-    grid = problem.grid
     cfg = _scheme(spec, None, n_steps)
     t0 = time.perf_counter()
     levels = history_levels(problem, cfg, n_steps)
@@ -493,7 +486,7 @@ def _compare_one(problem: ProblemSpec, spec: ExperimentSpec, n_steps: int) -> Ba
         t0 = time.perf_counter()
         state = next(states)
         soe_seconds += time.perf_counter() - t0
-        max_diff = max(max_diff, float(np.max(np.abs(sine_transform(state.y - level, grid)))))
+        max_diff = max(max_diff, float(np.max(np.abs(sine_transform(state.y - level)))))
     return BaselineRow(
         tau=cfg.tau,
         max_diff=max_diff,

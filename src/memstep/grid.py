@@ -30,6 +30,12 @@ class Grid2D:
         if self.n1 < 2 or self.n2 < 2:
             raise ValueError(f"need at least 2 cells per direction, got {self.n1}x{self.n2}")
 
+    @classmethod
+    def of(cls, values: np.ndarray) -> Grid2D:
+        """The grid whose interior is the last two axes of ``values``' shape."""
+        n1, n2 = values.shape[-2:]
+        return cls(n1 + 1, n2 + 1)
+
     @property
     def h1(self) -> float:
         return 1.0 / self.n1
@@ -52,14 +58,10 @@ class Grid2D:
         """Interior node nearest (0.5, 0.5); the lower neighbour for odd n."""
         return (self.n1 // 2 - 1, self.n2 // 2 - 1)
 
-    def interior_coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """Meshgrid (x1, x2) of interior node coordinates, shape ``self.shape``."""
-        x1 = np.arange(1, self.n1) * self.h1
-        x2 = np.arange(1, self.n2) * self.h2
-        return np.meshgrid(x1, x2, indexing="ij")
-
 
 def sample_function(grid: Grid2D, f) -> np.ndarray:
     """Sample a pointwise function f(x1, x2) at the interior nodes."""
-    x1, x2 = grid.interior_coords()
+    x1 = np.arange(1, grid.n1) * grid.h1
+    x2 = np.arange(1, grid.n2) * grid.h2
+    x1, x2 = np.meshgrid(x1, x2, indexing="ij")
     return np.array(np.broadcast_to(np.asarray(f(x1, x2), dtype=float), grid.shape))

@@ -1,7 +1,8 @@
 """Symmetric positive (semi)definite operators on fields of interior values.
 
-Operators, ``cg_solve`` and ``a_norm`` take arrays of interior values with the
-grid alongside; an operator defines one method, ``apply_values(v, grid)``.
+Operators, ``cg_solve``, ``a_norm`` and ``sine_transform`` take arrays of
+interior values alone, whose shape fixes their grid (``Grid2D.of``); an
+operator defines one method, ``apply_values(v)``.
 All are matrix-free: the five-point Laplacian applies its stencil directly
 (implicit zero ghost values on the Dirichlet boundary) and the per-step
 shifted systems are solved with conjugate gradients from the exact diagonal
@@ -57,7 +58,7 @@ class SpdOperator:
     """Abstract symmetric positive (semi)definite linear map.  A subclass
     defines only :meth:`apply_values`."""
 
-    def apply_values(self, v: np.ndarray, grid: Grid2D) -> np.ndarray:
+    def apply_values(self, v: np.ndarray) -> np.ndarray:
         """Apply to interior values of shape ``(..., n1-1, n2-1)``, leading
         axes indexing separate fields; returns a new array."""
         raise NotImplementedError(f"{type(self).__name__} does not define apply_values")
@@ -80,9 +81,9 @@ class FivePointLaplacian(SpdOperator):
 
     grid: Grid2D
 
-    def apply_values(self, v: np.ndarray, grid: Grid2D) -> np.ndarray:
-        if grid != self.grid:
-            raise GridMismatchError(f"function grid {grid} != operator grid {self.grid}")
+    def apply_values(self, v: np.ndarray) -> np.ndarray:
+        if v.shape[-2:] != self.grid.shape:
+            raise GridMismatchError(f"values of shape {v.shape} off the interior {self.grid.shape}")
         inv1, inv2 = 1.0 / self.grid.h1**2, 1.0 / self.grid.h2**2
         out = (2.0 * inv1 + 2.0 * inv2) * v
         scaled = inv1 * v
@@ -97,7 +98,7 @@ class FivePointLaplacian(SpdOperator):
 
 @dataclass(frozen=True)
 class IdentityOperator(SpdOperator):
-    def apply_values(self, v: np.ndarray, grid: Grid2D) -> np.ndarray:
+    def apply_values(self, v: np.ndarray) -> np.ndarray:
         return v.copy()
 
     def diagonal(self):
@@ -125,7 +126,7 @@ class DiagonalScaling(SpdOperator):
         self.coefficient = values
         self.positive = bool(np.all(values > 0))
 
-    def apply_values(self, v: np.ndarray, grid: Grid2D) -> np.ndarray:
+    def apply_values(self, v: np.ndarray) -> np.ndarray:
         return self.coefficient * v
 
     def diagonal(self):
@@ -147,12 +148,12 @@ class ScaledSum(SpdOperator):
                 raise NotSpdError(f"combination weight {c} must be >= 0")
         self.terms = terms
 
-    def apply_values(self, v: np.ndarray, grid: Grid2D) -> np.ndarray:
+    def apply_values(self, v: np.ndarray) -> np.ndarray:
         out = np.zeros(v.shape)
         for c, op in self.terms:
             if c == 0.0:
                 continue
-            term = op.apply_values(v, grid)  # a new array, so it is scaled in place
+            term = op.apply_values(v)  # a new array, so it is scaled in place
             term *= c
             out += term
         return out
@@ -169,9 +170,10 @@ class ScaledSum(SpdOperator):
 
 
 @lru_cache(maxsize=8)
-def _sine_matrix(n: int) -> np.ndarray:
-    """Orthonormal DST-I matrix for n cells: symmetric and its own inverse."""
-    k = np.arange(1, n)
+def _sine_matrix(size: int) -> np.ndarray:
+    """Orthonormal DST-I matrix of ``size`` interior nodes, n = size + 1 cells:
+    symmetric and its own inverse."""
+    n, k = size + 1, np.arange(1, size + 1)
     s = np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(k, k) / n)
     s.flags.writeable = False
     return s
@@ -194,16 +196,17 @@ def laplacian_eigenvalues(grid: Grid2D) -> np.ndarray:
     return lam
 
 
-def sine_transform(v: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """``S1 v S2`` with the orthonormal DST-I matrices of ``grid``: interior values
-    to sine coefficients and, the matrices being symmetric and orthogonal, back."""
-    return _sine_matrix(grid.n1) @ v @ _sine_matrix(grid.n2)
+def sine_transform(v: np.ndarray) -> np.ndarray:
+    """``S1 v S2`` with the orthonormal DST-I matrices of v's last two axes: interior
+    values to sine coefficients and, the matrices being symmetric and orthogonal, back."""
+    return _sine_matrix(v.shape[-2]) @ v @ _sine_matrix(v.shape[-1])
 
 
-def a_norm(op: SpdOperator, v: np.ndarray, grid: Grid2D) -> float:
-    """Energy norm (op v, v)**0.5 of values v on grid, op symmetric positive semidefinite."""
-    q = float(np.vdot(op.apply_values(v, grid), v)) * grid.cell_area
-    if q < -1e-12 * max(float(np.vdot(v, v)) * grid.cell_area, 1e-300):
+def a_norm(op: SpdOperator, v: np.ndarray) -> float:
+    """Energy norm (op v, v)**0.5 of interior values v, op symmetric positive semidefinite."""
+    area = Grid2D.of(v).cell_area
+    q = float(np.vdot(op.apply_values(v), v)) * area
+    if q < -1e-12 * max(float(np.vdot(v, v)) * area, 1e-300):
         raise NotSpdError(f"quadratic form is negative: {q}")
     return math.sqrt(max(q, 0.0))
 
@@ -211,7 +214,6 @@ def a_norm(op: SpdOperator, v: np.ndarray, grid: Grid2D) -> float:
 def cg_solve(
     op: SpdOperator,
     rhs: np.ndarray,
-    grid: Grid2D,
     tol: float = 1e-10,
     max_iter: int | None = None,
 ) -> np.ndarray:
@@ -223,25 +225,28 @@ def cg_solve(
     residual and once per iteration, so a sum of pointwise terms, which the
     diagonal start solves exactly, needs one division, one application and
     no iteration.  A DiagonalScaling's diagonal was checked when it was built.
-    Raises GridMismatchError unless rhs has ``grid.shape``, ConvergenceError
-    when max_iter (default 10*(n1+n2)) is exhausted.
+    Raises GridMismatchError unless the diagonal and first residual have rhs's
+    shape, ConvergenceError when max_iter (default 10*(n1+n2)) is exhausted.
     """
     if tol <= 0:
         raise ValueError(f"tol={tol} must be > 0")
-    if rhs.shape != grid.shape:
-        raise GridMismatchError(f"rhs shape {rhs.shape} does not match interior {grid.shape}")
-    max_iter = 10 * (grid.n1 + grid.n2) if max_iter is None else max_iter
     rhs_norm = math.sqrt(np.vdot(rhs, rhs))  # plain norms: the mesh weight cancels
-    diag = op.positive_diagonal()
-    x = np.zeros(grid.shape) if diag is None else rhs / diag
-    r = rhs - op.apply_values(x, grid)
+    diag, shape = op.positive_diagonal(), np.shape(op.diagonal())
+    if shape not in ((), rhs.shape):
+        raise GridMismatchError(f"rhs of shape {rhs.shape} against a diagonal of {shape}")
+    x = np.zeros(rhs.shape) if diag is None else rhs / diag
+    r = rhs - op.apply_values(x)
+    if r.shape != rhs.shape:
+        raise GridMismatchError(f"rhs of shape {rhs.shape} against the operator's {r.shape}")
     rr = float(np.vdot(r, r))
     target = tol * rhs_norm
     if math.sqrt(rr) <= target:
         return x
+    grid = Grid2D.of(rhs)
+    max_iter = 10 * (grid.n1 + grid.n2) if max_iter is None else max_iter
     p = r.copy()
     for _ in range(max_iter):
-        ap = op.apply_values(p, grid)
+        ap = op.apply_values(p)
         pap = float(np.vdot(p, ap))
         if pap <= 0:
             raise NotSpdError(f"CG detected a non-SPD operator: (p, Ap) = {pap}")

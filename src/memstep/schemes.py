@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -100,6 +99,7 @@ class ProblemSpec:
     forcing: Optional[Callable[[float], np.ndarray]] = None
     mass: SpdOperator = field(default_factory=IdentityOperator)
     reaction: Optional[SpdOperator] = None
+    grid: Grid2D = field(init=False, repr=False, compare=False)  # ``Grid2D.of(initial)``
 
     def __post_init__(self):
         initial = np.asarray(self.initial, dtype=float)
@@ -108,12 +108,7 @@ class ProblemSpec:
                 f"initial values of shape {initial.shape} are not a 2-D interior field"
             )
         object.__setattr__(self, "initial", initial)
-        _ = self.grid  # built now, so an interior with an empty axis fails here
-
-    @cached_property
-    def grid(self) -> Grid2D:
-        """The grid whose interior is ``initial``'s shape."""
-        return Grid2D(self.initial.shape[0] + 1, self.initial.shape[1] + 1)
+        object.__setattr__(self, "grid", Grid2D.of(initial))  # an empty axis fails here
 
     @property
     def is_plain(self) -> bool:
@@ -283,13 +278,13 @@ def soe_stepper(p: ProblemSpec, cfg: SchemeConfig) -> Callable[[SoeState], SoeSt
         with _finite("update", s.n + 1, s.t + tau):
             mem = (mem_weights @ old).reshape(grid.shape)
             mem += mem_own * y
-            rhs = p.mass.apply_values(y, grid)
-            rhs -= tau * p.operator.apply_values(mem, grid)
+            rhs = p.mass.apply_values(y)
+            rhs -= tau * p.operator.apply_values(mem)
             if p.reaction is not None:
-                rhs -= ((1.0 - sig) * tau) * p.reaction.apply_values(y, grid)
+                rhs -= ((1.0 - sig) * tau) * p.reaction.apply_values(y)
             if p.forcing is not None:  # evaluated at the mid level t_n + sigma*tau
                 rhs += tau * _forcing(p, s.t + sig * tau)
-            y_new = cg_solve(lhs, rhs, grid, tol=cfg.cg_tol)
+            y_new = cg_solve(lhs, rhs, tol=cfg.cg_tol)
             ybar = sig * y_new + (1.0 - sig) * y
             aux = np.empty(s.aux.shape)
             new, yb = aux.reshape(m, size), ybar.reshape(size)
@@ -380,10 +375,9 @@ def history_levels(p: ProblemSpec, cfg: SchemeConfig, n_steps: int) -> np.ndarra
     if not p.is_plain:
         raise SchemeConfigError("the full-history baseline handles only the plain problem")
     sig, tau = cfg.sigma, cfg.tau
-    grid = p.grid
     start, inner, w_end = _product_trapezoid_weights(p.kernel, tau, n_steps)
     lhs = _collapsed([(1.0, IdentityOperator()), (sig * tau * w_end, p.operator)])
-    levels = np.empty((n_steps + 1,) + grid.shape)
+    levels = np.empty((n_steps + 1,) + p.initial.shape)
     levels[0] = p.initial
     flat = levels.reshape(n_steps + 1, -1)
     weights = np.empty(n_steps)
@@ -394,12 +388,12 @@ def history_levels(p: ProblemSpec, cfg: SchemeConfig, n_steps: int) -> np.ndarra
             # t_{n+1}; the endpoint weight on the new level is implicit
             w = weights[: n + 1]
             w[0], w[1:] = start[n + 1], inner[n:0:-1]
-            known = (w @ flat[: n + 1]).reshape(grid.shape)
+            known = (w @ flat[: n + 1]).reshape(p.initial.shape)
             blend = sig * known + (1.0 - sig) * integral
-            rhs = levels[n] - tau * p.operator.apply_values(blend, grid)
+            rhs = levels[n] - tau * p.operator.apply_values(blend)
             if p.forcing is not None:
                 rhs += tau * _forcing(p, t + sig * tau)
-            levels[n + 1] = cg_solve(lhs, rhs, grid, tol=cfg.cg_tol)
+            levels[n + 1] = cg_solve(lhs, rhs, tol=cfg.cg_tol)
             integral = known + w_end * levels[n + 1]
         t += tau
     return levels
@@ -415,11 +409,11 @@ def energy(p: ProblemSpec, s: SoeState) -> float:
     with _finite("energy", s.n, s.t):
         flat, forms = s.aux.reshape(m, -1), np.empty(m)
         for blk in _blocks(m, flat.shape[1]):
-            applied = p.operator.apply_values(s.aux[blk], grid)
+            applied = p.operator.apply_values(s.aux[blk])
             forms[blk] = _row_dots(applied.reshape(len(applied), -1), flat[blk])
         scale = _row_dots(flat, flat) if forms.min() < 0.0 else 0.0  # a pass only if needed
         if np.any(forms < -1e-12 * np.maximum(scale, 1e-300)):
             raise NotSpdError(f"quadratic form is negative: {forms.min() * grid.cell_area}")
         forms = np.maximum(forms, 0.0) * grid.cell_area
-        total = a_norm(p.mass, s.y, grid) ** 2 + float(np.dot(p.kernel.weights, forms))
+        total = a_norm(p.mass, s.y) ** 2 + float(np.dot(p.kernel.weights, forms))
     return math.sqrt(total)

@@ -170,7 +170,7 @@ def test_compressed_matches_full_history(desk_spec, desk_reference):
     diffs = [r.max_diff for r in rows]
     taus = [r.tau for r in rows]
     slope = np.polyfit(np.log(taus), np.log(diffs), 1)[0]
-    finest = run_model_problem(desk_spec, n_steps=384)
+    finest = experiments._sample_run(desk_spec, None, 384)
     scheme_err = float(np.max(error_series(finest, desk_reference).epsinf))
     ok = abs(slope - 2.0) <= 0.35 and diffs[-1] < scheme_err
     report(
@@ -188,21 +188,21 @@ def test_spatial_operator_correctness(rng):
     lap = FivePointLaplacian(grid)
     w = sample_function(grid, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
     lam = laplacian_eigenvalues(grid).min()
-    eig_err = float(np.max(np.abs(lap.apply_values(w, grid) - lam * w)))
+    eig_err = float(np.max(np.abs(lap.apply_values(w) - lam * w)))
     eig_ok = eig_err <= 1e-10 * lam * float(np.max(np.abs(w)))
 
     def dot(a, b):  # the mesh-weighted inner product
         return float(np.vdot(a, b)) * grid.cell_area
 
     u, v = rng.standard_normal((2,) + grid.shape)
-    sym_gap = abs(dot(lap.apply_values(u, grid), v) - dot(u, lap.apply_values(v, grid)))
-    pd_ok = dot(lap.apply_values(u, grid), u) >= (1 - 1e-10) * lam * dot(u, u)
+    sym_gap = abs(dot(lap.apply_values(u), v) - dot(u, lap.apply_values(v)))
+    pd_ok = dot(lap.apply_values(u), u) >= (1 - 1e-10) * lam * dot(u, u)
 
     tol = 1e-10
     op = ScaledSum([(1.0, IdentityOperator()), (0.5, lap)])
     rhs = rng.standard_normal(grid.shape)
-    x = cg_solve(op, rhs, grid, tol=tol)
-    r = op.apply_values(x, grid) - rhs
+    x = cg_solve(op, rhs, tol=tol)
+    r = op.apply_values(x) - rhs
     res = math.sqrt(dot(r, r) / dot(rhs, rhs))
 
     ok = eig_ok and sym_gap < 1e-10 and pd_ok and res <= tol

@@ -62,13 +62,19 @@ class TestRunCommand:
         )
         assert (other / "run" / "trajectory.csv").read_bytes() == by_steps
 
+    def test_any_step_count_runs(self, out_root):
+        # a run samples no snapshots, so sample_count (8) need not divide 401
+        assert cli.main(["run", "--steps", "401"]) == cli.EXIT_OK
+        lines = (out_root / "run" / "trajectory.csv").read_text().splitlines()
+        assert len(lines) == 1 + 402
+
     def test_default_run_applies_no_stencil(self, monkeypatch):
         calls = []
         apply = FivePointLaplacian.apply_values
         monkeypatch.setattr(
             FivePointLaplacian,
             "apply_values",
-            lambda lap, v, grid: calls.append(1) or apply(lap, v, grid),
+            lambda lap, v: calls.append(1) or apply(lap, v),
         )
         assert cli.main(["run"]) == cli.EXIT_OK
         assert calls == []  # the model problem is stepped in sine coordinates
@@ -166,6 +172,21 @@ class TestConfigErrors:
         assert cli.main(["run", "--config", str(config)]) == cli.EXIT_CONFIG
         assert f"cg_tol={tol} must be > 0" in capsys.readouterr().err
         assert not (out_root / "run").exists()
+
+    def test_missing_config_file(self, out_root, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert cli.main(["run", "--config", str(missing)]) == cli.EXIT_CONFIG
+        assert str(missing) in capsys.readouterr().err
+        assert not (out_root / "run").exists()
+
+    @pytest.mark.parametrize("command", ["run", "kernel-error"])
+    def test_out_that_is_a_file(self, tmp_path, capsys, command):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        argv = [command, "--grid", "8", "--steps", "8", "--out", str(blocker)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert f"{blocker}/{command}" in capsys.readouterr().err
+        assert blocker.read_text() == ""
 
     def test_missing_kernel_file(self, capsys):
         assert (
@@ -293,9 +314,8 @@ class TestConvergeCommand:
         spec = cli.resolve_config(
             cli.build_parser().parse_args(["converge", "--config", str(config)])
         ).experiment_spec()
-        run = experiments.run_model_problem
         errs = experiments.error_series(
-            run(spec, n_steps=32), run(spec, sigma=0.5, n_steps=64)
+            sample_run(spec, None, n_steps=32), sample_run(spec, 0.5, n_steps=64)
         )
         expected = tmp_path / "expected.csv"
         experiments.write_errors_csv(errs, expected)

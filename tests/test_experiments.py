@@ -12,7 +12,6 @@ from memstep.experiments import (
     AlignmentError,
     ExperimentSpec,
     Snapshots,
-    Trajectory,
     build_model_problem,
     compare_baseline,
     convergence_study,
@@ -57,6 +56,11 @@ def small_run(small_spec):
     return run_model_problem(small_spec)
 
 
+@pytest.fixture(scope="module")
+def small_samples(small_spec):
+    return experiments._sample_run(small_spec, None, small_spec.n_steps)
+
+
 class TestExperimentSpec:
     def test_tau(self, small_spec):
         assert small_spec.tau == pytest.approx(2.0 / 64)
@@ -72,12 +76,12 @@ class TestExperimentSpec:
 
 
 class TestRunModelProblem:
-    def test_trajectory_shapes(self, small_spec, small_run):
+    def test_trajectory_shapes(self, small_spec, small_run, small_samples):
         assert len(small_run.times) == small_spec.n_steps + 1
         assert len(small_run.energies) == len(small_run.times)
-        assert len(small_run.snapshots) == small_spec.sample_count
+        assert len(small_samples.snapshots) == small_spec.sample_count
         np.testing.assert_allclose(
-            small_run.snapshot_times, small_spec.sample_times()
+            small_samples.snapshot_times, small_spec.sample_times()
         )
 
     def test_initial_center_value(self, small_run):
@@ -87,59 +91,54 @@ class TestRunModelProblem:
         diffs = np.diff(small_run.energies)
         assert np.all(diffs <= 1e-8 * small_run.energies[0])
 
-    def test_deterministic_bitwise(self, small_spec, small_run):
+    def test_deterministic_bitwise(self, small_spec, small_run, small_samples):
         again = run_model_problem(small_spec)
         np.testing.assert_array_equal(again.energies, small_run.energies)
         np.testing.assert_array_equal(again.center_values, small_run.center_values)
-        for a, b in zip(again.snapshots, small_run.snapshots):
+        sampled = experiments._sample_run(small_spec, None, small_spec.n_steps)
+        for a, b in zip(sampled.snapshots, small_samples.snapshots):
             np.testing.assert_array_equal(a, b)
 
-    def test_zero_initial_stays_zero(self, small_spec):
+    def test_zero_initial_stays_zero(self, small_spec, monkeypatch):
         grid = Grid2D(small_spec.grid_n, small_spec.grid_n)
         traj = run_model_problem(small_spec, initial=np.zeros(grid.shape))
         assert np.all(traj.energies == 0.0)
-        assert all(s.shape == grid.shape and np.all(s == 0.0) for s in traj.snapshots)
+        monkeypatch.setattr(experiments, "model_initial_condition", lambda g: np.zeros(g.shape))
+        sampled = experiments._sample_run(small_spec, None, small_spec.n_steps)
+        assert all(s.shape == grid.shape and np.all(s == 0.0) for s in sampled.snapshots)
 
     def test_misaligned_steps_raise(self, small_spec):
         with pytest.raises(AlignmentError, match="divisible"):
-            run_model_problem(small_spec, n_steps=50)
+            experiments._sample_run(small_spec, None, 50)
 
 
 class TestErrorSeries:
-    def test_self_comparison_is_zero(self, small_run):
-        errs = error_series(small_run, small_run)
+    def test_self_comparison_is_zero(self, small_samples):
+        errs = error_series(small_samples, small_samples)
         assert np.all(errs.eps2 == 0.0)
         assert np.all(errs.epsinf == 0.0)
 
-    def test_constant_offset(self, small_spec, small_run):
+    def test_constant_offset(self, small_spec, small_samples):
         c = 0.125
-        shifted = Trajectory(
-            steps=small_run.steps,
-            times=small_run.times,
-            energies=small_run.energies,
-            center_values=small_run.center_values,
-            snapshots=tuple(s + c for s in small_run.snapshots),
-            snapshot_times=small_run.snapshot_times,
+        shifted = Snapshots(
+            snapshots=tuple(s + c for s in small_samples.snapshots),
+            snapshot_times=small_samples.snapshot_times,
         )
-        errs = error_series(shifted, small_run)
+        errs = error_series(shifted, small_samples)
         np.testing.assert_allclose(errs.epsinf, c, rtol=1e-14)
         # mesh-weighted L2 of a constant on the (n-1)^2 interior nodes
         n = small_spec.grid_n
         expected = c * np.sqrt((n - 1) ** 2 / n**2)
         np.testing.assert_allclose(errs.eps2, expected, rtol=1e-13)
 
-    def test_mismatched_snapshot_counts(self, small_spec, small_run):
-        other = run_model_problem(small_spec, n_steps=32)
-        short = Trajectory(
-            steps=other.steps,
-            times=other.times,
-            energies=other.energies,
-            center_values=other.center_values,
+    def test_mismatched_snapshot_counts(self, small_spec, small_samples):
+        other = experiments._sample_run(small_spec, None, 32)
+        short = Snapshots(
             snapshots=other.snapshots[:4],
             snapshot_times=other.snapshot_times[:4],
         )
         with pytest.raises(AlignmentError):
-            error_series(short, small_run)
+            error_series(short, small_samples)
 
     def test_snapshots_of_different_grids_raise(self):
         t = np.array([1.0])
@@ -244,12 +243,19 @@ class TestRecordsOnlyWhatIsWritten:
         run_model_problem(small_spec)
         assert len(calls) == small_spec.n_steps + 1
 
-    def test_snapshots_match_the_recorded_run(self, small_spec, small_run):
-        sampled = experiments._sample_run(small_spec, None, small_spec.n_steps)
-        assert not hasattr(sampled, "energies")
-        for a, b in zip(sampled.snapshots, small_run.snapshots):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(sampled.snapshot_times, small_run.snapshot_times)
+    def test_snapshots_match_the_recorded_run(self, small_spec, small_samples):
+        n = small_spec.n_steps
+        assert not hasattr(small_samples, "energies")
+        assert not hasattr(run_model_problem(small_spec, n_steps=1), "snapshots")
+        problem = build_model_problem(small_spec)
+        states = list(experiments._states(problem, experiments._scheme(small_spec, None, n), n))
+        at_samples = states[n // small_spec.sample_count :: n // small_spec.sample_count]
+        assert len(at_samples) == len(small_samples.snapshots)
+        for a, s in zip(small_samples.snapshots, at_samples):
+            np.testing.assert_array_equal(a, sine_transform(s.y))
+        np.testing.assert_allclose(
+            small_samples.snapshot_times, [s.t for s in at_samples], rtol=1e-14
+        )
 
 
 class TestCompareBaseline:
@@ -274,9 +280,9 @@ class TestCompareBaseline:
         assert peak < 4.5 * 2**20
 
 
-def test_sine_coordinates_match_physical_oracle(small_spec, small_run):
+def test_sine_coordinates_match_physical_oracle(small_spec, small_run, small_samples):
     """The model problem stepped in physical space (stencil and CG) agrees with
-    the sine-coordinate runs of run_model_problem and compare_baseline."""
+    the sine-coordinate runs of run_model_problem, _sample_run and compare_baseline."""
     grid = Grid2D(small_spec.grid_n, small_spec.grid_n)
     physical = ProblemSpec(FivePointLaplacian(grid), small_spec.kernel, model_initial_condition(grid))
     cfg = SchemeConfig(sigma=small_spec.sigma, tau=small_spec.tau, cg_tol=1e-13)
@@ -292,14 +298,14 @@ def test_sine_coordinates_match_physical_oracle(small_spec, small_run):
     np.testing.assert_allclose(energies, small_run.energies, rtol=1e-12)
     centers = [y[grid.center_index] for y in path]
     np.testing.assert_allclose(centers, small_run.center_values, rtol=0, atol=1e-12 * scale)
-    for y, snap in zip(path[stride::stride], small_run.snapshots):
+    for y, snap in zip(path[stride::stride], small_samples.snapshots):
         np.testing.assert_allclose(snap, y, rtol=0, atol=1e-12 * scale)
 
     modal = build_model_problem(small_spec)
     phys_hist = history_levels(physical, cfg, small_spec.n_steps)
     modal_hist = history_levels(modal, cfg, small_spec.n_steps)
     for y, y_modal in zip(phys_hist, modal_hist):
-        np.testing.assert_allclose(sine_transform(y_modal, grid), y, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(sine_transform(y_modal), y, rtol=0, atol=1e-12 * scale)
     (row,) = compare_baseline(small_spec, (small_spec.n_steps,))
     max_diff = max(float(np.max(np.abs(a - b))) for a, b in zip(path, phys_hist))
     assert abs(row.max_diff - max_diff) <= 1e-12 * scale
@@ -314,8 +320,8 @@ class TestCsvWriters:
         np.testing.assert_array_equal(data["energy"], small_run.energies)
         np.testing.assert_array_equal(data["center_value"], small_run.center_values)
 
-    def test_errors_and_convergence_headers(self, small_spec, small_run, tmp_path):
-        errs = error_series(small_run, small_run)
+    def test_errors_and_convergence_headers(self, small_spec, small_samples, tmp_path):
+        errs = error_series(small_samples, small_samples)
         write_errors_csv(errs, tmp_path / "errors.csv")
         assert (tmp_path / "errors.csv").read_text().splitlines()[0] == "t,eps2,epsinf"
 

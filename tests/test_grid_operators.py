@@ -69,7 +69,7 @@ class TestInnerProduct:
     def test_constant_counting(self):
         g = Grid2D(5, 7)
         expected = (5 - 1) * (7 - 1) * g.h1 * g.h2
-        assert a_norm(IdentityOperator(), np.ones(g.shape), g) ** 2 == pytest.approx(
+        assert a_norm(IdentityOperator(), np.ones(g.shape)) ** 2 == pytest.approx(
             expected, rel=1e-15
         )
 
@@ -82,13 +82,13 @@ class TestInnerProduct:
             for j in range(1, 64):
                 v = np.sin(np.pi * i / 64) * np.sin(np.pi * j / 64)
                 brute += v * v / 64 / 64
-        assert a_norm(IdentityOperator(), w, g) == pytest.approx(np.sqrt(brute), rel=1e-13)
+        assert a_norm(IdentityOperator(), w) == pytest.approx(np.sqrt(brute), rel=1e-13)
 
 
 class TestLaplacian:
     def test_zero_maps_to_zero(self):
         g = Grid2D(8, 8)
-        out = FivePointLaplacian(g).apply_values(np.zeros(g.shape), g)
+        out = FivePointLaplacian(g).apply_values(np.zeros(g.shape))
         assert np.all(out == 0.0)
 
     @pytest.mark.parametrize("n", [8, 16, 64])
@@ -96,7 +96,7 @@ class TestLaplacian:
         g = Grid2D(n, n)
         w = sample_function(g, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
         lam = laplacian_eigenvalues(g).min()
-        aw = FivePointLaplacian(g).apply_values(w, g)
+        aw = FivePointLaplacian(g).apply_values(w)
         np.testing.assert_allclose(aw, lam * w, rtol=1e-10, atol=1e-13)
 
     def test_hand_computed_stencil(self):
@@ -104,7 +104,7 @@ class TestLaplacian:
         g = Grid2D(4, 4)
         values = np.zeros((3, 3))
         values[1, 1] = 1.0
-        aw = FivePointLaplacian(g).apply_values(values, g)
+        aw = FivePointLaplacian(g).apply_values(values)
         h2 = g.h1**2
         expected = np.array(
             [[0, -1 / h2, 0], [-1 / h2, 4 / h2, -1 / h2], [0, -1 / h2, 0]]
@@ -115,13 +115,13 @@ class TestLaplacian:
         g = Grid2D(12, 10)
         lap = FivePointLaplacian(g)
         w, u = random_field(g, rng), random_field(g, rng)
-        lhs = lap.apply_values(2.5 * w + u, g)
-        rhs = 2.5 * lap.apply_values(w, g) + lap.apply_values(u, g)
+        lhs = lap.apply_values(2.5 * w + u)
+        rhs = 2.5 * lap.apply_values(w) + lap.apply_values(u)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-13, atol=1e-13)
 
     def test_grid_mismatch(self):
         with pytest.raises(GridMismatchError):
-            FivePointLaplacian(Grid2D(4, 4)).apply_values(np.zeros((7, 7)), Grid2D(8, 8))
+            FivePointLaplacian(Grid2D(4, 4)).apply_values(np.zeros((7, 7)))
 
 
 @pytest.mark.parametrize(
@@ -139,15 +139,15 @@ class TestOperatorProperties:
         g = Grid2D(10, 14)
         op = make_op(g)
         w, u = random_field(g, rng), random_field(g, rng)
-        lhs = dot(op.apply_values(w, g), u, g)
-        rhs = dot(w, op.apply_values(u, g), g)
+        lhs = dot(op.apply_values(w), u, g)
+        rhs = dot(w, op.apply_values(u), g)
         assert abs(lhs - rhs) <= 1e-12 * norm(w, g) * norm(u, g) * 100
 
     def test_nonnegative_form(self, make_op, rng):
         g = Grid2D(10, 14)
         op = make_op(g)
         w = random_field(g, rng)
-        assert dot(op.apply_values(w, g), w, g) >= -1e-12 * norm(w, g) ** 2
+        assert dot(op.apply_values(w), w, g) >= -1e-12 * norm(w, g) ** 2
 
 
 def test_subclass_without_apply_values_raises():
@@ -155,7 +155,7 @@ def test_subclass_without_apply_values_raises():
         pass
 
     with pytest.raises(NotImplementedError, match="Bare"):
-        Bare().apply_values(np.zeros((3, 3)), Grid2D(4, 4))
+        Bare().apply_values(np.zeros((3, 3)))
 
 
 class TestPositiveDefiniteness:
@@ -165,7 +165,7 @@ class TestPositiveDefiniteness:
         nu = laplacian_eigenvalues(g).min()
         for _ in range(20):
             w = random_field(g, rng)
-            assert dot(lap.apply_values(w, g), w, g) >= (1 - 1e-10) * nu * dot(w, w, g)
+            assert dot(lap.apply_values(w), w, g) >= (1 - 1e-10) * nu * dot(w, w, g)
 
     def test_diagonal_negative_coefficient_rejected(self):
         with pytest.raises(NotSpdError):
@@ -186,41 +186,41 @@ class TestANorm:
     def test_identity_gives_l2(self, rng):
         g = Grid2D(8, 8)
         w = random_field(g, rng)
-        assert a_norm(IdentityOperator(), w, g) == pytest.approx(norm(w, g), rel=1e-14)
+        assert a_norm(IdentityOperator(), w) == pytest.approx(norm(w, g), rel=1e-14)
 
     def test_laplacian_eigenfunction(self):
         g = Grid2D(32, 32)
         w = sample_function(g, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
         lam = laplacian_eigenvalues(g).min()
         expected = np.sqrt(lam) * norm(w, g)
-        assert a_norm(FivePointLaplacian(g), w, g) == pytest.approx(expected, rel=1e-12)
+        assert a_norm(FivePointLaplacian(g), w) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_function(self):
         g = Grid2D(8, 8)
-        assert a_norm(FivePointLaplacian(g), np.zeros(g.shape), g) == 0.0
+        assert a_norm(FivePointLaplacian(g), np.zeros(g.shape)) == 0.0
 
     def test_negative_form_raises(self, rng):
         class Negation(SpdOperator):
-            def apply_values(self, v, grid):
+            def apply_values(self, v):
                 return -1.0 * v
 
         g = Grid2D(8, 8)
         with pytest.raises(NotSpdError):
-            a_norm(Negation(), random_field(g, rng), g)
+            a_norm(Negation(), random_field(g, rng))
 
 
 class TestCgSolve:
     def test_identity_returns_rhs(self, rng):
         g = Grid2D(8, 8)
         rhs = random_field(g, rng)
-        x = cg_solve(IdentityOperator(), rhs, g)
+        x = cg_solve(IdentityOperator(), rhs)
         np.testing.assert_allclose(x, rhs, rtol=1e-12)
 
     def test_manufactured_solution(self, rng):
         g = Grid2D(24, 24)
         op = ScaledSum([(1.0, IdentityOperator()), (0.3, FivePointLaplacian(g))])
         w = random_field(g, rng)
-        x = cg_solve(op, op.apply_values(w, g), g, tol=1e-12)
+        x = cg_solve(op, op.apply_values(w), tol=1e-12)
         np.testing.assert_allclose(x, w, rtol=0, atol=1e-9)
 
     def test_residual_contract(self, rng):
@@ -228,17 +228,17 @@ class TestCgSolve:
         op = ScaledSum([(1.0, IdentityOperator()), (1.0, FivePointLaplacian(g))])
         rhs = random_field(g, rng)
         tol = 1e-8
-        x = cg_solve(op, rhs, g, tol=tol)
-        assert norm(op.apply_values(x, g) - rhs, g) <= tol * norm(rhs, g)
+        x = cg_solve(op, rhs, tol=tol)
+        assert norm(op.apply_values(x) - rhs, g) <= tol * norm(rhs, g)
 
     def test_zero_rhs_short_circuits(self):
         g = Grid2D(8, 8)
-        x = cg_solve(FivePointLaplacian(g), np.zeros(g.shape), g)
+        x = cg_solve(FivePointLaplacian(g), np.zeros(g.shape))
         assert np.all(x == 0.0)
 
     def test_indefinite_operator_detected(self, rng):
         class Indefinite(SpdOperator):
-            def apply_values(self, v, grid):
+            def apply_values(self, v):
                 out = np.array(v)
                 out[..., 0, :] *= -1.0
                 return out
@@ -246,7 +246,7 @@ class TestCgSolve:
         g = Grid2D(8, 8)
         rhs = random_field(g, rng)
         with pytest.raises((NotSpdError, ConvergenceError)):
-            cg_solve(Indefinite(), rhs, g)
+            cg_solve(Indefinite(), rhs)
 
     def test_max_iter_exceeded_reports_residual(self, rng):
         # the Laplacian term leaves the sum without a diagonal, so CG starts
@@ -258,7 +258,7 @@ class TestCgSolve:
         )
         rhs = random_field(g, rng)
         with pytest.raises(ConvergenceError) as err:
-            cg_solve(op, rhs, g, tol=1e-14, max_iter=2)
+            cg_solve(op, rhs, tol=1e-14, max_iter=2)
         assert err.value.residual > 0
         assert err.value.iterations == 2
 
@@ -270,17 +270,29 @@ class TestCgSolve:
 
     @pytest.mark.parametrize("shape", [(7, 1), (8, 8)])
     def test_rhs_of_another_shape_rejected(self, shape):
-        # (n1-1, 1) would broadcast against the interior without the check
+        # (n1-1, 1) would broadcast against the interior without the check:
+        # rhs / diagonal would return a "solution" of the field's shape; a
+        # field with zeros has no positive diagonal, so CG starts from zero
         g = Grid2D(8, 8)
-        with pytest.raises(GridMismatchError):
-            cg_solve(FivePointLaplacian(g), np.ones(shape), g)
+        for op in (FivePointLaplacian(g), DiagonalScaling(np.full(g.shape, 2.0)),
+                   DiagonalScaling(np.eye(7))):
+            with pytest.raises(GridMismatchError):
+                cg_solve(op, np.ones(shape))
+
+    def test_operator_field_of_another_shape_rejected(self):
+        class Field(SpdOperator):  # pointwise, but with no diagonal to compare
+            def apply_values(self, v):
+                return np.full((7, 7), 2.0) * v
+
+        with pytest.raises(GridMismatchError, match=r"\(7, 1\).*\(7, 7\)"):
+            cg_solve(Field(), np.ones((7, 1)))
 
     def test_deterministic(self, rng):
         g = Grid2D(16, 16)
         op = ScaledSum([(1.0, IdentityOperator()), (0.5, FivePointLaplacian(g))])
         rhs = random_field(g, rng)
-        x1 = cg_solve(op, rhs, g)
-        x2 = cg_solve(op, rhs, g)
+        x1 = cg_solve(op, rhs)
+        x2 = cg_solve(op, rhs)
         np.testing.assert_array_equal(x1, x2)
 
 
@@ -309,20 +321,20 @@ class TestSineBasisPreconditioner:
             terms.append((1.0, DiagonalScaling(rng.uniform(0.0, 50.0, g.shape))))
         op = ScaledSum(terms)
         w = random_field(g, rng)
-        rhs = op.apply_values(w, g)
+        rhs = op.apply_values(w)
         applications = []
         apply = ScaledSum.apply_values
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(
                 ScaledSum,
                 "apply_values",
-                lambda sum_, v, grid: applications.append(1) or apply(sum_, v, grid),
+                lambda sum_, v: applications.append(1) or apply(sum_, v),
             )
-            x = cg_solve(op, rhs, g)
-        assert norm(op.apply_values(x, g) - rhs, g) <= 1e-10 * norm(rhs, g)
+            x = cg_solve(op, rhs)
+        assert norm(op.apply_values(x) - rhs, g) <= 1e-10 * norm(rhs, g)
         if pointwise:
             assert len(applications) == 1
-        x = cg_solve(op, rhs, g, tol=1e-13)
+        x = cg_solve(op, rhs, tol=1e-13)
         np.testing.assert_allclose(x, w, rtol=0, atol=1e-10 * np.abs(w).max())
 
     def test_pointwise_inverse(self, rng):
@@ -365,9 +377,9 @@ class TestSineBasisPreconditioner:
             mp.setattr(
                 ScaledSum,
                 "apply_values",
-                lambda sum_, v, grid: applied.append(sum_) or apply(sum_, v, grid),
+                lambda sum_, v: applied.append(sum_) or apply(sum_, v),
             )
-            x = cg_solve(nested, rhs, g)
+            x = cg_solve(nested, rhs)
         assert sum(op is nested for op in applied) == 1
         np.testing.assert_allclose(x, rhs / (3.0 + field), rtol=1e-15)
         # zero weights and zero coefficients are diagonals too
@@ -390,21 +402,21 @@ class TestSineBasisPreconditioner:
             mp.setattr(
                 ScaledSum,
                 "apply_values",
-                lambda sum_, v, grid: starts.append(v.copy()) or apply(sum_, v, grid),
+                lambda sum_, v: starts.append(v.copy()) or apply(sum_, v),
             )
-            x = cg_solve(op, rhs, g, tol=1e-12)
+            x = cg_solve(op, rhs, tol=1e-12)
         assert np.all(starts[0] == 0.0) and np.all(np.isfinite(x))
-        assert np.linalg.norm(op.apply_values(x, g) - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        assert np.linalg.norm(op.apply_values(x) - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
     def test_diagonal_scaling_holds_its_own_coefficient(self, rng):
         g = Grid2D(6, 6)
         field = rng.uniform(1.0, 2.0, g.shape)
         op, kept = DiagonalScaling(field), field.copy()
         v, rhs = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
-        applied, solved = op.apply_values(v, g), cg_solve(op, rhs, g)
+        applied, solved = op.apply_values(v), cg_solve(op, rhs)
         field[...] = -7.0  # the caller's array, written after construction
-        np.testing.assert_array_equal(op.apply_values(v, g), applied)
-        np.testing.assert_array_equal(cg_solve(op, rhs, g), solved)
+        np.testing.assert_array_equal(op.apply_values(v), applied)
+        np.testing.assert_array_equal(cg_solve(op, rhs), solved)
         np.testing.assert_array_equal(solved, rhs / kept)
         assert op.positive and not op.coefficient.flags.writeable
         # a read-only array that owns its data is held as it is, not copied
@@ -429,14 +441,14 @@ class TestSineBasisPreconditioner:
             rr_old, rr = rr, float(np.vdot(r, r))
             p *= rr / rr_old
             p += r
-        np.testing.assert_array_equal(cg_solve(op, rhs, g, tol=1e-12), x)
+        np.testing.assert_array_equal(cg_solve(op, rhs, tol=1e-12), x)
 
     def test_sine_transform_diagonalizes_laplacian(self, rng):
         g = Grid2D(7, 5)  # n1 != n2: a swapped axis fails both checks
         v = rng.standard_normal(g.shape)
-        np.testing.assert_allclose(sine_transform(sine_transform(v, g), g), v, rtol=0, atol=1e-14)
-        lv = FivePointLaplacian(g).apply_values(v, g)
-        expected = laplacian_eigenvalues(g) * sine_transform(v, g)
+        np.testing.assert_allclose(sine_transform(sine_transform(v)), v, rtol=0, atol=1e-14)
+        lv = FivePointLaplacian(g).apply_values(v)
+        expected = laplacian_eigenvalues(g) * sine_transform(v)
         np.testing.assert_allclose(
-            sine_transform(lv, g), expected, rtol=0, atol=1e-12 * np.abs(expected).max()
+            sine_transform(lv), expected, rtol=0, atol=1e-12 * np.abs(expected).max()
         )

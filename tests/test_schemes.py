@@ -189,15 +189,15 @@ def unbuilt_step(p, cfg, s):
     grid, y = p.grid, s.y
     mem = np.tensordot(a * ((1.0 - sig) + sig * decay), s.aux, axes=1)
     mem += (sig * (1.0 - sig) * float(a @ gain)) * y
-    rhs = p.mass.apply_values(y, grid)
-    rhs -= tau * p.operator.apply_values(mem, grid)
+    rhs = p.mass.apply_values(y)
+    rhs -= tau * p.operator.apply_values(mem)
     terms = [(1.0, p.mass), (sig * tau * mu, p.operator)]
     if p.reaction is not None:
-        rhs -= ((1.0 - sig) * tau) * p.reaction.apply_values(y, grid)
+        rhs -= ((1.0 - sig) * tau) * p.reaction.apply_values(y)
         terms.append((sig * tau, p.reaction))
     if p.forcing is not None:
         rhs += tau * p.forcing(s.t + sig * tau)
-    y_new = cg_solve(ScaledSum(terms), rhs, grid, tol=cfg.cg_tol)
+    y_new = cg_solve(ScaledSum(terms), rhs, tol=cfg.cg_tol)
     ybar = sig * y_new + (1.0 - sig) * y
     aux = decay[:, None, None] * s.aux
     for k in range(len(aux)):
@@ -231,18 +231,18 @@ class TestSoeStepper:
         p = ProblemSpec(  # the model problem in sine coordinates
             operator=DiagonalScaling(laplacian_eigenvalues(grid)),
             kernel=load_builtin_prony("1/2"),
-            initial=sine_transform(v, grid),
+            initial=sine_transform(v),
         )
         solved, applied = [], []
         solve, apply = schemes.cg_solve, DiagonalScaling.apply_values
 
-        def recording_solve(op, rhs, grid, **kwargs):
+        def recording_solve(op, rhs, **kwargs):
             solved.append(op)
-            return solve(op, rhs, grid, **kwargs)
+            return solve(op, rhs, **kwargs)
 
-        def counting_apply(op, v, grid):
+        def counting_apply(op, v):
             applied.append(op)
-            return apply(op, v, grid)
+            return apply(op, v)
 
         monkeypatch.setattr(schemes, "cg_solve", recording_solve)
         monkeypatch.setattr(DiagonalScaling, "apply_values", counting_apply)
@@ -451,7 +451,7 @@ class TestQuadratureStep:
         cfg = SchemeConfig(sigma=0.75, tau=0.05, cg_tol=1e-14)
         ys = [u0]
         for n in range(10):
-            applied = [lap.apply_values(y, grid) for y in ys]
+            applied = [lap.apply_values(y) for y in ys]
             integral = 0.0
             if n > 0:
                 old, old_end = level_weights(kernel, cfg.tau, n)
@@ -460,7 +460,7 @@ class TestQuadratureStep:
             s_new = sum(w * ay for w, ay in zip(new, applied))
             rhs = ys[n] - cfg.tau * (cfg.sigma * s_new + (1 - cfg.sigma) * integral)
             lhs = ScaledSum([(1.0, IdentityOperator()), (cfg.sigma * cfg.tau * new_end, lap)])
-            ys.append(cg_solve(lhs, rhs, grid, tol=1e-14))
+            ys.append(cg_solve(lhs, rhs, tol=1e-14))
         scale = np.abs(u0).max()
         levels = history_levels(p, cfg, 10)
         np.testing.assert_allclose(levels, np.array(ys), rtol=0, atol=1e-12 * scale)
@@ -614,7 +614,7 @@ class TestEnergy:
         )
         y, y1 = rng.standard_normal((2,) + grid.shape)
         s = SoeState(y=y, aux=y1[None], n=3, t=0.3)
-        expected = math.sqrt(l2_norm(y, grid) ** 2 + 2.0 * a_norm(lap, y1, grid) ** 2)
+        expected = math.sqrt(l2_norm(y, grid) ** 2 + 2.0 * a_norm(lap, y1) ** 2)
         assert energy(p, s) == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("sigma", [0.5, 0.75, 1.0])
@@ -707,9 +707,9 @@ def per_term_step(p, cfg, y, aux):
     mem = np.zeros(grid.shape)
     for ai, yi, ci in zip(a, aux, chi):
         mem = mem + ai * ((1.0 - sig) * yi + sig * ci)
-    rhs = y - tau * p.operator.apply_values(mem, grid)
+    rhs = y - tau * p.operator.apply_values(mem)
     lhs = ScaledSum([(1.0, IdentityOperator()), (sig * tau * mu, p.operator)])
-    y_new = cg_solve(lhs, rhs, grid, tol=cfg.cg_tol)
+    y_new = cg_solve(lhs, rhs, tol=cfg.cg_tol)
     return y_new, [(sig * tau / di) * y_new + ci for di, ci in zip(denom, chi)]
 
 
@@ -742,9 +742,9 @@ class TestStackedStepOracle:
         np.testing.assert_allclose(s.y, y, rtol=0, atol=1e-12 * scale)
         np.testing.assert_allclose(s.aux, np.stack(aux), rtol=0, atol=1e-12 * scale)
         expected = math.sqrt(
-            a_norm(p.mass, s.y, grid) ** 2
+            a_norm(p.mass, s.y) ** 2
             + sum(
-                ai * a_norm(p.operator, yi, grid) ** 2
+                ai * a_norm(p.operator, yi) ** 2
                 for ai, yi in zip(kernel.weights, s.aux)
             )
         )
