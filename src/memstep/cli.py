@@ -66,9 +66,8 @@ class RunConfig:
     T: float = 4.0
     grid: int = 32
     out: Optional[str] = None
-    reference_steps: int = 1000
-    # Each ladder entry and reference_steps must be divisible by sample_count
-    # so the comparison times land on every time grid; only converge samples.
+    # converge measures each entry, at sigma, against the exact solution; each must
+    # be divisible by sample_count so the sample times land on its time grid.
     ladder_steps: tuple[int, ...] = (48, 96, 192, 384)
     sample_count: int = 8
     window_t_min: float = 0.1
@@ -101,8 +100,6 @@ class RunConfig:
             raise ConfigError(f"grid={self.grid} must be >= 2")
         if self.tau is not None and self.tau <= 0:
             raise ConfigError(f"tau={self.tau} must be > 0")
-        if self.reference_steps < 1:
-            raise ConfigError(f"reference_steps={self.reference_steps} must be >= 1")
         if not self.cg_tol > 0:
             raise ConfigError(f"cg_tol={self.cg_tol} must be > 0")
         if min(self.ladder_steps, default=1) < 1:
@@ -141,7 +138,6 @@ class RunConfig:
             final_time=self.T,
             sigma=self.sigma,
             n_steps=self.resolved_steps(),
-            n_ref=self.reference_steps,
             sample_count=self.sample_count,
             cg_tol=self.cg_tol,
         )
@@ -213,7 +209,6 @@ def write_manifest(cfg: RunConfig, run_dir: Path, started_at: str) -> None:
         "started_at": started_at,
         "finished_at": datetime.now(timezone.utc).isoformat(),
     }
-    payload["config"]["ladder_steps"] = list(cfg.ladder_steps)
     with (run_dir / "manifest.json").open("w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -314,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--grid", type=int, default=None, help="cells per direction")
     common.add_argument("--out", type=str, default=None,
                         help="output root (default $MEMSTEP_OUT or ./runs)")
-    common.add_argument("--reference-steps", dest="reference_steps", type=int,
-                        default=None, help="time steps of the reference run")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("run", parents=[common], help="run the model relaxation problem")

@@ -1,13 +1,13 @@
-"""Model-problem experiments: relaxation runs, reference solutions,
-error series against the reference, and convergence studies.
+"""Model-problem experiments: relaxation runs, the exact reference, error
+series against it, and convergence studies.
 
 The model problem relaxes the initial state
 ``u0 = x1*x2*sin(pi*x1)*sin(pi*x2)`` on the unit square with zero forcing,
 the memory kernel being a compressed stretched exponential.  It is stepped in
 sine coordinates, where the Laplacian is pointwise, and transformed back only
-for nodal outputs; the energy is the same in either basis.  References are
-computed with the symmetric (sigma = 0.5) compressed scheme on a fine time
-grid and compared at a small set of shared sample times.
+for nodal outputs; the energy is the same in either basis.  There each mode
+is a small linear system of ODEs, so the reference is the exact solution,
+a matrix exponential per mode, compared at a small set of shared sample times.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .schemes import (
     ProblemSpec,
     SchemeConfig,
     SoeState,
+    _finite,
     energy,
     history_levels,
     soe_init,
@@ -85,7 +86,6 @@ class ExperimentSpec:
     final_time: float = 4.0
     sigma: float = 0.5
     n_steps: int = 400
-    n_ref: int = 1000
     sample_count: int = 8
     cg_tol: float = 1e-10
 
@@ -188,9 +188,8 @@ def _snapshot_stride(n_steps: int, sample_count: int) -> int:
     return n_steps // sample_count
 
 
-def _scheme(spec: ExperimentSpec, sigma: Optional[float], n_steps: int) -> SchemeConfig:
-    sigma = spec.sigma if sigma is None else sigma
-    return SchemeConfig(sigma=sigma, tau=spec.final_time / n_steps, cg_tol=spec.cg_tol)
+def _scheme(spec: ExperimentSpec, n_steps: int) -> SchemeConfig:
+    return SchemeConfig(sigma=spec.sigma, tau=spec.final_time / n_steps, cg_tol=spec.cg_tol)
 
 
 def _states(problem: ProblemSpec, cfg: SchemeConfig, n_steps: int) -> Iterator[SoeState]:
@@ -203,46 +202,83 @@ def _states(problem: ProblemSpec, cfg: SchemeConfig, n_steps: int) -> Iterator[S
         yield state
 
 
-def run_model_problem(
-    spec: ExperimentSpec,
-    sigma: Optional[float] = None,
-    n_steps: Optional[int] = None,
-    initial: Optional[np.ndarray] = None,
-) -> Trajectory:
-    """Run the relaxation problem and collect its per-step scalars, at any step count.
-
-    ``sigma`` and ``n_steps`` override the spec values.  Deterministic:
-    repeated calls produce identical output.
-    """
-    n_steps = spec.n_steps if n_steps is None else n_steps
+def run_model_problem(spec: ExperimentSpec, initial: Optional[np.ndarray] = None) -> Trajectory:
+    """Run the relaxation problem and collect its per-step scalars, at any step
+    count; repeated calls produce identical output."""
     problem = build_model_problem(spec, initial=initial)
     grid = problem.grid
     i, j = grid.center_index
     row, col = _sine_matrix(grid.shape[0])[i], _sine_matrix(grid.shape[1])[:, j]  # the centre's
     times, energies, centers = [], [], []
-    for state in _states(problem, _scheme(spec, sigma, n_steps), n_steps):
+    for state in _states(problem, _scheme(spec, spec.n_steps), spec.n_steps):
         times.append(state.t)
         energies.append(energy(problem, state))
         centers.append(float(row @ state.y @ col))
     return Trajectory(
-        steps=np.arange(n_steps + 1),
+        steps=np.arange(spec.n_steps + 1),
         times=np.array(times),
         energies=np.array(energies),
         center_values=np.array(centers),
     )
 
 
-def _sample_run(spec: ExperimentSpec, sigma: Optional[float], n_steps: int) -> Snapshots:
+def _sample_run(spec: ExperimentSpec, n_steps: int) -> Snapshots:
     """Run the relaxation problem, keeping only the snapshots (no per-step
-    energy or centre value): the ladder and reference runs of a study."""
+    energy or centre value): the ladder runs of a study."""
     stride = _snapshot_stride(n_steps, spec.sample_count)
-    problem = build_model_problem(spec)
-    snapshots = tuple(
-        sine_transform(s.y)
-        for s in _states(problem, _scheme(spec, sigma, n_steps), n_steps)
-        if s.n and s.n % stride == 0
-    )
+    states = _states(build_model_problem(spec), _scheme(spec, n_steps), n_steps)
+    snapshots = tuple(sine_transform(s.y) for s in states if s.n and s.n % stride == 0)
     return Snapshots(snapshots=snapshots, snapshot_times=spec.sample_times())
+
+
+_MODE_CHUNK = 32  # modes whose maps are built at once: a few tens of kB at any grid
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """``exp`` of each matrix of a ``(k, d, d)`` stack: the degree-18 Taylor
+    polynomial (remainder under 1/19!) of a / 2**s, s per matrix so that its
+    1-norm is at most 1, in Horner form, squared s times."""
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)  # each matrix's 1-norm
+    s = np.ceil(np.log2(np.maximum(norms, 1.0))).astype(int)
+    scaled, eye = a / np.ldexp(1.0, s)[:, None, None], np.eye(a.shape[-1])
+    g = eye + scaled / 18
+    for k in range(17, 0, -1):
+        g = eye + scaled @ g / k
+    for j in range(s.max()):
+        more = s > j  # only the matrices still to square: a finished one could overflow
+        g[more] = g[more] @ g[more]
+    return g
+
+
+def _mode_maps(lam: np.ndarray, kernel: PronySeries, dt: float) -> np.ndarray:
+    """``expm(M dt)`` per eigenvalue in ``lam``: the exact map over dt of the
+    local system x' = M x, x = (y, z_1..z_m), of one sine mode, with
+    M = [[0, -lam a^T], [1, -diag(b)]] (y' = -lam sum_i a_i z_i, z_i' = y - b_i z_i)."""
+    a, b = np.asarray(kernel.weights), np.asarray(kernel.rates)
+    mats = np.zeros((len(lam), len(a) + 1, len(a) + 1))
+    mats[:, 0, 1:], mats[:, 1:, 0], mats[:, 1:, 1:] = -np.outer(lam, a), 1.0, -np.diag(b)
+    return _expm(mats * dt)
+
+
+def _exact_snapshots(spec: ExperimentSpec) -> Snapshots:
+    """The model problem's exact solution at the sample times: a sine mode
+    starts at (y0, 0..0), so after i sample intervals it is y0 (G**i)[0, 0], G
+    its exact map (``_mode_maps``), built once per distinct eigenvalue (lam(j, k)
+    = lam(k, j)).  The first overflow or NaN raises NonFiniteError."""
+    grid = Grid2D(spec.grid_n, spec.grid_n)
+    lam, inverse = np.unique(laplacian_eigenvalues(grid).ravel(), return_inverse=True)
+    responses = np.empty((spec.sample_count, lam.size))
+    with _finite("exact reference"):
+        for start in range(0, lam.size, _MODE_CHUNK):
+            chunk = slice(start, start + _MODE_CHUNK)
+            maps = _mode_maps(lam[chunk], spec.kernel, spec.final_time / spec.sample_count)
+            x = maps[:, :, 0]  # G e_0
+            for i in range(spec.sample_count):
+                responses[i, chunk] = x[:, 0]
+                x = (maps @ x[:, :, None])[:, :, 0]
+        y0 = sine_transform(model_initial_condition(grid))
+        coefficients = y0 * responses[:, inverse].reshape((-1,) + grid.shape)
+    return Snapshots(tuple(sine_transform(c) for c in coefficients), spec.sample_times())
 
 
 def error_series(coarse: Snapshots, reference: Snapshots) -> ErrorSeries:
@@ -397,43 +433,24 @@ def _map_runs(fn, tasks: list[tuple], max_procs: Optional[int] = None) -> list:
     return [results[i] for i in range(len(tasks))]
 
 
-def convergence_study(
-    spec: ExperimentSpec,
-    step_ladder: tuple[int, ...],
-    sigma: Optional[float] = None,
-    reference: Optional[Snapshots] = None,
-) -> ConvergenceResult:
-    """Run the ladder of step counts against the reference and fit slopes;
-    the reference, unless given, has ``spec.n_ref`` steps, above every entry.
-    Every entry is checked before any step; the runs keep only snapshots and
-    are split across the CPUs this process may use (``_map_runs``), with
-    results identical to running them in order."""
-    if len(step_ladder) < 3:
-        raise ValueError("a convergence ladder needs at least 3 step counts")
+def convergence_study(spec: ExperimentSpec, step_ladder: tuple[int, ...]) -> ConvergenceResult:
+    """Run the ladder of step counts at ``spec.sigma`` against the exact
+    reference (``_exact_snapshots``) and fit slopes.  Every entry is checked
+    before any step; the reference is computed here, then the runs, which keep
+    only snapshots, are split across the CPUs this process may use
+    (``_map_runs``), with results identical to running them in order."""
+    if len(set(step_ladder)) < 3:
+        raise ValueError(f"a convergence ladder needs at least 3 distinct step counts, "
+                         f"got {list(step_ladder)}")
     for n_steps in step_ladder:
         _snapshot_stride(n_steps, spec.sample_count)
-    runs = [(sigma, n_steps) for n_steps in step_ladder]
-    if reference is None:
-        if max(step_ladder) >= spec.n_ref:  # at sigma = 0.5, n_ref steps reproduce it
-            raise ValueError(
-                f"ladder entry {max(step_ladder)} must be below the reference's {spec.n_ref} steps"
-            )
-        _snapshot_stride(spec.n_ref, spec.sample_count)
-        runs.insert(0, (0.5, spec.n_ref))  # the symmetric reference
-    sampled = _map_runs(lambda sig, n: _sample_run(spec, sigma=sig, n_steps=n), runs)
-    if reference is None:
-        reference, *sampled = sampled
+    reference = _exact_snapshots(spec)
+    sampled = _map_runs(lambda n: _sample_run(spec, n), [(n,) for n in step_ladder])
     rows = []
     for n_steps, snapshots in zip(step_ladder, sampled):
         errs = error_series(snapshots, reference)
-        rows.append(
-            ConvergenceRow(
-                tau=spec.final_time / n_steps,
-                max_eps2=float(np.max(errs.eps2)),
-                max_epsinf=float(np.max(errs.epsinf)),
-                errors=errs,
-            )
-        )
+        rows.append(ConvergenceRow(tau=spec.final_time / n_steps, max_eps2=float(np.max(errs.eps2)),
+                                   max_epsinf=float(np.max(errs.epsinf)), errors=errs))
     taus = [r.tau for r in rows]
     return ConvergenceResult(
         rows=tuple(rows),
@@ -475,7 +492,7 @@ def compare_baseline(
 
 def _compare_one(problem: ProblemSpec, spec: ExperimentSpec, n_steps: int) -> BaselineRow:
     """One ladder entry; no view of its history outlives the call."""
-    cfg = _scheme(spec, None, n_steps)
+    cfg = _scheme(spec, n_steps)
     t0 = time.perf_counter()
     levels = history_levels(problem, cfg, n_steps)
     history_seconds = time.perf_counter() - t0

@@ -89,8 +89,9 @@ class ProblemSpec:
     integral; ``mass`` (positive definite, default identity) multiplies the
     time derivative; ``reaction`` (positive semidefinite) is an optional
     zeroth-order term.  ``initial`` is the field of interior values at t = 0,
-    an ``(n1-1, n2-1)`` array, whose shape fixes the problem's ``grid``;
-    ``forcing`` maps a time to a field of that shape; None means zero forcing.
+    an ``(n1-1, n2-1)`` array, whose shape fixes the problem's ``grid`` and is
+    that of each operator's output and non-scalar diagonal; ``forcing`` maps
+    a time to a field of that shape; None means zero forcing.
     """
 
     operator: SpdOperator
@@ -109,6 +110,14 @@ class ProblemSpec:
             )
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "grid", Grid2D.of(initial))  # an empty axis fails here
+        zeros = np.zeros(initial.shape)
+        for name in ("operator", "mass", "reaction"):  # a scalar diagonal fits any field
+            op = getattr(self, name)
+            shapes = () if op is None else (np.shape(op.diagonal()), op.apply_values(zeros).shape)
+            for shape in shapes:
+                if shape not in ((), initial.shape):
+                    raise GridMismatchError(f"{name} of shape {shape} does not fit the "
+                                            f"initial field's {initial.shape}")
 
     @property
     def is_plain(self) -> bool:
@@ -156,7 +165,7 @@ class _finite:
 
     __slots__ = ("what", "n", "t", "_errstate")
 
-    def __init__(self, what: str, n: int, t: float):
+    def __init__(self, what: str, n: Optional[int] = None, t: float = 0.0):
         self.what, self.n, self.t = what, n, t
 
     def __enter__(self) -> None:
@@ -166,7 +175,8 @@ class _finite:
     def __exit__(self, exc_type, exc, tb) -> None:
         self._errstate.__exit__(exc_type, exc, tb)
         if exc_type is not None and issubclass(exc_type, FloatingPointError):
-            message = f"non-finite values in the {self.what} of step {self.n} (t={self.t:.6g}): {exc}"
+            where = "" if self.n is None else f" of step {self.n} (t={self.t:.6g})"
+            message = f"non-finite values in the {self.what}{where}: {exc}"
             raise NonFiniteError(message) from None
 
 

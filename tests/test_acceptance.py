@@ -2,10 +2,11 @@
 
 Each test checks one headline guarantee of the package and prints a single
 PASS/FAIL line (run with ``pytest -s`` or ``-v`` to see them).  The shared
-setting is the model relaxation problem on a 32x32 grid with T = 4 and a
-symmetric reference run of 1000 steps.
+setting is the model relaxation problem on a 32x32 grid with T = 4 and its
+exact solution at the sample times as the reference.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -55,14 +56,13 @@ def desk_spec():
         final_time=4.0,
         sigma=0.5,
         n_steps=400,
-        n_ref=1000,
         sample_count=8,
     )
 
 
 @pytest.fixture(scope="module")
 def desk_reference(desk_spec):
-    return experiments._sample_run(desk_spec, 0.5, desk_spec.n_ref)
+    return experiments._exact_snapshots(desk_spec)
 
 
 def test_builtin_kernel_table_fidelity():
@@ -112,16 +112,13 @@ def test_unconditional_energy_stability():
     )
 
 
-def test_temporal_convergence_orders(desk_spec, desk_reference):
-    """First order for full weighting, second for symmetric."""
-    sym = convergence_study(
-        desk_spec, (48, 96, 192, 384), sigma=0.5, reference=desk_reference
-    )
+def test_temporal_convergence_orders(desk_spec):
+    """First order for full weighting, second for symmetric, against the
+    exact solution."""
+    sym = convergence_study(desk_spec, (48, 96, 192, 384))
     # full weighting needs finer rungs to reach its asymptotic range on this
     # oscillatory problem
-    full = convergence_study(
-        desk_spec, (192, 384, 768, 1536), sigma=1.0, reference=desk_reference
-    )
+    full = convergence_study(dataclasses.replace(desk_spec, sigma=1.0), (192, 384, 768, 1536))
     ok = (
         abs(sym.slope_eps2 - 2.0) <= 0.2
         and abs(sym.slope_epsinf - 2.0) <= 0.2
@@ -170,7 +167,7 @@ def test_compressed_matches_full_history(desk_spec, desk_reference):
     diffs = [r.max_diff for r in rows]
     taus = [r.tau for r in rows]
     slope = np.polyfit(np.log(taus), np.log(diffs), 1)[0]
-    finest = experiments._sample_run(desk_spec, None, 384)
+    finest = experiments._sample_run(desk_spec, 384)
     scheme_err = float(np.max(error_series(finest, desk_reference).epsinf))
     ok = abs(slope - 2.0) <= 0.35 and diffs[-1] < scheme_err
     report(
@@ -223,7 +220,6 @@ def test_qualitative_relaxation_dynamics():
         final_time=10.0,
         sigma=0.5,
         n_steps=1000,
-        n_ref=1000,
     )
     traj = run_model_problem(spec)
     signs = np.sign(traj.center_values)

@@ -15,9 +15,7 @@ from memstep.operators import ConvergenceError, FivePointLaplacian, NotSpdError
 from memstep.schemes import NonFiniteError
 
 # fast settings shared by most invocations: coarse grid, short horizon
-FAST = [
-    "--grid", "16", "--T", "2", "--steps", "64", "--reference-steps", "320",
-]
+FAST = ["--grid", "16", "--T", "2", "--steps", "64"]
 
 
 @pytest.fixture(autouse=True)
@@ -55,8 +53,7 @@ class TestRunCommand:
         other = tmp_path / "by_tau"
         assert (
             cli.main(
-                ["run", "--grid", "16", "--T", "2", "--tau", "0.03125",
-                 "--reference-steps", "320", "--out", str(other)]
+                ["run", "--grid", "16", "--T", "2", "--tau", "0.03125", "--out", str(other)]
             )
             == cli.EXIT_OK
         )
@@ -90,8 +87,7 @@ class TestRunCommand:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"grid": 16, "T": 2.0, "steps": 64, "sigma": 1.0}))
         assert (
-            cli.main(["run", "--config", str(config), "--sigma", "0.5",
-                      "--reference-steps", "320"])
+            cli.main(["run", "--config", str(config), "--sigma", "0.5"])
             == cli.EXIT_OK
         )
         manifest = json.loads((out_root / "run" / "manifest.json").read_text())
@@ -125,6 +121,25 @@ class TestConfigErrors:
         )
         assert cli.main(["converge", "--config", str(config)]) == cli.EXIT_CONFIG
         assert "at least 3" in capsys.readouterr().err
+
+    def test_repeated_ladder_entries_rejected(self, out_root, tmp_path, capsys):
+        # two distinct taus, or one, leave no slope to fit
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"grid": 8, "ladder_steps": [48, 48, 48]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["converge", "--config", str(config)])
+        assert code == cli.EXIT_CONFIG and caught == []
+        assert "at least 3 distinct step counts, got [48, 48, 48]" in capsys.readouterr().err
+        assert not (out_root / "converge").exists()
+
+    def test_manifest_with_reference_steps_rejected(self, out_root, tmp_path, capsys):
+        # a converge manifest from when the study stepped its own reference
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"config": {"grid": 8, "reference_steps": 1000}}))
+        assert cli.main(["converge", "--config", str(manifest)]) == cli.EXIT_CONFIG
+        assert "unknown config keys: ['reference_steps']" in capsys.readouterr().err
+        assert not (out_root / "converge").exists()
 
     @pytest.mark.parametrize(
         "command, config, key",
@@ -234,8 +249,8 @@ class TestNumericalFailures:
         assert not (out_root / "run" / "trajectory.csv").exists()
 
 
-# a study of four short runs: a 64-step reference and three ladder entries
-SMALL_STUDY = {"grid": 8, "T": 1.0, "reference_steps": 64, "ladder_steps": [16, 8, 32]}
+# three short runs; on two CPUs a worker runs the first, 32-step, entry alone
+SMALL_STUDY = {"grid": 8, "T": 1.0, "ladder_steps": [32, 8, 16]}
 
 
 def failing_fork():
@@ -243,16 +258,6 @@ def failing_fork():
 
 
 class TestConvergeCommand:
-    @pytest.mark.parametrize("reference_steps", ["384", "300"])
-    def test_ladder_entry_at_or_above_reference_rejected(self, out_root, capsys, reference_steps):
-        # at sigma = 0.5 an entry of reference_steps reproduces the reference,
-        # and its zero errors leave no slope to fit
-        argv = ["converge", "--grid", "8", "--reference-steps", reference_steps]
-        assert cli.main(argv) == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert f"ladder entry 384 must be below the reference's {reference_steps} steps" in err
-        assert not (out_root / "converge").exists()
-
     def test_misaligned_entry_rejected_before_any_step(self, out_root, tmp_path, monkeypatch, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"ladder_steps": [48, 96, 100, 384]}))
@@ -269,18 +274,11 @@ class TestConvergeCommand:
         assert not (out_root / "converge").exists()
         assert steps == []
 
-    def test_misaligned_reference_rejected(self, out_root, capsys):
-        argv = ["converge", "--grid", "8", "--reference-steps", "1001"]
-        assert cli.main(argv) == cli.EXIT_CONFIG
-        assert "n_steps=1001 is not divisible by sample_count=8" in capsys.readouterr().err
-        assert not (out_root / "converge").exists()
-
     def test_reports_slopes_near_two(self, out_root, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(
             json.dumps(
-                {"grid": 16, "T": 2.0, "reference_steps": 320,
-                 "ladder_steps": [16, 32, 64]}
+                {"grid": 16, "T": 2.0, "ladder_steps": [16, 32, 64]}
             )
         )
         assert cli.main(["converge", "--config", str(config)]) == cli.EXIT_OK
@@ -295,28 +293,22 @@ class TestConvergeCommand:
     def test_finest_entry_runs_once_and_feeds_errors_csv(self, out_root, tmp_path, monkeypatch):
         set_cpus(monkeypatch, 1)  # every run in this process, where the calls are counted
         config = tmp_path / "cfg.json"
-        config.write_text(
-            json.dumps(
-                {"grid": 8, "T": 1.0, "reference_steps": 64, "ladder_steps": [16, 8, 32]}
-            )
-        )
+        config.write_text(json.dumps({"grid": 8, "T": 1.0, "ladder_steps": [16, 8, 32]}))
         calls = []
         sample_run = experiments._sample_run
 
-        def counting_run(spec, *args, **kwargs):
-            calls.append(kwargs.get("n_steps"))
-            return sample_run(spec, *args, **kwargs)
+        def counting_run(spec, n_steps):
+            calls.append(n_steps)
+            return sample_run(spec, n_steps)
 
         monkeypatch.setattr(experiments, "_sample_run", counting_run)
         assert cli.main(["converge", "--config", str(config)]) == cli.EXIT_OK
-        assert sorted(calls) == [8, 16, 32, 64]  # the ladder plus the reference
+        assert sorted(calls) == [8, 16, 32]  # the ladder, and no stepped reference
 
         spec = cli.resolve_config(
             cli.build_parser().parse_args(["converge", "--config", str(config)])
         ).experiment_spec()
-        errs = experiments.error_series(
-            sample_run(spec, None, n_steps=32), sample_run(spec, 0.5, n_steps=64)
-        )
+        errs = experiments.error_series(sample_run(spec, 32), experiments._exact_snapshots(spec))
         expected = tmp_path / "expected.csv"
         experiments.write_errors_csv(errs, expected)
         assert (out_root / "converge" / "errors.csv").read_bytes() == expected.read_bytes()
@@ -338,7 +330,7 @@ class TestConvergeCommand:
             assert cli.main(["converge", "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
             outputs[count] = [(out / "converge" / name).read_bytes()
                               for name in ("convergence.csv", "errors.csv")]
-        assert len(calls) < 4  # the last pass forked: this process ran only some of the 4 runs
+        assert len(calls) < 3  # the last pass forked: this process ran only some of the 3 runs
         assert outputs[cpus] == outputs[1]
 
     def test_failed_fork_runs_the_group_here(self, tmp_path, monkeypatch):
@@ -359,17 +351,15 @@ class TestConvergeCommand:
         lambda: ConvergenceError("CG did not converge: residual 1.5e-03 after 7 iterations",
                                  1.5e-3, 7),
     ], ids=["non-finite", "cg"])
-    def test_reference_failure_in_a_worker_reads_as_in_order(
-        self, tmp_path, monkeypatch, capsys, error
-    ):
+    def test_failure_in_a_worker_reads_as_in_order(self, tmp_path, monkeypatch, capsys, error):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(SMALL_STUDY))
         sample_run = experiments._sample_run
 
-        def failing_run(spec, sigma, n_steps):
-            if n_steps == spec.n_ref:  # the reference, which a worker runs alone
+        def failing_run(spec, n_steps):
+            if n_steps == 32:  # the entry a worker runs alone
                 raise error()
-            return sample_run(spec, sigma=sigma, n_steps=n_steps)
+            return sample_run(spec, n_steps)
 
         monkeypatch.setattr(experiments, "_sample_run", failing_run)
         errs = []
@@ -383,11 +373,11 @@ class TestConvergeCommand:
 
     def test_first_failure_in_order_is_reported(self, tmp_path, monkeypatch, capsys):
         # every run fails; this process's own first run fails before the
-        # worker's reference, whose failure is the one an in-order study meets
+        # worker's 32-step entry, whose failure is the one an in-order study meets
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(SMALL_STUDY))
 
-        def failing_run(spec, sigma, n_steps):
+        def failing_run(spec, n_steps):
             raise NonFiniteError(f"run of {n_steps} steps")
 
         monkeypatch.setattr(experiments, "_sample_run", failing_run)
@@ -396,9 +386,19 @@ class TestConvergeCommand:
             set_cpus(monkeypatch, count)
             assert cli.main(["converge", "--config", str(config)]) == cli.EXIT_NUMERICAL
             errs.append(capsys.readouterr().err)
-        assert errs[1] == errs[0] == "numerical failure: run of 64 steps\n"
+        assert errs[1] == errs[0] == "numerical failure: run of 32 steps\n"
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_exact_reference_is_a_numerical_failure(self, out_root, tmp_path, capsys):
+        kernel = tmp_path / "k.csv"
+        kernel.write_text("1e300,1.0\n")
+        argv = ["converge", "--grid", "8", "--kernel-file", str(kernel)]
+        assert cli.main(argv) == cli.EXIT_NUMERICAL
+        assert "non-finite values in the exact reference" in capsys.readouterr().err
+        assert not (out_root / "converge").exists()
 
 
 class TestKernelErrorCommand:

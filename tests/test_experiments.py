@@ -1,8 +1,10 @@
+import dataclasses
 import os
 import time
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,8 +26,8 @@ from memstep.experiments import (
     write_trajectory_csv,
 )
 from memstep.grid import Grid2D, GridMismatchError
-from memstep.kernels import load_builtin_prony
-from memstep.operators import FivePointLaplacian, sine_transform
+from memstep.kernels import PronySeries, load_builtin_prony
+from memstep.operators import FivePointLaplacian, laplacian_eigenvalues, sine_transform
 from memstep.schemes import (
     NonFiniteError,
     ProblemSpec,
@@ -46,7 +48,6 @@ def small_spec():
         final_time=2.0,
         sigma=0.5,
         n_steps=64,
-        n_ref=320,
         sample_count=8,
     )
 
@@ -58,7 +59,7 @@ def small_run(small_spec):
 
 @pytest.fixture(scope="module")
 def small_samples(small_spec):
-    return experiments._sample_run(small_spec, None, small_spec.n_steps)
+    return experiments._sample_run(small_spec, small_spec.n_steps)
 
 
 class TestExperimentSpec:
@@ -95,7 +96,7 @@ class TestRunModelProblem:
         again = run_model_problem(small_spec)
         np.testing.assert_array_equal(again.energies, small_run.energies)
         np.testing.assert_array_equal(again.center_values, small_run.center_values)
-        sampled = experiments._sample_run(small_spec, None, small_spec.n_steps)
+        sampled = experiments._sample_run(small_spec, small_spec.n_steps)
         for a, b in zip(sampled.snapshots, small_samples.snapshots):
             np.testing.assert_array_equal(a, b)
 
@@ -104,12 +105,12 @@ class TestRunModelProblem:
         traj = run_model_problem(small_spec, initial=np.zeros(grid.shape))
         assert np.all(traj.energies == 0.0)
         monkeypatch.setattr(experiments, "model_initial_condition", lambda g: np.zeros(g.shape))
-        sampled = experiments._sample_run(small_spec, None, small_spec.n_steps)
+        sampled = experiments._sample_run(small_spec, small_spec.n_steps)
         assert all(s.shape == grid.shape and np.all(s == 0.0) for s in sampled.snapshots)
 
     def test_misaligned_steps_raise(self, small_spec):
         with pytest.raises(AlignmentError, match="divisible"):
-            experiments._sample_run(small_spec, None, 50)
+            experiments._sample_run(small_spec, 50)
 
 
 class TestErrorSeries:
@@ -132,7 +133,7 @@ class TestErrorSeries:
         np.testing.assert_allclose(errs.eps2, expected, rtol=1e-13)
 
     def test_mismatched_snapshot_counts(self, small_spec, small_samples):
-        other = experiments._sample_run(small_spec, None, 32)
+        other = experiments._sample_run(small_spec, 32)
         short = Snapshots(
             snapshots=other.snapshots[:4],
             snapshot_times=other.snapshot_times[:4],
@@ -169,11 +170,8 @@ class TestConvergenceStudy:
     def test_backward_euler_errors_dominate(self, small_spec):
         # soft ordering check: full weighting should be less accurate than
         # symmetric weighting at the same tau
-        reference = experiments._sample_run(small_spec, 0.5, small_spec.n_ref)
-        symmetric = convergence_study(small_spec, (16, 32, 64), reference=reference)
-        full = convergence_study(
-            small_spec, (16, 32, 64), sigma=1.0, reference=reference
-        )
+        symmetric = convergence_study(small_spec, (16, 32, 64))
+        full = convergence_study(dataclasses.replace(small_spec, sigma=1.0), (16, 32, 64))
         for s_row, f_row in zip(symmetric.rows, full.rows):
             if f_row.max_eps2 <= s_row.max_eps2:
                 warnings.warn(
@@ -181,20 +179,79 @@ class TestConvergenceStudy:
                     f"{s_row.tau}: {f_row.max_eps2} <= {s_row.max_eps2}"
                 )
 
-    def test_short_ladder_rejected(self, small_spec):
-        with pytest.raises(ValueError, match="at least 3"):
-            convergence_study(small_spec, (16, 32))
+    def test_short_ladder_rejected(self, small_spec, monkeypatch):
+        # fewer than 3 distinct taus leave no slope to fit
+        monkeypatch.setattr(experiments, "_exact_snapshots", lambda spec: pytest.fail("ran"))
+        for ladder in [(16, 32), (48, 48, 48), (48, 96, 48)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="at least 3 distinct step counts"):
+                    convergence_study(small_spec, ladder)
+
+
+def mpmath_map(lam: float, kernel, dt: float) -> np.ndarray:
+    """expm(M dt) of one mode's local system, in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        m = kernel.n_terms
+        mat = mpmath.zeros(m + 1, m + 1)
+        for i, (a, b) in enumerate(zip(kernel.weights, kernel.rates), start=1):
+            mat[0, i] = -mpmath.mpf(lam) * mpmath.mpf(a)
+            mat[i, 0] = 1
+            mat[i, i] = -mpmath.mpf(b)
+        return np.array(mpmath.expm(mat * mpmath.mpf(dt)).tolist(), dtype=float)
+
+
+class TestExactReference:
+    @pytest.mark.parametrize(
+        "kernel",
+        [load_builtin_prony("3/7"), load_builtin_prony("1/2"), load_builtin_prony("3/5"),
+         PronySeries((0.4, 0.6), (2.0, 2.0))],
+        ids=["3/7", "1/2", "3/5", "equal-rates"],
+    )
+    def test_mode_maps_match_mpmath(self, kernel):
+        # the smallest and largest eigenvalue on grid 256, over one of the
+        # default study's sample intervals; the larger the matrix, the more
+        # its rounded entries move the exponential
+        lam = laplacian_eigenvalues(Grid2D(256, 256))
+        lams, dt = np.array([lam.min(), lam.max()]), 0.5
+        maps = experiments._mode_maps(lams, kernel, dt)
+        for lam_k, got in zip(lams, maps):
+            exact = mpmath_map(lam_k, kernel, dt)
+            norm = dt * max(lam_k * sum(kernel.weights), kernel.n_terms + max(kernel.rates))
+            assert np.max(np.abs(got - exact)) <= (1e-13 + 1e-16 * norm) * np.max(np.abs(exact))
+
+    def test_symmetric_runs_converge_to_it_at_second_order(self):
+        spec = ExperimentSpec(kernel=load_builtin_prony("1/2"))  # the default study
+        # 250 steps need a sample count that divides them: t = 2 and 4
+        halves = dataclasses.replace(spec, sample_count=2)
+        reference = experiments._exact_snapshots(halves)
+        errors = [
+            np.max(error_series(experiments._sample_run(halves, n), reference).eps2)
+            for n in (250, 500, 1000)
+        ]
+        np.testing.assert_allclose([errors[0] / errors[1], errors[1] / errors[2]], 4.0, rtol=0.05)
+        # the 1000-step run that served as the study's reference, at its 8 sample times
+        stepped = experiments._sample_run(spec, 1000)
+        off = np.max(error_series(stepped, experiments._exact_snapshots(spec)).eps2)
+        assert off == pytest.approx(8.3e-6, rel=0.02)
+
+    def test_overflow_raises_non_finite(self, small_spec):
+        spec = dataclasses.replace(small_spec, kernel=PronySeries((1e300,), (1.0,)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="non-finite values in the exact reference"):
+                experiments._exact_snapshots(spec)
 
 
 class TestStudyWorkers:
-    def test_default_study_runs_the_reference_apart(self):
-        # reference first, then the default ladder; the last group is this process's
-        assert experiments._deal([1000, 48, 96, 192, 384], 2) == [[0], [1, 2, 3, 4]]
+    def test_default_ladder_runs_its_longest_entry_apart(self):
+        # the last group is this process's
+        assert experiments._deal([48, 96, 192, 384], 2) == [[3], [0, 1, 2]]
 
-    def test_worker_holding_only_later_runs_is_killed(self, small_spec, small_run, monkeypatch):
+    def test_worker_holding_only_later_runs_is_killed(self, small_spec, monkeypatch):
         set_cpus(monkeypatch, 2)
 
-        def failing_run(spec, sigma, n_steps):
+        def failing_run(spec, n_steps):
             if n_steps == 64:  # the worker's only run
                 time.sleep(60)
             raise NonFiniteError(f"run of {n_steps} steps")
@@ -202,23 +259,23 @@ class TestStudyWorkers:
         monkeypatch.setattr(experiments, "_sample_run", failing_run)
         start = time.monotonic()
         with pytest.raises(NonFiniteError, match="run of 16 steps"):
-            convergence_study(small_spec, (16, 32, 64), reference=small_run)
+            convergence_study(small_spec, (16, 32, 64))
         assert time.monotonic() - start < 30
         with pytest.raises(ChildProcessError):  # killed and reaped
             os.waitpid(-1, os.WNOHANG)
 
-    def test_worker_without_a_result_names_its_runs(self, small_spec, small_run, monkeypatch):
+    def test_worker_without_a_result_names_its_runs(self, small_spec, small_samples, monkeypatch):
         set_cpus(monkeypatch, 2)
 
-        def exiting_run(spec, sigma, n_steps):
+        def exiting_run(spec, n_steps):
             if n_steps == 64:
                 os._exit(7)
-            return small_run
+            return small_samples
 
         monkeypatch.setattr(experiments, "_sample_run", exiting_run)
         message = r"running the runs of 64 steps ended without a result \(wait status 1792\)"
         with pytest.raises(RuntimeError, match=message):  # 1792: exit code 7
-            convergence_study(small_spec, (16, 32, 64), reference=small_run)
+            convergence_study(small_spec, (16, 32, 64))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -246,9 +303,9 @@ class TestRecordsOnlyWhatIsWritten:
     def test_snapshots_match_the_recorded_run(self, small_spec, small_samples):
         n = small_spec.n_steps
         assert not hasattr(small_samples, "energies")
-        assert not hasattr(run_model_problem(small_spec, n_steps=1), "snapshots")
+        assert not hasattr(run_model_problem(dataclasses.replace(small_spec, n_steps=1)), "snapshots")
         problem = build_model_problem(small_spec)
-        states = list(experiments._states(problem, experiments._scheme(small_spec, None, n), n))
+        states = list(experiments._states(problem, experiments._scheme(small_spec, n), n))
         at_samples = states[n // small_spec.sample_count :: n // small_spec.sample_count]
         assert len(at_samples) == len(small_samples.snapshots)
         for a, s in zip(small_samples.snapshots, at_samples):

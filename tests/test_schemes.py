@@ -674,6 +674,23 @@ class TestProblemShapes:
         with pytest.raises(ValueError, match="at least 2 cells"):
             ProblemSpec(DiagonalScaling(1.0), PronySeries((1.0,), (1.0,)), np.zeros((0, 7)))
 
+    def test_diagonal_of_another_shape_rejected(self):
+        # its first step would fail in numpy's broadcasting, without naming the cause
+        kernel = load_builtin_prony("1/2")
+        with pytest.raises(GridMismatchError, match=r"operator of shape \(7, 7\).*\(7, 1\)"):
+            ProblemSpec(DiagonalScaling(np.ones((7, 7))), kernel, np.ones((7, 1)))
+        for name in ("mass", "reaction"):
+            with pytest.raises(GridMismatchError, match=rf"{name} of shape \(7, 7\).*\(7, 1\)"):
+                ProblemSpec(DiagonalScaling(1.0), kernel, np.ones((7, 1)),
+                            **{name: DiagonalScaling(np.ones((7, 7)))})
+
+    def test_operator_of_another_grid_rejected(self):
+        initial = np.zeros(Grid2D(8, 8).shape)
+        for op in (FivePointLaplacian(Grid2D(16, 16)),
+                   ScaledSum([(1.0, IdentityOperator()), (0.5, FivePointLaplacian(Grid2D(8, 4)))])):
+            with pytest.raises(GridMismatchError, match=r"\(7, 7\)"):
+                ProblemSpec(op, load_builtin_prony("1/2"), initial)
+
     @pytest.mark.parametrize(
         "run",
         [lambda p, cfg: soe_stepper(p, cfg)(soe_init(p)), lambda p, cfg: history_levels(p, cfg, 2)],
