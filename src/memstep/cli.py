@@ -7,14 +7,20 @@ comes from defaults, then an optional JSON config file, then flags; the
 fully resolved configuration is echoed to ``manifest.json`` in the run
 directory and can be fed back as a config file to reproduce the run.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+``main`` drives every command: the command checks its configuration and
+returns its work, then ``main`` makes the run directory, runs the work and
+writes its tables and the manifest.  Exit codes: 0 success, 2 configuration
+error (the command's checks run before the run directory is made), 3
+numerical failure (which leaves the run directory without outputs).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -24,23 +30,19 @@ from typing import Optional
 
 from . import __version__
 from .kernels import (
-    BUILTIN_BETAS,
     StretchedExponential,
+    builtin_beta,
     kernel_sup_error,
     load_builtin_prony,
     prony_from_file,
 )
 from .experiments import (
-    HISTORY_BYTES_LIMIT,
     ExperimentSpec,
+    check_baseline_ladder,
+    check_convergence_ladder,
     compare_baseline,
     convergence_study,
-    history_bytes,
     run_model_problem,
-    write_convergence_csv,
-    write_csv,
-    write_errors_csv,
-    write_trajectory_csv,
 )
 from .operators import ConvergenceError, NotSpdError
 from .schemes import AuxiliaryResidualError, NonFiniteError
@@ -94,14 +96,12 @@ class RunConfig:
     def validate(self):
         if not 0.0 < self.sigma <= 1.0:
             raise ConfigError(f"sigma={self.sigma} must lie in (0, 1]")
-        if self.T <= 0:
-            raise ConfigError(f"T={self.T} must be > 0")
+        for key in ("T", "tau", "cg_tol", "window_t_min", "window_t_max"):
+            value = getattr(self, key)
+            if value is not None and not 0 < value < math.inf:  # a NaN fails too
+                raise ConfigError(f"{key}={value} must be > 0 and finite")
         if self.grid < 2:
             raise ConfigError(f"grid={self.grid} must be >= 2")
-        if self.tau is not None and self.tau <= 0:
-            raise ConfigError(f"tau={self.tau} must be > 0")
-        if not self.cg_tol > 0:
-            raise ConfigError(f"cg_tol={self.cg_tol} must be > 0")
         if min(self.ladder_steps, default=1) < 1:
             raise ConfigError(f"ladder_steps={list(self.ladder_steps)} must all be >= 1")
         self.resolved_steps()
@@ -113,23 +113,12 @@ class RunConfig:
             except OSError as exc:
                 raise ConfigError(f"cannot read kernel file: {exc}") from exc
         try:
-            return load_builtin_prony(self._beta_value())
+            return load_builtin_prony(self.beta)
         except KeyError as exc:
             raise ConfigError(
                 f"beta={self.beta} has no built-in kernel (supported: 3/7, 1/2, "
                 "3/5); pass --kernel-file for other kernels"
             ) from exc
-
-    def _beta_value(self) -> float:
-        if self.beta is None:
-            raise ConfigError("either beta or kernel_file is required")
-        text = str(self.beta)
-        if text in BUILTIN_BETAS:
-            return BUILTIN_BETAS[text]
-        try:
-            return float(text)
-        except ValueError as exc:
-            raise ConfigError(f"beta={self.beta!r} is not a number") from exc
 
     def experiment_spec(self) -> ExperimentSpec:
         return ExperimentSpec(
@@ -214,81 +203,73 @@ def write_manifest(cfg: RunConfig, run_dir: Path, started_at: str) -> None:
         fh.write("\n")
 
 
-def cmd_run(cfg: RunConfig) -> int:
-    started = datetime.now(timezone.utc).isoformat()
+def write_csv(path, header: list[str], rows) -> None:
+    """Write a header and rows; floats get 17 significant digits (exact on reading back)."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+
+
+# Each command checks its configuration and returns its work: a callable that
+# returns the tables to write, {file name: (header, rows)}, and the lines to print.
+
+
+def cmd_run(cfg: RunConfig):
     spec = cfg.experiment_spec()
-    traj = run_model_problem(spec)
-    run_dir = make_run_dir(cfg, "run")
-    write_trajectory_csv(traj, run_dir / "trajectory.csv")
-    write_manifest(cfg, run_dir, started)
-    print(f"run complete: {spec.n_steps} steps, output in {run_dir}")
-    return EXIT_OK
+
+    def work():
+        traj = run_model_problem(spec)
+        rows = zip(traj.steps, traj.times, traj.energies, traj.center_values)
+        return ({"trajectory.csv": (["n", "t", "energy", "center_value"], rows)},
+                [f"run complete: {spec.n_steps} steps"])
+
+    return work
 
 
-def cmd_converge(cfg: RunConfig) -> int:
-    started = datetime.now(timezone.utc).isoformat()
+def cmd_converge(cfg: RunConfig):
     spec = cfg.experiment_spec()
-    result = convergence_study(spec, cfg.ladder_steps)  # checks the ladder first
-    finest = min(result.rows, key=lambda row: row.tau)
-    run_dir = make_run_dir(cfg, "converge")
-    write_convergence_csv(result, run_dir / "convergence.csv")
-    write_errors_csv(finest.errors, run_dir / "errors.csv")
-    write_manifest(cfg, run_dir, started)
-    print(f"slope eps2 = {result.slope_eps2:.3f}")
-    print(f"slope epsinf = {result.slope_epsinf:.3f}")
-    print(f"output in {run_dir}")
-    return EXIT_OK
+    check_convergence_ladder(spec, cfg.ladder_steps)
+
+    def work():
+        result = convergence_study(spec, cfg.ladder_steps)
+        errs = min(result.rows, key=lambda row: row.tau).errors  # the finest entry's
+        return {
+            "convergence.csv": (["tau", "max_eps2", "max_epsinf"],
+                                [(row.tau, row.max_eps2, row.max_epsinf) for row in result.rows]),
+            "errors.csv": (["t", "eps2", "epsinf"], zip(errs.times, errs.eps2, errs.epsinf)),
+        }, [f"slope eps2 = {result.slope_eps2:.3f}", f"slope epsinf = {result.slope_epsinf:.3f}"]
+
+    return work
 
 
-def cmd_kernel_error(cfg: RunConfig) -> int:
-    started = datetime.now(timezone.utc).isoformat()
+def cmd_kernel_error(cfg: RunConfig):
     if cfg.kernel_file is not None:
         raise ConfigError("kernel-error compares a built-in kernel with its analytic "
                           "form; a custom kernel file has no analytic target")
-    prony = cfg.kernel()
-    analytic = StretchedExponential(cfg._beta_value())
-    report = kernel_sup_error(
-        analytic,
-        prony,
-        window=(cfg.window_t_min, cfg.window_t_max),
-        samples=cfg.window_samples,
-    )
-    run_dir = make_run_dir(cfg, "kernel-error")
-    write_csv(run_dir / "kernel_error.csv", ["t", "error"], zip(report.times, report.errors))
-    write_manifest(cfg, run_dir, started)
-    print(f"sup error = {report.sup_error:.6e}")
-    print(f"output in {run_dir}")
-    return EXIT_OK
+    prony = cfg.kernel()  # a beta with no built-in fit fails here
+    report = kernel_sup_error(StretchedExponential(builtin_beta(cfg.beta)), prony,
+                              (cfg.window_t_min, cfg.window_t_max), cfg.window_samples)
+    return lambda: ({"kernel_error.csv": (["t", "error"], zip(report.times, report.errors))},
+                    [f"sup error = {report.sup_error:.6e}"])
 
 
-def cmd_compare_baseline(cfg: RunConfig) -> int:
-    started = datetime.now(timezone.utc).isoformat()
-    if not cfg.ladder_steps:
-        raise ConfigError("ladder_steps is empty: compare-baseline needs at least one step count")
-    longest = history_bytes(cfg.grid, max(cfg.ladder_steps))
-    if longest > HISTORY_BYTES_LIMIT:
-        raise ConfigError(
-            f"the full-history baseline would store {longest} bytes "
-            f"({max(cfg.ladder_steps) + 1} levels on grid {cfg.grid}), over its budget "
-            f"of {HISTORY_BYTES_LIMIT} bytes"
-        )
+def cmd_compare_baseline(cfg: RunConfig):
     spec = cfg.experiment_spec()
-    rows = compare_baseline(spec, cfg.ladder_steps)
-    run_dir = make_run_dir(cfg, "compare-baseline")
-    write_csv(
-        run_dir / "baseline.csv",
-        ["tau", "max_diff", "soe_seconds", "history_seconds", "soe_fields", "history_fields"],
-        [(row.tau, row.max_diff, f"{row.soe_seconds:.6f}", f"{row.history_seconds:.6f}",
-          row.soe_fields, row.history_fields) for row in rows],
-    )
-    write_manifest(cfg, run_dir, started)
-    for row in rows:
-        print(
-            f"tau={row.tau:g}: max diff {row.max_diff:.6e} "
-            f"(fields: {row.soe_fields} compressed vs {row.history_fields} history)"
-        )
-    print(f"output in {run_dir}")
-    return EXIT_OK
+    check_baseline_ladder(spec, cfg.ladder_steps)
+
+    def work():
+        rows = compare_baseline(spec, cfg.ladder_steps)
+        header = ["tau", "max_diff", "soe_seconds", "history_seconds", "soe_fields", "history_fields"]
+        table = [(row.tau, row.max_diff, f"{row.soe_seconds:.6f}", f"{row.history_seconds:.6f}",
+                  row.soe_fields, row.history_fields) for row in rows]
+        lines = [f"tau={row.tau:g}: max diff {row.max_diff:.6e} "
+                 f"(fields: {row.soe_fields} compressed vs {row.history_fields} history)"
+                 for row in rows]
+        return {"baseline.csv": (header, table)}, lines
+
+    return work
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,7 +313,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        return _COMMANDS[args.command](cfg)
+        started = datetime.now(timezone.utc).isoformat()
+        work = _COMMANDS[args.command](cfg)
+        run_dir = make_run_dir(cfg, args.command)
+        tables, lines = work()
+        for name, (header, rows) in tables.items():
+            write_csv(run_dir / name, header, rows)
+        write_manifest(cfg, run_dir, started)
     # NotSpdError is a ValueError, so the numerical clause must come first.
     except (ConvergenceError, NotSpdError, AuxiliaryResidualError, NonFiniteError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -340,6 +327,8 @@ def main(argv=None) -> int:
     except ValueError as exc:  # every configuration error subclasses ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    print(*lines, f"output in {run_dir}", sep="\n")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -12,12 +12,10 @@ a matrix exponential per mode, compared at a small set of shared sample times.
 
 from __future__ import annotations
 
-import csv
 import os
 import pickle
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, Optional
 
 import numpy as np
@@ -52,12 +50,10 @@ __all__ = [
     "run_model_problem",
     "error_series",
     "fit_slope",
+    "check_convergence_ladder",
     "convergence_study",
+    "check_baseline_ladder",
     "compare_baseline",
-    "write_csv",
-    "write_trajectory_csv",
-    "write_errors_csv",
-    "write_convergence_csv",
 ]
 
 
@@ -309,10 +305,11 @@ def error_series(coarse: Snapshots, reference: Snapshots) -> ErrorSeries:
 
 
 def fit_slope(taus, errors) -> Optional[float]:
-    """Least-squares slope of log(error) vs log(tau); None when degenerate."""
+    """Least-squares slope of log(error) vs log(tau); None when degenerate:
+    fewer than 2 distinct taus, or an error that is not positive."""
     taus = np.asarray(taus, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    if np.any(errors <= 0):
+    if len(set(taus.tolist())) < 2 or np.any(errors <= 0):
         return None
     slope = np.polyfit(np.log(taus), np.log(errors), 1)[0]
     return float(slope)
@@ -433,17 +430,24 @@ def _map_runs(fn, tasks: list[tuple], max_procs: Optional[int] = None) -> list:
     return [results[i] for i in range(len(tasks))]
 
 
-def convergence_study(spec: ExperimentSpec, step_ladder: tuple[int, ...]) -> ConvergenceResult:
-    """Run the ladder of step counts at ``spec.sigma`` against the exact
-    reference (``_exact_snapshots``) and fit slopes.  Every entry is checked
-    before any step; the reference is computed here, then the runs, which keep
-    only snapshots, are split across the CPUs this process may use
-    (``_map_runs``), with results identical to running them in order."""
+def check_convergence_ladder(spec: ExperimentSpec, step_ladder: tuple[int, ...]) -> None:
+    """Raise ValueError unless the ladder holds at least 3 distinct step
+    counts, each a multiple of ``spec.sample_count`` (else AlignmentError)."""
     if len(set(step_ladder)) < 3:
         raise ValueError(f"a convergence ladder needs at least 3 distinct step counts, "
                          f"got {list(step_ladder)}")
     for n_steps in step_ladder:
         _snapshot_stride(n_steps, spec.sample_count)
+
+
+def convergence_study(spec: ExperimentSpec, step_ladder: tuple[int, ...]) -> ConvergenceResult:
+    """Run the ladder of step counts at ``spec.sigma`` against the exact
+    reference (``_exact_snapshots``) and fit slopes.  The ladder is checked
+    (``check_convergence_ladder``) before any step; the reference is computed
+    here, then the runs, which keep only snapshots, are split across the CPUs
+    this process may use (``_map_runs``), with results identical to running
+    them in order."""
+    check_convergence_ladder(spec, step_ladder)
     reference = _exact_snapshots(spec)
     sampled = _map_runs(lambda n: _sample_run(spec, n), [(n,) for n in step_ladder])
     rows = []
@@ -457,6 +461,20 @@ def convergence_study(spec: ExperimentSpec, step_ladder: tuple[int, ...]) -> Con
         slope_eps2=fit_slope(taus, [r.max_eps2 for r in rows]),
         slope_epsinf=fit_slope(taus, [r.max_epsinf for r in rows]),
     )
+
+
+def check_baseline_ladder(spec: ExperimentSpec, step_ladder: tuple[int, ...]) -> None:
+    """Raise ValueError for an empty ladder, or one whose longest entry's
+    history alone would pass ``HISTORY_BYTES_LIMIT``."""
+    if not step_ladder:
+        raise ValueError("ladder_steps is empty: the comparison needs at least one step count")
+    longest = history_bytes(spec.grid_n, max(step_ladder))
+    if longest > HISTORY_BYTES_LIMIT:
+        raise ValueError(
+            f"the full-history baseline would store {longest} bytes "
+            f"({max(step_ladder) + 1} levels on grid {spec.grid_n}), over its budget "
+            f"of {HISTORY_BYTES_LIMIT} bytes"
+        )
 
 
 def compare_baseline(
@@ -479,10 +497,12 @@ def compare_baseline(
     but beside another entry both include what that process costs them, the
     history's more (it reads every level each step); run on one CPU to
     compare the steppers' times.  All other fields are identical to running
-    the entries in order.
+    the entries in order.  The ladder is checked (``check_baseline_ladder``)
+    before any allocation.
     """
+    check_baseline_ladder(spec, step_ladder)
     problem = build_model_problem(spec)
-    largest = history_bytes(spec.grid_n, max(step_ladder, default=0))
+    largest = history_bytes(spec.grid_n, max(step_ladder))
     return tuple(_map_runs(
         lambda n_steps: _compare_one(problem, spec, n_steps),
         [(n_steps,) for n_steps in step_ladder],
@@ -512,26 +532,3 @@ def _compare_one(problem: ProblemSpec, spec: ExperimentSpec, n_steps: int) -> Ba
         soe_fields=problem.kernel.n_terms + 1,
         history_fields=len(levels),
     )
-
-
-def write_csv(path, header: list[str], rows) -> None:
-    """Write a header and rows; floats get 17 significant digits (exact on reading back)."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    rows = zip(traj.steps, traj.times, traj.energies, traj.center_values)
-    write_csv(path, ["n", "t", "energy", "center_value"], rows)
-
-
-def write_errors_csv(errs: ErrorSeries, path) -> None:
-    write_csv(path, ["t", "eps2", "epsinf"], zip(errs.times, errs.eps2, errs.epsinf))
-
-
-def write_convergence_csv(result: ConvergenceResult, path) -> None:
-    rows = [(row.tau, row.max_eps2, row.max_epsinf) for row in result.rows]
-    write_csv(path, ["tau", "max_eps2", "max_epsinf"], rows)

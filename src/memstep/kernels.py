@@ -28,6 +28,7 @@ __all__ = [
     "load_builtin_prony",
     "prony_from_file",
     "BUILTIN_BETAS",
+    "builtin_beta",
 ]
 
 
@@ -207,26 +208,31 @@ BUILTIN_BETAS = {"3/7": 3.0 / 7.0, "1/2": 0.5, "3/5": 0.6}
 
 
 def _beta_key(beta) -> str:
-    if isinstance(beta, str):
-        if beta in _BUILTIN_TABLE:
-            return beta
-        raise KeyError(
-            f"no built-in fit for beta={beta!r}; available: 3/7, 1/2, 3/5"
-        )
-    for key, value in BUILTIN_BETAS.items():
-        if math.isclose(float(beta), value, rel_tol=0, abs_tol=1e-12):
+    """The table key of ``beta``: a key, or a number or its text within 1e-12
+    of a key's value; KeyError for anything else."""
+    try:
+        value = float(beta)
+    except (TypeError, ValueError):  # a fraction's text, or no number at all
+        value = math.nan
+    for key, exact in BUILTIN_BETAS.items():
+        if beta == key or abs(value - exact) <= 1e-12:
             return key
     raise KeyError(
-        f"no built-in fit for beta={beta}; available: 3/7 (~0.428571), "
+        f"no built-in fit for beta={beta!r}; available: 3/7 (~0.428571), "
         "1/2 (0.5), 3/5 (0.6)"
     )
+
+
+def builtin_beta(beta) -> float:
+    """The exponent of the built-in fit that ``beta`` names (see ``load_builtin_prony``)."""
+    return BUILTIN_BETAS[_beta_key(beta)]
 
 
 def load_builtin_prony(beta) -> PronySeries:
     """Return the built-in 12-term fit of exp(-t**beta).
 
-    ``beta`` may be a float (3/7, 0.5, 0.6) or one of the strings
-    "3/7", "1/2", "3/5".
+    ``beta`` may be one of the strings "3/7", "1/2", "3/5", or a float
+    (3/7, 0.5, 0.6) or its text ("0.5"); KeyError for any other value.
     """
     terms = _BUILTIN_TABLE[_beta_key(beta)]
     return PronySeries(

@@ -262,26 +262,28 @@ def soe_stepper(p: ProblemSpec, cfg: SchemeConfig) -> Callable[[SoeState], SoeSt
     ybar, with d_i = 1 + sigma b_i tau, decay_i = (1 - (1-sigma) b_i tau)/d_i
     and ybar = sigma y' + (1-sigma) y; in the memory term it leaves one
     shifted SPD solve for y'.  A left-hand side of pointwise terms collapses
-    into one DiagonalScaling.  The first overflow or NaN raises NonFiniteError.
+    into one DiagonalScaling.  The first overflow or NaN, in the coefficients
+    or in a step, raises NonFiniteError.
     """
     sig, tau = cfg.sigma, cfg.tau
     a, b = np.asarray(p.kernel.weights), np.asarray(p.kernel.rates)
-    d = 1.0 + sig * b * tau
-    decay = (1.0 - (1.0 - sig) * b * tau) / d
-    gain = tau / d
-    mu = math.fsum(sig * a * tau / d)
-    # sum_i a_i A((1-sigma) y_i + sigma y_i') less its implicit part sigma*mu*A y',
-    # with the one operator application pulled outside the sum by linearity.
-    mem_weights, mem_own = a * ((1.0 - sig) + sig * decay), sig * (1.0 - sig) * float(a @ gain)
-    terms = [(1.0, p.mass), (sig * tau * mu, p.operator)]
-    if p.reaction is not None:
-        terms.append((sig * tau, p.reaction))
-    lhs = _collapsed(terms)
     grid = p.grid
     m, size = len(b), grid.shape[0] * grid.shape[1]
-    workspace = _block_workspace(m, size)
-    update = [(blk, decay[blk, None], gain[blk, None], work) for blk, work, _ in workspace]
-    guard = _aux_residual_guard(cfg, grid, b, workspace)
+    with _finite("scheme coefficients"):
+        d = 1.0 + sig * b * tau
+        decay = (1.0 - (1.0 - sig) * b * tau) / d
+        gain = tau / d
+        mu = math.fsum(sig * a * tau / d)
+        # sum_i a_i A((1-sigma) y_i + sigma y_i') less its implicit part sigma*mu*A y',
+        # with the one operator application pulled outside the sum by linearity.
+        mem_weights, mem_own = a * ((1.0 - sig) + sig * decay), sig * (1.0 - sig) * float(a @ gain)
+        terms = [(1.0, p.mass), (sig * tau * mu, p.operator)]
+        if p.reaction is not None:
+            terms.append((sig * tau, p.reaction))
+        lhs = _collapsed(terms)
+        workspace = _block_workspace(m, size)
+        update = [(blk, decay[blk, None], gain[blk, None], work) for blk, work, _ in workspace]
+        guard = _aux_residual_guard(cfg, grid, b, workspace)
 
     def step(s: SoeState) -> SoeState:
         y, old = s.y, s.aux.reshape(m, size)
@@ -353,10 +355,11 @@ def _product_trapezoid_weights(
     # An inner level's hat is a right and a left half-hat, so its factor,
     # 4 sinh(c/2)**2 / c**2, is the start factor plus the end factor.  Past
     # c = 700, where expm1(c) overflows, the start and inner factors carry one
-    # exp(-c), which makes both 1/c**2 to rounding, and the table exp(-c (L-1)).
+    # exp(-c), which makes both 1/c**2 to rounding, and the table exp(-c (L-1));
+    # there expm1(-c) is -1, so the end factor is (1 - 1/c)/c, which never overflows.
     start_factor, end_factor = _edge_factors(np.where(big, 1.0, c))
     inner_factor = start_factor + end_factor
-    end_factor[big] = (c[big] + np.expm1(-c[big])) / c[big] ** 2
+    end_factor[big] = (1.0 - 1.0 / c[big]) / c[big]
     start_factor[big] = inner_factor[big] = c[big] ** -2.0
 
     end_weight = tau * float(a @ end_factor)
@@ -380,13 +383,14 @@ def history_levels(p: ProblemSpec, cfg: SchemeConfig, n_steps: int) -> np.ndarra
     weights are built once, as lag tables; the integral to t_n is carried
     from step to step, and the operator applies once per step, to the blend
     of the two integrals, by linearity.  Identity mass and no reaction only;
-    the first overflow or NaN raises NonFiniteError.
+    the first overflow or NaN, in the tables or in a step, raises NonFiniteError.
     """
     if not p.is_plain:
         raise SchemeConfigError("the full-history baseline handles only the plain problem")
     sig, tau = cfg.sigma, cfg.tau
-    start, inner, w_end = _product_trapezoid_weights(p.kernel, tau, n_steps)
-    lhs = _collapsed([(1.0, IdentityOperator()), (sig * tau * w_end, p.operator)])
+    with _finite("scheme coefficients"):
+        start, inner, w_end = _product_trapezoid_weights(p.kernel, tau, n_steps)
+        lhs = _collapsed([(1.0, IdentityOperator()), (sig * tau * w_end, p.operator)])
     levels = np.empty((n_steps + 1,) + p.initial.shape)
     levels[0] = p.initial
     flat = levels.reshape(n_steps + 1, -1)

@@ -24,6 +24,20 @@ def out_root(tmp_path, monkeypatch):
     return tmp_path
 
 
+def counted_steps(monkeypatch) -> list:
+    """One entry per compressed step, and per full-history run, taken in this process."""
+    steps = []
+    build, levels = experiments.soe_stepper, experiments.history_levels
+
+    def counting_stepper(problem, cfg):
+        step = build(problem, cfg)
+        return lambda s: steps.append(1) or step(s)
+
+    monkeypatch.setattr(experiments, "soe_stepper", counting_stepper)
+    monkeypatch.setattr(experiments, "history_levels", lambda *args: steps.append(1) or levels(*args))
+    return steps
+
+
 class TestRunCommand:
     def test_writes_trajectory_and_manifest(self, out_root):
         assert cli.main(["run", *FAST]) == cli.EXIT_OK
@@ -194,14 +208,50 @@ class TestConfigErrors:
         assert str(missing) in capsys.readouterr().err
         assert not (out_root / "run").exists()
 
-    @pytest.mark.parametrize("command", ["run", "kernel-error"])
-    def test_out_that_is_a_file(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command", ["run", "kernel-error", "converge", "compare-baseline"])
+    def test_out_that_is_a_file(self, tmp_path, monkeypatch, capsys, command):
+        # found before any step: the run directory is made before the work
+        set_cpus(monkeypatch, 1)  # every run in this process, where the steps are counted
+        steps = counted_steps(monkeypatch)
         blocker = tmp_path / "a-file"
-        blocker.write_text("")
+        blocker.write_text("kept")
         argv = [command, "--grid", "8", "--steps", "8", "--out", str(blocker)]
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert f"{blocker}/{command}" in capsys.readouterr().err
-        assert blocker.read_text() == ""
+        assert blocker.read_text() == "kept"
+        assert steps == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, key, value", [
+        ("run", "T", math.inf),
+        ("run", "T", math.nan),
+        ("run", "tau", math.nan),
+        ("run", "tau", math.inf),
+        ("run", "cg_tol", math.nan),
+        ("kernel-error", "window_t_max", math.inf),
+        ("kernel-error", "window_t_min", math.nan),
+        ("converge", "T", math.inf),
+    ])
+    def test_non_finite_value_rejected(self, out_root, tmp_path, capsys, command, key, value):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: value}))  # Infinity or NaN, as Python's json reads
+        assert cli.main([command, "--config", str(config)]) == cli.EXIT_CONFIG
+        assert f"configuration error: {key}={value} must be > 0 and finite" in capsys.readouterr().err
+        assert not (out_root / command).exists()
+
+    @pytest.mark.parametrize("flag", ["--T", "--tau"])
+    def test_non_finite_flag_rejected(self, out_root, capsys, flag):
+        assert cli.main(["run", flag, "inf"]) == cli.EXIT_CONFIG
+        assert f"{flag[2:]}=inf must be > 0 and finite" in capsys.readouterr().err
+        assert not (out_root / "run").exists()
+
+    @pytest.mark.parametrize("beta", ["1/2", "0.5"])
+    def test_beta_as_fraction_or_decimal_text(self, out_root, tmp_path, beta):
+        out = tmp_path / beta.replace("/", "-")
+        assert cli.main(["kernel-error", "--beta", beta, "--out", str(out)]) == cli.EXIT_OK
+        expected = kernel_sup_error(StretchedExponential(0.5), load_builtin_prony(0.5))
+        data = np.genfromtxt(out / "kernel-error" / "kernel_error.csv", delimiter=",", names=True)
+        np.testing.assert_array_equal(data["error"], expected.errors)
 
     def test_missing_kernel_file(self, capsys):
         assert (
@@ -241,6 +291,14 @@ class TestNumericalFailures:
         assert "numerical failure" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error")
+    def test_overflowing_scheme_coefficients(self, out_root, capsys):
+        # tau = 1e308: sigma * b * tau overflows while the coefficients are built
+        assert cli.main(["run", "--T", "1e308", "--steps", "1", "--grid", "8"]) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: non-finite values in the scheme coefficients")
+        assert list((out_root / "run").iterdir()) == []  # made before the steps, left empty
+
+    @pytest.mark.filterwarnings("error")
     def test_unstable_run_names_step_without_warnings(self, out_root, capsys):
         argv = ["run", "--sigma", "0.1", "--tau", "0.5", "--T", "200"]
         assert cli.main(argv) == cli.EXIT_NUMERICAL
@@ -261,14 +319,7 @@ class TestConvergeCommand:
     def test_misaligned_entry_rejected_before_any_step(self, out_root, tmp_path, monkeypatch, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"ladder_steps": [48, 96, 100, 384]}))
-        steps = []
-        build = experiments.soe_stepper
-
-        def counting_stepper(problem, cfg):
-            step = build(problem, cfg)
-            return lambda s: steps.append(1) or step(s)
-
-        monkeypatch.setattr(experiments, "soe_stepper", counting_stepper)
+        steps = counted_steps(monkeypatch)
         assert cli.main(["converge", "--config", str(config)]) == cli.EXIT_CONFIG
         assert "n_steps=100 is not divisible by sample_count=8" in capsys.readouterr().err
         assert not (out_root / "converge").exists()
@@ -310,7 +361,7 @@ class TestConvergeCommand:
         ).experiment_spec()
         errs = experiments.error_series(sample_run(spec, 32), experiments._exact_snapshots(spec))
         expected = tmp_path / "expected.csv"
-        experiments.write_errors_csv(errs, expected)
+        cli.write_csv(expected, ["t", "eps2", "epsinf"], zip(errs.times, errs.eps2, errs.epsinf))
         assert (out_root / "converge" / "errors.csv").read_bytes() == expected.read_bytes()
 
     @pytest.mark.parametrize("cpus", [2, 3])
@@ -398,7 +449,7 @@ class TestConvergeCommand:
         argv = ["converge", "--grid", "8", "--kernel-file", str(kernel)]
         assert cli.main(argv) == cli.EXIT_NUMERICAL
         assert "non-finite values in the exact reference" in capsys.readouterr().err
-        assert not (out_root / "converge").exists()
+        assert list((out_root / "converge").iterdir()) == []  # made before the steps, left empty
 
 
 class TestKernelErrorCommand:
@@ -469,6 +520,13 @@ class TestCompareBaselineCommand:
         diffs = [float(line.split(",")[1]) for line in lines[1:]]
         assert len(diffs) == 4 and all(math.isfinite(d) for d in diffs)
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_steps_keep_the_weights_finite(self, out_root):
+        # tau * b reaches about 4e300: the end factor's closed form would square it
+        assert cli.main(["compare-baseline", "--grid", "8", "--T", "1e300"]) == cli.EXIT_OK
+        lines = (out_root / "compare-baseline" / "baseline.csv").read_text().splitlines()
+        assert len(lines) == 5 and all(math.isfinite(float(line.split(",")[1])) for line in lines[1:])
+
     def test_empty_ladder_rejected(self, out_root, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"grid": 8, "T": 1.0, "ladder_steps": []}))
@@ -483,7 +541,7 @@ class TestCompareBaselineCommand:
         monkeypatch.setattr(cli, "compare_baseline", lambda *args: pytest.fail("ran"))
         assert cli.main(["compare-baseline", "--config", str(config)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "2131259400 bytes" in err and f"budget of {cli.HISTORY_BYTES_LIMIT} bytes" in err
+        assert "2131259400 bytes" in err and f"budget of {experiments.HISTORY_BYTES_LIMIT} bytes" in err
         assert not (out_root / "compare-baseline").exists()
 
     def test_grid_64_within_the_budget_runs(self, out_root, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import time
 import tracemalloc
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import set_cpus
-from memstep import experiments
+from memstep import cli, experiments
 from memstep.experiments import (
     AlignmentError,
     ExperimentSpec,
@@ -21,9 +22,6 @@ from memstep.experiments import (
     fit_slope,
     model_initial_condition,
     run_model_problem,
-    write_convergence_csv,
-    write_errors_csv,
-    write_trajectory_csv,
 )
 from memstep.grid import Grid2D, GridMismatchError
 from memstep.kernels import PronySeries, load_builtin_prony
@@ -156,6 +154,12 @@ class TestFitSlope:
 
     def test_zero_error_degenerates_to_none(self):
         assert fit_slope([0.1, 0.05, 0.025], [1e-3, 0.0, 1e-5]) is None
+
+    @pytest.mark.filterwarnings("error")  # no RankWarning from a one-point fit
+    @pytest.mark.parametrize("taus", [[0.1] * 3, [0.1]])
+    def test_one_distinct_tau_degenerates_to_none(self, taus):
+        errors = [1e-3, 2e-3, 3e-3][: len(taus)]
+        assert fit_slope(taus, errors) is None
 
 
 class TestConvergenceStudy:
@@ -368,23 +372,39 @@ def test_sine_coordinates_match_physical_oracle(small_spec, small_run, small_sam
     assert abs(row.max_diff - max_diff) <= 1e-12 * scale
 
 
+def test_baseline_over_the_budget_raises_before_any_allocation(monkeypatch):
+    # 4097 levels of 255x255 values: 2,131,259,400 bytes, over the budget
+    monkeypatch.setattr(experiments, "build_model_problem", lambda spec: pytest.fail("built"))
+    spec = ExperimentSpec(kernel=load_builtin_prony("1/2"), grid_n=256, final_time=1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"2131259400 bytes \(4097 levels on grid 256\)"):
+            compare_baseline(spec, (8, 4096))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 class TestCsvWriters:
+    """The tables the commands write, from small_spec's settings."""
+
     def test_trajectory_roundtrip_values(self, small_run, tmp_path):
-        path = tmp_path / "trajectory.csv"
-        write_trajectory_csv(small_run, path)
-        data = np.genfromtxt(path, delimiter=",", names=True)
+        argv = ["run", "--grid", "16", "--T", "2", "--steps", "64", "--out", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_OK
+        data = np.genfromtxt(tmp_path / "run" / "trajectory.csv", delimiter=",", names=True)
         np.testing.assert_array_equal(data["n"], small_run.steps)
         np.testing.assert_array_equal(data["energy"], small_run.energies)
         np.testing.assert_array_equal(data["center_value"], small_run.center_values)
 
-    def test_errors_and_convergence_headers(self, small_spec, small_samples, tmp_path):
-        errs = error_series(small_samples, small_samples)
-        write_errors_csv(errs, tmp_path / "errors.csv")
-        assert (tmp_path / "errors.csv").read_text().splitlines()[0] == "t,eps2,epsinf"
-
-        result = convergence_study(small_spec, (16, 32, 64))
-        write_convergence_csv(result, tmp_path / "convergence.csv")
-        lines = (tmp_path / "convergence.csv").read_text().splitlines()
+    def test_errors_and_convergence_headers(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"grid": 16, "T": 2.0, "ladder_steps": [16, 32, 64]}))
+        argv = ["converge", "--config", str(config), "--out", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_OK
+        errors = (tmp_path / "converge" / "errors.csv").read_text().splitlines()
+        assert errors[0] == "t,eps2,epsinf" and len(errors) == 9  # the 8 sample times
+        lines = (tmp_path / "converge" / "convergence.csv").read_text().splitlines()
         assert lines[0] == "tau,max_eps2,max_epsinf"
         assert len(lines) == 4
 

@@ -9,6 +9,7 @@ from memstep.kernels import (
     PronySeries,
     StretchedExponential,
     analytic_eval,
+    builtin_beta,
     kernel_sup_error,
     load_builtin_prony,
     prony_eval,
@@ -39,6 +40,16 @@ class TestPronySeries:
         assert load_builtin_prony(0.5) == load_builtin_prony("1/2")
         assert load_builtin_prony(3 / 7) == load_builtin_prony("3/7")
         assert load_builtin_prony(0.6) == load_builtin_prony("3/5")
+
+    @pytest.mark.parametrize("beta, value", [("1/2", 0.5), (0.5, 0.5), ("0.5", 0.5), ("0.6", 0.6)])
+    def test_builtin_accepts_decimal_text(self, beta, value):
+        assert load_builtin_prony(beta) == load_builtin_prony(value)
+        assert builtin_beta(beta) == value
+
+    @pytest.mark.parametrize("beta", ["0.4", "nan", "one half", None])
+    def test_unsupported_beta_text_raises_key_error(self, beta):
+        with pytest.raises(KeyError, match="3/7"):
+            load_builtin_prony(beta)
 
     def test_unsupported_beta_lists_supported_values(self):
         with pytest.raises(KeyError, match="3/7"):

@@ -428,6 +428,24 @@ class TestQuadratureStep:
         assert start[0] == pytest.approx(edge_series(c, 1.0), rel=1e-15, abs=0)
         assert end[0] == pytest.approx(edge_series(c, -1.0), rel=1e-15, abs=0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tau", [1e10, 1e200, 1e300])
+    def test_end_weight_past_squaring_range(self, tau):
+        # c = tau: the end factor (c + expm1(-c))/c**2 is (1 - 1/c)/c, so the
+        # endpoint weight tau * a * factor is 1 - 1/tau, with no overflow of c**2
+        _, _, end = _product_trapezoid_weights(PronySeries((1.0,), (1.0,)), tau, 4)
+        assert end == pytest.approx(1.0 - 1.0 / tau, rel=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("build", [
+        lambda p, cfg: soe_stepper(p, cfg),
+        lambda p, cfg: history_levels(p, cfg, 1),
+    ], ids=["compressed", "history"])
+    def test_overflowing_coefficients_raise_non_finite(self, build):
+        # sigma * b * tau overflows while the coefficients are built, before any step
+        with pytest.raises(NonFiniteError, match="scheme coefficients: overflow"):
+            build(scalar_problem(1.0, 10.0, 1.0, 1.0), SchemeConfig(sigma=0.5, tau=1e308))
+
     def test_overflow_names_the_step(self):
         # sigma = 0.1 at a large step is unstable: the levels grow until they overflow
         p = scalar_problem(1.0, 2.0, 3.0, 1.0)
