@@ -104,7 +104,10 @@ class RunConfig:
             raise ConfigError(f"grid={self.grid} must be >= 2")
         if min(self.ladder_steps, default=1) < 1:
             raise ConfigError(f"ladder_steps={list(self.ladder_steps)} must all be >= 1")
-        self.resolved_steps()
+        counts = [("steps", self.resolved_steps())] + [("ladder_steps", n) for n in self.ladder_steps]
+        for key, n in counts:  # T/n can underflow to 0
+            if not self.T / n > 0:
+                raise ConfigError(f"T={self.T} over {key} {n} gives tau=0.0, which must be > 0")
 
     def kernel(self):
         if self.kernel_file is not None:

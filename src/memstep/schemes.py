@@ -143,6 +143,17 @@ class SoeState:
 _BLOCK_VALUES = 1 << 16
 
 
+# numpy's ufunc buffer, 8,192 values by default, while a block runs under
+# ``_finite``.  Where a field row is shorter than the buffer, numpy copies a
+# broadcast coefficient column into it chunk by chunk, which made a (k, N)
+# block times a (k, 1) column 3-4x slower than times a scalar on grids up to
+# about 90.  Buffering changes only how numpy walks the arrays, not one
+# product or sum, so outputs keep their bits.  A multiple of 16, as numpy < 2
+# requires; of 16, 64, 256 and 1,024, swept on grids 16-256, 64 was within
+# noise of the fastest on every grid.
+_BUFFER_VALUES = 64
+
+
 def _blocks(m: int, size: int) -> list[slice]:
     """Row slices of an ``(m, size)`` stack, each about ``_BLOCK_VALUES`` values."""
     per = max(1, _BLOCK_VALUES // size)
@@ -161,9 +172,10 @@ def _collapsed(terms) -> SpdOperator:
 
 
 class _finite:
-    """Turn the first overflow or NaN inside the block into NonFiniteError."""
+    """Turn the first overflow or NaN inside the block into NonFiniteError,
+    and run the block with numpy's ufunc buffer at ``_BUFFER_VALUES``."""
 
-    __slots__ = ("what", "n", "t", "_errstate")
+    __slots__ = ("what", "n", "t", "_errstate", "_bufsize")
 
     def __init__(self, what: str, n: Optional[int] = None, t: float = 0.0):
         self.what, self.n, self.t = what, n, t
@@ -171,8 +183,10 @@ class _finite:
     def __enter__(self) -> None:
         self._errstate = np.errstate(over="raise", invalid="raise")
         self._errstate.__enter__()
+        self._bufsize = np.setbufsize(_BUFFER_VALUES)
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        np.setbufsize(self._bufsize)  # numpy < 2 keeps it past the errstate
         self._errstate.__exit__(exc_type, exc, tb)
         if exc_type is not None and issubclass(exc_type, FloatingPointError):
             where = "" if self.n is None else f" of step {self.n} (t={self.t:.6g})"
@@ -396,8 +410,10 @@ def history_levels(p: ProblemSpec, cfg: SchemeConfig, n_steps: int) -> np.ndarra
     flat = levels.reshape(n_steps + 1, -1)
     weights = np.empty(n_steps)
     integral, t = 0.0, 0.0  # int_0^{t_n}, before the operator is applied
-    for n in range(n_steps):
-        with _finite("history update", n + 1, t + tau):
+    steps = _finite("history update")  # one block for the run, naming the step in progress
+    with steps:
+        for n in range(n_steps):
+            steps.n, steps.t = n + 1, t + tau
             # int_0^{t_{n+1}} over the known levels 0..n, at lags n+1..1 behind
             # t_{n+1}; the endpoint weight on the new level is implicit
             w = weights[: n + 1]
@@ -409,7 +425,7 @@ def history_levels(p: ProblemSpec, cfg: SchemeConfig, n_steps: int) -> np.ndarra
                 rhs += tau * _forcing(p, t + sig * tau)
             levels[n + 1] = cg_solve(lhs, rhs, tol=cfg.cg_tol)
             integral = known + w_end * levels[n + 1]
-        t += tau
+            t += tau
     return levels
 
 

@@ -194,6 +194,24 @@ class TestConfigErrors:
         assert cli.main(["converge", "--config", str(config)]) == cli.EXIT_CONFIG
         assert "must all be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--T", "5e-324", "--steps", "2"],
+        ["converge", "--T", "5e-324"],
+        ["compare-baseline", "--T", "5e-324", "--grid", "8"],
+    ])
+    def test_step_size_underflowing_to_zero_rejected(self, out_root, capsys, argv):
+        # T/n rounds to 0 although T > 0: rejected before the run directory is made
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "gives tau=0.0, which must be > 0" in capsys.readouterr().err
+        assert not (out_root / argv[0]).exists()
+
+    def test_ladder_entry_with_zero_step_size_rejected(self, out_root, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"T": 1e-322, "steps": 1, "ladder_steps": [8, 16, 10**4]}))
+        assert cli.main(["converge", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert "over ladder_steps 10000 gives tau=0.0" in capsys.readouterr().err
+        assert not (out_root / "converge").exists()
+
     @pytest.mark.parametrize("tol", [0, -1e-10])
     def test_cg_tol_must_be_positive(self, out_root, tmp_path, capsys, tol):
         config = tmp_path / "cfg.json"

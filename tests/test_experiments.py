@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import set_cpus
-from memstep import cli, experiments
+from memstep import cli, experiments, schemes
 from memstep.experiments import (
     AlignmentError,
     ExperimentSpec,
@@ -317,6 +317,22 @@ class TestRecordsOnlyWhatIsWritten:
         np.testing.assert_allclose(
             small_samples.snapshot_times, [s.t for s in at_samples], rtol=1e-14
         )
+
+
+def test_ufunc_buffer_changes_speed_never_bits(monkeypatch):
+    # the same runs on numpy's default buffer: every product and sum is the same
+    kernel = load_builtin_prony("1/2")
+
+    def outputs():
+        traj = run_model_problem(ExperimentSpec(kernel=kernel, grid_n=16))
+        study = convergence_study(ExperimentSpec(kernel=kernel, grid_n=8), (48, 96, 192, 384))
+        errors = [a for row in study.rows for a in (row.errors.eps2, row.errors.epsinf)]
+        return [traj.times, traj.energies, traj.center_values, *errors]
+
+    short = outputs()
+    monkeypatch.setattr(schemes, "_BUFFER_VALUES", 8192)
+    for a, b in zip(short, outputs(), strict=True):
+        np.testing.assert_array_equal(a, b)
 
 
 class TestCompareBaseline:

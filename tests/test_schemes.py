@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import re
@@ -672,6 +673,62 @@ class TestEnergy:
             forcing_budget += tau * l2_norm(p.forcing(s.t + sigma * tau), grid)
             s = step(s)
             assert energy(p, s) <= e0 + forcing_budget + 1e-8 * e0
+
+
+class RecordingScaling(DiagonalScaling):
+    """A DiagonalScaling that records numpy's ufunc buffer size at each application."""
+
+    __slots__ = ("sizes",)
+
+    def __init__(self, coefficient):
+        super().__init__(coefficient)
+        self.sizes = []
+
+    def apply_values(self, v):
+        self.sizes.append(np.getbufsize())
+        return super().apply_values(v)
+
+
+class TestUfuncBuffer:
+    """Every numerical block runs with the short ufunc buffer, and gives the
+    caller's size back."""
+
+    def test_short_buffer_in_a_step_energy_and_history_step(self):
+        assert schemes._BUFFER_VALUES % 16 == 0  # numpy < 2 takes only multiples of 16
+        grid = Grid2D(16, 16)
+        op = RecordingScaling(laplacian_eigenvalues(grid))
+        p = ProblemSpec(operator=op, kernel=load_builtin_prony("1/2"), initial=np.ones(grid.shape))
+        cfg = SchemeConfig(sigma=0.5, tau=0.05)
+        caller = np.getbufsize()
+        assert caller != schemes._BUFFER_VALUES
+        blocks = {
+            "compressed step": lambda: soe_stepper(p, cfg)(soe_init(p)),
+            "energy": lambda: energy(p, soe_init(p)),
+            "history step": lambda: history_levels(p, cfg, 1),
+        }
+        for what, run in blocks.items():
+            op.sizes.clear()
+            run()
+            assert op.sizes and set(op.sizes) == {schemes._BUFFER_VALUES}, what
+            assert np.getbufsize() == caller, what
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_finite_gives_the_callers_size_back(self, monkeypatch, fails):
+        sizes, setbufsize = [], np.setbufsize
+        monkeypatch.setattr(np, "setbufsize", lambda size: sizes.append(size) or setbufsize(size))
+        old = setbufsize(4096)
+        try:
+            with pytest.raises(NonFiniteError) if fails else contextlib.nullcontext():
+                with schemes._finite("test block"):
+                    inside = np.getbufsize()
+                    if fails:
+                        np.array([1e308]) * 10.0
+            after = np.getbufsize()
+        finally:
+            setbufsize(old)
+        assert inside == schemes._BUFFER_VALUES and after == 4096
+        # given back by _finite itself: numpy < 2 does not restore it with the errstate
+        assert sizes == [schemes._BUFFER_VALUES, 4096]
 
 
 class TestProblemShapes:
