@@ -241,8 +241,9 @@ def cmd_converge(cfg: RunConfig):
         return {
             "convergence.csv": (["tau", "max_eps2", "max_epsinf"],
                                 [(row.tau, row.max_eps2, row.max_epsinf) for row in result.rows]),
-            "errors.csv": (["t", "eps2", "epsinf"], zip(errs.times, errs.eps2, errs.epsinf)),
-        }, [f"slope eps2 = {result.slope_eps2:.3f}", f"slope epsinf = {result.slope_epsinf:.3f}"]
+            "errors.csv": (["t", "eps2", "epsinf"], zip(spec.sample_times(), errs.eps2, errs.epsinf)),
+        }, [f"slope {name} = " + ("undefined" if slope is None else f"{slope:.3f}")
+            for name, slope in (("eps2", result.slope_eps2), ("epsinf", result.slope_epsinf))]
 
     return work
 

@@ -36,7 +36,6 @@ from .schemes import (
 
 __all__ = [
     "ExperimentSpec",
-    "Snapshots",
     "Trajectory",
     "ErrorSeries",
     "ConvergenceRow",
@@ -101,15 +100,6 @@ class ExperimentSpec:
 
 
 @dataclass(frozen=True)
-class Snapshots:
-    """Nodal field snapshots, interior arrays, at the sample times: all an
-    error series reads."""
-
-    snapshots: tuple[np.ndarray, ...]
-    snapshot_times: np.ndarray
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Per-step scalars of a run."""
 
@@ -121,9 +111,8 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class ErrorSeries:
-    """Discrepancies against a reference at shared sample times."""
+    """Discrepancies against a reference, one per sample time."""
 
-    times: np.ndarray
     eps2: np.ndarray
     epsinf: np.ndarray
 
@@ -218,13 +207,15 @@ def run_model_problem(spec: ExperimentSpec, initial: Optional[np.ndarray] = None
     )
 
 
-def _sample_run(spec: ExperimentSpec, n_steps: int) -> Snapshots:
-    """Run the relaxation problem, keeping only the snapshots (no per-step
-    energy or centre value): the ladder runs of a study."""
+def _sample_run(spec: ExperimentSpec, n_steps: int) -> np.ndarray:
+    """Run the relaxation problem, keeping only its nodal fields at the sample
+    times, stacked in time order (no per-step energy or centre value)."""
     stride = _snapshot_stride(n_steps, spec.sample_count)
-    states = _states(build_model_problem(spec), _scheme(spec, n_steps), n_steps)
-    snapshots = tuple(sine_transform(s.y) for s in states if s.n and s.n % stride == 0)
-    return Snapshots(snapshots=snapshots, snapshot_times=spec.sample_times())
+    stack = np.empty((spec.sample_count, spec.grid_n - 1, spec.grid_n - 1))
+    for state in _states(build_model_problem(spec), _scheme(spec, n_steps), n_steps):
+        if state.n and state.n % stride == 0:
+            stack[state.n // stride - 1] = sine_transform(state.y)
+    return stack
 
 
 _MODE_CHUNK = 32  # modes whose maps are built at once: a few tens of kB at any grid
@@ -256,11 +247,12 @@ def _mode_maps(lam: np.ndarray, kernel: PronySeries, dt: float) -> np.ndarray:
     return _expm(mats * dt)
 
 
-def _exact_snapshots(spec: ExperimentSpec) -> Snapshots:
-    """The model problem's exact solution at the sample times: a sine mode
-    starts at (y0, 0..0), so after i sample intervals it is y0 (G**i)[0, 0], G
-    its exact map (``_mode_maps``), built once per distinct eigenvalue (lam(j, k)
-    = lam(k, j)).  The first overflow or NaN raises NonFiniteError."""
+def _exact_snapshots(spec: ExperimentSpec) -> np.ndarray:
+    """The model problem's exact nodal fields at the sample times, stacked as
+    ``_sample_run``'s: a sine mode starts at (y0, 0..0), so after i sample
+    intervals it is y0 (G**i)[0, 0], G its exact map (``_mode_maps``), built once
+    per distinct eigenvalue (lam(j, k) = lam(k, j)).  The first overflow or NaN
+    raises NonFiniteError."""
     grid = Grid2D(spec.grid_n, spec.grid_n)
     lam, inverse = np.unique(laplacian_eigenvalues(grid).ravel(), return_inverse=True)
     responses = np.empty((spec.sample_count, lam.size))
@@ -274,33 +266,21 @@ def _exact_snapshots(spec: ExperimentSpec) -> Snapshots:
                 x = (maps @ x[:, :, None])[:, :, 0]
         y0 = sine_transform(model_initial_condition(grid))
         coefficients = y0 * responses[:, inverse].reshape((-1,) + grid.shape)
-    return Snapshots(tuple(sine_transform(c) for c in coefficients), spec.sample_times())
+    return sine_transform(coefficients)
 
 
-def error_series(coarse: Snapshots, reference: Snapshots) -> ErrorSeries:
-    """eps2 (mesh-weighted L2) and epsinf (max nodal) discrepancy series."""
-    if len(coarse.snapshots) != len(reference.snapshots):
-        raise AlignmentError(
-            f"snapshot counts differ: {len(coarse.snapshots)} vs "
-            f"{len(reference.snapshots)}"
-        )
-    if not np.allclose(coarse.snapshot_times, reference.snapshot_times, rtol=0, atol=1e-12):
-        raise AlignmentError("snapshot times differ between runs")
-    eps2, epsinf = [], []
-    for w, ref in zip(coarse.snapshots, reference.snapshots):
-        if w.shape != ref.shape:
-            raise GridMismatchError(
-                f"snapshot of shape {w.shape} compared with a reference snapshot "
-                f"of shape {ref.shape}"
-            )
-        diff = w - ref
-        cell_area = Grid2D.of(diff).cell_area
-        eps2.append(float(np.sqrt(np.sum(diff * diff) * cell_area)))
-        epsinf.append(float(np.max(np.abs(diff))))
+def error_series(coarse: np.ndarray, reference: np.ndarray) -> ErrorSeries:
+    """eps2 (mesh-weighted L2) and epsinf (max nodal) discrepancy series of
+    two ``(sample_count, n1-1, n2-1)`` stacks of nodal fields."""
+    if len(coarse) != len(reference):
+        raise AlignmentError(f"snapshot counts differ: {len(coarse)} vs {len(reference)}")
+    if coarse.shape != reference.shape:
+        raise GridMismatchError(f"snapshots of shape {coarse.shape[1:]} compared with "
+                                f"reference snapshots of shape {reference.shape[1:]}")
+    diff = coarse - reference
     return ErrorSeries(
-        times=np.array(coarse.snapshot_times),
-        eps2=np.array(eps2),
-        epsinf=np.array(epsinf),
+        eps2=np.sqrt(np.sum(diff * diff, axis=(-2, -1)) * Grid2D.of(diff).cell_area),
+        epsinf=np.max(np.abs(diff), axis=(-2, -1)),
     )
 
 
@@ -451,16 +431,13 @@ def convergence_study(spec: ExperimentSpec, step_ladder: tuple[int, ...]) -> Con
     reference = _exact_snapshots(spec)
     sampled = _map_runs(lambda n: _sample_run(spec, n), [(n,) for n in step_ladder])
     rows = []
-    for n_steps, snapshots in zip(step_ladder, sampled):
-        errs = error_series(snapshots, reference)
+    for n_steps, stack in zip(step_ladder, sampled):
+        errs = error_series(stack, reference)
         rows.append(ConvergenceRow(tau=spec.final_time / n_steps, max_eps2=float(np.max(errs.eps2)),
                                    max_epsinf=float(np.max(errs.epsinf)), errors=errs))
     taus = [r.tau for r in rows]
-    return ConvergenceResult(
-        rows=tuple(rows),
-        slope_eps2=fit_slope(taus, [r.max_eps2 for r in rows]),
-        slope_epsinf=fit_slope(taus, [r.max_epsinf for r in rows]),
-    )
+    return ConvergenceResult(rows=tuple(rows), slope_eps2=fit_slope(taus, [r.max_eps2 for r in rows]),
+                             slope_epsinf=fit_slope(taus, [r.max_epsinf for r in rows]))
 
 
 def check_baseline_ladder(spec: ExperimentSpec, step_ladder: tuple[int, ...]) -> None:

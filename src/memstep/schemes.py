@@ -148,9 +148,8 @@ _BLOCK_VALUES = 1 << 16
 # broadcast coefficient column into it chunk by chunk, which made a (k, N)
 # block times a (k, 1) column 3-4x slower than times a scalar on grids up to
 # about 90.  Buffering changes only how numpy walks the arrays, not one
-# product or sum, so outputs keep their bits.  A multiple of 16, as numpy < 2
-# requires; of 16, 64, 256 and 1,024, swept on grids 16-256, 64 was within
-# noise of the fastest on every grid.
+# product or sum, so outputs keep their bits.  Of 16, 64, 256 and 1,024,
+# swept on grids 16-256, 64 was within noise of the fastest on every grid.
 _BUFFER_VALUES = 64
 
 
@@ -172,10 +171,10 @@ def _collapsed(terms) -> SpdOperator:
 
 
 class _finite:
-    """Turn the first overflow or NaN inside the block into NonFiniteError,
-    and run the block with numpy's ufunc buffer at ``_BUFFER_VALUES``."""
+    """Turn the first overflow or NaN inside the block into NonFiniteError, and run
+    the block with numpy's ufunc buffer at ``_BUFFER_VALUES`` (the errstate restores it)."""
 
-    __slots__ = ("what", "n", "t", "_errstate", "_bufsize")
+    __slots__ = ("what", "n", "t", "_errstate")
 
     def __init__(self, what: str, n: Optional[int] = None, t: float = 0.0):
         self.what, self.n, self.t = what, n, t
@@ -183,10 +182,9 @@ class _finite:
     def __enter__(self) -> None:
         self._errstate = np.errstate(over="raise", invalid="raise")
         self._errstate.__enter__()
-        self._bufsize = np.setbufsize(_BUFFER_VALUES)
+        np.setbufsize(_BUFFER_VALUES)
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        np.setbufsize(self._bufsize)  # numpy < 2 keeps it past the errstate
         self._errstate.__exit__(exc_type, exc, tb)
         if exc_type is not None and issubclass(exc_type, FloatingPointError):
             where = "" if self.n is None else f" of step {self.n} (t={self.t:.6g})"

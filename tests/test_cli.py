@@ -359,6 +359,22 @@ class TestConvergeCommand:
         assert (run_dir / "errors.csv").exists()
         assert (run_dir / "manifest.json").exists()
 
+    def test_zero_errors_leave_the_slopes_undefined(self, out_root, tmp_path, capsys):
+        # over T = 1e-12 every ladder entry matches the exact solution to the bit
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"ladder_steps": [8, 16, 32]}))
+        assert cli.main(["converge", "--T", "1e-12", "--config", str(config)]) == cli.EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == ["slope eps2 = undefined", "slope epsinf = undefined"]
+        run_dir = out_root / "converge"
+        rows = (run_dir / "convergence.csv").read_text().splitlines()
+        assert rows[0] == "tau,max_eps2,max_epsinf" and len(rows) == 4
+        assert all(row.endswith(",0,0") for row in rows[1:])
+        errors = (run_dir / "errors.csv").read_text().splitlines()
+        assert errors[0] == "t,eps2,epsinf" and len(errors) == 9
+        assert all(row.endswith(",0,0") for row in errors[1:])
+        assert json.loads((run_dir / "manifest.json").read_text())["config"]["T"] == 1e-12
+
     def test_finest_entry_runs_once_and_feeds_errors_csv(self, out_root, tmp_path, monkeypatch):
         set_cpus(monkeypatch, 1)  # every run in this process, where the calls are counted
         config = tmp_path / "cfg.json"
@@ -379,7 +395,7 @@ class TestConvergeCommand:
         ).experiment_spec()
         errs = experiments.error_series(sample_run(spec, 32), experiments._exact_snapshots(spec))
         expected = tmp_path / "expected.csv"
-        cli.write_csv(expected, ["t", "eps2", "epsinf"], zip(errs.times, errs.eps2, errs.epsinf))
+        cli.write_csv(expected, ["t", "eps2", "epsinf"], zip(spec.sample_times(), errs.eps2, errs.epsinf))
         assert (out_root / "converge" / "errors.csv").read_bytes() == expected.read_bytes()
 
     @pytest.mark.parametrize("cpus", [2, 3])

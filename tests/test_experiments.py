@@ -14,7 +14,6 @@ from memstep import cli, experiments, schemes
 from memstep.experiments import (
     AlignmentError,
     ExperimentSpec,
-    Snapshots,
     build_model_problem,
     compare_baseline,
     convergence_study,
@@ -78,10 +77,8 @@ class TestRunModelProblem:
     def test_trajectory_shapes(self, small_spec, small_run, small_samples):
         assert len(small_run.times) == small_spec.n_steps + 1
         assert len(small_run.energies) == len(small_run.times)
-        assert len(small_samples.snapshots) == small_spec.sample_count
-        np.testing.assert_allclose(
-            small_samples.snapshot_times, small_spec.sample_times()
-        )
+        grid = Grid2D(small_spec.grid_n, small_spec.grid_n)
+        assert small_samples.shape == (small_spec.sample_count,) + grid.shape
 
     def test_initial_center_value(self, small_run):
         assert small_run.center_values[0] == pytest.approx(0.25, rel=1e-14)
@@ -95,8 +92,7 @@ class TestRunModelProblem:
         np.testing.assert_array_equal(again.energies, small_run.energies)
         np.testing.assert_array_equal(again.center_values, small_run.center_values)
         sampled = experiments._sample_run(small_spec, small_spec.n_steps)
-        for a, b in zip(sampled.snapshots, small_samples.snapshots):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(sampled, small_samples)
 
     def test_zero_initial_stays_zero(self, small_spec, monkeypatch):
         grid = Grid2D(small_spec.grid_n, small_spec.grid_n)
@@ -104,7 +100,7 @@ class TestRunModelProblem:
         assert np.all(traj.energies == 0.0)
         monkeypatch.setattr(experiments, "model_initial_condition", lambda g: np.zeros(g.shape))
         sampled = experiments._sample_run(small_spec, small_spec.n_steps)
-        assert all(s.shape == grid.shape and np.all(s == 0.0) for s in sampled.snapshots)
+        assert sampled.shape == (small_spec.sample_count,) + grid.shape and np.all(sampled == 0.0)
 
     def test_misaligned_steps_raise(self, small_spec):
         with pytest.raises(AlignmentError, match="divisible"):
@@ -119,11 +115,7 @@ class TestErrorSeries:
 
     def test_constant_offset(self, small_spec, small_samples):
         c = 0.125
-        shifted = Snapshots(
-            snapshots=tuple(s + c for s in small_samples.snapshots),
-            snapshot_times=small_samples.snapshot_times,
-        )
-        errs = error_series(shifted, small_samples)
+        errs = error_series(small_samples + c, small_samples)
         np.testing.assert_allclose(errs.epsinf, c, rtol=1e-14)
         # mesh-weighted L2 of a constant on the (n-1)^2 interior nodes
         n = small_spec.grid_n
@@ -132,19 +124,24 @@ class TestErrorSeries:
 
     def test_mismatched_snapshot_counts(self, small_spec, small_samples):
         other = experiments._sample_run(small_spec, 32)
-        short = Snapshots(
-            snapshots=other.snapshots[:4],
-            snapshot_times=other.snapshot_times[:4],
-        )
         with pytest.raises(AlignmentError):
-            error_series(short, small_samples)
+            error_series(other[:4], small_samples)
 
     def test_snapshots_of_different_grids_raise(self):
-        t = np.array([1.0])
-        coarse = Snapshots((np.ones((1, 7)),), t)
-        reference = Snapshots((np.zeros((7, 7)),), t)
+        coarse, reference = np.ones((1, 1, 7)), np.zeros((1, 7, 7))
         with pytest.raises(GridMismatchError, match=r"shape \(1, 7\).*shape \(7, 7\)"):
             error_series(coarse, reference)
+
+    @pytest.mark.parametrize("n", [8, 32, 256])
+    def test_stack_reduction_matches_per_snapshot_oracle(self, n):
+        rng = np.random.default_rng(n)
+        coarse, reference = rng.standard_normal((2, 3, n - 1, n - 1))
+        errs = error_series(coarse, reference)
+        area = Grid2D(n, n).cell_area
+        for k, (w, ref) in enumerate(zip(coarse, reference)):
+            d = w - ref
+            assert errs.eps2[k] == np.sqrt(np.sum(d * d) * area)
+            assert errs.epsinf[k] == np.max(np.abs(d))
 
 
 class TestFitSlope:
@@ -311,11 +308,11 @@ class TestRecordsOnlyWhatIsWritten:
         problem = build_model_problem(small_spec)
         states = list(experiments._states(problem, experiments._scheme(small_spec, n), n))
         at_samples = states[n // small_spec.sample_count :: n // small_spec.sample_count]
-        assert len(at_samples) == len(small_samples.snapshots)
-        for a, s in zip(small_samples.snapshots, at_samples):
+        assert len(at_samples) == len(small_samples)
+        for a, s in zip(small_samples, at_samples):
             np.testing.assert_array_equal(a, sine_transform(s.y))
         np.testing.assert_allclose(
-            small_samples.snapshot_times, [s.t for s in at_samples], rtol=1e-14
+            small_spec.sample_times(), [s.t for s in at_samples], rtol=1e-14
         )
 
 
@@ -375,7 +372,7 @@ def test_sine_coordinates_match_physical_oracle(small_spec, small_run, small_sam
     np.testing.assert_allclose(energies, small_run.energies, rtol=1e-12)
     centers = [y[grid.center_index] for y in path]
     np.testing.assert_allclose(centers, small_run.center_values, rtol=0, atol=1e-12 * scale)
-    for y, snap in zip(path[stride::stride], small_samples.snapshots):
+    for y, snap in zip(path[stride::stride], small_samples):
         np.testing.assert_allclose(snap, y, rtol=0, atol=1e-12 * scale)
 
     modal = build_model_problem(small_spec)
