@@ -177,9 +177,12 @@ def _scheme(spec: ExperimentSpec, n_steps: int) -> SchemeConfig:
     return SchemeConfig(sigma=spec.sigma, tau=spec.final_time / n_steps, cg_tol=spec.cg_tol)
 
 
-def _states(problem: ProblemSpec, cfg: SchemeConfig, n_steps: int) -> Iterator[SoeState]:
-    """States t_0..t_n of one prebuilt stepper: the one loop stepping the model problem."""
-    step = soe_stepper(problem, cfg)
+def _states(
+    problem: ProblemSpec, cfg: SchemeConfig, n_steps: int, with_energy: bool = False
+) -> Iterator[SoeState]:
+    """States t_0..t_n of one prebuilt stepper: the one loop stepping the model
+    problem; ``with_energy`` gives each stepped state its energy."""
+    step = soe_stepper(problem, cfg, with_energy=with_energy)
     state = soe_init(problem)
     yield state
     for _ in range(n_steps):
@@ -195,9 +198,9 @@ def run_model_problem(spec: ExperimentSpec, initial: Optional[np.ndarray] = None
     i, j = grid.center_index
     row, col = _sine_matrix(grid.shape[0])[i], _sine_matrix(grid.shape[1])[:, j]  # the centre's
     times, energies, centers = [], [], []
-    for state in _states(problem, _scheme(spec, spec.n_steps), spec.n_steps):
+    for state in _states(problem, _scheme(spec, spec.n_steps), spec.n_steps, with_energy=True):
         times.append(state.t)
-        energies.append(energy(problem, state))
+        energies.append(energy(problem, state) if state.n == 0 else state.energy)
         centers.append(float(row @ state.y @ col))
     return Trajectory(
         steps=np.arange(spec.n_steps + 1),

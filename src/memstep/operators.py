@@ -206,9 +206,11 @@ def a_norm(op: SpdOperator, v: np.ndarray) -> float:
     """Energy norm (op v, v)**0.5 of interior values v, op symmetric positive semidefinite."""
     area = Grid2D.of(v).cell_area
     q = float(np.vdot(op.apply_values(v), v)) * area
-    if q < -1e-12 * max(float(np.vdot(v, v)) * area, 1e-300):
-        raise NotSpdError(f"quadratic form is negative: {q}")
-    return math.sqrt(max(q, 0.0))
+    if q < 0.0:  # rounding slack relative to |v|^2; a form within it counts as 0
+        if q < -1e-12 * max(float(np.vdot(v, v)) * area, 1e-300):
+            raise NotSpdError(f"quadratic form is negative: {q}")
+        return 0.0
+    return math.sqrt(q)
 
 
 def cg_solve(

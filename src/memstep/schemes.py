@@ -135,6 +135,7 @@ class SoeState:
     aux: np.ndarray
     n: int
     t: float
+    energy: Optional[float] = None  # the composite energy, from a stepper built ``with_energy``
 
 
 # Temporaries the size of the memory-field stack are built a block of fields
@@ -266,7 +267,9 @@ def _aux_residual_guard(cfg: SchemeConfig, grid, rates, workspace=None) -> Calla
     return guard
 
 
-def soe_stepper(p: ProblemSpec, cfg: SchemeConfig) -> Callable[[SoeState], SoeState]:
+def soe_stepper(
+    p: ProblemSpec, cfg: SchemeConfig, with_energy: bool = False
+) -> Callable[[SoeState], SoeState]:
     """The compressed step for ``p`` and ``cfg``, with the problem's mass,
     reaction and forcing; its coefficients, left-hand side and guard built once.
 
@@ -276,6 +279,10 @@ def soe_stepper(p: ProblemSpec, cfg: SchemeConfig) -> Callable[[SoeState], SoeSt
     shifted SPD solve for y'.  A left-hand side of pointwise terms collapses
     into one DiagonalScaling.  The first overflow or NaN, in the coefficients
     or in a step, raises NonFiniteError.
+
+    ``with_energy`` makes each step also take the new state's ``energy``,
+    bit for bit as :func:`energy`, from the memory-field blocks the guard has
+    just read, and raise NotSpdError as it does.
     """
     sig, tau = cfg.sigma, cfg.tau
     a, b = np.asarray(p.kernel.weights), np.asarray(p.kernel.rates)
@@ -299,7 +306,8 @@ def soe_stepper(p: ProblemSpec, cfg: SchemeConfig) -> Callable[[SoeState], SoeSt
 
     def step(s: SoeState) -> SoeState:
         y, old = s.y, s.aux.reshape(m, size)
-        with _finite("update", s.n + 1, s.t + tau):
+        block = _finite("update", s.n + 1, s.t + tau)
+        with block:
             mem = (mem_weights @ old).reshape(grid.shape)
             mem += mem_own * y
             rhs = p.mass.apply_values(y)
@@ -317,7 +325,14 @@ def soe_stepper(p: ProblemSpec, cfg: SchemeConfig) -> Callable[[SoeState], SoeSt
                 np.multiply(gain_col, yb, out=work)
                 new[blk] += work
             guard(ybar, aux, s.aux)
-        return SoeState(y=y_new, aux=aux, n=s.n + 1, t=s.t + tau)
+            e = None
+            if with_energy:
+                block.what = "energy"
+                forms = np.empty(m)
+                for blk, _, _ in workspace:
+                    forms[blk] = _memory_forms(p.operator, aux[blk], new[blk])
+                e = _composite_energy(p, y_new, new, forms, a)
+        return SoeState(y=y_new, aux=aux, n=s.n + 1, t=s.t + tau, energy=e)
 
     return step
 
@@ -427,21 +442,37 @@ def history_levels(p: ProblemSpec, cfg: SchemeConfig, n_steps: int) -> np.ndarra
     return levels
 
 
+def _memory_forms(operator: SpdOperator, fields: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The forms (A y_i, y_i) of a block of memory fields, without the cell
+    area: ``fields`` the ``(k, n1-1, n2-1)`` block, ``rows`` the same as ``(k, size)``."""
+    applied = operator.apply_values(fields)
+    return _row_dots(applied.reshape(len(applied), -1), rows)
+
+
+def _composite_energy(
+    p: ProblemSpec, y: np.ndarray, rows: np.ndarray, forms: np.ndarray, weights: np.ndarray
+) -> float:
+    """(|y|_mass^2 + sum_i a_i area*forms_i)**0.5 from the ``_memory_forms`` of
+    every memory field (``rows``, ``(m, size)``, in the stack's order); a form
+    negative beyond rounding raises NotSpdError, one within it counts as 0."""
+    if forms.min() < 0.0:  # else the check and the clamp change nothing
+        if np.any(forms < -1e-12 * np.maximum(_row_dots(rows, rows), 1e-300)):
+            raise NotSpdError(f"quadratic form is negative: {forms.min() * p.grid.cell_area}")
+        forms = np.maximum(forms, 0.0)
+    total = a_norm(p.mass, y) ** 2 + float(np.dot(weights, forms * p.grid.cell_area))
+    return math.sqrt(total)
+
+
 def energy(p: ProblemSpec, s: SoeState) -> float:
     """Composite stability energy (|y|_mass^2 + sum_i a_i |y_i|_A^2)**0.5.
 
     The A-forms of the memory fields come from applying the operator to
     blocks of the stack; a form negative beyond rounding raises NotSpdError.
+    This is the reference for the energies of a stepper built ``with_energy``.
     """
-    grid, m = p.grid, len(s.aux)
+    m = len(s.aux)
     with _finite("energy", s.n, s.t):
-        flat, forms = s.aux.reshape(m, -1), np.empty(m)
-        for blk in _blocks(m, flat.shape[1]):
-            applied = p.operator.apply_values(s.aux[blk])
-            forms[blk] = _row_dots(applied.reshape(len(applied), -1), flat[blk])
-        scale = _row_dots(flat, flat) if forms.min() < 0.0 else 0.0  # a pass only if needed
-        if np.any(forms < -1e-12 * np.maximum(scale, 1e-300)):
-            raise NotSpdError(f"quadratic form is negative: {forms.min() * grid.cell_area}")
-        forms = np.maximum(forms, 0.0) * grid.cell_area
-        total = a_norm(p.mass, s.y) ** 2 + float(np.dot(p.kernel.weights, forms))
-    return math.sqrt(total)
+        rows, forms = s.aux.reshape(m, -1), np.empty(m)
+        for blk in _blocks(m, rows.shape[1]):
+            forms[blk] = _memory_forms(p.operator, s.aux[blk], rows[blk])
+        return _composite_energy(p, s.y, rows, forms, np.asarray(p.kernel.weights))

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 from conftest import set_cpus
 from memstep import cli, experiments
 from memstep.kernels import StretchedExponential, kernel_sup_error, load_builtin_prony
-from memstep.operators import ConvergenceError, FivePointLaplacian, NotSpdError
+from memstep.operators import ConvergenceError, FivePointLaplacian, NotSpdError, SpdOperator
 from memstep.schemes import NonFiniteError
 
 # fast settings shared by most invocations: coarse grid, short horizon
@@ -29,8 +30,8 @@ def counted_steps(monkeypatch) -> list:
     steps = []
     build, levels = experiments.soe_stepper, experiments.history_levels
 
-    def counting_stepper(problem, cfg):
-        step = build(problem, cfg)
+    def counting_stepper(problem, cfg, **options):
+        step = build(problem, cfg, **options)
         return lambda s: steps.append(1) or step(s)
 
     monkeypatch.setattr(experiments, "soe_stepper", counting_stepper)
@@ -307,6 +308,24 @@ class TestNumericalFailures:
         monkeypatch.setattr(cli, "run_model_problem", failing_run)
         assert cli.main(["run", *FAST]) == cli.EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_negative_energy_form_exits_numerical(self, out_root, monkeypatch, capsys):
+        # an operator that is negative on the memory fields: level 0's fields are
+        # zero, so the first negative form is the one the first step takes
+        class Negation(SpdOperator):
+            def apply_values(self, v):
+                return -1.0 * v
+
+        build = experiments.build_model_problem
+
+        def negated_problem(spec, initial=None):
+            problem = build(spec, initial)
+            return dataclasses.replace(problem, operator=Negation())
+
+        monkeypatch.setattr(experiments, "build_model_problem", negated_problem)
+        assert cli.main(["run", *FAST]) == cli.EXIT_NUMERICAL
+        assert "numerical failure: quadratic form is negative" in capsys.readouterr().err
+        assert not (out_root / "run" / "trajectory.csv").exists()
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_scheme_coefficients(self, out_root, capsys):

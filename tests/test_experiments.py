@@ -24,7 +24,12 @@ from memstep.experiments import (
 )
 from memstep.grid import Grid2D, GridMismatchError
 from memstep.kernels import PronySeries, load_builtin_prony
-from memstep.operators import FivePointLaplacian, laplacian_eigenvalues, sine_transform
+from memstep.operators import (
+    DiagonalScaling,
+    FivePointLaplacian,
+    laplacian_eigenvalues,
+    sine_transform,
+)
 from memstep.schemes import (
     NonFiniteError,
     ProblemSpec,
@@ -284,22 +289,50 @@ class TestStudyWorkers:
 class TestRecordsOnlyWhatIsWritten:
     @staticmethod
     def count_energies(monkeypatch):
-        calls = []
-        monkeypatch.setattr(
-            experiments, "energy", lambda p, s: calls.append(1) or energy(p, s)
-        )
-        return calls
+        """The memory fields whose energy forms the model problem's runs take:
+        the fields of each 3-D stack its operator is applied to, which only an
+        energy does (a step applies it to one field, the memory sum)."""
+        fields = []
+
+        class Recording(DiagonalScaling):
+            def apply_values(self, v):
+                if v.ndim == 3:
+                    fields.append(len(v))
+                return super().apply_values(v)
+
+        def recording_problem(spec, initial=None):
+            problem = build(spec, initial)
+            return dataclasses.replace(problem, operator=Recording(problem.operator.coefficient))
+
+        build = experiments.build_model_problem
+        monkeypatch.setattr(experiments, "build_model_problem", recording_problem)
+        return fields
 
     def test_convergence_study_takes_no_energy(self, small_spec, monkeypatch):
-        set_cpus(monkeypatch, 1)  # every run in this process, where the calls are counted
-        calls = self.count_energies(monkeypatch)
+        set_cpus(monkeypatch, 1)  # every run in this process, where the fields are counted
+        fields = self.count_energies(monkeypatch)
         result = convergence_study(small_spec, (16, 32, 64))
-        assert calls == [] and len(result.rows) == 3
+        assert fields == [] and len(result.rows) == 3
+
+    def test_compare_baseline_takes_no_energy(self, small_spec, monkeypatch):
+        set_cpus(monkeypatch, 1)
+        fields = self.count_energies(monkeypatch)
+        rows = compare_baseline(small_spec, (16, 32))
+        assert fields == [] and len(rows) == 2
 
     def test_run_takes_one_energy_per_level(self, small_spec, monkeypatch):
-        calls = self.count_energies(monkeypatch)
+        fields = self.count_energies(monkeypatch)
         run_model_problem(small_spec)
-        assert len(calls) == small_spec.n_steps + 1
+        # every memory field once per level, one block of fields at a time
+        blocks = len(schemes._blocks(small_spec.kernel.n_terms, (small_spec.grid_n - 1) ** 2))
+        assert len(fields) == (small_spec.n_steps + 1) * blocks
+        assert sum(fields) == (small_spec.n_steps + 1) * small_spec.kernel.n_terms
+
+    def test_run_energies_are_the_reference_energies(self, small_spec, small_run):
+        # the step's energies, bit for bit those energy() gives the plain step's states
+        n, problem = small_spec.n_steps, build_model_problem(small_spec)
+        states = experiments._states(problem, experiments._scheme(small_spec, n), n)
+        assert small_run.energies.tolist() == [energy(problem, s) for s in states]
 
     def test_snapshots_match_the_recorded_run(self, small_spec, small_samples):
         n = small_spec.n_steps

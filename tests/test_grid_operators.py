@@ -208,6 +208,14 @@ class TestANorm:
         with pytest.raises(NotSpdError):
             a_norm(Negation(), random_field(g, rng))
 
+    def test_negative_form_within_rounding_slack_is_zero(self, rng):
+        # (op v, v) = -1e-14 |v|^2, inside the slack of 1e-12 |v|^2
+        class RoundingNegation(SpdOperator):
+            def apply_values(self, v):
+                return -1e-14 * v
+
+        assert a_norm(RoundingNegation(), random_field(Grid2D(8, 8), rng)) == 0.0
+
 
 class TestCgSolve:
     def test_identity_returns_rhs(self, rng):

@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 
 from conftest import scalar_ode_oracle, scalar_problem
 from memstep import schemes
+from memstep.experiments import ExperimentSpec, build_model_problem
 from memstep.grid import Grid2D, GridMismatchError, sample_function
 from memstep.kernels import PronySeries, load_builtin_prony
 from memstep.operators import (
     DiagonalScaling,
     FivePointLaplacian,
     IdentityOperator,
+    NotSpdError,
     ScaledSum,
+    SpdOperator,
     a_norm,
     cg_solve,
     laplacian_eigenvalues,
@@ -28,6 +31,7 @@ from memstep.schemes import (
     ProblemSpec,
     SchemeConfig,
     SchemeConfigError,
+    SoeState,
     _aux_residual_guard,
     _product_trapezoid_weights,
     energy,
@@ -623,9 +627,6 @@ class TestEnergy:
         assert energy(p, soe_init(p)) == 0.0
 
     def test_hand_built_state(self, rng):
-        from memstep.operators import a_norm
-        from memstep.schemes import SoeState
-
         grid = Grid2D(8, 8)
         lap = FivePointLaplacian(grid)
         p = ProblemSpec(
@@ -675,6 +676,82 @@ class TestEnergy:
             assert energy(p, s) <= e0 + forcing_budget + 1e-8 * e0
 
 
+def assert_energies_from_the_step(p, cfg, n_steps):
+    """A stepper built ``with_energy`` takes the states of the plain one, each
+    with the energy that ``energy`` gives it, bit for bit."""
+    plain, fused = soe_stepper(p, cfg), soe_stepper(p, cfg, with_energy=True)
+    s = t = soe_init(p)
+    assert s.energy is None
+    for _ in range(n_steps):
+        s, t = plain(s), fused(t)
+        assert s.energy is None and (t.n, t.t) == (s.n, s.t)
+        np.testing.assert_array_equal(t.y, s.y)
+        np.testing.assert_array_equal(t.aux, s.aux)
+        assert t.energy == energy(p, s)
+
+
+class Negation(SpdOperator):
+    def apply_values(self, v):
+        return -1.0 * v
+
+
+class TestEnergyFromTheStep:
+    @pytest.mark.parametrize("grid_n", [16, 32])
+    def test_model_problem(self, grid_n):
+        spec = ExperimentSpec(kernel=load_builtin_prony("1/2"), grid_n=grid_n)
+        assert_energies_from_the_step(build_model_problem(spec), SchemeConfig(0.5, 0.01), 40)
+
+    def test_several_blocks(self, rng, monkeypatch):
+        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 200)  # four 7x7 fields a block
+        grid = Grid2D(8, 8)
+        assert len(schemes._blocks(12, 49)) == 3
+        p = ProblemSpec(
+            operator=FivePointLaplacian(grid),
+            kernel=load_builtin_prony("3/5"),
+            initial=rng.standard_normal(grid.shape),
+        )
+        assert_energies_from_the_step(p, SchemeConfig(0.75, 0.05), 12)
+
+    def test_physical_space_with_mass_reaction_and_forcing(self, rng):
+        grid = Grid2D(12, 10)
+        bump = sample_function(grid, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
+        p = ProblemSpec(
+            operator=FivePointLaplacian(grid),
+            kernel=load_builtin_prony("1/2"),
+            initial=rng.standard_normal(grid.shape),
+            forcing=lambda t: math.cos(2 * t) * bump,
+            mass=DiagonalScaling(1.0 + rng.random(grid.shape)),
+            reaction=DiagonalScaling(rng.random(grid.shape)),
+        )
+        assert_energies_from_the_step(p, SchemeConfig(0.5, 0.02), 20)
+
+    def test_overflow_names_the_energy_of_the_step(self):
+        # the update and guard stay finite; the forms lam * y_1**2 ~ 1e312 do not
+        p = scalar_problem(1.0, 1.0, 1e10, 1.0)
+        cfg = SchemeConfig(sigma=0.5, tau=0.1)
+        s = SoeState(y=np.ones((1, 1)), aux=np.full((1, 1, 1), 1e150), n=4, t=0.4)
+        plain = soe_stepper(p, cfg)(s)
+        assert np.isfinite(plain.aux).all()
+        with pytest.raises(NonFiniteError) as reference:
+            energy(p, plain)
+        with pytest.raises(NonFiniteError, match=r"energy of step 5 \(t=0\.5\)") as raised:
+            soe_stepper(p, cfg, with_energy=True)(s)
+        assert str(raised.value) == str(reference.value)
+
+    def test_negative_form_raises_not_spd(self):
+        # a negated operator leaves the solve positive, 1 - sigma tau mu > 0,
+        # and makes every memory field's form negative
+        p = ProblemSpec(operator=Negation(), kernel=load_builtin_prony("1/2"), initial=np.ones((3, 3)))
+        cfg = SchemeConfig(sigma=0.5, tau=0.01)
+        s = soe_init(p)
+        assert energy(p, s) == pytest.approx(l2_norm(p.initial, p.grid))  # zero fields
+        with pytest.raises(NotSpdError) as reference:
+            energy(p, soe_stepper(p, cfg)(s))
+        with pytest.raises(NotSpdError, match="quadratic form is negative") as raised:
+            soe_stepper(p, cfg, with_energy=True)(s)
+        assert str(raised.value) == str(reference.value)
+
+
 class RecordingScaling(DiagonalScaling):
     """A DiagonalScaling that records numpy's ufunc buffer size at each application."""
 
@@ -703,6 +780,7 @@ class TestUfuncBuffer:
         assert caller != schemes._BUFFER_VALUES
         blocks = {
             "compressed step": lambda: soe_stepper(p, cfg)(soe_init(p)),
+            "compressed step with energy": lambda: soe_stepper(p, cfg, with_energy=True)(soe_init(p)),
             "energy": lambda: energy(p, soe_init(p)),
             "history step": lambda: history_levels(p, cfg, 1),
         }
