@@ -16,7 +16,8 @@ import os
 import pickle
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from functools import partial
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .schemes import (
     ProblemSpec,
     SchemeConfig,
     SoeState,
+    _ONE_THREAD,
     _finite,
     energy,
     history_levels,
@@ -309,19 +311,24 @@ def _deal(costs: list[int], k: int) -> list[list[int]]:
     return [sorted(group) for group in groups]
 
 
-def _run_group(fn, tasks: list[tuple], group: list[int]):
-    """``{i: fn(*tasks[i])}`` over ``group`` in order, and the ``(i, exception)``
+# A task runs ``call()`` and costs ``cost`` steps (a run's step count, or other
+# work's cost in step equivalents); ``name`` is what a message calls it.
+_Task = tuple[int, str, Callable[[], object]]
+
+
+def _run_group(tasks: list[_Task], group: list[int]):
+    """``{i: call()}`` over the tasks of ``group`` in order, and the ``(i, exception)``
     of the first task that raised, which ends the group (None if none did)."""
     results = {}
     for i in group:
         try:
-            results[i] = fn(*tasks[i])
+            results[i] = tasks[i][2]()
         except Exception as exc:
             return results, (i, exc)
     return results, None
 
 
-def _fork_group(fn, tasks: list[tuple], group: list[int]) -> tuple[int, int]:
+def _fork_group(tasks: list[_Task], group: list[int]) -> tuple[int, int]:
     """Fork a child that runs ``group`` and writes the pickled outcome of
     ``_run_group`` to a pipe; the child's pid and the pipe's read end."""
     read_fd, write_fd = os.pipe()
@@ -336,7 +343,7 @@ def _fork_group(fn, tasks: list[tuple], group: list[int]) -> tuple[int, int]:
         try:
             os.close(read_fd)
             with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(_run_group(fn, tasks, group)))
+                pipe.write(pickle.dumps(_run_group(tasks, group)))
             code = 0
         finally:
             os._exit(code)  # no exit handlers, no flush of the parent's buffers
@@ -365,15 +372,16 @@ def _kill(pid: int, read_fd: int) -> None:
     os.waitpid(pid, 0)
 
 
-def _map_runs(fn, tasks: list[tuple], max_procs: Optional[int] = None) -> list:
-    """``[fn(*task) for task in tasks]``, split across the CPUs this process may use.
+def _map_runs(tasks: list[_Task], max_procs: Optional[int] = None) -> list:
+    """``[call() for _, _, call in tasks]``, split across the CPUs this process may use.
 
-    Each task's last argument is its step count, taken as its cost.  With k =
-    min(len(tasks), CPUs in the affinity set, ``max_procs`` if given) >= 2 the
-    tasks are dealt into k groups (``_deal``); forked children run all but the
-    last group, each group in task order, and this process runs the last, so
-    at most k processes, this one included, run a task at once.  A group whose
-    fork fails (EAGAIN or ENOMEM under a process or memory limit) joins this
+    With k = min(len(tasks), CPUs in the affinity set, ``max_procs`` if given)
+    >= 2 the tasks are dealt into k groups by cost (``_deal``); forked
+    children run all but the last group, each group in task order, and this
+    process runs the last, so at most k processes, this one included, run a
+    task at once.  The processes cover the CPUs, so a stepper built in any of
+    them runs on one thread (``schemes._ONE_THREAD``).  A group whose fork
+    fails (EAGAIN or ENOMEM under a process or memory limit) joins this
     process's group, in task order.  If any task raises, the exception raised
     here is that of the first failing task in task order, as running in order
     would raise: a child is read to its end unless every task it holds comes
@@ -385,32 +393,46 @@ def _map_runs(fn, tasks: list[tuple], max_procs: Optional[int] = None) -> list:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     k = min(len(tasks), cpus, max_procs or cpus)
     if k < 2:
-        return [fn(*task) for task in tasks]
-    *forked, own = _deal([task[-1] for task in tasks], k)
+        return [call() for _, _, call in tasks]
+    *forked, own = _deal([cost for cost, _, _ in tasks], k)
     pending = []  # (pid, read end, group) of each child not yet reaped
+    one_thread = _ONE_THREAD.set(True)
     try:
         for group in forked:
             try:
-                pending.append((*_fork_group(fn, tasks, group), group))
+                pending.append((*_fork_group(tasks, group), group))
             except OSError:  # no process or pipe to spare: run the group here
                 own = sorted(own + group)
-        results, failure = _run_group(fn, tasks, own)
+        results, failure = _run_group(tasks, own)
         for child in list(pending):
             pid, read_fd, group = child
             if failure is not None and group[0] > failure[0]:
                 continue  # killed below; its outcome cannot change what is raised
             pending.remove(child)
-            what = "the runs of " + ", ".join(str(tasks[i][-1]) for i in group) + " steps"
-            got, got_failure = _collect(pid, read_fd, what)
+            got, got_failure = _collect(pid, read_fd, ", ".join(tasks[i][1] for i in group))
             results.update(got)
             if got_failure is not None and (failure is None or got_failure[0] < failure[0]):
                 failure = got_failure
     finally:
+        _ONE_THREAD.reset(one_thread)
         for pid, read_fd, _ in pending:
             _kill(pid, read_fd)
     if failure is not None:
         raise failure[1]
     return [results[i] for i in range(len(tasks))]
+
+
+def _run_task(n_steps: int, call: Callable[[], object]) -> _Task:
+    """The task of a run of ``n_steps`` steps."""
+    return n_steps, f"the run of {n_steps} steps", call
+
+
+# The exact reference's cost in steps of the same problem, per kernel term.
+# One CPU, BLAS on one thread: on grids 32-128 it took 110-210 steps' time
+# with 6 terms, 116-183 with 12 and 293-382 with 30.  At the default 12 terms
+# this puts it with the 96- and 192-step runs, the 48- and 384-step ones in
+# the other process.
+_REFERENCE_STEPS_PER_TERM = 10
 
 
 def check_convergence_ladder(spec: ExperimentSpec, step_ladder: tuple[int, ...]) -> None:
@@ -426,13 +448,17 @@ def check_convergence_ladder(spec: ExperimentSpec, step_ladder: tuple[int, ...])
 def convergence_study(spec: ExperimentSpec, step_ladder: tuple[int, ...]) -> ConvergenceResult:
     """Run the ladder of step counts at ``spec.sigma`` against the exact
     reference (``_exact_snapshots``) and fit slopes.  The ladder is checked
-    (``check_convergence_ladder``) before any step; the reference is computed
-    here, then the runs, which keep only snapshots, are split across the CPUs
-    this process may use (``_map_runs``), with results identical to running
-    them in order."""
+    (``check_convergence_ladder``) before any step; the reference and the
+    runs, which keep only snapshots, are split across the CPUs this process
+    may use (``_map_runs``), with results identical to computing them in
+    order.  The reference is the first task, so its failure is raised before
+    any run's, as when it was computed before them."""
     check_convergence_ladder(spec, step_ladder)
-    reference = _exact_snapshots(spec)
-    sampled = _map_runs(lambda n: _sample_run(spec, n), [(n,) for n in step_ladder])
+    reference_cost = _REFERENCE_STEPS_PER_TERM * spec.kernel.n_terms
+    reference, *sampled = _map_runs(
+        [(reference_cost, "the exact reference", partial(_exact_snapshots, spec))]
+        + [_run_task(n, partial(_sample_run, spec, n)) for n in step_ladder]
+    )
     rows = []
     for n_steps, stack in zip(step_ladder, sampled):
         errs = error_series(stack, reference)
@@ -484,8 +510,7 @@ def compare_baseline(
     problem = build_model_problem(spec)
     largest = history_bytes(spec.grid_n, max(step_ladder))
     return tuple(_map_runs(
-        lambda n_steps: _compare_one(problem, spec, n_steps),
-        [(n_steps,) for n_steps in step_ladder],
+        [_run_task(n, partial(_compare_one, problem, spec, n)) for n in step_ladder],
         max_procs=max(1, HISTORY_BYTES_LIMIT // largest),
     ))
 

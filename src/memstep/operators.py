@@ -9,8 +9,10 @@ shifted systems are solved with conjugate gradients from the exact diagonal
 start ``rhs / diagonal``, which solves a sum of pointwise terms in one
 division and no iteration.  In the orthonormal sine (DST-I) basis of
 ``sine_transform`` the Laplacian is the pointwise ``laplacian_eigenvalues``:
-a problem built there needs no CG.  Application is deterministic: fixed
-sequential accumulation order, no threading.
+a problem built there needs no CG.  Application is deterministic: an
+operator holds no mutable state and sums in a fixed order, so its results
+are the same for any number of threads, as when the compressed stepper
+applies one to several blocks of memory fields at once, a thread each.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ Two steppers discretize the same problem
 * the compressed stepper keeps one auxiliary field per exponential term of
   the kernel, all m of them in one ``(m, n1-1, n2-1)`` array, and advances
   everything with a two-level weighted scheme, solving a single shifted SPD
-  system per step;
+  system per step; on a large stack it deals the per-field work over the
+  CPUs, a thread per share of fields, with the same results for any number
+  of threads;
 * the full-history baseline, ``history_levels``, runs a fixed number of
   steps and returns every level; it evaluates the memory integral with a
   trapezoidal product rule over all past levels, whose weights it builds once
@@ -19,7 +21,10 @@ non-increasing for zero forcing.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -160,6 +165,75 @@ def _blocks(m: int, size: int) -> list[slice]:
     return [slice(i, min(i + per, m)) for i in range(0, m, per)]
 
 
+# A stepper whose memory-field stack holds at least this many values deals its
+# blocks over threads (``_shares``).  Below it a thread's start and its share of
+# contended numpy calls cost more than it saves: on two CPUs, with BLAS on one
+# thread, steps with 6, 12 and 30 terms on grids 128-320 broke even between
+# 310k values (12 terms on grid 160, 5% slower dealt) and 390k (6 terms on
+# grid 256, 13% faster); 12 terms on grid 256 (780k) were 20% faster.
+_THREAD_VALUES = 350_000
+
+# True while ``experiments._map_runs`` runs tasks in forked processes, which
+# already cover the CPUs: a stepper built then runs on one thread.  A context
+# variable, so it is set for that call alone and a forked child inherits it.
+_ONE_THREAD = contextvars.ContextVar("memstep_one_thread", default=False)
+
+
+def _sweep_cpus() -> int:
+    """The CPUs in this process's affinity set when the calling thread is the
+    process's only one, else 1.  Another thread would compete with the sweep's
+    threads for the CPUs: a multithreaded BLAS keeps a pool that splits each
+    long inner product and spins between calls, and on two CPUs a grid-256
+    step dealt over two threads beside it took 11 ms against 9 ms on one."""
+    try:
+        if len(os.listdir("/proc/self/task")) == 1:
+            return len(os.sched_getaffinity(0))
+    except (OSError, AttributeError):  # no /proc or no affinity: not Linux
+        pass
+    return 1
+
+
+def _shares(m: int, size: int) -> list[list[slice]]:
+    """The row blocks of an ``(m, size)`` stack, in order, in contiguous shares
+    of about equal counts, one per thread: min(``_sweep_cpus()``, blocks) of
+    them for a stack of at least ``_THREAD_VALUES`` values built outside
+    ``_map_runs``' forked tasks, else one."""
+    blocks = _blocks(m, size)
+    k = 1
+    if m * size >= _THREAD_VALUES and not _ONE_THREAD.get():
+        k = min(_sweep_cpus(), len(blocks))
+    return [blocks[i * len(blocks) // k : (i + 1) * len(blocks) // k] for i in range(k)]
+
+
+def _sweep_in_thread(outcomes: list, k: int, sweep, share, args: tuple) -> None:
+    """``outcomes[k] = sweep(share, *args)`` in a thread of its own, under its
+    own ``_finite`` (numpy keeps its errstate and buffer size per context,
+    which a new thread does not inherit); an exception the sweep does not
+    return is stored as an update failure, for the stepping thread to raise."""
+    try:
+        with _finite("update"):
+            outcomes[k] = sweep(share, *args)
+    except Exception as exc:  # raised again by the stepping thread
+        outcomes[k] = (0, exc)
+
+
+def _sweep_shares(sweep, shares: list, args: tuple) -> list:
+    """``[sweep(share, *args) for share in shares]``: the first share in this
+    thread, each other in a thread of its own (``_sweep_in_thread``), every one
+    joined before this returns or raises."""
+    outcomes = [None] * len(shares)
+    threads = [threading.Thread(target=_sweep_in_thread, args=(outcomes, k, sweep, shares[k], args))
+               for k in range(1, len(shares))]
+    for thread in threads:
+        thread.start()
+    try:
+        outcomes[0] = sweep(shares[0], *args)
+    finally:
+        for thread in threads:
+            thread.join()
+    return outcomes
+
+
 def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row-by-row inner products of two ``(k, n)`` stacks, a BLAS dot per row."""
     return (u[:, None, :] @ v[:, :, None]).reshape(len(u))
@@ -211,16 +285,48 @@ def soe_init(p: ProblemSpec) -> SoeState:
     return SoeState(y=p.initial, aux=aux, n=0, t=0.0)
 
 
-def _block_workspace(m: int, size: int) -> list[tuple[slice, np.ndarray, np.ndarray]]:
-    """The row blocks of an ``(m, size)`` stack, each with views of its shape
-    into two work buffers of the largest block's size, which every block and
-    every step reuses."""
-    blocks = _blocks(m, size)
-    work, spare = np.empty((2, blocks[0].stop, size))
+def _block_workspace(blocks: list[slice], size: int) -> list[tuple[slice, np.ndarray, np.ndarray]]:
+    """Each of ``blocks``, row slices of an ``(m, size)`` stack, with views of
+    its shape into two work buffers of the largest block's size, which every
+    block and every step reuses."""
+    work, spare = np.empty((2, max(blk.stop - blk.start for blk in blocks), size))
     return [(blk, work[: blk.stop - blk.start], spare[: blk.stop - blk.start]) for blk in blocks]
 
 
-def _aux_residual_guard(cfg: SchemeConfig, grid, rates, workspace=None) -> Callable[..., None]:
+def _residual_coefficients(cfg: SchemeConfig, rates) -> tuple[np.ndarray, np.ndarray]:
+    """The guard's new_i = 1/tau + sigma b_i and old_i = 1/tau - (1-sigma) b_i."""
+    b = np.asarray(rates, dtype=float)
+    return 1.0 / cfg.tau + cfg.sigma * b, 1.0 / cfg.tau - (1.0 - cfg.sigma) * b
+
+
+def _residual_plan(cfg: SchemeConfig, rates, workspace, r2: np.ndarray, n2: np.ndarray) -> list:
+    """The per-block plan of ``_residual_sums`` over ``workspace`` (a
+    ``_block_workspace``): the guard's coefficient columns, the work buffers,
+    and views that take each row's inner product into its place in ``r2`` and
+    ``n2``."""
+    new_coef, old_coef = _residual_coefficients(cfg, rates)
+    return [
+        (blk, new_coef[blk, None], old_coef[blk, None], res, spare,
+         res[:, None, :], res[:, :, None], r2[blk, None, None], n2[blk, None, None])
+        for blk, res, spare in workspace
+    ]
+
+
+def _residual_sums(plan: list, new, old, yb, rows, cols) -> None:
+    """For each block of ``plan`` (``_residual_plan``), the squared L2 norms of
+    the residuals new_i y_i' - old_i y_i - ybar and of the fields y_i' into its
+    rows of r2 and n2; ``new`` and ``old`` are the stacks as ``(m, size)``,
+    ``rows`` and ``cols`` the new one as ``(m, 1, size)`` and ``(m, size, 1)``."""
+    for blk, new_col, old_col, res, spare, res_rows, res_cols, r2_blk, n2_blk in plan:
+        np.multiply(new_col, new[blk], out=res)
+        np.multiply(old_col, old[blk], out=spare)
+        res -= spare
+        res -= yb
+        np.matmul(res_rows, res_cols, out=r2_blk)
+        np.matmul(rows[blk], cols[blk], out=n2_blk)
+
+
+def _aux_residual_guard(cfg: SchemeConfig, grid, rates, sums=None) -> Callable[..., None]:
     """``guard(ybar, aux_new, aux_old)`` raises AuxiliaryResidualError,
     naming the first failing rate, unless every memory field meets its implicit
     equation to rounding: the residual new_i y_i' - old_i y_i - ybar (new_i =
@@ -228,32 +334,25 @@ def _aux_residual_guard(cfg: SchemeConfig, grid, rates, workspace=None) -> Calla
     (new_i |y_i'| + |ybar|) in the L2 norm, which bounds |old_i y_i| too by the
     update identity, at any b_i tau.
 
-    Its per-block plan is built here: coefficient columns, the work buffers of
-    ``workspace`` (a ``_block_workspace``, shared with the caller's own block
-    loop, or a fresh one) and the views that take each row's inner product
-    into place, so a call allocates no field-sized temporary."""
-    sig, tau = cfg.sigma, cfg.tau
-    b = np.asarray(rates, dtype=float)
-    new_coef, old_coef = 1.0 / tau + sig * b, 1.0 / tau - (1.0 - sig) * b
-    m, size = len(b), grid.shape[0] * grid.shape[1]
+    The guard takes the squared norms with ``_residual_sums`` in a block
+    workspace of its own, so a call allocates no field-sized temporary; given
+    ``sums``, the ``(r2, n2)`` arrays a caller fills with ``_residual_sums``
+    before each call (the stepper, a share of blocks per thread), it only
+    judges them."""
+    new_coef, _ = _residual_coefficients(cfg, rates)
+    m, size = len(new_coef), grid.shape[0] * grid.shape[1]
     root_area = math.sqrt(grid.cell_area)
-    r2, n2 = np.empty(m), np.empty(m)  # squared norms, one per field
-    plan = [
-        (blk, new_coef[blk, None], old_coef[blk, None], res, spare,
-         res[:, None, :], res[:, :, None], r2[blk, None, None], n2[blk, None, None])
-        for blk, res, spare in workspace or _block_workspace(m, size)
-    ]
+    plan = []
+    if sums is None:
+        sums = np.empty(m), np.empty(m)  # squared norms, one per field
+        plan = _residual_plan(cfg, rates, _block_workspace(_blocks(m, size), size), *sums)
+    r2, n2 = sums
 
     def guard(ybar, aux_new, aux_old) -> None:
-        new, old, yb = aux_new.reshape(m, size), aux_old.reshape(m, size), ybar.reshape(size)
-        rows, cols = aux_new.reshape(m, 1, size), aux_new.reshape(m, size, 1)
-        for blk, new_col, old_col, res, spare, res_rows, res_cols, r2_blk, n2_blk in plan:
-            np.multiply(new_col, new[blk], out=res)
-            np.multiply(old_col, old[blk], out=spare)
-            res -= spare
-            res -= yb
-            np.matmul(res_rows, res_cols, out=r2_blk)
-            np.matmul(rows[blk], cols[blk], out=n2_blk)
+        yb = ybar.reshape(size)
+        if plan:
+            _residual_sums(plan, aux_new.reshape(m, size), aux_old.reshape(m, size), yb,
+                           aux_new.reshape(m, 1, size), aux_new.reshape(m, size, 1))
         residuals = np.sqrt(r2)
         bounds = 1e-12 * (new_coef * np.sqrt(n2) + math.sqrt(np.vdot(yb, yb)))
         passed = residuals <= bounds  # a NaN fails
@@ -280,9 +379,20 @@ def soe_stepper(
     into one DiagonalScaling.  The first overflow or NaN, in the coefficients
     or in a step, raises NonFiniteError.
 
+    After the solve, one sweep over the memory-field blocks updates each
+    field, takes the guard's squared norms and, ``with_energy``, the field's
+    energy form.  On a stack of at least ``_THREAD_VALUES`` values the blocks
+    are dealt in contiguous shares over the CPUs in the affinity set, one
+    thread each, every share with its own work buffers and joined before the
+    step goes on (``_sweep_shares``); each field is still swept by one thread
+    in the same order, so states and energies keep their bits for any number
+    of threads.  After the join the guard judges every field from the shared
+    norms, and an error is the one a sweep on one thread raises: an update
+    failure, in the lowest failing block, before the guard's verdict, an
+    energy failure after it.
+
     ``with_energy`` makes each step also take the new state's ``energy``,
-    bit for bit as :func:`energy`, from the memory-field blocks the guard has
-    just read, and raise NotSpdError as it does.
+    bit for bit as :func:`energy`, and raise NotSpdError as it does.
     """
     sig, tau = cfg.sigma, cfg.tau
     a, b = np.asarray(p.kernel.weights), np.asarray(p.kernel.rates)
@@ -300,9 +410,33 @@ def soe_stepper(
         if p.reaction is not None:
             terms.append((sig * tau, p.reaction))
         lhs = _collapsed(terms)
-        workspace = _block_workspace(m, size)
-        update = [(blk, decay[blk, None], gain[blk, None], work) for blk, work, _ in workspace]
-        guard = _aux_residual_guard(cfg, grid, b, workspace)
+        sums = np.empty(m), np.empty(m)
+        shares = []
+        for blocks in _shares(m, size):
+            workspace = _block_workspace(blocks, size)
+            update = [(blk, decay[blk, None], gain[blk, None], work) for blk, work, _ in workspace]
+            shares.append((update, _residual_plan(cfg, b, workspace, *sums), blocks))
+        guard = _aux_residual_guard(cfg, grid, b, sums)
+        one_share = len(shares) == 1
+
+    def sweep(share, old, new, yb, rows, cols, aux, forms):
+        """One share's part of a step: ``None``, or the phase (0 update, 1
+        energy) and FloatingPointError of its first failure."""
+        update, plan, blocks = share
+        phase = 0
+        try:
+            for blk, decay_col, gain_col, work in update:
+                np.multiply(decay_col, old[blk], out=new[blk])
+                np.multiply(gain_col, yb, out=work)
+                new[blk] += work
+            _residual_sums(plan, new, old, yb, rows, cols)
+            if forms is not None:
+                phase = 1
+                for blk in blocks:
+                    forms[blk] = _memory_forms(p.operator, aux[blk], new[blk])
+        except FloatingPointError as exc:
+            return phase, exc
+        return None
 
     def step(s: SoeState) -> SoeState:
         y, old = s.y, s.aux.reshape(m, size)
@@ -316,21 +450,27 @@ def soe_stepper(
                 rhs -= ((1.0 - sig) * tau) * p.reaction.apply_values(y)
             if p.forcing is not None:  # evaluated at the mid level t_n + sigma*tau
                 rhs += tau * _forcing(p, s.t + sig * tau)
+            del mem  # with rhs, freed before the sweep: room for a second share's buffers
             y_new = cg_solve(lhs, rhs, tol=cfg.cg_tol)
+            del rhs
             ybar = sig * y_new + (1.0 - sig) * y
             aux = np.empty(s.aux.shape)
-            new, yb = aux.reshape(m, size), ybar.reshape(size)
-            for blk, decay_col, gain_col, work in update:
-                np.multiply(decay_col, old[blk], out=new[blk])
-                np.multiply(gain_col, yb, out=work)
-                new[blk] += work
+            new = aux.reshape(m, size)
+            forms = np.empty(m) if with_energy else None
+            args = (old, new, ybar.reshape(size), aux.reshape(m, 1, size),
+                    aux.reshape(m, size, 1), aux, forms)
+            outcomes = (sweep(shares[0], *args),) if one_share else _sweep_shares(sweep, shares, args)
+            failure = None
+            if any(outcomes):  # the first share's of the earliest phase
+                failure = min((outcome for outcome in outcomes if outcome), key=lambda f: f[0])
+                if failure[0] == 0:
+                    raise failure[1]
             guard(ybar, aux, s.aux)
             e = None
             if with_energy:
                 block.what = "energy"
-                forms = np.empty(m)
-                for blk, _, _ in workspace:
-                    forms[blk] = _memory_forms(p.operator, aux[blk], new[blk])
+                if failure:
+                    raise failure[1]
                 e = _composite_energy(p, y_new, new, forms, a)
         return SoeState(y=y_new, aux=aux, n=s.n + 1, t=s.t + tau, energy=e)
 

@@ -1,8 +1,10 @@
 import os
+import threading
 
 import numpy as np
 import pytest
 
+from memstep import schemes
 from memstep.kernels import PronySeries
 from memstep.operators import DiagonalScaling
 from memstep.schemes import ProblemSpec
@@ -50,6 +52,27 @@ def set_cpus(monkeypatch, count: int) -> None:
     """Make ``os.sched_getaffinity`` report ``count`` CPUs, so a convergence
     study runs in order (1) or forks (2 or more) on any machine."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+class OverflowInAThread(DiagonalScaling):
+    """A DiagonalScaling whose application overflows in any thread but the main one."""
+
+    __slots__ = ()
+
+    def apply_values(self, v):
+        if threading.current_thread() is not threading.main_thread():
+            np.float64(1e308) * 10.0
+        return super().apply_values(v)
+
+
+def deal_over_threads(monkeypatch, cpus: int = 2, block_values=None) -> None:
+    """Make every stepper built from here on deal its memory-field blocks over
+    ``cpus`` threads, however small its stack, as on a host where this test
+    is the process's only thread; ``block_values`` sets the block size."""
+    monkeypatch.setattr(schemes, "_THREAD_VALUES", 0)
+    monkeypatch.setattr(schemes, "_sweep_cpus", lambda: cpus)
+    if block_values is not None:
+        monkeypatch.setattr(schemes, "_BLOCK_VALUES", block_values)
 
 
 @pytest.fixture

@@ -3,13 +3,14 @@ import errno
 import json
 import math
 import os
+import threading
 import time
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import set_cpus
+from conftest import OverflowInAThread, deal_over_threads, set_cpus
 from memstep import cli, experiments
 from memstep.kernels import StretchedExponential, kernel_sup_error, load_builtin_prony
 from memstep.operators import ConvergenceError, FivePointLaplacian, NotSpdError, SpdOperator
@@ -61,6 +62,18 @@ class TestRunCommand:
         )
         second = (rerun_root / "run" / "trajectory.csv").read_bytes()
         assert first == second
+
+    def test_steps_dealt_over_threads_write_the_same_trajectory(self, tmp_path, monkeypatch):
+        outputs = []
+        for dealt in (False, True):
+            if dealt:
+                deal_over_threads(monkeypatch, block_values=450)  # 6 blocks, 3 a thread
+            before = threading.active_count()
+            out = tmp_path / f"dealt-{dealt}"
+            assert cli.main(["run", *FAST, "--out", str(out)]) == cli.EXIT_OK
+            assert threading.active_count() == before
+            outputs.append((out / "run" / "trajectory.csv").read_bytes())
+        assert outputs[1] == outputs[0]
 
     def test_tau_flag_equivalent_to_steps(self, out_root, tmp_path):
         assert cli.main(["run", *FAST]) == cli.EXIT_OK
@@ -327,6 +340,23 @@ class TestNumericalFailures:
         assert "numerical failure: quadratic form is negative" in capsys.readouterr().err
         assert not (out_root / "run" / "trajectory.csv").exists()
 
+    def test_overflow_in_a_sweep_thread_exits_numerical(self, out_root, monkeypatch, capsys):
+        # the energy forms the other thread takes overflow; this thread's do not
+        build = experiments.build_model_problem
+
+        def overflowing_problem(spec, initial=None):
+            problem = build(spec, initial)
+            return dataclasses.replace(problem, operator=OverflowInAThread(problem.operator.coefficient))
+
+        monkeypatch.setattr(experiments, "build_model_problem", overflowing_problem)
+        deal_over_threads(monkeypatch, block_values=450)
+        before = threading.active_count()
+        assert cli.main(["run", *FAST]) == cli.EXIT_NUMERICAL
+        assert threading.active_count() == before
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: non-finite values in the energy of step 1 (t=0.03125): overflow")
+        assert not (out_root / "run" / "trajectory.csv").exists()
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_scheme_coefficients(self, out_root, capsys):
         # tau = 1e308: sigma * b * tau overflows while the coefficients are built
@@ -344,8 +374,9 @@ class TestNumericalFailures:
         assert not (out_root / "run" / "trajectory.csv").exists()
 
 
-# three short runs; on two CPUs a worker runs the first, 32-step, entry alone
-SMALL_STUDY = {"grid": 8, "T": 1.0, "ladder_steps": [32, 8, 16]}
+# three short runs; on two CPUs a worker runs the first, 256-step, entry alone,
+# and this process the exact reference and the other two
+SMALL_STUDY = {"grid": 8, "T": 1.0, "ladder_steps": [256, 8, 16]}
 
 
 def failing_fork():
@@ -461,7 +492,7 @@ class TestConvergeCommand:
         sample_run = experiments._sample_run
 
         def failing_run(spec, n_steps):
-            if n_steps == 32:  # the entry a worker runs alone
+            if n_steps == 256:  # the entry a worker runs alone
                 raise error()
             return sample_run(spec, n_steps)
 
@@ -477,7 +508,7 @@ class TestConvergeCommand:
 
     def test_first_failure_in_order_is_reported(self, tmp_path, monkeypatch, capsys):
         # every run fails; this process's own first run fails before the
-        # worker's 32-step entry, whose failure is the one an in-order study meets
+        # worker's 256-step entry, whose failure is the one an in-order study meets
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(SMALL_STUDY))
 
@@ -490,7 +521,7 @@ class TestConvergeCommand:
             set_cpus(monkeypatch, count)
             assert cli.main(["converge", "--config", str(config)]) == cli.EXIT_NUMERICAL
             errs.append(capsys.readouterr().err)
-        assert errs[1] == errs[0] == "numerical failure: run of 32 steps\n"
+        assert errs[1] == errs[0] == "numerical failure: run of 256 steps\n"
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import set_cpus
+from conftest import deal_over_threads, set_cpus
 from memstep import cli, experiments, schemes
 from memstep.experiments import (
     AlignmentError,
@@ -254,18 +254,64 @@ class TestStudyWorkers:
         # the last group is this process's
         assert experiments._deal([48, 96, 192, 384], 2) == [[3], [0, 1, 2]]
 
+    def test_default_study_deals_its_reference_beside_the_middle_runs(self):
+        # the reference is task 0; on two CPUs a worker runs the 48- and
+        # 384-step entries while this process runs the rest
+        cost = experiments._REFERENCE_STEPS_PER_TERM * load_builtin_prony("1/2").n_terms
+        assert experiments._deal([cost, 48, 96, 192, 384], 2) == [[1, 4], [0, 2, 3]]
+
+    def test_reference_failure_comes_first(self, small_spec, monkeypatch):
+        # every task fails: the reference's error is the one an in-order study
+        # meets first, wherever the deal puts it
+        def failing_reference(spec):
+            raise NonFiniteError("exact reference")
+
+        def failing_run(spec, n_steps):
+            raise NonFiniteError(f"run of {n_steps} steps")
+
+        monkeypatch.setattr(experiments, "_exact_snapshots", failing_reference)
+        monkeypatch.setattr(experiments, "_sample_run", failing_run)
+        for cpus in (1, 2, 3):
+            set_cpus(monkeypatch, cpus)
+            with pytest.raises(NonFiniteError, match="exact reference"):
+                convergence_study(small_spec, (16, 32, 256))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_forked_study_steps_on_one_thread_and_matches_a_one_cpu_run(
+        self, small_spec, monkeypatch
+    ):
+        deal_over_threads(monkeypatch, block_values=450)
+        started, in_thread = [], schemes._sweep_in_thread
+        monkeypatch.setattr(schemes, "_sweep_in_thread",
+                            lambda *args: started.append(1) or in_thread(*args))
+        results = []
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            started.clear()
+            results.append(convergence_study(small_spec, (16, 32, 64)))
+            # in order, every step deals its blocks; beside forked workers, none
+            assert bool(started) == (cpus == 1)
+            assert schemes._ONE_THREAD.get() is False
+        for one, forked in zip(*(result.rows for result in results)):
+            assert forked.tau == one.tau
+            np.testing.assert_array_equal(forked.errors.eps2, one.errors.eps2)
+            np.testing.assert_array_equal(forked.errors.epsinf, one.errors.epsinf)
+        assert (results[1].slope_eps2, results[1].slope_epsinf) == \
+            (results[0].slope_eps2, results[0].slope_epsinf)
+
     def test_worker_holding_only_later_runs_is_killed(self, small_spec, monkeypatch):
         set_cpus(monkeypatch, 2)
 
         def failing_run(spec, n_steps):
-            if n_steps == 64:  # the worker's only run
+            if n_steps == 256:  # the worker's only run; this process has the reference
                 time.sleep(60)
             raise NonFiniteError(f"run of {n_steps} steps")
 
         monkeypatch.setattr(experiments, "_sample_run", failing_run)
         start = time.monotonic()
         with pytest.raises(NonFiniteError, match="run of 16 steps"):
-            convergence_study(small_spec, (16, 32, 64))
+            convergence_study(small_spec, (16, 32, 256))
         assert time.monotonic() - start < 30
         with pytest.raises(ChildProcessError):  # killed and reaped
             os.waitpid(-1, os.WNOHANG)
@@ -273,15 +319,17 @@ class TestStudyWorkers:
     def test_worker_without_a_result_names_its_runs(self, small_spec, small_samples, monkeypatch):
         set_cpus(monkeypatch, 2)
 
+        parent = os.getpid()
+
         def exiting_run(spec, n_steps):
-            if n_steps == 64:
+            if n_steps == 256 and os.getpid() != parent:  # the worker's only run
                 os._exit(7)
             return small_samples
 
         monkeypatch.setattr(experiments, "_sample_run", exiting_run)
-        message = r"running the runs of 64 steps ended without a result \(wait status 1792\)"
+        message = r"running the run of 256 steps ended without a result \(wait status 1792\)"
         with pytest.raises(RuntimeError, match=message):  # 1792: exit code 7
-            convergence_study(small_spec, (16, 32, 64))
+            convergence_study(small_spec, (16, 32, 256))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

@@ -1,14 +1,19 @@
 import contextlib
 import dataclasses
 import math
+import os
 import re
+import sys
+import threading
+import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import scalar_ode_oracle, scalar_problem
+from conftest import OverflowInAThread, deal_over_threads, scalar_ode_oracle, scalar_problem
 from memstep import schemes
 from memstep.experiments import ExperimentSpec, build_model_problem
 from memstep.grid import Grid2D, GridMismatchError, sample_function
@@ -289,6 +294,91 @@ def unshifted_tables(kernel, tau, max_lag):
         inner = np.where(small, 1.0, 4.0 * np.sinh(c / 2.0) ** 2 / cs**2)
         decay = np.exp(-np.multiply.outer(c, np.arange(max_lag + 1, dtype=float)))
         return tau * (a @ (decay * start[:, None])), tau * (a @ (decay * inner[:, None]))
+
+
+def recursion_levels(p, cfg, n_steps):
+    """Levels 0..n_steps of the full-history baseline for a problem with a
+    pointwise operator, from the product rule's per-term recursion instead of
+    its lag tables, and the largest memory term tau A int_0^{t_n} it met.
+    With c_i = tau b_i the rule's integral to t_n is sum_i a_i z_i(t_n), where
+    z_i(t_{n+1}) = e^{-c_i} z_i(t_n) + tau (l_i y_n + r_i y_{n+1}), and l_i =
+    (1 - e^{-c_i} (1 + c_i))/c_i**2 and r_i = (c_i - 1 + e^{-c_i})/c_i**2 weigh
+    the two ends of the linear interpolant, here in 60-digit arithmetic.
+    O(m) work a step, for the tests alone."""
+    sig, tau = cfg.sigma, cfg.tau
+    a, lam = np.asarray(p.kernel.weights), p.operator.diagonal()
+    with mpmath.workdps(60):
+        factors = []
+        for b in p.kernel.rates:
+            c = mpmath.mpf(tau) * mpmath.mpf(b)
+            decay = mpmath.exp(-c)
+            factors.append([float(f) for f in (decay, (1 - decay * (1 + c)) / c**2,
+                                                   (c - 1 + decay) / c**2)])
+    decay, left, right = np.array(factors).T[:, :, None, None]
+    end = tau * float(a @ right[:, 0, 0])
+    y, z = p.initial, np.zeros((len(a),) + p.initial.shape)
+    levels, memory = [y], 0.0
+    for _ in range(n_steps):
+        known = decay * z + tau * left * y  # each term's integral to t_{n+1} but y_{n+1}'s part
+        integral = np.tensordot(a, z, 1)
+        memory = max(memory, np.max(np.abs(tau * lam * integral)))
+        blend = sig * np.tensordot(a, known, 1) + (1.0 - sig) * integral
+        y = (y - tau * lam * blend) / (1.0 + sig * tau * end * lam)
+        z = known + tau * right * y
+        levels.append(y)
+    return np.array(levels), memory
+
+
+def recursion_difference(kernel, sigma, tau, n_steps, seed):
+    """The largest difference between ``history_levels`` and
+    ``recursion_levels`` on a 3x3 interior in sine coordinates, relative to
+    the largest level value or memory term, whichever is larger: each step
+    subtracts the memory term from the level, so its rounding is what both
+    paths may differ by."""
+    grid = Grid2D(4, 4)
+    p = ProblemSpec(DiagonalScaling(laplacian_eigenvalues(grid)), kernel,
+                    np.random.default_rng(seed).standard_normal(grid.shape))
+    cfg = SchemeConfig(sigma=sigma, tau=tau)
+    levels = history_levels(p, cfg, n_steps)
+    recursion, memory = recursion_levels(p, cfg, n_steps)
+    return np.max(np.abs(levels - recursion)) / max(np.max(np.abs(levels)), memory)
+
+
+class TestRecursionOracle:
+    """The full-history baseline against the product rule's O(m) recursion, a
+    path to the same numbers that shares none of the lag tables."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        small=st.floats(1e-6, 0.99),  # c below _SERIES_CUTOFF
+        big=st.floats(701.0, 5000.0),  # c where expm1(c) overflows
+        more=st.lists(st.floats(1e-3, 1e3), max_size=3),
+        weights=st.lists(st.floats(0.01, 2.0), min_size=5, max_size=5),
+        sigma=st.floats(0.5, 1.0),
+        tau=st.floats(1e-3, 0.5),
+        n_steps=st.integers(2, 1000),
+        seed=st.integers(0, 2**16),
+    )
+    def test_history_matches_the_recursion(self, small, big, more, weights, sigma, tau,
+                                           n_steps, seed):
+        assert schemes._SERIES_CUTOFF == 1.0
+        cs = [small, big, *more]
+        kernel = PronySeries(tuple(weights[: len(cs)]), tuple(c / tau for c in cs))
+        assert recursion_difference(kernel, sigma, tau, n_steps, seed) <= 1e-13
+
+    @pytest.mark.parametrize("table, lag", [("start", 30), ("inner", 5)])
+    def test_one_wrong_table_entry_fails_it(self, monkeypatch, table, lag):
+        kernel = load_builtin_prony("1/2")
+        assert recursion_difference(kernel, 0.5, 0.05, 40, 0) <= 1e-13
+        weights = _product_trapezoid_weights
+
+        def perturbed(kernel, tau, max_lag):
+            start, inner, end = weights(kernel, tau, max_lag)
+            {"start": start, "inner": inner}[table][lag] *= 1.0 + 1e-9
+            return start, inner, end
+
+        monkeypatch.setattr(schemes, "_product_trapezoid_weights", perturbed)
+        assert recursion_difference(kernel, 0.5, 0.05, 40, 0) > 1e-11
 
 
 class TestQuadratureStep:
@@ -807,6 +897,214 @@ class TestUfuncBuffer:
         assert inside == schemes._BUFFER_VALUES and after == 4096
         # set once by _finite and given back by the errstate's exit
         assert sizes == [schemes._BUFFER_VALUES]
+
+
+def step_pairs(p, cfg, monkeypatch, n_steps, cpus=2, state=None):
+    """The states of a one-thread stepper and of one built after
+    ``deal_over_threads``, both ``with_energy``, side by side from ``state``
+    (default the initial one), and how many sweep threads the steps started."""
+    one = soe_stepper(p, cfg, with_energy=True)
+    started, in_thread = [], schemes._sweep_in_thread
+    deal_over_threads(monkeypatch, cpus)
+    monkeypatch.setattr(schemes, "_sweep_in_thread",
+                        lambda *args: started.append(1) or in_thread(*args))
+    dealt = soe_stepper(p, cfg, with_energy=True)
+    s = t = soe_init(p) if state is None else state
+    pairs = []
+    for _ in range(n_steps):
+        s, t = one(s), dealt(t)
+        pairs.append((s, t))
+    return pairs, len(started)
+
+
+def assert_same_states(pairs):
+    for s, t in pairs:
+        assert (t.n, t.t, t.energy) == (s.n, s.t, s.energy)
+        np.testing.assert_array_equal(t.y, s.y)
+        np.testing.assert_array_equal(t.aux, s.aux)
+
+
+class TestDealtSweep:
+    """A step whose memory-field blocks are dealt over threads gives the
+    one-thread step's states, energies and errors, and leaves no thread."""
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_model_problem_matches_one_thread(self, monkeypatch, cpus):
+        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 450)  # two 15x15 fields a block
+        p = build_model_problem(ExperimentSpec(kernel=load_builtin_prony("1/2"), grid_n=16))
+        pairs, started = step_pairs(p, SchemeConfig(0.5, 0.01), monkeypatch, 20, cpus)
+        assert [len(share) for share in schemes._shares(12, 225)] == [6 // cpus] * cpus
+        assert started == 20 * (cpus - 1)
+        assert_same_states(pairs)
+
+    def test_more_threads_than_cpus_switching_often(self, monkeypatch):
+        # six threads on any host, handing the interpreter over every microsecond:
+        # a field written by two threads or a buffer shared by two would show
+        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 225)  # one 15x15 field a block
+        p = build_model_problem(ExperimentSpec(kernel=load_builtin_prony("3/7"), grid_n=16))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pairs, started = step_pairs(p, SchemeConfig(0.75, 0.02), monkeypatch, 30, cpus=6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert started == 30 * 5
+        assert_same_states(pairs)
+
+    def test_physical_space_with_mass_reaction_and_forcing(self, rng, monkeypatch):
+        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 99)  # one 11x9 field a block
+        grid = Grid2D(12, 10)
+        bump = sample_function(grid, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
+        p = ProblemSpec(
+            operator=FivePointLaplacian(grid),
+            kernel=load_builtin_prony("3/5"),
+            initial=rng.standard_normal(grid.shape),
+            forcing=lambda t: math.cos(2 * t) * bump,
+            mass=DiagonalScaling(1.0 + rng.random(grid.shape)),
+            reaction=DiagonalScaling(rng.random(grid.shape)),
+        )
+        pairs, started = step_pairs(p, SchemeConfig(0.5, 0.02), monkeypatch, 12)
+        assert started == 12
+        assert_same_states(pairs)
+
+    @staticmethod
+    def overflowing(monkeypatch, fields):
+        """The error of a dealt step, the same as a one-thread step's, from a
+        state whose memory fields are ``fields`` (index: value) on a 5x5
+        interior, one field a block, fields 0-1 this thread's and 2-3 the
+        other's.  Weights of 1e-300 keep the fields out of the solve; there a
+        field of 1e153 makes only its energy form overflow, one of 1e308 its
+        guard's norms first."""
+        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 25)
+        grid = Grid2D(6, 6)
+        kernel = PronySeries((1e-300,) * 4, (0.5, 2.0, 8.0, 32.0))
+        p = ProblemSpec(DiagonalScaling(1e4), kernel, np.ones(grid.shape))
+        aux = np.zeros((4,) + grid.shape)
+        for i, value in fields.items():
+            aux[i] = value
+        state = SoeState(y=np.ones(grid.shape), aux=aux, n=2, t=0.2)
+        errors = []
+        for dealt in (False, True):
+            if dealt:
+                deal_over_threads(monkeypatch)
+            step, before = soe_stepper(p, SchemeConfig(0.75, 0.1), with_energy=True), \
+                threading.active_count()
+            with pytest.raises(NonFiniteError) as raised:
+                step(state)
+            assert threading.active_count() == before
+            errors.append(str(raised.value))
+        assert [len(share) for share in schemes._shares(4, 25)] == [2, 2]
+        assert errors[1] == errors[0]
+        return errors[1]
+
+    @pytest.mark.parametrize("fields, what", [
+        ({3: 1e308}, "update"),  # the other thread's guard
+        ({2: 1e153}, "energy"),  # the other thread's energy form
+        ({0: 1e153, 3: 1e308}, "update"),  # this thread's form, the other's guard: update first
+        ({1: 1e308, 2: 1e153}, "update"),  # this thread's guard, the other's form
+    ])
+    def test_overflow_reads_as_on_one_thread(self, monkeypatch, fields, what):
+        message = self.overflowing(monkeypatch, fields)
+        assert message.startswith(f"non-finite values in the {what} of step 3 (t=0.3): overflow")
+
+    def test_workers_run_under_their_own_errstate_and_buffer(self, monkeypatch):
+        # a new thread takes numpy's defaults, under which the overflow would pass
+        deal_over_threads(monkeypatch, block_values=225)
+        grid = Grid2D(16, 16)
+        p = ProblemSpec(OverflowInAThread(laplacian_eigenvalues(grid)), load_builtin_prony("1/2"),
+                        np.ones(grid.shape))
+        cfg = SchemeConfig(0.5, 0.05)
+        with pytest.raises(NonFiniteError, match=r"energy of step 1 \(t=0\.05\)"):
+            soe_stepper(p, cfg, with_energy=True)(soe_init(p))
+        op = RecordingScaling(laplacian_eigenvalues(grid))
+        p = dataclasses.replace(p, operator=op)
+        op.sizes.clear()  # the problem's own shape checks
+        soe_stepper(p, cfg, with_energy=True)(soe_init(p))
+        # the memory sum and 12 one-field blocks, 6 of them in the other thread
+        assert len(op.sizes) == 1 + 12 and set(op.sizes) == {schemes._BUFFER_VALUES}
+
+    def test_guard_judges_norms_taken_in_threads(self, rng, monkeypatch):
+        deal_over_threads(monkeypatch, block_values=25)
+        grid = Grid2D(6, 6)
+        cfg = SchemeConfig(sigma=0.75, tau=0.1)
+        rates = np.array([0.5, 2.0, 8.0, 32.0])
+        (ybar, aux_new, aux_old), _ = honest_update(rng, grid, cfg, rates)
+        shares = schemes._shares(4, 25)
+        assert shares == [[slice(0, 1), slice(1, 2)], [slice(2, 3), slice(3, 4)]]
+        sums = np.empty(4), np.empty(4)
+        plans = [schemes._residual_plan(cfg, rates, schemes._block_workspace(blocks, 25), *sums)
+                 for blocks in shares]
+        guard = _aux_residual_guard(cfg, grid, rates, sums)
+
+        def judged(new):
+            flat = new.reshape(4, 25)
+            schemes._sweep_shares(schemes._residual_sums, plans, (
+                flat, aux_old.reshape(4, 25), ybar.reshape(25),
+                new.reshape(4, 1, 25), new.reshape(4, 25, 1)))
+            guard(ybar, new, aux_old)
+
+        judged(aux_new)  # honest: silent
+        for i in (2, 3):  # a field of the other thread's half
+            wrong = aux_new.copy()
+            wrong[i] *= 1.0 + 1e-9
+            with pytest.raises(AuxiliaryResidualError, match=rf"\(rate b={rates[i]}\)"):
+                judged(wrong)
+        judged(aux_new)
+
+    def test_threads_end_with_the_step(self, monkeypatch):
+        # the other thread's energy forms take 20 ms each; the step waits for them
+        class SlowInAThread(DiagonalScaling):
+            __slots__ = ()
+
+            def apply_values(self, v):
+                if threading.current_thread() is not threading.main_thread():
+                    time.sleep(0.02)
+                return super().apply_values(v)
+
+        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 450)  # two 15x15 fields a block
+        grid = Grid2D(16, 16)
+        p = ProblemSpec(SlowInAThread(laplacian_eigenvalues(grid)), load_builtin_prony("1/2"),
+                        np.ones(grid.shape))
+        before = threading.active_count()
+        pairs, started = step_pairs(p, SchemeConfig(0.5, 0.05), monkeypatch, 3)
+        assert started == 3 and threading.active_count() == before
+        assert_same_states(pairs)
+
+    def test_large_stacks_only(self, monkeypatch):
+        monkeypatch.setattr(schemes, "_sweep_cpus", lambda: 2)
+        # 12 fields of grid 32 or 160 stay on one thread; of grid 256, two
+        for grid_n, shares in [(32, 1), (160, 1), (256, 2)]:
+            assert len(schemes._shares(12, (grid_n - 1) ** 2)) == shares, grid_n
+        token = schemes._ONE_THREAD.set(True)  # inside _map_runs' processes
+        try:
+            assert len(schemes._shares(12, 255**2)) == 1
+        finally:
+            schemes._ONE_THREAD.reset(token)
+
+    def test_only_the_only_thread_deals(self):
+        # a forked child holds one thread, the one that forked it
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.write(write_fd, str(schemes._sweep_cpus()).encode())
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        with os.fdopen(read_fd) as pipe:
+            alone = int(pipe.read())
+        os.waitpid(pid, 0)
+        assert alone == len(os.sched_getaffinity(0))
+        done, waiting = threading.Event(), threading.Event()
+        other = threading.Thread(target=lambda: (waiting.set(), done.wait(10)))
+        other.start()
+        try:
+            assert waiting.wait(10)
+            assert schemes._sweep_cpus() == 1  # beside another thread, one
+        finally:
+            done.set()
+            other.join(10)
+        assert not other.is_alive()
 
 
 class TestProblemShapes:
