@@ -296,15 +296,19 @@ def unshifted_tables(kernel, tau, max_lag):
         return tau * (a @ (decay * start[:, None])), tau * (a @ (decay * inner[:, None]))
 
 
-def recursion_levels(p, cfg, n_steps):
-    """Levels 0..n_steps of the full-history baseline for a problem with a
-    pointwise operator, from the product rule's per-term recursion instead of
-    its lag tables, and the largest memory term tau A int_0^{t_n} it met.
-    With c_i = tau b_i the rule's integral to t_n is sum_i a_i z_i(t_n), where
+def recursion_steps(p, cfg, levels):
+    """Each level 1..n of ``levels`` as the product rule's per-term recursion
+    takes it from the levels before it, for a problem with a pointwise
+    operator, and the largest memory term tau A int_0^{t_n} it met.  With
+    c_i = tau b_i the rule's integral to t_n is sum_i a_i z_i(t_n), where
     z_i(t_{n+1}) = e^{-c_i} z_i(t_n) + tau (l_i y_n + r_i y_{n+1}), and l_i =
     (1 - e^{-c_i} (1 + c_i))/c_i**2 and r_i = (c_i - 1 + e^{-c_i})/c_i**2 weigh
     the two ends of the linear interpolant, here in 60-digit arithmetic.
-    O(m) work a step, for the tests alone."""
+    Each step starts from the given past, not from the recursion's own, so
+    the comparison sees one step's rounding: an undamped run (sigma = 1/2,
+    a near-constant kernel) carries float rounding from step to step, and
+    over 1,000 steps that alone puts ``history_levels`` 1e-13 off exact
+    arithmetic.  O(m) work a step, for the tests alone."""
     sig, tau = cfg.sigma, cfg.tau
     a, lam = np.asarray(p.kernel.weights), p.operator.diagonal()
     with mpmath.workdps(60):
@@ -316,32 +320,31 @@ def recursion_levels(p, cfg, n_steps):
                                                    (c - 1 + decay) / c**2)])
     decay, left, right = np.array(factors).T[:, :, None, None]
     end = tau * float(a @ right[:, 0, 0])
-    y, z = p.initial, np.zeros((len(a),) + p.initial.shape)
-    levels, memory = [y], 0.0
-    for _ in range(n_steps):
+    z = np.zeros((len(a),) + p.initial.shape)
+    steps, memory = np.empty_like(levels[1:]), 0.0
+    for n, (y, new) in enumerate(zip(levels[:-1], levels[1:])):
         known = decay * z + tau * left * y  # each term's integral to t_{n+1} but y_{n+1}'s part
         integral = np.tensordot(a, z, 1)
         memory = max(memory, np.max(np.abs(tau * lam * integral)))
         blend = sig * np.tensordot(a, known, 1) + (1.0 - sig) * integral
-        y = (y - tau * lam * blend) / (1.0 + sig * tau * end * lam)
-        z = known + tau * right * y
-        levels.append(y)
-    return np.array(levels), memory
+        steps[n] = (y - tau * lam * blend) / (1.0 + sig * tau * end * lam)
+        z = known + tau * right * new
+    return steps, memory
 
 
 def recursion_difference(kernel, sigma, tau, n_steps, seed):
-    """The largest difference between ``history_levels`` and
-    ``recursion_levels`` on a 3x3 interior in sine coordinates, relative to
-    the largest level value or memory term, whichever is larger: each step
-    subtracts the memory term from the level, so its rounding is what both
-    paths may differ by."""
+    """The largest difference between a level of ``history_levels`` and the
+    ``recursion_steps`` step from its levels before it, on a 3x3 interior in
+    sine coordinates, relative to the largest level value or memory term,
+    whichever is larger: each step subtracts the memory term from the level,
+    so its rounding is what both paths may differ by."""
     grid = Grid2D(4, 4)
     p = ProblemSpec(DiagonalScaling(laplacian_eigenvalues(grid)), kernel,
                     np.random.default_rng(seed).standard_normal(grid.shape))
     cfg = SchemeConfig(sigma=sigma, tau=tau)
     levels = history_levels(p, cfg, n_steps)
-    recursion, memory = recursion_levels(p, cfg, n_steps)
-    return np.max(np.abs(levels - recursion)) / max(np.max(np.abs(levels)), memory)
+    steps, memory = recursion_steps(p, cfg, levels)
+    return np.max(np.abs(levels[1:] - steps)) / max(np.max(np.abs(levels)), memory)
 
 
 class TestRecursionOracle:
