@@ -30,6 +30,7 @@ from typing import Optional
 
 from . import __version__
 from .kernels import (
+    BUILTIN_BETAS,
     StretchedExponential,
     builtin_beta,
     kernel_sup_error,
@@ -102,12 +103,9 @@ class RunConfig:
                 raise ConfigError(f"{key}={value} must be > 0 and finite")
         if self.grid < 2:
             raise ConfigError(f"grid={self.grid} must be >= 2")
-        if min(self.ladder_steps, default=1) < 1:
-            raise ConfigError(f"ladder_steps={list(self.ladder_steps)} must all be >= 1")
-        counts = [("steps", self.resolved_steps())] + [("ladder_steps", n) for n in self.ladder_steps]
-        for key, n in counts:  # T/n can underflow to 0
-            if not self.T / n > 0:
-                raise ConfigError(f"T={self.T} over {key} {n} gives tau=0.0, which must be > 0")
+        n = self.resolved_steps()
+        if not self.T / n > 0:  # T/n can underflow to 0
+            raise ConfigError(f"T={self.T} over steps {n} gives tau=0.0, which must be > 0")
 
     def kernel(self):
         if self.kernel_file is not None:
@@ -118,10 +116,7 @@ class RunConfig:
         try:
             return load_builtin_prony(self.beta)
         except KeyError as exc:
-            raise ConfigError(
-                f"beta={self.beta} has no built-in kernel (supported: 3/7, 1/2, "
-                "3/5); pass --kernel-file for other kernels"
-            ) from exc
+            raise ConfigError(f"{exc.args[0]}; pass --kernel-file for other kernels") from exc
 
     def experiment_spec(self) -> ExperimentSpec:
         return ExperimentSpec(
@@ -284,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=str, default=None, help="JSON config file")
     common.add_argument("--beta", type=str, default=None,
-                        help="stretched-exponential exponent (3/7, 1/2 or 3/5)")
+                        help=f"stretched-exponential exponent ({', '.join(BUILTIN_BETAS)})")
     common.add_argument("--kernel-file", dest="kernel_file", type=str, default=None,
                         help="CSV of 'a,b' Prony coefficients")
     common.add_argument("--sigma", type=float, default=None, help="scheme weight in (0, 1]")

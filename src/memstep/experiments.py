@@ -89,6 +89,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.final_time <= 0:
             raise ValueError(f"final_time={self.final_time} must be > 0")
+        if self.n_steps < 1:
+            raise ValueError(f"n_steps={self.n_steps} must be >= 1")
         if self.sample_count < 1:
             raise ValueError("need at least one sample time")
 
@@ -435,9 +437,22 @@ def _run_task(n_steps: int, call: Callable[[], object]) -> _Task:
 _REFERENCE_STEPS_PER_TERM = 10
 
 
+def _check_ladder_steps(spec: ExperimentSpec, step_ladder: tuple[int, ...]) -> None:
+    """Raise ValueError unless every step count of the ladder is at least 1
+    and gives a step ``spec.final_time / n`` that is not 0."""
+    if min(step_ladder, default=1) < 1:
+        raise ValueError(f"ladder_steps={list(step_ladder)} must all be >= 1")
+    for n_steps in step_ladder:  # T/n can underflow to 0
+        if not spec.final_time / n_steps > 0:
+            raise ValueError(f"T={spec.final_time} over ladder_steps {n_steps} gives tau=0.0, "
+                             "which must be > 0")
+
+
 def check_convergence_ladder(spec: ExperimentSpec, step_ladder: tuple[int, ...]) -> None:
     """Raise ValueError unless the ladder holds at least 3 distinct step
-    counts, each a multiple of ``spec.sample_count`` (else AlignmentError)."""
+    counts, each at least 1 with a step that is not 0 (``_check_ladder_steps``)
+    and a multiple of ``spec.sample_count`` (else AlignmentError)."""
+    _check_ladder_steps(spec, step_ladder)
     if len(set(step_ladder)) < 3:
         raise ValueError(f"a convergence ladder needs at least 3 distinct step counts, "
                          f"got {list(step_ladder)}")
@@ -470,8 +485,10 @@ def convergence_study(spec: ExperimentSpec, step_ladder: tuple[int, ...]) -> Con
 
 
 def check_baseline_ladder(spec: ExperimentSpec, step_ladder: tuple[int, ...]) -> None:
-    """Raise ValueError for an empty ladder, or one whose longest entry's
+    """Raise ValueError for an empty ladder, one with a step count below 1 or
+    a step of 0 (``_check_ladder_steps``), or one whose longest entry's
     history alone would pass ``HISTORY_BYTES_LIMIT``."""
+    _check_ladder_steps(spec, step_ladder)
     if not step_ladder:
         raise ValueError("ladder_steps is empty: the comparison needs at least one step count")
     longest = history_bytes(spec.grid_n, max(step_ladder))

@@ -217,10 +217,8 @@ def _beta_key(beta) -> str:
     for key, exact in BUILTIN_BETAS.items():
         if beta == key or abs(value - exact) <= 1e-12:
             return key
-    raise KeyError(
-        f"no built-in fit for beta={beta!r}; available: 3/7 (~0.428571), "
-        "1/2 (0.5), 3/5 (0.6)"
-    )
+    available = ", ".join(f"{key} ({exact:.6g})" for key, exact in BUILTIN_BETAS.items())
+    raise KeyError(f"no built-in fit for beta={beta!r}; available: {available}")
 
 
 def builtin_beta(beta) -> float:

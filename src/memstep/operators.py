@@ -108,7 +108,7 @@ class IdentityOperator(SpdOperator):
 
 
 class DiagonalScaling(SpdOperator):
-    """Pointwise multiplication by a nonnegative coefficient (scalar or field),
+    """Pointwise multiplication by a finite nonnegative coefficient (scalar or field),
     validated once: the coefficient is held read-only, copied only when the
     caller could still write to it, and ``positive`` records whether it is
     positive everywhere."""
@@ -117,8 +117,8 @@ class DiagonalScaling(SpdOperator):
 
     def __init__(self, coefficient):
         values = np.asarray(coefficient, dtype=float)
-        if np.any(values < 0):
-            raise NotSpdError("diagonal coefficient must be >= 0 everywhere")
+        if not np.all((values >= 0) & (values < math.inf)):  # a NaN fails too
+            raise NotSpdError("diagonal coefficient must be finite and >= 0 everywhere")
         # a read-only array that owns its data cannot change under the operator
         if np.may_share_memory(values, coefficient) and (
             values.flags.writeable or values.base is not None
@@ -139,15 +139,15 @@ class DiagonalScaling(SpdOperator):
 
 
 class ScaledSum(SpdOperator):
-    """Nonnegative linear combination  sum_k  weight_k * op_k."""
+    """Linear combination  sum_k  weight_k * op_k  with finite nonnegative weights."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms):
         terms = tuple((float(c), op) for c, op in terms)
         for c, _ in terms:
-            if c < 0:
-                raise NotSpdError(f"combination weight {c} must be >= 0")
+            if not 0 <= c < math.inf:  # a NaN fails too
+                raise NotSpdError(f"combination weight {c} must be finite and >= 0")
         self.terms = terms
 
     def apply_values(self, v: np.ndarray) -> np.ndarray:

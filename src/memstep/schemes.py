@@ -82,8 +82,9 @@ class SchemeConfig:
     def __post_init__(self):
         if not 0.0 < self.sigma <= 1.0:
             raise SchemeConfigError(f"sigma={self.sigma} must lie in (0, 1]")
-        if not self.tau > 0:
-            raise SchemeConfigError(f"tau={self.tau} must be > 0")
+        for key, value in (("tau", self.tau), ("cg_tol", self.cg_tol)):
+            if not 0 < value < math.inf:  # a NaN fails too
+                raise SchemeConfigError(f"{key}={value} must be > 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -285,31 +286,27 @@ def soe_init(p: ProblemSpec) -> SoeState:
     return SoeState(y=p.initial, aux=aux, n=0, t=0.0)
 
 
-def _block_workspace(blocks: list[slice], size: int) -> list[tuple[slice, np.ndarray, np.ndarray]]:
-    """Each of ``blocks``, row slices of an ``(m, size)`` stack, with views of
-    its shape into two work buffers of the largest block's size, which every
-    block and every step reuses."""
-    work, spare = np.empty((2, max(blk.stop - blk.start for blk in blocks), size))
-    return [(blk, work[: blk.stop - blk.start], spare[: blk.stop - blk.start]) for blk in blocks]
-
-
 def _residual_coefficients(cfg: SchemeConfig, rates) -> tuple[np.ndarray, np.ndarray]:
     """The guard's new_i = 1/tau + sigma b_i and old_i = 1/tau - (1-sigma) b_i."""
     b = np.asarray(rates, dtype=float)
     return 1.0 / cfg.tau + cfg.sigma * b, 1.0 / cfg.tau - (1.0 - cfg.sigma) * b
 
 
-def _residual_plan(cfg: SchemeConfig, rates, workspace, r2: np.ndarray, n2: np.ndarray) -> list:
-    """The per-block plan of ``_residual_sums`` over ``workspace`` (a
-    ``_block_workspace``): the guard's coefficient columns, the work buffers,
-    and views that take each row's inner product into its place in ``r2`` and
-    ``n2``."""
+def _residual_plan(cfg: SchemeConfig, rates, blocks: list[slice], size: int,
+                   r2: np.ndarray, n2: np.ndarray) -> list:
+    """The per-block plan of ``_residual_sums`` over ``blocks``, row slices of
+    an ``(m, size)`` stack: the guard's coefficient columns, views of the
+    block's shape into two work buffers of the largest block's size, which
+    every block and every step reuses, and views that take each row's inner
+    product into its place in ``r2`` and ``n2``."""
     new_coef, old_coef = _residual_coefficients(cfg, rates)
-    return [
-        (blk, new_coef[blk, None], old_coef[blk, None], res, spare,
-         res[:, None, :], res[:, :, None], r2[blk, None, None], n2[blk, None, None])
-        for blk, res, spare in workspace
-    ]
+    work, spare = np.empty((2, max(blk.stop - blk.start for blk in blocks), size))
+    plan = []
+    for blk in blocks:
+        res = work[: blk.stop - blk.start]
+        plan.append((blk, new_coef[blk, None], old_coef[blk, None], res, spare[: len(res)],
+                     res[:, None, :], res[:, :, None], r2[blk, None, None], n2[blk, None, None]))
+    return plan
 
 
 def _residual_sums(plan: list, new, old, yb, rows, cols) -> None:
@@ -326,35 +323,24 @@ def _residual_sums(plan: list, new, old, yb, rows, cols) -> None:
         np.matmul(rows[blk], cols[blk], out=n2_blk)
 
 
-def _aux_residual_guard(cfg: SchemeConfig, grid, rates, sums=None) -> Callable[..., None]:
-    """``guard(ybar, aux_new, aux_old)`` raises AuxiliaryResidualError,
-    naming the first failing rate, unless every memory field meets its implicit
-    equation to rounding: the residual new_i y_i' - old_i y_i - ybar (new_i =
-    1/tau + sigma b_i, old_i = 1/tau - (1-sigma) b_i) must stay within 1e-12
-    (new_i |y_i'| + |ybar|) in the L2 norm, which bounds |old_i y_i| too by the
-    update identity, at any b_i tau.
+def _aux_residual_guard(cfg: SchemeConfig, grid, rates, r2: np.ndarray,
+                        n2: np.ndarray) -> Callable[[np.ndarray], None]:
+    """``guard(ybar)`` raises AuxiliaryResidualError, naming the first failing
+    rate, unless every memory field meets its implicit equation to rounding:
+    the residual new_i y_i' - old_i y_i - ybar (new_i = 1/tau + sigma b_i,
+    old_i = 1/tau - (1-sigma) b_i) must stay within 1e-12 (new_i |y_i'| +
+    |ybar|) in the L2 norm, which bounds |old_i y_i| too by the update
+    identity, at any b_i tau.
 
-    The guard takes the squared norms with ``_residual_sums`` in a block
-    workspace of its own, so a call allocates no field-sized temporary; given
-    ``sums``, the ``(r2, n2)`` arrays a caller fills with ``_residual_sums``
-    before each call (the stepper, a share of blocks per thread), it only
-    judges them."""
+    The guard only judges: before each call the caller fills ``r2`` and
+    ``n2``, the squared norms of each field's residual and of the field
+    itself, with ``_residual_sums`` (the stepper, in its sweep)."""
     new_coef, _ = _residual_coefficients(cfg, rates)
-    m, size = len(new_coef), grid.shape[0] * grid.shape[1]
     root_area = math.sqrt(grid.cell_area)
-    plan = []
-    if sums is None:
-        sums = np.empty(m), np.empty(m)  # squared norms, one per field
-        plan = _residual_plan(cfg, rates, _block_workspace(_blocks(m, size), size), *sums)
-    r2, n2 = sums
 
-    def guard(ybar, aux_new, aux_old) -> None:
-        yb = ybar.reshape(size)
-        if plan:
-            _residual_sums(plan, aux_new.reshape(m, size), aux_old.reshape(m, size), yb,
-                           aux_new.reshape(m, 1, size), aux_new.reshape(m, size, 1))
+    def guard(ybar) -> None:
         residuals = np.sqrt(r2)
-        bounds = 1e-12 * (new_coef * np.sqrt(n2) + math.sqrt(np.vdot(yb, yb)))
+        bounds = 1e-12 * (new_coef * np.sqrt(n2) + math.sqrt(np.vdot(ybar, ybar)))
         passed = residuals <= bounds  # a NaN fails
         if not passed.all():
             i = int(np.argmin(passed))
@@ -379,17 +365,19 @@ def soe_stepper(
     into one DiagonalScaling.  The first overflow or NaN, in the coefficients
     or in a step, raises NonFiniteError.
 
-    After the solve, one sweep over the memory-field blocks updates each
-    field, takes the guard's squared norms and, ``with_energy``, the field's
-    energy form.  On a stack of at least ``_THREAD_VALUES`` values the blocks
-    are dealt in contiguous shares over the CPUs in the affinity set, one
-    thread each, every share with its own work buffers and joined before the
-    step goes on (``_sweep_shares``); each field is still swept by one thread
-    in the same order, so states and energies keep their bits for any number
-    of threads.  After the join the guard judges every field from the shared
-    norms, and an error is the one a sweep on one thread raises: an update
-    failure, in the lowest failing block, before the guard's verdict, an
-    energy failure after it.
+    After the solve, one sweep over the memory-field blocks, the only code
+    that reads or writes a step's memory fields, updates each field, takes
+    the guard's squared norms and, ``with_energy``, the field's energy form.
+    The blocks are dealt in contiguous shares, each with the work buffers of
+    its ``_residual_plan``, and ``_sweep_shares`` runs the first in the
+    stepping thread and each other in a thread of its own, joined before the
+    step goes on: a stack of at least ``_THREAD_VALUES`` values has a share
+    per CPU in the affinity set, a smaller one a single share and no thread.
+    Each field is swept by one thread in the same order, so states and
+    energies keep their bits for any number of threads.  After the join the
+    guard judges every field from the norms the sweep took, and an error is
+    the one a sweep on one thread raises: an update failure, in the lowest
+    failing block, before the guard's verdict, an energy failure after it.
 
     ``with_energy`` makes each step also take the new state's ``energy``,
     bit for bit as :func:`energy`, and raise NotSpdError as it does.
@@ -410,19 +398,18 @@ def soe_stepper(
         if p.reaction is not None:
             terms.append((sig * tau, p.reaction))
         lhs = _collapsed(terms)
-        sums = np.empty(m), np.empty(m)
+        r2, n2 = np.empty(m), np.empty(m)  # the guard's squared norms, one per field
         shares = []
         for blocks in _shares(m, size):
-            workspace = _block_workspace(blocks, size)
-            update = [(blk, decay[blk, None], gain[blk, None], work) for blk, work, _ in workspace]
-            shares.append((update, _residual_plan(cfg, b, workspace, *sums), blocks))
-        guard = _aux_residual_guard(cfg, grid, b, sums)
-        one_share = len(shares) == 1
+            plan = _residual_plan(cfg, b, blocks, size, r2, n2)
+            update = [(blk, decay[blk, None], gain[blk, None], work) for blk, _, _, work, *_ in plan]
+            shares.append((update, plan))
+        guard = _aux_residual_guard(cfg, grid, b, r2, n2)
 
     def sweep(share, old, new, yb, rows, cols, aux, forms):
         """One share's part of a step: ``None``, or the phase (0 update, 1
         energy) and FloatingPointError of its first failure."""
-        update, plan, blocks = share
+        update, plan = share
         phase = 0
         try:
             for blk, decay_col, gain_col, work in update:
@@ -432,7 +419,7 @@ def soe_stepper(
             _residual_sums(plan, new, old, yb, rows, cols)
             if forms is not None:
                 phase = 1
-                for blk in blocks:
+                for blk, *_ in plan:
                     forms[blk] = _memory_forms(p.operator, aux[blk], new[blk])
         except FloatingPointError as exc:
             return phase, exc
@@ -459,13 +446,13 @@ def soe_stepper(
             forms = np.empty(m) if with_energy else None
             args = (old, new, ybar.reshape(size), aux.reshape(m, 1, size),
                     aux.reshape(m, size, 1), aux, forms)
-            outcomes = (sweep(shares[0], *args),) if one_share else _sweep_shares(sweep, shares, args)
+            outcomes = _sweep_shares(sweep, shares, args)
             failure = None
             if any(outcomes):  # the first share's of the earliest phase
                 failure = min((outcome for outcome in outcomes if outcome), key=lambda f: f[0])
                 if failure[0] == 0:
                     raise failure[1]
-            guard(ybar, aux, s.aux)
+            guard(ybar)
             e = None
             if with_energy:
                 block.what = "energy"

@@ -40,7 +40,7 @@ from memstep.schemes import (
     soe_init,
     soe_stepper,
 )
-from conftest import scalar_ode_oracle, scalar_problem
+from conftest import residual_guard, scalar_ode_oracle, scalar_problem
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -246,7 +246,7 @@ def test_auxiliary_residual_guard_active():
     """Every step verifies the auxiliary update equations, and the
     guard rejects an update that violates them."""
     from memstep import schemes
-    from memstep.schemes import AuxiliaryResidualError, _aux_residual_guard
+    from memstep.schemes import AuxiliaryResidualError
 
     problem = scalar_problem(1.0, 2.0, 3.0, 1.0)
     cfg = SchemeConfig(sigma=0.75, tau=0.1)
@@ -267,9 +267,7 @@ def test_auxiliary_residual_guard_active():
     wrong = state.aux + 1e-3
     tripped = False
     try:
-        _aux_residual_guard(cfg, problem.grid, [2.0])(
-            ybar=state.y, aux_new=wrong, aux_old=state.aux,
-        )
+        residual_guard(cfg, problem.grid, [2.0])(ybar=state.y, aux_new=wrong, aux_old=state.aux)
     except AuxiliaryResidualError:
         tripped = True
     report(

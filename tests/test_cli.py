@@ -12,7 +12,12 @@ import pytest
 
 from conftest import OverflowInAThread, deal_over_threads, set_cpus
 from memstep import cli, experiments
-from memstep.kernels import StretchedExponential, kernel_sup_error, load_builtin_prony
+from memstep.kernels import (
+    BUILTIN_BETAS,
+    StretchedExponential,
+    kernel_sup_error,
+    load_builtin_prony,
+)
 from memstep.operators import ConvergenceError, FivePointLaplacian, NotSpdError, SpdOperator
 from memstep.schemes import NonFiniteError
 
@@ -130,7 +135,11 @@ class TestConfigErrors:
     def test_unsupported_beta_mentions_alternatives(self, capsys):
         assert cli.main(["run", *FAST, "--beta", "0.4"]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "3/7" in err and "kernel-file" in err
+        assert all(key in err for key in BUILTIN_BETAS) and "kernel-file" in err
+        with pytest.raises(SystemExit):
+            cli.main(["kernel-error", "--help"])
+        help_text = capsys.readouterr().out
+        assert all(key in help_text for key in BUILTIN_BETAS)
 
     def test_tau_not_dividing_horizon(self, capsys):
         assert cli.main(["run", "--T", "2", "--tau", "0.3"]) == cli.EXIT_CONFIG
@@ -218,6 +227,12 @@ class TestConfigErrors:
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert "gives tau=0.0, which must be > 0" in capsys.readouterr().err
         assert not (out_root / argv[0]).exists()
+
+    def test_run_takes_no_ladder(self, out_root, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"grid": 8, "steps": 8, "ladder_steps": [0, 8, 16]}))
+        assert cli.main(["run", "--config", str(config)]) == cli.EXIT_OK
+        assert (out_root / "run" / "trajectory.csv").exists()
 
     def test_ladder_entry_with_zero_step_size_rejected(self, out_root, tmp_path, capsys):
         config = tmp_path / "cfg.json"

@@ -77,6 +77,35 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(kernel=load_builtin_prony("1/2"), final_time=-1.0)
 
+    @pytest.mark.parametrize("n_steps", [0, -8])
+    def test_step_count_below_one_rejected(self, n_steps):
+        with pytest.raises(ValueError, match=f"n_steps={n_steps} must be >= 1"):
+            ExperimentSpec(kernel=load_builtin_prony("1/2"), n_steps=n_steps)
+
+
+class TestLadderSteps:
+    """A ladder entry below 1, or one whose step underflows to 0, fails in the
+    ladder's check, before any task runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_tasks(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_map_runs", lambda *args, **kw: pytest.fail("ran"))
+
+    @pytest.mark.parametrize("entry", [0, -8])
+    def test_entry_below_one(self, small_spec, entry):
+        with pytest.raises(ValueError, match=r"ladder_steps=\[.*\] must all be >= 1"):
+            convergence_study(small_spec, (entry, 8, 16))
+        with pytest.raises(ValueError, match=r"ladder_steps=\[.*\] must all be >= 1"):
+            compare_baseline(small_spec, (entry, 8))
+
+    def test_entry_whose_step_underflows(self, small_spec):
+        spec = dataclasses.replace(small_spec, final_time=1e-322)
+        message = "T=1e-322 over ladder_steps 10000 gives tau=0.0, which must be > 0"
+        with pytest.raises(ValueError, match=message):
+            convergence_study(spec, (8, 16, 10**4))
+        with pytest.raises(ValueError, match=message):
+            compare_baseline(spec, (8, 10**4))
+
 
 class TestRunModelProblem:
     def test_trajectory_shapes(self, small_spec, small_run, small_samples):

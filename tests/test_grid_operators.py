@@ -181,6 +181,16 @@ class TestPositiveDefiniteness:
         with pytest.raises(NotSpdError):
             ScaledSum([(-0.5, IdentityOperator())])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_coefficients_rejected_when_built(self, value):
+        # a NaN passed a test for negative entries and ended in a CG that never converged
+        coefficient = np.ones((5, 5))
+        coefficient[2, 4] = value
+        for built in (lambda: DiagonalScaling(value), lambda: DiagonalScaling(coefficient),
+                      lambda: ScaledSum([(1.0, IdentityOperator()), (value, IdentityOperator())])):
+            with pytest.raises(NotSpdError, match="must be finite and >= 0"):
+                built()
+
 
 class TestANorm:
     def test_identity_gives_l2(self, rng):

@@ -13,9 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import OverflowInAThread, deal_over_threads, scalar_ode_oracle, scalar_problem
+from conftest import (
+    OverflowInAThread,
+    deal_over_threads,
+    residual_guard,
+    scalar_ode_oracle,
+    scalar_problem,
+)
 from memstep import schemes
-from memstep.experiments import ExperimentSpec, build_model_problem
+from memstep.experiments import ExperimentSpec, build_model_problem, run_model_problem
 from memstep.grid import Grid2D, GridMismatchError, sample_function
 from memstep.kernels import PronySeries, load_builtin_prony
 from memstep.operators import (
@@ -37,7 +43,6 @@ from memstep.schemes import (
     SchemeConfig,
     SchemeConfigError,
     SoeState,
-    _aux_residual_guard,
     _product_trapezoid_weights,
     energy,
     history_levels,
@@ -68,6 +73,20 @@ class TestSchemeConfig:
             SchemeConfig(sigma=1.5, tau=0.1)
         with pytest.raises(SchemeConfigError):
             SchemeConfig(sigma=0.0, tau=0.1)
+
+    @pytest.mark.parametrize("key, value", [
+        ("tau", math.inf), ("tau", math.nan), ("tau", 0.0),
+        ("cg_tol", math.nan), ("cg_tol", math.inf), ("cg_tol", 0.0), ("cg_tol", -1e-10),
+    ])
+    def test_step_and_tolerance_must_be_finite_and_positive(self, key, value):
+        with pytest.raises(SchemeConfigError, match=rf"{key}={value} must be > 0 and finite"):
+            SchemeConfig(**{"sigma": 0.5, "tau": 0.1, key: value})
+
+    def test_infinite_final_time_fails_as_configuration(self):
+        # not as a non-finite value in the scheme coefficients
+        spec = ExperimentSpec(kernel=load_builtin_prony("1/2"), grid_n=8, final_time=math.inf)
+        with pytest.raises(SchemeConfigError, match="tau=inf"):
+            run_model_problem(spec)
 
 
 class TestSoeInit:
@@ -583,8 +602,8 @@ class TestQuadratureStep:
 
 
 def honest_update(rng, grid, cfg, rates):
-    """The guard's arguments ``(ybar, aux_new, aux_old)`` for one exact
-    auxiliary update from random fields, and that update's ``y_new``."""
+    """The arguments ``(ybar, aux_new, aux_old)`` of a ``residual_guard`` for
+    one exact auxiliary update from random fields, and that update's ``y_new``."""
     sig, tau = cfg.sigma, cfg.tau
     y_old, y_new = rng.standard_normal((2,) + grid.shape)
     ybar = sig * y_new + (1.0 - sig) * y_old
@@ -601,7 +620,7 @@ class TestAuxResidualGuard:
         cfg = SchemeConfig(sigma=0.75, tau=0.1)
         rates = np.array([0.5, 2.0, 8.0])
         (ybar, aux_new, aux_old), y_new = honest_update(rng, grid, cfg, rates)
-        guard = _aux_residual_guard(cfg, grid, rates)
+        guard = residual_guard(cfg, grid, rates)
         guard(ybar, aux_new, aux_old)  # honest: silent
         wrong = aux_new.copy()
         wrong[1:] += 1e-3  # the second and third fields
@@ -616,7 +635,7 @@ class TestAuxResidualGuard:
         cfg = SchemeConfig(sigma=0.5, tau=0.1)
         rates = np.array([0.5, b_tau / cfg.tau, 3.0])
         (ybar, aux_new, aux_old), _ = honest_update(rng, grid, cfg, rates)
-        guard = _aux_residual_guard(cfg, grid, rates)
+        guard = residual_guard(cfg, grid, rates)
         guard(ybar, aux_new, aux_old)  # honest, stiff or not: silent
         wrong = aux_new.copy()
         wrong[1] *= 1.0 + 1e-9
@@ -630,7 +649,7 @@ class TestAuxResidualGuard:
         cfg = SchemeConfig(sigma=0.75, tau=0.1)
         rates = np.array([0.5, 2.0, 8.0])
         (ybar, aux_new, aux_old), _ = honest_update(rng, grid, cfg, rates)
-        guard = _aux_residual_guard(cfg, grid, rates)
+        guard = residual_guard(cfg, grid, rates)
         guard(ybar, aux_new, aux_old)  # honest: silent
         wrong = aux_new.copy()
         wrong[2] += 1e-3  # only the last block
@@ -656,8 +675,8 @@ class TestAuxResidualGuard:
         rates_a, rates_b = np.array([0.5, 2.0, 8.0]), np.array([1.0, 4.0, 16.0])
         update_a, _ = honest_update(rng, grid, cfg, rates_a)
         update_b, _ = honest_update(rng, grid, cfg, rates_b)
-        guard_a = _aux_residual_guard(cfg, grid, rates_a)
-        guard_b = _aux_residual_guard(cfg, grid, rates_b)
+        guard_a = residual_guard(cfg, grid, rates_a)
+        guard_b = residual_guard(cfg, grid, rates_b)
         for _ in range(2):
             guard_a(*update_a)
             with pytest.raises(AuxiliaryResidualError, match=r"\(rate b=1\.0\)"):
@@ -671,7 +690,7 @@ class TestAuxResidualGuard:
         cfg = SchemeConfig(sigma=0.5, tau=0.1)
         rates = np.array([0.5, 2.0, 8.0])
         (ybar, aux_new, aux_old), _ = honest_update(rng, grid, cfg, rates)
-        guard = _aux_residual_guard(cfg, grid, rates)
+        guard = residual_guard(cfg, grid, rates)
         with pytest.raises(AuxiliaryResidualError, match=r"\(rate b=0\.5\)"):
             guard(ybar, aux_new + 1e-3, aux_old)
         guard(ybar, aux_new, aux_old)
@@ -1034,25 +1053,14 @@ class TestDealtSweep:
         (ybar, aux_new, aux_old), _ = honest_update(rng, grid, cfg, rates)
         shares = schemes._shares(4, 25)
         assert shares == [[slice(0, 1), slice(1, 2)], [slice(2, 3), slice(3, 4)]]
-        sums = np.empty(4), np.empty(4)
-        plans = [schemes._residual_plan(cfg, rates, schemes._block_workspace(blocks, 25), *sums)
-                 for blocks in shares]
-        guard = _aux_residual_guard(cfg, grid, rates, sums)
-
-        def judged(new):
-            flat = new.reshape(4, 25)
-            schemes._sweep_shares(schemes._residual_sums, plans, (
-                flat, aux_old.reshape(4, 25), ybar.reshape(25),
-                new.reshape(4, 1, 25), new.reshape(4, 25, 1)))
-            guard(ybar, new, aux_old)
-
-        judged(aux_new)  # honest: silent
+        guard = residual_guard(cfg, grid, rates, shares)
+        guard(ybar, aux_new, aux_old)  # honest: silent
         for i in (2, 3):  # a field of the other thread's half
             wrong = aux_new.copy()
             wrong[i] *= 1.0 + 1e-9
             with pytest.raises(AuxiliaryResidualError, match=rf"\(rate b={rates[i]}\)"):
-                judged(wrong)
-        judged(aux_new)
+                guard(ybar, wrong, aux_old)
+        guard(ybar, aux_new, aux_old)
 
     def test_threads_end_with_the_step(self, monkeypatch):
         # the other thread's energy forms take 20 ms each; the step waits for them
