@@ -60,8 +60,11 @@ class Grid2D:
 
 
 def sample_function(grid: Grid2D, f) -> np.ndarray:
-    """Sample a pointwise function f(x1, x2) at the interior nodes."""
+    """Sample a pointwise function f(x1, x2) at the interior nodes.  f gets
+    the open grid, x1 as a column and x2 as a row, and broadcasts them, so a
+    separable f evaluates each factor once per coordinate; its result, or a
+    scalar, is broadcast to the interior."""
     x1 = np.arange(1, grid.n1) * grid.h1
     x2 = np.arange(1, grid.n2) * grid.h2
-    x1, x2 = np.meshgrid(x1, x2, indexing="ij")
-    return np.array(np.broadcast_to(np.asarray(f(x1, x2), dtype=float), grid.shape))
+    values = f(x1[:, None], x2[None, :])
+    return np.array(np.broadcast_to(np.asarray(values, dtype=float), grid.shape))

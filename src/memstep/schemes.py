@@ -6,9 +6,9 @@ Two steppers discretize the same problem
 * the compressed stepper keeps one auxiliary field per exponential term of
   the kernel, all m of them in one ``(m, n1-1, n2-1)`` array, and advances
   everything with a two-level weighted scheme, solving a single shifted SPD
-  system per step; on a large stack it deals the per-field work over the
-  CPUs, a thread per share of fields, with the same results for any number
-  of threads;
+  system per step; it sweeps the fields a cache-sized tile at a time and,
+  on a large stack, deals the per-field work over the CPUs, a thread per
+  share of fields, with the same results for any number of threads;
 * the full-history baseline, ``history_levels``, runs a fixed number of
   steps and returns every level; it evaluates the memory integral with a
   trapezoidal product rule over all past levels, whose weights it builds once
@@ -144,10 +144,30 @@ class SoeState:
     energy: Optional[float] = None  # the composite energy, from a stepper built ``with_energy``
 
 
-# Temporaries the size of the memory-field stack are built a block of fields
-# at a time, each block holding about this many values (one 256x256 field),
-# so that a step's peak memory stays close to that of its state.
-_BLOCK_VALUES = 1 << 16
+# Temporaries the size of the memory-field stack are built a block at a time,
+# each holding at most this many values: a run of whole fields or, where one
+# field is larger, one field's tile (``_tiles``).  A step sweeps each tile's
+# update, guard norms and energy forms in turn, so the tile, its old values
+# and its share's two work buffers, 256 kB each at 32,768, stay in a core's
+# 2 MB L2 cache.  Step times of ``run`` steps (12 terms, with energy, BLAS on
+# one thread) as a ratio to those at 32,768, whose own time is in brackets:
+# the mean of two sweeps on a 2-CPU host, the three sizes stepped in turn in
+# one process.  On two CPUs, steps from grid 172 up are dealt over threads.
+#
+#   grid   one CPU: 16k  32k [us]  64k    two CPUs: 16k  32k [us]  64k
+#     64            1.05    [473]  0.99             1.05    [463]  1.01
+#     96            1.03    [906]  1.07             1.01    [799]  1.07
+#    128            0.96   [1558]  1.10             0.97   [1576]  1.10
+#    160            1.02   [2762]  1.10             1.00   [2258]  1.10
+#    192            1.00   [3640]  1.04             1.20   [4146]  0.83
+#    224            1.00   [4981]  1.12             1.33   [5280]  0.91
+#    256            0.95   [7608]  1.17             1.23   [6498]  0.99
+#
+# Smaller tiles make a dealt step hand the interpreter lock between its
+# threads more often than they save.  At 65,536 a grid-256 field is one block
+# that leaves L2; that size is faster only for dealt steps on grids 192-224,
+# whose fields 32,768 splits into tiles of 18-25k values.
+_BLOCK_VALUES = 1 << 15
 
 
 # numpy's ufunc buffer, 8,192 values by default, while a block runs under
@@ -161,9 +181,19 @@ _BUFFER_VALUES = 64
 
 
 def _blocks(m: int, size: int) -> list[slice]:
-    """Row slices of an ``(m, size)`` stack, each about ``_BLOCK_VALUES`` values."""
+    """Row slices of an ``(m, size)`` stack: runs of whole fields of at most
+    ``_BLOCK_VALUES`` values, or single fields where one field is larger,
+    which ``_tiles`` then splits."""
     per = max(1, _BLOCK_VALUES // size)
     return [slice(i, min(i + per, m)) for i in range(0, m, per)]
+
+
+def _tiles(size: int) -> list[slice]:
+    """Column slices of a block of ``size``-value fields: the whole row when
+    it fits in ``_BLOCK_VALUES`` values, else the fewest contiguous tiles
+    that do, of lengths that differ by at most one."""
+    k = -(-size // _BLOCK_VALUES)
+    return [slice(j * size // k, (j + 1) * size // k) for j in range(k)]
 
 
 # A stepper whose memory-field stack holds at least this many values deals its
@@ -171,7 +201,8 @@ def _blocks(m: int, size: int) -> list[slice]:
 # contended numpy calls cost more than it saves: on two CPUs, with BLAS on one
 # thread, steps with 6, 12 and 30 terms on grids 128-320 broke even between
 # 310k values (12 terms on grid 160, 5% slower dealt) and 390k (6 terms on
-# grid 256, 13% faster); 12 terms on grid 256 (780k) were 20% faster.
+# grid 256, 13% faster); 12 terms on grid 256 (780k) were 20% faster, and
+# 13-16% in tiles of 32,768 values (see ``_BLOCK_VALUES`` for grids 192-224).
 _THREAD_VALUES = 350_000
 
 # True while ``experiments._map_runs`` runs tasks in forked processes, which
@@ -292,35 +323,102 @@ def _residual_coefficients(cfg: SchemeConfig, rates) -> tuple[np.ndarray, np.nda
     return 1.0 / cfg.tau + cfg.sigma * b, 1.0 / cfg.tau - (1.0 - cfg.sigma) * b
 
 
-def _residual_plan(cfg: SchemeConfig, rates, blocks: list[slice], size: int,
-                   r2: np.ndarray, n2: np.ndarray) -> list:
-    """The per-block plan of ``_residual_sums`` over ``blocks``, row slices of
-    an ``(m, size)`` stack: the guard's coefficient columns, views of the
-    block's shape into two work buffers of the largest block's size, which
-    every block and every step reuses, and views that take each row's inner
-    product into its place in ``r2`` and ``n2``."""
-    new_coef, old_coef = _residual_coefficients(cfg, rates)
-    work, spare = np.empty((2, max(blk.stop - blk.start for blk in blocks), size))
+class _Tile:
+    """One tile of a share's sweep plan (``_plan``): ``at`` indexes its values
+    in an ``(m, size)`` memory stack, rows ``rows`` (a block of several
+    fields, as a 2-D view) or columns ``cols`` of field ``rows.start`` (as a
+    1-D view), with views of that shape into the share's work buffers."""
+
+    __slots__ = ("at", "rows", "cols", "add", "res", "spare", "coef", "forms", "decay",
+                 "gain", "new_coef", "old_coef", "r2", "n2")
+
+
+def _pointwise(operator: SpdOperator):
+    """The coefficient, a field flattened or a scalar, of a DiagonalScaling whose
+    application is its own, the product by the coefficient: a sweep writes that
+    product into a work buffer for the energy forms, with the same bits.  None
+    for any other operator, whose forms come from ``apply_values``."""
+    if isinstance(operator, DiagonalScaling) and \
+            type(operator).apply_values is DiagonalScaling.apply_values:
+        coef = operator.coefficient
+        return coef.reshape(-1) if coef.ndim else coef
+    return None
+
+
+def _column(values: np.ndarray, t: _Tile) -> np.ndarray:
+    """Per-field ``values`` for tile t's rows, shaped to broadcast against its view."""
+    return values[t.rows, None] if t.at is t.rows else values[t.rows]
+
+
+def _plan(blocks: list[slice], size: int, forms: Optional[np.ndarray] = None,
+          coef=None) -> list[_Tile]:
+    """The tiles (``_tiles``) of ``blocks``, row slices of an ``(m, size)``
+    stack, in order: a block of several fields is one tile, a single field
+    one per column slice.  Each has views of its shape into two work buffers
+    of the largest tile's size, ``res`` and ``spare``, which every tile and
+    every step reuses; ``add`` marks a tile past its field's first, which
+    adds its sums to the field's, in order.  ``forms``, when given, takes
+    the energy forms (``_tile_forms``) of each tile for a pointwise
+    operator, whose coefficient ``coef`` (``_pointwise``) a tile holds its
+    part of, and of each block's last tile, from whole fields, for any other."""
+    cuts = _tiles(size)
+    width = max(cut.stop - cut.start for cut in cuts)
+    work, spare = np.empty((2, max(blk.stop - blk.start for blk in blocks) * width))
     plan = []
     for blk in blocks:
-        res = work[: blk.stop - blk.start]
-        plan.append((blk, new_coef[blk, None], old_coef[blk, None], res, spare[: len(res)],
-                     res[:, None, :], res[:, :, None], r2[blk, None, None], n2[blk, None, None]))
+        k = blk.stop - blk.start
+        for j, cut in enumerate(cuts):
+            t = _Tile()
+            t.rows, t.cols, t.add = blk, cut, j > 0
+            values = k * (cut.stop - cut.start)
+            t.res, t.spare = work[:values], spare[:values]
+            if k > 1:  # never tiled
+                t.at, t.res, t.spare = blk, t.res.reshape(k, -1), t.spare.reshape(k, -1)
+            else:
+                t.at = (blk.start, cut)
+            t.coef = None if coef is None else coef[cut] if coef.ndim else coef
+            t.forms = forms if coef is not None or j == len(cuts) - 1 else None
+            plan.append(t)
     return plan
 
 
-def _residual_sums(plan: list, new, old, yb, rows, cols) -> None:
-    """For each block of ``plan`` (``_residual_plan``), the squared L2 norms of
-    the residuals new_i y_i' - old_i y_i - ybar and of the fields y_i' into its
-    rows of r2 and n2; ``new`` and ``old`` are the stacks as ``(m, size)``,
-    ``rows`` and ``cols`` the new one as ``(m, 1, size)`` and ``(m, size, 1)``."""
-    for blk, new_col, old_col, res, spare, res_rows, res_cols, r2_blk, n2_blk in plan:
-        np.multiply(new_col, new[blk], out=res)
-        np.multiply(old_col, old[blk], out=spare)
-        res -= spare
-        res -= yb
-        np.matmul(res_rows, res_cols, out=r2_blk)
-        np.matmul(rows[blk], cols[blk], out=n2_blk)
+def _residual_plan(cfg: SchemeConfig, rates, blocks: list[slice], size: int, r2: np.ndarray,
+                   n2: np.ndarray, forms: Optional[np.ndarray] = None, coef=None) -> list[_Tile]:
+    """``_plan(blocks, size, forms, coef)``, each tile with the guard's
+    coefficient columns for its rows and the arrays ``r2`` and ``n2`` that
+    take each field's norms (``_residual_sums``)."""
+    new_coef, old_coef = _residual_coefficients(cfg, rates)
+    plan = _plan(blocks, size, forms, coef)
+    for t in plan:
+        t.new_coef, t.old_coef = _column(new_coef, t), _column(old_coef, t)
+        t.r2, t.n2 = r2, n2
+    return plan
+
+
+def _dots(u: np.ndarray, v: np.ndarray, out: np.ndarray, rows: slice, add: bool) -> None:
+    """The row-by-row inner products of two views of a tile of fields ``rows``
+    into those fields' places in ``out``, or added to them.  A block of
+    fields (2-D views) takes one matmul; a single field (1-D) takes np.dot,
+    the same BLAS dot, which unlike matmul lets another sweep thread run."""
+    if u.ndim == 2:
+        np.matmul(u[:, None, :], v[:, :, None], out=out[rows, None, None])
+    elif add:
+        out[rows.start] += np.dot(u, v)
+    else:
+        out[rows.start] = np.dot(u, v)
+
+
+def _residual_sums(t: _Tile, new: np.ndarray, old: np.ndarray, yb: np.ndarray) -> None:
+    """Tile t's part of the squared L2 norms of the residuals new_i y_i' -
+    old_i y_i - ybar and of the fields y_i', into its fields' places in r2
+    and n2: ``new`` and ``old`` are the tile's views of the two stacks, ``yb``
+    its columns of ybar."""
+    np.multiply(t.new_coef, new, out=t.res)
+    np.multiply(t.old_coef, old, out=t.spare)
+    t.res -= t.spare
+    t.res -= yb
+    _dots(t.res, t.res, t.r2, t.rows, t.add)
+    _dots(new, new, t.n2, t.rows, t.add)
 
 
 def _aux_residual_guard(cfg: SchemeConfig, grid, rates, r2: np.ndarray,
@@ -366,8 +464,11 @@ def soe_stepper(
     or in a step, raises NonFiniteError.
 
     After the solve, one sweep over the memory-field blocks, the only code
-    that reads or writes a step's memory fields, updates each field, takes
-    the guard's squared norms and, ``with_energy``, the field's energy form.
+    that reads or writes a step's memory fields, takes them a tile at a time
+    (a block, or a field's ``_tiles`` where one field is larger than a
+    block) and updates each, takes the guard's squared norms and,
+    ``with_energy``, the energy forms, while the tile and its share's work
+    buffers stay in cache; a field's sums are added over its tiles in order.
     The blocks are dealt in contiguous shares, each with the work buffers of
     its ``_residual_plan``, and ``_sweep_shares`` runs the first in the
     stepping thread and each other in a thread of its own, joined before the
@@ -377,7 +478,7 @@ def soe_stepper(
     energies keep their bits for any number of threads.  After the join the
     guard judges every field from the norms the sweep took, and an error is
     the one a sweep on one thread raises: an update failure, in the lowest
-    failing block, before the guard's verdict, an energy failure after it.
+    failing tile, before the guard's verdict, an energy failure after it.
 
     ``with_energy`` makes each step also take the new state's ``energy``,
     bit for bit as :func:`energy`, and raise NotSpdError as it does.
@@ -398,32 +499,38 @@ def soe_stepper(
         if p.reaction is not None:
             terms.append((sig * tau, p.reaction))
         lhs = _collapsed(terms)
-        r2, n2 = np.empty(m), np.empty(m)  # the guard's squared norms, one per field
+        # the guard's squared norms and the energy forms, one per field
+        r2, n2, forms = np.empty((3, m))
+        coef = _pointwise(p.operator)
         shares = []
         for blocks in _shares(m, size):
-            plan = _residual_plan(cfg, b, blocks, size, r2, n2)
-            update = [(blk, decay[blk, None], gain[blk, None], work) for blk, _, _, work, *_ in plan]
-            shares.append((update, plan))
+            plan = _residual_plan(cfg, b, blocks, size, r2, n2, forms if with_energy else None, coef)
+            for t in plan:
+                t.decay, t.gain = _column(decay, t), _column(gain, t)
+            shares.append(plan)
         guard = _aux_residual_guard(cfg, grid, b, r2, n2)
 
-    def sweep(share, old, new, yb, rows, cols, aux, forms):
-        """One share's part of a step: ``None``, or the phase (0 update, 1
-        energy) and FloatingPointError of its first failure."""
-        update, plan = share
-        phase = 0
-        try:
-            for blk, decay_col, gain_col, work in update:
-                np.multiply(decay_col, old[blk], out=new[blk])
-                np.multiply(gain_col, yb, out=work)
-                new[blk] += work
-            _residual_sums(plan, new, old, yb, rows, cols)
-            if forms is not None:
-                phase = 1
-                for blk, *_ in plan:
-                    forms[blk] = _memory_forms(p.operator, aux[blk], new[blk])
-        except FloatingPointError as exc:
-            return phase, exc
-        return None
+    def sweep(plan, old, new, yb, aux):
+        """One share's part of a step, a tile at a time: ``None``, or the phase
+        (0 update, 1 energy) and FloatingPointError of its first failure.  An
+        energy failure stops the share's forms, not its updates, which may
+        still fail first."""
+        failure = None
+        for t in plan:
+            try:
+                new_t, old_t, yb_t = new[t.at], old[t.at], yb[t.cols]
+                np.multiply(t.decay, old_t, out=new_t)
+                np.multiply(t.gain, yb_t, out=t.res)
+                new_t += t.res
+                _residual_sums(t, new_t, old_t, yb_t)
+            except FloatingPointError as exc:
+                return 0, exc
+            if t.forms is not None and failure is None:
+                try:
+                    _tile_forms(p.operator, t, new_t, aux)
+                except FloatingPointError as exc:
+                    failure = 1, exc
+        return failure
 
     def step(s: SoeState) -> SoeState:
         y, old = s.y, s.aux.reshape(m, size)
@@ -443,10 +550,7 @@ def soe_stepper(
             ybar = sig * y_new + (1.0 - sig) * y
             aux = np.empty(s.aux.shape)
             new = aux.reshape(m, size)
-            forms = np.empty(m) if with_energy else None
-            args = (old, new, ybar.reshape(size), aux.reshape(m, 1, size),
-                    aux.reshape(m, size, 1), aux, forms)
-            outcomes = _sweep_shares(sweep, shares, args)
+            outcomes = _sweep_shares(sweep, shares, (old, new, ybar.reshape(size), aux))
             failure = None
             if any(outcomes):  # the first share's of the earliest phase
                 failure = min((outcome for outcome in outcomes if outcome), key=lambda f: f[0])
@@ -569,11 +673,20 @@ def history_levels(p: ProblemSpec, cfg: SchemeConfig, n_steps: int) -> np.ndarra
     return levels
 
 
-def _memory_forms(operator: SpdOperator, fields: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The forms (A y_i, y_i) of a block of memory fields, without the cell
-    area: ``fields`` the ``(k, n1-1, n2-1)`` block, ``rows`` the same as ``(k, size)``."""
-    applied = operator.apply_values(fields)
-    return _row_dots(applied.reshape(len(applied), -1), rows)
+def _tile_forms(operator: SpdOperator, t: _Tile, new: np.ndarray, fields: np.ndarray) -> None:
+    """Tile t's part of the forms (A y_i, y_i), without the cell area, of the
+    memory fields ``fields``, ``(m, n1-1, n2-1)``, into its fields' places in
+    the plan's forms; ``new`` is the tile's view of the same stack.  A
+    pointwise operator's product with the tile is written into the ``spare``
+    buffer, and a field's forms are added over its tiles in order; any other
+    operator is applied to the tile's whole fields."""
+    if t.coef is None:
+        block = fields[t.rows]
+        whole = block.reshape(len(block), -1) if len(block) > 1 else block.reshape(-1)
+        _dots(operator.apply_values(block).reshape(whole.shape), whole, t.forms, t.rows, False)
+    else:
+        np.multiply(t.coef, new, out=t.spare)
+        _dots(t.spare, new, t.forms, t.rows, t.add)
 
 
 def _composite_energy(
@@ -593,13 +706,15 @@ def _composite_energy(
 def energy(p: ProblemSpec, s: SoeState) -> float:
     """Composite stability energy (|y|_mass^2 + sum_i a_i |y_i|_A^2)**0.5.
 
-    The A-forms of the memory fields come from applying the operator to
-    blocks of the stack; a form negative beyond rounding raises NotSpdError.
-    This is the reference for the energies of a stepper built ``with_energy``.
+    The A-forms of the memory fields are taken a tile at a time
+    (``_tile_forms``, over a ``_plan`` of the stack); a form negative beyond
+    rounding raises NotSpdError.  This is the reference for the energies of a
+    stepper built ``with_energy``.
     """
     m = len(s.aux)
     with _finite("energy", s.n, s.t):
         rows, forms = s.aux.reshape(m, -1), np.empty(m)
-        for blk in _blocks(m, rows.shape[1]):
-            forms[blk] = _memory_forms(p.operator, s.aux[blk], rows[blk])
+        for t in _plan(_blocks(m, rows.shape[1]), rows.shape[1], forms, _pointwise(p.operator)):
+            if t.forms is not None:
+                _tile_forms(p.operator, t, rows[t.at], s.aux)
         return _composite_energy(p, s.y, rows, forms, np.asarray(p.kernel.weights))

@@ -78,19 +78,23 @@ def deal_over_threads(monkeypatch, cpus: int = 2, block_values=None) -> None:
 def residual_guard(cfg, grid, rates, shares=None):
     """The stepper's auxiliary-residual guard for ``rates`` on ``grid`` as
     ``judge(ybar, aux_new, aux_old)``: each call takes the squared norms with
-    ``_residual_sums`` over the ``_residual_plan`` of each of ``shares`` (by
-    default one share of every block), each share past the first in a thread
-    of its own, as a step's sweep does, then lets the guard judge them."""
+    ``_residual_sums`` over the tiles of the ``_residual_plan`` of each of
+    ``shares`` (by default one share of every block), each share past the
+    first in a thread of its own, as a step's sweep does, then lets the guard
+    judge them."""
     m, size = len(rates), grid.shape[0] * grid.shape[1]
     r2, n2 = np.empty(m), np.empty(m)
     plans = [schemes._residual_plan(cfg, rates, blocks, size, r2, n2)
              for blocks in shares or [schemes._blocks(m, size)]]
     guard = schemes._aux_residual_guard(cfg, grid, rates, r2, n2)
 
+    def sums(plan, new, old, yb) -> None:
+        for tile in plan:
+            schemes._residual_sums(tile, new[tile.at], old[tile.at], yb[tile.cols])
+
     def judge(ybar, aux_new, aux_old) -> None:
-        schemes._sweep_shares(schemes._residual_sums, plans, (
-            aux_new.reshape(m, size), aux_old.reshape(m, size), ybar.reshape(size),
-            aux_new.reshape(m, 1, size), aux_new.reshape(m, size, 1)))
+        schemes._sweep_shares(sums, plans, (
+            aux_new.reshape(m, size), aux_old.reshape(m, size), ybar.reshape(size)))
         guard(ybar)
 
     return judge

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import time
 import tracemalloc
@@ -76,6 +77,17 @@ class TestExperimentSpec:
     def test_bad_final_time(self):
         with pytest.raises(ValueError):
             ExperimentSpec(kernel=load_builtin_prony("1/2"), final_time=-1.0)
+
+    @pytest.mark.parametrize("final_time", [math.inf, math.nan])
+    def test_final_time_must_be_finite_before_any_fork(self, small_spec, monkeypatch, final_time):
+        # a configuration error, raised with the spec, not a numerical failure in a task
+        set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        message = rf"final_time={final_time} must be > 0 and finite"
+        with pytest.raises(ValueError, match=message):
+            convergence_study(dataclasses.replace(small_spec, final_time=final_time), (8, 16, 32))
+        with pytest.raises(ValueError, match=message):
+            compare_baseline(dataclasses.replace(small_spec, final_time=final_time), (8, 16))
 
     @pytest.mark.parametrize("n_steps", [0, -8])
     def test_step_count_below_one_rejected(self, n_steps):
@@ -450,6 +462,18 @@ class TestCompareBaseline:
         # both discretize the same problem; differences shrink with tau
         assert rows[1].max_diff < rows[0].max_diff
         assert rows[0].max_diff < 1e-2
+
+    @pytest.mark.parametrize("n_steps", [8, 63, 64, 150])  # 1, 1, 2 and 3 chunks of levels
+    def test_max_diff_matches_a_transform_per_level(self, small_spec, n_steps):
+        assert experiments._CHECK_CHUNK == 64
+        problem = build_model_problem(small_spec)
+        row = experiments._compare_one(problem, small_spec, n_steps)
+        cfg = experiments._scheme(small_spec, n_steps)
+        states = experiments._states(problem, cfg, n_steps)
+        per_level = [float(np.max(np.abs(sine_transform(next(states).y - level))))
+                     for level in history_levels(problem, cfg, n_steps)]
+        assert row.max_diff == max(per_level) > 0.0
+        assert row.history_fields == n_steps + 1
 
     def test_holds_each_field_once(self, small_spec):
         # one level store, no stored compressed path and no history kept past

@@ -62,6 +62,21 @@ class TestGrid:
         np.testing.assert_allclose(w[:, 0], [0.25, 0.5, 0.75])
         np.testing.assert_allclose(w, np.broadcast_to(w[:, :1], (3, 3)))
 
+    @pytest.mark.parametrize("f", [
+        lambda x1, x2: x1 * x2 * np.sin(np.pi * x1) * np.sin(np.pi * x2),  # the model's
+        lambda x1, x2: np.exp(-20.0 * ((x1 - 0.3) ** 2 + (x2 - 0.6) ** 2)) + np.cos(7.0 * x1 * x2),
+        lambda x1, x2: 2.5,
+    ], ids=["model", "non-separable", "scalar"])
+    @pytest.mark.parametrize("n1, n2", [(2, 2), (8, 8), (9, 12), (64, 64), (257, 200)])
+    def test_sample_matches_full_coordinate_arrays(self, f, n1, n2):
+        # the open grid gives each node the bits of an evaluation on full meshgrid arrays
+        g = Grid2D(n1, n2)
+        x1, x2 = np.meshgrid(np.arange(1, n1) * g.h1, np.arange(1, n2) * g.h2, indexing="ij")
+        full = np.broadcast_to(np.asarray(f(x1, x2), dtype=float), g.shape)
+        w = sample_function(g, f)
+        assert w.shape == g.shape and w.flags.writeable
+        assert w.tobytes() == np.ascontiguousarray(full).tobytes()
+
 
 class TestInnerProduct:
     """The mesh-weighted inner product, through the identity's energy norm."""

@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -21,7 +22,7 @@ from conftest import (
     scalar_problem,
 )
 from memstep import schemes
-from memstep.experiments import ExperimentSpec, build_model_problem, run_model_problem
+from memstep.experiments import ExperimentSpec, build_model_problem
 from memstep.grid import Grid2D, GridMismatchError, sample_function
 from memstep.kernels import PronySeries, load_builtin_prony
 from memstep.operators import (
@@ -83,10 +84,9 @@ class TestSchemeConfig:
             SchemeConfig(**{"sigma": 0.5, "tau": 0.1, key: value})
 
     def test_infinite_final_time_fails_as_configuration(self):
-        # not as a non-finite value in the scheme coefficients
-        spec = ExperimentSpec(kernel=load_builtin_prony("1/2"), grid_n=8, final_time=math.inf)
-        with pytest.raises(SchemeConfigError, match="tau=inf"):
-            run_model_problem(spec)
+        # when the spec is built, not as a non-finite value in the scheme coefficients
+        with pytest.raises(ValueError, match="final_time=inf must be > 0 and finite"):
+            ExperimentSpec(kernel=load_builtin_prony("1/2"), grid_n=8, final_time=math.inf)
 
 
 class TestSoeInit:
@@ -1116,6 +1116,187 @@ class TestDealtSweep:
             done.set()
             other.join(10)
         assert not other.is_alive()
+
+
+def tile_ordered_energy(p, s):
+    """The energy of ``s`` from forms added over each field's tiles
+    (``schemes._tiles``) in order, a BLAS dot per tile, for a problem on a
+    DiagonalScaling: the oracle for a pointwise step's tile sums."""
+    m, coef = len(s.aux), np.broadcast_to(p.operator.coefficient, p.grid.shape).reshape(-1)
+    rows, forms = s.aux.reshape(m, -1), np.empty(m)
+    for i, row in enumerate(rows):
+        for j, cut in enumerate(schemes._tiles(row.size)):
+            tile = row[cut]
+            dot = ((coef[cut] * tile)[None, None, :] @ tile[None, :, None])[0, 0, 0]
+            forms[i] = dot if j == 0 else forms[i] + dot
+    return schemes._composite_energy(p, s.y, rows, forms, np.asarray(p.kernel.weights))
+
+
+class TestTiles:
+    """Where one field holds more than ``_BLOCK_VALUES`` values a step sweeps
+    it in tiles, with the states of a whole-field sweep, a field's sums added
+    over its tiles in order, and the same bits for any number of threads."""
+
+    def test_tiles_cover_a_field_in_order(self, monkeypatch):
+        assert schemes._tiles(255**2) == [slice(0, 32512), slice(32512, 65025)]
+        assert schemes._tiles(199**2) == [slice(0, 19800), slice(19800, 39601)]  # grid 200
+        assert schemes._tiles(181**2) == [slice(0, 181**2)]
+        assert len(schemes._blocks(12, 255**2)) == 12 and len(schemes._blocks(12, 31**2)) == 1
+        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 60)
+        assert schemes._tiles(225) == [slice(0, 56), slice(56, 112), slice(112, 168),
+                                       slice(168, 225)]
+        assert schemes._tiles(60) == [slice(0, 60)]
+        for size in range(1, 400):
+            cuts = schemes._tiles(size)
+            assert cuts[0].start == 0 and cuts[-1].stop == size
+            assert all(a.stop == b.start for a, b in zip(cuts, cuts[1:]))
+            lengths = {cut.stop - cut.start for cut in cuts}
+            assert max(lengths) <= 60 and max(lengths) - min(lengths) <= 1
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_model_problem_matches_for_any_share_count(self, monkeypatch, cpus):
+        # 15x15 fields in tiles of 56, 56, 56 and 57 values
+        p = build_model_problem(ExperimentSpec(kernel=load_builtin_prony("1/2"), grid_n=16))
+        cfg = SchemeConfig(0.5, 0.01)
+        whole = soe_stepper(p, cfg, with_energy=True)
+        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 60)
+        pairs, started = step_pairs(p, cfg, monkeypatch, 20, cpus)
+        assert [len(share) for share in schemes._shares(12, 225)] == [12 // cpus] * cpus
+        assert started == 20 * (cpus - 1)
+        assert_same_states(pairs)
+        w = soe_init(p)
+        for s, _ in pairs:
+            w = whole(w)
+            np.testing.assert_array_equal(s.y, w.y)  # the states keep their bits
+            np.testing.assert_array_equal(s.aux, w.aux)
+            assert s.energy == energy(p, s) == tile_ordered_energy(p, s)
+            assert s.energy == pytest.approx(w.energy, rel=1e-14)
+
+    def test_more_threads_than_cpus_switching_often(self, monkeypatch):
+        # six threads, each adding its fields' sums over their tiles, handing the
+        # interpreter over every microsecond: a sum added by two threads would show
+        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 60)
+        p = build_model_problem(ExperimentSpec(kernel=load_builtin_prony("3/7"), grid_n=16))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pairs, started = step_pairs(p, SchemeConfig(0.75, 0.02), monkeypatch, 30, cpus=6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert started == 30 * 5
+        assert_same_states(pairs)
+        assert all(s.energy == tile_ordered_energy(p, s) for s, _ in pairs)
+
+    def test_shares_hold_whole_fields(self, monkeypatch):
+        deal_over_threads(monkeypatch, cpus=3, block_values=60)
+        m, size = 5, 225
+        r2, n2, forms = np.empty((3, m))
+        plans = [schemes._residual_plan(SchemeConfig(0.5, 0.1), np.arange(1.0, m + 1), blocks,
+                                        size, r2, n2, forms, np.ones(size))
+                 for blocks in schemes._shares(m, size)]
+        fields = [[t.rows.start for t in plan] for plan in plans]
+        assert fields == [[0] * 4, [1] * 4 + [2] * 4, [3] * 4 + [4] * 4]
+        for plan in plans:
+            assert [t.cols for t in plan] == schemes._tiles(size) * (len(plan) // 4)
+            # each field's first tile writes its sums, the others add to them
+            assert [t.add for t in plan] == [False, True, True, True] * (len(plan) // 4)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_physical_space_with_mass_reaction_and_forcing(self, rng, monkeypatch, cpus):
+        # the stencil takes its forms from whole fields: energies keep their bits too
+        grid = Grid2D(12, 10)
+        bump = sample_function(grid, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
+        p = ProblemSpec(
+            operator=FivePointLaplacian(grid),
+            kernel=load_builtin_prony("3/5"),
+            initial=rng.standard_normal(grid.shape),
+            forcing=lambda t: math.cos(2 * t) * bump,
+            mass=DiagonalScaling(1.0 + rng.random(grid.shape)),
+            reaction=DiagonalScaling(rng.random(grid.shape)),
+        )
+        cfg = SchemeConfig(0.5, 0.02)
+        whole = soe_stepper(p, cfg, with_energy=True)
+        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 40)  # 11x9 fields in tiles of 33
+        assert len(schemes._tiles(99)) == 3
+        pairs, _ = step_pairs(p, cfg, monkeypatch, 12, cpus)
+        w = soe_init(p)
+        for s, t in pairs:
+            w = whole(w)
+            for u in (s, t):
+                assert u.energy == w.energy == energy(p, u)
+                np.testing.assert_array_equal(u.y, w.y)
+                np.testing.assert_array_equal(u.aux, w.aux)
+
+    def test_guard_names_a_field_tampered_in_a_later_tile(self, rng, monkeypatch):
+        deal_over_threads(monkeypatch, block_values=60)
+        grid = Grid2D(16, 16)
+        cfg = SchemeConfig(sigma=0.75, tau=0.1)
+        rates = np.array([0.5, 2.0, 8.0, 32.0])
+        (ybar, aux_new, aux_old), _ = honest_update(rng, grid, cfg, rates)
+        shares = schemes._shares(4, 225)
+        assert shares == [[slice(0, 1), slice(1, 2)], [slice(2, 3), slice(3, 4)]]
+        guard = residual_guard(cfg, grid, rates, shares)
+        guard(ybar, aux_new, aux_old)  # honest: silent
+        for i, value in [(1, 60), (2, 100), (3, 224), (0, 0)]:  # tiles 2, 2, 4 and 1
+            wrong = aux_new.copy()
+            wrong[i].flat[value] *= 1.0 + 1e-9
+            with pytest.raises(AuxiliaryResidualError, match=rf"\(rate b={rates[i]}\)"):
+                guard(ybar, wrong, aux_old)
+        guard(ybar, aux_new, aux_old)
+
+    @staticmethod
+    def overflowing(monkeypatch, values):
+        """The error of a tiled step dealt over two threads, the same as a
+        tiled step's on one thread, from a state whose memory fields are zero
+        but for ``values`` ((field, index): value) on a 5x5 interior, in tiles
+        of 8, 8 and 9 values, fields 0-1 this thread's and 2-3 the other's
+        (see ``TestDealtSweep.overflowing``)."""
+        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 10)
+        assert schemes._tiles(25) == [slice(0, 8), slice(8, 16), slice(16, 25)]
+        grid = Grid2D(6, 6)
+        kernel = PronySeries((1e-300,) * 4, (0.5, 2.0, 8.0, 32.0))
+        p = ProblemSpec(DiagonalScaling(1e4), kernel, np.ones(grid.shape))
+        aux = np.zeros((4,) + grid.shape)
+        for (i, j), value in values.items():
+            aux[i].flat[j] = value
+        state = SoeState(y=np.ones(grid.shape), aux=aux, n=2, t=0.2)
+        errors = []
+        for dealt in (False, True):
+            if dealt:
+                deal_over_threads(monkeypatch)
+            step, before = soe_stepper(p, SchemeConfig(0.75, 0.1), with_energy=True), \
+                threading.active_count()
+            with pytest.raises(NonFiniteError) as raised:
+                step(state)
+            assert threading.active_count() == before
+            errors.append(str(raised.value))
+        assert errors[1] == errors[0]
+        return errors[1]
+
+    @pytest.mark.parametrize("values, what", [
+        ({(3, 20): 1e308}, "update"),  # the other thread's last tile's guard
+        ({(2, 12): 1e153}, "energy"),  # the other thread's second tile's form
+        ({(0, 0): 1e153, (0, 20): 1e308}, "update"),  # one field's form, then its guard
+        ({(1, 9): 1e308, (2, 12): 1e153}, "update"),  # this thread's guard, the other's form
+    ])
+    def test_overflow_in_a_tile_reads_as_on_one_thread(self, monkeypatch, values, what):
+        message = self.overflowing(monkeypatch, values)
+        assert message.startswith(f"non-finite values in the {what} of step 3 (t=0.3): overflow")
+
+    def test_step_with_energy_allocates_no_block_temporaries(self):
+        # beside its new state a step allocates a few fields, however many
+        # blocks it sweeps: forms come from the work buffers
+        p = build_model_problem(ExperimentSpec(kernel=load_builtin_prony("1/2"), grid_n=64))
+        assert len(schemes._blocks(12, 63**2)) == 2
+        step = soe_stepper(p, SchemeConfig(0.5, 0.01), with_energy=True)
+        s = step(step(soe_init(p)))
+        tracemalloc.start()
+        try:
+            s = step(s)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - current < 4 * s.y.nbytes  # beside the state it returns
 
 
 class TestProblemShapes:
