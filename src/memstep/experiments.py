@@ -31,7 +31,6 @@ from .schemes import (
     SoeState,
     _ONE_THREAD,
     _finite,
-    energy,
     history_levels,
     soe_init,
     soe_stepper,
@@ -205,7 +204,7 @@ def run_model_problem(spec: ExperimentSpec, initial: Optional[np.ndarray] = None
     times, energies, centers = [], [], []
     for state in _states(problem, _scheme(spec, spec.n_steps), spec.n_steps, with_energy=True):
         times.append(state.t)
-        energies.append(energy(problem, state) if state.n == 0 else state.energy)
+        energies.append(state.energy)
         centers.append(float(row @ state.y @ col))
     return Trajectory(
         steps=np.arange(spec.n_steps + 1),

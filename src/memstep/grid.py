@@ -9,6 +9,7 @@ so norms are discrete L2 norms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,9 +33,10 @@ class Grid2D:
 
     @classmethod
     def of(cls, values: np.ndarray) -> Grid2D:
-        """The grid whose interior is the last two axes of ``values``' shape."""
+        """The grid whose interior is the last two axes of ``values``' shape,
+        one instance per shape."""
         n1, n2 = values.shape[-2:]
-        return cls(n1 + 1, n2 + 1)
+        return _interior_grid(cls, n1, n2)
 
     @property
     def h1(self) -> float:
@@ -49,7 +51,7 @@ class Grid2D:
         """Interior node counts (n1-1, n2-1); axis 0 is x1, axis 1 is x2."""
         return (self.n1 - 1, self.n2 - 1)
 
-    @property
+    @cached_property
     def cell_area(self) -> float:
         return self.h1 * self.h2
 
@@ -57,6 +59,11 @@ class Grid2D:
     def center_index(self) -> tuple[int, int]:
         """Interior node nearest (0.5, 0.5); the lower neighbour for odd n."""
         return (self.n1 // 2 - 1, self.n2 // 2 - 1)
+
+
+@lru_cache(maxsize=16)
+def _interior_grid(cls, m1: int, m2: int) -> Grid2D:
+    return cls(m1 + 1, m2 + 1)
 
 
 def sample_function(grid: Grid2D, f) -> np.ndarray:

@@ -141,7 +141,7 @@ class SoeState:
     aux: np.ndarray
     n: int
     t: float
-    energy: Optional[float] = None  # the composite energy, from a stepper built ``with_energy``
+    energy: Optional[float] = None  # the composite energy: ``soe_init``'s, or a stepper's ``with_energy``
 
 
 # Temporaries the size of the memory-field stack are built a block at a time,
@@ -211,14 +211,21 @@ _THREAD_VALUES = 350_000
 _ONE_THREAD = contextvars.ContextVar("memstep_one_thread", default=False)
 
 
+# The OS thread ids of the last dealt step's sweep workers, as listed in
+# /proc/self/task: ``Thread.join`` returns before a finished thread's task
+# leaves that listing, so ``_sweep_cpus`` does not count them.
+_JOINED_WORKERS: frozenset = frozenset()
+
+
 def _sweep_cpus() -> int:
     """The CPUs in this process's affinity set when the calling thread is the
-    process's only one, else 1.  Another thread would compete with the sweep's
-    threads for the CPUs: a multithreaded BLAS keeps a pool that splits each
-    long inner product and spins between calls, and on two CPUs a grid-256
-    step dealt over two threads beside it took 11 ms against 9 ms on one."""
+    process's only one, a joined sweep worker aside, else 1.  Another thread
+    would compete with the sweep's threads for the CPUs: a multithreaded BLAS
+    keeps a pool that splits each long inner product and spins between calls,
+    and on two CPUs a grid-256 step dealt over two threads beside it took
+    11 ms against 9 ms on one."""
     try:
-        if len(os.listdir("/proc/self/task")) == 1:
+        if len(set(os.listdir("/proc/self/task")) - _JOINED_WORKERS) == 1:
             return len(os.sched_getaffinity(0))
     except (OSError, AttributeError):  # no /proc or no affinity: not Linux
         pass
@@ -249,10 +256,12 @@ def _sweep_in_thread(outcomes: list, k: int, sweep, share, args: tuple) -> None:
         outcomes[k] = (0, exc)
 
 
-def _sweep_shares(sweep, shares: list, args: tuple) -> list:
-    """``[sweep(share, *args) for share in shares]``: the first share in this
-    thread, each other in a thread of its own (``_sweep_in_thread``), every one
-    joined before this returns or raises."""
+def _sweep_shares(sweep, shares: list, args: tuple):
+    """``sweep(share, *args)`` for each share, the first in this thread, each
+    other in a thread of its own (``_sweep_in_thread``), every one joined
+    before this returns or raises: the failure, ``(phase, error)`` or None,
+    of the earliest phase in the lowest share."""
+    global _JOINED_WORKERS
     outcomes = [None] * len(shares)
     threads = [threading.Thread(target=_sweep_in_thread, args=(outcomes, k, sweep, shares[k], args))
                for k in range(1, len(shares))]
@@ -263,12 +272,8 @@ def _sweep_shares(sweep, shares: list, args: tuple) -> list:
     finally:
         for thread in threads:
             thread.join()
-    return outcomes
-
-
-def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-by-row inner products of two ``(k, n)`` stacks, a BLAS dot per row."""
-    return (u[:, None, :] @ v[:, :, None]).reshape(len(u))
+        _JOINED_WORKERS = frozenset(str(thread.native_id) for thread in threads)
+    return min(filter(None, outcomes), key=lambda failure: failure[0], default=None)
 
 
 def _collapsed(terms) -> SpdOperator:
@@ -312,9 +317,13 @@ def _forcing(p: ProblemSpec, t: float) -> np.ndarray:
 
 
 def soe_init(p: ProblemSpec) -> SoeState:
-    """Initial state: y = u0, all compressed memory functions zero."""
+    """Initial state: y = u0, all compressed memory functions zero, with its
+    energy |u0|_mass: every memory form is 0 there, so this is the arithmetic
+    of :func:`energy`, bit for bit, with no sweep of the zero stack."""
     aux = np.zeros((p.kernel.n_terms,) + p.initial.shape)
-    return SoeState(y=p.initial, aux=aux, n=0, t=0.0)
+    with _finite("energy", 0, 0.0):
+        e = math.sqrt(a_norm(p.mass, p.initial) ** 2 + 0.0)
+    return SoeState(y=p.initial, aux=aux, n=0, t=0.0, energy=e)
 
 
 def _residual_coefficients(cfg: SchemeConfig, rates) -> tuple[np.ndarray, np.ndarray]:
@@ -326,8 +335,11 @@ def _residual_coefficients(cfg: SchemeConfig, rates) -> tuple[np.ndarray, np.nda
 class _Tile:
     """One tile of a share's sweep plan (``_plan``): ``at`` indexes its values
     in an ``(m, size)`` memory stack, rows ``rows`` (a block of several
-    fields, as a 2-D view) or columns ``cols`` of field ``rows.start`` (as a
-    1-D view), with views of that shape into the share's work buffers."""
+    fields, as a 2-D view; ``...`` when that block is the whole stack) or
+    columns ``cols`` of field ``rows.start`` (as a 1-D view).  Its work
+    buffers ``res`` and ``spare`` are views of that shape into the share's,
+    and ``r2``, ``n2`` and ``forms`` views of its fields' places in the
+    arrays that take their sums."""
 
     __slots__ = ("at", "rows", "cols", "add", "res", "spare", "coef", "forms", "decay",
                  "gain", "new_coef", "old_coef", "r2", "n2")
@@ -347,10 +359,10 @@ def _pointwise(operator: SpdOperator):
 
 def _column(values: np.ndarray, t: _Tile) -> np.ndarray:
     """Per-field ``values`` for tile t's rows, shaped to broadcast against its view."""
-    return values[t.rows, None] if t.at is t.rows else values[t.rows]
+    return values[t.rows, None] if t.res.ndim == 2 else values[t.rows]
 
 
-def _plan(blocks: list[slice], size: int, forms: Optional[np.ndarray] = None,
+def _plan(blocks: list[slice], m: int, size: int, forms: Optional[np.ndarray] = None,
           coef=None) -> list[_Tile]:
     """The tiles (``_tiles``) of ``blocks``, row slices of an ``(m, size)``
     stack, in order: a block of several fields is one tile, a single field
@@ -374,51 +386,56 @@ def _plan(blocks: list[slice], size: int, forms: Optional[np.ndarray] = None,
             t.res, t.spare = work[:values], spare[:values]
             if k > 1:  # never tiled
                 t.at, t.res, t.spare = blk, t.res.reshape(k, -1), t.spare.reshape(k, -1)
+                if k == m:
+                    t.at = ...
             else:
                 t.at = (blk.start, cut)
             t.coef = None if coef is None else coef[cut] if coef.ndim else coef
-            t.forms = forms if coef is not None or j == len(cuts) - 1 else None
+            with_forms = forms is not None and (coef is not None or j == len(cuts) - 1)
+            t.forms = forms[blk] if with_forms else None
             plan.append(t)
     return plan
 
 
 def _residual_plan(cfg: SchemeConfig, rates, blocks: list[slice], size: int, r2: np.ndarray,
                    n2: np.ndarray, forms: Optional[np.ndarray] = None, coef=None) -> list[_Tile]:
-    """``_plan(blocks, size, forms, coef)``, each tile with the guard's
-    coefficient columns for its rows and the arrays ``r2`` and ``n2`` that
-    take each field's norms (``_residual_sums``)."""
+    """``_plan(blocks, len(rates), size, forms, coef)``, each tile with the
+    guard's coefficient columns for its rows and views of its fields' places
+    in the arrays ``r2`` and ``n2`` that take each field's norms
+    (``_residual_sums``)."""
     new_coef, old_coef = _residual_coefficients(cfg, rates)
-    plan = _plan(blocks, size, forms, coef)
+    plan = _plan(blocks, len(rates), size, forms, coef)
     for t in plan:
         t.new_coef, t.old_coef = _column(new_coef, t), _column(old_coef, t)
-        t.r2, t.n2 = r2, n2
+        t.r2, t.n2 = r2[t.rows], n2[t.rows]
     return plan
 
 
-def _dots(u: np.ndarray, v: np.ndarray, out: np.ndarray, rows: slice, add: bool) -> None:
-    """The row-by-row inner products of two views of a tile of fields ``rows``
-    into those fields' places in ``out``, or added to them.  A block of
-    fields (2-D views) takes one matmul; a single field (1-D) takes np.dot,
-    the same BLAS dot, which unlike matmul lets another sweep thread run."""
+def _dots(u: np.ndarray, v: np.ndarray, out: np.ndarray, add: bool) -> None:
+    """The row-by-row inner products of two views of one tile into ``out``,
+    the plan's view of the tile's fields' places, or added to them.  A block
+    of fields (2-D views) takes np.vecdot; a single field (1-D) takes np.dot,
+    the same BLAS dot, which unlike vecdot lets another sweep thread run."""
     if u.ndim == 2:
-        np.matmul(u[:, None, :], v[:, :, None], out=out[rows, None, None])
+        np.vecdot(u, v, out=out)
     elif add:
-        out[rows.start] += np.dot(u, v)
+        out[0] += np.dot(u, v)
     else:
-        out[rows.start] = np.dot(u, v)
+        out[0] = np.dot(u, v)
 
 
 def _residual_sums(t: _Tile, new: np.ndarray, old: np.ndarray, yb: np.ndarray) -> None:
     """Tile t's part of the squared L2 norms of the residuals new_i y_i' -
-    old_i y_i - ybar and of the fields y_i', into its fields' places in r2
-    and n2: ``new`` and ``old`` are the tile's views of the two stacks, ``yb``
-    its columns of ybar."""
-    np.multiply(t.new_coef, new, out=t.res)
+    old_i y_i - ybar and of the fields y_i', into its views of r2 and n2:
+    ``new`` and ``old`` are the tile's views of the two stacks, ``yb`` its
+    columns of ybar."""
+    res = t.res
+    np.multiply(t.new_coef, new, out=res)
     np.multiply(t.old_coef, old, out=t.spare)
-    t.res -= t.spare
-    t.res -= yb
-    _dots(t.res, t.res, t.r2, t.rows, t.add)
-    _dots(new, new, t.n2, t.rows, t.add)
+    res -= t.spare
+    res -= yb
+    _dots(res, res, t.r2, t.add)
+    _dots(new, new, t.n2, t.add)
 
 
 def _aux_residual_guard(cfg: SchemeConfig, grid, rates, r2: np.ndarray,
@@ -470,10 +487,11 @@ def soe_stepper(
     ``with_energy``, the energy forms, while the tile and its share's work
     buffers stay in cache; a field's sums are added over its tiles in order.
     The blocks are dealt in contiguous shares, each with the work buffers of
-    its ``_residual_plan``, and ``_sweep_shares`` runs the first in the
-    stepping thread and each other in a thread of its own, joined before the
-    step goes on: a stack of at least ``_THREAD_VALUES`` values has a share
-    per CPU in the affinity set, a smaller one a single share and no thread.
+    its ``_residual_plan``: a stack of at least ``_THREAD_VALUES`` values has
+    a share per CPU in the affinity set, and ``_sweep_shares`` runs the first
+    in the stepping thread and each other in a thread of its own, joined
+    before the step goes on; a smaller stack has a single share, which the
+    step sweeps itself.
     Each field is swept by one thread in the same order, so states and
     energies keep their bits for any number of threads.  After the join the
     guard judges every field from the norms the sweep took, and an error is
@@ -509,6 +527,8 @@ def soe_stepper(
                 t.decay, t.gain = _column(decay, t), _column(gain, t)
             shares.append(plan)
         guard = _aux_residual_guard(cfg, grid, b, r2, n2)
+    operator, mass = p.operator, p.mass
+    single = shares[0] if len(shares) == 1 else None
 
     def sweep(plan, old, new, yb, aux):
         """One share's part of a step, a tile at a time: ``None``, or the phase
@@ -518,7 +538,10 @@ def soe_stepper(
         failure = None
         for t in plan:
             try:
-                new_t, old_t, yb_t = new[t.at], old[t.at], yb[t.cols]
+                if t.at is ...:  # the tile is the whole stack
+                    new_t, old_t, yb_t = new, old, yb
+                else:
+                    new_t, old_t, yb_t = new[t.at], old[t.at], yb[t.cols]
                 np.multiply(t.decay, old_t, out=new_t)
                 np.multiply(t.gain, yb_t, out=t.res)
                 new_t += t.res
@@ -527,7 +550,7 @@ def soe_stepper(
                 return 0, exc
             if t.forms is not None and failure is None:
                 try:
-                    _tile_forms(p.operator, t, new_t, aux)
+                    _tile_forms(operator, t, new_t, aux)
                 except FloatingPointError as exc:
                     failure = 1, exc
         return failure
@@ -538,24 +561,25 @@ def soe_stepper(
         with block:
             mem = (mem_weights @ old).reshape(grid.shape)
             mem += mem_own * y
-            rhs = p.mass.apply_values(y)
-            rhs -= tau * p.operator.apply_values(mem)
+            # rhs = mass y - tau A(mem), with tau A(mem) built in place: -tau x
+            # is -(tau x), and adding it subtracts, bit for bit
+            rhs = operator.apply_values(mem)
+            del mem  # freed before the sweep (ybar reuses rhs): room for a second share's buffers
+            rhs *= -tau
+            rhs += mass.apply_values(y)
             if p.reaction is not None:
                 rhs -= ((1.0 - sig) * tau) * p.reaction.apply_values(y)
             if p.forcing is not None:  # evaluated at the mid level t_n + sigma*tau
                 rhs += tau * _forcing(p, s.t + sig * tau)
-            del mem  # with rhs, freed before the sweep: room for a second share's buffers
             y_new = cg_solve(lhs, rhs, tol=cfg.cg_tol)
-            del rhs
-            ybar = sig * y_new + (1.0 - sig) * y
+            ybar = np.multiply(sig, y_new, out=rhs)  # in the spent rhs
+            ybar += (1.0 - sig) * y
             aux = np.empty(s.aux.shape)
             new = aux.reshape(m, size)
-            outcomes = _sweep_shares(sweep, shares, (old, new, ybar.reshape(size), aux))
-            failure = None
-            if any(outcomes):  # the first share's of the earliest phase
-                failure = min((outcome for outcome in outcomes if outcome), key=lambda f: f[0])
-                if failure[0] == 0:
-                    raise failure[1]
+            args = (old, new, ybar.reshape(size), aux)
+            failure = sweep(single, *args) if single else _sweep_shares(sweep, shares, args)
+            if failure and failure[0] == 0:
+                raise failure[1]
             guard(ybar)
             e = None
             if with_energy:
@@ -683,24 +707,25 @@ def _tile_forms(operator: SpdOperator, t: _Tile, new: np.ndarray, fields: np.nda
     if t.coef is None:
         block = fields[t.rows]
         whole = block.reshape(len(block), -1) if len(block) > 1 else block.reshape(-1)
-        _dots(operator.apply_values(block).reshape(whole.shape), whole, t.forms, t.rows, False)
+        _dots(operator.apply_values(block).reshape(whole.shape), whole, t.forms, False)
     else:
         np.multiply(t.coef, new, out=t.spare)
-        _dots(t.spare, new, t.forms, t.rows, t.add)
+        _dots(t.spare, new, t.forms, t.add)
 
 
 def _composite_energy(
     p: ProblemSpec, y: np.ndarray, rows: np.ndarray, forms: np.ndarray, weights: np.ndarray
 ) -> float:
-    """(|y|_mass^2 + sum_i a_i area*forms_i)**0.5 from the ``_memory_forms`` of
-    every memory field (``rows``, ``(m, size)``, in the stack's order); a form
-    negative beyond rounding raises NotSpdError, one within it counts as 0."""
+    """(|y|_mass^2 + sum_i a_i area*forms_i)**0.5 from the forms (A y_i, y_i)
+    of every memory field (``rows``, ``(m, size)``, in the stack's order),
+    taken by ``_tile_forms``; a form negative beyond rounding raises
+    NotSpdError, one within it counts as 0."""
+    area = p.grid.cell_area
     if forms.min() < 0.0:  # else the check and the clamp change nothing
-        if np.any(forms < -1e-12 * np.maximum(_row_dots(rows, rows), 1e-300)):
-            raise NotSpdError(f"quadratic form is negative: {forms.min() * p.grid.cell_area}")
+        if np.any(forms < -1e-12 * np.maximum(np.vecdot(rows, rows), 1e-300)):
+            raise NotSpdError(f"quadratic form is negative: {forms.min() * area}")
         forms = np.maximum(forms, 0.0)
-    total = a_norm(p.mass, y) ** 2 + float(np.dot(weights, forms * p.grid.cell_area))
-    return math.sqrt(total)
+    return math.sqrt(a_norm(p.mass, y) ** 2 + float(np.dot(weights, forms * area)))
 
 
 def energy(p: ProblemSpec, s: SoeState) -> float:
@@ -714,7 +739,8 @@ def energy(p: ProblemSpec, s: SoeState) -> float:
     m = len(s.aux)
     with _finite("energy", s.n, s.t):
         rows, forms = s.aux.reshape(m, -1), np.empty(m)
-        for t in _plan(_blocks(m, rows.shape[1]), rows.shape[1], forms, _pointwise(p.operator)):
+        size = rows.shape[1]
+        for t in _plan(_blocks(m, size), m, size, forms, _pointwise(p.operator)):
             if t.forms is not None:
                 _tile_forms(p.operator, t, rows[t.at], s.aux)
         return _composite_energy(p, s.y, rows, forms, np.asarray(p.kernel.weights))

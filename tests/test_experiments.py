@@ -412,10 +412,11 @@ class TestRecordsOnlyWhatIsWritten:
     def test_run_takes_one_energy_per_level(self, small_spec, monkeypatch):
         fields = self.count_energies(monkeypatch)
         run_model_problem(small_spec)
-        # every memory field once per level, one block of fields at a time
+        # every memory field once per stepped level, one block of fields at a
+        # time; level 0's fields are zero, and its energy takes no forms
         blocks = len(schemes._blocks(small_spec.kernel.n_terms, (small_spec.grid_n - 1) ** 2))
-        assert len(fields) == (small_spec.n_steps + 1) * blocks
-        assert sum(fields) == (small_spec.n_steps + 1) * small_spec.kernel.n_terms
+        assert len(fields) == small_spec.n_steps * blocks
+        assert sum(fields) == small_spec.n_steps * small_spec.kernel.n_terms
 
     def test_run_energies_are_the_reference_energies(self, small_spec, small_run):
         # the step's energies, bit for bit those energy() gives the plain step's states

@@ -20,6 +20,7 @@ from conftest import (
     residual_guard,
     scalar_ode_oracle,
     scalar_problem,
+    set_cpus,
 )
 from memstep import schemes
 from memstep.experiments import ExperimentSpec, build_model_problem
@@ -790,10 +791,11 @@ class TestEnergy:
 
 def assert_energies_from_the_step(p, cfg, n_steps):
     """A stepper built ``with_energy`` takes the states of the plain one, each
-    with the energy that ``energy`` gives it, bit for bit."""
+    with the energy that ``energy`` gives it, bit for bit, as the initial
+    state has its own."""
     plain, fused = soe_stepper(p, cfg), soe_stepper(p, cfg, with_energy=True)
     s = t = soe_init(p)
-    assert s.energy is None
+    assert s.energy == energy(p, s)
     for _ in range(n_steps):
         s, t = plain(s), fused(t)
         assert s.energy is None and (t.n, t.t) == (s.n, s.t)
@@ -808,6 +810,21 @@ class Negation(SpdOperator):
 
 
 class TestEnergyFromTheStep:
+    def test_initial_state_has_the_reference_energy(self, rng):
+        # every memory form of state 0 is 0, so no sweep is needed for its energy
+        grid = Grid2D(12, 10)
+        physical = ProblemSpec(
+            operator=FivePointLaplacian(grid),
+            kernel=load_builtin_prony("3/5"),
+            initial=rng.standard_normal(grid.shape),
+            mass=DiagonalScaling(1.0 + rng.random(grid.shape)),
+            reaction=DiagonalScaling(rng.random(grid.shape)),
+        )
+        model = build_model_problem(ExperimentSpec(kernel=load_builtin_prony("1/2"), grid_n=32))
+        for p in (model, physical):
+            s = soe_init(p)
+            assert s.energy > 0.0 and s.energy == energy(p, soe_init(p))
+
     @pytest.mark.parametrize("grid_n", [16, 32])
     def test_model_problem(self, grid_n):
         spec = ExperimentSpec(kernel=load_builtin_prony("1/2"), grid_n=grid_n)
@@ -1092,6 +1109,28 @@ class TestDealtSweep:
         finally:
             schemes._ONE_THREAD.reset(token)
 
+    def test_a_joined_sweep_worker_does_not_count(self, monkeypatch):
+        # Thread.join returns before a finished thread's task leaves
+        # /proc/self/task: a listing that still holds the last dealt step's
+        # worker lets a stepper deal, one that holds any other thread does not
+        sweep_cpus, threshold, listdir = schemes._sweep_cpus, schemes._THREAD_VALUES, os.listdir
+        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 450)  # two 15x15 fields a block
+        p = build_model_problem(ExperimentSpec(kernel=load_builtin_prony("1/2"), grid_n=16))
+        _, started = step_pairs(p, SchemeConfig(0.5, 0.01), monkeypatch, 1)
+        workers = schemes._JOINED_WORKERS
+        assert started == 1 and len(workers) == 1
+        monkeypatch.setattr(schemes, "_sweep_cpus", sweep_cpus)
+        monkeypatch.setattr(schemes, "_THREAD_VALUES", threshold)
+        set_cpus(monkeypatch, 2)
+        this = str(threading.get_native_id())
+        other = str(1 + max(map(int, [this, *workers])))
+        for tasks, cpus in [([this], 2), ([this, *workers], 2), ([this, other], 1),
+                            ([this, *workers, other], 1)]:
+            monkeypatch.setattr(os, "listdir", lambda path: tasks if path == "/proc/self/task"
+                                else listdir(path))
+            assert schemes._sweep_cpus() == cpus, tasks
+            assert len(schemes._shares(12, 255**2)) == cpus, tasks
+
     def test_only_the_only_thread_deals(self):
         # a forked child holds one thread, the one that forked it
         read_fd, write_fd = os.pipe()
@@ -1130,6 +1169,47 @@ def tile_ordered_energy(p, s):
             dot = ((coef[cut] * tile)[None, None, :] @ tile[None, :, None])[0, 0, 0]
             forms[i] = dot if j == 0 else forms[i] + dot
     return schemes._composite_energy(p, s.y, rows, forms, np.asarray(p.kernel.weights))
+
+
+class TestRowDots:
+    """A plan's row dots, np.vecdot into the plan's views for a block of
+    fields and np.dot per tile for a single field's tiles, are each field's
+    np.dot, tile by tile and added in order, bit for bit: the property that
+    keeps a step's energies those of ``energy`` and its bits the same for
+    any share count."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 14),
+        size=st.integers(1, 300),
+        block_values=st.integers(1, 700),
+        cpus=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_plan_views_take_each_fields_dots(self, m, size, block_values, cpus, seed):
+        rng = np.random.default_rng(seed)
+        # magnitudes from 1e-5 to 1e5, a field at a time
+        new, old = rng.standard_normal((2, m, size)) * 10.0 ** rng.uniform(-5, 5, (2, m, 1))
+        yb, coef = rng.standard_normal(size), rng.random(size)
+        cfg, rates = SchemeConfig(0.75, 0.1), rng.uniform(0.0, 100.0, m)
+        new_coef, old_coef = schemes._residual_coefficients(cfg, rates)
+        r2, n2, forms = np.full((3, m), np.nan)
+        with pytest.MonkeyPatch.context() as mp:
+            deal_over_threads(mp, cpus, block_values)
+            plans = [schemes._residual_plan(cfg, rates, blocks, size, r2, n2, forms, coef)
+                     for blocks in schemes._shares(m, size)]
+            cuts = schemes._tiles(size)
+        for plan in plans:
+            for t in plan:
+                schemes._residual_sums(t, new[t.at], old[t.at], yb[t.cols])
+                schemes._tile_forms(None, t, new[t.at], None)
+        res = new_coef[:, None] * new - old_coef[:, None] * old - yb
+        for i in range(m):
+            for out, (u, v) in [(r2, (res, res)), (n2, (new, new)), (forms, (coef * new, new))]:
+                dot = np.dot(u[i, cuts[0]], v[i, cuts[0]])
+                for cut in cuts[1:]:
+                    dot += np.dot(u[i, cut], v[i, cut])
+                assert out[i] == dot, i
 
 
 class TestTiles:
