@@ -107,13 +107,14 @@ class KernelErrorReport:
 
 def _require_nonnegative_time(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):  # a NaN fails too
         raise ValueError("kernel evaluation requires t >= 0")
     return t
 
 
 def prony_eval(series: PronySeries, t):
-    """Evaluate the sum of exponentials at scalar or array time(s) t >= 0.
+    """Evaluate the sum of exponentials at scalar or array time(s) t >= 0:
+    a float for a scalar (0-d) t, else an array of t's shape.
 
     At t = 0 the exact weight sum is returned, avoiding exp() rounding, and
     later values are clamped to it, so the series stays monotone.
@@ -123,15 +124,16 @@ def prony_eval(series: PronySeries, t):
     b = np.asarray(series.rates)
     out = np.minimum(np.exp(-np.multiply.outer(t_arr, b)) @ a, series.total_weight)
     out = np.where(t_arr == 0.0, series.total_weight, out)
-    return out if isinstance(t, np.ndarray) else float(out)
+    return float(out) if out.ndim == 0 else out
 
 
 def analytic_eval(kernel: StretchedExponential, t):
-    """Evaluate the analytic kernel exp(-t**beta) at time(s) t >= 0."""
+    """Evaluate the analytic kernel exp(-t**beta) at time(s) t >= 0: a float
+    for a scalar (0-d) t, else an array of t's shape."""
     if not isinstance(kernel, StretchedExponential):
         raise TypeError(f"not an analytic kernel: {kernel!r}")
     out = np.exp(-(_require_nonnegative_time(t) ** kernel.beta))
-    return out if isinstance(t, np.ndarray) else float(out)
+    return float(out) if out.ndim == 0 else out
 
 
 def _geometric_grid(t_min: float, t_max: float, samples: int) -> np.ndarray:

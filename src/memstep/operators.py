@@ -207,7 +207,8 @@ def sine_transform(v: np.ndarray) -> np.ndarray:
 def a_norm(op: SpdOperator, v: np.ndarray) -> float:
     """Energy norm (op v, v)**0.5 of interior values v, op symmetric positive semidefinite."""
     area = Grid2D.of(v).cell_area
-    q = float(np.vdot(op.apply_values(v), v)) * area
+    applied = v if type(op) is IdentityOperator else op.apply_values(v)  # the identity's is a copy
+    q = float(np.vdot(applied, v)) * area
     if q < 0.0:  # rounding slack relative to |v|^2; a form within it counts as 0
         if q < -1e-12 * max(float(np.vdot(v, v)) * area, 1e-300):
             raise NotSpdError(f"quadratic form is negative: {q}")
@@ -228,14 +229,23 @@ def cg_solve(
     Arrays are updated in place; ``op.apply_values`` runs once for the initial
     residual and once per iteration, so a sum of pointwise terms, which the
     diagonal start solves exactly, needs one division, one application and
-    no iteration.  A DiagonalScaling's diagonal was checked when it was built.
-    Raises GridMismatchError unless the diagonal and first residual have rhs's
-    shape, ConvergenceError when max_iter (default 10*(n1+n2)) is exhausted.
+    no iteration.  A DiagonalScaling's diagonal was checked when it was built,
+    and the start reads it and its sign from the operator's attributes.
+    Raises FloatingPointError, before any iteration, when |rhs| is not finite
+    because rhs holds a NaN or an infinity (a finite rhs whose norm overflows
+    is solved), GridMismatchError unless the diagonal and first residual have
+    rhs's shape, ConvergenceError when max_iter (default 10*(n1+n2)) is
+    exhausted.
     """
     if tol <= 0:
         raise ValueError(f"tol={tol} must be > 0")
     rhs_norm = math.sqrt(np.vdot(rhs, rhs))  # plain norms: the mesh weight cancels
-    diag, shape = op.positive_diagonal(), np.shape(op.diagonal())
+    if not rhs_norm < math.inf and not np.isfinite(rhs).all():  # not a finite rhs's overflow
+        raise FloatingPointError(f"the right-hand side holds non-finite values (norm {rhs_norm})")
+    if type(op) is DiagonalScaling:
+        diag, shape = op.coefficient if op.positive else None, op.coefficient.shape
+    else:
+        diag, shape = op.positive_diagonal(), np.shape(op.diagonal())
     if shape not in ((), rhs.shape):
         raise GridMismatchError(f"rhs of shape {rhs.shape} against a diagonal of {shape}")
     x = np.zeros(rhs.shape) if diag is None else rhs / diag

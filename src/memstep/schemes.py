@@ -116,6 +116,8 @@ class ProblemSpec:
             )
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "grid", Grid2D.of(initial))  # an empty axis fails here
+        if not np.isfinite(initial).all():
+            raise ValueError("initial values must be finite")
         zeros = np.zeros(initial.shape)
         for name in ("operator", "mass", "reaction"):  # a scalar diagonal fits any field
             op = getattr(self, name)
@@ -244,26 +246,41 @@ def _shares(m: int, size: int) -> list[list[slice]]:
     return [blocks[i * len(blocks) // k : (i + 1) * len(blocks) // k] for i in range(k)]
 
 
-def _sweep_in_thread(outcomes: list, k: int, sweep, share, args: tuple) -> None:
-    """``outcomes[k] = sweep(share, *args)`` in a thread of its own, under its
-    own ``_finite`` (numpy keeps its errstate and buffer size per context,
-    which a new thread does not inherit); an exception the sweep does not
-    return is stored as an update failure, for the stepping thread to raise."""
+def _numpy_context() -> contextvars.Context:
+    """A copy of the calling context in which numpy raises FloatingPointError
+    on overflow and invalid operations and runs its ufuncs with the
+    ``_BUFFER_VALUES`` buffer.  numpy keeps its errstate and buffer size in a
+    context variable, so code run in the copy (``Context.run``) takes that
+    state and leaves the caller's as it was; a context runs in one thread at
+    a time, so each thread needs its own."""
+    context = contextvars.copy_context()
+    context.run(np.seterr, over="raise", invalid="raise")
+    context.run(np.setbufsize, _BUFFER_VALUES)
+    return context
+
+
+def _sweep_in_thread(outcomes: list, k: int, context: contextvars.Context, sweep, share,
+                     args: tuple) -> None:
+    """``outcomes[k] = sweep(share, *args)`` in a thread of its own, run in
+    ``context`` (``_numpy_context``: a new thread does not inherit the
+    stepping thread's numpy state); an exception the sweep does not return
+    is stored as an update failure, for the stepping thread to raise."""
     try:
-        with _finite("update"):
-            outcomes[k] = sweep(share, *args)
+        outcomes[k] = context.run(sweep, share, *args)
     except Exception as exc:  # raised again by the stepping thread
         outcomes[k] = (0, exc)
 
 
-def _sweep_shares(sweep, shares: list, args: tuple):
+def _sweep_shares(sweep, shares: list, contexts: list, args: tuple):
     """``sweep(share, *args)`` for each share, the first in this thread, each
-    other in a thread of its own (``_sweep_in_thread``), every one joined
-    before this returns or raises: the failure, ``(phase, error)`` or None,
-    of the earliest phase in the lowest share."""
+    other in a thread of its own run in its context of ``contexts``
+    (``_sweep_in_thread``), every one joined before this returns or raises:
+    the failure, ``(phase, error)`` or None, of the earliest phase in the
+    lowest share."""
     global _JOINED_WORKERS
     outcomes = [None] * len(shares)
-    threads = [threading.Thread(target=_sweep_in_thread, args=(outcomes, k, sweep, shares[k], args))
+    threads = [threading.Thread(target=_sweep_in_thread,
+                                args=(outcomes, k, contexts[k], sweep, shares[k], args))
                for k in range(1, len(shares))]
     for thread in threads:
         thread.start()
@@ -282,9 +299,18 @@ def _collapsed(terms) -> SpdOperator:
     return lhs if lhs.diagonal() is None else DiagonalScaling(lhs.diagonal())
 
 
+def _non_finite(what: str, n: Optional[int], t: float, exc: FloatingPointError) -> NonFiniteError:
+    """The NonFiniteError for numpy's FloatingPointError ``exc`` in ``what``,
+    of step n at time t unless n is None."""
+    where = "" if n is None else f" of step {n} (t={t:.6g})"
+    return NonFiniteError(f"non-finite values in the {what}{where}: {exc}")
+
+
 class _finite:
     """Turn the first overflow or NaN inside the block into NonFiniteError, and run
-    the block with numpy's ufunc buffer at ``_BUFFER_VALUES`` (the errstate restores it)."""
+    the block with numpy's ufunc buffer at ``_BUFFER_VALUES`` (the errstate restores it).
+    For one-off blocks: a step runs in its stepper's ``_numpy_context`` instead,
+    which costs far less to enter than this block's errstate and buffer switch."""
 
     __slots__ = ("what", "n", "t", "_errstate")
 
@@ -299,20 +325,21 @@ class _finite:
     def __exit__(self, exc_type, exc, tb) -> None:
         self._errstate.__exit__(exc_type, exc, tb)
         if exc_type is not None and issubclass(exc_type, FloatingPointError):
-            where = "" if self.n is None else f" of step {self.n} (t={self.t:.6g})"
-            message = f"non-finite values in the {self.what}{where}: {exc}"
-            raise NonFiniteError(message) from None
+            raise _non_finite(self.what, self.n, self.t, exc) from None
 
 
-def _forcing(p: ProblemSpec, t: float) -> np.ndarray:
-    """``p.forcing(t)``, which must be a field of the problem's interior shape:
-    any other would broadcast silently into the right-hand side."""
+def _forcing(p: ProblemSpec, n: int, t: float) -> np.ndarray:
+    """``p.forcing(t)`` for step n, which must be a finite field of the
+    problem's interior shape: any other shape would broadcast silently into
+    the right-hand side, and a NaN would reach the solve."""
     values = p.forcing(t)
     if np.shape(values) != p.initial.shape:
         raise GridMismatchError(
             f"forcing of shape {np.shape(values)} at t={t:.6g} does not match "
             f"the interior {p.initial.shape}"
         )
+    if not np.isfinite(values).all():
+        raise NonFiniteError(f"non-finite values in the forcing of step {n} (at t={t:.6g})")
     return values
 
 
@@ -438,8 +465,8 @@ def _residual_sums(t: _Tile, new: np.ndarray, old: np.ndarray, yb: np.ndarray) -
     _dots(new, new, t.n2, t.add)
 
 
-def _aux_residual_guard(cfg: SchemeConfig, grid, rates, r2: np.ndarray,
-                        n2: np.ndarray) -> Callable[[np.ndarray], None]:
+def _aux_residual_guard(cfg: SchemeConfig, grid, rates,
+                        norms: np.ndarray) -> Callable[[np.ndarray], None]:
     """``guard(ybar)`` raises AuxiliaryResidualError, naming the first failing
     rate, unless every memory field meets its implicit equation to rounding:
     the residual new_i y_i' - old_i y_i - ybar (new_i = 1/tau + sigma b_i,
@@ -447,17 +474,22 @@ def _aux_residual_guard(cfg: SchemeConfig, grid, rates, r2: np.ndarray,
     |ybar|) in the L2 norm, which bounds |old_i y_i| too by the update
     identity, at any b_i tau.
 
-    The guard only judges: before each call the caller fills ``r2`` and
-    ``n2``, the squared norms of each field's residual and of the field
-    itself, with ``_residual_sums`` (the stepper, in its sweep)."""
+    The guard only judges: before each call the caller fills the rows of
+    ``norms``, ``(2, m)``, with the squared norms of each field's residual
+    and of the field itself, with ``_residual_sums`` (the stepper, in its
+    sweep).  It takes both rows' roots in one call, into buffers of its own."""
     new_coef, _ = _residual_coefficients(cfg, rates)
     root_area = math.sqrt(grid.cell_area)
+    m = len(new_coef)
+    roots, bounds, passed = np.empty((2, m)), np.empty(m), np.empty(m, dtype=bool)
+    residuals, field_norms = roots
 
     def guard(ybar) -> None:
-        residuals = np.sqrt(r2)
-        bounds = 1e-12 * (new_coef * np.sqrt(n2) + math.sqrt(np.vdot(ybar, ybar)))
-        passed = residuals <= bounds  # a NaN fails
-        if not passed.all():
+        np.sqrt(norms, out=roots)
+        np.multiply(new_coef, field_norms, out=bounds)
+        np.add(bounds, math.sqrt(np.vdot(ybar, ybar)), out=bounds)
+        np.multiply(1e-12, bounds, out=bounds)
+        if np.count_nonzero(np.less_equal(residuals, bounds, out=passed)) < m:  # a NaN fails
             i = int(np.argmin(passed))
             raise AuxiliaryResidualError(
                 f"auxiliary update residual {residuals[i] * root_area:.3e} exceeds rounding "
@@ -480,6 +512,15 @@ def soe_stepper(
     into one DiagonalScaling.  The first overflow or NaN, in the coefficients
     or in a step, raises NonFiniteError.
 
+    The stepper sets up numpy's state for its steps once: it copies the
+    context it is built in and sets numpy there to raise on overflow and
+    invalid values and to the ``_BUFFER_VALUES`` ufunc buffer
+    (``_numpy_context``), and runs each step in that context, which costs far less than
+    switching the errstate and buffer size on every step.  So a step takes
+    the caller's numpy state as it was when the stepper was built, not as it
+    is at each call, leaves the caller's as it is, and runs the same in any
+    thread, one at a time.
+
     After the solve, one sweep over the memory-field blocks, the only code
     that reads or writes a step's memory fields, takes them a tile at a time
     (a block, or a field's ``_tiles`` where one field is larger than a
@@ -489,9 +530,9 @@ def soe_stepper(
     The blocks are dealt in contiguous shares, each with the work buffers of
     its ``_residual_plan``: a stack of at least ``_THREAD_VALUES`` values has
     a share per CPU in the affinity set, and ``_sweep_shares`` runs the first
-    in the stepping thread and each other in a thread of its own, joined
-    before the step goes on; a smaller stack has a single share, which the
-    step sweeps itself.
+    in the stepping thread and each other in a thread of its own, in a
+    context of its own built with its plan, joined before the step goes on;
+    a smaller stack has a single share, which the step sweeps itself.
     Each field is swept by one thread in the same order, so states and
     energies keep their bits for any number of threads.  After the join the
     guard judges every field from the norms the sweep took, and an error is
@@ -518,7 +559,8 @@ def soe_stepper(
             terms.append((sig * tau, p.reaction))
         lhs = _collapsed(terms)
         # the guard's squared norms and the energy forms, one per field
-        r2, n2, forms = np.empty((3, m))
+        sums = np.empty((3, m))
+        r2, n2, forms = sums
         coef = _pointwise(p.operator)
         shares = []
         for blocks in _shares(m, size):
@@ -526,8 +568,12 @@ def soe_stepper(
             for t in plan:
                 t.decay, t.gain = _column(decay, t), _column(gain, t)
             shares.append(plan)
-        guard = _aux_residual_guard(cfg, grid, b, r2, n2)
-    operator, mass = p.operator, p.mass
+        guard = _aux_residual_guard(cfg, grid, b, sums[:2])
+    # the step's numpy state, and one context of its own for each other share's thread
+    contexts = [_numpy_context() for _ in shares]
+    context = contexts[0]
+    operator, mass, reaction = p.operator, p.mass, p.reaction
+    plain_mass = type(mass) is IdentityOperator  # its application is a copy of y
     single = shares[0] if len(shares) == 1 else None
 
     def sweep(plan, old, new, yb, aux):
@@ -555,39 +601,47 @@ def soe_stepper(
                     failure = 1, exc
         return failure
 
-    def step(s: SoeState) -> SoeState:
+    def advance(s: SoeState) -> SoeState:
+        """The step from ``s``, run in ``context``; a FloatingPointError it
+        raises comes from the update."""
         y, old = s.y, s.aux.reshape(m, size)
-        block = _finite("update", s.n + 1, s.t + tau)
-        with block:
-            mem = (mem_weights @ old).reshape(grid.shape)
-            mem += mem_own * y
-            # rhs = mass y - tau A(mem), with tau A(mem) built in place: -tau x
-            # is -(tau x), and adding it subtracts, bit for bit
-            rhs = operator.apply_values(mem)
-            del mem  # freed before the sweep (ybar reuses rhs): room for a second share's buffers
-            rhs *= -tau
-            rhs += mass.apply_values(y)
-            if p.reaction is not None:
-                rhs -= ((1.0 - sig) * tau) * p.reaction.apply_values(y)
-            if p.forcing is not None:  # evaluated at the mid level t_n + sigma*tau
-                rhs += tau * _forcing(p, s.t + sig * tau)
-            y_new = cg_solve(lhs, rhs, tol=cfg.cg_tol)
-            ybar = np.multiply(sig, y_new, out=rhs)  # in the spent rhs
-            ybar += (1.0 - sig) * y
-            aux = np.empty(s.aux.shape)
-            new = aux.reshape(m, size)
-            args = (old, new, ybar.reshape(size), aux)
-            failure = sweep(single, *args) if single else _sweep_shares(sweep, shares, args)
-            if failure and failure[0] == 0:
-                raise failure[1]
-            guard(ybar)
-            e = None
-            if with_energy:
-                block.what = "energy"
+        mem = np.dot(mem_weights, old).reshape(grid.shape)  # matmul's BLAS gemv, with less dispatch
+        mem += mem_own * y
+        # rhs = mass y - tau A(mem), with tau A(mem) built in place: -tau x
+        # is -(tau x), and adding it subtracts, bit for bit
+        rhs = operator.apply_values(mem)
+        del mem  # freed before the sweep (ybar reuses rhs): room for a second share's buffers
+        rhs *= -tau
+        rhs += y if plain_mass else mass.apply_values(y)
+        if reaction is not None:
+            rhs -= ((1.0 - sig) * tau) * reaction.apply_values(y)
+        if p.forcing is not None:  # evaluated at the mid level t_n + sigma*tau
+            rhs += tau * _forcing(p, s.n + 1, s.t + sig * tau)
+        y_new = cg_solve(lhs, rhs, tol=cfg.cg_tol)
+        ybar = np.multiply(sig, y_new, out=rhs)  # in the spent rhs
+        ybar += (1.0 - sig) * y
+        aux = np.empty(s.aux.shape)
+        new = aux.reshape(m, size)
+        args = (old, new, ybar.reshape(size), aux)
+        failure = sweep(single, *args) if single else _sweep_shares(sweep, shares, contexts, args)
+        if failure and failure[0] == 0:
+            raise failure[1]
+        guard(ybar)
+        e = None
+        if with_energy:
+            try:
                 if failure:
                     raise failure[1]
                 e = _composite_energy(p, y_new, new, forms, a)
+            except FloatingPointError as exc:
+                raise _non_finite("energy", s.n + 1, s.t + tau, exc) from None
         return SoeState(y=y_new, aux=aux, n=s.n + 1, t=s.t + tau, energy=e)
+
+    def step(s: SoeState) -> SoeState:
+        try:
+            return context.run(advance, s)
+        except FloatingPointError as exc:
+            raise _non_finite("update", s.n + 1, s.t + tau, exc) from None
 
     return step
 
@@ -690,7 +744,7 @@ def history_levels(p: ProblemSpec, cfg: SchemeConfig, n_steps: int) -> np.ndarra
             blend = sig * known + (1.0 - sig) * integral
             rhs = levels[n] - tau * p.operator.apply_values(blend)
             if p.forcing is not None:
-                rhs += tau * _forcing(p, t + sig * tau)
+                rhs += tau * _forcing(p, n + 1, t + sig * tau)
             levels[n + 1] = cg_solve(lhs, rhs, tol=cfg.cg_tol)
             integral = known + w_end * levels[n + 1]
             t += tau

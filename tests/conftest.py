@@ -83,17 +83,18 @@ def residual_guard(cfg, grid, rates, shares=None):
     first in a thread of its own, as a step's sweep does, then lets the guard
     judge them."""
     m, size = len(rates), grid.shape[0] * grid.shape[1]
-    r2, n2 = np.empty(m), np.empty(m)
-    plans = [schemes._residual_plan(cfg, rates, blocks, size, r2, n2)
+    norms = np.empty((2, m))
+    plans = [schemes._residual_plan(cfg, rates, blocks, size, *norms)
              for blocks in shares or [schemes._blocks(m, size)]]
-    guard = schemes._aux_residual_guard(cfg, grid, rates, r2, n2)
+    contexts = [schemes._numpy_context() for _ in plans]
+    guard = schemes._aux_residual_guard(cfg, grid, rates, norms)
 
     def sums(plan, new, old, yb) -> None:
         for tile in plan:
             schemes._residual_sums(tile, new[tile.at], old[tile.at], yb[tile.cols])
 
     def judge(ybar, aux_new, aux_old) -> None:
-        schemes._sweep_shares(sums, plans, (
+        schemes._sweep_shares(sums, plans, contexts, (
             aux_new.reshape(m, size), aux_old.reshape(m, size), ybar.reshape(size)))
         guard(ybar)
 

@@ -320,6 +320,26 @@ class TestCgSolve:
         with pytest.raises(GridMismatchError, match=r"\(7, 1\).*\(7, 7\)"):
             cg_solve(Field(), np.ones((7, 1)))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rhs_raises_before_any_iteration(self, value):
+        applied = []
+
+        class Counting(SpdOperator):
+            def apply_values(self, v):
+                applied.append(1)
+                return FivePointLaplacian(Grid2D.of(v)).apply_values(v)
+
+        rhs = np.ones(Grid2D(8, 8).shape)
+        rhs[2, 5] = value
+        with pytest.raises(FloatingPointError, match=r"non-finite values \(norm (nan|inf)\)"):
+            cg_solve(Counting(), rhs)
+        assert applied == []
+
+    def test_finite_rhs_whose_norm_overflows_is_solved(self):
+        rhs = np.full((7, 7), 1e160)
+        assert not math.isfinite(float(np.vdot(rhs, rhs)))
+        np.testing.assert_array_equal(cg_solve(DiagonalScaling(2.0), rhs), rhs / 2.0)
+
     def test_deterministic(self, rng):
         g = Grid2D(16, 16)
         op = ScaledSum([(1.0, IdentityOperator()), (0.5, FivePointLaplacian(g))])

@@ -75,6 +75,25 @@ class TestPronySeries:
         with pytest.raises(ValueError):
             prony_eval(load_builtin_prony("1/2"), -0.1)
 
+    @pytest.mark.parametrize("t", [math.nan, [0.5, math.nan], np.array([[1.0], [-0.1]])])
+    def test_nan_or_negative_time_rejected(self, t):
+        with pytest.raises(ValueError, match="t >= 0"):
+            prony_eval(load_builtin_prony("1/2"), t)
+        with pytest.raises(ValueError, match="t >= 0"):
+            analytic_eval(StretchedExponential(0.5), t)
+
+    def test_list_of_times_gives_an_array(self):
+        k, analytic = load_builtin_prony("1/2"), StretchedExponential(0.5)
+        for evaluate, kernel in ((prony_eval, k), (analytic_eval, analytic)):
+            values = evaluate(kernel, [0.5, 1.0])
+            assert isinstance(values, np.ndarray) and values.shape == (2,)
+            # a vector product may round apart from a scalar's
+            np.testing.assert_allclose(values, [evaluate(kernel, 0.5), evaluate(kernel, 1.0)],
+                                       rtol=1e-15)
+            assert evaluate(kernel, [[0.0]]).shape == (1, 1)
+            for scalar in (1.0, np.float64(1.0), np.array(1.0)):  # 0-d: a float
+                assert type(evaluate(kernel, scalar)) is float
+
     def test_negative_weight_rejected_at_construction(self):
         with pytest.raises(ValueError, match="weight"):
             PronySeries((-1.0,), (1.0,))

@@ -882,22 +882,44 @@ class TestEnergyFromTheStep:
 
 
 class RecordingScaling(DiagonalScaling):
-    """A DiagonalScaling that records numpy's ufunc buffer size at each application."""
+    """A DiagonalScaling that records numpy's ufunc buffer size at each
+    application in ``sizes``, and in ``states`` the thread it ran in, the
+    buffer size and the errstate's overflow and invalid settings."""
 
-    __slots__ = ("sizes",)
+    __slots__ = ("sizes", "states")
 
     def __init__(self, coefficient):
         super().__init__(coefficient)
-        self.sizes = []
+        self.sizes, self.states = [], []
 
     def apply_values(self, v):
         self.sizes.append(np.getbufsize())
+        err = np.geterr()
+        self.states.append((threading.get_ident(), np.getbufsize(), err["over"], err["invalid"]))
         return super().apply_values(v)
 
 
+STEP_STATE = (schemes._BUFFER_VALUES, "raise", "raise")
+
+
+def old_guard_verdict(cfg, grid, rates, r2, n2, ybar):
+    """The message of the guard's verdict as its earlier expression gave it
+    (two roots, products, a sum, a comparison and ``all``), None for a pass."""
+    new_coef, _ = schemes._residual_coefficients(cfg, rates)
+    residuals = np.sqrt(r2)
+    bounds = 1e-12 * (new_coef * np.sqrt(n2) + math.sqrt(np.vdot(ybar, ybar)))
+    passed = residuals <= bounds
+    if passed.all():
+        return None
+    i, root_area = int(np.argmin(passed)), math.sqrt(grid.cell_area)
+    return (f"auxiliary update residual {residuals[i] * root_area:.3e} exceeds rounding "
+            f"bound {bounds[i] * root_area:.3e} (rate b={rates[i]})")
+
+
 class TestUfuncBuffer:
-    """Every numerical block runs with the short ufunc buffer, and gives the
-    caller's size back."""
+    """Every numerical block runs with the short ufunc buffer, raising on
+    overflow and invalid values, and gives the caller's numpy state back; a
+    step takes its state from its stepper's context, in every thread."""
 
     def test_short_buffer_in_a_step_energy_and_history_step(self):
         assert schemes._BUFFER_VALUES % 16 == 0  # numpy < 2 takes only multiples of 16
@@ -936,6 +958,100 @@ class TestUfuncBuffer:
         assert inside == schemes._BUFFER_VALUES and after == 4096
         # set once by _finite and given back by the errstate's exit
         assert sizes == [schemes._BUFFER_VALUES]
+
+    @pytest.mark.parametrize("how", ["plain", "with energy", "dealt"])
+    def test_every_thread_of_a_step_runs_under_the_step_state(self, monkeypatch, how):
+        if how == "dealt":
+            deal_over_threads(monkeypatch, block_values=225)  # one 15x15 field a block
+        grid = Grid2D(16, 16)
+        op = RecordingScaling(laplacian_eigenvalues(grid))
+        p = ProblemSpec(op, load_builtin_prony("1/2"), np.ones(grid.shape))
+        step = soe_stepper(p, SchemeConfig(0.5, 0.05), with_energy=how != "plain")
+        op.states.clear()
+        with np.errstate(all="ignore"):  # the caller's own state does not reach the step
+            np.setbufsize(4096)
+            step(step(soe_init(p)))
+        threads = {state[0] for state in op.states}
+        assert len(threads) == (2 if how == "dealt" else 1)
+        assert {state[1:] for state in op.states} == {STEP_STATE}
+        # the memory sums, and the energy forms of one block or of 12, 6 in each thread
+        assert len(op.states) == 2 * {"plain": 1, "with energy": 2, "dealt": 13}[how]
+
+    @pytest.mark.parametrize("fails", [None, "update", "energy"])
+    def test_a_step_leaves_the_callers_state(self, fails):
+        # a field of 1e308 makes the guard's norms overflow; one of 1e150, only
+        # its energy form, lam * y_1**2 ~ 1e310
+        p = scalar_problem(1e-300 if fails == "update" else 1.0, 1.0, 1e10, 1.0)
+        aux = {None: 1.0, "update": 1e308, "energy": 1e150}[fails]
+        s = SoeState(y=np.ones((1, 1)), aux=np.full((1, 1, 1), aux), n=4, t=0.4)
+        step = soe_stepper(p, SchemeConfig(sigma=0.5, tau=0.1), with_energy=True)
+        with np.errstate(over="warn", invalid="ignore", divide="raise"):
+            np.setbufsize(4096)
+            caller = np.geterr(), np.getbufsize()
+            with pytest.raises(NonFiniteError, match=rf"in the {fails} of step 5 ") if fails \
+                    else contextlib.nullcontext():
+                step(s)
+            assert (np.geterr(), np.getbufsize()) == caller
+
+    def test_a_stepper_steps_in_another_thread(self):
+        grid = Grid2D(16, 16)
+        op = RecordingScaling(laplacian_eigenvalues(grid))
+        p = ProblemSpec(op, load_builtin_prony("1/2"), np.ones(grid.shape))
+        step = soe_stepper(p, SchemeConfig(0.5, 0.05), with_energy=True)
+        here = step(step(soe_init(p)))
+        op.states.clear()
+        there = []
+        thread = threading.Thread(target=lambda: there.append(step(step(soe_init(p)))))
+        thread.start()
+        thread.join()
+        assert {state[0] for state in op.states} == {thread.ident}
+        assert {state[1:] for state in op.states} == {STEP_STATE}
+        assert (there[0].n, there[0].energy) == (here.n, here.energy)
+        np.testing.assert_array_equal(there[0].y, here.y)
+        np.testing.assert_array_equal(there[0].aux, here.aux)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_guard_verdict_matches_its_earlier_expression(self, data):
+        # the guard takes both rows' roots in one call and counts the passes;
+        # its verdict and its message must be those of the earlier expression
+        m = data.draw(st.integers(1, 12))
+        special = st.sampled_from([0.0, math.inf, math.nan])
+        cfg = SchemeConfig(sigma=data.draw(st.floats(0.5, 1.0)), tau=data.draw(st.floats(1e-3, 1.0)))
+        rates = np.cumsum(data.draw(st.lists(st.floats(0.01, 100.0), min_size=m, max_size=m)))
+        # moderate values, where the bound's rounding shows, as well as extreme ones
+        n2 = np.array(data.draw(st.lists(st.one_of(st.floats(1e-6, 1e6), st.floats(0.0, 1e300),
+                                                   special), min_size=m, max_size=m)))
+        ybar = np.array(data.draw(st.lists(st.one_of(st.floats(-1e3, 1e3),
+                                                     st.floats(-1e200, 1e200), special),
+                                           min_size=4, max_size=4))).reshape(2, 2)
+        # residuals about their bounds, exactly on them or one ulp above (sqrt
+        # gives back a square's root exactly), or special: a bound off by one
+        # ulp passes a residual that should fail, or fails one that should pass
+        ratios = data.draw(st.lists(st.one_of(st.floats(0.0, 2.0), special,
+                                              st.sampled_from(["on", "above"])),
+                                    min_size=m, max_size=m))
+        new_coef, _ = schemes._residual_coefficients(cfg, rates)
+        with np.errstate(all="ignore"):
+            bounds = 1e-12 * (new_coef * np.sqrt(n2) + math.sqrt(np.vdot(ybar, ybar)))
+            at = {"on": bounds, "above": np.nextafter(bounds, math.inf)}
+            r2 = np.array([at[ratio][i] if isinstance(ratio, str) else ratio * bounds[i]
+                           for i, ratio in enumerate(ratios)]) ** 2
+        grid = Grid2D(3, 3)
+        norms = np.array([r2, n2])
+        guard = schemes._aux_residual_guard(cfg, grid, rates, norms)
+
+        def new_verdict():
+            try:
+                guard(ybar)
+            except AuxiliaryResidualError as exc:
+                return str(exc)
+            return None
+
+        context = schemes._numpy_context()  # the state a step runs in
+        expected = context.run(old_guard_verdict, cfg, grid, rates, r2, n2, ybar)
+        assert context.run(new_verdict) == expected
+        np.testing.assert_array_equal(norms, [r2, n2])  # the guard only reads them
 
 
 def step_pairs(p, cfg, monkeypatch, n_steps, cpus=2, state=None):
@@ -1430,6 +1546,52 @@ class TestProblemShapes:
         )
         with pytest.raises(GridMismatchError, match=r"forcing of shape \(1, 7\).*\(7, 7\)"):
             run(p, SchemeConfig(sigma=0.5, tau=0.1))
+
+
+class TestNonFiniteInputs:
+    """A non-finite input fails before it reaches a solve, naming what it is;
+    before, a NaN ran CG to its iteration limit and ended in a ConvergenceError."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_initial_field_rejected(self, value):
+        initial = np.ones((3, 3))
+        initial[1, 2] = value
+        with pytest.raises(ValueError, match="initial values must be finite"):
+            ProblemSpec(DiagonalScaling(1.0), load_builtin_prony("1/2"), initial)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_forcing_named_with_its_step_and_time(self, value):
+        grid = Grid2D(6, 6)
+
+        def forcing(t):  # non-finite from step 2, evaluated at t = 0.15
+            values = np.zeros(grid.shape)
+            values[2, 3] = value if t > 0.1 else 0.0
+            return values
+
+        p = ProblemSpec(FivePointLaplacian(grid), load_builtin_prony("1/2"), np.ones(grid.shape),
+                        forcing=forcing)
+        cfg = SchemeConfig(sigma=0.5, tau=0.1)
+        step = soe_stepper(p, cfg)
+        s = step(soe_init(p))
+        message = r"^non-finite values in the forcing of step 2 \(at t=0\.15\)$"
+        with pytest.raises(NonFiniteError, match=message):
+            step(s)
+        with pytest.raises(NonFiniteError, match=message):
+            history_levels(p, cfg, 3)
+
+    def test_state_with_a_nan_fails_in_the_update_before_cg_iterates(self, monkeypatch):
+        grid = Grid2D(8, 8)
+        p = ProblemSpec(FivePointLaplacian(grid), load_builtin_prony("1/2"), np.ones(grid.shape))
+        y = np.ones(grid.shape)
+        y[3, 3] = math.nan
+        state = SoeState(y=y, aux=np.zeros((12,) + grid.shape), n=2, t=0.2)
+        applied, apply = [], FivePointLaplacian.apply_values
+        monkeypatch.setattr(FivePointLaplacian, "apply_values",
+                            lambda op, v: applied.append(1) or apply(op, v))
+        with pytest.raises(NonFiniteError, match=r"^non-finite values in the update of step 3 "
+                           r"\(t=0\.3\): the right-hand side holds non-finite values \(norm nan\)$"):
+            soe_stepper(p, SchemeConfig(sigma=0.5, tau=0.1))(state)
+        assert len(applied) == 1  # the memory term's, and none by CG
 
 
 def per_term_step(p, cfg, y, aux):
