@@ -173,12 +173,13 @@ _BLOCK_VALUES = 1 << 15
 
 
 # numpy's ufunc buffer, 8,192 values by default, while a block runs under
-# ``_finite``.  Where a field row is shorter than the buffer, numpy copies a
-# broadcast coefficient column into it chunk by chunk, which made a (k, N)
-# block times a (k, 1) column 3-4x slower than times a scalar on grids up to
-# about 90.  Buffering changes only how numpy walks the arrays, not one
-# product or sum, so outputs keep their bits.  Of 16, 64, 256 and 1,024,
-# swept on grids 16-256, 64 was within noise of the fastest on every grid.
+# ``_finite`` or a step in its stepper's ``_numpy_context``.  Where a field
+# row is shorter than the buffer, numpy copies a broadcast coefficient column
+# into it chunk by chunk, which made a (k, N) block times a (k, 1) column
+# 3-4x slower than times a scalar on grids up to about 90.  Buffering
+# changes only how numpy walks the arrays, not one product or sum, so outputs
+# keep their bits.  Of 16, 64, 256 and 1,024, swept on grids 16-256, 64 was
+# within noise of the fastest on every grid.
 _BUFFER_VALUES = 64
 
 
