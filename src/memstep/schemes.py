@@ -26,7 +26,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -133,11 +133,12 @@ class ProblemSpec:
         return isinstance(self.mass, IdentityOperator) and self.reaction is None
 
 
-@dataclass(frozen=True)
-class SoeState:
+class SoeState(NamedTuple):
     """Compressed stepper state: the solution ``y``, an ``(n1-1, n2-1)`` array of
     interior values on the problem's grid, plus the m memory fields, held as
-    one array ``aux`` of shape ``(m, n1-1, n2-1)``.  No step writes either."""
+    one array ``aux`` of shape ``(m, n1-1, n2-1)``.  No step writes either.
+    A named tuple, so its fields are read-only and building one, on every
+    step, costs about half what a frozen dataclass's ``__init__`` does."""
 
     y: np.ndarray
     aux: np.ndarray
@@ -149,37 +150,21 @@ class SoeState:
 # Temporaries the size of the memory-field stack are built a block at a time,
 # each holding at most this many values: a run of whole fields or, where one
 # field is larger, one field's tile (``_tiles``).  A step sweeps each tile's
-# update, guard norms and energy forms in turn, so the tile, its old values
+# update, guard sums and energy forms in turn, so the tile, its old values
 # and its share's two work buffers, 256 kB each at 32,768, stay in a core's
-# 2 MB L2 cache.  Step times of ``run`` steps (12 terms, with energy, BLAS on
-# one thread) as a ratio to those at 32,768, whose own time is in brackets:
-# the mean of two sweeps on a 2-CPU host, the three sizes stepped in turn in
-# one process.  On two CPUs, steps from grid 172 up are dealt over threads.
-#
-#   grid   one CPU: 16k  32k [us]  64k    two CPUs: 16k  32k [us]  64k
-#     64            1.05    [473]  0.99             1.05    [463]  1.01
-#     96            1.03    [906]  1.07             1.01    [799]  1.07
-#    128            0.96   [1558]  1.10             0.97   [1576]  1.10
-#    160            1.02   [2762]  1.10             1.00   [2258]  1.10
-#    192            1.00   [3640]  1.04             1.20   [4146]  0.83
-#    224            1.00   [4981]  1.12             1.33   [5280]  0.91
-#    256            0.95   [7608]  1.17             1.23   [6498]  0.99
-#
-# Smaller tiles make a dealt step hand the interpreter lock between its
-# threads more often than they save.  At 65,536 a grid-256 field is one block
-# that leaves L2; that size is faster only for dealt steps on grids 192-224,
-# whose fields 32,768 splits into tiles of 18-25k values.
+# 2 MB L2 cache.  README tabulates the step times at 16k, 32k and 64k values
+# on grids 64-256 that chose it: smaller tiles make a dealt step hand the
+# interpreter lock between its threads more often than they save, and at
+# 65,536 a grid-256 field is one block that leaves L2.
 _BLOCK_VALUES = 1 << 15
 
 
 # numpy's ufunc buffer, 8,192 values by default, while a block runs under
-# ``_finite`` or a step in its stepper's ``_numpy_context``.  Where a field
-# row is shorter than the buffer, numpy copies a broadcast coefficient column
-# into it chunk by chunk, which made a (k, N) block times a (k, 1) column
-# 3-4x slower than times a scalar on grids up to about 90.  Buffering
-# changes only how numpy walks the arrays, not one product or sum, so outputs
-# keep their bits.  Of 16, 64, 256 and 1,024, swept on grids 16-256, 64 was
-# within noise of the fastest on every grid.
+# ``_finite`` or a step in its stepper's ``_numpy_context``: where a field row
+# is shorter than the buffer, numpy copies a broadcast (k, 1) coefficient
+# column into it chunk by chunk, 3-4x slower on grids up to about 90, and
+# buffering changes no product or sum.  Of 16, 64, 256 and 1,024, 64 was
+# within noise of the fastest on every grid from 16 to 256.
 _BUFFER_VALUES = 64
 
 
@@ -200,12 +185,10 @@ def _tiles(size: int) -> list[slice]:
 
 
 # A stepper whose memory-field stack holds at least this many values deals its
-# blocks over threads (``_shares``).  Below it a thread's start and its share of
-# contended numpy calls cost more than it saves: on two CPUs, with BLAS on one
-# thread, steps with 6, 12 and 30 terms on grids 128-320 broke even between
-# 310k values (12 terms on grid 160, 5% slower dealt) and 390k (6 terms on
-# grid 256, 13% faster); 12 terms on grid 256 (780k) were 20% faster, and
-# 13-16% in tiles of 32,768 values (see ``_BLOCK_VALUES`` for grids 192-224).
+# blocks over threads (``_shares``); below it a thread costs more than it saves.
+# On two CPUs, BLAS on one thread, steps with 6-30 terms on grids 128-320 broke
+# even between 310k values (12 terms, grid 160: 5% slower dealt) and 390k (6
+# terms, grid 256: 13% faster); 12 terms on grid 256 (780k) were 13-20% faster.
 _THREAD_VALUES = 350_000
 
 # True while ``experiments._map_runs`` runs tasks in forked processes, which
@@ -366,11 +349,12 @@ class _Tile:
     fields, as a 2-D view; ``...`` when that block is the whole stack) or
     columns ``cols`` of field ``rows.start`` (as a 1-D view).  Its work
     buffers ``res`` and ``spare`` are views of that shape into the share's,
-    and ``r2``, ``n2`` and ``forms`` views of its fields' places in the
-    arrays that take their sums."""
+    ``decay`` and ``gain`` its rows' update coefficients, shaped to
+    broadcast against its view, and ``sums`` and ``forms`` views of its
+    fields' places in the arrays that take their sums."""
 
     __slots__ = ("at", "rows", "cols", "add", "res", "spare", "coef", "forms", "decay",
-                 "gain", "new_coef", "old_coef", "r2", "n2")
+                 "gain", "sums")
 
 
 def _pointwise(operator: SpdOperator):
@@ -425,27 +409,37 @@ def _plan(blocks: list[slice], m: int, size: int, forms: Optional[np.ndarray] = 
     return plan
 
 
-def _residual_plan(cfg: SchemeConfig, rates, blocks: list[slice], size: int, r2: np.ndarray,
-                   n2: np.ndarray, forms: Optional[np.ndarray] = None, coef=None) -> list[_Tile]:
-    """``_plan(blocks, len(rates), size, forms, coef)``, each tile with the
-    guard's coefficient columns for its rows and views of its fields' places
-    in the arrays ``r2`` and ``n2`` that take each field's norms
-    (``_residual_sums``)."""
-    new_coef, old_coef = _residual_coefficients(cfg, rates)
+def _residual_plan(cfg: SchemeConfig, rates, blocks: list[slice], size: int, sums: np.ndarray,
+                   decay: np.ndarray, gain: np.ndarray, forms: Optional[np.ndarray] = None,
+                   coef=None) -> list[_Tile]:
+    """``_plan(blocks, len(rates), size, forms, coef)``, each tile with its
+    rows' columns of the update's ``decay`` and ``gain`` and, as ``sums``,
+    views of its fields' places in rows 0-3 of the guard's ``(5, m)`` sums.
+    The columns must meet new_i decay_i = old_i and new_i gain_i = 1 to 1e-12
+    relative, with the guard's new_i and old_i (``_residual_coefficients``,
+    derived apart), or AuxiliaryResidualError names the first rate that
+    breaks them: a column from the wrong rows fails when the stepper is built."""
+    new, old = _residual_coefficients(cfg, rates)
     plan = _plan(blocks, len(rates), size, forms, coef)
     for t in plan:
-        t.new_coef, t.old_coef = _column(new_coef, t), _column(old_coef, t)
-        t.r2, t.n2 = r2[t.rows], n2[t.rows]
+        t.decay, t.gain, t.sums = _column(decay, t), _column(gain, t), tuple(sums[:4, t.rows])
+        n, o = new[t.rows], old[t.rows]
+        errors = np.maximum(abs(n * t.decay.ravel() - o) / (n + abs(o)), abs(n * t.gain.ravel() - 1))
+        if not errors.max() <= 1e-12:  # a NaN fails
+            j = t.rows.start + int(np.argmax(~(errors <= 1e-12)))
+            raise AuxiliaryResidualError(f"update coefficients break new*decay = old or new*gain = 1"
+                                         f" by {errors.max():.3e} (rate b={rates[j]})")
     return plan
 
 
 def _dots(u: np.ndarray, v: np.ndarray, out: np.ndarray, add: bool) -> None:
-    """The row-by-row inner products of two views of one tile into ``out``,
-    the plan's view of the tile's fields' places, or added to them.  A block
-    of fields (2-D views) takes np.vecdot; a single field (1-D) takes np.dot,
-    the same BLAS dot, which unlike vecdot lets another sweep thread run."""
+    """The row-by-row inner products of ``u``, a view of one tile, with ``v``,
+    another view of it or its columns of ybar, into ``out``, the plan's view
+    of its fields' places, or added to them: np.vecdot, or with ybar a BLAS
+    gemv, for a block of fields, np.dot for a single field (1-D), which
+    unlike vecdot lets another sweep thread run."""
     if u.ndim == 2:
-        np.vecdot(u, v, out=out)
+        (np.vecdot if v.ndim == 2 else np.dot)(u, v, out=out)
     elif add:
         out[0] += np.dot(u, v)
     else:
@@ -453,49 +447,65 @@ def _dots(u: np.ndarray, v: np.ndarray, out: np.ndarray, add: bool) -> None:
 
 
 def _residual_sums(t: _Tile, new: np.ndarray, old: np.ndarray, yb: np.ndarray) -> None:
-    """Tile t's part of the squared L2 norms of the residuals new_i y_i' -
-    old_i y_i - ybar and of the fields y_i', into its views of r2 and n2:
-    ``new`` and ``old`` are the tile's views of the two stacks, ``yb`` its
-    columns of ybar."""
-    res = t.res
-    np.multiply(t.new_coef, new, out=res)
-    np.multiply(t.old_coef, old, out=t.spare)
-    res -= t.spare
-    res -= yb
-    _dots(res, res, t.r2, t.add)
-    _dots(new, new, t.n2, t.add)
+    """Tile t's part of its fields' y_i'.y_i, y_i.ybar, |y_i'|^2 and y_i'.ybar
+    into its views of the guard's sums, from its views ``new`` and ``old`` of
+    the two stacks and its columns ``yb`` of ybar: four row reductions."""
+    cross, old_bar, square, new_bar = t.sums
+    _dots(new, new, square, t.add)
+    _dots(new, old, cross, t.add)
+    _dots(new, yb, new_bar, t.add)
+    _dots(old, yb, old_bar, t.add)
 
 
 def _aux_residual_guard(cfg: SchemeConfig, grid, rates,
-                        norms: np.ndarray) -> Callable[[np.ndarray], None]:
+                        sums: np.ndarray) -> Callable[[np.ndarray], None]:
     """``guard(ybar)`` raises AuxiliaryResidualError, naming the first failing
     rate, unless every memory field meets its implicit equation to rounding:
-    the residual new_i y_i' - old_i y_i - ybar (new_i = 1/tau + sigma b_i,
-    old_i = 1/tau - (1-sigma) b_i) must stay within 1e-12 (new_i |y_i'| +
-    |ybar|) in the L2 norm, which bounds |old_i y_i| too by the update
-    identity, at any b_i tau.
-
-    The guard only judges: before each call the caller fills the rows of
-    ``norms``, ``(2, m)``, with the squared norms of each field's residual
-    and of the field itself, with ``_residual_sums`` (the stepper, in its
-    sweep).  It takes both rows' roots in one call, into buffers of its own."""
-    new_coef, _ = _residual_coefficients(cfg, rates)
-    root_area = math.sqrt(grid.cell_area)
-    m = len(new_coef)
-    roots, bounds, passed = np.empty((2, m)), np.empty(m), np.empty(m, dtype=bool)
-    residuals, field_norms = roots
+    the residual r_i = new_i y_i' - old_i y_i - ybar (``_residual_coefficients``)
+    must have projections r_i.y_i' = new_i |y_i'|^2 - old_i y_i'.y_i - y_i'.ybar
+    and r_i.ybar = new_i y_i'.ybar - old_i y_i.ybar - |ybar|^2 within B_i |y_i'|
+    and B_i |ybar|, plus f_i, where B_i = 1e-12 (new_i |y_i'| + |ybar|) bounds
+    |r_i| itself at any b_i tau (so by Cauchy-Schwarz an honest step passes,
+    up to the sums' rounding) and f_i = (new_i + |old_i| + 1)(N + 4) 2^-1074,
+    N values a field, what underflow can move: an honest field passes at any
+    scale, a zero one too.  A perturbation nearly orthogonal to both
+    directions passes: 7-11 of 100 random ones of size 1e-9 |y_i'| did on
+    grid 256.  The caller fills rows 0-3 of ``sums``, ``(5, m)``, with
+    ``_residual_sums``; the guard puts |ybar|^2 in row 4 and works on rows of
+    m or 2m values, with no Python scalar operand, which costs numpy more."""
+    new, old = _residual_coefficients(cfg, rates)
+    m, area = len(new), grid.cell_area
+    flat = sums.reshape(-1)
+    # (new_i, old_i, 1) times these pairs of rows give (r_i.y_i', r_i.ybar)
+    squares, crosses, bars = flat[2 * m:4 * m], flat[:2 * m], flat[3 * m:]
+    new2, old2, scales = np.tile(new, 2), np.tile(old, 2), np.array([1e-12 * new, [1e-12] * m])
+    floors = np.tile((new + abs(old) + 1.0) * ((math.prod(grid.shape) + 4) * 2.0**-1074), (2, 1))
+    roots, terms, limits = np.empty((3, 2, m))  # roots: |y_i'| and |ybar|
+    (field_root, bar_root), (field_term, bar_term), (field_limit, bar_limit) = roots, terms, limits
+    bounds, (products, spare), passed = np.empty(m), np.empty((2, 2 * m)), np.empty(2 * m, bool)
+    square, bar_square, flat_limits = sums[2], sums[4], limits.reshape(-1)
 
     def guard(ybar) -> None:
-        np.sqrt(norms, out=roots)
-        np.multiply(new_coef, field_norms, out=bounds)
-        np.add(bounds, math.sqrt(np.vdot(ybar, ybar)), out=bounds)
-        np.multiply(1e-12, bounds, out=bounds)
-        if np.count_nonzero(np.less_equal(residuals, bounds, out=passed)) < m:  # a NaN fails
-            i = int(np.argmin(passed))
+        norm2 = np.vdot(ybar, ybar)
+        bar_square.fill(norm2)
+        bar_root.fill(math.sqrt(norm2))
+        np.sqrt(square, field_root)
+        np.multiply(scales, roots, terms)
+        np.add(field_term, bar_term, bounds)  # B_i
+        np.multiply(bounds, field_root, field_limit)
+        np.multiply(bounds, bar_root, bar_limit)
+        np.add(limits, floors, limits)
+        np.multiply(new2, squares, products)
+        np.multiply(old2, crosses, spare)
+        np.subtract(products, spare, products)
+        np.subtract(products, bars, products)
+        np.abs(products, products)
+        if np.count_nonzero(np.less_equal(products, flat_limits, passed)) < 2 * m:  # a NaN fails
+            i = int(np.argmin(passed.reshape(2, m).all(axis=0)))
+            k, onto = (i, "the new field") if not passed[i] else (m + i, "ybar")
             raise AuxiliaryResidualError(
-                f"auxiliary update residual {residuals[i] * root_area:.3e} exceeds rounding "
-                f"bound {bounds[i] * root_area:.3e} (rate b={rates[i]})"
-            )
+                f"auxiliary update residual's projection onto {onto} {products[k] * area:.3e} "
+                f"exceeds rounding bound {flat_limits[k] * area:.3e} (rate b={rates[i]})")
 
     return guard
 
@@ -504,44 +514,37 @@ def soe_stepper(
     p: ProblemSpec, cfg: SchemeConfig, with_energy: bool = False
 ) -> Callable[[SoeState], SoeState]:
     """The compressed step for ``p`` and ``cfg``, with the problem's mass,
-    reaction and forcing; its coefficients, left-hand side and guard built once.
+    reaction and forcing; its coefficients, left-hand side and guard built
+    once, each tile's update coefficients checked against the guard's.
 
     The implicit auxiliary equation solves to y_i' = decay_i y_i + (tau/d_i)
     ybar, with d_i = 1 + sigma b_i tau, decay_i = (1 - (1-sigma) b_i tau)/d_i
     and ybar = sigma y' + (1-sigma) y; in the memory term it leaves one
     shifted SPD solve for y'.  A left-hand side of pointwise terms collapses
     into one DiagonalScaling.  The first overflow or NaN, in the coefficients
-    or in a step, raises NonFiniteError.
+    or in a step, raises NonFiniteError.  Each step runs in a copy of the
+    context the stepper is built in, where numpy raises on overflow and
+    invalid values and has the ``_BUFFER_VALUES`` buffer (``_numpy_context``,
+    far cheaper than switching both on every step): a step takes the
+    caller's numpy state as it was at the build, leaves the caller's as it
+    is, and runs the same in any thread, one at a time.
 
-    The stepper sets up numpy's state for its steps once: it copies the
-    context it is built in and sets numpy there to raise on overflow and
-    invalid values and to the ``_BUFFER_VALUES`` ufunc buffer
-    (``_numpy_context``), and runs each step in that context, which costs far less than
-    switching the errstate and buffer size on every step.  So a step takes
-    the caller's numpy state as it was when the stepper was built, not as it
-    is at each call, leaves the caller's as it is, and runs the same in any
-    thread, one at a time.
-
-    After the solve, one sweep over the memory-field blocks, the only code
-    that reads or writes a step's memory fields, takes them a tile at a time
-    (a block, or a field's ``_tiles`` where one field is larger than a
-    block) and updates each, takes the guard's squared norms and,
-    ``with_energy``, the energy forms, while the tile and its share's work
-    buffers stay in cache; a field's sums are added over its tiles in order.
-    The blocks are dealt in contiguous shares, each with the work buffers of
-    its ``_residual_plan``: a stack of at least ``_THREAD_VALUES`` values has
-    a share per CPU in the affinity set, and ``_sweep_shares`` runs the first
-    in the stepping thread and each other in a thread of its own, in a
-    context of its own built with its plan, joined before the step goes on;
-    a smaller stack has a single share, which the step sweeps itself.
+    After the solve one sweep, the only code that reads or writes a step's
+    memory fields, takes them a tile at a time (``_plan``): it updates each,
+    takes the guard's four row sums (``_residual_sums``) and, ``with_energy``,
+    the energy forms while the tile stays in cache, a field's sums added over
+    its tiles in order: 3 update passes, 4 guard reductions, 2 for the forms.
+    A stack of at least ``_THREAD_VALUES`` values is dealt in contiguous
+    shares, one per CPU in the affinity set, each past the first swept in a
+    thread and a context of its own (``_sweep_shares``) and joined before the
+    step goes on; a smaller stack is one share, swept by the step itself.
     Each field is swept by one thread in the same order, so states and
-    energies keep their bits for any number of threads.  After the join the
-    guard judges every field from the norms the sweep took, and an error is
-    the one a sweep on one thread raises: an update failure, in the lowest
-    failing tile, before the guard's verdict, an energy failure after it.
-
-    ``with_energy`` makes each step also take the new state's ``energy``,
-    bit for bit as :func:`energy`, and raise NotSpdError as it does.
+    energies keep their bits for any number of threads.  The guard then
+    judges every field from the sums, and an error is the one a sweep on one
+    thread raises: an update failure, in the lowest failing tile, before the
+    guard's verdict, an energy failure after it.  ``with_energy`` gives each
+    new state its ``energy``, bit for bit as :func:`energy`, and raises
+    NotSpdError as it does.
     """
     sig, tau = cfg.sigma, cfg.tau
     a, b = np.asarray(p.kernel.weights), np.asarray(p.kernel.rates)
@@ -559,17 +562,13 @@ def soe_stepper(
         if p.reaction is not None:
             terms.append((sig * tau, p.reaction))
         lhs = _collapsed(terms)
-        # the guard's squared norms and the energy forms, one per field
-        sums = np.empty((3, m))
-        r2, n2, forms = sums
+        # the guard's sums and the energy forms, one per field
+        sums, forms = np.empty((5, m)), np.empty(m)
         coef = _pointwise(p.operator)
-        shares = []
-        for blocks in _shares(m, size):
-            plan = _residual_plan(cfg, b, blocks, size, r2, n2, forms if with_energy else None, coef)
-            for t in plan:
-                t.decay, t.gain = _column(decay, t), _column(gain, t)
-            shares.append(plan)
-        guard = _aux_residual_guard(cfg, grid, b, sums[:2])
+        shares = [_residual_plan(cfg, b, blocks, size, sums, decay, gain,
+                                 forms if with_energy else None, coef)
+                  for blocks in _shares(m, size)]
+        guard = _aux_residual_guard(cfg, grid, b, sums)
     # the step's numpy state, and one context of its own for each other share's thread
     contexts = [_numpy_context() for _ in shares]
     context = contexts[0]

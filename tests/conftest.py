@@ -1,3 +1,4 @@
+import math
 import os
 import threading
 
@@ -75,30 +76,95 @@ def deal_over_threads(monkeypatch, cpus: int = 2, block_values=None) -> None:
         monkeypatch.setattr(schemes, "_BLOCK_VALUES", block_values)
 
 
+def update_coefficients(cfg, rates):
+    """The update's ``(decay, gain)`` for ``rates``, as the stepper derives them."""
+    b = np.asarray(rates, dtype=float)
+    d = 1.0 + cfg.sigma * b * cfg.tau
+    return (1.0 - (1.0 - cfg.sigma) * b * cfg.tau) / d, cfg.tau / d
+
+
+def _judge(m, size, plans, sums, guard):
+    """``judge(ybar, aux_new, aux_old)``: each share's plan takes its tiles'
+    sums in a thread of its own past the first, as a step's sweep does, with
+    ``sums(tile, new, old, yb)``, then ``guard(ybar)`` judges them."""
+    contexts = [schemes._numpy_context() for _ in plans]
+
+    def sweep(plan, new, old, yb) -> None:
+        for tile in plan:
+            sums(tile, new[tile.at], old[tile.at], yb[tile.cols])
+
+    def judge(ybar, aux_new, aux_old) -> None:
+        schemes._sweep_shares(sweep, plans, contexts, (
+            aux_new.reshape(m, size), aux_old.reshape(m, size), ybar.reshape(size)))
+        guard(ybar)
+
+    return judge
+
+
 def residual_guard(cfg, grid, rates, shares=None):
     """The stepper's auxiliary-residual guard for ``rates`` on ``grid`` as
-    ``judge(ybar, aux_new, aux_old)``: each call takes the squared norms with
+    ``judge(ybar, aux_new, aux_old)``: each call takes the sums with
     ``_residual_sums`` over the tiles of the ``_residual_plan`` of each of
     ``shares`` (by default one share of every block), each share past the
     first in a thread of its own, as a step's sweep does, then lets the guard
     judge them."""
     m, size = len(rates), grid.shape[0] * grid.shape[1]
-    norms = np.empty((2, m))
-    plans = [schemes._residual_plan(cfg, rates, blocks, size, *norms)
+    sums = np.empty((5, m))
+    decay, gain = update_coefficients(cfg, rates)
+    plans = [schemes._residual_plan(cfg, rates, blocks, size, sums, decay, gain)
              for blocks in shares or [schemes._blocks(m, size)]]
-    contexts = [schemes._numpy_context() for _ in plans]
-    guard = schemes._aux_residual_guard(cfg, grid, rates, norms)
+    guard = schemes._aux_residual_guard(cfg, grid, rates, sums)
+    return _judge(m, size, plans, schemes._residual_sums, guard)
 
-    def sums(plan, new, old, yb) -> None:
-        for tile in plan:
-            schemes._residual_sums(tile, new[tile.at], old[tile.at], yb[tile.cols])
 
-    def judge(ybar, aux_new, aux_old) -> None:
-        schemes._sweep_shares(sums, plans, contexts, (
-            aux_new.reshape(m, size), aux_old.reshape(m, size), ybar.reshape(size)))
-        guard(ybar)
+def oracle_residual_sums(cfg, rates, t, r2, n2, new, old, yb) -> None:
+    """Tile t's part of the squared L2 norms of the residuals new_i y_i' -
+    old_i y_i - ybar and of the fields y_i', into its fields' places in r2
+    and n2: the residual written out, four passes, then two row dots."""
+    new_coef, old_coef = (schemes._column(c, t) for c in schemes._residual_coefficients(cfg, rates))
+    res = np.multiply(new_coef, new)
+    res -= old_coef * old
+    res -= yb
+    schemes._dots(res, res, r2[t.rows], t.add)
+    schemes._dots(new, new, n2[t.rows], t.add)
 
-    return judge
+
+def oracle_guard_verdict(cfg, grid, rates, norms):
+    """``guard(ybar)``: the verdict an earlier guard gave from the rows r2 and
+    n2 of ``norms``, the squared norms of each field's residual and of the
+    field, taking both rows' roots in one call and counting the passes:
+    |r_i| <= 1e-12 (new_i |y_i'| + |ybar|) in the L2 norm."""
+    new_coef, _ = schemes._residual_coefficients(cfg, rates)
+    root_area = math.sqrt(grid.cell_area)
+    m = len(new_coef)
+    roots, bounds, passed = np.empty((2, m)), np.empty(m), np.empty(m, dtype=bool)
+    residuals, field_norms = roots
+
+    def guard(ybar) -> None:
+        np.sqrt(norms, out=roots)
+        np.multiply(new_coef, field_norms, out=bounds)
+        np.add(bounds, math.sqrt(np.vdot(ybar, ybar)), out=bounds)
+        np.multiply(1e-12, bounds, out=bounds)
+        if np.count_nonzero(np.less_equal(residuals, bounds, out=passed)) < m:  # a NaN fails
+            i = int(np.argmin(passed))
+            raise schemes.AuxiliaryResidualError(
+                f"auxiliary update residual {residuals[i] * root_area:.3e} exceeds rounding "
+                f"bound {bounds[i] * root_area:.3e} (rate b={rates[i]})"
+            )
+
+    return guard
+
+
+def oracle_residual_guard(cfg, grid, rates, shares=None):
+    """The earlier auxiliary-residual guard, the oracle for the stepper's,
+    as ``judge(ybar, aux_new, aux_old)`` (``residual_guard``): it writes each
+    field's residual out, takes its norm and the field's, and bounds the
+    residual's norm (``oracle_guard_verdict``)."""
+    m, size = len(rates), grid.shape[0] * grid.shape[1]
+    norms = np.empty((2, m))
+    plans = [schemes._plan(blocks, m, size) for blocks in shares or [schemes._blocks(m, size)]]
+    return _judge(m, size, plans, lambda t, new, old, yb: oracle_residual_sums(
+        cfg, rates, t, *norms, new, old, yb), oracle_guard_verdict(cfg, grid, rates, norms))
 
 
 @pytest.fixture

@@ -17,15 +17,18 @@ from hypothesis import strategies as st
 from conftest import (
     OverflowInAThread,
     deal_over_threads,
+    oracle_guard_verdict,
+    oracle_residual_guard,
     residual_guard,
     scalar_ode_oracle,
     scalar_problem,
     set_cpus,
+    update_coefficients,
 )
 from memstep import schemes
 from memstep.experiments import ExperimentSpec, build_model_problem
 from memstep.grid import Grid2D, GridMismatchError, sample_function
-from memstep.kernels import PronySeries, load_builtin_prony
+from memstep.kernels import BUILTIN_BETAS, PronySeries, load_builtin_prony
 from memstep.operators import (
     DiagonalScaling,
     FivePointLaplacian,
@@ -112,6 +115,23 @@ class TestSoeInit:
         )
         s = soe_init(p)
         assert np.all(s.y == 0.0)
+
+
+class TestSoeState:
+    def test_keyword_built_with_no_energy_by_default(self):
+        y, aux = np.ones((2, 2)), np.zeros((3, 2, 2))
+        s = SoeState(y=y, aux=aux, n=4, t=0.5)
+        assert (s.y, s.aux, s.n, s.t, s.energy) == (y, aux, 4, 0.5, None)
+        assert SoeState(y=y, aux=aux, n=4, t=0.5, energy=2.0).energy == 2.0
+
+    @pytest.mark.parametrize("name", ["y", "aux", "n", "t", "energy", "other"])
+    def test_every_field_is_read_only(self, name):
+        s = SoeState(y=np.ones((2, 2)), aux=np.zeros((3, 2, 2)), n=4, t=0.5, energy=1.0)
+        with pytest.raises(AttributeError):
+            setattr(s, name, 1.0)
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+        assert (s.n, s.t, s.energy) == (4, 0.5, 1.0)
 
 
 class TestSoeStep:
@@ -605,12 +625,11 @@ class TestQuadratureStep:
 def honest_update(rng, grid, cfg, rates):
     """The arguments ``(ybar, aux_new, aux_old)`` of a ``residual_guard`` for
     one exact auxiliary update from random fields, and that update's ``y_new``."""
-    sig, tau = cfg.sigma, cfg.tau
+    sig = cfg.sigma
     y_old, y_new = rng.standard_normal((2,) + grid.shape)
     ybar = sig * y_new + (1.0 - sig) * y_old
     aux_old = rng.standard_normal((len(rates),) + grid.shape)
-    d = 1.0 + sig * rates * tau
-    decay, gain = (1.0 - (1.0 - sig) * rates * tau) / d, tau / d
+    decay, gain = update_coefficients(cfg, rates)
     aux_new = decay[:, None, None] * aux_old + gain[:, None, None] * ybar
     return (ybar, aux_new, aux_old), y_new
 
@@ -717,6 +736,309 @@ class TestAuxResidualGuard:
             np.testing.assert_array_equal(s2.y, s.y)
             np.testing.assert_array_equal(s2.aux, s.aux)
             s1 = first(s1)
+
+
+def guard_verdict(cfg, grid, rates, sums, ybar):
+    """The message of the stepper's guard's verdict on rows 0-3 of ``sums``
+    (y_i'.y_i, y_i.ybar, |y_i'|^2, y_i'.ybar) as its expression gives it,
+    None for a pass: each residual's projections onto the new field and
+    onto ybar within B_i times that direction's norm, plus the underflow floor."""
+    new, old = schemes._residual_coefficients(cfg, rates)
+    cross, old_bar, square, new_bar = sums[:4]
+    norm2 = np.vdot(ybar, ybar)
+    s, sb = np.sqrt(square), math.sqrt(norm2)
+    bounds = 1e-12 * new * s + 1e-12 * sb
+    floor = (new + np.abs(old) + 1.0) * ((ybar.size + 4) * 2.0**-1074)
+    limits = np.array([bounds * s + floor, bounds * sb + floor])
+    products = np.abs(np.array([new * square - old * cross - new_bar,
+                                new * new_bar - old * old_bar - norm2]))
+    passed = products <= limits
+    if passed.all():
+        return None
+    i = int(np.argmin(passed.all(axis=0)))
+    j = 0 if not passed[0, i] else 1
+    onto = "the new field" if j == 0 else "ybar"
+    return (f"auxiliary update residual's projection onto {onto} "
+            f"{products[j, i] * grid.cell_area:.3e} exceeds rounding bound "
+            f"{limits[j, i] * grid.cell_area:.3e} (rate b={rates[i]})")
+
+
+class TestGuardProjections:
+    """The stepper's guard judges each residual by its projections onto the
+    new field and onto ybar, from four row sums the sweep takes."""
+
+    def test_each_projection_sees_what_the_other_misses(self, rng):
+        # a perturbation orthogonal to the new field shows only along ybar,
+        # one orthogonal to ybar only along the new field
+        grid = Grid2D(16, 16)
+        cfg = SchemeConfig(sigma=0.75, tau=0.1)
+        rates = np.array([0.5, 2.0, 8.0])
+        (ybar, aux_new, aux_old), _ = honest_update(rng, grid, cfg, rates)
+        guard = residual_guard(cfg, grid, rates)
+        guard(ybar, aux_new, aux_old)
+        for i in range(3):
+            field = aux_new[i].reshape(-1)
+            for direction, seen in [(field, "ybar"), (ybar.reshape(-1), "the new field")]:
+                w = rng.standard_normal(field.size)
+                w -= (w @ direction) / (direction @ direction) * direction
+                w *= 1e-7 * np.linalg.norm(field) / np.linalg.norm(w)
+                wrong = aux_new.copy()
+                wrong[i] += w.reshape(grid.shape)
+                with pytest.raises(AuxiliaryResidualError,
+                                   match=rf"onto {seen} .*\(rate b={rates[i]}\)"):
+                    guard(ybar, wrong, aux_old)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_verdict_matches_its_expression(self, data):
+        m = data.draw(st.integers(1, 12))
+        cfg = SchemeConfig(sigma=data.draw(st.floats(0.5, 1.0)), tau=data.draw(st.floats(1e-3, 1.0)))
+        # a rate of 0 makes new_i = old_i, so a field whose y_i'.y_i is its
+        # |y_i'|^2 and whose y_i.ybar is its y_i'.ybar has projections of
+        # exactly -y_i'.ybar and -|ybar|^2: its y_i'.ybar can sit exactly on
+        # its bound, or one ulp above, where a bound off by one ulp shows
+        rates = np.array([data.draw(st.sampled_from([0.0, 0.5, 3.0, 40.0])) for _ in range(m)])
+        moderate = st.floats(-1e6, 1e6)
+        square = np.array([data.draw(st.one_of(st.floats(0.0, 1e6), st.floats(0.0, 1e-300),
+                                                st.just(math.nan))) for _ in range(m)])
+        cross, old_bar, new_bar = (np.array([data.draw(moderate) for _ in range(m)])
+                                   for _ in range(3))
+        ybar = np.array(data.draw(st.sampled_from([[0.0] * 4, [1e-9, -2e-9, 0.0, 3e-9],
+                                                   [0.3, -1.2, 2.0, 0.7]]))).reshape(2, 2)
+        grid = Grid2D(3, 3)
+        plants = [data.draw(st.sampled_from(["on", "above", None])) for _ in range(m)]
+        with np.errstate(all="ignore"):
+            new, old = schemes._residual_coefficients(cfg, rates)
+            s, sb = np.sqrt(square), math.sqrt(np.vdot(ybar, ybar))
+            limits = (1e-12 * new * s + 1e-12 * sb) * s + (new + np.abs(old) + 1.0) * (
+                (ybar.size + 4) * 2.0**-1074)
+        for i, plant in enumerate(plants):
+            if plant and rates[i] == 0.0:
+                cross[i], old_bar[i] = square[i], new_bar[i]
+                at = limits[i] if plant == "on" else np.nextafter(limits[i], math.inf)
+                new_bar[i] = data.draw(st.sampled_from([at, -at]))
+        sums = np.array([cross, old_bar, square, new_bar, np.zeros(m)])
+        given_rows = sums[:4].copy()
+        guard = schemes._aux_residual_guard(cfg, grid, rates, sums)
+
+        def verdict():
+            try:
+                guard(ybar)
+            except AuxiliaryResidualError as exc:
+                return str(exc)
+            return None
+
+        context = schemes._numpy_context()  # the state a step runs in
+        expected = context.run(guard_verdict, cfg, grid, rates, given_rows, ybar)
+        assert context.run(verdict) == expected
+        np.testing.assert_array_equal(sums[:4], given_rows)  # the guard only reads them
+        assert (sums[4] == np.vdot(ybar, ybar)).all()  # and puts |ybar|^2 in row 4
+
+    def test_sums_write_nothing_but_the_sums(self, rng, monkeypatch):
+        # no residual is written: the tile's work buffers and fields keep their values
+        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 60)
+        m, size = 3, 225
+        cfg, rates = SchemeConfig(0.5, 0.1), np.array([0.5, 2.0, 8.0])
+        sums = np.full((5, m), np.nan)
+        plan = schemes._residual_plan(cfg, rates, schemes._blocks(m, size), size, sums,
+                                      *update_coefficients(cfg, rates))
+        (new, old), yb = rng.standard_normal((2, m, size)), rng.standard_normal(size)
+        before = new.copy(), old.copy(), yb.copy()
+        for t in plan:
+            t.res.fill(np.nan)
+            t.spare.fill(np.nan)
+            schemes._residual_sums(t, new[t.at], old[t.at], yb[t.cols])
+            assert np.isnan(t.res).all() and np.isnan(t.spare).all()
+        for a, b in zip((new, old, yb), before):
+            np.testing.assert_array_equal(a, b)
+        assert not np.isnan(sums[:4]).any() and np.isnan(sums[4]).all()
+
+
+CATALOGUE = ["field scaled", "decay", "gain", "shift", "wrong ybar", "tile zeros", "tile old",
+             "one entry"]
+
+
+def planted(fault, i, cfg, rates, update, y_new, plan):
+    """The arguments ``(ybar, aux_new, aux_old)`` of a guard's judge for the
+    honest ``update`` with ``fault`` planted in field i: the field scaled by
+    1 + 1e-9, its decay or its gain off by 1e-9 relative, shifted by 1e-3,
+    its last tile of ``plan`` left unwritten (zeros, or the old values), or
+    one entry off by 1e-6 of the field's norm; or y' passed as ybar."""
+    ybar, aux_new, aux_old = update
+    if fault == "wrong ybar":
+        return y_new, aux_new, aux_old
+    wrong, m = aux_new.copy(), len(rates)
+    decay, gain = update_coefficients(cfg, rates)
+    if fault == "field scaled":
+        wrong[i] *= 1.0 + 1e-9
+    elif fault == "decay":
+        wrong[i] = decay[i] * (1.0 + 1e-9) * aux_old[i] + gain[i] * ybar
+    elif fault == "gain":
+        wrong[i] = decay[i] * aux_old[i] + gain[i] * (1.0 + 1e-9) * ybar
+    elif fault == "shift":
+        wrong[i] += 1e-3
+    elif fault == "one entry":
+        wrong[i].flat[wrong[i].size // 2] += 1e-6 * np.linalg.norm(aux_new[i])
+    else:
+        tile = [t for t in plan if t.rows.start <= i < t.rows.stop][-1]
+        values = 0.0 if fault == "tile zeros" else aux_old.reshape(m, -1)[tile.at]
+        wrong.reshape(m, -1)[tile.at] = values
+    return ybar, wrong, aux_old
+
+
+def named_rate(judge, *args):
+    """The rate an AuxiliaryResidualError of ``judge(*args)`` names, None for a pass."""
+    try:
+        schemes._numpy_context().run(judge, *args)
+    except AuxiliaryResidualError as exc:
+        return re.search(r"\(rate b=([^)]*)\)", str(exc)).group(1)
+    return None
+
+
+class TestFaultCatalogue:
+    """Every planted fault that the earlier guard, which bounds the whole
+    residual's norm (``conftest.oracle_residual_guard``), flags, the
+    stepper's guard flags too, naming the same rate, and it passes what the
+    oracle passes: on grids 6, 32 and 256, for b tau of 0.01, 2 and 1e4 and
+    sigma of 1/2, 3/4 and 1, through a single share, dealt shares and split tiles."""
+
+    @pytest.mark.parametrize("grid_n", [6, 32, 256])
+    @pytest.mark.parametrize("how", ["single", "dealt", "split"])
+    def test_flags_what_the_oracle_flags(self, rng, monkeypatch, grid_n, how):
+        size = (grid_n - 1) ** 2
+        if how == "dealt":  # a field a block, in two shares
+            deal_over_threads(monkeypatch, 2, block_values=size)
+        elif how == "split":  # each field in three tiles
+            monkeypatch.setattr(schemes, "_BLOCK_VALUES", size // 3 + 1)
+        grid, tau, m = Grid2D(grid_n, grid_n), 0.1, 3
+        rates = np.array([0.01, 2.0, 1e4]) / tau
+        shares = schemes._shares(m, size)
+        assert len(shares) == (2 if how == "dealt" else 1)
+        plan = [t for share in shares for t in schemes._plan(share, m, size)]
+        if how == "split":
+            assert len(plan) == 3 * m
+        silent = set()
+        for sigma in (0.5, 0.75, 1.0):
+            cfg = SchemeConfig(sigma, tau)
+            guard = residual_guard(cfg, grid, rates, shares)
+            oracle = oracle_residual_guard(cfg, grid, rates, shares)
+            update, y_new = honest_update(rng, grid, cfg, rates)
+            assert named_rate(guard, *update) is named_rate(oracle, *update) is None
+            for fault in CATALOGUE:
+                for i in range(1 if fault == "wrong ybar" else m):
+                    args = planted(fault, i, cfg, rates, update, y_new, plan)
+                    expected = named_rate(oracle, *args)
+                    assert named_rate(guard, *args) == expected, (sigma, fault, i)
+                    if expected is None:
+                        silent.add((sigma, fault, i))
+        # the oracle flags every fault but those that change nothing or next
+        # to nothing: decay_i is 0 at sigma = 1/2 and b tau = 2, ybar is y'
+        # at sigma = 1, and at b tau = 1e4 and sigma < 1 the gain's part of
+        # y_i' is under 1e-4 of the decay's, so 1e-9 of it is below rounding
+        assert silent == {(0.5, "decay", 1), (1.0, "wrong ybar", 0), (0.5, "gain", 2),
+                          (0.75, "gain", 2)}
+
+
+class TestCoefficientIdentities:
+    """A stepper checks, when built, that each tile's update columns meet
+    new_i decay_i = old_i and new_i gain_i = 1 with the guard's coefficients."""
+
+    @pytest.mark.parametrize("beta", sorted(BUILTIN_BETAS))
+    def test_every_builtin_kernel_passes(self, beta):
+        p = ProblemSpec(DiagonalScaling(1.0), load_builtin_prony(beta), np.ones((3, 3)))
+        rates = np.asarray(p.kernel.rates)
+        worst = 0.0
+        for sigma in (0.5, 0.75, 1.0):
+            for tau in np.geomspace(1e-5, 10.0, 40):
+                cfg = SchemeConfig(sigma, tau)
+                soe_stepper(p, cfg)
+                new, old = schemes._residual_coefficients(cfg, rates)
+                decay, gain = update_coefficients(cfg, rates)
+                worst = max(worst, np.max(np.abs(new * decay - old) / (new + np.abs(old))),
+                            np.max(np.abs(new * gain - 1.0)))
+        assert worst <= 1e-15  # against the 1e-12 the build allows
+
+    @pytest.mark.parametrize("which", [0, 1])  # decay, gain
+    @pytest.mark.parametrize("block_values", [None, 25, 10])  # the stack, a field, tiles
+    def test_a_column_from_the_wrong_rows_fails_the_build(self, monkeypatch, which, block_values):
+        grid = Grid2D(6, 6)
+        p = ProblemSpec(DiagonalScaling(4.0), load_builtin_prony("1/2"), np.ones(grid.shape))
+        if block_values:
+            monkeypatch.setattr(schemes, "_BLOCK_VALUES", block_values)
+        cfg = SchemeConfig(0.75, 0.05)
+        tiles = len(schemes._plan(schemes._blocks(12, 25), 12, 25))
+        column, calls, tiled = schemes._column, [], []
+
+        def wrong_rows(values, t):
+            # the last tile's column of the next field's rows
+            calls.append(1)
+            if len(calls) == 2 * (tiles - 1) + which + 1:
+                tiled.append(t)
+                return column(np.roll(values, -1), t)
+            return column(values, t)
+
+        monkeypatch.setattr(schemes, "_column", wrong_rows)
+        rate = p.kernel.rates[11 if block_values else 0]
+        with pytest.raises(AuxiliaryResidualError, match=rf"\(rate b={rate}\)"):
+            soe_stepper(p, cfg)
+        assert tiled[0].rows.start == (11 if block_values else 0)
+        monkeypatch.setattr(schemes, "_column", column)
+        soe_stepper(p, cfg)
+
+
+@pytest.mark.filterwarnings("error")
+class TestHonestEdges:
+    """Honest steps never trip the guard, and raise no warning."""
+
+    @pytest.mark.parametrize("deal", [False, True])
+    def test_steps_from_a_zero_initial_field(self, monkeypatch, deal):
+        if deal:
+            deal_over_threads(monkeypatch, block_values=60)
+        p = ProblemSpec(DiagonalScaling(laplacian_eigenvalues(Grid2D(16, 16))),
+                        load_builtin_prony("1/2"), np.zeros((15, 15)))
+        step, s = soe_stepper(p, SchemeConfig(0.5, 0.05), with_energy=True), soe_init(p)
+        for _ in range(4):
+            s = step(s)
+        assert not s.y.any() and not s.aux.any() and s.energy == 0.0
+
+    @pytest.mark.parametrize("sigma", [0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("block_values", [None, 60])
+    def test_first_step_from_the_zero_stack(self, monkeypatch, sigma, block_values):
+        if block_values:
+            monkeypatch.setattr(schemes, "_BLOCK_VALUES", block_values)
+        p = build_model_problem(ExperimentSpec(kernel=load_builtin_prony("3/7"), grid_n=16))
+        s = soe_init(p)
+        assert not s.aux.any()
+        assert soe_stepper(p, SchemeConfig(sigma, 0.01), with_energy=True)(s).n == 1
+
+    @pytest.mark.parametrize("sigma", [0.5, 0.75, 1.0])
+    def test_stiff_run(self, sigma):
+        # b tau = 1e4, 2 and 0.01, with forcing, for 200 steps
+        tau = 0.05
+        grid = Grid2D(8, 8)
+        p = ProblemSpec(DiagonalScaling(laplacian_eigenvalues(grid)),
+                        PronySeries((0.3, 0.5, 0.2), (0.01 / tau, 2.0 / tau, 1e4 / tau)),
+                        np.ones(grid.shape), forcing=lambda t: np.full(grid.shape, math.sin(t)))
+        step, s = soe_stepper(p, SchemeConfig(sigma, tau)), soe_init(p)
+        for _ in range(200):
+            s = step(s)
+        assert np.isfinite(s.aux).all()
+
+    @pytest.mark.parametrize("scale", [1e-320, 1e-300, 1e-200, 1e-160, 1e-155, 1e-100, 1.0,
+                                       1e100, 1e150])
+    def test_honest_updates_at_any_scale(self, rng, scale):
+        # a linear problem's states scale with its data: near underflow the
+        # sums lose digits, which the guard's floor allows for
+        for grid_n in (6, 32):
+            grid = Grid2D(grid_n, grid_n)
+            for sigma in (0.5, 1.0):
+                cfg, rates = SchemeConfig(sigma, 0.1), np.array([0.1, 20.0, 1e5])
+                (ybar, _, aux_old), _ = honest_update(rng, grid, cfg, rates)
+                ybar, aux_old = ybar * scale, aux_old * scale
+                decay, gain = update_coefficients(cfg, rates)
+                aux_new = decay[:, None, None] * aux_old + gain[:, None, None] * ybar
+                schemes._numpy_context().run(residual_guard(cfg, grid, rates),
+                                             ybar, aux_new, aux_old)
 
 
 class TestEnergy:
@@ -971,8 +1293,10 @@ class TestUfuncBuffer:
         with np.errstate(all="ignore"):  # the caller's own state does not reach the step
             np.setbufsize(4096)
             step(step(soe_init(p)))
-        threads = {state[0] for state in op.states}
-        assert len(threads) == (2 if how == "dealt" else 1)
+        # a dealt step's other share runs in a thread started for that step,
+        # whose ident the next step's thread may or may not reuse
+        elsewhere = sum(state[0] != threading.get_ident() for state in op.states)
+        assert elsewhere == (2 * 6 if how == "dealt" else 0)
         assert {state[1:] for state in op.states} == {STEP_STATE}
         # the memory sums, and the energy forms of one block or of 12, 6 in each thread
         assert len(op.states) == 2 * {"plain": 1, "with energy": 2, "dealt": 13}[how]
@@ -1013,8 +1337,8 @@ class TestUfuncBuffer:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_guard_verdict_matches_its_earlier_expression(self, data):
-        # the guard takes both rows' roots in one call and counts the passes;
-        # its verdict and its message must be those of the earlier expression
+        # the oracle guard takes both rows' roots in one call and counts the
+        # passes; its verdict and its message must be those of the earlier expression
         m = data.draw(st.integers(1, 12))
         special = st.sampled_from([0.0, math.inf, math.nan])
         cfg = SchemeConfig(sigma=data.draw(st.floats(0.5, 1.0)), tau=data.draw(st.floats(1e-3, 1.0)))
@@ -1039,7 +1363,7 @@ class TestUfuncBuffer:
                            for i, ratio in enumerate(ratios)]) ** 2
         grid = Grid2D(3, 3)
         norms = np.array([r2, n2])
-        guard = schemes._aux_residual_guard(cfg, grid, rates, norms)
+        guard = oracle_guard_verdict(cfg, grid, rates, norms)
 
         def new_verdict():
             try:
@@ -1292,7 +1616,8 @@ class TestRowDots:
     fields and np.dot per tile for a single field's tiles, are each field's
     np.dot, tile by tile and added in order, bit for bit: the property that
     keeps a step's energies those of ``energy`` and its bits the same for
-    any share count."""
+    any share count.  The guard's sums with ybar take one gemv per block,
+    a field's dot per tile where a field is tiled."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1308,24 +1633,37 @@ class TestRowDots:
         new, old = rng.standard_normal((2, m, size)) * 10.0 ** rng.uniform(-5, 5, (2, m, 1))
         yb, coef = rng.standard_normal(size), rng.random(size)
         cfg, rates = SchemeConfig(0.75, 0.1), rng.uniform(0.0, 100.0, m)
-        new_coef, old_coef = schemes._residual_coefficients(cfg, rates)
-        r2, n2, forms = np.full((3, m), np.nan)
+        sums, forms = np.full((5, m), np.nan), np.full(m, np.nan)
         with pytest.MonkeyPatch.context() as mp:
             deal_over_threads(mp, cpus, block_values)
-            plans = [schemes._residual_plan(cfg, rates, blocks, size, r2, n2, forms, coef)
+            plans = [schemes._residual_plan(cfg, rates, blocks, size, sums,
+                                            *update_coefficients(cfg, rates), forms, coef)
                      for blocks in schemes._shares(m, size)]
             cuts = schemes._tiles(size)
+            blocks = schemes._blocks(m, size)
         for plan in plans:
             for t in plan:
                 schemes._residual_sums(t, new[t.at], old[t.at], yb[t.cols])
                 schemes._tile_forms(None, t, new[t.at], None)
-        res = new_coef[:, None] * new - old_coef[:, None] * old - yb
+        assert np.isnan(sums[4]).all()  # the guard's row
         for i in range(m):
-            for out, (u, v) in [(r2, (res, res)), (n2, (new, new)), (forms, (coef * new, new))]:
+            for out, (u, v) in [(sums[2], (new, new)), (sums[0], (new, old)),
+                                (forms, (coef * new, new))]:
                 dot = np.dot(u[i, cuts[0]], v[i, cuts[0]])
                 for cut in cuts[1:]:
                     dot += np.dot(u[i, cut], v[i, cut])
                 assert out[i] == dot, i
+        for out, stack in [(sums[3], new), (sums[1], old)]:
+            for blk in blocks:
+                if blk.stop - blk.start > 1:  # one gemv
+                    np.testing.assert_array_equal(out[blk], np.dot(stack[blk], yb))
+                else:
+                    dot = np.dot(stack[blk.start, cuts[0]], yb[cuts[0]])
+                    for cut in cuts[1:]:
+                        dot += np.dot(stack[blk.start, cut], yb[cut])
+                    assert out[blk.start] == dot
+            scale = np.linalg.norm(stack, axis=1) * np.linalg.norm(yb)
+            assert np.all(np.abs(out - stack @ yb) <= 1e-13 * size * scale)
 
 
 class TestTiles:
@@ -1386,9 +1724,9 @@ class TestTiles:
     def test_shares_hold_whole_fields(self, monkeypatch):
         deal_over_threads(monkeypatch, cpus=3, block_values=60)
         m, size = 5, 225
-        r2, n2, forms = np.empty((3, m))
-        plans = [schemes._residual_plan(SchemeConfig(0.5, 0.1), np.arange(1.0, m + 1), blocks,
-                                        size, r2, n2, forms, np.ones(size))
+        cfg, rates = SchemeConfig(0.5, 0.1), np.arange(1.0, m + 1)
+        plans = [schemes._residual_plan(cfg, rates, blocks, size, np.empty((5, m)),
+                                        *update_coefficients(cfg, rates), np.empty(m), np.ones(size))
                  for blocks in schemes._shares(m, size)]
         fields = [[t.rows.start for t in plan] for plan in plans]
         assert fields == [[0] * 4, [1] * 4 + [2] * 4, [3] * 4 + [4] * 4]
@@ -1432,10 +1770,18 @@ class TestTiles:
         shares = schemes._shares(4, 225)
         assert shares == [[slice(0, 1), slice(1, 2)], [slice(2, 3), slice(3, 4)]]
         guard = residual_guard(cfg, grid, rates, shares)
+        oracle = oracle_residual_guard(cfg, grid, rates, shares)
         guard(ybar, aux_new, aux_old)  # honest: silent
         for i, value in [(1, 60), (2, 100), (3, 224), (0, 0)]:  # tiles 2, 2, 4 and 1
+            # one entry off by 1e-9 of itself, which the residual's norm sees;
+            # the projections see an entry off by 1e-6 of its field's norm
+            # (an entry of 0.037 in field 3, of norm 1.02, hides 1e-9 of itself)
             wrong = aux_new.copy()
             wrong[i].flat[value] *= 1.0 + 1e-9
+            with pytest.raises(AuxiliaryResidualError, match=rf"\(rate b={rates[i]}\)"):
+                oracle(ybar, wrong, aux_old)
+            wrong = aux_new.copy()
+            wrong[i].flat[value] += 1e-6 * np.linalg.norm(aux_new[i])
             with pytest.raises(AuxiliaryResidualError, match=rf"\(rate b={rates[i]}\)"):
                 guard(ybar, wrong, aux_old)
         guard(ybar, aux_new, aux_old)
