@@ -151,20 +151,36 @@ class SoeState(NamedTuple):
 # each holding at most this many values: a run of whole fields or, where one
 # field is larger, one field's tile (``_tiles``).  A step sweeps each tile's
 # update, guard sums and energy forms in turn, so the tile, its old values
-# and its share's two work buffers, 256 kB each at 32,768, stay in a core's
-# 2 MB L2 cache.  README tabulates the step times at 16k, 32k and 64k values
-# on grids 64-256 that chose it: smaller tiles make a dealt step hand the
-# interpreter lock between its threads more often than they save, and at
-# 65,536 a grid-256 field is one block that leaves L2.
+# and its share's work buffer, 256 kB at 32,768, stay in a core's
+# 2 MB L2 cache.  Step times of ``run`` steps (12 terms, with energy, BLAS on
+# one thread) as a ratio to those at 32,768, whose own time is in brackets:
+# the mean of two sweeps on a 2-CPU host, the three sizes stepped in turn in
+# one process.  On two CPUs, steps from grid 172 up are dealt over threads.
+#
+#   grid   one CPU: 16k  32k [us]  64k    two CPUs: 16k  32k [us]  64k
+#     64            1.05    [473]  0.99             1.05    [463]  1.01
+#     96            1.03    [906]  1.07             1.01    [799]  1.07
+#    128            0.96   [1558]  1.10             0.97   [1576]  1.10
+#    160            1.02   [2762]  1.10             1.00   [2258]  1.10
+#    192            1.00   [3640]  1.04             1.20   [4146]  0.83
+#    224            1.00   [4981]  1.12             1.33   [5280]  0.91
+#    256            0.95   [7608]  1.17             1.23   [6498]  0.99
+#
+# Smaller tiles make a dealt step hand the interpreter lock between its
+# threads more often than they save.  At 65,536 a grid-256 field is one block
+# that leaves L2; that size is faster only for dealt steps on grids 192-224,
+# whose fields 32,768 splits into tiles of 18-25k values.
 _BLOCK_VALUES = 1 << 15
 
 
 # numpy's ufunc buffer, 8,192 values by default, while a block runs under
-# ``_finite`` or a step in its stepper's ``_numpy_context``: where a field row
-# is shorter than the buffer, numpy copies a broadcast (k, 1) coefficient
-# column into it chunk by chunk, 3-4x slower on grids up to about 90, and
-# buffering changes no product or sum.  Of 16, 64, 256 and 1,024, 64 was
-# within noise of the fastest on every grid from 16 to 256.
+# ``_finite`` or a step in its stepper's ``_numpy_context``.  Where a field
+# row is shorter than the buffer, numpy copies a broadcast coefficient column
+# into it chunk by chunk, which made a (k, N) block times a (k, 1) column
+# 3-4x slower than times a scalar on grids up to about 90.  Buffering
+# changes only how numpy walks the arrays, not one product or sum, so outputs
+# keep their bits.  Of 16, 64, 256 and 1,024, swept on grids 16-256, 64 was
+# within noise of the fastest on every grid.
 _BUFFER_VALUES = 64
 
 
@@ -185,10 +201,12 @@ def _tiles(size: int) -> list[slice]:
 
 
 # A stepper whose memory-field stack holds at least this many values deals its
-# blocks over threads (``_shares``); below it a thread costs more than it saves.
-# On two CPUs, BLAS on one thread, steps with 6-30 terms on grids 128-320 broke
-# even between 310k values (12 terms, grid 160: 5% slower dealt) and 390k (6
-# terms, grid 256: 13% faster); 12 terms on grid 256 (780k) were 13-20% faster.
+# blocks over threads (``_shares``).  Below it a thread's start and its share of
+# contended numpy calls cost more than it saves: on two CPUs, with BLAS on one
+# thread, steps with 6, 12 and 30 terms on grids 128-320 broke even between
+# 310k values (12 terms on grid 160, 5% slower dealt) and 390k (6 terms on
+# grid 256, 13% faster); 12 terms on grid 256 (780k) were 20% faster, and
+# 13-16% in tiles of 32,768 values (see ``_BLOCK_VALUES`` for grids 192-224).
 _THREAD_VALUES = 350_000
 
 # True while ``experiments._map_runs`` runs tasks in forked processes, which
@@ -348,13 +366,12 @@ class _Tile:
     in an ``(m, size)`` memory stack, rows ``rows`` (a block of several
     fields, as a 2-D view; ``...`` when that block is the whole stack) or
     columns ``cols`` of field ``rows.start`` (as a 1-D view).  Its work
-    buffers ``res`` and ``spare`` are views of that shape into the share's,
+    buffer ``work`` is a view of that shape into the share's,
     ``decay`` and ``gain`` its rows' update coefficients, shaped to
-    broadcast against its view, and ``sums`` and ``forms`` views of its
-    fields' places in the arrays that take their sums."""
+    broadcast against its view, ``sums`` a view of its fields' places in
+    each row of the guard's sums, and ``forms`` one in the energy forms."""
 
-    __slots__ = ("at", "rows", "cols", "add", "res", "spare", "coef", "forms", "decay",
-                 "gain", "sums")
+    __slots__ = ("at", "rows", "cols", "add", "work", "coef", "forms", "decay", "gain", "sums")
 
 
 def _pointwise(operator: SpdOperator):
@@ -371,23 +388,23 @@ def _pointwise(operator: SpdOperator):
 
 def _column(values: np.ndarray, t: _Tile) -> np.ndarray:
     """Per-field ``values`` for tile t's rows, shaped to broadcast against its view."""
-    return values[t.rows, None] if t.res.ndim == 2 else values[t.rows]
+    return values[t.rows, None] if t.work.ndim == 2 else values[t.rows]
 
 
 def _plan(blocks: list[slice], m: int, size: int, forms: Optional[np.ndarray] = None,
           coef=None) -> list[_Tile]:
     """The tiles (``_tiles``) of ``blocks``, row slices of an ``(m, size)``
     stack, in order: a block of several fields is one tile, a single field
-    one per column slice.  Each has views of its shape into two work buffers
-    of the largest tile's size, ``res`` and ``spare``, which every tile and
-    every step reuses; ``add`` marks a tile past its field's first, which
+    one per column slice.  Each has a view of its shape, ``work``, into a
+    work buffer of the largest tile's size, which every tile and every step
+    reuses, for the update and then the forms; ``add`` marks a tile past its field's first, which
     adds its sums to the field's, in order.  ``forms``, when given, takes
     the energy forms (``_tile_forms``) of each tile for a pointwise
     operator, whose coefficient ``coef`` (``_pointwise``) a tile holds its
     part of, and of each block's last tile, from whole fields, for any other."""
     cuts = _tiles(size)
     width = max(cut.stop - cut.start for cut in cuts)
-    work, spare = np.empty((2, max(blk.stop - blk.start for blk in blocks) * width))
+    work = np.empty(max(blk.stop - blk.start for blk in blocks) * width)
     plan = []
     for blk in blocks:
         k = blk.stop - blk.start
@@ -395,9 +412,9 @@ def _plan(blocks: list[slice], m: int, size: int, forms: Optional[np.ndarray] = 
             t = _Tile()
             t.rows, t.cols, t.add = blk, cut, j > 0
             values = k * (cut.stop - cut.start)
-            t.res, t.spare = work[:values], spare[:values]
+            t.work = work[:values]
             if k > 1:  # never tiled
-                t.at, t.res, t.spare = blk, t.res.reshape(k, -1), t.spare.reshape(k, -1)
+                t.at, t.work = blk, t.work.reshape(k, -1)
                 if k == m:
                     t.at = ...
             else:
@@ -409,12 +426,19 @@ def _plan(blocks: list[slice], m: int, size: int, forms: Optional[np.ndarray] = 
     return plan
 
 
+# The rows of the guard's ``(5, m)`` sums, a place per field in each: y_i'.y_i,
+# y_i.ybar, |y_i'|^2, y_i'.ybar and |ybar|^2.  The projection r_i.y_i' is new_i,
+# -old_i and -1 times rows _SQUARE, _CROSS and _NEW_BAR, and r_i.ybar the same
+# times the row after each, so the guard forms both from three runs of 2m values.
+_CROSS, _OLD_BAR, _SQUARE, _NEW_BAR, _BAR_SQUARE = range(5)
+
+
 def _residual_plan(cfg: SchemeConfig, rates, blocks: list[slice], size: int, sums: np.ndarray,
                    decay: np.ndarray, gain: np.ndarray, forms: Optional[np.ndarray] = None,
                    coef=None) -> list[_Tile]:
     """``_plan(blocks, len(rates), size, forms, coef)``, each tile with its
     rows' columns of the update's ``decay`` and ``gain`` and, as ``sums``,
-    views of its fields' places in rows 0-3 of the guard's ``(5, m)`` sums.
+    views of its fields' places in the rows of the guard's ``(5, m)`` sums.
     The columns must meet new_i decay_i = old_i and new_i gain_i = 1 to 1e-12
     relative, with the guard's new_i and old_i (``_residual_coefficients``,
     derived apart), or AuxiliaryResidualError names the first rate that
@@ -422,7 +446,7 @@ def _residual_plan(cfg: SchemeConfig, rates, blocks: list[slice], size: int, sum
     new, old = _residual_coefficients(cfg, rates)
     plan = _plan(blocks, len(rates), size, forms, coef)
     for t in plan:
-        t.decay, t.gain, t.sums = _column(decay, t), _column(gain, t), tuple(sums[:4, t.rows])
+        t.decay, t.gain, t.sums = _column(decay, t), _column(gain, t), tuple(sums[:, t.rows])
         n, o = new[t.rows], old[t.rows]
         errors = np.maximum(abs(n * t.decay.ravel() - o) / (n + abs(o)), abs(n * t.gain.ravel() - 1))
         if not errors.max() <= 1e-12:  # a NaN fails
@@ -447,43 +471,60 @@ def _dots(u: np.ndarray, v: np.ndarray, out: np.ndarray, add: bool) -> None:
 
 
 def _residual_sums(t: _Tile, new: np.ndarray, old: np.ndarray, yb: np.ndarray) -> None:
-    """Tile t's part of its fields' y_i'.y_i, y_i.ybar, |y_i'|^2 and y_i'.ybar
+    """Tile t's part of its fields' |y_i'|^2, y_i'.y_i, y_i'.ybar and y_i.ybar
     into its views of the guard's sums, from its views ``new`` and ``old`` of
     the two stacks and its columns ``yb`` of ybar: four row reductions."""
-    cross, old_bar, square, new_bar = t.sums
-    _dots(new, new, square, t.add)
-    _dots(new, old, cross, t.add)
-    _dots(new, yb, new_bar, t.add)
-    _dots(old, yb, old_bar, t.add)
+    sums = t.sums
+    _dots(new, new, sums[_SQUARE], t.add)
+    _dots(new, old, sums[_CROSS], t.add)
+    _dots(new, yb, sums[_NEW_BAR], t.add)
+    _dots(old, yb, sums[_OLD_BAR], t.add)
 
 
 def _aux_residual_guard(cfg: SchemeConfig, grid, rates,
                         sums: np.ndarray) -> Callable[[np.ndarray], None]:
     """``guard(ybar)`` raises AuxiliaryResidualError, naming the first failing
-    rate, unless every memory field meets its implicit equation to rounding:
-    the residual r_i = new_i y_i' - old_i y_i - ybar (``_residual_coefficients``)
-    must have projections r_i.y_i' = new_i |y_i'|^2 - old_i y_i'.y_i - y_i'.ybar
-    and r_i.ybar = new_i y_i'.ybar - old_i y_i.ybar - |ybar|^2 within B_i |y_i'|
-    and B_i |ybar|, plus f_i, where B_i = 1e-12 (new_i |y_i'| + |ybar|) bounds
-    |r_i| itself at any b_i tau (so by Cauchy-Schwarz an honest step passes,
-    up to the sums' rounding) and f_i = (new_i + |old_i| + 1)(N + 4) 2^-1074,
-    N values a field, what underflow can move: an honest field passes at any
-    scale, a zero one too.  A perturbation nearly orthogonal to both
-    directions passes: 7-11 of 100 random ones of size 1e-9 |y_i'| did on
-    grid 256.  The caller fills rows 0-3 of ``sums``, ``(5, m)``, with
-    ``_residual_sums``; the guard puts |ybar|^2 in row 4 and works on rows of
-    m or 2m values, with no Python scalar operand, which costs numpy more."""
+    rate, unless every memory field meets its implicit equation to rounding.
+    The residual r_i = new_i y_i' - old_i y_i - ybar (``_residual_coefficients``)
+    is judged by its projections r_i.y_i' = new_i |y_i'|^2 - old_i y_i'.y_i -
+    y_i'.ybar and r_i.ybar = new_i y_i'.ybar - old_i y_i.ybar - |ybar|^2, each
+    divided by c_i, the power of two above new_i + |old_i| + 1 (exactly, and
+    then no product exceeds its sum, so the verdict overflows only where a
+    sum does).  Each must lie within (1e-12 + g) (new_i |y_i'| + |ybar|) / c_i
+    times its direction's norm, plus (N + 4) 2^-1074 for underflow, with N
+    values a field and g = 2 (N + 6) 2^-53.
+
+    1e-12 (new_i |y_i'| + |ybar|) allows for |r_i|, which an honest update
+    keeps to about 1e-15 of it while its coefficients meet the identities
+    ``_residual_plan`` checks to a few ulps (the built-in kernels' do to
+    4.4e-16).  g allows for the worst-case rounding of the sums, of N
+    products in any order, and of the verdict: (N + 4) 2^-53 of
+    new_i |y_i'|^2 + |old_i y_i'.y_i| + |y_i'.ybar|, or of its ybar
+    counterpart, which is at most 2 (new_i |y_i'| + |ybar|) times the
+    direction's norm as |old_i y_i| <= new_i |y_i'| + |ybar| + |r_i|.  So an
+    honest step passes at any scale, a zero field or ybar too.  g is 8.8e-13
+    on grid 64 and 1.4e-11 on grid 256, where constant honest fields came to
+    1.9e-14.  A perturbation nearly orthogonal to both directions passes: of
+    100 random ones of size 1e-9 |y_i'|, 0-3 did on grid 32 and all on grid
+    256 (11-19 of 1e-8, 1-3 of 3e-8); so does one entry off by 1e-9 of
+    itself where it is small in its field.
+
+    The caller fills the sweep's rows of ``sums`` with ``_residual_sums``;
+    the guard puts |ybar|^2 in row ``_BAR_SQUARE`` and works on rows of m or
+    2m values, with no Python scalar operand, which costs numpy more."""
     new, old = _residual_coefficients(cfg, rates)
-    m, area = len(new), grid.cell_area
+    m, area, size = len(new), grid.cell_area, math.prod(grid.shape)
+    scale = np.ldexp(1.0, np.frexp(new + abs(old) + 1.0)[1])  # c_i
+    weights = np.tile(np.array([new, old, np.ones(m)]) / scale, 2)
     flat = sums.reshape(-1)
-    # (new_i, old_i, 1) times these pairs of rows give (r_i.y_i', r_i.ybar)
-    squares, crosses, bars = flat[2 * m:4 * m], flat[:2 * m], flat[3 * m:]
-    new2, old2, scales = np.tile(new, 2), np.tile(old, 2), np.array([1e-12 * new, [1e-12] * m])
-    floors = np.tile((new + abs(old) + 1.0) * ((math.prod(grid.shape) + 4) * 2.0**-1074), (2, 1))
+    runs = [flat[row * m:(row + 2) * m] for row in (_SQUARE, _CROSS, _NEW_BAR)]
+    (new_weights, old_weights, bar_weights), (squares, crosses, bars) = weights, runs
+    scales = (1e-12 + 2 * (size + 6) * 2.0**-53) * weights[::2, :m]
+    floors = np.full((2, m), (size + 4) * 2.0**-1074)
     roots, terms, limits = np.empty((3, 2, m))  # roots: |y_i'| and |ybar|
-    (field_root, bar_root), (field_term, bar_term), (field_limit, bar_limit) = roots, terms, limits
+    (field_root, bar_root), (field_term, bar_term) = roots, terms
     bounds, (products, spare), passed = np.empty(m), np.empty((2, 2 * m)), np.empty(2 * m, bool)
-    square, bar_square, flat_limits = sums[2], sums[4], limits.reshape(-1)
+    square, bar_square, flat_limits = sums[_SQUARE], sums[_BAR_SQUARE], limits.reshape(-1)
 
     def guard(ybar) -> None:
         norm2 = np.vdot(ybar, ybar)
@@ -491,21 +532,22 @@ def _aux_residual_guard(cfg: SchemeConfig, grid, rates,
         bar_root.fill(math.sqrt(norm2))
         np.sqrt(square, field_root)
         np.multiply(scales, roots, terms)
-        np.add(field_term, bar_term, bounds)  # B_i
-        np.multiply(bounds, field_root, field_limit)
-        np.multiply(bounds, bar_root, bar_limit)
+        np.add(field_term, bar_term, bounds)
+        np.multiply(bounds, roots, limits)
         np.add(limits, floors, limits)
-        np.multiply(new2, squares, products)
-        np.multiply(old2, crosses, spare)
+        np.multiply(new_weights, squares, products)
+        np.multiply(old_weights, crosses, spare)
         np.subtract(products, spare, products)
-        np.subtract(products, bars, products)
+        np.multiply(bar_weights, bars, spare)
+        np.subtract(products, spare, products)
         np.abs(products, products)
         if np.count_nonzero(np.less_equal(products, flat_limits, passed)) < 2 * m:  # a NaN fails
             i = int(np.argmin(passed.reshape(2, m).all(axis=0)))
             k, onto = (i, "the new field") if not passed[i] else (m + i, "ybar")
+            c = float(scale[i]) * area
             raise AuxiliaryResidualError(
-                f"auxiliary update residual's projection onto {onto} {products[k] * area:.3e} "
-                f"exceeds rounding bound {flat_limits[k] * area:.3e} (rate b={rates[i]})")
+                f"auxiliary update residual's projection onto {onto} {float(products[k]) * c:.3e} "
+                f"exceeds rounding bound {float(flat_limits[k]) * c:.3e} (rate b={rates[i]})")
 
     return guard
 
@@ -522,29 +564,39 @@ def soe_stepper(
     and ybar = sigma y' + (1-sigma) y; in the memory term it leaves one
     shifted SPD solve for y'.  A left-hand side of pointwise terms collapses
     into one DiagonalScaling.  The first overflow or NaN, in the coefficients
-    or in a step, raises NonFiniteError.  Each step runs in a copy of the
-    context the stepper is built in, where numpy raises on overflow and
-    invalid values and has the ``_BUFFER_VALUES`` buffer (``_numpy_context``,
-    far cheaper than switching both on every step): a step takes the
-    caller's numpy state as it was at the build, leaves the caller's as it
-    is, and runs the same in any thread, one at a time.
+    or in a step, raises NonFiniteError.
 
-    After the solve one sweep, the only code that reads or writes a step's
-    memory fields, takes them a tile at a time (``_plan``): it updates each,
-    takes the guard's four row sums (``_residual_sums``) and, ``with_energy``,
-    the energy forms while the tile stays in cache, a field's sums added over
-    its tiles in order: 3 update passes, 4 guard reductions, 2 for the forms.
-    A stack of at least ``_THREAD_VALUES`` values is dealt in contiguous
-    shares, one per CPU in the affinity set, each past the first swept in a
-    thread and a context of its own (``_sweep_shares``) and joined before the
-    step goes on; a smaller stack is one share, swept by the step itself.
+    The stepper sets up numpy's state for its steps once: it copies the
+    context it is built in and sets numpy there to raise on overflow and
+    invalid values and to the ``_BUFFER_VALUES`` ufunc buffer
+    (``_numpy_context``), and runs each step in that context, which costs far less than
+    switching the errstate and buffer size on every step.  So a step takes
+    the caller's numpy state as it was when the stepper was built, not as it
+    is at each call, leaves the caller's as it is, and runs the same in any
+    thread, one at a time.
+
+    After the solve, one sweep over the memory-field blocks, the only code
+    that reads or writes a step's memory fields, takes them a tile at a time
+    (a block, or a field's ``_tiles`` where one field is larger than a
+    block) and updates each, takes the guard's four row sums
+    (``_residual_sums``) and, ``with_energy``, the energy forms, while the
+    tile and its share's work buffer stay in cache; a field's sums are
+    added over its tiles in order.  A tile makes 3 update passes, 4 guard
+    reductions and 2 passes for its forms.
+    The blocks are dealt in contiguous shares, each with the work buffer of
+    its ``_residual_plan``: a stack of at least ``_THREAD_VALUES`` values has
+    a share per CPU in the affinity set, and ``_sweep_shares`` runs the first
+    in the stepping thread and each other in a thread of its own, in a
+    context of its own built with its plan, joined before the step goes on;
+    a smaller stack has a single share, which the step sweeps itself.
     Each field is swept by one thread in the same order, so states and
-    energies keep their bits for any number of threads.  The guard then
-    judges every field from the sums, and an error is the one a sweep on one
-    thread raises: an update failure, in the lowest failing tile, before the
-    guard's verdict, an energy failure after it.  ``with_energy`` gives each
-    new state its ``energy``, bit for bit as :func:`energy`, and raises
-    NotSpdError as it does.
+    energies keep their bits for any number of threads.  After the join the
+    guard judges every field from the sums the sweep took, and an error is
+    the one a sweep on one thread raises: an update failure, in the lowest
+    failing tile, before the guard's verdict, an energy failure after it.
+
+    ``with_energy`` makes each step also take the new state's ``energy``,
+    bit for bit as :func:`energy`, and raise NotSpdError as it does.
     """
     sig, tau = cfg.sigma, cfg.tau
     a, b = np.asarray(p.kernel.weights), np.asarray(p.kernel.rates)
@@ -589,8 +641,8 @@ def soe_stepper(
                 else:
                     new_t, old_t, yb_t = new[t.at], old[t.at], yb[t.cols]
                 np.multiply(t.decay, old_t, out=new_t)
-                np.multiply(t.gain, yb_t, out=t.res)
-                new_t += t.res
+                np.multiply(t.gain, yb_t, out=t.work)
+                new_t += t.work
                 _residual_sums(t, new_t, old_t, yb_t)
             except FloatingPointError as exc:
                 return 0, exc
@@ -755,7 +807,7 @@ def _tile_forms(operator: SpdOperator, t: _Tile, new: np.ndarray, fields: np.nda
     """Tile t's part of the forms (A y_i, y_i), without the cell area, of the
     memory fields ``fields``, ``(m, n1-1, n2-1)``, into its fields' places in
     the plan's forms; ``new`` is the tile's view of the same stack.  A
-    pointwise operator's product with the tile is written into the ``spare``
+    pointwise operator's product with the tile is written into the ``work``
     buffer, and a field's forms are added over its tiles in order; any other
     operator is applied to the tile's whole fields."""
     if t.coef is None:
@@ -763,8 +815,8 @@ def _tile_forms(operator: SpdOperator, t: _Tile, new: np.ndarray, fields: np.nda
         whole = block.reshape(len(block), -1) if len(block) > 1 else block.reshape(-1)
         _dots(operator.apply_values(block).reshape(whole.shape), whole, t.forms, False)
     else:
-        np.multiply(t.coef, new, out=t.spare)
-        _dots(t.spare, new, t.forms, t.add)
+        np.multiply(t.coef, new, out=t.work)
+        _dots(t.work, new, t.forms, t.add)
 
 
 def _composite_energy(

@@ -738,29 +738,42 @@ class TestAuxResidualGuard:
             s1 = first(s1)
 
 
-def guard_verdict(cfg, grid, rates, sums, ybar):
-    """The message of the stepper's guard's verdict on rows 0-3 of ``sums``
-    (y_i'.y_i, y_i.ybar, |y_i'|^2, y_i'.ybar) as its expression gives it,
-    None for a pass: each residual's projections onto the new field and
-    onto ybar within B_i times that direction's norm, plus the underflow floor."""
+def projection_limits(cfg, rates, square, ybar):
+    """The guard's limits on each field's projections onto the new field and
+    onto ybar, from the fields' |y_i'|^2 ``square``, as its expression gives
+    them: each over c_i, and the scale c_i, the power of two above
+    new_i + |old_i| + 1."""
     new, old = schemes._residual_coefficients(cfg, rates)
-    cross, old_bar, square, new_bar = sums[:4]
-    norm2 = np.vdot(ybar, ybar)
-    s, sb = np.sqrt(square), math.sqrt(norm2)
-    bounds = 1e-12 * new * s + 1e-12 * sb
-    floor = (new + np.abs(old) + 1.0) * ((ybar.size + 4) * 2.0**-1074)
-    limits = np.array([bounds * s + floor, bounds * sb + floor])
-    products = np.abs(np.array([new * square - old * cross - new_bar,
-                                new * new_bar - old * old_bar - norm2]))
+    scale = np.ldexp(1.0, np.frexp(new + np.abs(old) + 1.0)[1])
+    s, sb = np.sqrt(square), math.sqrt(np.vdot(ybar, ybar))
+    bound = 1e-12 + 2 * (ybar.size + 6) * 2.0**-53
+    bounds = (bound * (new / scale)) * s + (bound * (1.0 / scale)) * sb
+    floor = (ybar.size + 4) * 2.0**-1074
+    return np.array([bounds * s + floor, bounds * sb + floor]), scale
+
+
+def guard_verdict(cfg, grid, rates, sums, ybar):
+    """The message of the stepper's guard's verdict on the sweep's rows of
+    ``sums`` as its expression gives it, None for a pass: each residual's
+    projections onto the new field and onto ybar, over c_i, within their
+    limits (``projection_limits``)."""
+    new, old = schemes._residual_coefficients(cfg, rates)
+    square, cross, new_bar, old_bar = (sums[row] for row in (
+        schemes._SQUARE, schemes._CROSS, schemes._NEW_BAR, schemes._OLD_BAR))
+    limits, scale = projection_limits(cfg, rates, square, ybar)
+    n, o, one = new / scale, old / scale, 1.0 / scale
+    products = np.abs(np.array([n * square - o * cross - one * new_bar,
+                                n * new_bar - o * old_bar - one * np.vdot(ybar, ybar)]))
     passed = products <= limits
     if passed.all():
         return None
     i = int(np.argmin(passed.all(axis=0)))
     j = 0 if not passed[0, i] else 1
     onto = "the new field" if j == 0 else "ybar"
+    c = float(scale[i]) * grid.cell_area
     return (f"auxiliary update residual's projection onto {onto} "
-            f"{products[j, i] * grid.cell_area:.3e} exceeds rounding bound "
-            f"{limits[j, i] * grid.cell_area:.3e} (rate b={rates[i]})")
+            f"{float(products[j, i]) * c:.3e} exceeds rounding bound "
+            f"{float(limits[j, i]) * c:.3e} (rate b={rates[i]})")
 
 
 class TestGuardProjections:
@@ -795,8 +808,9 @@ class TestGuardProjections:
         cfg = SchemeConfig(sigma=data.draw(st.floats(0.5, 1.0)), tau=data.draw(st.floats(1e-3, 1.0)))
         # a rate of 0 makes new_i = old_i, so a field whose y_i'.y_i is its
         # |y_i'|^2 and whose y_i.ybar is its y_i'.ybar has projections of
-        # exactly -y_i'.ybar and -|ybar|^2: its y_i'.ybar can sit exactly on
-        # its bound, or one ulp above, where a bound off by one ulp shows
+        # exactly -y_i'.ybar and -|ybar|^2 over c_i, a power of two: its
+        # y_i'.ybar can put the first exactly on its limit, or one ulp above,
+        # where a limit off by one ulp shows
         rates = np.array([data.draw(st.sampled_from([0.0, 0.5, 3.0, 40.0])) for _ in range(m)])
         moderate = st.floats(-1e6, 1e6)
         square = np.array([data.draw(st.one_of(st.floats(0.0, 1e6), st.floats(0.0, 1e-300),
@@ -808,17 +822,17 @@ class TestGuardProjections:
         grid = Grid2D(3, 3)
         plants = [data.draw(st.sampled_from(["on", "above", None])) for _ in range(m)]
         with np.errstate(all="ignore"):
-            new, old = schemes._residual_coefficients(cfg, rates)
-            s, sb = np.sqrt(square), math.sqrt(np.vdot(ybar, ybar))
-            limits = (1e-12 * new * s + 1e-12 * sb) * s + (new + np.abs(old) + 1.0) * (
-                (ybar.size + 4) * 2.0**-1074)
+            (limits, _), scale = projection_limits(cfg, rates, square, ybar)
         for i, plant in enumerate(plants):
             if plant and rates[i] == 0.0:
                 cross[i], old_bar[i] = square[i], new_bar[i]
                 at = limits[i] if plant == "on" else np.nextafter(limits[i], math.inf)
-                new_bar[i] = data.draw(st.sampled_from([at, -at]))
-        sums = np.array([cross, old_bar, square, new_bar, np.zeros(m)])
-        given_rows = sums[:4].copy()
+                new_bar[i] = data.draw(st.sampled_from([at, -at])) * scale[i]
+        sums = np.zeros((5, m))
+        for row, values in [(schemes._CROSS, cross), (schemes._OLD_BAR, old_bar),
+                            (schemes._SQUARE, square), (schemes._NEW_BAR, new_bar)]:
+            sums[row] = values
+        given_rows = sums.copy()
         guard = schemes._aux_residual_guard(cfg, grid, rates, sums)
 
         def verdict():
@@ -831,11 +845,13 @@ class TestGuardProjections:
         context = schemes._numpy_context()  # the state a step runs in
         expected = context.run(guard_verdict, cfg, grid, rates, given_rows, ybar)
         assert context.run(verdict) == expected
-        np.testing.assert_array_equal(sums[:4], given_rows)  # the guard only reads them
-        assert (sums[4] == np.vdot(ybar, ybar)).all()  # and puts |ybar|^2 in row 4
+        bar_square = sums[schemes._BAR_SQUARE].copy()
+        sums[schemes._BAR_SQUARE] = 0.0
+        np.testing.assert_array_equal(sums, given_rows)  # the guard only reads the sweep's rows
+        assert (bar_square == np.vdot(ybar, ybar)).all()  # and puts |ybar|^2 in its own
 
     def test_sums_write_nothing_but_the_sums(self, rng, monkeypatch):
-        # no residual is written: the tile's work buffers and fields keep their values
+        # no residual is written: the tile's work buffer and fields keep their values
         monkeypatch.setattr(schemes, "_BLOCK_VALUES", 60)
         m, size = 3, 225
         cfg, rates = SchemeConfig(0.5, 0.1), np.array([0.5, 2.0, 8.0])
@@ -845,13 +861,13 @@ class TestGuardProjections:
         (new, old), yb = rng.standard_normal((2, m, size)), rng.standard_normal(size)
         before = new.copy(), old.copy(), yb.copy()
         for t in plan:
-            t.res.fill(np.nan)
-            t.spare.fill(np.nan)
+            t.work.fill(np.nan)
             schemes._residual_sums(t, new[t.at], old[t.at], yb[t.cols])
-            assert np.isnan(t.res).all() and np.isnan(t.spare).all()
+            assert np.isnan(t.work).all()
         for a, b in zip((new, old, yb), before):
             np.testing.assert_array_equal(a, b)
-        assert not np.isnan(sums[:4]).any() and np.isnan(sums[4]).all()
+        assert not np.isnan(np.delete(sums, schemes._BAR_SQUARE, 0)).any()
+        assert np.isnan(sums[schemes._BAR_SQUARE]).all()
 
 
 CATALOGUE = ["field scaled", "decay", "gain", "shift", "wrong ybar", "tile zeros", "tile old",
@@ -1023,6 +1039,38 @@ class TestHonestEdges:
         for _ in range(200):
             s = step(s)
         assert np.isfinite(s.aux).all()
+
+    @pytest.mark.parametrize("sigma", [0.5, 0.75, 1.0])
+    def test_same_sign_fields_in_the_largest_tiles(self, sigma):
+        # constant fields of one sign, whose sums' rounding errors need not
+        # cancel, each in two tiles of about 32,768 values, at b tau = 1e4
+        tau, grid = 0.05, Grid2D(256, 256)
+        assert schemes._tiles(255 * 255) == [slice(0, 32512), slice(32512, 65025)]
+        p = ProblemSpec(DiagonalScaling(1.0), PronySeries((0.3, 0.5, 0.2), (0.01 / tau, 2.0 / tau,
+                        1e4 / tau)), np.ones(grid.shape), forcing=lambda t: np.ones(grid.shape))
+        step, s = soe_stepper(p, SchemeConfig(sigma, tau), with_energy=True), soe_init(p)
+        for _ in range(10):
+            s = step(s)
+        assert (s.aux > 0).all()
+
+    def test_overflow_only_where_the_oracle_overflows(self, rng):
+        # the projections over c_i keep every product within its sum: at
+        # b tau = 1e4 on grid 64 the guard passes states as large as the
+        # oracle does, and past that both overflow in a field's |y_i'|^2
+        grid = Grid2D(64, 64)
+        cfg, rates = SchemeConfig(0.5, 0.1), np.array([0.1, 20.0, 1e5])
+        context = schemes._numpy_context()
+        for scale, passes in [(1e150, True), (1e152, True), (1e155, False)]:
+            (ybar, _, aux_old), _ = honest_update(rng, grid, cfg, rates)
+            ybar, aux_old = ybar * scale, aux_old * scale
+            decay, gain = update_coefficients(cfg, rates)
+            aux_new = decay[:, None, None] * aux_old + gain[:, None, None] * ybar
+            for judge in (residual_guard(cfg, grid, rates), oracle_residual_guard(cfg, grid, rates)):
+                if passes:
+                    context.run(judge, ybar, aux_new, aux_old)
+                else:
+                    with pytest.raises(FloatingPointError, match="overflow"):
+                        context.run(judge, ybar, aux_new, aux_old)
 
     @pytest.mark.parametrize("scale", [1e-320, 1e-300, 1e-200, 1e-160, 1e-155, 1e-100, 1.0,
                                        1e100, 1e150])
@@ -1645,15 +1693,16 @@ class TestRowDots:
             for t in plan:
                 schemes._residual_sums(t, new[t.at], old[t.at], yb[t.cols])
                 schemes._tile_forms(None, t, new[t.at], None)
-        assert np.isnan(sums[4]).all()  # the guard's row
+        assert np.isnan(sums[schemes._BAR_SQUARE]).all()  # the guard's row
         for i in range(m):
-            for out, (u, v) in [(sums[2], (new, new)), (sums[0], (new, old)),
+            for out, (u, v) in [(sums[schemes._SQUARE], (new, new)),
+                                (sums[schemes._CROSS], (new, old)),
                                 (forms, (coef * new, new))]:
                 dot = np.dot(u[i, cuts[0]], v[i, cuts[0]])
                 for cut in cuts[1:]:
                     dot += np.dot(u[i, cut], v[i, cut])
                 assert out[i] == dot, i
-        for out, stack in [(sums[3], new), (sums[1], old)]:
+        for out, stack in [(sums[schemes._NEW_BAR], new), (sums[schemes._OLD_BAR], old)]:
             for blk in blocks:
                 if blk.stop - blk.start > 1:  # one gemv
                     np.testing.assert_array_equal(out[blk], np.dot(stack[blk], yb))
@@ -1773,15 +1822,19 @@ class TestTiles:
         oracle = oracle_residual_guard(cfg, grid, rates, shares)
         guard(ybar, aux_new, aux_old)  # honest: silent
         for i, value in [(1, 60), (2, 100), (3, 224), (0, 0)]:  # tiles 2, 2, 4 and 1
-            # one entry off by 1e-9 of itself, which the residual's norm sees;
-            # the projections see an entry off by 1e-6 of its field's norm
-            # (an entry of 0.037 in field 3, of norm 1.02, hides 1e-9 of itself)
+            # one entry off by 1e-9 of itself, which the residual's norm sees
             wrong = aux_new.copy()
             wrong[i].flat[value] *= 1.0 + 1e-9
             with pytest.raises(AuxiliaryResidualError, match=rf"\(rate b={rates[i]}\)"):
                 oracle(ybar, wrong, aux_old)
-            wrong = aux_new.copy()
-            wrong[i].flat[value] += 1e-6 * np.linalg.norm(aux_new[i])
+            if i == 3:
+                # the guard's blind spot: this entry, 0.037 in a field of norm
+                # 1.02, makes projections of 1.86e-13 onto its field and
+                # 1.12e-12 onto ybar, within limits of 1.95e-13 and 2.29e-12;
+                # 1e-6 of the field's norm shows
+                assert abs(aux_new[i].flat[value]) < 0.04 * np.linalg.norm(aux_new[i])
+                guard(ybar, wrong, aux_old)
+                wrong[i].flat[value] = aux_new[i].flat[value] + 1e-6 * np.linalg.norm(aux_new[i])
             with pytest.raises(AuxiliaryResidualError, match=rf"\(rate b={rates[i]}\)"):
                 guard(ybar, wrong, aux_old)
         guard(ybar, aux_new, aux_old)
@@ -1827,7 +1880,7 @@ class TestTiles:
 
     def test_step_with_energy_allocates_no_block_temporaries(self):
         # beside its new state a step allocates a few fields, however many
-        # blocks it sweeps: forms come from the work buffers
+        # blocks it sweeps: forms come from the work buffer
         p = build_model_problem(ExperimentSpec(kernel=load_builtin_prony("1/2"), grid_n=64))
         assert len(schemes._blocks(12, 63**2)) == 2
         step = soe_stepper(p, SchemeConfig(0.5, 0.01), with_energy=True)
