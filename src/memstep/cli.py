@@ -276,26 +276,29 @@ def build_parser() -> argparse.ArgumentParser:
         prog="memstep",
         description="Memory-term evolution solver via sum-of-exponentials compression",
     )
+    # each subcommand takes the flags it reads: every one reads --config, --beta and --out
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=str, default=None, help="JSON config file")
     common.add_argument("--beta", type=str, default=None,
                         help=f"stretched-exponential exponent ({', '.join(BUILTIN_BETAS)})")
-    common.add_argument("--kernel-file", dest="kernel_file", type=str, default=None,
-                        help="CSV of 'a,b' Prony coefficients")
-    common.add_argument("--sigma", type=float, default=None, help="scheme weight in (0, 1]")
-    common.add_argument("--tau", type=float, default=None, help="time step (must divide T)")
-    common.add_argument("--steps", type=int, default=None, help="number of time steps")
-    common.add_argument("--T", type=float, default=None, help="final time")
-    common.add_argument("--grid", type=int, default=None, help="cells per direction")
     common.add_argument("--out", type=str, default=None,
                         help="output root (default $MEMSTEP_OUT or ./runs)")
+    model = argparse.ArgumentParser(add_help=False, parents=[common])  # the model problem's
+    model.add_argument("--kernel-file", dest="kernel_file", type=str, default=None,
+                       help="CSV of 'a,b' Prony coefficients")
+    model.add_argument("--sigma", type=float, default=None, help="scheme weight in (0, 1]")
+    model.add_argument("--T", type=float, default=None, help="final time")
+    model.add_argument("--grid", type=int, default=None, help="cells per direction")
+    run = argparse.ArgumentParser(add_help=False, parents=[model])
+    run.add_argument("--tau", type=float, default=None, help="time step (must divide T)")
+    run.add_argument("--steps", type=int, default=None, help="number of time steps")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("run", parents=[common], help="run the model relaxation problem")
-    sub.add_parser("converge", parents=[common], help="tau-ladder convergence study")
+    sub.add_parser("run", parents=[run], help="run the model relaxation problem")
+    sub.add_parser("converge", parents=[model], help="tau-ladder convergence study")
     sub.add_parser("kernel-error", parents=[common],
                    help="Prony-vs-analytic kernel error report")
-    sub.add_parser("compare-baseline", parents=[common],
+    sub.add_parser("compare-baseline", parents=[model],
                    help="compressed stepper vs full-history baseline")
     return parser
 

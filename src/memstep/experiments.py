@@ -29,7 +29,6 @@ from .schemes import (
     ProblemSpec,
     SchemeConfig,
     SoeState,
-    _ONE_THREAD,
     _finite,
     history_levels,
     soe_init,
@@ -182,11 +181,13 @@ def _scheme(spec: ExperimentSpec, n_steps: int) -> SchemeConfig:
 
 
 def _states(
-    problem: ProblemSpec, cfg: SchemeConfig, n_steps: int, with_energy: bool = False
+    problem: ProblemSpec, cfg: SchemeConfig, n_steps: int, with_energy: bool = False,
+    threads: int = 1,
 ) -> Iterator[SoeState]:
     """States t_0..t_n of one prebuilt stepper: the one loop stepping the model
-    problem; ``with_energy`` gives each stepped state its energy."""
-    step = soe_stepper(problem, cfg, with_energy=with_energy)
+    problem; ``with_energy`` gives each stepped state its energy, and each
+    step deals its memory fields over ``threads`` threads."""
+    step = soe_stepper(problem, cfg, with_energy=with_energy, threads=threads)
     state = soe_init(problem)
     yield state
     for _ in range(n_steps):
@@ -194,15 +195,50 @@ def _states(
         yield state
 
 
+def _cpus() -> int:
+    """The CPUs in this process's affinity set; 1 on a platform without CPU
+    affinity (no ``os.sched_getaffinity``, as on macOS and Windows)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+# A run whose memory-field stack holds at least this many values deals its
+# steps' blocks over threads (``_sweep_threads``).  Below it a thread's start
+# and its share of contended numpy calls cost more than it saves: on two CPUs,
+# with BLAS on one thread, steps with 6, 12 and 30 terms on grids 128-320 broke
+# even between 310k values (12 terms on grid 160, 5% slower dealt) and 390k
+# (6 terms on grid 256, 13% faster); 12 terms on grid 256 (780k) were 20%
+# faster, and 13-16% in tiles of 32,768 values (see ``schemes._BLOCK_VALUES``
+# for grids 192-224).
+_THREAD_VALUES = 350_000
+
+
+def _sweep_threads(problem: ProblemSpec) -> int:
+    """The threads ``run_model_problem`` deals each step over: the CPUs in the
+    affinity set (``_cpus``) for a memory-field stack of at least
+    ``_THREAD_VALUES`` values when the calling thread is the process's only
+    one, else 1.  Another thread would compete with the sweep's threads for
+    the CPUs: a multithreaded BLAS keeps a pool that splits each long inner
+    product and spins between calls, and on two CPUs a grid-256 step dealt
+    over two threads beside it took about 20 ms against 6 ms on one."""
+    if problem.kernel.n_terms * problem.initial.size < _THREAD_VALUES:
+        return 1
+    try:
+        return _cpus() if len(os.listdir("/proc/self/task")) == 1 else 1
+    except OSError:  # no /proc: not Linux
+        return 1
+
+
 def run_model_problem(spec: ExperimentSpec, initial: Optional[np.ndarray] = None) -> Trajectory:
     """Run the relaxation problem and collect its per-step scalars, at any step
-    count; repeated calls produce identical output."""
+    count; repeated calls produce identical output.  Its steps are dealt over
+    ``_sweep_threads`` threads."""
     problem = build_model_problem(spec, initial=initial)
     grid = problem.grid
     i, j = grid.center_index
     row, col = _sine_matrix(grid.shape[0])[i], _sine_matrix(grid.shape[1])[:, j]  # the centre's
     times, energies, centers = [], [], []
-    for state in _states(problem, _scheme(spec, spec.n_steps), spec.n_steps, with_energy=True):
+    for state in _states(problem, _scheme(spec, spec.n_steps), spec.n_steps, with_energy=True,
+                         threads=_sweep_threads(problem)):
         times.append(state.t)
         energies.append(state.energy)
         centers.append(float(row @ state.y @ col))
@@ -381,24 +417,22 @@ def _map_runs(tasks: list[_Task], max_procs: Optional[int] = None) -> list:
     >= 2 the tasks are dealt into k groups by cost (``_deal``); forked
     children run all but the last group, each group in task order, and this
     process runs the last, so at most k processes, this one included, run a
-    task at once.  The processes cover the CPUs, so a stepper built in any of
-    them runs on one thread (``schemes._ONE_THREAD``).  A group whose fork
+    task at once.  Each task's stepper runs on one thread (``soe_stepper``'s
+    default), whether the task runs here or in a child.  A group whose fork
     fails (EAGAIN or ENOMEM under a process or memory limit) joins this
     process's group, in task order.  If any task raises, the exception raised
     here is that of the first failing task in task order, as running in order
     would raise: a child is read to its end unless every task it holds comes
     after a known failure, in which case it is killed.  Every child is reaped
-    before this returns or raises.  With k < 2, or on a platform without CPU
-    affinity (no ``os.sched_getaffinity``, as on macOS and Windows), the tasks
-    run here in order.
+    before this returns or raises.  With k < 2, as on a platform without CPU
+    affinity (``_cpus``), the tasks run here in order.
     """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    cpus = _cpus()
     k = min(len(tasks), cpus, max_procs or cpus)
     if k < 2:
         return [call() for _, _, call in tasks]
     *forked, own = _deal([cost for cost, _, _ in tasks], k)
     pending = []  # (pid, read end, group) of each child not yet reaped
-    one_thread = _ONE_THREAD.set(True)
     try:
         for group in forked:
             try:
@@ -416,7 +450,6 @@ def _map_runs(tasks: list[_Task], max_procs: Optional[int] = None) -> list:
             if got_failure is not None and (failure is None or got_failure[0] < failure[0]):
                 failure = got_failure
     finally:
-        _ONE_THREAD.reset(one_thread)
         for pid, read_fd, _ in pending:
             _kill(pid, read_fd)
     if failure is not None:

@@ -7,8 +7,8 @@ Two steppers discretize the same problem
   the kernel, all m of them in one ``(m, n1-1, n2-1)`` array, and advances
   everything with a two-level weighted scheme, solving a single shifted SPD
   system per step; it sweeps the fields a cache-sized tile at a time and,
-  on a large stack, deals the per-field work over the CPUs, a thread per
-  share of fields, with the same results for any number of threads;
+  deals the per-field work over the threads its caller gives it, a thread
+  per share of fields, with the same results for any number of threads;
 * the full-history baseline, ``history_levels``, runs a fixed number of
   steps and returns every level; it evaluates the memory integral with a
   trapezoidal product rule over all past levels, whose weights it builds once
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import contextvars
 import math
-import os
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -155,7 +154,7 @@ class SoeState(NamedTuple):
 # 2 MB L2 cache.  Step times of ``run`` steps (12 terms, with energy, BLAS on
 # one thread) as a ratio to those at 32,768, whose own time is in brackets:
 # the mean of two sweeps on a 2-CPU host, the three sizes stepped in turn in
-# one process.  On two CPUs, steps from grid 172 up are dealt over threads.
+# one process.  On two CPUs, ``run`` deals steps from grid 172 up over threads.
 #
 #   grid   one CPU: 16k  32k [us]  64k    two CPUs: 16k  32k [us]  64k
 #     64            1.05    [473]  0.99             1.05    [463]  1.01
@@ -200,51 +199,11 @@ def _tiles(size: int) -> list[slice]:
     return [slice(j * size // k, (j + 1) * size // k) for j in range(k)]
 
 
-# A stepper whose memory-field stack holds at least this many values deals its
-# blocks over threads (``_shares``).  Below it a thread's start and its share of
-# contended numpy calls cost more than it saves: on two CPUs, with BLAS on one
-# thread, steps with 6, 12 and 30 terms on grids 128-320 broke even between
-# 310k values (12 terms on grid 160, 5% slower dealt) and 390k (6 terms on
-# grid 256, 13% faster); 12 terms on grid 256 (780k) were 20% faster, and
-# 13-16% in tiles of 32,768 values (see ``_BLOCK_VALUES`` for grids 192-224).
-_THREAD_VALUES = 350_000
-
-# True while ``experiments._map_runs`` runs tasks in forked processes, which
-# already cover the CPUs: a stepper built then runs on one thread.  A context
-# variable, so it is set for that call alone and a forked child inherits it.
-_ONE_THREAD = contextvars.ContextVar("memstep_one_thread", default=False)
-
-
-# The OS thread ids of the last dealt step's sweep workers, as listed in
-# /proc/self/task: ``Thread.join`` returns before a finished thread's task
-# leaves that listing, so ``_sweep_cpus`` does not count them.
-_JOINED_WORKERS: frozenset = frozenset()
-
-
-def _sweep_cpus() -> int:
-    """The CPUs in this process's affinity set when the calling thread is the
-    process's only one, a joined sweep worker aside, else 1.  Another thread
-    would compete with the sweep's threads for the CPUs: a multithreaded BLAS
-    keeps a pool that splits each long inner product and spins between calls,
-    and on two CPUs a grid-256 step dealt over two threads beside it took
-    11 ms against 9 ms on one."""
-    try:
-        if len(set(os.listdir("/proc/self/task")) - _JOINED_WORKERS) == 1:
-            return len(os.sched_getaffinity(0))
-    except (OSError, AttributeError):  # no /proc or no affinity: not Linux
-        pass
-    return 1
-
-
-def _shares(m: int, size: int) -> list[list[slice]]:
-    """The row blocks of an ``(m, size)`` stack, in order, in contiguous shares
-    of about equal counts, one per thread: min(``_sweep_cpus()``, blocks) of
-    them for a stack of at least ``_THREAD_VALUES`` values built outside
-    ``_map_runs``' forked tasks, else one."""
+def _shares(m: int, size: int, threads: int) -> list[list[slice]]:
+    """The row blocks of an ``(m, size)`` stack, in order, in min(``threads``,
+    blocks) contiguous shares of about equal counts, one per thread."""
     blocks = _blocks(m, size)
-    k = 1
-    if m * size >= _THREAD_VALUES and not _ONE_THREAD.get():
-        k = min(_sweep_cpus(), len(blocks))
+    k = min(threads, len(blocks))
     return [blocks[i * len(blocks) // k : (i + 1) * len(blocks) // k] for i in range(k)]
 
 
@@ -279,7 +238,6 @@ def _sweep_shares(sweep, shares: list, contexts: list, args: tuple):
     (``_sweep_in_thread``), every one joined before this returns or raises:
     the failure, ``(phase, error)`` or None, of the earliest phase in the
     lowest share."""
-    global _JOINED_WORKERS
     outcomes = [None] * len(shares)
     threads = [threading.Thread(target=_sweep_in_thread,
                                 args=(outcomes, k, contexts[k], sweep, shares[k], args))
@@ -291,7 +249,6 @@ def _sweep_shares(sweep, shares: list, contexts: list, args: tuple):
     finally:
         for thread in threads:
             thread.join()
-        _JOINED_WORKERS = frozenset(str(thread.native_id) for thread in threads)
     return min(filter(None, outcomes), key=lambda failure: failure[0], default=None)
 
 
@@ -553,7 +510,7 @@ def _aux_residual_guard(cfg: SchemeConfig, grid, rates,
 
 
 def soe_stepper(
-    p: ProblemSpec, cfg: SchemeConfig, with_energy: bool = False
+    p: ProblemSpec, cfg: SchemeConfig, with_energy: bool = False, threads: int = 1
 ) -> Callable[[SoeState], SoeState]:
     """The compressed step for ``p`` and ``cfg``, with the problem's mass,
     reaction and forcing; its coefficients, left-hand side and guard built
@@ -583,12 +540,13 @@ def soe_stepper(
     tile and its share's work buffer stay in cache; a field's sums are
     added over its tiles in order.  A tile makes 3 update passes, 4 guard
     reductions and 2 passes for its forms.
-    The blocks are dealt in contiguous shares, each with the work buffer of
-    its ``_residual_plan``: a stack of at least ``_THREAD_VALUES`` values has
-    a share per CPU in the affinity set, and ``_sweep_shares`` runs the first
-    in the stepping thread and each other in a thread of its own, in a
-    context of its own built with its plan, joined before the step goes on;
-    a smaller stack has a single share, which the step sweeps itself.
+    The blocks are dealt in min(``threads``, blocks) contiguous shares
+    (``_shares``), each with the work buffer of its ``_residual_plan``.  A
+    single share the step sweeps itself; of several, ``_sweep_shares`` runs
+    the first in the stepping thread and each other in a thread of its own,
+    in a context of its own built with its plan, joined before the step goes
+    on.  The stepper takes ``threads`` as given: whether dealing pays on this
+    host is the caller's choice (``experiments._sweep_threads``).
     Each field is swept by one thread in the same order, so states and
     energies keep their bits for any number of threads.  After the join the
     guard judges every field from the sums the sweep took, and an error is
@@ -598,6 +556,8 @@ def soe_stepper(
     ``with_energy`` makes each step also take the new state's ``energy``,
     bit for bit as :func:`energy`, and raise NotSpdError as it does.
     """
+    if threads < 1:
+        raise SchemeConfigError(f"threads={threads} must be >= 1")
     sig, tau = cfg.sigma, cfg.tau
     a, b = np.asarray(p.kernel.weights), np.asarray(p.kernel.rates)
     grid = p.grid
@@ -619,7 +579,7 @@ def soe_stepper(
         coef = _pointwise(p.operator)
         shares = [_residual_plan(cfg, b, blocks, size, sums, decay, gain,
                                  forms if with_energy else None, coef)
-                  for blocks in _shares(m, size)]
+                  for blocks in _shares(m, size, threads)]
         guard = _aux_residual_guard(cfg, grid, b, sums)
     # the step's numpy state, and one context of its own for each other share's thread
     contexts = [_numpy_context() for _ in shares]

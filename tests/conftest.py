@@ -66,16 +66,6 @@ class OverflowInAThread(DiagonalScaling):
         return super().apply_values(v)
 
 
-def deal_over_threads(monkeypatch, cpus: int = 2, block_values=None) -> None:
-    """Make every stepper built from here on deal its memory-field blocks over
-    ``cpus`` threads, however small its stack, as on a host where this test
-    is the process's only thread; ``block_values`` sets the block size."""
-    monkeypatch.setattr(schemes, "_THREAD_VALUES", 0)
-    monkeypatch.setattr(schemes, "_sweep_cpus", lambda: cpus)
-    if block_values is not None:
-        monkeypatch.setattr(schemes, "_BLOCK_VALUES", block_values)
-
-
 def update_coefficients(cfg, rates):
     """The update's ``(decay, gain)`` for ``rates``, as the stepper derives them."""
     b = np.asarray(rates, dtype=float)

@@ -10,8 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import OverflowInAThread, deal_over_threads, set_cpus
-from memstep import cli, experiments
+from conftest import OverflowInAThread, set_cpus
+from memstep import cli, experiments, schemes
 from memstep.kernels import (
     BUILTIN_BETAS,
     StretchedExponential,
@@ -69,14 +69,18 @@ class TestRunCommand:
         assert first == second
 
     def test_steps_dealt_over_threads_write_the_same_trajectory(self, tmp_path, monkeypatch):
-        outputs = []
+        outputs, started, in_thread = [], [], schemes._sweep_in_thread
+        monkeypatch.setattr(schemes, "_sweep_in_thread",
+                            lambda *args: started.append(1) or in_thread(*args))
         for dealt in (False, True):
             if dealt:
-                deal_over_threads(monkeypatch, block_values=450)  # 6 blocks, 3 a thread
+                monkeypatch.setattr(schemes, "_BLOCK_VALUES", 450)  # 6 blocks, 3 a thread
+                monkeypatch.setattr(experiments, "_sweep_threads", lambda problem: 2)
             before = threading.active_count()
             out = tmp_path / f"dealt-{dealt}"
             assert cli.main(["run", *FAST, "--out", str(out)]) == cli.EXIT_OK
             assert threading.active_count() == before
+            assert len(started) == (64 if dealt else 0)  # a thread for each dealt step
             outputs.append((out / "run" / "trajectory.csv").read_bytes())
         assert outputs[1] == outputs[0]
 
@@ -140,6 +144,21 @@ class TestConfigErrors:
             cli.main(["kernel-error", "--help"])
         help_text = capsys.readouterr().out
         assert all(key in help_text for key in BUILTIN_BETAS)
+
+    @pytest.mark.parametrize("argv", [
+        ["converge", "--steps", "7"],
+        ["converge", "--tau", "0.3"],
+        ["compare-baseline", "--steps", "7"],
+        ["kernel-error", "--grid", "1"],
+        ["kernel-error", "--sigma", "0.5"],
+    ])
+    def test_flag_the_command_does_not_read_exits_2(self, out_root, capsys, argv):
+        # only run reads --tau and --steps; kernel-error reads --config, --beta and --out
+        with pytest.raises(SystemExit) as raised:
+            cli.main(argv)
+        assert raised.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert not (out_root / argv[0]).exists()
 
     def test_tau_not_dividing_horizon(self, capsys):
         assert cli.main(["run", "--T", "2", "--tau", "0.3"]) == cli.EXIT_CONFIG
@@ -262,7 +281,8 @@ class TestConfigErrors:
         steps = counted_steps(monkeypatch)
         blocker = tmp_path / "a-file"
         blocker.write_text("kept")
-        argv = [command, "--grid", "8", "--steps", "8", "--out", str(blocker)]
+        small = [] if command == "kernel-error" else ["--grid", "8"]  # which takes no --grid
+        argv = [command, *small, "--out", str(blocker)]
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert f"{blocker}/{command}" in capsys.readouterr().err
         assert blocker.read_text() == "kept"
@@ -364,7 +384,8 @@ class TestNumericalFailures:
             return dataclasses.replace(problem, operator=OverflowInAThread(problem.operator.coefficient))
 
         monkeypatch.setattr(experiments, "build_model_problem", overflowing_problem)
-        deal_over_threads(monkeypatch, block_values=450)
+        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 450)
+        monkeypatch.setattr(experiments, "_sweep_threads", lambda problem: 2)
         before = threading.active_count()
         assert cli.main(["run", *FAST]) == cli.EXIT_NUMERICAL
         assert threading.active_count() == before
@@ -567,11 +588,15 @@ class TestKernelErrorCommand:
         assert f"{expected:.6e}" in capsys.readouterr().out
 
     def test_kernel_file_has_no_analytic_target(self, out_root, tmp_path, capsys):
-        kernel = tmp_path / "k.csv"
+        kernel, config = tmp_path / "k.csv", tmp_path / "cfg.json"
         kernel.write_text("1,2\n")
-        assert cli.main(["kernel-error", "--kernel-file", str(kernel)]) == cli.EXIT_CONFIG
+        with pytest.raises(SystemExit) as raised:  # kernel-error takes no such flag
+            cli.main(["kernel-error", "--kernel-file", str(kernel)])
+        assert raised.value.code == 2
+        config.write_text(json.dumps({"kernel_file": str(kernel)}))
+        assert cli.main(["kernel-error", "--config", str(config)]) == cli.EXIT_CONFIG
         assert "no analytic target" in capsys.readouterr().err
-        assert not (out_root / "kernel-error" / "kernel_error.csv").exists()
+        assert not (out_root / "kernel-error").exists()
 
 
 # four short entries; on two CPUs a worker runs the 64-step one alone

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import threading
 import time
 import tracemalloc
 import warnings
@@ -10,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import deal_over_threads, set_cpus
+from conftest import set_cpus
 from memstep import cli, experiments, schemes
 from memstep.experiments import (
     AlignmentError,
@@ -151,6 +152,81 @@ class TestRunModelProblem:
     def test_misaligned_steps_raise(self, small_spec):
         with pytest.raises(AlignmentError, match="divisible"):
             experiments._sample_run(small_spec, 50)
+
+
+def stack_problem(grid_n: int) -> ProblemSpec:
+    """A problem on grid ``grid_n`` whose memory-field stack holds 12 fields."""
+    return ProblemSpec(DiagonalScaling(1.0), load_builtin_prony("1/2"),
+                       np.zeros((grid_n - 1, grid_n - 1)))
+
+
+def list_tasks(monkeypatch, *others) -> None:
+    """Make /proc/self/task list the calling thread and ``others``."""
+    listdir, tasks = os.listdir, [str(threading.get_native_id()), *others]
+    monkeypatch.setattr(os, "listdir", lambda path: tasks if path == "/proc/self/task"
+                        else listdir(path))
+
+
+class TestSweepThreads:
+    """``run_model_problem`` deals its steps over the CPUs in the affinity set
+    for a large stack when the calling thread is the process's only one, and
+    over one thread otherwise; ``_map_runs``' tasks never deal."""
+
+    def test_large_stacks_only(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        list_tasks(monkeypatch)
+        # 12 fields of grid 32 or 160 stay on one thread; of grid 172 or 256, two
+        for grid_n, threads in [(32, 1), (160, 1), (172, 2), (256, 2)]:
+            assert experiments._sweep_threads(stack_problem(grid_n)) == threads, grid_n
+
+    def test_any_other_thread_keeps_one(self, monkeypatch):
+        set_cpus(monkeypatch, 3)
+        p = stack_problem(256)
+        for others, threads in [((), 3), (("1",), 1), (("1", "2"), 1)]:
+            list_tasks(monkeypatch, *others)
+            assert experiments._sweep_threads(p) == threads, others
+
+        def no_proc(path):
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(os, "listdir", no_proc)  # not Linux
+        assert experiments._sweep_threads(p) == 1
+
+    def test_only_the_only_thread_deals(self):
+        # a forked child holds one thread, the one that forked it
+        p = stack_problem(256)
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.write(write_fd, str(experiments._sweep_threads(p)).encode())
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        with os.fdopen(read_fd) as pipe:
+            alone = int(pipe.read())
+        os.waitpid(pid, 0)
+        assert alone == len(os.sched_getaffinity(0))
+        done, waiting = threading.Event(), threading.Event()
+        other = threading.Thread(target=lambda: (waiting.set(), done.wait(10)))
+        other.start()
+        try:
+            assert waiting.wait(10)
+            assert experiments._sweep_threads(p) == 1  # beside another thread, one
+        finally:
+            done.set()
+            other.join(10)
+        assert not other.is_alive()
+
+    def test_without_cpu_affinity_one_thread_and_tasks_in_order(self, monkeypatch):
+        # as on macOS and Windows
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        list_tasks(monkeypatch)
+        assert experiments._sweep_threads(stack_problem(256)) == 1
+        pids = []
+        tasks = [(n, f"task {n}", lambda n=n: pids.append(os.getpid()) or n) for n in (3, 1, 2)]
+        assert experiments._map_runs(tasks) == [3, 1, 2]
+        assert pids == [os.getpid()] * 3
 
 
 class TestErrorSeries:
@@ -322,18 +398,16 @@ class TestStudyWorkers:
     def test_forked_study_steps_on_one_thread_and_matches_a_one_cpu_run(
         self, small_spec, monkeypatch
     ):
-        deal_over_threads(monkeypatch, block_values=450)
+        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 450)  # 6 blocks: a step could deal them
+        monkeypatch.setattr(experiments, "_sweep_threads", lambda problem: 2)  # as run's would
         started, in_thread = [], schemes._sweep_in_thread
         monkeypatch.setattr(schemes, "_sweep_in_thread",
                             lambda *args: started.append(1) or in_thread(*args))
         results = []
         for cpus in (1, 2):
             set_cpus(monkeypatch, cpus)
-            started.clear()
             results.append(convergence_study(small_spec, (16, 32, 64)))
-            # in order, every step deals its blocks; beside forked workers, none
-            assert bool(started) == (cpus == 1)
-            assert schemes._ONE_THREAD.get() is False
+            assert not started  # in order or beside forked workers, a task steps on one thread
         for one, forked in zip(*(result.rows for result in results)):
             assert forked.tau == one.tau
             np.testing.assert_array_equal(forked.errors.eps2, one.errors.eps2)

@@ -1,7 +1,6 @@
 import contextlib
 import dataclasses
 import math
-import os
 import re
 import sys
 import threading
@@ -16,13 +15,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     OverflowInAThread,
-    deal_over_threads,
     oracle_guard_verdict,
     oracle_residual_guard,
     residual_guard,
     scalar_ode_oracle,
     scalar_problem,
-    set_cpus,
     update_coefficients,
 )
 from memstep import schemes
@@ -921,15 +918,15 @@ class TestFaultCatalogue:
     @pytest.mark.parametrize("grid_n", [6, 32, 256])
     @pytest.mark.parametrize("how", ["single", "dealt", "split"])
     def test_flags_what_the_oracle_flags(self, rng, monkeypatch, grid_n, how):
-        size = (grid_n - 1) ** 2
+        size, threads = (grid_n - 1) ** 2, 2 if how == "dealt" else 1
         if how == "dealt":  # a field a block, in two shares
-            deal_over_threads(monkeypatch, 2, block_values=size)
+            monkeypatch.setattr(schemes, "_BLOCK_VALUES", size)
         elif how == "split":  # each field in three tiles
             monkeypatch.setattr(schemes, "_BLOCK_VALUES", size // 3 + 1)
         grid, tau, m = Grid2D(grid_n, grid_n), 0.1, 3
         rates = np.array([0.01, 2.0, 1e4]) / tau
-        shares = schemes._shares(m, size)
-        assert len(shares) == (2 if how == "dealt" else 1)
+        shares = schemes._shares(m, size, threads)
+        assert len(shares) == threads
         plan = [t for share in shares for t in schemes._plan(share, m, size)]
         if how == "split":
             assert len(plan) == 3 * m
@@ -1009,10 +1006,11 @@ class TestHonestEdges:
     @pytest.mark.parametrize("deal", [False, True])
     def test_steps_from_a_zero_initial_field(self, monkeypatch, deal):
         if deal:
-            deal_over_threads(monkeypatch, block_values=60)
+            monkeypatch.setattr(schemes, "_BLOCK_VALUES", 60)
         p = ProblemSpec(DiagonalScaling(laplacian_eigenvalues(Grid2D(16, 16))),
                         load_builtin_prony("1/2"), np.zeros((15, 15)))
-        step, s = soe_stepper(p, SchemeConfig(0.5, 0.05), with_energy=True), soe_init(p)
+        step = soe_stepper(p, SchemeConfig(0.5, 0.05), with_energy=True, threads=2 if deal else 1)
+        s = soe_init(p)
         for _ in range(4):
             s = step(s)
         assert not s.y.any() and not s.aux.any() and s.energy == 0.0
@@ -1332,11 +1330,12 @@ class TestUfuncBuffer:
     @pytest.mark.parametrize("how", ["plain", "with energy", "dealt"])
     def test_every_thread_of_a_step_runs_under_the_step_state(self, monkeypatch, how):
         if how == "dealt":
-            deal_over_threads(monkeypatch, block_values=225)  # one 15x15 field a block
+            monkeypatch.setattr(schemes, "_BLOCK_VALUES", 225)  # one 15x15 field a block
         grid = Grid2D(16, 16)
         op = RecordingScaling(laplacian_eigenvalues(grid))
         p = ProblemSpec(op, load_builtin_prony("1/2"), np.ones(grid.shape))
-        step = soe_stepper(p, SchemeConfig(0.5, 0.05), with_energy=how != "plain")
+        step = soe_stepper(p, SchemeConfig(0.5, 0.05), with_energy=how != "plain",
+                           threads=2 if how == "dealt" else 1)
         op.states.clear()
         with np.errstate(all="ignore"):  # the caller's own state does not reach the step
             np.setbufsize(4096)
@@ -1427,15 +1426,14 @@ class TestUfuncBuffer:
 
 
 def step_pairs(p, cfg, monkeypatch, n_steps, cpus=2, state=None):
-    """The states of a one-thread stepper and of one built after
-    ``deal_over_threads``, both ``with_energy``, side by side from ``state``
-    (default the initial one), and how many sweep threads the steps started."""
+    """The states of a one-thread stepper and of one dealt over ``cpus``
+    threads, both ``with_energy``, side by side from ``state`` (default the
+    initial one), and how many sweep threads the steps started."""
     one = soe_stepper(p, cfg, with_energy=True)
     started, in_thread = [], schemes._sweep_in_thread
-    deal_over_threads(monkeypatch, cpus)
     monkeypatch.setattr(schemes, "_sweep_in_thread",
                         lambda *args: started.append(1) or in_thread(*args))
-    dealt = soe_stepper(p, cfg, with_energy=True)
+    dealt = soe_stepper(p, cfg, with_energy=True, threads=cpus)
     s = t = soe_init(p) if state is None else state
     pairs = []
     for _ in range(n_steps):
@@ -1460,7 +1458,7 @@ class TestDealtSweep:
         monkeypatch.setattr(schemes, "_BLOCK_VALUES", 450)  # two 15x15 fields a block
         p = build_model_problem(ExperimentSpec(kernel=load_builtin_prony("1/2"), grid_n=16))
         pairs, started = step_pairs(p, SchemeConfig(0.5, 0.01), monkeypatch, 20, cpus)
-        assert [len(share) for share in schemes._shares(12, 225)] == [6 // cpus] * cpus
+        assert [len(share) for share in schemes._shares(12, 225, cpus)] == [6 // cpus] * cpus
         assert started == 20 * (cpus - 1)
         assert_same_states(pairs)
 
@@ -1511,16 +1509,14 @@ class TestDealtSweep:
             aux[i] = value
         state = SoeState(y=np.ones(grid.shape), aux=aux, n=2, t=0.2)
         errors = []
-        for dealt in (False, True):
-            if dealt:
-                deal_over_threads(monkeypatch)
-            step, before = soe_stepper(p, SchemeConfig(0.75, 0.1), with_energy=True), \
-                threading.active_count()
+        for threads in (1, 2):
+            step, before = soe_stepper(p, SchemeConfig(0.75, 0.1), with_energy=True,
+                                       threads=threads), threading.active_count()
             with pytest.raises(NonFiniteError) as raised:
                 step(state)
             assert threading.active_count() == before
             errors.append(str(raised.value))
-        assert [len(share) for share in schemes._shares(4, 25)] == [2, 2]
+        assert [len(share) for share in schemes._shares(4, 25, 2)] == [2, 2]
         assert errors[1] == errors[0]
         return errors[1]
 
@@ -1536,27 +1532,27 @@ class TestDealtSweep:
 
     def test_workers_run_under_their_own_errstate_and_buffer(self, monkeypatch):
         # a new thread takes numpy's defaults, under which the overflow would pass
-        deal_over_threads(monkeypatch, block_values=225)
+        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 225)
         grid = Grid2D(16, 16)
         p = ProblemSpec(OverflowInAThread(laplacian_eigenvalues(grid)), load_builtin_prony("1/2"),
                         np.ones(grid.shape))
         cfg = SchemeConfig(0.5, 0.05)
         with pytest.raises(NonFiniteError, match=r"energy of step 1 \(t=0\.05\)"):
-            soe_stepper(p, cfg, with_energy=True)(soe_init(p))
+            soe_stepper(p, cfg, with_energy=True, threads=2)(soe_init(p))
         op = RecordingScaling(laplacian_eigenvalues(grid))
         p = dataclasses.replace(p, operator=op)
         op.sizes.clear()  # the problem's own shape checks
-        soe_stepper(p, cfg, with_energy=True)(soe_init(p))
+        soe_stepper(p, cfg, with_energy=True, threads=2)(soe_init(p))
         # the memory sum and 12 one-field blocks, 6 of them in the other thread
         assert len(op.sizes) == 1 + 12 and set(op.sizes) == {schemes._BUFFER_VALUES}
 
     def test_guard_judges_norms_taken_in_threads(self, rng, monkeypatch):
-        deal_over_threads(monkeypatch, block_values=25)
+        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 25)
         grid = Grid2D(6, 6)
         cfg = SchemeConfig(sigma=0.75, tau=0.1)
         rates = np.array([0.5, 2.0, 8.0, 32.0])
         (ybar, aux_new, aux_old), _ = honest_update(rng, grid, cfg, rates)
-        shares = schemes._shares(4, 25)
+        shares = schemes._shares(4, 25, 2)
         assert shares == [[slice(0, 1), slice(1, 2)], [slice(2, 3), slice(3, 4)]]
         guard = residual_guard(cfg, grid, rates, shares)
         guard(ybar, aux_new, aux_old)  # honest: silent
@@ -1566,6 +1562,16 @@ class TestDealtSweep:
             with pytest.raises(AuxiliaryResidualError, match=rf"\(rate b={rates[i]}\)"):
                 guard(ybar, wrong, aux_old)
         guard(ybar, aux_new, aux_old)
+
+    def test_deals_over_the_threads_it_is_given(self):
+        # at most one share a block, however many threads; whether dealing
+        # pays is the caller's choice (experiments._sweep_threads)
+        assert [len(share) for share in schemes._shares(12, 31**2, 2)] == [1]
+        for threads, counts in [(1, [12]), (2, [6, 6]), (5, [2, 2, 3, 2, 3]), (20, [1] * 12)]:
+            assert [len(share) for share in schemes._shares(12, 255**2, threads)] == counts
+        p = build_model_problem(ExperimentSpec(kernel=load_builtin_prony("1/2"), grid_n=8))
+        with pytest.raises(SchemeConfigError, match=r"threads=0 must be >= 1"):
+            soe_stepper(p, SchemeConfig(0.5, 0.01), threads=0)
 
     def test_threads_end_with_the_step(self, monkeypatch):
         # the other thread's energy forms take 20 ms each; the step waits for them
@@ -1585,64 +1591,6 @@ class TestDealtSweep:
         pairs, started = step_pairs(p, SchemeConfig(0.5, 0.05), monkeypatch, 3)
         assert started == 3 and threading.active_count() == before
         assert_same_states(pairs)
-
-    def test_large_stacks_only(self, monkeypatch):
-        monkeypatch.setattr(schemes, "_sweep_cpus", lambda: 2)
-        # 12 fields of grid 32 or 160 stay on one thread; of grid 256, two
-        for grid_n, shares in [(32, 1), (160, 1), (256, 2)]:
-            assert len(schemes._shares(12, (grid_n - 1) ** 2)) == shares, grid_n
-        token = schemes._ONE_THREAD.set(True)  # inside _map_runs' processes
-        try:
-            assert len(schemes._shares(12, 255**2)) == 1
-        finally:
-            schemes._ONE_THREAD.reset(token)
-
-    def test_a_joined_sweep_worker_does_not_count(self, monkeypatch):
-        # Thread.join returns before a finished thread's task leaves
-        # /proc/self/task: a listing that still holds the last dealt step's
-        # worker lets a stepper deal, one that holds any other thread does not
-        sweep_cpus, threshold, listdir = schemes._sweep_cpus, schemes._THREAD_VALUES, os.listdir
-        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 450)  # two 15x15 fields a block
-        p = build_model_problem(ExperimentSpec(kernel=load_builtin_prony("1/2"), grid_n=16))
-        _, started = step_pairs(p, SchemeConfig(0.5, 0.01), monkeypatch, 1)
-        workers = schemes._JOINED_WORKERS
-        assert started == 1 and len(workers) == 1
-        monkeypatch.setattr(schemes, "_sweep_cpus", sweep_cpus)
-        monkeypatch.setattr(schemes, "_THREAD_VALUES", threshold)
-        set_cpus(monkeypatch, 2)
-        this = str(threading.get_native_id())
-        other = str(1 + max(map(int, [this, *workers])))
-        for tasks, cpus in [([this], 2), ([this, *workers], 2), ([this, other], 1),
-                            ([this, *workers, other], 1)]:
-            monkeypatch.setattr(os, "listdir", lambda path: tasks if path == "/proc/self/task"
-                                else listdir(path))
-            assert schemes._sweep_cpus() == cpus, tasks
-            assert len(schemes._shares(12, 255**2)) == cpus, tasks
-
-    def test_only_the_only_thread_deals(self):
-        # a forked child holds one thread, the one that forked it
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            try:
-                os.write(write_fd, str(schemes._sweep_cpus()).encode())
-            finally:
-                os._exit(0)
-        os.close(write_fd)
-        with os.fdopen(read_fd) as pipe:
-            alone = int(pipe.read())
-        os.waitpid(pid, 0)
-        assert alone == len(os.sched_getaffinity(0))
-        done, waiting = threading.Event(), threading.Event()
-        other = threading.Thread(target=lambda: (waiting.set(), done.wait(10)))
-        other.start()
-        try:
-            assert waiting.wait(10)
-            assert schemes._sweep_cpus() == 1  # beside another thread, one
-        finally:
-            done.set()
-            other.join(10)
-        assert not other.is_alive()
 
 
 def tile_ordered_energy(p, s):
@@ -1683,10 +1631,10 @@ class TestRowDots:
         cfg, rates = SchemeConfig(0.75, 0.1), rng.uniform(0.0, 100.0, m)
         sums, forms = np.full((5, m), np.nan), np.full(m, np.nan)
         with pytest.MonkeyPatch.context() as mp:
-            deal_over_threads(mp, cpus, block_values)
+            mp.setattr(schemes, "_BLOCK_VALUES", block_values)
             plans = [schemes._residual_plan(cfg, rates, blocks, size, sums,
                                             *update_coefficients(cfg, rates), forms, coef)
-                     for blocks in schemes._shares(m, size)]
+                     for blocks in schemes._shares(m, size, cpus)]
             cuts = schemes._tiles(size)
             blocks = schemes._blocks(m, size)
         for plan in plans:
@@ -1744,7 +1692,7 @@ class TestTiles:
         whole = soe_stepper(p, cfg, with_energy=True)
         monkeypatch.setattr(schemes, "_BLOCK_VALUES", 60)
         pairs, started = step_pairs(p, cfg, monkeypatch, 20, cpus)
-        assert [len(share) for share in schemes._shares(12, 225)] == [12 // cpus] * cpus
+        assert [len(share) for share in schemes._shares(12, 225, cpus)] == [12 // cpus] * cpus
         assert started == 20 * (cpus - 1)
         assert_same_states(pairs)
         w = soe_init(p)
@@ -1771,12 +1719,12 @@ class TestTiles:
         assert all(s.energy == tile_ordered_energy(p, s) for s, _ in pairs)
 
     def test_shares_hold_whole_fields(self, monkeypatch):
-        deal_over_threads(monkeypatch, cpus=3, block_values=60)
+        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 60)
         m, size = 5, 225
         cfg, rates = SchemeConfig(0.5, 0.1), np.arange(1.0, m + 1)
         plans = [schemes._residual_plan(cfg, rates, blocks, size, np.empty((5, m)),
                                         *update_coefficients(cfg, rates), np.empty(m), np.ones(size))
-                 for blocks in schemes._shares(m, size)]
+                 for blocks in schemes._shares(m, size, 3)]
         fields = [[t.rows.start for t in plan] for plan in plans]
         assert fields == [[0] * 4, [1] * 4 + [2] * 4, [3] * 4 + [4] * 4]
         for plan in plans:
@@ -1811,12 +1759,12 @@ class TestTiles:
                 np.testing.assert_array_equal(u.aux, w.aux)
 
     def test_guard_names_a_field_tampered_in_a_later_tile(self, rng, monkeypatch):
-        deal_over_threads(monkeypatch, block_values=60)
+        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 60)
         grid = Grid2D(16, 16)
         cfg = SchemeConfig(sigma=0.75, tau=0.1)
         rates = np.array([0.5, 2.0, 8.0, 32.0])
         (ybar, aux_new, aux_old), _ = honest_update(rng, grid, cfg, rates)
-        shares = schemes._shares(4, 225)
+        shares = schemes._shares(4, 225, 2)
         assert shares == [[slice(0, 1), slice(1, 2)], [slice(2, 3), slice(3, 4)]]
         guard = residual_guard(cfg, grid, rates, shares)
         oracle = oracle_residual_guard(cfg, grid, rates, shares)
@@ -1856,11 +1804,9 @@ class TestTiles:
             aux[i].flat[j] = value
         state = SoeState(y=np.ones(grid.shape), aux=aux, n=2, t=0.2)
         errors = []
-        for dealt in (False, True):
-            if dealt:
-                deal_over_threads(monkeypatch)
-            step, before = soe_stepper(p, SchemeConfig(0.75, 0.1), with_energy=True), \
-                threading.active_count()
+        for threads in (1, 2):
+            step, before = soe_stepper(p, SchemeConfig(0.75, 0.1), with_energy=True,
+                                       threads=threads), threading.active_count()
             with pytest.raises(NonFiniteError) as raised:
                 step(state)
             assert threading.active_count() == before
