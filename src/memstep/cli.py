@@ -10,14 +10,14 @@ directory and can be fed back as a config file to reproduce the run.
 ``main`` drives every command: the command checks its configuration and
 returns its work, then ``main`` makes the run directory, runs the work and
 writes its tables and the manifest.  Exit codes: 0 success, 2 configuration
-error (the command's checks run before the run directory is made), 3
-numerical failure (which leaves the run directory without outputs).
+error (the command's checks run before the run directory is made, and an
+output file that cannot be written fails after the work), 3 numerical
+failure (which leaves the run directory without outputs).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from . import __version__
 from .kernels import (
@@ -189,6 +191,16 @@ def make_run_dir(cfg: RunConfig, command: str) -> Path:
     return run_dir
 
 
+def _write(path, text: str) -> None:
+    """Write ``text`` to the file ``path`` in one call, with no newline
+    translation; an OSError becomes a ConfigError (exit 2) naming the file."""
+    try:
+        with Path(path).open("w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def write_manifest(cfg: RunConfig, run_dir: Path, started_at: str) -> None:
     payload = {
         "config": dataclasses.asdict(cfg),
@@ -196,22 +208,24 @@ def write_manifest(cfg: RunConfig, run_dir: Path, started_at: str) -> None:
         "started_at": started_at,
         "finished_at": datetime.now(timezone.utc).isoformat(),
     }
-    with (run_dir / "manifest.json").open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write(run_dir / "manifest.json", json.dumps(payload, indent=2) + "\n")
 
 
-def write_csv(path, header: list[str], rows) -> None:
-    """Write a header and rows; floats get 17 significant digits (exact on reading back)."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+def write_csv(path, header: list[str], columns) -> None:
+    """Write a header and the rows of ``columns``, each a sequence of one
+    column's values, with the bytes ``csv.writer`` writes for them: floats
+    (numpy's too) in 17 significant digits, exact on reading back, and any
+    other value as ``str`` gives it, unquoted, as the commands write nothing
+    that holds a comma, a quote or a line break.  An array column becomes
+    Python numbers with one ``tolist``, which format several times faster
+    than numpy's scalars, and the file is written in one call."""
+    cells = [[f"{v:.17g}" if isinstance(v, float) else str(v)
+              for v in (c.tolist() if isinstance(c, np.ndarray) else c)] for c in columns]
+    _write(path, "\n".join(map(",".join, [header, *zip(*cells)])) + "\n")
 
 
 # Each command checks its configuration and returns its work: a callable that
-# returns the tables to write, {file name: (header, rows)}, and the lines to print.
+# returns the tables to write, {file name: (header, columns)}, and the lines to print.
 
 
 def cmd_run(cfg: RunConfig):
@@ -219,8 +233,8 @@ def cmd_run(cfg: RunConfig):
 
     def work():
         traj = run_model_problem(spec)
-        rows = zip(traj.steps, traj.times, traj.energies, traj.center_values)
-        return ({"trajectory.csv": (["n", "t", "energy", "center_value"], rows)},
+        columns = (traj.steps, traj.times, traj.energies, traj.center_values)
+        return ({"trajectory.csv": (["n", "t", "energy", "center_value"], columns)},
                 [f"run complete: {spec.n_steps} steps"])
 
     return work
@@ -235,8 +249,9 @@ def cmd_converge(cfg: RunConfig):
         errs = min(result.rows, key=lambda row: row.tau).errors  # the finest entry's
         return {
             "convergence.csv": (["tau", "max_eps2", "max_epsinf"],
-                                [(row.tau, row.max_eps2, row.max_epsinf) for row in result.rows]),
-            "errors.csv": (["t", "eps2", "epsinf"], zip(spec.sample_times(), errs.eps2, errs.epsinf)),
+                                list(zip(*((row.tau, row.max_eps2, row.max_epsinf)
+                                           for row in result.rows)))),
+            "errors.csv": (["t", "eps2", "epsinf"], (spec.sample_times(), errs.eps2, errs.epsinf)),
         }, [f"slope {name} = " + ("undefined" if slope is None else f"{slope:.3f}")
             for name, slope in (("eps2", result.slope_eps2), ("epsinf", result.slope_epsinf))]
 
@@ -250,7 +265,7 @@ def cmd_kernel_error(cfg: RunConfig):
     prony = cfg.kernel()  # a beta with no built-in fit fails here
     report = kernel_sup_error(StretchedExponential(builtin_beta(cfg.beta)), prony,
                               (cfg.window_t_min, cfg.window_t_max), cfg.window_samples)
-    return lambda: ({"kernel_error.csv": (["t", "error"], zip(report.times, report.errors))},
+    return lambda: ({"kernel_error.csv": (["t", "error"], (report.times, report.errors))},
                     [f"sup error = {report.sup_error:.6e}"])
 
 
@@ -261,8 +276,9 @@ def cmd_compare_baseline(cfg: RunConfig):
     def work():
         rows = compare_baseline(spec, cfg.ladder_steps)
         header = ["tau", "max_diff", "soe_seconds", "history_seconds", "soe_fields", "history_fields"]
-        table = [(row.tau, row.max_diff, f"{row.soe_seconds:.6f}", f"{row.history_seconds:.6f}",
-                  row.soe_fields, row.history_fields) for row in rows]
+        table = list(zip(*((row.tau, row.max_diff, f"{row.soe_seconds:.6f}",
+                            f"{row.history_seconds:.6f}", row.soe_fields, row.history_fields)
+                           for row in rows)))
         lines = [f"tau={row.tau:g}: max diff {row.max_diff:.6e} "
                  f"(fields: {row.soe_fields} compressed vs {row.history_fields} history)"
                  for row in rows]
@@ -319,8 +335,8 @@ def main(argv=None) -> int:
         work = _COMMANDS[args.command](cfg)
         run_dir = make_run_dir(cfg, args.command)
         tables, lines = work()
-        for name, (header, rows) in tables.items():
-            write_csv(run_dir / name, header, rows)
+        for name, (header, columns) in tables.items():
+            write_csv(run_dir / name, header, columns)
         write_manifest(cfg, run_dir, started)
     # NotSpdError is a ValueError, so the numerical clause must come first.
     except (ConvergenceError, NotSpdError, AuxiliaryResidualError, NonFiniteError) as exc:

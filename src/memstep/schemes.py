@@ -306,9 +306,11 @@ def soe_init(p: ProblemSpec) -> SoeState:
     """Initial state: y = u0, all compressed memory functions zero, with its
     energy |u0|_mass: every memory form is 0 there, so this is the arithmetic
     of :func:`energy`, bit for bit, with no sweep of the zero stack."""
-    aux = np.zeros((p.kernel.n_terms,) + p.initial.shape)
+    m = p.kernel.n_terms
+    aux = np.zeros((m,) + p.initial.shape)
     with _finite("energy", 0, 0.0):
-        e = math.sqrt(a_norm(p.mass, p.initial) ** 2 + 0.0)
+        e = _composite_energy(p, p.initial, aux.reshape(m, -1), np.zeros(m),
+                              np.asarray(p.kernel.weights))
     return SoeState(y=p.initial, aux=aux, n=0, t=0.0, energy=e)
 
 
@@ -326,16 +328,19 @@ class _Tile:
     buffer ``work`` is a view of that shape into the share's,
     ``decay`` and ``gain`` its rows' update coefficients, shaped to
     broadcast against its view, ``sums`` a view of its fields' places in
-    each row of the guard's sums, and ``forms`` one in the energy forms."""
+    each row of the guard's sums, ``forms`` one in the energy forms and in
+    |y_i'|^2 below them, and ``coef`` its part of a pointwise operator's
+    coefficient, from which it takes its forms (``_tile_forms``)."""
 
     __slots__ = ("at", "rows", "cols", "add", "work", "coef", "forms", "decay", "gain", "sums")
 
 
 def _pointwise(operator: SpdOperator):
     """The coefficient, a field flattened or a scalar, of a DiagonalScaling whose
-    application is its own, the product by the coefficient: a sweep writes that
-    product into a work buffer for the energy forms, with the same bits.  None
-    for any other operator, whose forms come from ``apply_values``."""
+    application is its own, the product by the coefficient: a sweep takes the
+    energy forms from it and a tile's squares, with no product by the
+    operator.  None for any other operator, whose forms come from
+    ``apply_values``."""
     if isinstance(operator, DiagonalScaling) and \
             type(operator).apply_values is DiagonalScaling.apply_values:
         coef = operator.coefficient
@@ -355,13 +360,15 @@ def _plan(blocks: list[slice], m: int, size: int, forms: Optional[np.ndarray] = 
     one per column slice.  Each has a view of its shape, ``work``, into a
     work buffer of the largest tile's size, which every tile and every step
     reuses, for the update and then the forms; ``add`` marks a tile past its field's first, which
-    adds its sums to the field's, in order.  ``forms``, when given, takes
-    the energy forms (``_tile_forms``) of each tile for a pointwise
-    operator, whose coefficient ``coef`` (``_pointwise``) a tile holds its
-    part of, and of each block's last tile, from whole fields, for any other."""
+    adds its sums to the field's, in order.  ``forms``, when given, a
+    ``(2, m)`` array of the energy forms over each field's |y_i'|^2, takes
+    the forms (``_tile_forms``) of each tile for a pointwise operator, whose
+    coefficient ``coef`` (``_pointwise``) a tile holds its part of, and of
+    each block's last tile, from whole fields, for any other."""
     cuts = _tiles(size)
     width = max(cut.stop - cut.start for cut in cuts)
     work = np.empty(max(blk.stop - blk.start for blk in blocks) * width)
+    pointwise = forms is not None and coef is not None
     plan = []
     for blk in blocks:
         k = blk.stop - blk.start
@@ -376,18 +383,21 @@ def _plan(blocks: list[slice], m: int, size: int, forms: Optional[np.ndarray] = 
                     t.at = ...
             else:
                 t.at = (blk.start, cut)
-            t.coef = None if coef is None else coef[cut] if coef.ndim else coef
-            with_forms = forms is not None and (coef is not None or j == len(cuts) - 1)
-            t.forms = forms[blk] if with_forms else None
+            t.coef = None if not pointwise else coef[cut] if coef.ndim else coef
+            with_forms = pointwise or forms is not None and j == len(cuts) - 1
+            t.forms = forms[:, blk] if with_forms else None
             plan.append(t)
     return plan
 
 
-# The rows of the guard's ``(5, m)`` sums, a place per field in each: y_i'.y_i,
-# y_i.ybar, |y_i'|^2, y_i'.ybar and |ybar|^2.  The projection r_i.y_i' is new_i,
-# -old_i and -1 times rows _SQUARE, _CROSS and _NEW_BAR, and r_i.ybar the same
-# times the row after each, so the guard forms both from three runs of 2m values.
-_CROSS, _OLD_BAR, _SQUARE, _NEW_BAR, _BAR_SQUARE = range(5)
+# The rows of the step's ``(6, m)`` sums, a place per field in each: y_i'.y_i,
+# y_i.ybar, the energy forms, |y_i'|^2, y_i'.ybar and |ybar|^2.  The projection
+# r_i.y_i' is new_i, -old_i and -1 times rows _SQUARE, _CROSS and _NEW_BAR, and
+# r_i.ybar the same times the row after each, so the guard forms both from
+# three runs of 2m values.  The forms sit above |y_i'|^2, so that a tile's view
+# of both is one ``(2, k)`` view (``_Tile.forms``): a scalar coefficient c
+# makes each form c |y_i'|^2 (``_tile_forms``).
+_CROSS, _OLD_BAR, _FORMS, _SQUARE, _NEW_BAR, _BAR_SQUARE = range(6)
 
 
 def _residual_plan(cfg: SchemeConfig, rates, blocks: list[slice], size: int, sums: np.ndarray,
@@ -395,7 +405,7 @@ def _residual_plan(cfg: SchemeConfig, rates, blocks: list[slice], size: int, sum
                    coef=None) -> list[_Tile]:
     """``_plan(blocks, len(rates), size, forms, coef)``, each tile with its
     rows' columns of the update's ``decay`` and ``gain`` and, as ``sums``,
-    views of its fields' places in the rows of the guard's ``(5, m)`` sums.
+    views of its fields' places in the rows of the step's ``(6, m)`` sums.
     The columns must meet new_i decay_i = old_i and new_i gain_i = 1 to 1e-12
     relative, with the guard's new_i and old_i (``_residual_coefficients``,
     derived apart), or AuxiliaryResidualError names the first rate that
@@ -430,7 +440,9 @@ def _dots(u: np.ndarray, v: np.ndarray, out: np.ndarray, add: bool) -> None:
 def _residual_sums(t: _Tile, new: np.ndarray, old: np.ndarray, yb: np.ndarray) -> None:
     """Tile t's part of its fields' |y_i'|^2, y_i'.y_i, y_i'.ybar and y_i.ybar
     into its views of the guard's sums, from its views ``new`` and ``old`` of
-    the two stacks and its columns ``yb`` of ybar: four row reductions."""
+    the two stacks and its columns ``yb`` of ybar: four row reductions.  A
+    scalar coefficient's energy forms are c |y_i'|^2 from these sums, with
+    no reduction of their own (``_tile_forms``)."""
     sums = t.sums
     _dots(new, new, sums[_SQUARE], t.add)
     _dots(new, old, sums[_CROSS], t.add)
@@ -538,8 +550,10 @@ def soe_stepper(
     block) and updates each, takes the guard's four row sums
     (``_residual_sums``) and, ``with_energy``, the energy forms, while the
     tile and its share's work buffer stay in cache; a field's sums are
-    added over its tiles in order.  A tile makes 3 update passes, 4 guard
-    reductions and 2 passes for its forms.
+    added over its tiles in order.  A tile makes 3 update passes and 4
+    guard reductions; with the energy and a pointwise operator its forms
+    take one squares pass and one reduction of the squares with the
+    coefficient field, or none for a scalar one (``_tile_forms``).
     The blocks are dealt in min(``threads``, blocks) contiguous shares
     (``_shares``), each with the work buffer of its ``_residual_plan``.  A
     single share the step sweeps itself; of several, ``_sweep_shares`` runs
@@ -574,11 +588,10 @@ def soe_stepper(
         if p.reaction is not None:
             terms.append((sig * tau, p.reaction))
         lhs = _collapsed(terms)
-        # the guard's sums and the energy forms, one per field
-        sums, forms = np.empty((5, m)), np.empty(m)
+        sums = np.empty((6, m))  # the guard's sums and the energy forms, one per field
         coef = _pointwise(p.operator)
         shares = [_residual_plan(cfg, b, blocks, size, sums, decay, gain,
-                                 forms if with_energy else None, coef)
+                                 sums[_FORMS:_SQUARE + 1] if with_energy else None, coef)
                   for blocks in _shares(m, size, threads)]
         guard = _aux_residual_guard(cfg, grid, b, sums)
     # the step's numpy state, and one context of its own for each other share's thread
@@ -644,7 +657,7 @@ def soe_stepper(
             try:
                 if failure:
                     raise failure[1]
-                e = _composite_energy(p, y_new, new, forms, a)
+                e = _composite_energy(p, y_new, new, sums[_FORMS], a)
             except FloatingPointError as exc:
                 raise _non_finite("energy", s.n + 1, s.t + tau, exc) from None
         return SoeState(y=y_new, aux=aux, n=s.n + 1, t=s.t + tau, energy=e)
@@ -766,17 +779,25 @@ def history_levels(p: ProblemSpec, cfg: SchemeConfig, n_steps: int) -> np.ndarra
 def _tile_forms(operator: SpdOperator, t: _Tile, new: np.ndarray, fields: np.ndarray) -> None:
     """Tile t's part of the forms (A y_i, y_i), without the cell area, of the
     memory fields ``fields``, ``(m, n1-1, n2-1)``, into its fields' places in
-    the plan's forms; ``new`` is the tile's view of the same stack.  A
-    pointwise operator's product with the tile is written into the ``work``
-    buffer, and a field's forms are added over its tiles in order; any other
-    operator is applied to the tile's whole fields."""
+    the first row of its view ``t.forms``; ``new`` is the tile's view of the
+    same stack.  A pointwise operator's tile writes its squares into the
+    ``work`` buffer and takes their row dots with its coefficient, np.vecdot
+    for a block of fields, np.dot added over a field's tiles in order for a
+    single field, each field's as np.dot's, bit for bit.  The form of a
+    scalar coefficient c is c |y_i'|^2, from the second row, where the
+    caller has put the tile's |y_i'|^2 (a step's guard sums hold them).
+    Any other operator is applied to the tile's whole fields."""
+    forms, squares = t.forms
     if t.coef is None:
         block = fields[t.rows]
         whole = block.reshape(len(block), -1) if len(block) > 1 else block.reshape(-1)
-        _dots(operator.apply_values(block).reshape(whole.shape), whole, t.forms, False)
+        _dots(operator.apply_values(block).reshape(whole.shape), whole, forms, False)
+    elif not t.coef.ndim:
+        np.multiply(t.coef, squares, out=forms)
+    elif new.ndim == 2:
+        np.vecdot(np.multiply(new, new, out=t.work), t.coef, out=forms)
     else:
-        np.multiply(t.coef, new, out=t.work)
-        _dots(t.work, new, t.forms, t.add)
+        _dots(np.multiply(new, new, out=t.work), t.coef, forms, t.add)
 
 
 def _composite_energy(
@@ -784,14 +805,18 @@ def _composite_energy(
 ) -> float:
     """(|y|_mass^2 + sum_i a_i area*forms_i)**0.5 from the forms (A y_i, y_i)
     of every memory field (``rows``, ``(m, size)``, in the stack's order),
-    taken by ``_tile_forms``; a form negative beyond rounding raises
-    NotSpdError, one within it counts as 0."""
+    taken by ``_tile_forms``: with an identity mass area (y.y + a.forms), two
+    BLAS dots.  A form negative beyond rounding raises NotSpdError, one
+    within it counts as 0."""
     area = p.grid.cell_area
     if forms.min() < 0.0:  # else the check and the clamp change nothing
         if np.any(forms < -1e-12 * np.maximum(np.vecdot(rows, rows), 1e-300)):
             raise NotSpdError(f"quadratic form is negative: {forms.min() * area}")
         forms = np.maximum(forms, 0.0)
-    return math.sqrt(a_norm(p.mass, y) ** 2 + float(np.dot(weights, forms * area)))
+    memory = np.dot(weights, forms)
+    if type(p.mass) is IdentityOperator:
+        return math.sqrt(area * (np.vdot(y, y) + memory))
+    return math.sqrt(a_norm(p.mass, y) ** 2 + area * memory)
 
 
 def energy(p: ProblemSpec, s: SoeState) -> float:
@@ -804,9 +829,12 @@ def energy(p: ProblemSpec, s: SoeState) -> float:
     """
     m = len(s.aux)
     with _finite("energy", s.n, s.t):
-        rows, forms = s.aux.reshape(m, -1), np.empty(m)
+        rows, forms = s.aux.reshape(m, -1), np.empty((2, m))
         size = rows.shape[1]
         for t in _plan(_blocks(m, size), m, size, forms, _pointwise(p.operator)):
             if t.forms is not None:
-                _tile_forms(p.operator, t, rows[t.at], s.aux)
-        return _composite_energy(p, s.y, rows, forms, np.asarray(p.kernel.weights))
+                new = rows[t.at]
+                if t.coef is not None and not t.coef.ndim:  # |y_i'|^2, as a step takes it
+                    _dots(new, new, t.forms[1], t.add)
+                _tile_forms(p.operator, t, new, s.aux)
+        return _composite_energy(p, s.y, rows, forms[0], np.asarray(p.kernel.weights))
