@@ -18,6 +18,8 @@ failure (which leaves the run directory without outputs).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import dataclasses
 import json
 import math
@@ -27,8 +29,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
-
-import numpy as np
 
 from . import __version__
 from .kernels import (
@@ -191,12 +191,14 @@ def make_run_dir(cfg: RunConfig, command: str) -> Path:
     return run_dir
 
 
-def _write(path, text: str) -> None:
-    """Write ``text`` to the file ``path`` in one call, with no newline
-    translation; an OSError becomes a ConfigError (exit 2) naming the file."""
+@contextlib.contextmanager
+def _output(path):
+    """The file ``path`` open for writing, with no newline translation; an
+    OSError from opening or writing it becomes a ConfigError (exit 2) naming
+    the file."""
     try:
         with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -208,24 +210,22 @@ def write_manifest(cfg: RunConfig, run_dir: Path, started_at: str) -> None:
         "started_at": started_at,
         "finished_at": datetime.now(timezone.utc).isoformat(),
     }
-    _write(run_dir / "manifest.json", json.dumps(payload, indent=2) + "\n")
+    with _output(run_dir / "manifest.json") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
-def write_csv(path, header: list[str], columns) -> None:
-    """Write a header and the rows of ``columns``, each a sequence of one
-    column's values, with the bytes ``csv.writer`` writes for them: floats
-    (numpy's too) in 17 significant digits, exact on reading back, and any
-    other value as ``str`` gives it, unquoted, as the commands write nothing
-    that holds a comma, a quote or a line break.  An array column becomes
-    Python numbers with one ``tolist``, which format several times faster
-    than numpy's scalars, and the file is written in one call."""
-    cells = [[f"{v:.17g}" if isinstance(v, float) else str(v)
-              for v in (c.tolist() if isinstance(c, np.ndarray) else c)] for c in columns]
-    _write(path, "\n".join(map(",".join, [header, *zip(*cells)])) + "\n")
+def write_csv(path, header: list[str], rows) -> None:
+    """Write a header and rows; floats get 17 significant digits (exact on reading back)."""
+    with _output(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
 
 
 # Each command checks its configuration and returns its work: a callable that
-# returns the tables to write, {file name: (header, columns)}, and the lines to print.
+# returns the tables to write, {file name: (header, rows)}, and the lines to print.
 
 
 def cmd_run(cfg: RunConfig):
@@ -233,8 +233,10 @@ def cmd_run(cfg: RunConfig):
 
     def work():
         traj = run_model_problem(spec)
-        columns = (traj.steps, traj.times, traj.energies, traj.center_values)
-        return ({"trajectory.csv": (["n", "t", "energy", "center_value"], columns)},
+        # Python numbers, which csv.writer takes faster than numpy scalars, with the same bytes
+        rows = zip(traj.steps.tolist(), traj.times.tolist(), traj.energies.tolist(),
+                   traj.center_values.tolist())
+        return ({"trajectory.csv": (["n", "t", "energy", "center_value"], rows)},
                 [f"run complete: {spec.n_steps} steps"])
 
     return work
@@ -249,9 +251,8 @@ def cmd_converge(cfg: RunConfig):
         errs = min(result.rows, key=lambda row: row.tau).errors  # the finest entry's
         return {
             "convergence.csv": (["tau", "max_eps2", "max_epsinf"],
-                                list(zip(*((row.tau, row.max_eps2, row.max_epsinf)
-                                           for row in result.rows)))),
-            "errors.csv": (["t", "eps2", "epsinf"], (spec.sample_times(), errs.eps2, errs.epsinf)),
+                                [(row.tau, row.max_eps2, row.max_epsinf) for row in result.rows]),
+            "errors.csv": (["t", "eps2", "epsinf"], zip(spec.sample_times(), errs.eps2, errs.epsinf)),
         }, [f"slope {name} = " + ("undefined" if slope is None else f"{slope:.3f}")
             for name, slope in (("eps2", result.slope_eps2), ("epsinf", result.slope_epsinf))]
 
@@ -265,7 +266,7 @@ def cmd_kernel_error(cfg: RunConfig):
     prony = cfg.kernel()  # a beta with no built-in fit fails here
     report = kernel_sup_error(StretchedExponential(builtin_beta(cfg.beta)), prony,
                               (cfg.window_t_min, cfg.window_t_max), cfg.window_samples)
-    return lambda: ({"kernel_error.csv": (["t", "error"], (report.times, report.errors))},
+    return lambda: ({"kernel_error.csv": (["t", "error"], zip(report.times, report.errors))},
                     [f"sup error = {report.sup_error:.6e}"])
 
 
@@ -276,9 +277,8 @@ def cmd_compare_baseline(cfg: RunConfig):
     def work():
         rows = compare_baseline(spec, cfg.ladder_steps)
         header = ["tau", "max_diff", "soe_seconds", "history_seconds", "soe_fields", "history_fields"]
-        table = list(zip(*((row.tau, row.max_diff, f"{row.soe_seconds:.6f}",
-                            f"{row.history_seconds:.6f}", row.soe_fields, row.history_fields)
-                           for row in rows)))
+        table = [(row.tau, row.max_diff, f"{row.soe_seconds:.6f}", f"{row.history_seconds:.6f}",
+                  row.soe_fields, row.history_fields) for row in rows]
         lines = [f"tau={row.tau:g}: max diff {row.max_diff:.6e} "
                  f"(fields: {row.soe_fields} compressed vs {row.history_fields} history)"
                  for row in rows]
@@ -335,8 +335,8 @@ def main(argv=None) -> int:
         work = _COMMANDS[args.command](cfg)
         run_dir = make_run_dir(cfg, args.command)
         tables, lines = work()
-        for name, (header, columns) in tables.items():
-            write_csv(run_dir / name, header, columns)
+        for name, (header, rows) in tables.items():
+            write_csv(run_dir / name, header, rows)
         write_manifest(cfg, run_dir, started)
     # NotSpdError is a ValueError, so the numerical clause must come first.
     except (ConvergenceError, NotSpdError, AuxiliaryResidualError, NonFiniteError) as exc:

@@ -328,23 +328,23 @@ class _Tile:
     buffer ``work`` is a view of that shape into the share's,
     ``decay`` and ``gain`` its rows' update coefficients, shaped to
     broadcast against its view, ``sums`` a view of its fields' places in
-    each row of the guard's sums, ``forms`` one in the energy forms and in
-    |y_i'|^2 below them, and ``coef`` its part of a pointwise operator's
-    coefficient, from which it takes its forms (``_tile_forms``)."""
+    each row of the guard's sums, ``forms`` one in the energy forms, and
+    ``coef`` its part of a pointwise operator's coefficient field, from
+    which it takes its forms (``_tile_forms``)."""
 
     __slots__ = ("at", "rows", "cols", "add", "work", "coef", "forms", "decay", "gain", "sums")
 
 
-def _pointwise(operator: SpdOperator):
-    """The coefficient, a field flattened or a scalar, of a DiagonalScaling whose
-    application is its own, the product by the coefficient: a sweep takes the
-    energy forms from it and a tile's squares, with no product by the
-    operator.  None for any other operator, whose forms come from
-    ``apply_values``."""
+def _pointwise(operator: SpdOperator, size: int):
+    """The coefficient, flattened, of a DiagonalScaling whose application is
+    its own, the product by the coefficient, as a field of ``size`` values,
+    a scalar's too: a sweep takes the energy forms from it and a tile's
+    squares, with no product by the operator.  None for any other operator,
+    whose forms come from ``apply_values``."""
     if isinstance(operator, DiagonalScaling) and \
             type(operator).apply_values is DiagonalScaling.apply_values:
         coef = operator.coefficient
-        return coef.reshape(-1) if coef.ndim else coef
+        return coef.reshape(-1) if coef.ndim else np.full(size, float(coef))
     return None
 
 
@@ -360,15 +360,14 @@ def _plan(blocks: list[slice], m: int, size: int, forms: Optional[np.ndarray] = 
     one per column slice.  Each has a view of its shape, ``work``, into a
     work buffer of the largest tile's size, which every tile and every step
     reuses, for the update and then the forms; ``add`` marks a tile past its field's first, which
-    adds its sums to the field's, in order.  ``forms``, when given, a
-    ``(2, m)`` array of the energy forms over each field's |y_i'|^2, takes
-    the forms (``_tile_forms``) of each tile for a pointwise operator, whose
-    coefficient ``coef`` (``_pointwise``) a tile holds its part of, and of
-    each block's last tile, from whole fields, for any other."""
+    adds its sums to the field's, in order.  ``forms``, when given, takes
+    the energy forms (``_tile_forms``) of each tile for a pointwise
+    operator, whose coefficient field ``coef`` (``_pointwise``) a tile holds
+    its part of, and of each block's last tile, from whole fields, for any
+    other."""
     cuts = _tiles(size)
     width = max(cut.stop - cut.start for cut in cuts)
     work = np.empty(max(blk.stop - blk.start for blk in blocks) * width)
-    pointwise = forms is not None and coef is not None
     plan = []
     for blk in blocks:
         k = blk.stop - blk.start
@@ -383,21 +382,18 @@ def _plan(blocks: list[slice], m: int, size: int, forms: Optional[np.ndarray] = 
                     t.at = ...
             else:
                 t.at = (blk.start, cut)
-            t.coef = None if not pointwise else coef[cut] if coef.ndim else coef
-            with_forms = pointwise or forms is not None and j == len(cuts) - 1
-            t.forms = forms[:, blk] if with_forms else None
+            t.coef = None if coef is None else coef[cut]
+            with_forms = forms is not None and (coef is not None or j == len(cuts) - 1)
+            t.forms = forms[blk] if with_forms else None
             plan.append(t)
     return plan
 
 
-# The rows of the step's ``(6, m)`` sums, a place per field in each: y_i'.y_i,
-# y_i.ybar, the energy forms, |y_i'|^2, y_i'.ybar and |ybar|^2.  The projection
-# r_i.y_i' is new_i, -old_i and -1 times rows _SQUARE, _CROSS and _NEW_BAR, and
-# r_i.ybar the same times the row after each, so the guard forms both from
-# three runs of 2m values.  The forms sit above |y_i'|^2, so that a tile's view
-# of both is one ``(2, k)`` view (``_Tile.forms``): a scalar coefficient c
-# makes each form c |y_i'|^2 (``_tile_forms``).
-_CROSS, _OLD_BAR, _FORMS, _SQUARE, _NEW_BAR, _BAR_SQUARE = range(6)
+# The rows of the guard's ``(5, m)`` sums, a place per field in each: y_i'.y_i,
+# y_i.ybar, |y_i'|^2, y_i'.ybar and |ybar|^2.  The projection r_i.y_i' is new_i,
+# -old_i and -1 times rows _SQUARE, _CROSS and _NEW_BAR, and r_i.ybar the same
+# times the row after each, so the guard forms both from three runs of 2m values.
+_CROSS, _OLD_BAR, _SQUARE, _NEW_BAR, _BAR_SQUARE = range(5)
 
 
 def _residual_plan(cfg: SchemeConfig, rates, blocks: list[slice], size: int, sums: np.ndarray,
@@ -405,7 +401,7 @@ def _residual_plan(cfg: SchemeConfig, rates, blocks: list[slice], size: int, sum
                    coef=None) -> list[_Tile]:
     """``_plan(blocks, len(rates), size, forms, coef)``, each tile with its
     rows' columns of the update's ``decay`` and ``gain`` and, as ``sums``,
-    views of its fields' places in the rows of the step's ``(6, m)`` sums.
+    views of its fields' places in the rows of the guard's ``(5, m)`` sums.
     The columns must meet new_i decay_i = old_i and new_i gain_i = 1 to 1e-12
     relative, with the guard's new_i and old_i (``_residual_coefficients``,
     derived apart), or AuxiliaryResidualError names the first rate that
@@ -440,9 +436,7 @@ def _dots(u: np.ndarray, v: np.ndarray, out: np.ndarray, add: bool) -> None:
 def _residual_sums(t: _Tile, new: np.ndarray, old: np.ndarray, yb: np.ndarray) -> None:
     """Tile t's part of its fields' |y_i'|^2, y_i'.y_i, y_i'.ybar and y_i.ybar
     into its views of the guard's sums, from its views ``new`` and ``old`` of
-    the two stacks and its columns ``yb`` of ybar: four row reductions.  A
-    scalar coefficient's energy forms are c |y_i'|^2 from these sums, with
-    no reduction of their own (``_tile_forms``)."""
+    the two stacks and its columns ``yb`` of ybar: four row reductions."""
     sums = t.sums
     _dots(new, new, sums[_SQUARE], t.add)
     _dots(new, old, sums[_CROSS], t.add)
@@ -553,7 +547,7 @@ def soe_stepper(
     added over its tiles in order.  A tile makes 3 update passes and 4
     guard reductions; with the energy and a pointwise operator its forms
     take one squares pass and one reduction of the squares with the
-    coefficient field, or none for a scalar one (``_tile_forms``).
+    coefficient field (``_tile_forms``).
     The blocks are dealt in min(``threads``, blocks) contiguous shares
     (``_shares``), each with the work buffer of its ``_residual_plan``.  A
     single share the step sweeps itself; of several, ``_sweep_shares`` runs
@@ -588,10 +582,11 @@ def soe_stepper(
         if p.reaction is not None:
             terms.append((sig * tau, p.reaction))
         lhs = _collapsed(terms)
-        sums = np.empty((6, m))  # the guard's sums and the energy forms, one per field
-        coef = _pointwise(p.operator)
+        # the guard's sums and the energy forms, one per field
+        sums, forms = np.empty((5, m)), np.empty(m)
+        coef = _pointwise(p.operator, size)
         shares = [_residual_plan(cfg, b, blocks, size, sums, decay, gain,
-                                 sums[_FORMS:_SQUARE + 1] if with_energy else None, coef)
+                                 forms if with_energy else None, coef)
                   for blocks in _shares(m, size, threads)]
         guard = _aux_residual_guard(cfg, grid, b, sums)
     # the step's numpy state, and one context of its own for each other share's thread
@@ -657,7 +652,7 @@ def soe_stepper(
             try:
                 if failure:
                     raise failure[1]
-                e = _composite_energy(p, y_new, new, sums[_FORMS], a)
+                e = _composite_energy(p, y_new, new, forms, a)
             except FloatingPointError as exc:
                 raise _non_finite("energy", s.n + 1, s.t + tau, exc) from None
         return SoeState(y=y_new, aux=aux, n=s.n + 1, t=s.t + tau, energy=e)
@@ -779,25 +774,20 @@ def history_levels(p: ProblemSpec, cfg: SchemeConfig, n_steps: int) -> np.ndarra
 def _tile_forms(operator: SpdOperator, t: _Tile, new: np.ndarray, fields: np.ndarray) -> None:
     """Tile t's part of the forms (A y_i, y_i), without the cell area, of the
     memory fields ``fields``, ``(m, n1-1, n2-1)``, into its fields' places in
-    the first row of its view ``t.forms``; ``new`` is the tile's view of the
-    same stack.  A pointwise operator's tile writes its squares into the
-    ``work`` buffer and takes their row dots with its coefficient, np.vecdot
-    for a block of fields, np.dot added over a field's tiles in order for a
-    single field, each field's as np.dot's, bit for bit.  The form of a
-    scalar coefficient c is c |y_i'|^2, from the second row, where the
-    caller has put the tile's |y_i'|^2 (a step's guard sums hold them).
-    Any other operator is applied to the tile's whole fields."""
-    forms, squares = t.forms
+    the plan's forms; ``new`` is the tile's view of the same stack.  A
+    pointwise operator's tile writes its squares into the ``work`` buffer
+    and takes their row dots with its coefficient field, np.vecdot for a
+    block of fields, np.dot added over a field's tiles in order for a single
+    field, each field's as np.dot's, bit for bit.  Any other operator is
+    applied to the tile's whole fields."""
     if t.coef is None:
         block = fields[t.rows]
         whole = block.reshape(len(block), -1) if len(block) > 1 else block.reshape(-1)
-        _dots(operator.apply_values(block).reshape(whole.shape), whole, forms, False)
-    elif not t.coef.ndim:
-        np.multiply(t.coef, squares, out=forms)
+        _dots(operator.apply_values(block).reshape(whole.shape), whole, t.forms, False)
     elif new.ndim == 2:
-        np.vecdot(np.multiply(new, new, out=t.work), t.coef, out=forms)
+        np.vecdot(np.multiply(new, new, out=t.work), t.coef, out=t.forms)
     else:
-        _dots(np.multiply(new, new, out=t.work), t.coef, forms, t.add)
+        _dots(np.multiply(new, new, out=t.work), t.coef, t.forms, t.add)
 
 
 def _composite_energy(
@@ -829,12 +819,9 @@ def energy(p: ProblemSpec, s: SoeState) -> float:
     """
     m = len(s.aux)
     with _finite("energy", s.n, s.t):
-        rows, forms = s.aux.reshape(m, -1), np.empty((2, m))
+        rows, forms = s.aux.reshape(m, -1), np.empty(m)
         size = rows.shape[1]
-        for t in _plan(_blocks(m, size), m, size, forms, _pointwise(p.operator)):
+        for t in _plan(_blocks(m, size), m, size, forms, _pointwise(p.operator, size)):
             if t.forms is not None:
-                new = rows[t.at]
-                if t.coef is not None and not t.coef.ndim:  # |y_i'|^2, as a step takes it
-                    _dots(new, new, t.forms[1], t.add)
-                _tile_forms(p.operator, t, new, s.aux)
-        return _composite_energy(p, s.y, rows, forms[0], np.asarray(p.kernel.weights))
+                _tile_forms(p.operator, t, rows[t.at], s.aux)
+        return _composite_energy(p, s.y, rows, forms, np.asarray(p.kernel.weights))

@@ -99,7 +99,7 @@ def residual_guard(cfg, grid, rates, shares=None):
     first in a thread of its own, as a step's sweep does, then lets the guard
     judge them."""
     m, size = len(rates), grid.shape[0] * grid.shape[1]
-    sums = np.empty((6, m))
+    sums = np.empty((5, m))
     decay, gain = update_coefficients(cfg, rates)
     plans = [schemes._residual_plan(cfg, rates, blocks, size, sums, decay, gain)
              for blocks in shares or [schemes._blocks(m, size)]]

@@ -825,7 +825,7 @@ class TestGuardProjections:
                 cross[i], old_bar[i] = square[i], new_bar[i]
                 at = limits[i] if plant == "on" else np.nextafter(limits[i], math.inf)
                 new_bar[i] = data.draw(st.sampled_from([at, -at])) * scale[i]
-        sums = np.zeros((6, m))
+        sums = np.zeros((5, m))
         for row, values in [(schemes._CROSS, cross), (schemes._OLD_BAR, old_bar),
                             (schemes._SQUARE, square), (schemes._NEW_BAR, new_bar)]:
             sums[row] = values
@@ -852,7 +852,7 @@ class TestGuardProjections:
         monkeypatch.setattr(schemes, "_BLOCK_VALUES", 60)
         m, size = 3, 225
         cfg, rates = SchemeConfig(0.5, 0.1), np.array([0.5, 2.0, 8.0])
-        sums = np.full((6, m), np.nan)
+        sums = np.full((5, m), np.nan)
         plan = schemes._residual_plan(cfg, rates, schemes._blocks(m, size), size, sums,
                                       *update_coefficients(cfg, rates))
         (new, old), yb = rng.standard_normal((2, m, size)), rng.standard_normal(size)
@@ -863,10 +863,8 @@ class TestGuardProjections:
             assert np.isnan(t.work).all()
         for a, b in zip((new, old, yb), before):
             np.testing.assert_array_equal(a, b)
-        # the guard's |ybar|^2 and, with no energy asked for, the forms stay unwritten
-        unwritten = [schemes._FORMS, schemes._BAR_SQUARE]
-        assert not np.isnan(np.delete(sums, unwritten, 0)).any()
-        assert np.isnan(sums[unwritten]).all()
+        assert not np.isnan(np.delete(sums, schemes._BAR_SQUARE, 0)).any()
+        assert np.isnan(sums[schemes._BAR_SQUARE]).all()
 
 
 CATALOGUE = ["field scaled", "decay", "gain", "shift", "wrong ybar", "tile zeros", "tile old",
@@ -1611,25 +1609,24 @@ def tile_ordered_energy(p, s):
 
 
 def plan_sums(rates, size, block_values, cpus, new, old, yb, coef):
-    """The step's ``(6, m)`` sums but |ybar|^2 (NaN) that the plans of
+    """The guard's ``(5, m)`` sums but |ybar|^2 (NaN) and the energy forms
+    of a pointwise operator of coefficient field ``coef`` that the plans of
     ``cpus`` shares take, with ``_BLOCK_VALUES`` at ``block_values``, of the
-    stacks ``new`` and ``old`` of m fields and ybar ``yb``, with the energy
-    forms of a pointwise operator of coefficient ``coef``, and the plans'
+    stacks ``new`` and ``old`` of m fields and ybar ``yb``, and the plans'
     row blocks and column tiles."""
     cfg, m = SchemeConfig(0.75, 0.1), len(rates)
-    sums = np.full((6, m), np.nan)
+    sums, forms = np.full((5, m), np.nan), np.full(m, np.nan)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(schemes, "_BLOCK_VALUES", block_values)
         plans = [schemes._residual_plan(cfg, rates, blocks, size, sums,
-                                        *update_coefficients(cfg, rates),
-                                        sums[schemes._FORMS:schemes._SQUARE + 1], coef)
+                                        *update_coefficients(cfg, rates), forms, coef)
                  for blocks in schemes._shares(m, size, cpus)]
         cuts, blocks = schemes._tiles(size), schemes._blocks(m, size)
     for plan in plans:
         for t in plan:
             schemes._residual_sums(t, new[t.at], old[t.at], yb[t.cols])
             schemes._tile_forms(None, t, new[t.at], None)
-    return sums, blocks, cuts
+    return sums, forms, blocks, cuts
 
 
 class TestRowDots:
@@ -1638,8 +1635,7 @@ class TestRowDots:
     np.dot, tile by tile and added in order, bit for bit: the property that
     keeps a step's energies those of ``energy`` and its bits the same for
     any share count and block size.  A pointwise operator's forms are the
-    dots of the squares with its coefficient, or c |y_i'|^2 for a scalar c.
-    The guard's sums with ybar take one gemv per block, a field's dot per
+    dots of the squares with its coefficient field.  The guard's sums with ybar take one gemv per block, a field's dot per
     tile where a field is tiled."""
 
     @settings(max_examples=60, deadline=None)
@@ -1648,32 +1644,28 @@ class TestRowDots:
         size=st.integers(1, 300),
         block_values=st.integers(1, 700),
         cpus=st.integers(1, 3),
-        scalar=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_plan_views_take_each_fields_dots(self, m, size, block_values, cpus, scalar, seed):
+    def test_plan_views_take_each_fields_dots(self, m, size, block_values, cpus, seed):
         rng = np.random.default_rng(seed)
         # magnitudes from 1e-5 to 1e5, a field at a time
         new, old = rng.standard_normal((2, m, size)) * 10.0 ** rng.uniform(-5, 5, (2, m, 1))
-        yb = rng.standard_normal(size)
-        coef = np.asarray(rng.random()) if scalar else rng.random(size)
+        yb, coef = rng.standard_normal(size), rng.random(size)
         rates = rng.uniform(0.0, 100.0, m)
-        sums, blocks, cuts = plan_sums(rates, size, block_values, cpus, new, old, yb, coef)
+        sums, forms, blocks, cuts = plan_sums(rates, size, block_values, cpus, new, old, yb, coef)
         # the same bits from one share, whatever the share count
-        np.testing.assert_array_equal(sums, plan_sums(rates, size, block_values, 1, new, old, yb,
-                                                      coef)[0])
+        for got, one in zip((sums, forms),
+                            plan_sums(rates, size, block_values, 1, new, old, yb, coef)):
+            np.testing.assert_array_equal(got, one)
         assert np.isnan(sums[schemes._BAR_SQUARE]).all()  # the guard's row
-        rows = [(sums[schemes._SQUARE], (new, new)), (sums[schemes._CROSS], (new, old))]
-        if not scalar:
-            rows.append((sums[schemes._FORMS], (new * new, np.broadcast_to(coef, new.shape))))
         for i in range(m):
-            for out, (u, v) in rows:
+            for out, (u, v) in [(sums[schemes._SQUARE], (new, new)),
+                                (sums[schemes._CROSS], (new, old)),
+                                (forms, (new * new, np.broadcast_to(coef, new.shape)))]:
                 dot = np.dot(u[i, cuts[0]], v[i, cuts[0]])
                 for cut in cuts[1:]:
                     dot += np.dot(u[i, cut], v[i, cut])
                 assert out[i] == dot, i
-        if scalar:
-            np.testing.assert_array_equal(sums[schemes._FORMS], coef * sums[schemes._SQUARE])
         for out, stack in [(sums[schemes._NEW_BAR], new), (sums[schemes._OLD_BAR], old)]:
             for blk in blocks:
                 if blk.stop - blk.start > 1:  # one gemv
@@ -1746,9 +1738,8 @@ class TestTiles:
         monkeypatch.setattr(schemes, "_BLOCK_VALUES", 60)
         m, size = 5, 225
         cfg, rates = SchemeConfig(0.5, 0.1), np.arange(1.0, m + 1)
-        plans = [schemes._residual_plan(cfg, rates, blocks, size, np.empty((6, m)),
-                                        *update_coefficients(cfg, rates), np.empty((2, m)),
-                                        np.ones(size))
+        plans = [schemes._residual_plan(cfg, rates, blocks, size, np.empty((5, m)),
+                                        *update_coefficients(cfg, rates), np.empty(m), np.ones(size))
                  for blocks in schemes._shares(m, size, 3)]
         fields = [[t.rows.start for t in plan] for plan in plans]
         assert fields == [[0] * 4, [1] * 4 + [2] * 4, [3] * 4 + [4] * 4]
@@ -1882,7 +1873,9 @@ def pointwise_against_applied(p, cfg, n_steps, threads=1):
     those of the same steps on an ``OwnScaling`` of the same coefficient,
     the oracle; the two steppers deal over ``threads`` and one thread."""
     q = dataclasses.replace(p, operator=OwnScaling(p.operator.coefficient))
-    assert schemes._pointwise(p.operator) is not None and schemes._pointwise(q.operator) is None
+    size = p.grid.shape[0] * p.grid.shape[1]
+    assert schemes._pointwise(p.operator, size) is not None
+    assert schemes._pointwise(q.operator, size) is None
     fast = soe_stepper(p, cfg, with_energy=True, threads=threads)
     oracle = soe_stepper(q, cfg, with_energy=True)
     s = t = soe_init(p)
@@ -1897,8 +1890,8 @@ def pointwise_against_applied(p, cfg, n_steps, threads=1):
 
 class TestPointwiseFormsOracle:
     """A pointwise operator's energy forms, the dots of each tile's squares
-    with its coefficient or c |y_i'|^2 for a scalar c, agree to 1e-14 with
-    those that its application and row dots give."""
+    with its coefficient field, a scalar's as a constant field, agree to
+    1e-14 with those that its application and row dots give."""
 
     @pytest.mark.parametrize("grid_n", [16, 32])
     def test_model_problem(self, grid_n):
