@@ -10,9 +10,9 @@ directory and can be fed back as a config file to reproduce the run.
 ``main`` drives every command: the command checks its configuration and
 returns its work, then ``main`` makes the run directory, runs the work and
 writes its tables and the manifest.  Exit codes: 0 success, 2 configuration
-error (the command's checks run before the run directory is made, and an
-output file that cannot be written fails after the work), 3 numerical
-failure (which leaves the run directory without outputs).
+error (the command's checks run before the run directory is made, and its
+output paths are checked once it is, before the work), 3 numerical failure
+(which leaves the run directory without outputs).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -191,6 +192,21 @@ def make_run_dir(cfg: RunConfig, command: str) -> Path:
     return run_dir
 
 
+def check_outputs(run_dir: Path, names) -> None:
+    """Raise ConfigError, before any work and without creating a file, naming
+    the first output in ``run_dir`` that could not be written: any output when
+    the directory takes no new files, or one of ``names`` that is a directory
+    or a file without write permission."""
+    if not os.access(run_dir, os.W_OK | os.X_OK):
+        raise ConfigError(f"cannot write in {run_dir}: {os.strerror(errno.EACCES)}")
+    for name in names:
+        path = run_dir / name
+        if path.is_dir():
+            raise ConfigError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+        if path.exists() and not os.access(path, os.W_OK):
+            raise ConfigError(f"cannot write {path}: {os.strerror(errno.EACCES)}")
+
+
 @contextlib.contextmanager
 def _output(path):
     """The file ``path`` open for writing, with no newline translation; an
@@ -225,7 +241,8 @@ def write_csv(path, header: list[str], rows) -> None:
 
 
 # Each command checks its configuration and returns its work: a callable that
-# returns the tables to write, {file name: (header, rows)}, and the lines to print.
+# returns the tables to write, {file name: (header, rows)}, and the lines to
+# print.  ``_COMMANDS`` names the tables each command writes.
 
 
 def cmd_run(cfg: RunConfig):
@@ -320,10 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _COMMANDS = {
-    "run": cmd_run,
-    "converge": cmd_converge,
-    "kernel-error": cmd_kernel_error,
-    "compare-baseline": cmd_compare_baseline,
+    "run": (cmd_run, ("trajectory.csv",)),
+    "converge": (cmd_converge, ("convergence.csv", "errors.csv")),
+    "kernel-error": (cmd_kernel_error, ("kernel_error.csv",)),
+    "compare-baseline": (cmd_compare_baseline, ("baseline.csv",)),
 }
 
 
@@ -332,8 +349,10 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         started = datetime.now(timezone.utc).isoformat()
-        work = _COMMANDS[args.command](cfg)
+        command, outputs = _COMMANDS[args.command]
+        work = command(cfg)
         run_dir = make_run_dir(cfg, args.command)
+        check_outputs(run_dir, (*outputs, "manifest.json"))
         tables, lines = work()
         for name, (header, rows) in tables.items():
             write_csv(run_dir / name, header, rows)

@@ -7,7 +7,7 @@ import pytest
 
 from memstep import schemes
 from memstep.kernels import PronySeries
-from memstep.operators import DiagonalScaling
+from memstep.operators import DiagonalScaling, IdentityOperator, cg_solve
 from memstep.schemes import ProblemSpec
 
 
@@ -47,6 +47,39 @@ def scalar_ode_oracle(a1: float, b1: float, lam: float, u0: float, t) -> float:
         r = -0.5 * b1
         out = u0 * (1.0 - r * t) * np.exp(r * t)
     return out if out.ndim else float(out)
+
+
+def per_step_history_levels(p, cfg, n_steps):
+    """The full-history baseline stepped as ``history_levels`` once did, the
+    oracle for its blocks: each step takes the product rule's integral to
+    t_{n+1} over the known levels by one gemv, blends it with the integral to
+    t_n carried from the step before, and applies the operator to the blend."""
+    if not p.is_plain:
+        raise schemes.SchemeConfigError("the full-history baseline handles only the plain problem")
+    sig, tau = cfg.sigma, cfg.tau
+    with schemes._finite("scheme coefficients"):
+        start, inner, w_end = schemes._product_trapezoid_weights(p.kernel, tau, n_steps)
+        lhs = schemes._collapsed([(1.0, IdentityOperator()), (sig * tau * w_end, p.operator)])
+    levels = np.empty((n_steps + 1,) + p.initial.shape)
+    levels[0] = p.initial
+    flat = levels.reshape(n_steps + 1, -1)
+    weights = np.empty(n_steps)
+    integral, t = 0.0, 0.0  # int_0^{t_n}, before the operator is applied
+    steps = schemes._finite("history update")
+    with steps:
+        for n in range(n_steps):
+            steps.n, steps.t = n + 1, t + tau
+            w = weights[: n + 1]
+            w[0], w[1:] = start[n + 1], inner[n:0:-1]
+            known = (w @ flat[: n + 1]).reshape(p.initial.shape)
+            blend = sig * known + (1.0 - sig) * integral
+            rhs = levels[n] - tau * p.operator.apply_values(blend)
+            if p.forcing is not None:
+                rhs += tau * schemes._forcing(p, n + 1, t + sig * tau)
+            levels[n + 1] = cg_solve(lhs, rhs, tol=cfg.cg_tol)
+            integral = known + w_end * levels[n + 1]
+            t += tau
+    return levels
 
 
 def set_cpus(monkeypatch, count: int) -> None:

@@ -289,8 +289,9 @@ class TestConfigErrors:
         assert steps == []
 
     @pytest.mark.parametrize("name", ["trajectory.csv", "manifest.json"])
-    def test_output_file_that_cannot_be_written(self, tmp_path, capsys, name):
-        # found after the steps, when the file is opened: exit 2 naming the file
+    def test_output_file_that_cannot_be_written(self, tmp_path, monkeypatch, capsys, name):
+        # found once the run directory is made, before any step: exit 2 naming the file
+        steps = counted_steps(monkeypatch)
         blocked = tmp_path / "run" / name
         blocked.mkdir(parents=True)
         assert cli.main(["run", "--grid", "8", "--steps", "8", "--out", str(tmp_path)]) \
@@ -298,8 +299,59 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: cannot write {blocked}: ")
         assert "Traceback" not in err and blocked.is_dir()
-        # the trajectory is written before the manifest
-        assert (tmp_path / "run" / "trajectory.csv").is_file() == (name == "manifest.json")
+        assert steps == []
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [name]
+
+    @pytest.mark.parametrize("command, name", [
+        (command, name) for command, (_, tables) in cli._COMMANDS.items()
+        for name in (*tables, "manifest.json")])
+    def test_each_output_checked_before_the_work(self, tmp_path, monkeypatch, capsys,
+                                                  command, name):
+        set_cpus(monkeypatch, 1)  # every run in this process, where the steps are counted
+        steps = counted_steps(monkeypatch)
+        blocked = tmp_path / command / name
+        blocked.mkdir(parents=True)
+        small = [] if command == "kernel-error" else ["--grid", "8"]
+        assert cli.main([command, *small, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"configuration error: cannot write {blocked}: ")
+        assert steps == []
+        assert [p.name for p in (tmp_path / command).iterdir()] == [name]
+
+    def test_read_only_output_file_rejected_before_the_work(self, tmp_path, monkeypatch, capsys):
+        steps = counted_steps(monkeypatch)
+        kept = tmp_path / "run" / "trajectory.csv"
+        kept.parent.mkdir()
+        kept.write_text("kept")
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: path != kept and access(path, mode))
+        assert cli.main(["run", "--grid", "8", "--steps", "8", "--out", str(tmp_path)]) \
+            == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error: cannot write {kept}: Permission denied\n")
+        assert steps == [] and kept.read_text() == "kept"
+
+    def test_run_directory_that_takes_no_files_rejected_before_the_work(
+            self, tmp_path, monkeypatch, capsys):
+        # as a directory without write permission reads to any user but root
+        steps = counted_steps(monkeypatch)
+        run_dir = tmp_path / "run"
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: path != run_dir and access(path, mode))
+        assert cli.main(["run", "--grid", "8", "--steps", "8", "--out", str(tmp_path)]) \
+            == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error: cannot write in {run_dir}: Permission denied\n")
+        assert steps == [] and list(run_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("command", cli._COMMANDS)
+    def test_the_outputs_checked_are_those_written(self, tmp_path, monkeypatch, command):
+        set_cpus(monkeypatch, 1)
+        small = {"kernel-error": [], "run": ["--grid", "8", "--steps", "8"]}.get(
+            command, ["--grid", "8", "--T", "0.5"])
+        assert cli.main([command, *small, "--out", str(tmp_path)]) == cli.EXIT_OK
+        _, tables = cli._COMMANDS[command]
+        assert sorted(p.name for p in (tmp_path / command).iterdir()) \
+            == sorted((*tables, "manifest.json"))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command, key, value", [

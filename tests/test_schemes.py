@@ -17,6 +17,7 @@ from conftest import (
     OverflowInAThread,
     oracle_guard_verdict,
     oracle_residual_guard,
+    per_step_history_levels,
     residual_guard,
     scalar_ode_oracle,
     scalar_problem,
@@ -618,6 +619,99 @@ class TestQuadratureStep:
         levels = history_levels(p, cfg, 10)
         np.testing.assert_allclose(levels, np.array(ys), rtol=0, atol=1e-12 * scale)
 
+
+
+def history_problems():
+    """Plain problems for the history's blocks: the model problem in sine
+    coordinates, the same with a forcing, and the stencil solved by CG.  The
+    stencil's grid is 4x4: CG's output moves by about the condition number of
+    its system times a change in its right-hand side, near 3 there at tau =
+    0.1 and near 9 on grid 8, where the two paths' one-ulp differences in the
+    memory term reach 1.3e-15 of the largest level."""
+    spec = ExperimentSpec(load_builtin_prony("1/2"), grid_n=8)
+    modal = build_model_problem(spec)
+    grid = Grid2D(4, 4)
+    bump = sample_function(grid, lambda x1, x2: x1 * (1 - x1) * np.sin(np.pi * x2))
+    u0 = sample_function(grid, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
+    return {
+        "sine": modal,
+        "sine, forced": dataclasses.replace(modal, forcing=lambda t: math.cos(3 * t) * modal.initial),
+        "stencil, forced": ProblemSpec(FivePointLaplacian(grid), load_builtin_prony("1/2"), u0,
+                                       forcing=lambda t: math.sin(2 * t) * bump),
+    }
+
+
+class TestBlockedHistory:
+    """history_levels' blocks of steps, against the per-step loop they replaced."""
+
+    BLOCK, CHUNK = 4, 5
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(schemes, "_HISTORY_BLOCK", self.BLOCK)
+        monkeypatch.setattr(schemes, "_HISTORY_CHUNK", self.CHUNK)
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0])
+    @pytest.mark.parametrize("problem", list(history_problems()))
+    @pytest.mark.parametrize("n_steps", [1, BLOCK - 1, BLOCK, BLOCK + 1, CHUNK + BLOCK + 1])
+    def test_levels_match_the_per_step_loop(self, small_blocks, problem, sigma, n_steps):
+        # CHUNK + BLOCK + 1 steps: the last block's far product takes two chunks
+        p = history_problems()[problem]
+        cfg = SchemeConfig(sigma=sigma, tau=0.1, cg_tol=1e-13)
+        levels, oracle = history_levels(p, cfg, n_steps), per_step_history_levels(p, cfg, n_steps)
+        assert levels.shape == oracle.shape == (n_steps + 1,) + p.initial.shape
+        assert np.max(np.abs(levels - oracle)) <= 1e-15 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("problem", list(history_problems()))
+    def test_levels_match_the_per_step_loop_at_the_module_sizes(self, problem):
+        n_steps = schemes._HISTORY_CHUNK + 2 * schemes._HISTORY_BLOCK + 3
+        p = history_problems()[problem]
+        cfg = SchemeConfig(sigma=0.5, tau=2.0 / n_steps, cg_tol=1e-13)
+        levels, oracle = history_levels(p, cfg, n_steps), per_step_history_levels(p, cfg, n_steps)
+        assert np.max(np.abs(levels - oracle)) <= 1e-15 * np.max(np.abs(oracle))
+
+    def test_overflow_in_a_later_blocks_far_product_names_its_step(self, small_blocks):
+        # A constant kernel at tau = 2 weighs level 8 by -3 in step 9, which
+        # takes it to t_9 (lag 0, where it closes the integral to t_8), and by
+        # -4 in step 10 (lag 1).  The forcing makes level 8 0.5e308 and brings
+        # level 9 back near 0, so step 10's sum overflows where step 9's did
+        # not: in row 1 of the far product of the block of steps 9-12, in its
+        # third chunk of levels.  The per-step loop overflows in step 10 too.
+        def forcing(t):  # t_n + tau/2 = 2n + 1 for the step from t_n
+            return np.full((1, 1), 0.5e308 if t in (15.0, 17.0) else 0.0)
+
+        p = scalar_problem(1.0, 0.0, 1.0, 1.0, forcing=forcing)
+        cfg = SchemeConfig(sigma=0.5, tau=2.0)
+        levels = history_levels(p, cfg, 9)
+        assert np.isfinite(levels).all() and levels[8, 0, 0] == pytest.approx(0.5e308)
+        assert 8 // self.BLOCK > 0 and 8 % self.BLOCK == 0 and 8 // self.CHUNK > 0
+        lags, first, _ = schemes._history_weights(p.kernel, 0.5, 2.0, 10)
+        assert (lags[10 - 1], lags[10 - 2]) == (-3.0, -4.0)  # lags 0 and 1
+        with np.errstate(over="ignore"):  # step 10's part of levels 0..8
+            far = first[9] * levels[0] + lags[10 - 9 : 10 - 1] @ levels[1:9].reshape(8, -1)
+        assert np.isinf(far).all()
+        message = r"^non-finite values in the history update of step 10 \(t=20\): "
+        with pytest.raises(NonFiniteError, match=message):
+            per_step_history_levels(p, cfg, 12)
+        with pytest.raises(NonFiniteError, match=message):
+            history_levels(p, cfg, 12)
+
+    def test_temporaries_do_not_grow_with_the_steps(self):
+        # past the levels, the run holds two weight tables of a value per
+        # step; a weight gather of (block x steps) would hold 32 values per step
+        p = build_model_problem(ExperimentSpec(load_builtin_prony("1/2"), grid_n=8))
+        extra = {}
+        for n_steps in (200, 2000):
+            cfg = SchemeConfig(sigma=0.5, tau=2.0 / n_steps)
+            history_levels(p, cfg, 2)  # the first call's caches
+            tracemalloc.start()
+            try:
+                levels = history_levels(p, cfg, n_steps)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra[n_steps] = peak - levels.nbytes
+        assert extra[2000] - extra[200] <= 2 * 8 * (2000 - 200) + 8 * 2**10
 
 def honest_update(rng, grid, cfg, rates):
     """The arguments ``(ybar, aux_new, aux_old)`` of a ``residual_guard`` for
