@@ -10,9 +10,9 @@ start ``rhs / diagonal``, which solves a sum of pointwise terms in one
 division and no iteration.  In the orthonormal sine (DST-I) basis of
 ``sine_transform`` the Laplacian is the pointwise ``laplacian_eigenvalues``:
 a problem built there needs no CG.  Application is deterministic: an
-operator holds no mutable state and sums in a fixed order, so its results
-are the same for any number of threads, as when the compressed stepper
-applies one to several blocks of memory fields at once, a thread each.
+operator holds no mutable state and sums in a fixed order, so a field's
+result is the same whether it is applied alone or in a stack of fields, as
+the compressed stepper applies one to a block of memory fields.
 """
 
 from __future__ import annotations
@@ -69,12 +69,6 @@ class SpdOperator:
         """The operator's diagonal, a scalar or an interior field, when the
         operator is pointwise (then it is the whole operator); None otherwise."""
         return None
-
-    def positive_diagonal(self):
-        """:meth:`diagonal` when it is positive everywhere, so that dividing by
-        it inverts the operator; None otherwise."""
-        diag = self.diagonal()
-        return diag if diag is not None and np.all(diag > 0) else None
 
 
 @dataclass(frozen=True)
@@ -133,9 +127,6 @@ class DiagonalScaling(SpdOperator):
 
     def diagonal(self):
         return self.coefficient
-
-    def positive_diagonal(self):
-        return self.coefficient if self.positive else None
 
 
 class ScaledSum(SpdOperator):
@@ -222,15 +213,15 @@ def cg_solve(
     tol: float = 1e-10,
     max_iter: int | None = None,
 ) -> np.ndarray:
-    """Conjugate gradients from x0 = rhs / op.positive_diagonal() when the
-    operator has a diagonal positive everywhere (x0 = 0 otherwise), stopping
-    once |rhs - op x| <= tol |rhs|.
+    """Conjugate gradients from x0 = rhs / op.diagonal() when the operator
+    has a diagonal positive everywhere (x0 = 0 otherwise), stopping once
+    |rhs - op x| <= tol |rhs|.
 
     Arrays are updated in place; ``op.apply_values`` runs once for the initial
     residual and once per iteration, so a sum of pointwise terms, which the
     diagonal start solves exactly, needs one division, one application and
-    no iteration.  A DiagonalScaling's diagonal was checked when it was built,
-    and the start reads it and its sign from the operator's attributes.
+    no iteration.  The diagonal is read once; a DiagonalScaling's sign was
+    checked when it was built (``positive``), any other's is checked here.
     Raises FloatingPointError, before any iteration, when |rhs| is not finite
     because rhs holds a NaN or an infinity (a finite rhs whose norm overflows
     is solved), GridMismatchError unless the diagonal and first residual have
@@ -242,13 +233,13 @@ def cg_solve(
     rhs_norm = math.sqrt(np.vdot(rhs, rhs))  # plain norms: the mesh weight cancels
     if not rhs_norm < math.inf and not np.isfinite(rhs).all():  # not a finite rhs's overflow
         raise FloatingPointError(f"the right-hand side holds non-finite values (norm {rhs_norm})")
-    if type(op) is DiagonalScaling:
-        diag, shape = op.coefficient if op.positive else None, op.coefficient.shape
-    else:
-        diag, shape = op.positive_diagonal(), np.shape(op.diagonal())
+    diag = op.diagonal()
+    shape = getattr(diag, "shape", ())  # a Python scalar's or None's is ()
     if shape not in ((), rhs.shape):
         raise GridMismatchError(f"rhs of shape {rhs.shape} against a diagonal of {shape}")
-    x = np.zeros(rhs.shape) if diag is None else rhs / diag
+    positive = op.positive if type(op) is DiagonalScaling else \
+        diag is not None and bool(np.all(diag > 0))
+    x = rhs / diag if positive else np.zeros(rhs.shape)
     r = rhs - op.apply_values(x)
     if r.shape != rhs.shape:
         raise GridMismatchError(f"rhs of shape {rhs.shape} against the operator's {r.shape}")

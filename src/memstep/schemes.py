@@ -6,9 +6,8 @@ Two steppers discretize the same problem
 * the compressed stepper keeps one auxiliary field per exponential term of
   the kernel, all m of them in one ``(m, n1-1, n2-1)`` array, and advances
   everything with a two-level weighted scheme, solving a single shifted SPD
-  system per step; it sweeps the fields a cache-sized tile at a time and,
-  deals the per-field work over the threads its caller gives it, a thread
-  per share of fields, with the same results for any number of threads;
+  system per step; it sweeps the fields a cache-sized tile at a time, on
+  the thread that steps;
 * the full-history baseline, ``history_levels``, runs a fixed number of
   steps and returns every level; it evaluates the memory integral with a
   trapezoidal product rule over all past levels, whose weights it builds once
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 import contextvars
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -153,25 +151,22 @@ class SoeState(NamedTuple):
 # each holding at most this many values: a run of whole fields or, where one
 # field is larger, one field's tile (``_tiles``).  A step sweeps each tile's
 # update, guard sums and energy forms in turn, so the tile, its old values
-# and its share's work buffer, 256 kB at 32,768, stay in a core's
-# 2 MB L2 cache.  Step times of ``run`` steps (12 terms, with energy, BLAS on
-# one thread) as a ratio to those at 32,768, whose own time is in brackets:
-# the mean of two sweeps on a 2-CPU host, the three sizes stepped in turn in
-# one process.  On two CPUs, ``run`` deals steps from grid 172 up over threads.
+# and the plan's work buffer, 256 kB at 32,768, stay in a core's 2 MB L2
+# cache.  Step times of ``run`` steps (12 terms, with energy, BLAS on one
+# thread, one CPU) as a ratio to those at 32,768, whose own time is in
+# brackets: the mean of two sweeps on a 2-CPU host, the three sizes stepped
+# in turn in one process.
 #
-#   grid   one CPU: 16k  32k [us]  64k    two CPUs: 16k  32k [us]  64k
-#     64            1.05    [473]  0.99             1.05    [463]  1.01
-#     96            1.03    [906]  1.07             1.01    [799]  1.07
-#    128            0.96   [1558]  1.10             0.97   [1576]  1.10
-#    160            1.02   [2762]  1.10             1.00   [2258]  1.10
-#    192            1.00   [3640]  1.04             1.20   [4146]  0.83
-#    224            1.00   [4981]  1.12             1.33   [5280]  0.91
-#    256            0.95   [7608]  1.17             1.23   [6498]  0.99
+#   grid    16k  32k [us]  64k
+#     64   1.05    [473]  0.99
+#     96   1.03    [906]  1.07
+#    128   0.96   [1558]  1.10
+#    160   1.02   [2762]  1.10
+#    192   1.00   [3640]  1.04
+#    224   1.00   [4981]  1.12
+#    256   0.95   [7608]  1.17
 #
-# Smaller tiles make a dealt step hand the interpreter lock between its
-# threads more often than they save.  At 65,536 a grid-256 field is one block
-# that leaves L2; that size is faster only for dealt steps on grids 192-224,
-# whose fields 32,768 splits into tiles of 18-25k values.
+# At 65,536 a grid-256 field is one block that leaves L2.
 _BLOCK_VALUES = 1 << 15
 
 
@@ -202,57 +197,16 @@ def _tiles(size: int) -> list[slice]:
     return [slice(j * size // k, (j + 1) * size // k) for j in range(k)]
 
 
-def _shares(m: int, size: int, threads: int) -> list[list[slice]]:
-    """The row blocks of an ``(m, size)`` stack, in order, in min(``threads``,
-    blocks) contiguous shares of about equal counts, one per thread."""
-    blocks = _blocks(m, size)
-    k = min(threads, len(blocks))
-    return [blocks[i * len(blocks) // k : (i + 1) * len(blocks) // k] for i in range(k)]
-
-
 def _numpy_context() -> contextvars.Context:
     """A copy of the calling context in which numpy raises FloatingPointError
     on overflow and invalid operations and runs its ufuncs with the
     ``_BUFFER_VALUES`` buffer.  numpy keeps its errstate and buffer size in a
     context variable, so code run in the copy (``Context.run``) takes that
-    state and leaves the caller's as it was; a context runs in one thread at
-    a time, so each thread needs its own."""
+    state, in whatever thread it runs, and leaves the caller's as it was."""
     context = contextvars.copy_context()
     context.run(np.seterr, over="raise", invalid="raise")
     context.run(np.setbufsize, _BUFFER_VALUES)
     return context
-
-
-def _sweep_in_thread(outcomes: list, k: int, context: contextvars.Context, sweep, share,
-                     args: tuple) -> None:
-    """``outcomes[k] = sweep(share, *args)`` in a thread of its own, run in
-    ``context`` (``_numpy_context``: a new thread does not inherit the
-    stepping thread's numpy state); an exception the sweep does not return
-    is stored as an update failure, for the stepping thread to raise."""
-    try:
-        outcomes[k] = context.run(sweep, share, *args)
-    except Exception as exc:  # raised again by the stepping thread
-        outcomes[k] = (0, exc)
-
-
-def _sweep_shares(sweep, shares: list, contexts: list, args: tuple):
-    """``sweep(share, *args)`` for each share, the first in this thread, each
-    other in a thread of its own run in its context of ``contexts``
-    (``_sweep_in_thread``), every one joined before this returns or raises:
-    the failure, ``(phase, error)`` or None, of the earliest phase in the
-    lowest share."""
-    outcomes = [None] * len(shares)
-    threads = [threading.Thread(target=_sweep_in_thread,
-                                args=(outcomes, k, contexts[k], sweep, shares[k], args))
-               for k in range(1, len(shares))]
-    for thread in threads:
-        thread.start()
-    try:
-        outcomes[0] = sweep(shares[0], *args)
-    finally:
-        for thread in threads:
-            thread.join()
-    return min(filter(None, outcomes), key=lambda failure: failure[0], default=None)
 
 
 def _collapsed(terms) -> SpdOperator:
@@ -324,11 +278,11 @@ def _residual_coefficients(cfg: SchemeConfig, rates) -> tuple[np.ndarray, np.nda
 
 
 class _Tile:
-    """One tile of a share's sweep plan (``_plan``): ``at`` indexes its values
+    """One tile of a stepper's sweep plan (``_plan``): ``at`` indexes its values
     in an ``(m, size)`` memory stack, rows ``rows`` (a block of several
     fields, as a 2-D view; ``...`` when that block is the whole stack) or
     columns ``cols`` of field ``rows.start`` (as a 1-D view).  Its work
-    buffer ``work`` is a view of that shape into the share's,
+    buffer ``work`` is a view of that shape into the plan's,
     ``decay`` and ``gain`` its rows' update coefficients, shaped to
     broadcast against its view, ``sums`` a view of its fields' places in
     each row of the guard's sums, ``forms`` one in the energy forms, and
@@ -426,8 +380,8 @@ def _dots(u: np.ndarray, v: np.ndarray, out: np.ndarray, add: bool) -> None:
     """The row-by-row inner products of ``u``, a view of one tile, with ``v``,
     another view of it or its columns of ybar, into ``out``, the plan's view
     of its fields' places, or added to them: np.vecdot, or with ybar a BLAS
-    gemv, for a block of fields, np.dot for a single field (1-D), which
-    unlike vecdot lets another sweep thread run."""
+    gemv, for a block of fields, np.dot for a single field (1-D), a scalar
+    that a tile past the field's first adds to the field's sum, in order."""
     if u.ndim == 2:
         (np.vecdot if v.ndim == 2 else np.dot)(u, v, out=out)
     elif add:
@@ -519,7 +473,7 @@ def _aux_residual_guard(cfg: SchemeConfig, grid, rates,
 
 
 def soe_stepper(
-    p: ProblemSpec, cfg: SchemeConfig, with_energy: bool = False, threads: int = 1
+    p: ProblemSpec, cfg: SchemeConfig, with_energy: bool = False
 ) -> Callable[[SoeState], SoeState]:
     """The compressed step for ``p`` and ``cfg``, with the problem's mass,
     reaction and forcing; its coefficients, left-hand side and guard built
@@ -546,29 +500,19 @@ def soe_stepper(
     (a block, or a field's ``_tiles`` where one field is larger than a
     block) and updates each, takes the guard's four row sums
     (``_residual_sums``) and, ``with_energy``, the energy forms, while the
-    tile and its share's work buffer stay in cache; a field's sums are
-    added over its tiles in order.  A tile makes 3 update passes and 4
-    guard reductions; with the energy and a pointwise operator its forms
-    take one squares pass and one reduction of the squares with the
-    coefficient field (``_tile_forms``).
-    The blocks are dealt in min(``threads``, blocks) contiguous shares
-    (``_shares``), each with the work buffer of its ``_residual_plan``.  A
-    single share the step sweeps itself; of several, ``_sweep_shares`` runs
-    the first in the stepping thread and each other in a thread of its own,
-    in a context of its own built with its plan, joined before the step goes
-    on.  The stepper takes ``threads`` as given: whether dealing pays on this
-    host is the caller's choice (``experiments._sweep_threads``).
-    Each field is swept by one thread in the same order, so states and
-    energies keep their bits for any number of threads.  After the join the
-    guard judges every field from the sums the sweep took, and an error is
-    the one a sweep on one thread raises: an update failure, in the lowest
-    failing tile, before the guard's verdict, an energy failure after it.
+    tile and the work buffer of its ``_residual_plan`` stay in cache; a
+    field's sums are added over its tiles in order.  A tile makes 3 update
+    passes and 4 guard reductions; with the energy and a pointwise operator
+    its forms take one squares pass and one reduction of the squares with
+    the coefficient field (``_tile_forms``).  The sweep runs on the thread
+    that steps, and starts no other.  Then the guard judges every field from
+    the sums the sweep took.  An update failure, in the first failing tile,
+    raises before the guard's verdict; an energy failure, which stops the
+    forms but not the updates, raises after it.
 
     ``with_energy`` makes each step also take the new state's ``energy``,
     bit for bit as :func:`energy`, and raise NotSpdError as it does.
     """
-    if threads < 1:
-        raise SchemeConfigError(f"threads={threads} must be >= 1")
     sig, tau = cfg.sigma, cfg.tau
     a, b = np.asarray(p.kernel.weights), np.asarray(p.kernel.rates)
     grid = p.grid
@@ -587,41 +531,32 @@ def soe_stepper(
         lhs = _collapsed(terms)
         # the guard's sums and the energy forms, one per field
         sums, forms = np.empty((5, m)), np.empty(m)
-        coef = _pointwise(p.operator, size)
-        shares = [_residual_plan(cfg, b, blocks, size, sums, decay, gain,
-                                 forms if with_energy else None, coef)
-                  for blocks in _shares(m, size, threads)]
+        plan = _residual_plan(cfg, b, _blocks(m, size), size, sums, decay, gain,
+                              forms if with_energy else None, _pointwise(p.operator, size))
         guard = _aux_residual_guard(cfg, grid, b, sums)
-    # the step's numpy state, and one context of its own for each other share's thread
-    contexts = [_numpy_context() for _ in shares]
-    context = contexts[0]
+    context = _numpy_context()  # the step's numpy state
     operator, mass, reaction = p.operator, p.mass, p.reaction
     plain_mass = type(mass) is IdentityOperator  # its application is a copy of y
-    single = shares[0] if len(shares) == 1 else None
 
-    def sweep(plan, old, new, yb, aux):
-        """One share's part of a step, a tile at a time: ``None``, or the phase
-        (0 update, 1 energy) and FloatingPointError of its first failure.  An
-        energy failure stops the share's forms, not its updates, which may
-        still fail first."""
+    def sweep(old, new, yb, aux) -> Optional[FloatingPointError]:
+        """The step's memory fields, a tile at a time: None, or the
+        FloatingPointError of the first energy failure, which stops the
+        forms, not the updates; an update failure raises."""
         failure = None
         for t in plan:
-            try:
-                if t.at is ...:  # the tile is the whole stack
-                    new_t, old_t, yb_t = new, old, yb
-                else:
-                    new_t, old_t, yb_t = new[t.at], old[t.at], yb[t.cols]
-                np.multiply(t.decay, old_t, out=new_t)
-                np.multiply(t.gain, yb_t, out=t.work)
-                new_t += t.work
-                _residual_sums(t, new_t, old_t, yb_t)
-            except FloatingPointError as exc:
-                return 0, exc
+            if t.at is ...:  # the tile is the whole stack
+                new_t, old_t, yb_t = new, old, yb
+            else:
+                new_t, old_t, yb_t = new[t.at], old[t.at], yb[t.cols]
+            np.multiply(t.decay, old_t, out=new_t)
+            np.multiply(t.gain, yb_t, out=t.work)
+            new_t += t.work
+            _residual_sums(t, new_t, old_t, yb_t)
             if t.forms is not None and failure is None:
                 try:
                     _tile_forms(operator, t, new_t, aux)
                 except FloatingPointError as exc:
-                    failure = 1, exc
+                    failure = exc
         return failure
 
     def advance(s: SoeState) -> SoeState:
@@ -633,7 +568,7 @@ def soe_stepper(
         # rhs = mass y - tau A(mem), with tau A(mem) built in place: -tau x
         # is -(tau x), and adding it subtracts, bit for bit
         rhs = operator.apply_values(mem)
-        del mem  # freed before the sweep (ybar reuses rhs): room for a second share's buffers
+        del mem  # freed before the new stack is made (ybar reuses rhs)
         rhs *= -tau
         rhs += y if plain_mass else mass.apply_values(y)
         if reaction is not None:
@@ -645,16 +580,13 @@ def soe_stepper(
         ybar += (1.0 - sig) * y
         aux = np.empty(s.aux.shape)
         new = aux.reshape(m, size)
-        args = (old, new, ybar.reshape(size), aux)
-        failure = sweep(single, *args) if single else _sweep_shares(sweep, shares, contexts, args)
-        if failure and failure[0] == 0:
-            raise failure[1]
+        failure = sweep(old, new, ybar.reshape(size), aux)
         guard(ybar)
         e = None
         if with_energy:
             try:
-                if failure:
-                    raise failure[1]
+                if failure is not None:
+                    raise failure
                 e = _composite_energy(p, y_new, new, forms, a)
             except FloatingPointError as exc:
                 raise _non_finite("energy", s.n + 1, s.t + tau, exc) from None

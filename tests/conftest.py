@@ -1,6 +1,5 @@
 import math
 import os
-import threading
 
 import numpy as np
 import pytest
@@ -88,15 +87,9 @@ def set_cpus(monkeypatch, count: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
-class OverflowInAThread(DiagonalScaling):
-    """A DiagonalScaling whose application overflows in any thread but the main one."""
-
-    __slots__ = ()
-
-    def apply_values(self, v):
-        if threading.current_thread() is not threading.main_thread():
-            np.float64(1e308) * 10.0
-        return super().apply_values(v)
+def no_thread(thread) -> None:
+    """``threading.Thread.start`` where a test lets no thread start."""
+    raise AssertionError(f"{thread!r} was started")
 
 
 def update_coefficients(cfg, rates):
@@ -106,38 +99,31 @@ def update_coefficients(cfg, rates):
     return (1.0 - (1.0 - cfg.sigma) * b * cfg.tau) / d, cfg.tau / d
 
 
-def _judge(m, size, plans, sums, guard):
-    """``judge(ybar, aux_new, aux_old)``: each share's plan takes its tiles'
-    sums in a thread of its own past the first, as a step's sweep does, with
-    ``sums(tile, new, old, yb)``, then ``guard(ybar)`` judges them."""
-    contexts = [schemes._numpy_context() for _ in plans]
-
-    def sweep(plan, new, old, yb) -> None:
-        for tile in plan:
-            sums(tile, new[tile.at], old[tile.at], yb[tile.cols])
+def _judge(m, size, plan, sums, guard):
+    """``judge(ybar, aux_new, aux_old)``: the plan's tiles take their sums in
+    order, as a step's sweep does, with ``sums(tile, new, old, yb)``, then
+    ``guard(ybar)`` judges them."""
 
     def judge(ybar, aux_new, aux_old) -> None:
-        schemes._sweep_shares(sweep, plans, contexts, (
-            aux_new.reshape(m, size), aux_old.reshape(m, size), ybar.reshape(size)))
+        new, old, yb = aux_new.reshape(m, size), aux_old.reshape(m, size), ybar.reshape(size)
+        for tile in plan:
+            sums(tile, new[tile.at], old[tile.at], yb[tile.cols])
         guard(ybar)
 
     return judge
 
 
-def residual_guard(cfg, grid, rates, shares=None):
+def residual_guard(cfg, grid, rates):
     """The stepper's auxiliary-residual guard for ``rates`` on ``grid`` as
     ``judge(ybar, aux_new, aux_old)``: each call takes the sums with
-    ``_residual_sums`` over the tiles of the ``_residual_plan`` of each of
-    ``shares`` (by default one share of every block), each share past the
-    first in a thread of its own, as a step's sweep does, then lets the guard
-    judge them."""
+    ``_residual_sums`` over the tiles of the ``_residual_plan`` of every
+    block, as a step's sweep does, then lets the guard judge them."""
     m, size = len(rates), grid.shape[0] * grid.shape[1]
     sums = np.empty((5, m))
     decay, gain = update_coefficients(cfg, rates)
-    plans = [schemes._residual_plan(cfg, rates, blocks, size, sums, decay, gain)
-             for blocks in shares or [schemes._blocks(m, size)]]
+    plan = schemes._residual_plan(cfg, rates, schemes._blocks(m, size), size, sums, decay, gain)
     guard = schemes._aux_residual_guard(cfg, grid, rates, sums)
-    return _judge(m, size, plans, schemes._residual_sums, guard)
+    return _judge(m, size, plan, schemes._residual_sums, guard)
 
 
 def oracle_residual_sums(cfg, rates, t, r2, n2, new, old, yb) -> None:
@@ -178,15 +164,15 @@ def oracle_guard_verdict(cfg, grid, rates, norms):
     return guard
 
 
-def oracle_residual_guard(cfg, grid, rates, shares=None):
+def oracle_residual_guard(cfg, grid, rates):
     """The earlier auxiliary-residual guard, the oracle for the stepper's,
     as ``judge(ybar, aux_new, aux_old)`` (``residual_guard``): it writes each
     field's residual out, takes its norm and the field's, and bounds the
     residual's norm (``oracle_guard_verdict``)."""
     m, size = len(rates), grid.shape[0] * grid.shape[1]
     norms = np.empty((2, m))
-    plans = [schemes._plan(blocks, m, size) for blocks in shares or [schemes._blocks(m, size)]]
-    return _judge(m, size, plans, lambda t, new, old, yb: oracle_residual_sums(
+    plan = schemes._plan(schemes._blocks(m, size), m, size)
+    return _judge(m, size, plan, lambda t, new, old, yb: oracle_residual_sums(
         cfg, rates, t, *norms, new, old, yb), oracle_guard_verdict(cfg, grid, rates, norms))
 
 

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import OverflowInAThread, set_cpus
+from conftest import no_thread, set_cpus
 from memstep import cli, experiments, schemes
 from memstep.kernels import (
     BUILTIN_BETAS,
@@ -68,21 +68,27 @@ class TestRunCommand:
         second = (rerun_root / "run" / "trajectory.csv").read_bytes()
         assert first == second
 
-    def test_steps_dealt_over_threads_write_the_same_trajectory(self, tmp_path, monkeypatch):
-        outputs, started, in_thread = [], [], schemes._sweep_in_thread
-        monkeypatch.setattr(schemes, "_sweep_in_thread",
-                            lambda *args: started.append(1) or in_thread(*args))
-        for dealt in (False, True):
-            if dealt:
-                monkeypatch.setattr(schemes, "_BLOCK_VALUES", 450)  # 6 blocks, 3 a thread
-                monkeypatch.setattr(experiments, "_sweep_threads", lambda problem: 2)
-            before = threading.active_count()
-            out = tmp_path / f"dealt-{dealt}"
-            assert cli.main(["run", *FAST, "--out", str(out)]) == cli.EXIT_OK
-            assert threading.active_count() == before
-            assert len(started) == (64 if dealt else 0)  # a thread for each dealt step
-            outputs.append((out / "run" / "trajectory.csv").read_bytes())
-        assert outputs[1] == outputs[0]
+    def test_steps_start_no_thread(self, out_root, monkeypatch):
+        # a grid-256 run's stack of 12 fields, 780k values, swept on this thread
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        stepped, build = [], experiments.soe_stepper
+
+        def recording_stepper(problem, cfg, **options):
+            step = build(problem, cfg, **options)
+
+            def recorded(s):
+                stepped.append((problem, step(s)))
+                return stepped[-1][1]
+
+            return recorded
+
+        monkeypatch.setattr(experiments, "soe_stepper", recording_stepper)
+        assert cli.main(["run", "--grid", "256", "--T", "0.5", "--steps", "2"]) == cli.EXIT_OK
+        rows = (out_root / "run" / "trajectory.csv").read_text().splitlines()[2:]
+        assert len(stepped) == len(rows) == 2
+        assert stepped[0][1].aux.size == 12 * 255**2
+        for (problem, state), row in zip(stepped, rows):
+            assert state.energy == schemes.energy(problem, state) == float(row.split(",")[2])
 
     def test_tau_flag_equivalent_to_steps(self, out_root, tmp_path):
         assert cli.main(["run", *FAST]) == cli.EXIT_OK
@@ -438,24 +444,6 @@ class TestNumericalFailures:
         monkeypatch.setattr(experiments, "build_model_problem", negated_problem)
         assert cli.main(["run", *FAST]) == cli.EXIT_NUMERICAL
         assert "numerical failure: quadratic form is negative" in capsys.readouterr().err
-        assert not (out_root / "run" / "trajectory.csv").exists()
-
-    def test_overflow_in_a_sweep_thread_exits_numerical(self, out_root, monkeypatch, capsys):
-        # the energy forms the other thread takes overflow; this thread's do not
-        build = experiments.build_model_problem
-
-        def overflowing_problem(spec, initial=None):
-            problem = build(spec, initial)
-            return dataclasses.replace(problem, operator=OverflowInAThread(problem.operator.coefficient))
-
-        monkeypatch.setattr(experiments, "build_model_problem", overflowing_problem)
-        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 450)
-        monkeypatch.setattr(experiments, "_sweep_threads", lambda problem: 2)
-        before = threading.active_count()
-        assert cli.main(["run", *FAST]) == cli.EXIT_NUMERICAL
-        assert threading.active_count() == before
-        assert capsys.readouterr().err.startswith(
-            "numerical failure: non-finite values in the energy of step 1 (t=0.03125): overflow")
         assert not (out_root / "run" / "trajectory.csv").exists()
 
     @pytest.mark.filterwarnings("error")

@@ -482,7 +482,7 @@ class TestSineBasisPreconditioner:
         coefficient = np.eye(5) + 1.0
         coefficient[2, 3] = 0.0
         op = DiagonalScaling(coefficient)
-        assert not op.positive and op.positive_diagonal() is None
+        assert not op.positive
         rhs = coefficient * rng.standard_normal(g.shape)
         x, r = np.zeros(g.shape), rhs.copy()
         p, rr = r.copy(), float(np.vdot(r, r))

@@ -2,9 +2,7 @@ import contextlib
 import dataclasses
 import math
 import re
-import sys
 import threading
-import time
 import tracemalloc
 
 import mpmath
@@ -14,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    OverflowInAThread,
     oracle_guard_verdict,
     oracle_residual_guard,
     per_step_history_levels,
@@ -1007,28 +1004,27 @@ class TestFaultCatalogue:
     residual's norm (``conftest.oracle_residual_guard``), flags, the
     stepper's guard flags too, naming the same rate, and it passes what the
     oracle passes: on grids 6, 32 and 256, for b tau of 0.01, 2 and 1e4 and
-    sigma of 1/2, 3/4 and 1, through a single share, dealt shares and split tiles."""
+    sigma of 1/2, 3/4 and 1, through the default blocks, a field a block and
+    split tiles."""
 
     @pytest.mark.parametrize("grid_n", [6, 32, 256])
-    @pytest.mark.parametrize("how", ["single", "dealt", "split"])
+    @pytest.mark.parametrize("how", ["single", "blocks", "split"])
     def test_flags_what_the_oracle_flags(self, rng, monkeypatch, grid_n, how):
-        size, threads = (grid_n - 1) ** 2, 2 if how == "dealt" else 1
-        if how == "dealt":  # a field a block, in two shares
+        size = (grid_n - 1) ** 2
+        if how == "blocks":  # a field a block
             monkeypatch.setattr(schemes, "_BLOCK_VALUES", size)
         elif how == "split":  # each field in three tiles
             monkeypatch.setattr(schemes, "_BLOCK_VALUES", size // 3 + 1)
         grid, tau, m = Grid2D(grid_n, grid_n), 0.1, 3
         rates = np.array([0.01, 2.0, 1e4]) / tau
-        shares = schemes._shares(m, size, threads)
-        assert len(shares) == threads
-        plan = [t for share in shares for t in schemes._plan(share, m, size)]
-        if how == "split":
-            assert len(plan) == 3 * m
+        plan = schemes._plan(schemes._blocks(m, size), m, size)
+        if how != "single":
+            assert len(plan) == (m if how == "blocks" else 3 * m)
         silent = set()
         for sigma in (0.5, 0.75, 1.0):
             cfg = SchemeConfig(sigma, tau)
-            guard = residual_guard(cfg, grid, rates, shares)
-            oracle = oracle_residual_guard(cfg, grid, rates, shares)
+            guard = residual_guard(cfg, grid, rates)
+            oracle = oracle_residual_guard(cfg, grid, rates)
             update, y_new = honest_update(rng, grid, cfg, rates)
             assert named_rate(guard, *update) is named_rate(oracle, *update) is None
             for fault in CATALOGUE:
@@ -1097,13 +1093,13 @@ class TestCoefficientIdentities:
 class TestHonestEdges:
     """Honest steps never trip the guard, and raise no warning."""
 
-    @pytest.mark.parametrize("deal", [False, True])
-    def test_steps_from_a_zero_initial_field(self, monkeypatch, deal):
-        if deal:
+    @pytest.mark.parametrize("tiled", [False, True])
+    def test_steps_from_a_zero_initial_field(self, monkeypatch, tiled):
+        if tiled:
             monkeypatch.setattr(schemes, "_BLOCK_VALUES", 60)
         p = ProblemSpec(DiagonalScaling(laplacian_eigenvalues(Grid2D(16, 16))),
                         load_builtin_prony("1/2"), np.zeros((15, 15)))
-        step = soe_stepper(p, SchemeConfig(0.5, 0.05), with_energy=True, threads=2 if deal else 1)
+        step = soe_stepper(p, SchemeConfig(0.5, 0.05), with_energy=True)
         s = soe_init(p)
         for _ in range(4):
             s = step(s)
@@ -1421,26 +1417,19 @@ class TestUfuncBuffer:
         # set once by _finite and given back by the errstate's exit
         assert sizes == [schemes._BUFFER_VALUES]
 
-    @pytest.mark.parametrize("how", ["plain", "with energy", "dealt"])
-    def test_every_thread_of_a_step_runs_under_the_step_state(self, monkeypatch, how):
-        if how == "dealt":
-            monkeypatch.setattr(schemes, "_BLOCK_VALUES", 225)  # one 15x15 field a block
+    @pytest.mark.parametrize("how", ["plain", "with energy"])
+    def test_every_thread_of_a_step_runs_under_the_step_state(self, how):
         grid = Grid2D(16, 16)
         op = RecordingScaling(laplacian_eigenvalues(grid))
         p = ProblemSpec(op, load_builtin_prony("1/2"), np.ones(grid.shape))
-        step = soe_stepper(p, SchemeConfig(0.5, 0.05), with_energy=how != "plain",
-                           threads=2 if how == "dealt" else 1)
+        step = soe_stepper(p, SchemeConfig(0.5, 0.05), with_energy=how != "plain")
         op.states.clear()
         with np.errstate(all="ignore"):  # the caller's own state does not reach the step
             np.setbufsize(4096)
             step(step(soe_init(p)))
-        # a dealt step's other share runs in a thread started for that step,
-        # whose ident the next step's thread may or may not reuse
-        elsewhere = sum(state[0] != threading.get_ident() for state in op.states)
-        assert elsewhere == (2 * 6 if how == "dealt" else 0)
-        assert {state[1:] for state in op.states} == {STEP_STATE}
-        # the memory sums, and the energy forms of one block or of 12, 6 in each thread
-        assert len(op.states) == 2 * {"plain": 1, "with energy": 2, "dealt": 13}[how]
+        assert set(op.states) == {(threading.get_ident(), *STEP_STATE)}  # the stepping thread's
+        # the memory sums, and the energy forms of the one block
+        assert len(op.states) == 2 * {"plain": 1, "with energy": 2}[how]
 
     @pytest.mark.parametrize("fails", [None, "update", "energy"])
     def test_a_step_leaves_the_callers_state(self, fails):
@@ -1519,174 +1508,6 @@ class TestUfuncBuffer:
         np.testing.assert_array_equal(norms, [r2, n2])  # the guard only reads them
 
 
-def step_pairs(p, cfg, monkeypatch, n_steps, cpus=2, state=None):
-    """The states of a one-thread stepper and of one dealt over ``cpus``
-    threads, both ``with_energy``, side by side from ``state`` (default the
-    initial one), and how many sweep threads the steps started."""
-    one = soe_stepper(p, cfg, with_energy=True)
-    started, in_thread = [], schemes._sweep_in_thread
-    monkeypatch.setattr(schemes, "_sweep_in_thread",
-                        lambda *args: started.append(1) or in_thread(*args))
-    dealt = soe_stepper(p, cfg, with_energy=True, threads=cpus)
-    s = t = soe_init(p) if state is None else state
-    pairs = []
-    for _ in range(n_steps):
-        s, t = one(s), dealt(t)
-        pairs.append((s, t))
-    return pairs, len(started)
-
-
-def assert_same_states(pairs):
-    for s, t in pairs:
-        assert (t.n, t.t, t.energy) == (s.n, s.t, s.energy)
-        np.testing.assert_array_equal(t.y, s.y)
-        np.testing.assert_array_equal(t.aux, s.aux)
-
-
-class TestDealtSweep:
-    """A step whose memory-field blocks are dealt over threads gives the
-    one-thread step's states, energies and errors, and leaves no thread."""
-
-    @pytest.mark.parametrize("cpus", [2, 3])
-    def test_model_problem_matches_one_thread(self, monkeypatch, cpus):
-        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 450)  # two 15x15 fields a block
-        p = build_model_problem(ExperimentSpec(kernel=load_builtin_prony("1/2"), grid_n=16))
-        pairs, started = step_pairs(p, SchemeConfig(0.5, 0.01), monkeypatch, 20, cpus)
-        assert [len(share) for share in schemes._shares(12, 225, cpus)] == [6 // cpus] * cpus
-        assert started == 20 * (cpus - 1)
-        assert_same_states(pairs)
-
-    def test_more_threads_than_cpus_switching_often(self, monkeypatch):
-        # six threads on any host, handing the interpreter over every microsecond:
-        # a field written by two threads or a buffer shared by two would show
-        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 225)  # one 15x15 field a block
-        p = build_model_problem(ExperimentSpec(kernel=load_builtin_prony("3/7"), grid_n=16))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            pairs, started = step_pairs(p, SchemeConfig(0.75, 0.02), monkeypatch, 30, cpus=6)
-        finally:
-            sys.setswitchinterval(interval)
-        assert started == 30 * 5
-        assert_same_states(pairs)
-
-    def test_physical_space_with_mass_reaction_and_forcing(self, rng, monkeypatch):
-        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 99)  # one 11x9 field a block
-        grid = Grid2D(12, 10)
-        bump = sample_function(grid, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
-        p = ProblemSpec(
-            operator=FivePointLaplacian(grid),
-            kernel=load_builtin_prony("3/5"),
-            initial=rng.standard_normal(grid.shape),
-            forcing=lambda t: math.cos(2 * t) * bump,
-            mass=DiagonalScaling(1.0 + rng.random(grid.shape)),
-            reaction=DiagonalScaling(rng.random(grid.shape)),
-        )
-        pairs, started = step_pairs(p, SchemeConfig(0.5, 0.02), monkeypatch, 12)
-        assert started == 12
-        assert_same_states(pairs)
-
-    @staticmethod
-    def overflowing(monkeypatch, fields):
-        """The error of a dealt step, the same as a one-thread step's, from a
-        state whose memory fields are ``fields`` (index: value) on a 5x5
-        interior, one field a block, fields 0-1 this thread's and 2-3 the
-        other's.  Weights of 1e-300 keep the fields out of the solve; there a
-        field of 1e153 makes only its energy form overflow, one of 1e308 its
-        guard's norms first."""
-        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 25)
-        grid = Grid2D(6, 6)
-        kernel = PronySeries((1e-300,) * 4, (0.5, 2.0, 8.0, 32.0))
-        p = ProblemSpec(DiagonalScaling(1e4), kernel, np.ones(grid.shape))
-        aux = np.zeros((4,) + grid.shape)
-        for i, value in fields.items():
-            aux[i] = value
-        state = SoeState(y=np.ones(grid.shape), aux=aux, n=2, t=0.2)
-        errors = []
-        for threads in (1, 2):
-            step, before = soe_stepper(p, SchemeConfig(0.75, 0.1), with_energy=True,
-                                       threads=threads), threading.active_count()
-            with pytest.raises(NonFiniteError) as raised:
-                step(state)
-            assert threading.active_count() == before
-            errors.append(str(raised.value))
-        assert [len(share) for share in schemes._shares(4, 25, 2)] == [2, 2]
-        assert errors[1] == errors[0]
-        return errors[1]
-
-    @pytest.mark.parametrize("fields, what", [
-        ({3: 1e308}, "update"),  # the other thread's guard
-        ({2: 1e153}, "energy"),  # the other thread's energy form
-        ({0: 1e153, 3: 1e308}, "update"),  # this thread's form, the other's guard: update first
-        ({1: 1e308, 2: 1e153}, "update"),  # this thread's guard, the other's form
-    ])
-    def test_overflow_reads_as_on_one_thread(self, monkeypatch, fields, what):
-        message = self.overflowing(monkeypatch, fields)
-        assert message.startswith(f"non-finite values in the {what} of step 3 (t=0.3): overflow")
-
-    def test_workers_run_under_their_own_errstate_and_buffer(self, monkeypatch):
-        # a new thread takes numpy's defaults, under which the overflow would pass
-        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 225)
-        grid = Grid2D(16, 16)
-        p = ProblemSpec(OverflowInAThread(laplacian_eigenvalues(grid)), load_builtin_prony("1/2"),
-                        np.ones(grid.shape))
-        cfg = SchemeConfig(0.5, 0.05)
-        with pytest.raises(NonFiniteError, match=r"energy of step 1 \(t=0\.05\)"):
-            soe_stepper(p, cfg, with_energy=True, threads=2)(soe_init(p))
-        op = RecordingScaling(laplacian_eigenvalues(grid))
-        p = dataclasses.replace(p, operator=op)
-        op.sizes.clear()  # the problem's own shape checks
-        soe_stepper(p, cfg, with_energy=True, threads=2)(soe_init(p))
-        # the memory sum and 12 one-field blocks, 6 of them in the other thread
-        assert len(op.sizes) == 1 + 12 and set(op.sizes) == {schemes._BUFFER_VALUES}
-
-    def test_guard_judges_norms_taken_in_threads(self, rng, monkeypatch):
-        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 25)
-        grid = Grid2D(6, 6)
-        cfg = SchemeConfig(sigma=0.75, tau=0.1)
-        rates = np.array([0.5, 2.0, 8.0, 32.0])
-        (ybar, aux_new, aux_old), _ = honest_update(rng, grid, cfg, rates)
-        shares = schemes._shares(4, 25, 2)
-        assert shares == [[slice(0, 1), slice(1, 2)], [slice(2, 3), slice(3, 4)]]
-        guard = residual_guard(cfg, grid, rates, shares)
-        guard(ybar, aux_new, aux_old)  # honest: silent
-        for i in (2, 3):  # a field of the other thread's half
-            wrong = aux_new.copy()
-            wrong[i] *= 1.0 + 1e-9
-            with pytest.raises(AuxiliaryResidualError, match=rf"\(rate b={rates[i]}\)"):
-                guard(ybar, wrong, aux_old)
-        guard(ybar, aux_new, aux_old)
-
-    def test_deals_over_the_threads_it_is_given(self):
-        # at most one share a block, however many threads; whether dealing
-        # pays is the caller's choice (experiments._sweep_threads)
-        assert [len(share) for share in schemes._shares(12, 31**2, 2)] == [1]
-        for threads, counts in [(1, [12]), (2, [6, 6]), (5, [2, 2, 3, 2, 3]), (20, [1] * 12)]:
-            assert [len(share) for share in schemes._shares(12, 255**2, threads)] == counts
-        p = build_model_problem(ExperimentSpec(kernel=load_builtin_prony("1/2"), grid_n=8))
-        with pytest.raises(SchemeConfigError, match=r"threads=0 must be >= 1"):
-            soe_stepper(p, SchemeConfig(0.5, 0.01), threads=0)
-
-    def test_threads_end_with_the_step(self, monkeypatch):
-        # the other thread's energy forms take 20 ms each; the step waits for them
-        class SlowInAThread(DiagonalScaling):
-            __slots__ = ()
-
-            def apply_values(self, v):
-                if threading.current_thread() is not threading.main_thread():
-                    time.sleep(0.02)
-                return super().apply_values(v)
-
-        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 450)  # two 15x15 fields a block
-        grid = Grid2D(16, 16)
-        p = ProblemSpec(SlowInAThread(laplacian_eigenvalues(grid)), load_builtin_prony("1/2"),
-                        np.ones(grid.shape))
-        before = threading.active_count()
-        pairs, started = step_pairs(p, SchemeConfig(0.5, 0.05), monkeypatch, 3)
-        assert started == 3 and threading.active_count() == before
-        assert_same_states(pairs)
-
-
 def tile_ordered_energy(p, s):
     """The energy of ``s`` from forms added over each field's tiles
     (``schemes._tiles``) in order, a BLAS dot of the tile's squares with its
@@ -1702,24 +1523,22 @@ def tile_ordered_energy(p, s):
     return schemes._composite_energy(p, s.y, rows, forms, np.asarray(p.kernel.weights))
 
 
-def plan_sums(rates, size, block_values, cpus, new, old, yb, coef):
+def plan_sums(rates, size, block_values, new, old, yb, coef):
     """The guard's ``(5, m)`` sums but |ybar|^2 (NaN) and the energy forms
-    of a pointwise operator of coefficient field ``coef`` that the plans of
-    ``cpus`` shares take, with ``_BLOCK_VALUES`` at ``block_values``, of the
-    stacks ``new`` and ``old`` of m fields and ybar ``yb``, and the plans'
-    row blocks and column tiles."""
+    of a pointwise operator of coefficient field ``coef`` that a plan takes,
+    with ``_BLOCK_VALUES`` at ``block_values``, of the stacks ``new`` and
+    ``old`` of m fields and ybar ``yb``, and the plan's row blocks and
+    column tiles."""
     cfg, m = SchemeConfig(0.75, 0.1), len(rates)
     sums, forms = np.full((5, m), np.nan), np.full(m, np.nan)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(schemes, "_BLOCK_VALUES", block_values)
-        plans = [schemes._residual_plan(cfg, rates, blocks, size, sums,
-                                        *update_coefficients(cfg, rates), forms, coef)
-                 for blocks in schemes._shares(m, size, cpus)]
         cuts, blocks = schemes._tiles(size), schemes._blocks(m, size)
-    for plan in plans:
-        for t in plan:
-            schemes._residual_sums(t, new[t.at], old[t.at], yb[t.cols])
-            schemes._tile_forms(None, t, new[t.at], None)
+        plan = schemes._residual_plan(cfg, rates, blocks, size, sums,
+                                      *update_coefficients(cfg, rates), forms, coef)
+    for t in plan:
+        schemes._residual_sums(t, new[t.at], old[t.at], yb[t.cols])
+        schemes._tile_forms(None, t, new[t.at], None)
     return sums, forms, blocks, cuts
 
 
@@ -1728,7 +1547,7 @@ class TestRowDots:
     fields and np.dot per tile for a single field's tiles, are each field's
     np.dot, tile by tile and added in order, bit for bit: the property that
     keeps a step's energies those of ``energy`` and its bits the same for
-    any share count and block size.  A pointwise operator's forms are the
+    any block size.  A pointwise operator's forms are the
     dots of the squares with its coefficient field.  The guard's sums with ybar take one gemv per block, a field's dot per
     tile where a field is tiled."""
 
@@ -1737,20 +1556,15 @@ class TestRowDots:
         m=st.integers(1, 14),
         size=st.integers(1, 300),
         block_values=st.integers(1, 700),
-        cpus=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_plan_views_take_each_fields_dots(self, m, size, block_values, cpus, seed):
+    def test_plan_views_take_each_fields_dots(self, m, size, block_values, seed):
         rng = np.random.default_rng(seed)
         # magnitudes from 1e-5 to 1e5, a field at a time
         new, old = rng.standard_normal((2, m, size)) * 10.0 ** rng.uniform(-5, 5, (2, m, 1))
         yb, coef = rng.standard_normal(size), rng.random(size)
         rates = rng.uniform(0.0, 100.0, m)
-        sums, forms, blocks, cuts = plan_sums(rates, size, block_values, cpus, new, old, yb, coef)
-        # the same bits from one share, whatever the share count
-        for got, one in zip((sums, forms),
-                            plan_sums(rates, size, block_values, 1, new, old, yb, coef)):
-            np.testing.assert_array_equal(got, one)
+        sums, forms, blocks, cuts = plan_sums(rates, size, block_values, new, old, yb, coef)
         assert np.isnan(sums[schemes._BAR_SQUARE]).all()  # the guard's row
         for i in range(m):
             for out, (u, v) in [(sums[schemes._SQUARE], (new, new)),
@@ -1775,8 +1589,8 @@ class TestRowDots:
 
 class TestTiles:
     """Where one field holds more than ``_BLOCK_VALUES`` values a step sweeps
-    it in tiles, with the states of a whole-field sweep, a field's sums added
-    over its tiles in order, and the same bits for any number of threads."""
+    it in tiles, with the states of a whole-field sweep and a field's sums
+    added over its tiles in order."""
 
     def test_tiles_cover_a_field_in_order(self, monkeypatch):
         assert schemes._tiles(255**2) == [slice(0, 32512), slice(32512, 65025)]
@@ -1794,56 +1608,22 @@ class TestTiles:
             lengths = {cut.stop - cut.start for cut in cuts}
             assert max(lengths) <= 60 and max(lengths) - min(lengths) <= 1
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_model_problem_matches_for_any_share_count(self, monkeypatch, cpus):
+    def test_model_problem_matches_the_whole_field_sweep(self, monkeypatch):
         # 15x15 fields in tiles of 56, 56, 56 and 57 values
         p = build_model_problem(ExperimentSpec(kernel=load_builtin_prony("1/2"), grid_n=16))
         cfg = SchemeConfig(0.5, 0.01)
         whole = soe_stepper(p, cfg, with_energy=True)
         monkeypatch.setattr(schemes, "_BLOCK_VALUES", 60)
-        pairs, started = step_pairs(p, cfg, monkeypatch, 20, cpus)
-        assert [len(share) for share in schemes._shares(12, 225, cpus)] == [12 // cpus] * cpus
-        assert started == 20 * (cpus - 1)
-        assert_same_states(pairs)
-        w = soe_init(p)
-        for s, _ in pairs:
-            w = whole(w)
+        tiled = soe_stepper(p, cfg, with_energy=True)
+        s = w = soe_init(p)
+        for _ in range(20):
+            s, w = tiled(s), whole(w)
             np.testing.assert_array_equal(s.y, w.y)  # the states keep their bits
             np.testing.assert_array_equal(s.aux, w.aux)
             assert s.energy == energy(p, s) == tile_ordered_energy(p, s)
             assert s.energy == pytest.approx(w.energy, rel=1e-14)
 
-    def test_more_threads_than_cpus_switching_often(self, monkeypatch):
-        # six threads, each adding its fields' sums over their tiles, handing the
-        # interpreter over every microsecond: a sum added by two threads would show
-        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 60)
-        p = build_model_problem(ExperimentSpec(kernel=load_builtin_prony("3/7"), grid_n=16))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            pairs, started = step_pairs(p, SchemeConfig(0.75, 0.02), monkeypatch, 30, cpus=6)
-        finally:
-            sys.setswitchinterval(interval)
-        assert started == 30 * 5
-        assert_same_states(pairs)
-        assert all(s.energy == tile_ordered_energy(p, s) for s, _ in pairs)
-
-    def test_shares_hold_whole_fields(self, monkeypatch):
-        monkeypatch.setattr(schemes, "_BLOCK_VALUES", 60)
-        m, size = 5, 225
-        cfg, rates = SchemeConfig(0.5, 0.1), np.arange(1.0, m + 1)
-        plans = [schemes._residual_plan(cfg, rates, blocks, size, np.empty((5, m)),
-                                        *update_coefficients(cfg, rates), np.empty(m), np.ones(size))
-                 for blocks in schemes._shares(m, size, 3)]
-        fields = [[t.rows.start for t in plan] for plan in plans]
-        assert fields == [[0] * 4, [1] * 4 + [2] * 4, [3] * 4 + [4] * 4]
-        for plan in plans:
-            assert [t.cols for t in plan] == schemes._tiles(size) * (len(plan) // 4)
-            # each field's first tile writes its sums, the others add to them
-            assert [t.add for t in plan] == [False, True, True, True] * (len(plan) // 4)
-
-    @pytest.mark.parametrize("cpus", [2, 3])
-    def test_physical_space_with_mass_reaction_and_forcing(self, rng, monkeypatch, cpus):
+    def test_physical_space_with_mass_reaction_and_forcing(self, rng, monkeypatch):
         # the stencil takes its forms from whole fields: energies keep their bits too
         grid = Grid2D(12, 10)
         bump = sample_function(grid, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
@@ -1859,14 +1639,13 @@ class TestTiles:
         whole = soe_stepper(p, cfg, with_energy=True)
         monkeypatch.setattr(schemes, "_BLOCK_VALUES", 40)  # 11x9 fields in tiles of 33
         assert len(schemes._tiles(99)) == 3
-        pairs, _ = step_pairs(p, cfg, monkeypatch, 12, cpus)
-        w = soe_init(p)
-        for s, t in pairs:
-            w = whole(w)
-            for u in (s, t):
-                assert u.energy == w.energy == energy(p, u)
-                np.testing.assert_array_equal(u.y, w.y)
-                np.testing.assert_array_equal(u.aux, w.aux)
+        tiled = soe_stepper(p, cfg, with_energy=True)
+        s = w = soe_init(p)
+        for _ in range(12):
+            s, w = tiled(s), whole(w)
+            assert s.energy == w.energy == energy(p, s)
+            np.testing.assert_array_equal(s.y, w.y)
+            np.testing.assert_array_equal(s.aux, w.aux)
 
     def test_guard_names_a_field_tampered_in_a_later_tile(self, rng, monkeypatch):
         monkeypatch.setattr(schemes, "_BLOCK_VALUES", 60)
@@ -1874,10 +1653,9 @@ class TestTiles:
         cfg = SchemeConfig(sigma=0.75, tau=0.1)
         rates = np.array([0.5, 2.0, 8.0, 32.0])
         (ybar, aux_new, aux_old), _ = honest_update(rng, grid, cfg, rates)
-        shares = schemes._shares(4, 225, 2)
-        assert shares == [[slice(0, 1), slice(1, 2)], [slice(2, 3), slice(3, 4)]]
-        guard = residual_guard(cfg, grid, rates, shares)
-        oracle = oracle_residual_guard(cfg, grid, rates, shares)
+        assert schemes._blocks(4, 225) == [slice(0, 1), slice(1, 2), slice(2, 3), slice(3, 4)]
+        guard = residual_guard(cfg, grid, rates)
+        oracle = oracle_residual_guard(cfg, grid, rates)
         guard(ybar, aux_new, aux_old)  # honest: silent
         for i, value in [(1, 60), (2, 100), (3, 224), (0, 0)]:  # tiles 2, 2, 4 and 1
             # one entry off by 1e-9 of itself, which the residual's norm sees
@@ -1899,11 +1677,11 @@ class TestTiles:
 
     @staticmethod
     def overflowing(monkeypatch, values):
-        """The error of a tiled step dealt over two threads, the same as a
-        tiled step's on one thread, from a state whose memory fields are zero
-        but for ``values`` ((field, index): value) on a 5x5 interior, in tiles
-        of 8, 8 and 9 values, fields 0-1 this thread's and 2-3 the other's
-        (see ``TestDealtSweep.overflowing``)."""
+        """A stepper, with energy, whose fields are in tiles of 8, 8 and 9
+        values, and a state whose 5x5 memory fields are zero but for
+        ``values`` ((field, index): value).  Weights of 1e-300 keep the fields
+        out of the solve; there a value of 1e153 makes only its energy form
+        overflow, one of 1e308 its guard sums first."""
         monkeypatch.setattr(schemes, "_BLOCK_VALUES", 10)
         assert schemes._tiles(25) == [slice(0, 8), slice(8, 16), slice(16, 25)]
         grid = Grid2D(6, 6)
@@ -1912,27 +1690,39 @@ class TestTiles:
         aux = np.zeros((4,) + grid.shape)
         for (i, j), value in values.items():
             aux[i].flat[j] = value
-        state = SoeState(y=np.ones(grid.shape), aux=aux, n=2, t=0.2)
-        errors = []
-        for threads in (1, 2):
-            step, before = soe_stepper(p, SchemeConfig(0.75, 0.1), with_energy=True,
-                                       threads=threads), threading.active_count()
-            with pytest.raises(NonFiniteError) as raised:
-                step(state)
-            assert threading.active_count() == before
-            errors.append(str(raised.value))
-        assert errors[1] == errors[0]
-        return errors[1]
+        step = soe_stepper(p, SchemeConfig(0.75, 0.1), with_energy=True)
+        return step, SoeState(y=np.ones(grid.shape), aux=aux, n=2, t=0.2)
 
     @pytest.mark.parametrize("values, what", [
-        ({(3, 20): 1e308}, "update"),  # the other thread's last tile's guard
-        ({(2, 12): 1e153}, "energy"),  # the other thread's second tile's form
-        ({(0, 0): 1e153, (0, 20): 1e308}, "update"),  # one field's form, then its guard
-        ({(1, 9): 1e308, (2, 12): 1e153}, "update"),  # this thread's guard, the other's form
+        ({(3, 20): 1e308}, "update"),  # a last tile's guard sums
+        ({(2, 12): 1e153}, "energy"),  # a second tile's form, alone
+        ({(0, 0): 1e153, (0, 20): 1e308}, "update"),  # a field's form, then its later tile's sums
+        ({(1, 9): 1e308, (2, 12): 1e153}, "update"),  # a field's sums, then a later field's form
     ])
-    def test_overflow_in_a_tile_reads_as_on_one_thread(self, monkeypatch, values, what):
-        message = self.overflowing(monkeypatch, values)
-        assert message.startswith(f"non-finite values in the {what} of step 3 (t=0.3): overflow")
+    def test_overflow_in_a_tile_names_its_phase(self, monkeypatch, values, what):
+        step, state = self.overflowing(monkeypatch, values)
+        with pytest.raises(NonFiniteError) as raised:
+            step(state)
+        assert str(raised.value).startswith(
+            f"non-finite values in the {what} of step 3 (t=0.3): overflow")
+
+    def test_guard_fails_before_an_earlier_tiles_energy_error(self, monkeypatch):
+        # field 0's first form overflows; field 3's last tile, swept later,
+        # is tampered with before its sums are taken
+        step, state = self.overflowing(monkeypatch, {(0, 0): 1e153})
+        sums = schemes._residual_sums
+
+        def tampered(t, new, old, yb):
+            if t.rows.start == 3 and t.cols.start == 16:
+                new *= 1.0 + 1e-6
+            sums(t, new, old, yb)
+
+        monkeypatch.setattr(schemes, "_residual_sums", tampered)
+        with pytest.raises(AuxiliaryResidualError, match=r"\(rate b=32\.0\)"):
+            step(state)
+        monkeypatch.setattr(schemes, "_residual_sums", sums)
+        with pytest.raises(NonFiniteError, match=r"^non-finite values in the energy of step 3 "):
+            step(state)
 
     def test_step_with_energy_allocates_no_block_temporaries(self):
         # beside its new state a step allocates a few fields, however many
@@ -1961,16 +1751,16 @@ class OwnScaling(DiagonalScaling):
         return super().apply_values(v)
 
 
-def pointwise_against_applied(p, cfg, n_steps, threads=1):
+def pointwise_against_applied(p, cfg, n_steps):
     """The energies of ``n_steps`` steps of ``p`` on its DiagonalScaling,
     whose forms a step takes from its squares and coefficient, against
     those of the same steps on an ``OwnScaling`` of the same coefficient,
-    the oracle; the two steppers deal over ``threads`` and one thread."""
+    the oracle."""
     q = dataclasses.replace(p, operator=OwnScaling(p.operator.coefficient))
     size = p.grid.shape[0] * p.grid.shape[1]
     assert schemes._pointwise(p.operator, size) is not None
     assert schemes._pointwise(q.operator, size) is None
-    fast = soe_stepper(p, cfg, with_energy=True, threads=threads)
+    fast = soe_stepper(p, cfg, with_energy=True)
     oracle = soe_stepper(q, cfg, with_energy=True)
     s = t = soe_init(p)
     for _ in range(n_steps):
@@ -1993,12 +1783,11 @@ class TestPointwiseFormsOracle:
         assert len(schemes._blocks(12, (grid_n - 1) ** 2)) == 1  # one block of twelve fields
         pointwise_against_applied(p, SchemeConfig(0.5, 0.01), 40)
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_fields_in_tiles(self, monkeypatch, cpus):
+    def test_fields_in_tiles(self, monkeypatch):
         monkeypatch.setattr(schemes, "_BLOCK_VALUES", 60)  # 15x15 fields in tiles of 56-57
         p = build_model_problem(ExperimentSpec(kernel=load_builtin_prony("3/7"), grid_n=16))
         assert len(schemes._tiles(225)) == 4
-        pointwise_against_applied(p, SchemeConfig(0.75, 0.02), 30, threads=cpus)
+        pointwise_against_applied(p, SchemeConfig(0.75, 0.02), 30)
 
     @pytest.mark.parametrize("block_values", [None, 60])  # a block of fields, tiled fields
     def test_scalar_coefficient(self, rng, monkeypatch, block_values):
