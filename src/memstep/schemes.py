@@ -429,6 +429,15 @@ def _aux_residual_guard(cfg: SchemeConfig, grid, rates,
     256 (11-19 of 1e-8, 1-3 of 3e-8); so does one entry off by 1e-9 of
     itself where it is small in its field.
 
+    Its fault model: the update coefficients are checked once, when the
+    stepper is built (``_residual_plan``), the plan is fixed then, and an
+    overflow or NaN raises through the step's errstate; the tests' oracles
+    check the code's own arithmetic.  So at run time the guard catches what
+    none of these can: a view that reads or writes the wrong memory, a numpy
+    or BLAS path that misbehaves for some size or alignment, and memory
+    corruption.  Its blind spot is the perturbation above, nearly orthogonal
+    to both y_i' and ybar.
+
     The caller fills the sweep's rows of ``sums`` with ``_residual_sums``;
     the guard puts |ybar|^2 in row ``_BAR_SQUARE`` and works on rows of m or
     2m values, with no Python scalar operand, which costs numpy more."""
@@ -601,27 +610,11 @@ def soe_stepper(
     return step
 
 
-# Below this c = tau*b the product rule's start and end factors come from
-# their series: the subtractions that define them cancel about log10(2/c)
-# digits there.  The series' 20 terms leave a remainder under 1e-21.
+# Below this c = tau*b a term's first moment over a step interval comes from
+# its series: the subtraction that defines it cancels about log10(2/c) digits
+# there.  The series' 20 terms leave a remainder under 1e-19.
 _SERIES_CUTOFF = 1.0
-_SERIES_COEFFICIENTS = tuple(1.0 / math.factorial(k + 2) for k in range(20))
-
-
-def _edge_factors(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The start and end factors ``(expm1(c) - c)/c**2`` and
-    ``(c + expm1(-c))/c**2`` for c = tau*b >= 0, the series
-    sum_k (+-c)**k / (k+2)! = 1/2 +- c/6 + c**2/24 +- ... in Horner form below
-    ``_SERIES_CUTOFF``, the closed forms above it (the start factor's
-    overflows past c = 709)."""
-    series = c < _SERIES_CUTOFF
-    cs = np.where(series, _SERIES_CUTOFF, c)
-    start, end = (np.expm1(cs) - cs) / cs**2, (cs + np.expm1(-cs)) / cs**2
-    start_series, end_series = np.zeros_like(c), np.zeros_like(c)
-    for coefficient in reversed(_SERIES_COEFFICIENTS):
-        start_series = start_series * c + coefficient
-        end_series = end_series * -c + coefficient
-    return np.where(series, start_series, start), np.where(series, end_series, end)
+_SERIES_COEFFICIENTS = tuple(1.0 / (math.factorial(k) * (k + 2)) for k in range(20))
 
 
 def _product_trapezoid_weights(
@@ -629,38 +622,39 @@ def _product_trapezoid_weights(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Lag tables of the product trapezoidal rule for int_0^{n*tau} ktil(t-s) g(s) ds.
 
-    Each exponential term of the kernel is integrated exactly against the
-    piecewise-linear interpolant of g, which keeps the rule accurate even
-    for stiff decay rates where plain node sampling of the kernel fails.
+    The kernel is integrated exactly against the piecewise-linear interpolant
+    of g, which keeps the rule accurate even for stiff decay rates where plain
+    node sampling of the kernel fails.  So the rule needs only the kernel's two
+    moments over each step interval l back from t_n, where t_n - s = (l-1+x) tau
+    for x in [0, 1]: A_l = int k ds and B_l = int k x ds.  A term with c = tau b
+    gives them as tau a exp(-c (l-1)) times mean(c) = int_0^1 exp(-cx) dx =
+    -expm1(-c)/c (1 at c = 0) and first(c) = int_0^1 x exp(-cx) dx =
+    (mean(c) - exp(-c))/c, which below ``_SERIES_CUTOFF`` comes from its series
+    sum_k (-c)**k / (k! (k+2)); neither overflows for any c >= 0.  The
+    interval's far level, at lag l, weighs B_l and its near one A_l - B_l.
+
     Returns ``(start, inner, end)``: a level L steps before t_n weighs
-    ``start[L]`` if it is level 0 (it has only a right half-hat) and
-    ``inner[L]`` otherwise, for lags L = 1..max_lag (lag 0 is unused and 0);
-    the level at t_n itself (the implicit one) weighs ``end``; all include tau.
+    ``start[L]`` = B_L if it is level 0 (it has only a right half-hat) and
+    ``inner[L]`` = B_L + A_{L+1} - B_{L+1} otherwise, for lags L = 1..max_lag
+    (lag 0 is unused and 0); the level at t_n itself (the implicit one) weighs
+    ``end`` = A_1 - B_1; all include tau.
     """
-    a = np.asarray(kernel.weights)
-    c = tau * np.asarray(kernel.rates)
-    big = c > 700.0
-
-    # A term's lag-L weight is a factor times exp(-c L); the factors tend to
-    # 1/2, 1, 1/2 as c -> 0, the edge ones from their series (_edge_factors).
-    # An inner level's hat is a right and a left half-hat, so its factor,
-    # 4 sinh(c/2)**2 / c**2, is the start factor plus the end factor.  Past
-    # c = 700, where expm1(c) overflows, the start and inner factors carry one
-    # exp(-c), which makes both 1/c**2 to rounding, and the table exp(-c (L-1));
-    # there expm1(-c) is -1, so the end factor is (1 - 1/c)/c, which never overflows.
-    start_factor, end_factor = _edge_factors(np.where(big, 1.0, c))
-    inner_factor = start_factor + end_factor
-    end_factor[big] = (1.0 - 1.0 / c[big]) / c[big]
-    start_factor[big] = inner_factor[big] = c[big] ** -2.0
-
-    end_weight = tau * float(a @ end_factor)
-    # decay[i, L] = exp(-c_i * L) for lags L = 0..max_lag, exp(-c_i * (L-1)) past c = 700
-    lags = np.arange(max_lag + 1, dtype=float)
-    decay = np.exp(-c[:, None] * np.where(big[:, None], np.maximum(lags - 1.0, 0.0), lags))
-    start = tau * (a @ (decay * start_factor[:, None]))
-    inner = tau * (a @ (decay * inner_factor[:, None]))
-    start[0] = inner[0] = 0.0
-    return start, inner, end_weight
+    a, c = np.asarray(kernel.weights), tau * np.asarray(kernel.rates)
+    positive = np.where(c > 0.0, c, 1.0)
+    mean = np.where(c > 0.0, -np.expm1(-positive) / positive, 1.0)
+    series, small = np.zeros_like(c), np.minimum(c, _SERIES_CUTOFF)
+    for coefficient in reversed(_SERIES_COEFFICIENTS):
+        series = series * -small + coefficient
+    closed = (mean - np.exp(-c)) / np.maximum(c, _SERIES_CUTOFF)
+    first = np.where(c < _SERIES_CUTOFF, series, closed)
+    # decay[i, j] = exp(-c_i j), for the intervals l = j + 1 = 1..max_lag+1
+    decay = np.exp(-c[:, None] * np.arange(max_lag + 1, dtype=float))
+    far = tau * (a @ (decay * first[:, None]))  # B_l
+    near = tau * (a @ (decay * (mean - first)[:, None]))  # A_l - B_l
+    start, inner = np.zeros((2, max_lag + 1))
+    start[1:] = far[:-1]
+    inner[1:] = far[:-1] + near[1:]
+    return start, inner, float(near[0])
 
 
 # Steps per block of the full-history baseline (``history_levels``), and past

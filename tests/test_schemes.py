@@ -315,6 +315,12 @@ def edge_series(c, sign):
     return math.fsum((sign * c) ** k / math.factorial(k + 2) for k in range(40))
 
 
+def first_moment_series(c):
+    """int_0^1 x exp(-cx) dx = sum_k (-c)**k / (k! (k+2)) to 40 terms, summed
+    exactly by fsum, free of the cancellation of its closed form at small c."""
+    return math.fsum((-c) ** k / (math.factorial(k) * (k + 2)) for k in range(40))
+
+
 def unshifted_tables(kernel, tau, max_lag):
     """The start and inner lag tables as first written, each factor times
     exp(-c L) with c = tau b: the factors expm1(c) and sinh(c/2)**2 overflow
@@ -529,17 +535,21 @@ class TestQuadratureStep:
         history_levels(scalar_problem(1.0, 1.0, 1.0, 1.0), SchemeConfig(sigma=0.5, tau=0.1), 10)
         assert len(built) == 1
 
-    @pytest.mark.parametrize("tau", [*np.logspace(-10, 4, 15), 705.0])
-    def test_tables_stay_finite_and_match_the_unshifted_form(self, tau):
-        kernel, max_lag = PronySeries((1.0,), (1.0,)), 40  # c = tau
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tau, rate", [
+        *(pytest.param(tau, 1.0, id=str(tau)) for tau in [*np.logspace(-10, 4, 15), 705.0, 1e300]),
+        pytest.param(1.0, 0.0, id="rate-0"),
+    ])
+    def test_tables_stay_finite_and_match_the_unshifted_form(self, tau, rate):
+        kernel, max_lag = PronySeries((1.0,), (rate,)), 40  # c = tau * rate
         start, inner, end = _product_trapezoid_weights(kernel, tau, max_lag)
         for table in (start, inner):
-            assert np.all(np.isfinite(table)) and np.all(table[1:] >= 0.0)
-        assert math.isfinite(end)
+            assert np.all(np.isfinite(table)) and np.all(table >= 0.0)
+        assert math.isfinite(end) and end > 0.0
         old_start, old_inner = unshifted_tables(kernel, tau, max_lag)
         # the unshifted form is accurate while exp(-c L) is a normal number
         lags = np.arange(max_lag + 1)
-        kept = (lags >= 1) & (tau * lags <= 708.0)
+        kept = (lags >= 1) & (tau * rate * lags <= 708.0)
         assert np.all(np.isfinite(old_start[kept])) and np.all(np.isfinite(old_inner[kept]))
         np.testing.assert_allclose(start[kept], old_start[kept], rtol=1e-12, atol=0)
         np.testing.assert_allclose(inner[kept], old_inner[kept], rtol=1e-12, atol=0)
@@ -557,9 +567,11 @@ class TestQuadratureStep:
 
     @pytest.mark.parametrize("c", [*np.logspace(-9, math.log10(2.0), 37), 0.999999, 1.0])
     def test_edge_factors_match_their_series(self, c):
-        start, end = schemes._edge_factors(np.array([c]))
-        assert start[0] == pytest.approx(edge_series(c, 1.0), rel=1e-15, abs=0)
-        assert end[0] == pytest.approx(edge_series(c, -1.0), rel=1e-15, abs=0)
+        # with tau = a = 1 the edge weights are c's moment factors: the start
+        # weight of lag 1 is first(c), and the end weight mean(c) - first(c)
+        start, _, end = _product_trapezoid_weights(PronySeries((1.0,), (c,)), 1.0, 1)
+        assert start[1] == pytest.approx(first_moment_series(c), rel=1e-15, abs=0)
+        assert end == pytest.approx(edge_series(c, -1.0), rel=1e-15, abs=0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("tau", [1e10, 1e200, 1e300])
@@ -1228,21 +1240,35 @@ class TestEnergy:
             assert e <= prev + slack
             prev = e
 
-    def test_forced_energy_bound(self):
+    @pytest.mark.parametrize("beta", ["1/2", "3/7"])
+    @pytest.mark.parametrize("fields", ["identity", "mass", "mass-reaction"])
+    @pytest.mark.parametrize("sigma", [0.5, 0.75, 1.0])
+    def test_forced_energy_bound(self, sigma, fields, beta):
+        # E_n <= E_0 + sum_k tau |phi(t_k + sigma tau)|_{B^-1}, on the physical-space
+        # path: CG solves with a mass field B and a reaction field C >= 0
         grid = Grid2D(12, 12)
         bump = sample_function(grid, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
+        mass = sample_function(grid, lambda x1, x2: 1.0 + 0.5 * np.sin(3 * x1) * np.cos(2 * x2))
+        reaction = sample_function(grid, lambda x1, x2: 2.0 + x1 * x2)
+        coefficients = {
+            "identity": {},
+            "mass": {"mass": DiagonalScaling(mass)},
+            "mass-reaction": {"mass": DiagonalScaling(mass), "reaction": DiagonalScaling(reaction)},
+        }[fields]
         p = ProblemSpec(
             operator=FivePointLaplacian(grid),
-            kernel=load_builtin_prony("1/2"),
+            kernel=load_builtin_prony(beta),
             initial=sample_function(grid, lambda x1, x2: x1 * (1 - x1) * x2),
             forcing=lambda t: math.sin(3 * t) * bump,
+            **coefficients,
         )
-        sigma, tau = 0.75, 0.05
-        step, s = soe_stepper(p, SchemeConfig(sigma=sigma, tau=tau)), soe_init(p)
+        inverse_mass, tau = 1.0 / p.mass.diagonal(), 0.05
+        step, s = soe_stepper(p, SchemeConfig(sigma=sigma, tau=tau, cg_tol=1e-13)), soe_init(p)
         e0 = energy(p, s)
         forcing_budget = 0.0
-        for _ in range(40):
-            forcing_budget += tau * l2_norm(p.forcing(s.t + sigma * tau), grid)
+        for _ in range(60):
+            phi = p.forcing(s.t + sigma * tau)
+            forcing_budget += tau * math.sqrt(grid.cell_area * float(np.sum(phi * phi * inverse_mass)))
             s = step(s)
             assert energy(p, s) <= e0 + forcing_budget + 1e-8 * e0
 
