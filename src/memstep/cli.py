@@ -25,11 +25,14 @@ import errno
 import json
 import math
 import os
+import platform
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from . import __version__
 from .kernels import (
@@ -220,9 +223,20 @@ def _output(path):
 
 
 def write_manifest(cfg: RunConfig, run_dir: Path, started_at: str) -> None:
+    """The config, which ``--config`` replays, and the state its bits depend
+    on: the versions and numpy's BLAS with its thread settings, whose count
+    changes the bits of long inner products."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     payload = {
         "config": dataclasses.asdict(cfg),
         "package_version": __version__,
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
+        "blas": {
+            "name": blas.get("name"),
+            "version": blas.get("version"),
+            **{key: os.environ.get(key) for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+        },
         "started_at": started_at,
         "finished_at": datetime.now(timezone.utc).isoformat(),
     }

@@ -88,6 +88,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if not 0 < self.final_time < math.inf:  # a NaN fails too
             raise ValueError(f"final_time={self.final_time} must be > 0 and finite")
+        SchemeConfig(self.sigma, self.final_time, self.cg_tol)  # checks sigma and cg_tol (tau = T)
+        Grid2D(self.grid_n, self.grid_n)
         if self.n_steps < 1:
             raise ValueError(f"n_steps={self.n_steps} must be >= 1")
         if self.sample_count < 1:
@@ -535,7 +537,9 @@ def compare_baseline(
 
 
 # Levels whose differences from the history are transformed to nodal values
-# at once, in one batched sine_transform: a few hundred kB on grid 64.
+# at once, in one batched sine_transform: on grid 64 the buffer holds
+# (64, 63, 63) doubles, 2.0 MB, and the transform makes two temporaries of
+# that size.
 _CHECK_CHUNK = 64
 
 

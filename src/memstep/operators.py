@@ -4,10 +4,10 @@ Operators, ``cg_solve``, ``a_norm`` and ``sine_transform`` take arrays of
 interior values alone, whose shape fixes their grid (``Grid2D.of``); an
 operator defines one method, ``apply_values(v)``.
 All are matrix-free: the five-point Laplacian applies its stencil directly
-(implicit zero ghost values on the Dirichlet boundary) and the per-step
-shifted systems are solved with conjugate gradients from the exact diagonal
-start ``rhs / diagonal``, which solves a sum of pointwise terms in one
-division and no iteration.  In the orthonormal sine (DST-I) basis of
+(implicit zero ghost values on the Dirichlet boundary).  ``cg_solve`` solves
+a per-step shifted system whose diagonal is positive everywhere, a sum of
+pointwise terms, by the division ``rhs / diagonal`` alone, and any other
+with conjugate gradients from zero.  In the orthonormal sine (DST-I) basis of
 ``sine_transform`` the Laplacian is the pointwise ``laplacian_eigenvalues``:
 a problem built there needs no CG.  Application is deterministic: an
 operator holds no mutable state and sums in a fixed order, so a field's
@@ -213,45 +213,45 @@ def cg_solve(
     tol: float = 1e-10,
     max_iter: int | None = None,
 ) -> np.ndarray:
-    """Conjugate gradients from x0 = rhs / op.diagonal() when the operator
-    has a diagonal positive everywhere (x0 = 0 otherwise), stopping once
-    |rhs - op x| <= tol |rhs|.
+    """Solve op x = rhs: ``rhs / op.diagonal()`` when the operator has a
+    diagonal positive everywhere, which is then the whole operator; else
+    conjugate gradients from x0 = 0, stopping once |rhs - op x| <= tol |rhs|.
 
-    Arrays are updated in place; ``op.apply_values`` runs once for the initial
-    residual and once per iteration, so a sum of pointwise terms, which the
-    diagonal start solves exactly, needs one division, one application and
-    no iteration.  The diagonal is read once; a DiagonalScaling's sign was
+    A pointwise solve is that one division, for any tol: it applies the
+    operator 0 times and makes 0 iterations.  CG starts from r0 = p0 = rhs,
+    applies the operator once per iteration, first to rhs, and updates its
+    arrays in place.  The diagonal is read once; a DiagonalScaling's sign was
     checked when it was built (``positive``), any other's is checked here.
     Raises FloatingPointError, before any iteration, when |rhs| is not finite
     because rhs holds a NaN or an infinity (a finite rhs whose norm overflows
-    is solved), GridMismatchError unless the diagonal and first residual have
-    rhs's shape, ConvergenceError when max_iter (default 10*(n1+n2)) is
-    exhausted.
+    is solved), GridMismatchError unless the diagonal and op p have rhs's
+    shape, ConvergenceError when max_iter (default 10*(n1+n2)) is exhausted.
     """
     if tol <= 0:
         raise ValueError(f"tol={tol} must be > 0")
-    rhs_norm = math.sqrt(np.vdot(rhs, rhs))  # plain norms: the mesh weight cancels
+    rr = float(np.vdot(rhs, rhs))  # plain norms: the mesh weight cancels
+    rhs_norm = math.sqrt(rr)
     if not rhs_norm < math.inf and not np.isfinite(rhs).all():  # not a finite rhs's overflow
         raise FloatingPointError(f"the right-hand side holds non-finite values (norm {rhs_norm})")
     diag = op.diagonal()
     shape = getattr(diag, "shape", ())  # a Python scalar's or None's is ()
     if shape not in ((), rhs.shape):
         raise GridMismatchError(f"rhs of shape {rhs.shape} against a diagonal of {shape}")
-    positive = op.positive if type(op) is DiagonalScaling else \
-        diag is not None and bool(np.all(diag > 0))
-    x = rhs / diag if positive else np.zeros(rhs.shape)
-    r = rhs - op.apply_values(x)
-    if r.shape != rhs.shape:
-        raise GridMismatchError(f"rhs of shape {rhs.shape} against the operator's {r.shape}")
-    rr = float(np.vdot(r, r))
+    if op.positive if type(op) is DiagonalScaling else \
+            diag is not None and bool(np.all(diag > 0)):
+        return rhs / diag
     target = tol * rhs_norm
-    if math.sqrt(rr) <= target:
+    x = np.zeros(rhs.shape)
+    if rhs_norm <= target:  # x0 already meets the tolerance
         return x
     grid = Grid2D.of(rhs)
     max_iter = 10 * (grid.n1 + grid.n2) if max_iter is None else max_iter
+    r = rhs.astype(float)  # rhs - op x0
     p = r.copy()
     for _ in range(max_iter):
         ap = op.apply_values(p)
+        if ap.shape != rhs.shape:
+            raise GridMismatchError(f"rhs of shape {rhs.shape} against the operator's {ap.shape}")
         pap = float(np.vdot(p, ap))
         if pap <= 0:
             raise NotSpdError(f"CG detected a non-SPD operator: (p, Ap) = {pap}")

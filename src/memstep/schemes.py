@@ -310,11 +310,10 @@ def _column(values: np.ndarray, t: _Tile) -> np.ndarray:
     return values[t.rows, None] if t.work.ndim == 2 else values[t.rows]
 
 
-def _plan(blocks: list[slice], m: int, size: int, forms: Optional[np.ndarray] = None,
-          coef=None) -> list[_Tile]:
-    """The tiles (``_tiles``) of ``blocks``, row slices of an ``(m, size)``
-    stack, in order: a block of several fields is one tile, a single field
-    one per column slice.  Each has a view of its shape, ``work``, into a
+def _plan(m: int, size: int, forms: Optional[np.ndarray] = None, coef=None) -> list[_Tile]:
+    """The tiles (``_tiles``) of the ``_blocks`` of an ``(m, size)`` stack,
+    in order: a block of several fields is one tile, a single field one per
+    column slice.  Each has a view of its shape, ``work``, into a
     work buffer of the largest tile's size, which every tile and every step
     reuses, for the update and then the forms; ``add`` marks a tile past its field's first, which
     adds its sums to the field's, in order.  ``forms``, when given, takes
@@ -322,7 +321,7 @@ def _plan(blocks: list[slice], m: int, size: int, forms: Optional[np.ndarray] = 
     operator, whose coefficient field ``coef`` (``_pointwise``) a tile holds
     its part of, and of each block's last tile, from whole fields, for any
     other."""
-    cuts = _tiles(size)
+    blocks, cuts = _blocks(m, size), _tiles(size)
     width = max(cut.stop - cut.start for cut in cuts)
     work = np.empty(max(blk.stop - blk.start for blk in blocks) * width)
     plan = []
@@ -353,10 +352,9 @@ def _plan(blocks: list[slice], m: int, size: int, forms: Optional[np.ndarray] = 
 _CROSS, _OLD_BAR, _SQUARE, _NEW_BAR, _BAR_SQUARE = range(5)
 
 
-def _residual_plan(cfg: SchemeConfig, rates, blocks: list[slice], size: int, sums: np.ndarray,
-                   decay: np.ndarray, gain: np.ndarray, forms: Optional[np.ndarray] = None,
-                   coef=None) -> list[_Tile]:
-    """``_plan(blocks, len(rates), size, forms, coef)``, each tile with its
+def _residual_plan(cfg: SchemeConfig, rates, size: int, sums: np.ndarray, decay: np.ndarray,
+                   gain: np.ndarray, forms: Optional[np.ndarray] = None, coef=None) -> list[_Tile]:
+    """``_plan(len(rates), size, forms, coef)``, each tile with its
     rows' columns of the update's ``decay`` and ``gain`` and, as ``sums``,
     views of its fields' places in the rows of the guard's ``(5, m)`` sums.
     The columns must meet new_i decay_i = old_i and new_i gain_i = 1 to 1e-12
@@ -364,7 +362,7 @@ def _residual_plan(cfg: SchemeConfig, rates, blocks: list[slice], size: int, sum
     derived apart), or AuxiliaryResidualError names the first rate that
     breaks them: a column from the wrong rows fails when the stepper is built."""
     new, old = _residual_coefficients(cfg, rates)
-    plan = _plan(blocks, len(rates), size, forms, coef)
+    plan = _plan(len(rates), size, forms, coef)
     for t in plan:
         t.decay, t.gain, t.sums = _column(decay, t), _column(gain, t), tuple(sums[:, t.rows])
         n, o = new[t.rows], old[t.rows]
@@ -540,8 +538,8 @@ def soe_stepper(
         lhs = _collapsed(terms)
         # the guard's sums and the energy forms, one per field
         sums, forms = np.empty((5, m)), np.empty(m)
-        plan = _residual_plan(cfg, b, _blocks(m, size), size, sums, decay, gain,
-                              forms if with_energy else None, _pointwise(p.operator, size))
+        plan = _residual_plan(cfg, b, size, sums, decay, gain, forms if with_energy else None,
+                              _pointwise(p.operator, size))
         guard = _aux_residual_guard(cfg, grid, b, sums)
     context = _numpy_context()  # the step's numpy state
     operator, mass, reaction = p.operator, p.mass, p.reaction
@@ -829,7 +827,7 @@ def energy(p: ProblemSpec, s: SoeState) -> float:
     with _finite("energy", s.n, s.t):
         rows, forms = s.aux.reshape(m, -1), np.empty(m)
         size = rows.shape[1]
-        for t in _plan(_blocks(m, size), m, size, forms, _pointwise(p.operator, size)):
+        for t in _plan(m, size, forms, _pointwise(p.operator, size)):
             if t.forms is not None:
                 _tile_forms(p.operator, t, rows[t.at], s.aux)
         return _composite_energy(p, s.y, rows, forms, np.asarray(p.kernel.weights))

@@ -121,7 +121,7 @@ def residual_guard(cfg, grid, rates):
     m, size = len(rates), grid.shape[0] * grid.shape[1]
     sums = np.empty((5, m))
     decay, gain = update_coefficients(cfg, rates)
-    plan = schemes._residual_plan(cfg, rates, schemes._blocks(m, size), size, sums, decay, gain)
+    plan = schemes._residual_plan(cfg, rates, size, sums, decay, gain)
     guard = schemes._aux_residual_guard(cfg, grid, rates, sums)
     return _judge(m, size, plan, schemes._residual_sums, guard)
 
@@ -171,7 +171,7 @@ def oracle_residual_guard(cfg, grid, rates):
     residual's norm (``oracle_guard_verdict``)."""
     m, size = len(rates), grid.shape[0] * grid.shape[1]
     norms = np.empty((2, m))
-    plan = schemes._plan(schemes._blocks(m, size), m, size)
+    plan = schemes._plan(m, size)
     return _judge(m, size, plan, lambda t, new, old, yb: oracle_residual_sums(
         cfg, rates, t, *norms, new, old, yb), oracle_guard_verdict(cfg, grid, rates, norms))
 

@@ -3,6 +3,7 @@ import errno
 import json
 import math
 import os
+import platform
 import threading
 import time
 import warnings
@@ -60,6 +61,8 @@ class TestRunCommand:
         assert cli.main(["run", *FAST]) == cli.EXIT_OK
         first = (out_root / "run" / "trajectory.csv").read_bytes()
         manifest = out_root / "run" / "manifest.json"
+        # the BLAS state is recorded beside the config, which alone is replayed
+        assert {"python_version", "numpy_version", "blas"} <= json.loads(manifest.read_text()).keys()
         rerun_root = tmp_path / "rerun"
         assert (
             cli.main(["run", "--config", str(manifest), "--out", str(rerun_root)])
@@ -67,6 +70,17 @@ class TestRunCommand:
         )
         second = (rerun_root / "run" / "trajectory.csv").read_bytes()
         assert first == second
+
+    def test_manifest_records_the_blas_state(self, out_root, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        assert cli.main(["run", *FAST]) == cli.EXIT_OK
+        manifest = json.loads((out_root / "run" / "manifest.json").read_text())
+        assert manifest["python_version"] == platform.python_version()
+        assert manifest["numpy_version"] == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest["blas"] == {"name": blas["name"], "version": blas["version"],
+                                    "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
 
     def test_steps_start_no_thread(self, out_root, monkeypatch):
         # a grid-256 run's stack of 12 fields, 780k values, swept on this thread

@@ -79,16 +79,22 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(kernel=load_builtin_prony("1/2"), final_time=-1.0)
 
-    @pytest.mark.parametrize("final_time", [math.inf, math.nan])
-    def test_final_time_must_be_finite_before_any_fork(self, small_spec, monkeypatch, final_time):
+    @pytest.mark.parametrize("change, message", [
+        pytest.param({"final_time": math.inf}, r"final_time=inf must be > 0 and finite", id="inf"),
+        pytest.param({"final_time": math.nan}, r"final_time=nan must be > 0 and finite", id="nan"),
+        pytest.param({"sigma": 1.5}, r"sigma=1.5 must lie in \(0, 1\]", id="sigma"),
+        pytest.param({"cg_tol": 0.0}, r"cg_tol=0.0 must be > 0 and finite", id="cg_tol"),
+        pytest.param({"grid_n": 1}, r"need at least 2 cells per direction, got 1x1", id="grid_n"),
+    ])
+    def test_final_time_must_be_finite_before_any_fork(self, small_spec, monkeypatch, change,
+                                                       message):
         # a configuration error, raised with the spec, not a numerical failure in a task
         set_cpus(monkeypatch, 2)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-        message = rf"final_time={final_time} must be > 0 and finite"
         with pytest.raises(ValueError, match=message):
-            convergence_study(dataclasses.replace(small_spec, final_time=final_time), (8, 16, 32))
+            convergence_study(dataclasses.replace(small_spec, **change), (8, 16, 32))
         with pytest.raises(ValueError, match=message):
-            compare_baseline(dataclasses.replace(small_spec, final_time=final_time), (8, 16))
+            compare_baseline(dataclasses.replace(small_spec, **change), (8, 16))
 
     @pytest.mark.parametrize("n_steps", [0, -8])
     def test_step_count_below_one_rejected(self, n_steps):
