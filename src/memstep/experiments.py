@@ -536,17 +536,17 @@ def compare_baseline(
     ))
 
 
-# Levels whose differences from the history are transformed to nodal values
-# at once, in one batched sine_transform: on grid 64 the buffer holds
-# (64, 63, 63) doubles, 2.0 MB, and the transform makes two temporaries of
-# that size.
+# Levels taken to nodal values at once, each turned into its difference from
+# the compressed run in place, in one batched sine_transform: on grid 64 the
+# transform makes two temporaries of (64, 63, 63) doubles, 2.0 MB each.
 _CHECK_CHUNK = 64
 
 
 def _compare_one(problem: ProblemSpec, spec: ExperimentSpec, n_steps: int) -> BaselineRow:
-    """One ladder entry; no view of its history outlives the call.  The
-    compressed run's differences from the history are gathered and taken to
-    nodal values ``_CHECK_CHUNK`` levels at a time."""
+    """One ladder entry; no view of its history outlives the call.  Each
+    history level becomes its difference from the compressed run in place,
+    and the differences are taken to nodal values ``_CHECK_CHUNK`` levels at
+    a time."""
     cfg = _scheme(spec, n_steps)
     t0 = time.perf_counter()
     levels = history_levels(problem, cfg, n_steps)
@@ -554,15 +554,13 @@ def _compare_one(problem: ProblemSpec, spec: ExperimentSpec, n_steps: int) -> Ba
 
     states = _states(problem, cfg, n_steps)
     soe_seconds = max_diff = 0.0
-    diffs = np.empty((min(_CHECK_CHUNK, len(levels)),) + levels.shape[1:])
-    for start in range(0, len(levels), _CHECK_CHUNK):  # level 0 is u0 in both
-        chunk = levels[start : start + _CHECK_CHUNK]
-        for diff, level in zip(diffs, chunk):
-            t0 = time.perf_counter()
-            state = next(states)
-            soe_seconds += time.perf_counter() - t0
-            np.subtract(state.y, level, out=diff)
-        nodal = sine_transform(diffs[: len(chunk)])
+    for level in levels:  # level 0 is u0 in both
+        t0 = time.perf_counter()
+        state = next(states)
+        soe_seconds += time.perf_counter() - t0
+        level -= state.y
+    for start in range(0, len(levels), _CHECK_CHUNK):
+        nodal = sine_transform(levels[start : start + _CHECK_CHUNK])
         max_diff = max(max_diff, float(np.max(np.abs(nodal))))
     return BaselineRow(
         tau=cfg.tau,

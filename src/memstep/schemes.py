@@ -615,28 +615,20 @@ _SERIES_CUTOFF = 1.0
 _SERIES_COEFFICIENTS = tuple(1.0 / (math.factorial(k) * (k + 2)) for k in range(20))
 
 
-def _product_trapezoid_weights(
-    kernel: PronySeries, tau: float, max_lag: int
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Lag tables of the product trapezoidal rule for int_0^{n*tau} ktil(t-s) g(s) ds.
-
-    The kernel is integrated exactly against the piecewise-linear interpolant
-    of g, which keeps the rule accurate even for stiff decay rates where plain
-    node sampling of the kernel fails.  So the rule needs only the kernel's two
-    moments over each step interval l back from t_n, where t_n - s = (l-1+x) tau
-    for x in [0, 1]: A_l = int k ds and B_l = int k x ds.  A term with c = tau b
-    gives them as tau a exp(-c (l-1)) times mean(c) = int_0^1 exp(-cx) dx =
-    -expm1(-c)/c (1 at c = 0) and first(c) = int_0^1 x exp(-cx) dx =
-    (mean(c) - exp(-c))/c, which below ``_SERIES_CUTOFF`` comes from its series
-    sum_k (-c)**k / (k! (k+2)); neither overflows for any c >= 0.  The
-    interval's far level, at lag l, weighs B_l and its near one A_l - B_l.
-
-    Returns ``(start, inner, end)``: a level L steps before t_n weighs
-    ``start[L]`` = B_L if it is level 0 (it has only a right half-hat) and
-    ``inner[L]`` = B_L + A_{L+1} - B_{L+1} otherwise, for lags L = 1..max_lag
-    (lag 0 is unused and 0); the level at t_n itself (the implicit one) weighs
-    ``end`` = A_1 - B_1; all include tau.
-    """
+def _interval_moments(kernel: PronySeries, tau: float,
+                      count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's two moments over each step interval l = 1..count back
+    from t_n, where t_n - s = (l-1+x) tau for x in [0, 1], including tau:
+    ``far[l-1]`` = int k x ds weighs the interval's far level, at lag l, and
+    ``near[l-1]`` = int k (1-x) ds its near one, at lag l-1.  Integrating the
+    kernel exactly against the piecewise-linear interpolant of the levels
+    keeps the product rule accurate even for stiff decay rates, where plain
+    node sampling of the kernel fails.  A term with c = tau b gives them as
+    tau a exp(-c (l-1)) times first(c) = int_0^1 x exp(-cx) dx and
+    mean(c) - first(c), with mean(c) = int_0^1 exp(-cx) dx = -expm1(-c)/c
+    (1 at c = 0) and first(c) = (mean(c) - exp(-c))/c, which below
+    ``_SERIES_CUTOFF`` comes from its series sum_k (-c)**k / (k! (k+2));
+    neither overflows for any c >= 0."""
     a, c = np.asarray(kernel.weights), tau * np.asarray(kernel.rates)
     positive = np.where(c > 0.0, c, 1.0)
     mean = np.where(c > 0.0, -np.expm1(-positive) / positive, 1.0)
@@ -645,14 +637,8 @@ def _product_trapezoid_weights(
         series = series * -small + coefficient
     closed = (mean - np.exp(-c)) / np.maximum(c, _SERIES_CUTOFF)
     first = np.where(c < _SERIES_CUTOFF, series, closed)
-    # decay[i, j] = exp(-c_i j), for the intervals l = j + 1 = 1..max_lag+1
-    decay = np.exp(-c[:, None] * np.arange(max_lag + 1, dtype=float))
-    far = tau * (a @ (decay * first[:, None]))  # B_l
-    near = tau * (a @ (decay * (mean - first)[:, None]))  # A_l - B_l
-    start, inner = np.zeros((2, max_lag + 1))
-    start[1:] = far[:-1]
-    inner[1:] = far[:-1] + near[1:]
-    return start, inner, float(near[0])
+    decay = np.exp(-c[:, None] * np.arange(count, dtype=float))  # exp(-c_i (l-1))
+    return tau * (a @ (decay * first[:, None])), tau * (a @ (decay * (mean - first)[:, None]))
 
 
 # Steps per block of the full-history baseline (``history_levels``), and past
@@ -677,27 +663,32 @@ _HISTORY_BLOCK = 32
 _HISTORY_CHUNK = 128
 
 
-def _history_weights(kernel: PronySeries, sigma: float, tau: float,
-                     n_steps: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """The weights of the full-history step from t_n to t_{n+1}, for n = 0..n_steps-1.
+def _history_weights(far: np.ndarray, near: np.ndarray, sigma: float,
+                     tau: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The weights of the full-history step from t_n to t_{n+1}, for n =
+    0..n_steps-1, from the moments of the intervals 1..n_steps+1
+    (``_interval_moments``).
 
     Its memory term ``-tau (sigma I_{n+1} + (1-sigma) I_n)`` blends the product
-    rule's integrals to t_{n+1} and to t_n (I_0 = 0) and is, the new level's
-    endpoint part aside, one weighted sum over the known levels 0..n.  Returns
-    ``(lags, first, end)``.  ``lags[n_steps-1-L]`` weighs a level L steps
-    before t_n, for L = 0..n_steps-1: the longest lag first, so that step n's
-    weights over levels 1..n are the run ``lags[n_steps-n : n_steps]``; then
-    ``_HISTORY_CHUNK`` zeros, so that a window of that width from any lag is
-    in bounds.  ``first[n]`` weighs level 0 in step n, and ``end`` is the
-    product rule's weight of the new level.
+    rule's integrals to t_{n+1} and to t_n (I_0 = 0), in which a level L >= 1
+    steps back weighs ``far[L-1] + near[L]``, level 0 ``far[L-1]`` and the
+    end level ``near[0]``; the new level's part aside, it is one weighted sum
+    over the known levels 0..n.  Returns ``(lags, first, end)``.
+    ``lags[n_steps-1-L]`` weighs a level L steps before t_n, for L =
+    0..n_steps-1: the longest lag first, so that step n's weights over levels
+    1..n are the run ``lags[n_steps-n : n_steps]``; then ``_HISTORY_CHUNK``
+    zeros, so that a window of that width from any lag is in bounds.
+    ``first[n]`` weighs level 0 in step n, and ``end`` is the new level's.
     """
-    start, inner, end = _product_trapezoid_weights(kernel, tau, n_steps)
-    by_lag = sigma * inner[1:] + (1.0 - sigma) * inner[:-1]
-    by_lag[:1] += (1.0 - sigma) * end  # the level at t_n closes I_n (inner[0] is 0)
-    lags = np.zeros(n_steps + _HISTORY_CHUNK)
-    np.multiply(-tau, by_lag[::-1], out=lags[:n_steps])
-    first = -tau * (sigma * start[1:] + (1.0 - sigma) * start[:-1])  # start[0] is 0
-    return lags, first, end
+    inner = far[:-1] + near[1:]
+    by_lag = sigma * inner
+    by_lag[1:] += (1.0 - sigma) * inner[:-1]
+    by_lag[:1] += (1.0 - sigma) * near[0]  # the level at t_n closes I_n
+    lags = np.zeros(len(by_lag) + _HISTORY_CHUNK)
+    np.multiply(-tau, by_lag[::-1], out=lags[: len(by_lag)])
+    first = sigma * far[:-1]
+    first[1:] += (1.0 - sigma) * far[:-2]
+    return lags, -tau * first, float(near[0])
 
 
 def _far_terms(windows: np.ndarray, first: np.ndarray, flat: np.ndarray, n0: int,
@@ -747,7 +738,8 @@ def history_levels(p: ProblemSpec, cfg: SchemeConfig, n_steps: int) -> np.ndarra
         raise SchemeConfigError("the full-history baseline handles only the plain problem")
     sig, tau = cfg.sigma, cfg.tau
     with _finite("scheme coefficients"):
-        lags, first, w_end = _history_weights(p.kernel, sig, tau, n_steps)
+        lags, first, w_end = _history_weights(*_interval_moments(p.kernel, tau, n_steps + 1),
+                                              sig, tau)
         lhs = _collapsed([(1.0, IdentityOperator()), (sig * tau * w_end, p.operator)])
     levels = np.empty((n_steps + 1,) + p.initial.shape)
     levels[0] = p.initial

@@ -48,6 +48,19 @@ def scalar_ode_oracle(a1: float, b1: float, lam: float, u0: float, t) -> float:
     return out if out.ndim else float(out)
 
 
+def product_rule_tables(kernel, tau, max_lag):
+    """The product rule's lag tables ``(start, inner, end)`` from the interval
+    moments (``_interval_moments``), apart from the stepper's blend: a level L
+    steps before t_n weighs ``start[L]`` = far[L-1] if it is level 0 and
+    ``inner[L]`` = far[L-1] + near[L] otherwise, for lags L = 1..max_lag
+    (lag 0 is unused and 0), and the level at t_n weighs ``end`` = near[0]."""
+    far, near = schemes._interval_moments(kernel, tau, max_lag + 1)
+    start, inner = np.zeros((2, max_lag + 1))
+    start[1:] = far[:-1]
+    inner[1:] = far[:-1] + near[1:]
+    return start, inner, float(near[0])
+
+
 def per_step_history_levels(p, cfg, n_steps):
     """The full-history baseline stepped as ``history_levels`` once did, the
     oracle for its blocks: each step takes the product rule's integral to
@@ -57,7 +70,7 @@ def per_step_history_levels(p, cfg, n_steps):
         raise schemes.SchemeConfigError("the full-history baseline handles only the plain problem")
     sig, tau = cfg.sigma, cfg.tau
     with schemes._finite("scheme coefficients"):
-        start, inner, w_end = schemes._product_trapezoid_weights(p.kernel, tau, n_steps)
+        start, inner, w_end = product_rule_tables(p.kernel, tau, n_steps)
         lhs = schemes._collapsed([(1.0, IdentityOperator()), (sig * tau * w_end, p.operator)])
     levels = np.empty((n_steps + 1,) + p.initial.shape)
     levels[0] = p.initial

@@ -15,6 +15,7 @@ from conftest import (
     oracle_guard_verdict,
     oracle_residual_guard,
     per_step_history_levels,
+    product_rule_tables,
     residual_guard,
     scalar_ode_oracle,
     scalar_problem,
@@ -43,7 +44,6 @@ from memstep.schemes import (
     SchemeConfig,
     SchemeConfigError,
     SoeState,
-    _product_trapezoid_weights,
     energy,
     history_levels,
     soe_init,
@@ -304,7 +304,7 @@ def level_weights(kernel, tau, n):
     """The product rule's weights on levels 0..n-1 of int_0^{t_n}, assembled
     from the lag tables (level 0 at lag n, levels 1..n-1 at lags n-1..1), and
     the endpoint weight on level n."""
-    start, inner, end = _product_trapezoid_weights(kernel, tau, n)
+    start, inner, end = product_rule_tables(kernel, tau, n)
     return np.append(start[n], inner[n - 1 : 0 : -1]), end
 
 
@@ -414,14 +414,22 @@ class TestRecursionOracle:
     def test_one_wrong_table_entry_fails_it(self, monkeypatch, table, lag):
         kernel = load_builtin_prony("1/2")
         assert recursion_difference(kernel, 0.5, 0.05, 40, 0) <= 1e-13
-        weights = _product_trapezoid_weights
+        moments = schemes._interval_moments
 
-        def perturbed(kernel, tau, max_lag):
-            start, inner, end = weights(kernel, tau, max_lag)
-            {"start": start, "inner": inner}[table][lag] *= 1.0 + 1e-9
-            return start, inner, end
+        def perturbed(kernel, tau, count):
+            # the entry off by 1e-9 of itself through the moments of its lag:
+            # start[lag] = far[lag-1], with near[lag] moved back so that
+            # inner[lag] = far[lag-1] + near[lag] keeps its sum, or near[lag] alone
+            far, near = moments(kernel, tau, count)
+            if table == "start":
+                delta = 1e-9 * far[lag - 1]
+                far[lag - 1] += delta
+                near[lag] -= delta
+            else:
+                near[lag] += 1e-9 * (far[lag - 1] + near[lag])
+            return far, near
 
-        monkeypatch.setattr(schemes, "_product_trapezoid_weights", perturbed)
+        monkeypatch.setattr(schemes, "_interval_moments", perturbed)
         assert recursion_difference(kernel, 0.5, 0.05, 40, 0) > 1e-11
 
 
@@ -525,13 +533,13 @@ class TestQuadratureStep:
 
     def test_weight_tables_built_once_per_run(self, monkeypatch):
         built = []
-        tables = schemes._product_trapezoid_weights
+        moments = schemes._interval_moments
 
         def counting(*args):
             built.append(1)
-            return tables(*args)
+            return moments(*args)
 
-        monkeypatch.setattr(schemes, "_product_trapezoid_weights", counting)
+        monkeypatch.setattr(schemes, "_interval_moments", counting)
         history_levels(scalar_problem(1.0, 1.0, 1.0, 1.0), SchemeConfig(sigma=0.5, tau=0.1), 10)
         assert len(built) == 1
 
@@ -542,7 +550,7 @@ class TestQuadratureStep:
     ])
     def test_tables_stay_finite_and_match_the_unshifted_form(self, tau, rate):
         kernel, max_lag = PronySeries((1.0,), (rate,)), 40  # c = tau * rate
-        start, inner, end = _product_trapezoid_weights(kernel, tau, max_lag)
+        start, inner, end = product_rule_tables(kernel, tau, max_lag)
         for table in (start, inner):
             assert np.all(np.isfinite(table)) and np.all(table >= 0.0)
         assert math.isfinite(end) and end > 0.0
@@ -558,7 +566,7 @@ class TestQuadratureStep:
     def test_builtin_tables_match_the_unshifted_form_where_finite(self, tau):
         # at 200/48, tau * b reaches about 800 and the unshifted tables are NaN
         kernel, max_lag = load_builtin_prony("1/2"), 60
-        start, inner, _ = _product_trapezoid_weights(kernel, tau, max_lag)
+        start, inner, _ = product_rule_tables(kernel, tau, max_lag)
         assert np.all(np.isfinite(start)) and np.all(np.isfinite(inner))
         for new, old in zip((start, inner), unshifted_tables(kernel, tau, max_lag)):
             finite = np.isfinite(old)
@@ -569,7 +577,7 @@ class TestQuadratureStep:
     def test_edge_factors_match_their_series(self, c):
         # with tau = a = 1 the edge weights are c's moment factors: the start
         # weight of lag 1 is first(c), and the end weight mean(c) - first(c)
-        start, _, end = _product_trapezoid_weights(PronySeries((1.0,), (c,)), 1.0, 1)
+        start, _, end = product_rule_tables(PronySeries((1.0,), (c,)), 1.0, 1)
         assert start[1] == pytest.approx(first_moment_series(c), rel=1e-15, abs=0)
         assert end == pytest.approx(edge_series(c, -1.0), rel=1e-15, abs=0)
 
@@ -578,7 +586,7 @@ class TestQuadratureStep:
     def test_end_weight_past_squaring_range(self, tau):
         # c = tau: the end factor (c + expm1(-c))/c**2 is (1 - 1/c)/c, so the
         # endpoint weight tau * a * factor is 1 - 1/tau, with no overflow of c**2
-        _, _, end = _product_trapezoid_weights(PronySeries((1.0,), (1.0,)), tau, 4)
+        _, _, end = product_rule_tables(PronySeries((1.0,), (1.0,)), tau, 4)
         assert end == pytest.approx(1.0 - 1.0 / tau, rel=1e-15)
 
     @pytest.mark.filterwarnings("error")
@@ -694,7 +702,8 @@ class TestBlockedHistory:
         levels = history_levels(p, cfg, 9)
         assert np.isfinite(levels).all() and levels[8, 0, 0] == pytest.approx(0.5e308)
         assert 8 // self.BLOCK > 0 and 8 % self.BLOCK == 0 and 8 // self.CHUNK > 0
-        lags, first, _ = schemes._history_weights(p.kernel, 0.5, 2.0, 10)
+        lags, first, _ = schemes._history_weights(*schemes._interval_moments(p.kernel, 2.0, 11),
+                                                  0.5, 2.0)
         assert (lags[10 - 1], lags[10 - 2]) == (-3.0, -4.0)  # lags 0 and 1
         with np.errstate(over="ignore"):  # step 10's part of levels 0..8
             far = first[9] * levels[0] + lags[10 - 9 : 10 - 1] @ levels[1:9].reshape(8, -1)
