@@ -795,7 +795,7 @@ def _composite_energy(
     of every memory field (``rows``, ``(m, size)``, in the stack's order),
     taken by ``_tile_forms``: with an identity mass area (y.y + a.forms), two
     BLAS dots.  A form negative beyond rounding raises NotSpdError, one
-    within it counts as 0."""
+    within it counts as 0, and a square that is not finite FloatingPointError."""
     area = p.grid.cell_area
     if forms.min() < 0.0:  # else the check and the clamp change nothing
         if np.any(forms < -1e-12 * np.maximum(np.vecdot(rows, rows), 1e-300)):
@@ -803,8 +803,12 @@ def _composite_energy(
         forms = np.maximum(forms, 0.0)
     memory = np.dot(weights, forms)
     if type(p.mass) is IdentityOperator:
-        return math.sqrt(area * (np.vdot(y, y) + memory))
-    return math.sqrt(a_norm(p.mass, y) ** 2 + area * memory)
+        total = area * (np.vdot(y, y) + memory)
+    else:
+        total = a_norm(p.mass, y) ** 2 + area * memory
+    if not total < math.inf:  # BLAS dots overflow past numpy's errstate
+        raise FloatingPointError(f"overflow encountered in the squared energy ({total})")
+    return math.sqrt(total)
 
 
 def energy(p: ProblemSpec, s: SoeState) -> float:

@@ -249,6 +249,27 @@ class TestConfigErrors:
         assert cli.main([*args, "--tau", "0.03125"]) == cli.EXIT_OK  # a consistent pair
         assert (rerun / "run" / "trajectory.csv").read_bytes() == by_steps
 
+    @pytest.mark.parametrize("command, flags, config, message", [
+        pytest.param("run", ["--steps", "0"], None, "steps=0 must be >= 1", id="steps"),
+        pytest.param("run", [], {"grid": 1}, "grid=1 must be >= 2", id="grid"),
+        pytest.param("run", [], [{"grid": 8}], "config must be a JSON object", id="json-array"),
+        pytest.param("run", [], {"sample_count": 0}, "need at least one sample time",
+                     id="sample_count"),
+        pytest.param("kernel-error", [], {"window_samples": 1}, "need at least 2 samples, got 1",
+                     id="window_samples"),
+    ])
+    def test_value_below_its_floor_rejected(self, out_root, tmp_path, capsys, command, flags,
+                                            config, message):
+        argv = [command, *flags]
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+        assert not (out_root / command).exists()
+
     @pytest.mark.parametrize("entry", [0, -8])
     def test_ladder_entry_below_one_rejected(self, tmp_path, capsys, entry):
         config = tmp_path / "cfg.json"
@@ -321,6 +342,22 @@ class TestConfigErrors:
         assert "Traceback" not in err and blocked.is_dir()
         assert steps == []
         assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [name]
+
+    def test_output_that_fails_after_its_check_exits_2(self, tmp_path, monkeypatch, capsys):
+        # the file becomes a directory once the checks have passed: the write's
+        # own OSError becomes the ConfigError naming it
+        check = cli.check_outputs
+
+        def check_then_block(run_dir, names):
+            check(run_dir, names)
+            (run_dir / "trajectory.csv").mkdir()
+
+        monkeypatch.setattr(cli, "check_outputs", check_then_block)
+        argv = ["run", "--grid", "8", "--steps", "8", "--out", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot write {tmp_path / 'run' / 'trajectory.csv'}: ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command, name", [
         (command, name) for command, (_, tables) in cli._COMMANDS.items()

@@ -85,6 +85,7 @@ class TestExperimentSpec:
         pytest.param({"sigma": 1.5}, r"sigma=1.5 must lie in \(0, 1\]", id="sigma"),
         pytest.param({"cg_tol": 0.0}, r"cg_tol=0.0 must be > 0 and finite", id="cg_tol"),
         pytest.param({"grid_n": 1}, r"need at least 2 cells per direction, got 1x1", id="grid_n"),
+        pytest.param({"sample_count": 0}, r"need at least one sample time", id="sample_count"),
     ])
     def test_final_time_must_be_finite_before_any_fork(self, small_spec, monkeypatch, change,
                                                        message):

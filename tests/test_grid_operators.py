@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from memstep import schemes
 from memstep.grid import Grid2D, GridMismatchError, sample_function
 from memstep.operators import (
     ConvergenceError,
@@ -352,6 +353,24 @@ class TestCgSolve:
         rhs = np.full((7, 7), 1e160)
         assert not math.isfinite(float(np.vdot(rhs, rhs)))
         np.testing.assert_array_equal(cg_solve(DiagonalScaling(2.0), rhs), rhs / 2.0)
+
+    @pytest.mark.parametrize("in_step_context", [False, True], ids=["caller", "step-context"])
+    def test_finite_rhs_whose_norm_overflows_is_solved_by_cg(self, rng, in_step_context):
+        # |rhs|^2 overflows in a BLAS dot, past any errstate; CG solves a copy
+        # scaled by a power of two, exactly, where tol * inf once let x0 = 0 pass
+        g = Grid2D(8, 8)
+        op = ScaledSum([(1.0, IdentityOperator()), (0.01, FivePointLaplacian(g))])
+        solve = schemes._numpy_context().run if in_step_context else lambda f, *args: f(*args)
+        r = random_field(g, rng)
+        assert not math.isfinite(float(np.vdot(2.0**510 * r, 2.0**510 * r)))
+        np.testing.assert_array_equal(solve(cg_solve, op, 2.0**510 * r), 2.0**510 * cg_solve(op, r))
+        x = solve(cg_solve, op, np.full(g.shape, 1e200))
+        np.testing.assert_allclose(x, 1e200 * cg_solve(op, np.ones(g.shape)), rtol=1e-8)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    def test_tolerance_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match=r"tol=.* must be > 0"):
+            cg_solve(IdentityOperator(), np.ones((3, 3)), tol=tol)
 
     def test_deterministic(self, rng):
         g = Grid2D(16, 16)

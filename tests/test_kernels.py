@@ -114,6 +114,19 @@ class TestPronySeries:
         with pytest.raises(ValueError, match=f"{what} .* must be finite"):
             PronySeries(weights, rates)
 
+    @pytest.mark.parametrize("weights, rates, message", [
+        pytest.param((1.0,), (1.0, 2.0), r"weights \(1\) and rates \(2\) must have equal length",
+                     id="unequal"),
+        pytest.param((), (), "at least one term", id="empty"),
+    ])
+    def test_unequal_or_empty_coefficients_rejected_at_construction(self, weights, rates, message):
+        with pytest.raises(ValueError, match=message):
+            PronySeries(weights, rates)
+
+    def test_analytic_eval_takes_no_prony_series(self):
+        with pytest.raises(TypeError, match="not an analytic kernel"):
+            analytic_eval(load_builtin_prony("1/2"), 1.0)
+
     def test_terms_sorted_by_ascending_rate(self):
         k = PronySeries((1.0, 2.0), (5.0, 1.0))
         assert k.rates == (1.0, 5.0)
@@ -237,6 +250,12 @@ class TestPronyFromFile:
         path = tmp_path / "k.csv"
         path.write_text("1.0,2.0\nnot-a-number,1.0\n")
         with pytest.raises(KernelFormatError, match=":2"):
+            prony_from_file(path)
+
+    def test_row_of_three_columns_names_line(self, tmp_path):
+        path = tmp_path / "k.csv"
+        path.write_text("1.0,2.0\n1.0,2.0,3.0\n")
+        with pytest.raises(KernelFormatError, match=r":2: expected two columns 'a,b'"):
             prony_from_file(path)
 
     def test_empty_file_rejected(self, tmp_path):

@@ -1261,6 +1261,19 @@ class TestEnergy:
         assert rises.max() > 1e-8 * e0
         assert rises.max() == pytest.approx(rise * e0, rel=0.05)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mass", [IdentityOperator(), DiagonalScaling(np.full((7, 7), 1.5))],
+                             ids=["identity", "mass-field"])
+    def test_finite_state_whose_squared_energy_overflows_raises(self, mass):
+        # |y|^2 = 49e400 overflows in a BLAS dot, which numpy's errstate never sees
+        p = ProblemSpec(DiagonalScaling(2.0), load_builtin_prony("1/2"), np.full((7, 7), 1e200),
+                        mass=mass)
+        message = r"^non-finite values in the energy of step 0 \(t=0\): overflow"
+        with pytest.raises(NonFiniteError, match=message):
+            soe_init(p)
+        with pytest.raises(NonFiniteError, match=message):
+            energy(p, SoeState(y=p.initial, aux=np.zeros((12, 7, 7)), n=0, t=0.0))
+
     @pytest.mark.parametrize("beta", ["1/2", "3/7"])
     @pytest.mark.parametrize("fields", ["identity", "mass", "mass-reaction"])
     @pytest.mark.parametrize("sigma", [0.5, 0.75, 1.0])
@@ -1312,6 +1325,13 @@ def assert_energies_from_the_step(p, cfg, n_steps):
 class Negation(SpdOperator):
     def apply_values(self, v):
         return -1.0 * v
+
+
+class RoundingNegation(SpdOperator):
+    """Forms of -1e-14 |v|^2, negative within the 1e-12 |v|^2 rounding slack."""
+
+    def apply_values(self, v):
+        return -1e-14 * v
 
 
 class TestEnergyFromTheStep:
@@ -1384,6 +1404,15 @@ class TestEnergyFromTheStep:
         with pytest.raises(NotSpdError, match="quadratic form is negative") as raised:
             soe_stepper(p, cfg, with_energy=True)(s)
         assert str(raised.value) == str(reference.value)
+
+    def test_negative_form_within_rounding_counts_as_zero(self):
+        # every memory field's form is clamped to 0, so the energy is |y| alone
+        p = ProblemSpec(operator=RoundingNegation(), kernel=load_builtin_prony("1/2"),
+                        initial=np.ones((3, 3)))
+        cfg = SchemeConfig(sigma=0.5, tau=0.01)
+        assert_energies_from_the_step(p, cfg, 3)
+        s = soe_stepper(p, cfg, with_energy=True)(soe_init(p))
+        assert np.all(s.aux != 0.0) and s.energy == l2_norm(s.y, p.grid)
 
 
 class RecordingScaling(DiagonalScaling):
