@@ -222,11 +222,10 @@ def cg_solve(
     applies the operator once per iteration, first to rhs, and updates its
     arrays in place.  The diagonal is read once; a DiagonalScaling's sign was
     checked when it was built (``positive``), any other's is checked here.
-    Raises FloatingPointError, before any iteration, when |rhs| is not finite
-    because rhs holds a NaN or an infinity (a finite rhs whose squared norm
-    overflows is solved scaled by a power of two, which is exact),
-    GridMismatchError unless the diagonal and op p have rhs's shape,
-    ConvergenceError when max_iter (default 10*(n1+n2)) is exhausted.
+    A finite rhs whose |rhs|^2 overflows is solved scaled by a power of two,
+    exactly.  Raises FloatingPointError, before any iteration, when rhs holds
+    a NaN or an infinity, GridMismatchError unless the diagonal and op p have
+    rhs's shape, ConvergenceError when max_iter (default 10*(n1+n2)) is exhausted.
     """
     if not tol > 0:  # a NaN fails too
         raise ValueError(f"tol={tol} must be > 0")
@@ -241,7 +240,7 @@ def cg_solve(
     if op.positive if type(op) is DiagonalScaling else \
             diag is not None and bool(np.all(diag > 0)):
         return rhs / diag
-    if rr == math.inf:  # a finite rhs's |rhs|^2 overflows: solve it scaled by 2^-k
+    if rr == math.inf:  # |rhs|^2 overflows, rhs being finite: solve it scaled by 2^-k
         k = int(np.frexp(np.max(np.abs(rhs)))[1])
         return np.ldexp(cg_solve(op, np.ldexp(rhs, -k), tol, max_iter), k)
     target = tol * rhs_norm

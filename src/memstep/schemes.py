@@ -10,8 +10,10 @@ Two steppers discretize the same problem
   the thread that steps;
 * the full-history baseline, ``history_levels``, runs a fixed number of
   steps and returns every level; it evaluates the memory integral with a
-  trapezoidal product rule over all past levels, whose weights it builds once
-  per run, so its memory and per-step cost grow linearly with the step index.
+  trapezoidal product rule over all past levels, whose weights it blends
+  once per run from each step interval's two kernel moments (the one place
+  that reads the kernel's Prony form), so its memory and per-step cost grow
+  linearly with the step index.
   It takes a block of steps' sums over the levels known at the block's start
   as matrix products, and each step's sum over the levels made since by one
   gemv, so that the O(n**2) work runs at BLAS-3 speed.
@@ -202,7 +204,9 @@ def _numpy_context() -> contextvars.Context:
     on overflow and invalid operations and runs its ufuncs with the
     ``_BUFFER_VALUES`` buffer.  numpy keeps its errstate and buffer size in a
     context variable, so code run in the copy (``Context.run``) takes that
-    state, in whatever thread it runs, and leaves the caller's as it was."""
+    state and leaves the caller's as it was.  A stepper enters it once a step:
+    ``Context.run`` costs under 0.1 us there, where ``_finite``'s errstate and
+    buffer switch costs about 2.8 us (one CPU of a 2-CPU Xeon)."""
     context = contextvars.copy_context()
     context.run(np.seterr, over="raise", invalid="raise")
     context.run(np.setbufsize, _BUFFER_VALUES)
@@ -802,10 +806,8 @@ def _composite_energy(
             raise NotSpdError(f"quadratic form is negative: {forms.min() * area}")
         forms = np.maximum(forms, 0.0)
     memory = np.dot(weights, forms)
-    if type(p.mass) is IdentityOperator:
-        total = area * (np.vdot(y, y) + memory)
-    else:
-        total = a_norm(p.mass, y) ** 2 + area * memory
+    total = (area * (np.vdot(y, y) + memory) if type(p.mass) is IdentityOperator
+             else a_norm(p.mass, y) ** 2 + area * memory)
     if not total < math.inf:  # BLAS dots overflow past numpy's errstate
         raise FloatingPointError(f"overflow encountered in the squared energy ({total})")
     return math.sqrt(total)

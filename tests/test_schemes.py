@@ -2067,6 +2067,75 @@ class TestSineModeOracle:
         assert 3.5 < errors[0] / errors[1] < 4.5
 
 
+def mode_step_map(kernel, lam, cfg):
+    """The (m+1)x(m+1) map G that one compressed step applies to the state
+    (y, y_1..y_m) of a sine mode with eigenvalue lam, identity mass and no
+    forcing: y' = ((1 - tau lam own) y - tau lam sum_i w_i y_i) / (1 + sigma
+    tau mu lam), with the stepper's memory weights w_i = a_i ((1-sigma) +
+    sigma decay_i), own = sigma (1-sigma) sum_i a_i gain_i and mu = sigma
+    sum_i a_i gain_i, then y_i' = decay_i y_i + gain_i (sigma y' + (1-sigma) y)."""
+    sig, tau = cfg.sigma, cfg.tau
+    a = np.asarray(kernel.weights)
+    decay, gain = update_coefficients(cfg, kernel.rates)
+    mu, own = sig * float(a @ gain), sig * (1.0 - sig) * float(a @ gain)
+    g = np.zeros((len(a) + 1,) * 2)
+    g[0, 0] = 1.0 - tau * lam * own
+    g[0, 1:] = -tau * lam * a * ((1.0 - sig) + sig * decay)
+    g[0] /= 1.0 + sig * tau * mu * lam
+    ybar = sig * g[0]
+    ybar[0] += 1.0 - sig
+    g[1:] = np.outer(gain, ybar)
+    g[1:, 1:] += np.diag(decay)
+    return g
+
+
+def mode_energy_gain(kernel, lam, cfg):
+    """||W G W^-1||_2 with W = diag(1, (a_i lam)^(1/2)): the most one step can
+    multiply the mode's energy (y^2 + sum_i a_i lam y_i^2)^(1/2) by."""
+    w = np.sqrt(np.concatenate(([1.0], np.asarray(kernel.weights) * lam)))
+    return float(np.linalg.norm(w[:, None] * mode_step_map(kernel, lam, cfg) / w, 2))
+
+
+class TestModeStability:
+    """The paper's stability theorem, mode by mode: in sine coordinates a step
+    maps each mode's state by a fixed matrix G, and for sigma >= 1/2 G does
+    not expand the composite energy norm."""
+
+    @pytest.mark.parametrize("beta, sigma, lam, tau", [
+        ("1/2", 0.5, 37.0, 0.3),
+        ("1/2", 1.0, 1e6, 10.0),
+        ("3/7", 0.75, 2.5e3, 1e-3),
+        ("3/5", 0.3, 1e4, 0.01),
+    ])
+    def test_map_is_one_step(self, rng, beta, sigma, lam, tau):
+        kernel, cfg = load_builtin_prony(beta), SchemeConfig(sigma=sigma, tau=tau)
+        z = rng.standard_normal(kernel.n_terms + 1)
+        p = ProblemSpec(DiagonalScaling(lam), kernel, z[:1, None])  # a grid-2 problem
+        s = soe_stepper(p, cfg)(SoeState(y=z[:1, None], aux=z[1:, None, None], n=0, t=0.0))
+        stepped = np.concatenate((s.y.ravel(), s.aux.ravel()))
+        np.testing.assert_allclose(mode_step_map(kernel, lam, cfg) @ z, stepped, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(stepped)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        terms=st.lists(st.tuples(st.floats(0.01, 1.0), st.floats(1e-3, 1e3)),
+                       min_size=1, max_size=12),
+        sigma=st.floats(0.5, 1.0),
+        lam=st.floats(1.0, 1e6),
+        tau=st.floats(1e-4, 10.0),
+    )
+    def test_energy_norm_does_not_grow_from_one_half(self, terms, sigma, lam, tau):
+        kernel = PronySeries(*zip(*terms))
+        assert mode_energy_gain(kernel, lam, SchemeConfig(sigma=sigma, tau=tau)) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("sigma, gain", [(0.3, 7 / 3), (0.45, 11 / 9)])
+    def test_energy_norm_grows_below_one_half(self, sigma, gain):
+        # at a stiff mode and a long step the gain nears (1-sigma)/sigma
+        cfg = SchemeConfig(sigma=sigma, tau=10.0)
+        measured = mode_energy_gain(load_builtin_prony("1/2"), 1e6, cfg)
+        assert measured > 1.0 and measured == pytest.approx(gain, rel=1e-6)
+
+
 class TestScalarOdeOracle:
     def test_initial_condition(self):
         assert scalar_ode_oracle(1.0, 1.0, 2.0, 3.5, 0.0) == 3.5
