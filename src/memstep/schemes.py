@@ -669,27 +669,21 @@ _HISTORY_CHUNK = 128
 
 def _history_weights(far: np.ndarray, near: np.ndarray, sigma: float,
                      tau: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """The weights of the full-history step from t_n to t_{n+1}, for n =
-    0..n_steps-1, from the moments of the intervals 1..n_steps+1
-    (``_interval_moments``).
-
-    Its memory term ``-tau (sigma I_{n+1} + (1-sigma) I_n)`` blends the product
-    rule's integrals to t_{n+1} and to t_n (I_0 = 0), in which a level L >= 1
-    steps back weighs ``far[L-1] + near[L]``, level 0 ``far[L-1]`` and the
-    end level ``near[0]``; the new level's part aside, it is one weighted sum
-    over the known levels 0..n.  Returns ``(lags, first, end)``.
-    ``lags[n_steps-1-L]`` weighs a level L steps before t_n, for L =
-    0..n_steps-1: the longest lag first, so that step n's weights over levels
-    1..n are the run ``lags[n_steps-n : n_steps]``; then ``_HISTORY_CHUNK``
-    zeros, so that a window of that width from any lag is in bounds.
-    ``first[n]`` weighs level 0 in step n, and ``end`` is the new level's.
-    """
+    """The weights of full-history step n, from t_n to t_{n+1}, n < n_steps, from
+    the moments of the intervals 1..n_steps+1 (``_interval_moments``).  Its
+    memory term ``-tau (sigma I_{n+1} + (1-sigma) I_n)`` blends the product
+    rule's integrals to t_{n+1} and t_n (I_0 = 0), in which a level L >= 1
+    steps back weighs far[L-1] + near[L], level 0 far[L-1] and the end level
+    near[0].  Returns ``(lags, first, end)``: ``lags[n_steps-1-L]`` weighs a
+    level L steps before t_n, the longest lag first, so that step n's weights
+    over levels 1..n are ``lags[n_steps-n : n_steps]``, then ``_HISTORY_CHUNK``
+    zeros, so that a window of that width from any lag is in bounds;
+    ``first[n]`` weighs level 0 in step n, and ``end`` the new level."""
     inner = far[:-1] + near[1:]
     by_lag = sigma * inner
     by_lag[1:] += (1.0 - sigma) * inner[:-1]
     by_lag[:1] += (1.0 - sigma) * near[0]  # the level at t_n closes I_n
-    lags = np.zeros(len(by_lag) + _HISTORY_CHUNK)
-    np.multiply(-tau, by_lag[::-1], out=lags[: len(by_lag)])
+    lags = np.concatenate((-tau * by_lag[::-1], np.zeros(_HISTORY_CHUNK)))
     first = sigma * far[:-1]
     first[1:] += (1.0 - sigma) * far[:-2]
     return lags, -tau * first, float(near[0])
