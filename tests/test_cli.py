@@ -356,7 +356,8 @@ class TestConfigErrors:
         argv = ["run", "--grid", "8", "--steps", "8", "--out", str(tmp_path)]
         assert cli.main(argv) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith(f"configuration error: cannot write {tmp_path / 'run' / 'trajectory.csv'}: ")
+        blocked = tmp_path / "run" / "trajectory.csv"
+        assert err.startswith(f"configuration error: cannot write {blocked}: ")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command, name", [
