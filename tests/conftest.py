@@ -1,10 +1,12 @@
+import errno
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
 
-from memstep import schemes
+from memstep import experiments, schemes
 from memstep.kernels import PronySeries
 from memstep.operators import DiagonalScaling, IdentityOperator, cg_solve
 from memstep.schemes import ProblemSpec
@@ -94,10 +96,47 @@ def per_step_history_levels(p, cfg, n_steps):
     return levels
 
 
+# os.sched_getaffinity as the OS gives it, before any test patches it
+REAL_GETAFFINITY = getattr(os, "sched_getaffinity", None)
+
+
 def set_cpus(monkeypatch, count: int) -> None:
     """Make ``os.sched_getaffinity`` report ``count`` CPUs, so a convergence
-    study runs in order (1) or forks (2 or more) on any machine."""
+    study runs in order (1) or forks (2 or more) on any machine.  A study then
+    places its processes on CPUs 0..count-1 where the machine has them
+    (``one_thread``), and gives the test process back the mask reported
+    here; ``real_cpu_mask`` restores the real one after the test."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    one_thread(monkeypatch)
+
+
+def one_thread(monkeypatch) -> None:
+    """Make ``experiments._threads`` leave out the threads this process runs
+    besides the calling one now, as a multithreaded BLAS's pool, so that a
+    study places its processes whatever the BLAS; threads started later
+    still count."""
+    threads = experiments._threads
+    others = threads() - {threading.get_native_id()}
+    monkeypatch.setattr(experiments, "_threads", lambda: threads() - others)
+
+
+@pytest.fixture(autouse=True)
+def real_cpu_mask():
+    """The test process's real CPU affinity, read before the test and given
+    back after it, so that no test leaves the process on fewer CPUs (as a
+    study under ``set_cpus`` does on a machine with more CPUs than it reports)."""
+    if REAL_GETAFFINITY is None:
+        yield None
+        return
+    mask = REAL_GETAFFINITY(0)
+    yield mask
+    if REAL_GETAFFINITY(0) != mask:
+        os.sched_setaffinity(0, mask)
+
+
+def failing_fork():
+    """``os.fork`` under a process limit."""
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
 
 def no_thread(thread) -> None:

@@ -1,5 +1,4 @@
 import dataclasses
-import errno
 import json
 import math
 import os
@@ -11,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import no_thread, set_cpus
+from conftest import failing_fork, no_thread, set_cpus
 from memstep import cli, experiments, schemes
 from memstep.kernels import (
     BUILTIN_BETAS,
@@ -518,10 +517,6 @@ class TestNumericalFailures:
 # three short runs; on two CPUs a worker runs the first, 256-step, entry alone,
 # and this process the exact reference and the other two
 SMALL_STUDY = {"grid": 8, "T": 1.0, "ladder_steps": [256, 8, 16]}
-
-
-def failing_fork():
-    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
 
 class TestConvergeCommand:
