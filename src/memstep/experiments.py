@@ -201,24 +201,25 @@ def _affinity() -> set[int]:
     return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
 
 
-def _place(cpus: set[int], tid: int = 0) -> bool:
-    """Confine thread ``tid`` of this process (0: the calling thread) to
-    ``cpus``; whether it was.  A CPU this process may not use, a thread that
-    has ended, or a system that refuses affinity leaves it as it is."""
-    try:
-        os.sched_setaffinity(tid, cpus)
-    except OSError:
-        return False
-    return True
+# Whether forked workers are placed, each on one CPU: only if this process runs
+# one thread once numpy is loaded, as when BLAS runs on one thread (False where
+# /proc cannot be read).  A multithreaded BLAS starts its pool then; the pool
+# ends at a fork, and a worker starts it again at its first threaded product
+# with the thread count it was loaded with, so in a placed worker those threads
+# would share one CPU.
+try:
+    _PLACE_WORKERS = len(os.listdir("/proc/self/task")) == 1
+except OSError:
+    _PLACE_WORKERS = False
 
 
-def _threads() -> set[int]:
-    """The ids of this process's threads; empty where ``/proc`` cannot be
-    read, so that ``_map_runs`` places nothing there."""
+def _place(cpu: int) -> None:
+    """Confine this process to ``cpu``.  A CPU this process may not use, or a
+    system that refuses affinity, leaves it where it is."""
     try:
-        return {int(tid) for tid in os.listdir("/proc/self/task")}
+        os.sched_setaffinity(0, {cpu})
     except OSError:
-        return set()
+        pass
 
 
 def run_model_problem(spec: ExperimentSpec, initial: Optional[np.ndarray] = None) -> Trajectory:
@@ -374,7 +375,7 @@ def _fork_group(tasks: list[_Task], group: list[int], cpu: Optional[int]) -> tup
         try:
             os.close(read_fd)
             if cpu is not None:
-                _place({cpu})
+                _place(cpu)
             with os.fdopen(write_fd, "wb") as pipe:
                 pipe.write(pickle.dumps(_run_group(tasks, group)))
             code = 0
@@ -412,42 +413,37 @@ def _map_runs(tasks: list[_Task], max_procs: Optional[int] = None) -> list:
     >= 2 the tasks are dealt into k groups by cost (``_deal``); forked
     children run all but the last group, each group in task order, and this
     process runs the last, so at most k processes, this one included, run a
-    task at once.  Each process has a CPU of its own, the first k of the
-    affinity set in order: a child places itself on one of the first k - 1
-    before its first task, and this process's calling thread takes the k-th
-    while it runs its group and collects the children, then gets back the
-    affinity it had on entry.  A thread inherits the CPUs of the thread that
-    starts it, so nothing is placed if this process runs other threads on
-    entry (``_threads``), as a multithreaded BLAS's pool does: placed, they
-    would share one CPU.  Threads started while this process is placed (a
-    pool that BLAS ended at an earlier fork and starts again) get the entry
-    affinity back with it.  A process that cannot be placed (``_place``)
-    runs where it is, with the same results.  A group whose fork fails
-    (EAGAIN or ENOMEM under a process or memory limit) joins this process's
-    group, in task order.  If any task raises, the exception raised here is
-    that of the first failing task in task order, as running in order would
-    raise: a child is read to its end unless every task it holds comes after
-    a known failure, in which case it is killed.  Every child is reaped
-    before this returns or raises.  With k < 2, as on a platform without CPU
-    affinity (``_affinity``), the tasks run here in order, and nothing is
-    placed; a task steps on one thread wherever it runs.
+    task at once.  When the k processes fill the affinity set, each child
+    places itself on a CPU of its own before its first task, the first k - 1
+    of the set in order, and this process, left where it is, has the k-th to
+    itself: a child the scheduler leaves on this process's CPU would share
+    it.  With fewer processes than CPUs, nothing is placed, so that two
+    commands at once do not both stack on the first CPUs of the set; nor is
+    anything placed where a multithreaded BLAS would crowd its threads onto
+    a worker's one CPU (``_PLACE_WORKERS``).  A child that cannot be placed
+    (``_place``) runs where it is, with the same results.  A group whose
+    fork fails (EAGAIN or ENOMEM under a process or memory limit) joins this
+    process's group, in task order.  If any task raises, the exception
+    raised here is that of the first failing task in task order, as running
+    in order would raise: a child is read to its end unless every task it
+    holds comes after a known failure, in which case it is killed.  Every
+    child is reaped before this returns or raises.  With k < 2, as on a
+    platform without CPU affinity (``_affinity``), the tasks run here in
+    order; a task steps on one thread wherever it runs.
     """
     entry = _affinity()
     k = min(len(tasks), len(entry), max_procs or len(entry))
     if k < 2:
         return [call() for _, _, call in tasks]
     *forked, own = _deal([cost for cost, _, _ in tasks], k)
-    threads = _threads()
-    *cpus, own_cpu = sorted(entry)[:k] if len(threads) == 1 else [None] * k
+    cpus = sorted(entry) if _PLACE_WORKERS and k == len(entry) else [None] * k
     pending = []  # (pid, read end, group) of each child not yet reaped
-    placed = False
     try:
         for group, cpu in zip(forked, cpus):
             try:
                 pending.append((*_fork_group(tasks, group, cpu), group))
             except OSError:  # no process or pipe to spare: run the group here
                 own = sorted(own + group)
-        placed = own_cpu is not None and _place({own_cpu})
         results, failure = _run_group(tasks, own)
         for child in list(pending):
             pid, read_fd, group = child
@@ -461,9 +457,6 @@ def _map_runs(tasks: list[_Task], max_procs: Optional[int] = None) -> list:
     finally:
         for pid, read_fd, _ in pending:
             _kill(pid, read_fd)
-        if placed:
-            for tid in {0} | (_threads() - threads):  # this thread and those started placed
-                _place(entry, tid)
     if failure is not None:
         raise failure[1]
     return [results[i] for i in range(len(tasks))]
@@ -558,13 +551,13 @@ def compare_baseline(
     compressed state vs n+1 for the history.
 
     The entries are split across the CPUs this process may use
-    (``_map_runs``), each process on a CPU of its own and holding one history
-    at a time, and no more processes than ``HISTORY_BYTES_LIMIT`` holds
-    histories of the longest entry; so the histories alive at once stay
-    within that budget.  An entry's two timings are taken back to back in
-    the process that runs it, but the processes still share the machine's
-    caches and memory, and a multithreaded BLAS shares each process's CPU;
-    run on one CPU with BLAS on one thread to compare the steppers' times.
+    (``_map_runs``), each process holding one history at a time, and no
+    more processes than ``HISTORY_BYTES_LIMIT`` holds histories of the
+    longest entry; so the histories alive at once stay within that budget.
+    An entry's two timings are taken back to back in the process that runs
+    it, but the processes still share the machine's caches and memory, and
+    a multithreaded BLAS's threads compete with the other processes; run on
+    one CPU with BLAS on one thread to compare the steppers' times.
     All other fields are identical to running the entries in order.  The
     ladder is checked (``check_baseline_ladder``) before any allocation.
     """

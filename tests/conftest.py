@@ -1,7 +1,6 @@
 import errno
 import math
 import os
-import threading
 
 import numpy as np
 import pytest
@@ -102,36 +101,12 @@ REAL_GETAFFINITY = getattr(os, "sched_getaffinity", None)
 
 def set_cpus(monkeypatch, count: int) -> None:
     """Make ``os.sched_getaffinity`` report ``count`` CPUs, so a convergence
-    study runs in order (1) or forks (2 or more) on any machine.  A study then
-    places its processes on CPUs 0..count-1 where the machine has them
-    (``one_thread``), and gives the test process back the mask reported
-    here; ``real_cpu_mask`` restores the real one after the test."""
+    study runs in order (1) or forks (2 or more) on any machine.  Its workers
+    then place themselves on CPUs 0, 1, ... where the machine has them,
+    whatever the BLAS; the test process itself is never placed, so its real
+    mask stays as it is."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-    one_thread(monkeypatch)
-
-
-def one_thread(monkeypatch) -> None:
-    """Make ``experiments._threads`` leave out the threads this process runs
-    besides the calling one now, as a multithreaded BLAS's pool, so that a
-    study places its processes whatever the BLAS; threads started later
-    still count."""
-    threads = experiments._threads
-    others = threads() - {threading.get_native_id()}
-    monkeypatch.setattr(experiments, "_threads", lambda: threads() - others)
-
-
-@pytest.fixture(autouse=True)
-def real_cpu_mask():
-    """The test process's real CPU affinity, read before the test and given
-    back after it, so that no test leaves the process on fewer CPUs (as a
-    study under ``set_cpus`` does on a machine with more CPUs than it reports)."""
-    if REAL_GETAFFINITY is None:
-        yield None
-        return
-    mask = REAL_GETAFFINITY(0)
-    yield mask
-    if REAL_GETAFFINITY(0) != mask:
-        os.sched_setaffinity(0, mask)
+    monkeypatch.setattr(experiments, "_PLACE_WORKERS", True)
 
 
 def failing_fork():

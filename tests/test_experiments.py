@@ -3,6 +3,8 @@ import errno
 import json
 import math
 import os
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -12,7 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import REAL_GETAFFINITY, failing_fork, no_thread, one_thread, set_cpus
+from conftest import REAL_GETAFFINITY, failing_fork, no_thread, set_cpus
 from memstep import cli, experiments, schemes
 from memstep.experiments import (
     AlignmentError,
@@ -299,6 +301,10 @@ class TestExactReference:
                 experiments._exact_snapshots(spec)
 
 
+# a thread that outlives the import after it
+THREAD = "import threading, time; threading.Thread(target=time.sleep, args=(5,), daemon=True).start(); "
+
+
 class TestStudyWorkers:
     def test_default_ladder_runs_its_longest_entry_apart(self):
         # the last group is this process's
@@ -400,56 +406,26 @@ class TestStudyWorkers:
         monkeypatch.setattr(os, "sched_setaffinity", recording)
         return placements
 
-    @staticmethod
-    def two_real_cpus(mask) -> tuple[int, int]:
-        """The first two CPUs of this process's real ``mask``; the test is
-        skipped on fewer, or where the system refuses affinity."""
-        if mask is None or len(mask) < 2:
-            pytest.skip("fewer than 2 CPUs to place processes on")
-        try:
-            os.sched_setaffinity(0, mask)
-        except OSError:
-            pytest.skip("this system refuses CPU affinity")
-        return tuple(sorted(mask)[:2])
-
-    @pytest.mark.parametrize("max_procs, cpus", [(None, [3, 5, 9]), (2, [3, 5])])
-    def test_each_group_runs_on_its_own_cpu(self, monkeypatch, max_procs, cpus):
-        # the first CPUs of the sorted set, the last of them this process's
+    @pytest.mark.parametrize("place, max_procs, cpus", [
+        (True, None, [3, 5]), (True, 2, [None]), (False, None, [None, None])])
+    def test_each_group_runs_on_its_own_cpu(self, monkeypatch, place, max_procs, cpus):
+        # three processes on three CPUs: the children take the first two of
+        # the sorted set and leave this process the third; two processes on
+        # three CPUs, or any beside a multithreaded BLAS, are left to the scheduler
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {9, 3, 5})
-        one_thread(monkeypatch)
+        monkeypatch.setattr(experiments, "_PLACE_WORKERS", place)
         placements = self.record_placements(monkeypatch)
         costs = [5, 1, 4, 2, 3, 6]
         report = lambda: (os.getpid(), list(placements))  # noqa: E731
         results = experiments._map_runs(
             [(cost, f"task {i}", report) for i, cost in enumerate(costs)], max_procs=max_procs)
-        groups = experiments._deal(costs, len(cpus))
-        for group, cpu in zip(groups, cpus):
+        *forked, own = experiments._deal(costs, len(cpus) + 1)
+        for group, cpu in zip(forked, cpus):
             assert [results[i] for i in group] == [results[group[0]]] * len(group)  # one process
-            assert results[group[0]][1] == [{cpu}]  # placed once, before its first task
-        assert len({pid for pid, _ in results}) == len(cpus)
-        assert results[groups[-1][0]][0] == os.getpid()
-        assert placements == [{cpus[-1]}, {3, 5, 9}]  # this process, then its mask back
-
-    def test_a_process_running_another_thread_is_not_placed(self, monkeypatch):
-        # a thread inherits its starter's CPUs: a multithreaded BLAS's pool
-        # would share the one CPU of a placed process
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait)
-        thread.start()
-        try:
-            threads = experiments._threads()
-        finally:
-            release.set()
-            thread.join()
-        assert thread.native_id in threads
-        set_cpus(monkeypatch, 2)
-        monkeypatch.setattr(experiments, "_threads", lambda: threads)
-        placements = self.record_placements(monkeypatch)
-        report = lambda: (os.getpid(), list(placements))  # noqa: E731
-        results = experiments._map_runs([(1, "task 0", report), (5, "task 1", report)])
-        assert results[0] == (os.getpid(), [])
-        assert results[1][0] != os.getpid() and results[1][1] == []  # forked all the same
-        assert placements == []
+            assert results[group[0]][0] != os.getpid()
+            assert results[group[0]][1] == ([{cpu}] if cpu else [])  # before its first task
+        assert [results[i] for i in own] == [(os.getpid(), [])] * len(own)
+        assert placements == []  # this process is never placed
 
     def test_a_refused_placement_leaves_the_process_where_it_is(self, monkeypatch):
         # as for a CPU the machine does not have, or a container that refuses affinity
@@ -464,10 +440,29 @@ class TestStudyWorkers:
         assert [square for square, _ in results] == [9, 1, 4, 25]
         assert len({pid for _, pid in results}) == 3
 
+    @pytest.mark.parametrize("started, place", [("", True), (THREAD, False)],
+                             ids=["one thread", "another thread"])
+    def test_workers_are_placed_only_beside_no_other_thread(self, started, place):
+        # as the pool a multithreaded BLAS starts when numpy is loaded
+        code = started + "from memstep import experiments; print(experiments._PLACE_WORKERS)"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == f"{place}\n"
+
     @pytest.mark.parametrize("outcome", ["success", "failing task", "killed worker", "failed fork"])
-    def test_the_real_mask_comes_back(self, monkeypatch, real_cpu_mask, outcome):
-        first, second = self.two_real_cpus(real_cpu_mask)
-        one_thread(monkeypatch)
+    def test_the_real_mask_is_unchanged(self, monkeypatch, outcome):
+        mask = REAL_GETAFFINITY(0) if REAL_GETAFFINITY else None
+        if mask is None or len(mask) < 2:
+            pytest.skip("fewer than 2 CPUs to place a worker on")
+        try:
+            os.sched_setaffinity(0, mask)
+        except OSError:
+            pytest.skip("this system refuses CPU affinity")
+        first, second = sorted(mask)[:2]
+        set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {first, second})
         placements = self.record_placements(monkeypatch, passed_on=True)
 
         def where():  # the calling thread's real mask
@@ -485,39 +480,16 @@ class TestStudyWorkers:
         tasks = [(1, "task 0", own), (5, "task 1", forked)]
         start = time.monotonic()
         if outcome in ("success", "failed fork"):
-            worker = second if outcome == "failed fork" else first
-            assert experiments._map_runs(tasks) == [{second}, {worker}]
+            worker = mask if outcome == "failed fork" else {first}
+            assert experiments._map_runs(tasks) == [mask, worker]
         else:
             with pytest.raises(NonFiniteError):
                 experiments._map_runs(tasks)
         assert time.monotonic() - start < 30
-        assert placements == [{second}, real_cpu_mask]
-        assert REAL_GETAFFINITY(0) == real_cpu_mask
+        assert placements == []
+        assert REAL_GETAFFINITY(0) == mask
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-
-    def test_threads_started_while_placed_get_the_mask_back(self, monkeypatch, real_cpu_mask):
-        # as a BLAS pool ended at an earlier fork and started again by this
-        # process's first threaded product
-        _, second = self.two_real_cpus(real_cpu_mask)
-        one_thread(monkeypatch)
-        release = threading.Event()
-        started = []
-
-        def start_a_thread():
-            thread = threading.Thread(target=release.wait)
-            thread.start()
-            started.append(thread)
-            return REAL_GETAFFINITY(thread.native_id)
-
-        try:
-            tasks = [(1, "task 0", start_a_thread), (5, "task 1", lambda: None)]
-            assert experiments._map_runs(tasks) == [{second}, None]  # it inherits this CPU
-            assert REAL_GETAFFINITY(started[0].native_id) == real_cpu_mask
-        finally:
-            release.set()
-            for thread in started:
-                thread.join()
 
 
 class TestRecordsOnlyWhatIsWritten:
