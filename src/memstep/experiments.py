@@ -213,6 +213,15 @@ except OSError:
     _PLACE_WORKERS = False
 
 
+def _current_cpu() -> Optional[int]:
+    """The CPU this process last ran on; None where ``/proc`` cannot be read."""
+    try:
+        with open("/proc/self/stat") as stat:
+            return int(stat.read().rsplit(")", 1)[1].split()[36])  # field 39
+    except (OSError, ValueError, IndexError):
+        return None
+
+
 def _place(cpu: int) -> None:
     """Confine this process to ``cpu``.  A CPU this process may not use, or a
     system that refuses affinity, leaves it where it is."""
@@ -409,34 +418,37 @@ def _kill(pid: int, read_fd: int) -> None:
 def _map_runs(tasks: list[_Task], max_procs: Optional[int] = None) -> list:
     """``[call() for _, _, call in tasks]``, split across the CPUs this process may use.
 
-    With k = min(len(tasks), CPUs in the affinity set, ``max_procs`` if given)
-    >= 2 the tasks are dealt into k groups by cost (``_deal``); forked
-    children run all but the last group, each group in task order, and this
-    process runs the last, so at most k processes, this one included, run a
-    task at once.  When the k processes fill the affinity set, each child
-    places itself on a CPU of its own before its first task, the first k - 1
-    of the set in order, and this process, left where it is, has the k-th to
-    itself: a child the scheduler leaves on this process's CPU would share
-    it.  With fewer processes than CPUs, nothing is placed, so that two
-    commands at once do not both stack on the first CPUs of the set; nor is
-    anything placed where a multithreaded BLAS would crowd its threads onto
-    a worker's one CPU (``_PLACE_WORKERS``).  A child that cannot be placed
-    (``_place``) runs where it is, with the same results.  A group whose
-    fork fails (EAGAIN or ENOMEM under a process or memory limit) joins this
-    process's group, in task order.  If any task raises, the exception
-    raised here is that of the first failing task in task order, as running
-    in order would raise: a child is read to its end unless every task it
-    holds comes after a known failure, in which case it is killed.  Every
-    child is reaped before this returns or raises.  With k < 2, as on a
-    platform without CPU affinity (``_affinity``), the tasks run here in
-    order; a task steps on one thread wherever it runs.
+    With k = min(len(tasks), CPUs in the affinity set, ``max_procs`` if
+    given) >= 2 the tasks are dealt into k groups by cost (``_deal``);
+    forked children run all but the last group, each group in task order,
+    and this process runs the last, so at most k processes, this one
+    included, run a task at once.  When the k processes fill the affinity
+    set, each child places itself on a CPU of its own before its first task,
+    in order from the set without the CPU this process runs on at the fork
+    (``_current_cpu``), and this process, left where it is, keeps that one:
+    a child the scheduler leaves on this process's CPU would share it.  So
+    two commands at once on two CPUs place their children apart.  With fewer
+    processes than CPUs, nothing is placed, so that two commands at once do
+    not stack on the same few CPUs; nor is anything placed where a
+    multithreaded BLAS would crowd its threads onto a worker's one CPU
+    (``_PLACE_WORKERS``).  A child that cannot be placed (``_place``) runs
+    where it is, with the same results.  A group whose fork fails (EAGAIN or
+    ENOMEM under a process or memory limit) joins this process's group, in
+    task order.  If any task raises, the exception raised here is that of
+    the first failing task in task order, as running in order would raise: a
+    child is read to its end unless every task it holds comes after a known
+    failure, in which case it is killed.  Every child is reaped before this
+    returns or raises.  With k < 2, as on a platform without CPU affinity
+    (``_affinity``), the tasks run here in order; a task steps on one thread
+    wherever it runs.
     """
     entry = _affinity()
     k = min(len(tasks), len(entry), max_procs or len(entry))
     if k < 2:
         return [call() for _, _, call in tasks]
     *forked, own = _deal([cost for cost, _, _ in tasks], k)
-    cpus = sorted(entry) if _PLACE_WORKERS and k == len(entry) else [None] * k
+    placed = _PLACE_WORKERS and k == len(entry)
+    cpus = sorted(entry - {_current_cpu()}) if placed else [None] * k
     pending = []  # (pid, read end, group) of each child not yet reaped
     try:
         for group, cpu in zip(forked, cpus):

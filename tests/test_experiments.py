@@ -406,13 +406,16 @@ class TestStudyWorkers:
         monkeypatch.setattr(os, "sched_setaffinity", recording)
         return placements
 
-    @pytest.mark.parametrize("place, max_procs, cpus", [
-        (True, None, [3, 5]), (True, 2, [None]), (False, None, [None, None])])
-    def test_each_group_runs_on_its_own_cpu(self, monkeypatch, place, max_procs, cpus):
-        # three processes on three CPUs: the children take the first two of
-        # the sorted set and leave this process the third; two processes on
-        # three CPUs, or any beside a multithreaded BLAS, are left to the scheduler
+    @pytest.mark.parametrize("place, here, max_procs, cpus", [
+        (True, 9, None, [3, 5]), (True, 3, None, [5, 9]), (True, None, None, [3, 5]),
+        (True, 9, 2, [None]), (False, 9, None, [None, None])])
+    def test_each_group_runs_on_its_own_cpu(self, monkeypatch, place, here, max_procs, cpus):
+        # three processes on three CPUs: the children take the two CPUs of the
+        # sorted set that this process is not on (the first two if its CPU is
+        # unknown); two processes on three CPUs, or any beside a multithreaded
+        # BLAS, are left to the scheduler
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {9, 3, 5})
+        monkeypatch.setattr(experiments, "_current_cpu", lambda: here)
         monkeypatch.setattr(experiments, "_PLACE_WORKERS", place)
         placements = self.record_placements(monkeypatch)
         costs = [5, 1, 4, 2, 3, 6]
@@ -451,6 +454,23 @@ class TestStudyWorkers:
                              capture_output=True, text=True).stdout
         assert out == f"{place}\n"
 
+    def test_current_cpu_is_the_one_a_process_runs_on(self):
+        mask = REAL_GETAFFINITY(0) if REAL_GETAFFINITY else None
+        if mask is None or not os.path.exists("/proc/self/stat"):
+            pytest.skip("no CPU affinity or no /proc")
+        try:
+            os.sched_setaffinity(0, mask)
+        except OSError:
+            pytest.skip("this system refuses CPU affinity")
+        assert experiments._current_cpu() in mask
+        for cpu in sorted(mask)[:2]:
+            code = (f"import os; os.sched_setaffinity(0, {{{cpu}}}); "
+                    "from memstep import experiments; print(experiments._current_cpu())")
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+            out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                 capture_output=True, text=True).stdout
+            assert out == f"{cpu}\n"
+
     @pytest.mark.parametrize("outcome", ["success", "failing task", "killed worker", "failed fork"])
     def test_the_real_mask_is_unchanged(self, monkeypatch, outcome):
         mask = REAL_GETAFFINITY(0) if REAL_GETAFFINITY else None
@@ -463,6 +483,7 @@ class TestStudyWorkers:
         first, second = sorted(mask)[:2]
         set_cpus(monkeypatch, 2)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {first, second})
+        monkeypatch.setattr(experiments, "_current_cpu", lambda: second)
         placements = self.record_placements(monkeypatch, passed_on=True)
 
         def where():  # the calling thread's real mask
