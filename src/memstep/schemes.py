@@ -271,7 +271,7 @@ def soe_init(p: ProblemSpec) -> SoeState:
     aux = np.zeros((m,) + p.initial.shape)
     with _finite("energy", 0, 0.0):
         e = _composite_energy(p, p.initial, aux.reshape(m, -1), np.zeros(m),
-                              np.asarray(p.kernel.weights))
+                              np.asarray(p.kernel.weights), signed=False)  # zero forms
     return SoeState(y=p.initial, aux=aux, n=0, t=0.0, energy=e)
 
 
@@ -403,6 +403,84 @@ def _residual_sums(t: _Tile, new: np.ndarray, old: np.ndarray, yb: np.ndarray) -
     _dots(old, yb, sums[_OLD_BAR], t.add)
 
 
+def _guard_scales(cfg: SchemeConfig, rates, size: int):
+    """The guard's new_i and old_i (``_residual_coefficients``), c_i, the power
+    of two above new_i + |old_i| + 1, and 1e-12 + g, g = 2 (N + 6) 2^-53 for
+    N = ``size`` values a field (``_aux_residual_guard``)."""
+    new, old = _residual_coefficients(cfg, rates)
+    scale = np.ldexp(1.0, np.frexp(new + abs(old) + 1.0)[1])
+    return new, old, scale, 1e-12 + 2 * (size + 6) * 2.0**-53
+
+
+def _residual_verdict(cfg: SchemeConfig, grid, rates,
+                      sums: np.ndarray) -> Callable[[float], None]:
+    """``verdict(norm2)``, the guard's exact verdict on the sums, given
+    |ybar|^2 ``norm2``, which the guard has put in row ``_BAR_SQUARE``:
+    AuxiliaryResidualError, naming the first failing rate, unless each of
+    the 2m projections (``_aux_residual_guard``) lies within its limit.  It
+    takes the roots, the limits and the projections on rows of m or 2m
+    values, with no Python scalar operand, which costs numpy more."""
+    size = math.prod(grid.shape)
+    new, old, scale, bound = _guard_scales(cfg, rates, size)
+    m, area = len(new), grid.cell_area
+    weights = np.tile(np.array([new, old, np.ones(m)]) / scale, 2)
+    flat = sums.reshape(-1)
+    runs = [flat[row * m:(row + 2) * m] for row in (_SQUARE, _CROSS, _NEW_BAR)]
+    (new_weights, old_weights, bar_weights), (squares, crosses, bars) = weights, runs
+    scales = bound * weights[::2, :m]
+    floors = np.full((2, m), (size + 4) * 2.0**-1074)
+    roots, terms, limits = np.empty((3, 2, m))  # roots: |y_i'| and |ybar|
+    (field_root, bar_root), (field_term, bar_term) = roots, terms
+    bounds, (products, spare), passed = np.empty(m), np.empty((2, 2 * m)), np.empty(2 * m, bool)
+    square, flat_limits = sums[_SQUARE], limits.reshape(-1)
+
+    def verdict(norm2) -> None:
+        bar_root.fill(math.sqrt(norm2))
+        np.sqrt(square, field_root)
+        np.multiply(scales, roots, terms)
+        np.add(field_term, bar_term, bounds)
+        np.multiply(bounds, roots, limits)
+        np.add(limits, floors, limits)
+        np.multiply(new_weights, squares, products)
+        np.multiply(old_weights, crosses, spare)
+        np.subtract(products, spare, products)
+        np.multiply(bar_weights, bars, spare)
+        np.subtract(products, spare, products)
+        np.abs(products, products)
+        if np.count_nonzero(np.less_equal(products, flat_limits, passed)) < 2 * m:  # a NaN fails
+            i = int(np.argmin(passed.reshape(2, m).all(axis=0)))
+            k, onto = (i, "the new field") if not passed[i] else (m + i, "ybar")
+            c = float(scale[i]) * area
+            raise AuxiliaryResidualError(
+                f"auxiliary update residual's projection onto {onto} {float(products[k]) * c:.3e} "
+                f"exceeds rounding bound {float(flat_limits[k]) * c:.3e} (rate b={rates[i]})")
+
+    return verdict
+
+
+def _clearing_matrix(cfg: SchemeConfig, grid, rates) -> np.ndarray:
+    """The guard's ``(5m, 4m)`` matrix: the guard's sums, flattened, times it
+    give S_k - P_k for the 2m projections P_k, onto each new field and then
+    onto ybar, and then S_k + P_k, with S_k = h new_i |y_i'|^2 / c_i onto the
+    new field and h |ybar|^2 / c_i onto ybar, h = (1e-12 + g) / 2.  Each
+    column has three nonzero values, at its field's places in the rows of its
+    projection's three sums (``_aux_residual_guard``)."""
+    new, old, scale, bound = _guard_scales(cfg, rates, math.prod(grid.shape))
+    m, h = len(new), bound / 2
+    n, o, one = new / scale, old / scale, 1.0 / scale  # the verdict's weights
+    # each projection's weights by row, the row of S_k's sum, and S_k's weight
+    onto_field = ({_SQUARE: n, _CROSS: -o, _NEW_BAR: -one}, _SQUARE, h * n)
+    onto_bar = ({_NEW_BAR: n, _OLD_BAR: -o, _BAR_SQUARE: -one}, _BAR_SQUARE, h * one)
+    matrix = np.zeros((5 * m, 4 * m))  # row r * m + i takes field i's sum in row r
+    for column, (projection, row_of_s, weight_of_s) in enumerate([onto_field, onto_bar] * 2):
+        sign = -1.0 if column < 2 else 1.0
+        for i in range(m):
+            for row, weight in projection.items():
+                matrix[row * m + i, column * m + i] = sign * weight[i]
+            matrix[row_of_s * m + i, column * m + i] += weight_of_s[i]
+    return matrix
+
+
 def _aux_residual_guard(cfg: SchemeConfig, grid, rates,
                         sums: np.ndarray) -> Callable[[np.ndarray], None]:
     """``guard(ybar)`` raises AuxiliaryResidualError, naming the first failing
@@ -431,6 +509,35 @@ def _aux_residual_guard(cfg: SchemeConfig, grid, rates,
     256 (11-19 of 1e-8, 1-3 of 3e-8); so does one entry off by 1e-9 of
     itself where it is small in its field.
 
+    An honest step is cleared by one gemv, with no root: the sums,
+    flattened, times the ``_clearing_matrix`` give S_k - P_k and S_k + P_k
+    for each projection P_k (over c_i), where S_k is h new_i |y_i'|^2 / c_i
+    onto the new field and h |ybar|^2 / c_i onto ybar, h = (1e-12 + g) / 2.
+    If their minimum is >= 0 the step passes.  Otherwise (a negative value,
+    a NaN, or a FloatingPointError in the product, where an inf sum meets a
+    zero of the matrix) the exact verdict, ``_residual_verdict``, decides,
+    with the arithmetic, bits and message it has alone.  So every field is
+    judged on every step.
+
+    The product clears no step that the verdict rejects.  Take u = 2^-53,
+    h new_i / c_i and h / c_i normal numbers (true unless tau, 1/tau,
+    1/sigma or a rate passes 2^480), and A_k = (new_i |y_i'| + |ybar|)
+    |y_i'| / c_i, or |ybar| in place of the last |y_i'| onto ybar.  Then
+    S_k <= h A_k, and the limit is 2 h A_k plus the floor.  P_k's three
+    terms add up in magnitude to at most 2 A_k + |P_k|, to the sums'
+    rounding, since |y_i'.ybar| <= |y_i'| |ybar| and |old_i y_i'.y_i| <=
+    new_i |y_i'|^2 + |y_i'.ybar| + c_i |P_k| (with y_i.ybar onto ybar).
+    The gemv rounds one matrix value, three nonzero products and their sum,
+    in any order, fused or not: within 4u of that, plus 3 2^-1075 where
+    products underflow.  So a cleared step has |P_k| <= h A_k + 9u A_k +
+    3 2^-1075.  The verdict rounds |P_k| up by as much again, to at most
+    h A_k + 18u A_k + 6 2^-1075, and its limit down by 7u of itself and
+    3 2^-1075, to at least (2 - 14u) h A_k + 7 2^-1075, its floor being at
+    least 10 2^-1075.  That is above, since h >= 5e-13: the limit holds
+    1e-12 of each of new_i |y_i'|^2 / c_i and new_i |y_i'| |ybar| / c_i
+    (|ybar|^2 / c_i onto ybar), S_k at most half of it, and the two
+    roundings a few ulps.
+
     Its fault model: the update coefficients are checked once, when the
     stepper is built (``_residual_plan``), the plan is fixed then, and an
     overflow or NaN raises through the step's errstate; the tests' oracles
@@ -438,47 +545,25 @@ def _aux_residual_guard(cfg: SchemeConfig, grid, rates,
     none of these can: a view that reads or writes the wrong memory, a numpy
     or BLAS path that misbehaves for some size or alignment, and memory
     corruption.  Its blind spot is the perturbation above, nearly orthogonal
-    to both y_i' and ybar.
+    to both y_i' and ybar.  The gemv changes neither: it spares the verdict
+    only on steps the verdict passes.
 
     The caller fills the sweep's rows of ``sums`` with ``_residual_sums``;
-    the guard puts |ybar|^2 in row ``_BAR_SQUARE`` and works on rows of m or
-    2m values, with no Python scalar operand, which costs numpy more."""
-    new, old = _residual_coefficients(cfg, rates)
-    m, area, size = len(new), grid.cell_area, math.prod(grid.shape)
-    scale = np.ldexp(1.0, np.frexp(new + abs(old) + 1.0)[1])  # c_i
-    weights = np.tile(np.array([new, old, np.ones(m)]) / scale, 2)
-    flat = sums.reshape(-1)
-    runs = [flat[row * m:(row + 2) * m] for row in (_SQUARE, _CROSS, _NEW_BAR)]
-    (new_weights, old_weights, bar_weights), (squares, crosses, bars) = weights, runs
-    scales = (1e-12 + 2 * (size + 6) * 2.0**-53) * weights[::2, :m]
-    floors = np.full((2, m), (size + 4) * 2.0**-1074)
-    roots, terms, limits = np.empty((3, 2, m))  # roots: |y_i'| and |ybar|
-    (field_root, bar_root), (field_term, bar_term) = roots, terms
-    bounds, (products, spare), passed = np.empty(m), np.empty((2, 2 * m)), np.empty(2 * m, bool)
-    square, bar_square, flat_limits = sums[_SQUARE], sums[_BAR_SQUARE], limits.reshape(-1)
+    the guard puts |ybar|^2 in row ``_BAR_SQUARE``: four numpy calls a step
+    that the product clears."""
+    verdict = _residual_verdict(cfg, grid, rates, sums)
+    clearing = _clearing_matrix(cfg, grid, rates)
+    flat, bar_square, margins = sums.reshape(-1), sums[_BAR_SQUARE], np.empty(4 * len(rates))
 
     def guard(ybar) -> None:
         norm2 = np.vdot(ybar, ybar)
         bar_square.fill(norm2)
-        bar_root.fill(math.sqrt(norm2))
-        np.sqrt(square, field_root)
-        np.multiply(scales, roots, terms)
-        np.add(field_term, bar_term, bounds)
-        np.multiply(bounds, roots, limits)
-        np.add(limits, floors, limits)
-        np.multiply(new_weights, squares, products)
-        np.multiply(old_weights, crosses, spare)
-        np.subtract(products, spare, products)
-        np.multiply(bar_weights, bars, spare)
-        np.subtract(products, spare, products)
-        np.abs(products, products)
-        if np.count_nonzero(np.less_equal(products, flat_limits, passed)) < 2 * m:  # a NaN fails
-            i = int(np.argmin(passed.reshape(2, m).all(axis=0)))
-            k, onto = (i, "the new field") if not passed[i] else (m + i, "ybar")
-            c = float(scale[i]) * area
-            raise AuxiliaryResidualError(
-                f"auxiliary update residual's projection onto {onto} {float(products[k]) * c:.3e} "
-                f"exceeds rounding bound {float(flat_limits[k]) * c:.3e} (rate b={rates[i]})")
+        try:
+            cleared = np.dot(flat, clearing, out=margins).min() >= 0.0  # a NaN fails
+        except FloatingPointError:  # an inf sum times a zero of the matrix
+            cleared = False
+        if not cleared:
+            verdict(norm2)
 
     return guard
 
@@ -542,12 +627,13 @@ def soe_stepper(
         lhs = _collapsed(terms)
         # the guard's sums and the energy forms, one per field
         sums, forms = np.empty((5, m)), np.empty(m)
-        plan = _residual_plan(cfg, b, size, sums, decay, gain, forms if with_energy else None,
-                              _pointwise(p.operator, size))
+        coef = _pointwise(p.operator, size)
+        plan = _residual_plan(cfg, b, size, sums, decay, gain, forms if with_energy else None, coef)
         guard = _aux_residual_guard(cfg, grid, b, sums)
     context = _numpy_context()  # the step's numpy state
     operator, mass, reaction = p.operator, p.mass, p.reaction
     plain_mass = type(mass) is IdentityOperator  # its application is a copy of y
+    signed = coef is None  # a pointwise operator's forms are never negative
 
     def sweep(old, new, yb, aux) -> Optional[FloatingPointError]:
         """The step's memory fields, a tile at a time: None, or the
@@ -598,7 +684,7 @@ def soe_stepper(
             try:
                 if failure is not None:
                     raise failure
-                e = _composite_energy(p, y_new, new, forms, a)
+                e = _composite_energy(p, y_new, new, forms, a, signed)
             except FloatingPointError as exc:
                 raise _non_finite("energy", s.n + 1, s.t + tau, exc) from None
         return SoeState(y=y_new, aux=aux, n=s.n + 1, t=s.t + tau, energy=e)
@@ -787,15 +873,20 @@ def _tile_forms(operator: SpdOperator, t: _Tile, new: np.ndarray, fields: np.nda
 
 
 def _composite_energy(
-    p: ProblemSpec, y: np.ndarray, rows: np.ndarray, forms: np.ndarray, weights: np.ndarray
+    p: ProblemSpec, y: np.ndarray, rows: np.ndarray, forms: np.ndarray, weights: np.ndarray,
+    signed: bool = True,
 ) -> float:
     """(|y|_mass^2 + sum_i a_i area*forms_i)**0.5 from the forms (A y_i, y_i)
     of every memory field (``rows``, ``(m, size)``, in the stack's order),
     taken by ``_tile_forms``: with an identity mass area (y.y + a.forms), two
     BLAS dots.  A form negative beyond rounding raises NotSpdError, one
-    within it counts as 0, and a square that is not finite FloatingPointError."""
+    within it counts as 0, and a square that is not finite FloatingPointError.
+    ``signed`` False skips the sign check, for forms that cannot be negative:
+    a pointwise operator's (``_pointwise``), dots of squares with a
+    coefficient field of values >= 0, and state 0's zeros, which the check
+    would pass unchanged."""
     area = p.grid.cell_area
-    if forms.min() < 0.0:  # else the check and the clamp change nothing
+    if signed and forms.min() < 0.0:  # else the check and the clamp change nothing
         if np.any(forms < -1e-12 * np.maximum(np.vecdot(rows, rows), 1e-300)):
             raise NotSpdError(f"quadratic form is negative: {forms.min() * area}")
         forms = np.maximum(forms, 0.0)
@@ -812,14 +903,16 @@ def energy(p: ProblemSpec, s: SoeState) -> float:
 
     The A-forms of the memory fields are taken a tile at a time
     (``_tile_forms``, over a ``_plan`` of the stack); a form negative beyond
-    rounding raises NotSpdError.  This is the reference for the energies of a
+    rounding raises NotSpdError, checked unless the operator is pointwise.  This is the reference for the energies of a
     stepper built ``with_energy``.
     """
     m = len(s.aux)
     with _finite("energy", s.n, s.t):
         rows, forms = s.aux.reshape(m, -1), np.empty(m)
         size = rows.shape[1]
-        for t in _plan(m, size, forms, _pointwise(p.operator, size)):
+        coef = _pointwise(p.operator, size)
+        for t in _plan(m, size, forms, coef):
             if t.forms is not None:
                 _tile_forms(p.operator, t, rows[t.at], s.aux)
-        return _composite_energy(p, s.y, rows, forms, np.asarray(p.kernel.weights))
+        return _composite_energy(p, s.y, rows, forms, np.asarray(p.kernel.weights),
+                                 signed=coef is None)

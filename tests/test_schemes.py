@@ -21,7 +21,7 @@ from conftest import (
     scalar_problem,
     update_coefficients,
 )
-from memstep import schemes
+from memstep import experiments, schemes
 from memstep.experiments import ExperimentSpec, build_model_problem
 from memstep.grid import Grid2D, GridMismatchError, sample_function
 from memstep.kernels import BUILTIN_BETAS, PronySeries, load_builtin_prony
@@ -978,6 +978,138 @@ class TestGuardProjections:
         assert np.isnan(sums[schemes._BAR_SQUARE]).all()
 
 
+def counted_verdicts(mp) -> list:
+    """One entry per call of the guard's exact verdict, in guards built after
+    this through ``mp``, a monkeypatch."""
+    calls, build = [], schemes._residual_verdict
+
+    def counting(*args):
+        verdict = build(*args)
+
+        def counted(norm2):
+            calls.append(1)
+            verdict(norm2)
+
+        return counted
+
+    mp.setattr(schemes, "_residual_verdict", counting)
+    return calls
+
+
+def outcome(judge, *args):
+    """None for a pass, else the type and message of what ``judge(*args)``
+    raises, run in the state a step runs in."""
+    try:
+        schemes._numpy_context().run(judge, *args)
+    except (AuxiliaryResidualError, FloatingPointError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestClearingProduct:
+    """The guard clears a step with one product of its sums, and runs the
+    exact verdict only when that product cannot clear it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_clears_only_what_the_verdict_passes(self, data):
+        m = data.draw(st.integers(1, 8))
+        cfg = SchemeConfig(sigma=data.draw(st.floats(0.5, 1.0)), tau=data.draw(st.floats(1e-3, 1.0)))
+        # half the rates 0, where the limits and S_k can be planted exactly
+        rates = np.array([data.draw(st.one_of(st.just(0.0), st.sampled_from([0.0, 40.0]),
+                                              st.floats(0.0, 40.0))) for _ in range(m)])
+        new, old = schemes._residual_coefficients(cfg, rates)
+        ybar = np.array(data.draw(st.sampled_from([[0.0] * 4, [0.0] * 4, [1e-9, -2e-9, 0.0, 3e-9],
+                                                   [0.3, -1.2, 2.0, 0.7], [5e-324, 0.0, 0.0, 0.0]]))
+                        ).reshape(2, 2)
+        grid, bar_square = Grid2D(3, 3), np.vdot(ybar, ybar)
+        special = st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, math.nan, math.inf])
+        square = np.array([data.draw(st.one_of(st.floats(0.0, 1e6), st.floats(0.0, 1e-300), special))
+                           for _ in range(m)])
+        free = st.one_of(st.floats(-1e6, 1e6), st.floats(-1e-300, 1e-300),
+                         st.sampled_from([math.nan, math.inf, -math.inf]))
+        cross, old_bar, new_bar = (np.array([data.draw(free) for _ in range(m)]) for _ in range(3))
+        with np.errstate(all="ignore"):
+            (limits, _), scale = projection_limits(cfg, rates, square, ybar)
+            half = (1e-12 + 2 * (ybar.size + 6) * 2.0**-53) / 2 * (new / scale) * square
+        for i in range(m):
+            plant = data.draw(st.sampled_from(["honest"] * 4 + ["free", "zero"]
+                                              + ["on", "above", "half", "above half"] * 2))
+            if plant == "zero":  # a zero field
+                square[i] = cross[i] = new_bar[i] = 0.0
+            elif plant == "honest":
+                if old[i] == 0.0 or not math.isfinite(square[i]):
+                    continue
+                # y_i'.ybar within |y_i'| |ybar|, and a projection onto the new
+                # field of about 10^k of its limit's scale, around S_k and the limit
+                new_bar[i] = data.draw(st.floats(-1.0, 1.0)) * math.sqrt(square[i] * bar_square)
+                size = (new[i] * square[i] + abs(new_bar[i])) * 10.0 ** data.draw(st.integers(-17, -10))
+                size *= data.draw(st.sampled_from([-1, 0, 1]))
+                cross[i] = (new[i] * square[i] - new_bar[i] + size) / old[i]
+                old_bar[i] = (new[i] * new_bar[i] - bar_square) / old[i]
+            elif plant != "free" and rates[i] == 0.0:
+                # new_i = old_i, so the projection onto the new field is exactly
+                # -y_i'.ybar over c_i, a power of two: on its limit, one ulp
+                # above, on S_k or one ulp above, either sign; the projection
+                # onto ybar is near 0
+                at = {"on": limits[i], "above": np.nextafter(limits[i], math.inf),
+                      "half": half[i], "above half": np.nextafter(half[i], math.inf)}[plant]
+                new_bar[i] = data.draw(st.sampled_from([at, -at])) * scale[i]
+                cross[i], old_bar[i] = square[i], new_bar[i] - bar_square / new[i]
+        sums = np.zeros((5, m))
+        for row, values in [(schemes._CROSS, cross), (schemes._OLD_BAR, old_bar),
+                            (schemes._SQUARE, square), (schemes._NEW_BAR, new_bar)]:
+            sums[row] = values
+        given_rows = sums.copy()
+        with pytest.MonkeyPatch.context() as mp:
+            calls = counted_verdicts(mp)
+            judged = outcome(schemes._aux_residual_guard(cfg, grid, rates, sums), ybar)
+        alone = given_rows.copy()
+        alone[schemes._BAR_SQUARE] = bar_square
+        # the guard's outcome is the verdict's, run alone on the same sums
+        assert judged == outcome(schemes._residual_verdict(cfg, grid, rates, alone), bar_square)
+        if not calls:  # cleared by the product: the verdict's expression passes too
+            with np.errstate(all="ignore"):
+                assert guard_verdict(cfg, grid, rates, given_rows, ybar) is None
+
+    def test_default_run_needs_no_verdict(self, monkeypatch):
+        # the first 50 steps of the run command's defaults: grid 32, beta 1/2, T 4, 400 steps
+        calls = counted_verdicts(monkeypatch)
+        spec = ExperimentSpec(kernel=load_builtin_prony("1/2"))
+        p = build_model_problem(spec)
+        step, s = soe_stepper(p, SchemeConfig(spec.sigma, spec.tau), with_energy=True), soe_init(p)
+        for _ in range(50):
+            s = step(s)
+        assert s.n == 50 and calls == []
+
+    def test_verdict_runs_and_passes_where_the_product_cannot_clear(self, monkeypatch):
+        # ``run --beta 3/7 --T 40 --steps 400``: some steps reach the verdict, and pass it
+        calls = counted_verdicts(monkeypatch)
+        spec = ExperimentSpec(kernel=load_builtin_prony("3/7"), final_time=40.0, n_steps=400)
+        trajectory = experiments.run_model_problem(spec)
+        assert len(calls) >= 1 and np.isfinite(trajectory.energies).all()
+
+    def test_matrix_gives_both_signs_of_each_projection(self):
+        # S_k - P_k and S_k + P_k from the sums by their expressions
+        cfg, rates = SchemeConfig(0.75, 0.1), np.array([0.0, 2.0, 30.0])  # no old_i is 0
+        grid, m = Grid2D(4, 4), 3
+        sums = np.random.default_rng(7).standard_normal((5, m))
+        sums[schemes._SQUARE] **= 2
+        sums[schemes._BAR_SQUARE] = 2.5
+        new, old = schemes._residual_coefficients(cfg, rates)
+        c = np.ldexp(1.0, np.frexp(new + np.abs(old) + 1.0)[1])
+        cross, old_bar, square, new_bar, bar_square = sums
+        h = (1e-12 + 2 * (9 + 6) * 2.0**-53) / 2
+        onto_field = (new * square - old * cross - new_bar) / c
+        onto_bar = (new * new_bar - old * old_bar - bar_square) / c
+        bounds = np.concatenate([h * new * square / c, h * bar_square / c])
+        projections = np.concatenate([onto_field, onto_bar])
+        margins = sums.reshape(-1) @ schemes._clearing_matrix(cfg, grid, rates)
+        np.testing.assert_allclose(margins, np.concatenate([bounds - projections,
+                                                            bounds + projections]), rtol=1e-14)
+        assert np.count_nonzero(schemes._clearing_matrix(cfg, grid, rates)) == 4 * m * 3
+
+
 CATALOGUE = ["field scaled", "decay", "gain", "shift", "wrong ybar", "tile zeros", "tile old",
              "one entry"]
 
@@ -1334,6 +1466,15 @@ class RoundingNegation(SpdOperator):
         return -1e-14 * v
 
 
+class NegatedScaling(DiagonalScaling):
+    """A DiagonalScaling applied as minus its product: forms of -coefficient |v|^2."""
+
+    __slots__ = ()
+
+    def apply_values(self, v):
+        return -(self.coefficient * v)
+
+
 class TestEnergyFromTheStep:
     def test_initial_state_has_the_reference_energy(self, rng):
         # every memory form of state 0 is 0, so no sweep is needed for its energy
@@ -1399,6 +1540,20 @@ class TestEnergyFromTheStep:
         cfg = SchemeConfig(sigma=0.5, tau=0.01)
         s = soe_init(p)
         assert energy(p, s) == pytest.approx(l2_norm(p.initial, p.grid))  # zero fields
+        with pytest.raises(NotSpdError) as reference:
+            energy(p, soe_stepper(p, cfg)(s))
+        with pytest.raises(NotSpdError, match="quadratic form is negative") as raised:
+            soe_stepper(p, cfg, with_energy=True)(s)
+        assert str(raised.value) == str(reference.value)
+
+    def test_negative_form_of_an_operator_that_is_not_pointwise_raises_not_spd(self):
+        # a DiagonalScaling whose application is not its own product is not
+        # pointwise, so its forms are checked: here all negative
+        p = ProblemSpec(operator=NegatedScaling(2.0), kernel=load_builtin_prony("1/2"),
+                        initial=np.ones((3, 3)))
+        assert schemes._pointwise(p.operator, 9) is None
+        cfg = SchemeConfig(sigma=0.5, tau=0.01)
+        s = soe_init(p)
         with pytest.raises(NotSpdError) as reference:
             energy(p, soe_stepper(p, cfg)(s))
         with pytest.raises(NotSpdError, match="quadratic form is negative") as raised:
